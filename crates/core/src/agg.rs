@@ -39,12 +39,12 @@
 //! joins every record's accesses; the unpacking image joins it via
 //! `hb_recv` before applying, and forwarding propagates transitively.
 
-use caf_agg::{decode_batch, encode_batch, AggConfig, AggStats, Record, RecordOp};
+use caf_agg::{batch_records, AggConfig, AggStats, Batch, RecordOp, RecordRef};
 use caf_gasnetsim::AM_MAX_MEDIUM;
 
 use crate::coarray::Coarray;
 use crate::image::{Image, SubstrateKind};
-use crate::rtmsg::RtMsg;
+use crate::rtmsg::write_agg_batch_header;
 
 /// Clamp the user's aggregation knobs to what the job can actually run:
 /// routing needs a power-of-two image count, and on the GASNet substrate
@@ -150,12 +150,12 @@ impl Image {
             self.region_rmw_u64(ca.region.id(), disp, |v| apply_acc(op, v, operand));
             return;
         }
-        self.agg_enqueue_record(Record {
+        self.agg_enqueue_record(RecordRef {
             dest: dest as u32,
             op,
             region: ca.region.id(),
             offset: disp as u64,
-            payload: operand.to_le_bytes().to_vec(),
+            payload: &operand.to_le_bytes(),
         });
     }
 
@@ -174,22 +174,21 @@ impl Image {
         {
             return false;
         }
-        self.agg_enqueue_record(Record {
+        self.agg_enqueue_record(RecordRef {
             dest: dest_global as u32,
             op: RecordOp::Put,
             region,
             offset: offset as u64,
-            payload: bytes.to_vec(),
+            payload: bytes,
         });
         // Still an implicitly synchronized put for `cofence` accounting
-        // (the record's buffer was copied, so local completion is
+        // (the payload was copied into the bucket, so local completion is
         // immediate, matching the substrate's behaviour).
         self.implicit_puts.set(self.implicit_puts.get() + 1);
         true
     }
 
-    fn agg_enqueue_record(&self, rec: Record) {
-        let fid = self.agg_fid();
+    fn agg_enqueue_record(&self, rec: RecordRef<'_>) {
         if caf_trace::enabled() {
             let hop = self.agg.borrow().hop_for(rec.dest as usize);
             caf_trace::instant_d(
@@ -200,11 +199,11 @@ impl Image {
                 Some(rec.offset),
             );
         }
-        let full = self.agg.borrow_mut().enqueue(rec);
-        if let Some((target, records)) = full {
+        let full = self.agg.borrow_mut().enqueue_ref(rec);
+        if let Some((target, batch)) = full {
             // Capacity trigger: this bucket leaves now, attributed to the
             // innermost finish so termination detection can see it.
-            self.agg_send_batch(target, records, fid);
+            self.agg_send_batch(target, batch, self.agg_fid());
         }
     }
 
@@ -219,8 +218,8 @@ impl Image {
         }
         self.fault_point("agg_drain");
         let batches = self.agg.borrow_mut().drain_all();
-        for (target, records) in batches {
-            self.agg_send_batch(target, records, fid);
+        for (target, batch) in batches {
+            self.agg_send_batch(target, batch, fid);
         }
     }
 
@@ -238,9 +237,9 @@ impl Image {
             return;
         }
         let fid = self.agg_fid();
-        let records = self.agg.borrow_mut().drain(global);
-        if let Some(records) = records {
-            self.agg_send_batch(global, records, fid);
+        let batch = self.agg.borrow_mut().drain(global);
+        if let Some(batch) = batch {
+            self.agg_send_batch(global, batch, fid);
         }
     }
 
@@ -253,30 +252,34 @@ impl Image {
     /// abandoned (their target memory is gone); without this screen a
     /// routed record could be silently swallowed by the fabric's
     /// drop-on-dead send and survivors' puts would be lost with it.
-    pub(crate) fn agg_send_batch(&self, target: usize, records: Vec<Record>, fid: u64) {
+    pub(crate) fn agg_send_batch(&self, target: usize, mut batch: Batch, fid: u64) {
         debug_assert_ne!(target, self.this_image(), "batch to self");
         let fault = self.backend.fault();
         if fault.any_failed() && fault.is_failed(target) {
-            let mut by_dest: std::collections::BTreeMap<usize, Vec<Record>> =
+            let mut by_dest: std::collections::BTreeMap<usize, Batch> =
                 std::collections::BTreeMap::new();
             let mut dropped = 0u64;
             let mut rerouted = 0u64;
-            for rec in records {
-                let dest = rec.dest as usize;
-                if fault.is_failed(dest) {
-                    dropped += 1;
-                    continue;
-                }
-                rerouted += 1;
-                by_dest.entry(dest).or_default().push(rec);
-            }
             {
                 let mut agg = self.agg.borrow_mut();
+                for rec in batch_records(batch.bytes()) {
+                    let dest = rec.dest as usize;
+                    if fault.is_failed(dest) {
+                        dropped += 1;
+                        continue;
+                    }
+                    rerouted += 1;
+                    by_dest
+                        .entry(dest)
+                        .or_insert_with(|| agg.new_batch())
+                        .push(rec);
+                }
                 agg.note_reroute(rerouted);
                 agg.note_dropped_dead(dropped);
+                agg.recycle(batch);
             }
-            for (dest, recs) in by_dest {
-                self.agg_send_batch(dest, recs, fid);
+            for (dest, batch) in by_dest {
+                self.agg_send_batch(dest, batch, fid);
             }
             return;
         }
@@ -293,14 +296,13 @@ impl Image {
         let ctr = self.agg_token_ctr.get() + 1;
         self.agg_token_ctr.set(ctr);
         let token = ((self.this_image() as u64 + 1) << 32) | ctr;
-        let data = encode_batch(&records);
         if caf_trace::enabled() {
             caf_trace::instant_d(
                 caf_trace::Op::AggDrain,
                 Some(target),
-                data.len() as u64,
+                batch.bytes().len() as u64,
                 None,
-                Some(records.len() as u64),
+                Some(batch.len() as u64),
             );
         }
         // The batch carries the union of its records' happens-before
@@ -312,34 +314,30 @@ impl Image {
             token,
             target,
         );
-        self.backend.send_rtmsg(
-            target,
-            &RtMsg::AggBatch {
-                token,
-                finish_id: fid,
-                data,
-            },
-        );
+        // The bucket reserved the message header in front of its records,
+        // so the drained buffer *is* the encoded `RtMsg::AggBatch`.
+        write_agg_batch_header(batch.headroom_mut(), token, fid);
+        self.backend.send_rtmsg_bytes(target, batch.frame());
+        self.agg.borrow_mut().recycle(batch);
     }
 
-    /// Unpack one incoming batch: apply records addressed here, re-bucket
-    /// and eagerly forward the rest toward their next hop (store-and-
-    /// forward). Completion is accounted *after* forwards are shipped so
-    /// the finish counters never transiently claim quiescence.
+    /// Unpack one incoming batch in place: apply records addressed here,
+    /// re-bucket and eagerly forward the rest toward their next hop
+    /// (store-and-forward). Completion is accounted *after* forwards are
+    /// shipped so the finish counters never transiently claim quiescence.
     pub(crate) fn handle_agg_batch(&self, token: u64, finish_id: u64, data: &[u8]) {
         #[cfg(feature = "check")]
         caf_check::hooks::hb_recv(self.this_image(), caf_check::hooks::NS_AGG, token);
         #[cfg(not(feature = "check"))]
         let _ = token;
-        let records = decode_batch(data);
         let me = self.this_image();
-        let mut sends: Vec<(usize, Vec<Record>)> = Vec::new();
+        let mut sends: Vec<(usize, Batch)> = Vec::new();
         let mut touched: Vec<usize> = Vec::new();
         {
             let mut agg = self.agg.borrow_mut();
-            for rec in records {
+            for rec in batch_records(data) {
                 if rec.dest as usize == me {
-                    self.agg_apply_record(&rec);
+                    self.agg_apply_record(rec);
                     continue;
                 }
                 let hop = agg.hop_for(rec.dest as usize);
@@ -353,7 +351,7 @@ impl Image {
                     );
                 }
                 agg.note_forward();
-                match agg.enqueue(rec) {
+                match agg.enqueue_ref(rec) {
                     Some(full) => sends.push(full),
                     None => touched.push(hop),
                 }
@@ -364,13 +362,13 @@ impl Image {
             touched.sort_unstable();
             touched.dedup();
             for hop in touched {
-                if let Some(r) = agg.drain(hop) {
-                    sends.push((hop, r));
+                if let Some(batch) = agg.drain(hop) {
+                    sends.push((hop, batch));
                 }
             }
         }
-        for (target, records) in sends {
-            self.agg_send_batch(target, records, finish_id);
+        for (target, batch) in sends {
+            self.agg_send_batch(target, batch, finish_id);
         }
         self.finish_counters
             .borrow_mut()
@@ -379,15 +377,12 @@ impl Image {
             .1 += 1;
     }
 
-    fn agg_apply_record(&self, rec: &Record) {
+    fn agg_apply_record(&self, rec: RecordRef<'_>) {
         match rec.op {
-            RecordOp::Put => {
-                self.region_write_local(rec.region, rec.offset as usize, &rec.payload)
-            }
+            RecordOp::Put => self.region_write_local(rec.region, rec.offset as usize, rec.payload),
             RecordOp::Xor | RecordOp::Add => {
                 let operand = u64::from_le_bytes(
                     rec.payload
-                        .as_slice()
                         .try_into()
                         .expect("accumulate operand must be 8 bytes"),
                 );

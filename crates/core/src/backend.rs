@@ -6,7 +6,7 @@
 //! everything substrate-specific — remote references, AM transport, flush
 //! semantics, collectives availability — lives here.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -98,11 +98,49 @@ pub(crate) struct MpiBackend {
     /// `flush_all` ("every window the local process has touched", §3.5) and
     /// to resolve `PutWithEvent` targets.
     pub windows: RefCell<HashMap<u64, Arc<Window>>>,
+    /// One-entry cursor over `windows`: the window last resolved by id.
+    /// Message targets (aggregation records above all) hit the same
+    /// region many times in a row, so the map is consulted once per run
+    /// of equal ids. Holds an `Arc`, so it must be dropped before the
+    /// window is freed — [`MpiBackend::forget_window`] is the only way a
+    /// window leaves `windows`.
+    pub window_cursor: RefCell<Option<Arc<Window>>>,
     /// Release-point completion policy (see [`FlushMode`]).
     pub flush: FlushMode,
 }
 
 impl MpiBackend {
+    /// Run `f` on the window registered under `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when no such window exists: ids arrive in runtime messages,
+    /// so an unknown one is a runtime bug (or a message outliving its
+    /// coarray — a program error the model's oracle reports first).
+    pub fn with_window<R>(&self, id: u64, f: impl FnOnce(&Window) -> R) -> R {
+        let mut cursor = self.window_cursor.borrow_mut();
+        let win = match &mut *cursor {
+            Some(win) if win.id() == id => win,
+            slot => {
+                let windows = self.windows.borrow();
+                let win = windows
+                    .get(&id)
+                    .unwrap_or_else(|| panic!("runtime message for unknown window {id}"));
+                slot.insert(Arc::clone(win))
+            }
+        };
+        f(win)
+    }
+
+    /// Unregister window `id` (at `coarray_free`), invalidating the
+    /// cursor if it points there.
+    pub fn forget_window(&self, id: u64) {
+        self.windows.borrow_mut().remove(&id);
+        self.window_cursor
+            .borrow_mut()
+            .take_if(|win| win.id() == id);
+    }
+
     /// Blocking completion of one window under the configured policy.
     fn flush_window(&self, win: &Window) {
         let (targeted, fallback_fraction) = match self.flush {
@@ -169,10 +207,44 @@ pub(crate) struct GasnetBackend {
     /// Region id -> this image's segment offset (PutWithEvent resolution
     /// and bookkeeping).
     pub regions: RefCell<HashMap<u64, usize>>,
+    /// One-entry cursor over `regions` (see
+    /// [`MpiBackend::window_cursor`]); cleared by
+    /// [`GasnetBackend::forget_region`] because region ids and arena
+    /// offsets are both reused.
+    pub region_cursor: Cell<Option<(u64, usize)>>,
     /// Optional co-resident MPI library (the paper's "duplicate runtimes"
     /// configuration, used by hybrid applications such as CGPOP and by the
     /// Figure-1 memory experiment).
     pub hybrid_mpi: Option<Mpi>,
+}
+
+impl GasnetBackend {
+    /// This image's segment offset of region `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unknown id (see [`MpiBackend::with_window`]).
+    pub fn region_base(&self, id: u64) -> usize {
+        if let Some((cached, base)) = self.region_cursor.get() {
+            if cached == id {
+                return base;
+            }
+        }
+        let base = *self
+            .regions
+            .borrow()
+            .get(&id)
+            .unwrap_or_else(|| panic!("runtime message for unknown region {id}"));
+        self.region_cursor.set(Some((id, base)));
+        base
+    }
+
+    /// Unregister region `id` (at `coarray_free`), invalidating the
+    /// cursor.
+    pub fn forget_region(&self, id: u64) {
+        self.regions.borrow_mut().remove(&id);
+        self.region_cursor.set(None);
+    }
 }
 
 impl Backend {
@@ -194,7 +266,12 @@ impl Backend {
     /// notifications use `MPI_ISEND` to avoid deadlock in circular
     /// wait/notify chains).
     pub fn send_rtmsg(&self, target: usize, msg: &RtMsg) {
-        let bytes = msg.encode();
+        self.send_rtmsg_bytes(target, &msg.encode());
+    }
+
+    /// [`Backend::send_rtmsg`] for a message already in its
+    /// [`RtMsg::encode`] form.
+    pub fn send_rtmsg_bytes(&self, target: usize, bytes: &[u8]) {
         if caf_trace::enabled() {
             caf_trace::instant(
                 caf_trace::Op::RtMsgSend,
@@ -206,7 +283,7 @@ impl Backend {
         match self {
             Backend::Mpi(b) => {
                 b.mpi
-                    .isend(&b.rt_comm, target, RT_TAG, &bytes)
+                    .isend(&b.rt_comm, target, RT_TAG, bytes)
                     .expect("runtime AM send")
                     .wait();
             }
@@ -217,7 +294,7 @@ impl Backend {
                      large transfers must use puts",
                     bytes.len()
                 );
-                b.g.am_request_medium(target, RT_HANDLER, &[], &bytes)
+                b.g.am_request_medium(target, RT_HANDLER, &[], bytes)
                     .expect("runtime AM send");
             }
         }
@@ -226,15 +303,13 @@ impl Backend {
     /// Non-blocking poll for one runtime message.
     pub fn try_recv_rtmsg(&self) -> Option<RtMsg> {
         match self {
-            Backend::Mpi(b) => {
-                try_match_rt(&b.mpi, &b.rt_comm, RT_TAG).map(|bytes| RtMsg::decode(&bytes))
-            }
+            Backend::Mpi(b) => try_match_rt(&b.mpi, &b.rt_comm, RT_TAG).map(RtMsg::decode),
             Backend::Gasnet(b) => {
                 if let Some((_src, bytes)) = b.inbox.pop() {
-                    return Some(RtMsg::decode(&bytes));
+                    return Some(RtMsg::decode(bytes));
                 }
                 b.g.poll();
-                b.inbox.pop().map(|(_src, bytes)| RtMsg::decode(&bytes))
+                b.inbox.pop().map(|(_src, bytes)| RtMsg::decode(bytes))
             }
         }
     }
@@ -266,12 +341,12 @@ impl Backend {
         let _span = caf_trace::span(caf_trace::Op::RtMsgRecvBlocking);
         match self {
             Backend::Mpi(b) => match b.mpi.recv::<u8>(&b.rt_comm, Src::Any, Tag::Is(RT_TAG)) {
-                Ok((bytes, _st)) => Ok(RtMsg::decode(&bytes)),
+                Ok((bytes, _st)) => Ok(RtMsg::decode(bytes)),
                 Err(e) => Err(crate::image::failed_of_err(e)),
             },
             Backend::Gasnet(b) => loop {
                 if let Some((_src, bytes)) = b.inbox.pop() {
-                    return Ok(RtMsg::decode(&bytes));
+                    return Ok(RtMsg::decode(bytes));
                 }
                 match b.g.wait_am_packet_watching(watch) {
                     Ok(pkt) => b.g.dispatch_packet(pkt),

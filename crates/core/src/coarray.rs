@@ -205,13 +205,13 @@ impl Image {
         caf_check::hooks::hb_coll_enter(self.this_image(), team.id());
         match (&self.backend, &*ca.region) {
             (Backend::Mpi(b), RegionInner::Mpi { win }) => {
-                b.windows.borrow_mut().remove(&win.id());
+                b.forget_window(win.id());
                 b.mpi.win_unlock_all(win).expect("unlock_all");
                 b.mpi.win_free_shared(win).expect("win_free");
             }
             (Backend::Gasnet(b), RegionInner::Gasnet { id, offsets, bytes, .. }) => {
                 self.barrier(team);
-                b.regions.borrow_mut().remove(id);
+                b.forget_region(*id);
                 let me = team.rank();
                 b.arena.free(offsets[me], *bytes);
             }

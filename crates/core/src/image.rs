@@ -255,6 +255,7 @@ impl Image {
                         mpi,
                         rt_comm,
                         windows: RefCell::new(HashMap::new()),
+                        window_cursor: RefCell::new(None),
                         flush: config.flush,
                     })),
                     Team {
@@ -283,6 +284,7 @@ impl Image {
                         arena,
                         inbox,
                         regions: RefCell::new(HashMap::new()),
+                        region_cursor: Cell::new(None),
                         hybrid_mpi,
                     })),
                     Team {
@@ -309,7 +311,12 @@ impl Image {
             team_tokens: RefCell::new(HashMap::new()),
             implicit_puts: Cell::new(0),
             implicit_gets: Cell::new(0),
-            agg: RefCell::new(caf_agg::Aggregator::new(agg_cfg, rank, n)),
+            agg: RefCell::new(caf_agg::Aggregator::with_headroom(
+                agg_cfg,
+                rank,
+                n,
+                crate::rtmsg::AGG_BATCH_HEADER,
+            )),
             agg_token_ctr: Cell::new(0),
             world,
             stats: Stats::new(),
@@ -432,25 +439,16 @@ impl Image {
         }
     }
 
-    /// Write into this image's part of a region (PutWithEvent target path).
+    /// Write into this image's part of a region (the target path of
+    /// `PutWithEvent` messages and aggregated `Put` records).
     pub(crate) fn region_write_local(&self, region_id: u64, offset: usize, data: &[u8]) {
         match &self.backend {
-            Backend::Mpi(b) => {
-                let windows = b.windows.borrow();
-                let win = windows
-                    .get(&region_id)
-                    .unwrap_or_else(|| panic!("PutWithEvent for unknown window {region_id}"));
-                b.mpi
-                    .win_write_local(win, offset, data)
-                    .expect("PutWithEvent local write");
-            }
+            Backend::Mpi(b) => b
+                .with_window(region_id, |win| b.mpi.win_write_local(win, offset, data))
+                .expect("message-delivered local write"),
             Backend::Gasnet(b) => {
-                let regions = b.regions.borrow();
-                let base = regions
-                    .get(&region_id)
-                    .unwrap_or_else(|| panic!("PutWithEvent for unknown region {region_id}"));
-                b.g.write_local(base + offset, data)
-                    .expect("PutWithEvent local write");
+                b.g.write_local(b.region_base(region_id) + offset, data)
+                    .expect("message-delivered local write")
             }
         }
     }
@@ -461,29 +459,12 @@ impl Image {
     /// concurrent updates from any number of origins are atomic.
     pub(crate) fn region_rmw_u64(&self, region_id: u64, offset: usize, f: impl FnOnce(u64) -> u64) {
         match &self.backend {
-            Backend::Mpi(b) => {
-                let windows = b.windows.borrow();
-                let win = windows
-                    .get(&region_id)
-                    .unwrap_or_else(|| panic!("accumulate record for unknown window {region_id}"));
-                let mut v = [0u64];
-                b.mpi
-                    .win_read_local(win, offset, &mut v)
-                    .expect("accumulate local read");
-                b.mpi
-                    .win_write_local(win, offset, &[f(v[0])])
-                    .expect("accumulate local write");
-            }
+            Backend::Mpi(b) => b
+                .with_window(region_id, |win| b.mpi.win_rmw_local_u64(win, offset, f))
+                .expect("accumulate local update"),
             Backend::Gasnet(b) => {
-                let regions = b.regions.borrow();
-                let base = regions
-                    .get(&region_id)
-                    .unwrap_or_else(|| panic!("accumulate record for unknown region {region_id}"));
-                let mut v = [0u64];
-                b.g.read_local(base + offset, &mut v)
-                    .expect("accumulate local read");
-                b.g.write_local(base + offset, &[f(v[0])])
-                    .expect("accumulate local write");
+                b.g.rmw_local_u64(b.region_base(region_id) + offset, f)
+                    .expect("accumulate local update")
             }
         }
     }

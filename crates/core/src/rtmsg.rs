@@ -40,17 +40,18 @@ pub enum RtMsg {
         data: Vec<u8>,
     },
     /// One drained aggregation bucket: the `caf-agg` batch wire format
-    /// (`caf_agg::encode_batch`), delivered as a single runtime AM and
-    /// unpacked record-by-record at the target. Carries the union of its
-    /// records' happens-before edges under `token`, and is accounted to
-    /// `finish_id` like a shipped function so Yang's termination
-    /// detection covers in-flight batches and store-and-forward chains.
+    /// (`caf_agg::Batch::bytes`), delivered as a single runtime AM and
+    /// walked in place (`caf_agg::batch_records`) at the target. Carries
+    /// the union of its records' happens-before edges under `token`, and
+    /// is accounted to `finish_id` like a shipped function so Yang's
+    /// termination detection covers in-flight batches and
+    /// store-and-forward chains.
     AggBatch {
         /// Happens-before channel token (globally unique per batch).
         token: u64,
         /// Enclosing finish block at the drain point (0 = none).
         finish_id: u64,
-        /// `caf_agg::encode_batch` payload.
+        /// The encoded batch.
         data: Vec<u8>,
     },
     /// One fragment of a hand-rolled collective on the GASNet substrate.
@@ -86,21 +87,45 @@ fn push_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-struct Reader<'a>(&'a [u8]);
+/// Encoded bytes in front of an [`RtMsg::AggBatch`]'s batch: kind, token,
+/// finish id. Aggregation buckets reserve this much headroom so a drained
+/// bucket goes on the wire as is (see [`write_agg_batch_header`]).
+pub(crate) const AGG_BATCH_HEADER: usize = 1 + 8 + 8;
 
-impl<'a> Reader<'a> {
+/// Fill `head` (exactly [`AGG_BATCH_HEADER`] bytes, directly in front of
+/// the batch) so that `head ++ batch` is the encoding of
+/// `RtMsg::AggBatch { token, finish_id, data: batch }`.
+pub(crate) fn write_agg_batch_header(head: &mut [u8], token: u64, finish_id: u64) {
+    assert_eq!(head.len(), AGG_BATCH_HEADER, "AggBatch header size");
+    head[0] = K_AGG;
+    head[1..9].copy_from_slice(&token.to_le_bytes());
+    head[9..17].copy_from_slice(&finish_id.to_le_bytes());
+}
+
+/// Cursor over a received message. Owns the buffer so a trailing payload
+/// is kept in place (shifted to the front) rather than copied out.
+struct Reader {
+    bytes: Vec<u8>,
+    at: usize,
+}
+
+impl Reader {
+    fn take<const N: usize>(&mut self) -> [u8; N] {
+        let field = self.bytes[self.at..self.at + N]
+            .try_into()
+            .expect("slice of N bytes");
+        self.at += N;
+        field
+    }
     fn u64(&mut self) -> u64 {
-        let (head, rest) = self.0.split_at(8);
-        self.0 = rest;
-        u64::from_le_bytes(head.try_into().expect("8 bytes"))
+        u64::from_le_bytes(self.take())
     }
     fn u32(&mut self) -> u32 {
-        let (head, rest) = self.0.split_at(4);
-        self.0 = rest;
-        u32::from_le_bytes(head.try_into().expect("4 bytes"))
+        u32::from_le_bytes(self.take())
     }
-    fn rest(self) -> Vec<u8> {
-        self.0.to_vec()
+    fn rest(mut self) -> Vec<u8> {
+        self.bytes.drain(..self.at);
+        self.bytes
     }
 }
 
@@ -135,9 +160,8 @@ impl RtMsg {
                 finish_id,
                 data,
             } => {
-                buf.push(K_AGG);
-                push_u64(&mut buf, *token);
-                push_u64(&mut buf, *finish_id);
+                buf.resize(AGG_BATCH_HEADER, 0);
+                write_agg_batch_header(&mut buf, *token, *finish_id);
                 buf.extend_from_slice(data);
             }
             RtMsg::CollPayload {
@@ -162,16 +186,17 @@ impl RtMsg {
         buf
     }
 
-    /// Deserialize from bytes.
+    /// Deserialize a received message, reusing its buffer for the
+    /// payload (if the kind carries one).
     ///
     /// # Panics
     ///
     /// Panics on a malformed message — runtime traffic is internal, so
     /// corruption is a bug, not an input condition.
-    pub fn decode(bytes: &[u8]) -> RtMsg {
-        let (kind, rest) = bytes.split_first().expect("empty runtime message");
-        let mut r = Reader(rest);
-        match *kind {
+    pub fn decode(bytes: Vec<u8>) -> RtMsg {
+        assert!(!bytes.is_empty(), "empty runtime message");
+        let mut r = Reader { bytes, at: 0 };
+        match r.take::<1>()[0] {
             K_EVENT => RtMsg::EventNotify { event_id: r.u64() },
             K_SHIP => RtMsg::Ship {
                 slot: r.u64(),
@@ -207,7 +232,7 @@ mod tests {
     use super::*;
 
     fn roundtrip(m: RtMsg) {
-        assert_eq!(RtMsg::decode(&m.encode()), m);
+        assert_eq!(RtMsg::decode(m.encode()), m);
     }
 
     #[test]
@@ -240,6 +265,20 @@ mod tests {
     }
 
     #[test]
+    fn agg_header_in_place_matches_the_message_encoding() {
+        let batch = [9u8, 8, 7, 6, 5];
+        let mut frame = vec![0u8; AGG_BATCH_HEADER];
+        frame.extend_from_slice(&batch);
+        write_agg_batch_header(&mut frame[..AGG_BATCH_HEADER], 0xA66, 12);
+        let msg = RtMsg::AggBatch {
+            token: 0xA66,
+            finish_id: 12,
+            data: batch.to_vec(),
+        };
+        assert_eq!(frame, msg.encode());
+    }
+
+    #[test]
     fn empty_payloads_roundtrip() {
         roundtrip(RtMsg::PutWithEvent {
             region_id: 0,
@@ -261,7 +300,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "unknown runtime message kind")]
     fn decode_rejects_garbage() {
-        RtMsg::decode(&[200, 0, 0]);
+        RtMsg::decode(vec![200, 0, 0]);
     }
 
     mod props {
@@ -272,13 +311,13 @@ mod tests {
             #[test]
             fn event_roundtrips(id in any::<u64>()) {
                 let m = RtMsg::EventNotify { event_id: id };
-                prop_assert_eq!(RtMsg::decode(&m.encode()), m);
+                prop_assert_eq!(RtMsg::decode(m.encode()), m);
             }
 
             #[test]
             fn ship_roundtrips(slot in any::<u64>(), fid in any::<u64>()) {
                 let m = RtMsg::Ship { slot, finish_id: fid };
-                prop_assert_eq!(RtMsg::decode(&m.encode()), m);
+                prop_assert_eq!(RtMsg::decode(m.encode()), m);
             }
 
             #[test]
@@ -294,7 +333,7 @@ mod tests {
                     event_id: ev,
                     data,
                 };
-                prop_assert_eq!(RtMsg::decode(&m.encode()), m);
+                prop_assert_eq!(RtMsg::decode(m.encode()), m);
             }
 
             #[test]
@@ -304,7 +343,7 @@ mod tests {
                 data in proptest::collection::vec(any::<u8>(), 0..512),
             ) {
                 let m = RtMsg::AggBatch { token, finish_id: fid, data };
-                prop_assert_eq!(RtMsg::decode(&m.encode()), m);
+                prop_assert_eq!(RtMsg::decode(m.encode()), m);
             }
 
             #[test]
@@ -326,7 +365,7 @@ mod tests {
                     nchunks,
                     data,
                 };
-                prop_assert_eq!(RtMsg::decode(&m.encode()), m);
+                prop_assert_eq!(RtMsg::decode(m.encode()), m);
             }
         }
     }

@@ -759,6 +759,7 @@ mod tests {
 
     #[test]
     fn disarmed_gate_is_inert() {
+        let _l = GATE_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         assert!(!armed());
         yield_op(ModelOp::Tick); // must not block or panic
         assert!(!yield_tick());

@@ -167,6 +167,26 @@ impl Segment {
         Ok(())
     }
 
+    /// Owner-serial read-modify-write of the `u64` at byte `offset`:
+    /// `f(old)` is stored back with no atomicity between the load and the
+    /// store, so only one thread at a time may update a given word this
+    /// way (the owning image's progress engine applying accumulate
+    /// records). Same observable effect as a [`Segment::get`] followed by
+    /// a [`Segment::put`] of 8 little-endian bytes — and exactly that pair
+    /// when `offset` is unaligned or a trace session is armed, so traces
+    /// keep their `SegmentGet`/`SegmentPut` instants.
+    pub fn rmw_u64(&self, offset: usize, f: impl FnOnce(u64) -> u64) -> Result<()> {
+        if offset % WORD != 0 || caf_trace::enabled() {
+            let mut b = [0u8; WORD];
+            self.get(offset, &mut b)?;
+            return self.put(offset, &f(u64::from_le_bytes(b)).to_le_bytes());
+        }
+        self.check(offset, WORD)?;
+        let w = &self.words[offset / WORD];
+        w.store(f(w.load(Ordering::Relaxed)), Ordering::Relaxed);
+        Ok(())
+    }
+
     /// Atomically load the aligned `u64` at byte `offset`.
     pub fn load_u64(&self, offset: usize) -> Result<u64> {
         self.check_aligned(offset, WORD)?;
@@ -290,6 +310,39 @@ mod tests {
         ));
         assert_eq!(seg.fetch_add_u64(8, 5).unwrap(), 0);
         assert_eq!(seg.load_u64(8).unwrap(), 5);
+    }
+
+    #[test]
+    fn rmw_u64_matches_get_then_put() {
+        let seg = Segment::new(29);
+        seg.put(0, &(0u8..29).collect::<Vec<_>>()).unwrap();
+        // Aligned fast path, unaligned fallback, last whole word.
+        for off in [0usize, 8, 3, 13, 16, 21] {
+            let mut before = [0u8; 8];
+            seg.get(off, &mut before).unwrap();
+            seg.rmw_u64(off, |v| v ^ 0xA5A5_5A5A_0F0F_F0F0).unwrap();
+            let mut after = [0u8; 8];
+            seg.get(off, &mut after).unwrap();
+            assert_eq!(
+                u64::from_le_bytes(after),
+                u64::from_le_bytes(before) ^ 0xA5A5_5A5A_0F0F_F0F0,
+                "offset {off}"
+            );
+        }
+        // One bounds rule for both paths: the whole word must be inside
+        // the requested length, even where a backing word exists.
+        assert!(matches!(
+            seg.rmw_u64(24, |v| v),
+            Err(FabricError::OutOfBounds { .. })
+        ));
+        assert!(matches!(
+            seg.rmw_u64(22, |v| v),
+            Err(FabricError::OutOfBounds { .. })
+        ));
+        assert!(matches!(
+            seg.rmw_u64(usize::MAX - 3, |v| v),
+            Err(FabricError::OutOfBounds { .. })
+        ));
     }
 
     #[test]

@@ -298,6 +298,29 @@ impl Gasnet {
         });
         self.local.get(offset, as_bytes_mut(out))
     }
+
+    /// Read-modify-write one `u64` of this rank's own segment: the
+    /// [`Gasnet::read_local`] + [`Gasnet::write_local`] pair as one call
+    /// (same Read-then-Write announces, one bounds check). Owner-serial
+    /// (see [`Segment::rmw_u64`]).
+    pub fn rmw_local_u64(&self, offset: usize, f: impl FnOnce(u64) -> u64) -> Result<()> {
+        let owner = self.rank();
+        let region = self.seg_ids[owner].0;
+        let (lo, hi) = (offset as u64, offset as u64 + 8);
+        announce(ModelOp::Read {
+            region,
+            owner,
+            lo,
+            hi,
+        });
+        announce(ModelOp::Write {
+            region,
+            owner,
+            lo,
+            hi,
+        });
+        self.local.rmw_u64(offset, f)
+    }
 }
 
 #[cfg(test)]

@@ -888,6 +888,37 @@ impl Mpi {
         win.local.put(disp, bytes)
     }
 
+    /// Read-modify-write one `u64` of this rank's own window region: the
+    /// [`Mpi::win_read_local`] + [`Mpi::win_write_local`] pair as one call
+    /// — the same Read-then-Write announces and checker hooks, one bounds
+    /// check. Owner-serial (see [`Segment::rmw_u64`]).
+    pub fn win_rmw_local_u64(
+        &self,
+        win: &Window,
+        disp: usize,
+        f: impl FnOnce(u64) -> u64,
+    ) -> Result<()> {
+        let (region, owner) = (model_region(win.id), win.comm.rank());
+        let (lo, hi) = (disp as u64, disp as u64 + 8);
+        announce(ModelOp::Read {
+            region,
+            owner,
+            lo,
+            hi,
+        });
+        #[cfg(feature = "check")]
+        caf_check::hooks::local_read(win.id, win.comm.global_rank(owner), lo, 8);
+        announce(ModelOp::Write {
+            region,
+            owner,
+            lo,
+            hi,
+        });
+        #[cfg(feature = "check")]
+        caf_check::hooks::local_write(win.id, win.comm.global_rank(owner), lo, 8);
+        win.local.rmw_u64(disp, f)
+    }
+
     /// Read `rank`'s window region as a local "load" from whichever
     /// image is executing — the access CAF function shipping needs,
     /// where a shipped closure runs at the data's owner but captured the
