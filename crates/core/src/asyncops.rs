@@ -22,8 +22,8 @@
 use caf_fabric::pod::as_bytes;
 use caf_fabric::Pod;
 
-use crate::backend::Backend;
-use crate::coarray::{Coarray, RegionInner};
+use crate::backend::{Backend, On};
+use crate::coarray::Coarray;
 use crate::event::Event;
 use crate::image::Image;
 use crate::rtmsg::RtMsg;
@@ -139,8 +139,8 @@ impl Image {
             }
             return;
         }
-        match (&self.backend, &*ca.region) {
-            (Backend::Mpi(b), RegionInner::Mpi { win }) => {
+        match ca.region.on(&self.backend) {
+            On::Mpi(b, win) => {
                 match dst_event {
                     None => {
                         if src_event.is_some() {
@@ -181,15 +181,14 @@ impl Image {
                     }
                 }
             }
-            (Backend::Gasnet(bg), RegionInner::Gasnet { offsets, members, .. }) => {
+            On::Gasnet(bg, r) => {
                 // GASNet puts are remotely complete at sync; a destination
                 // event is just put + notify.
-                bg.g.put_nbi(members[member], offsets[member] + disp, data)
-                    .expect("put_nbi");
+                let (target, addr) = r.at(member, disp);
+                bg.g.put_nbi(target, addr, data).expect("put_nbi");
                 self.implicit_puts.set(self.implicit_puts.get() + 1);
                 if let Some(dst) = dst_event {
                     bg.g.wait_syncnbi_puts();
-                    let target = members[member];
                     if target == self.this_image() {
                         self.post_event_local_hb(dst.id);
                     } else {
@@ -205,7 +204,6 @@ impl Image {
                     }
                 }
             }
-            _ => panic!("coarray does not belong to this substrate"),
         }
         // The source buffer was consumed synchronously on this substrate;
         // its event can post immediately (local completion).
@@ -238,16 +236,14 @@ impl Image {
                 (len * std::mem::size_of::<T>()) as u64,
                 false,
             );
-            match (&self.backend, &*ca.region) {
-                (Backend::Mpi(b), RegionInner::Mpi { win }) => {
-                    let req = b.mpi.rget::<T>(win, member, disp, len).expect("rget");
-                    out = req.wait();
+            match ca.region.on(&self.backend) {
+                On::Mpi(b, win) => {
+                    out = b.mpi.rget::<T>(win, member, disp, len).expect("rget").wait();
                 }
-                (Backend::Gasnet(bg), RegionInner::Gasnet { offsets, members, .. }) => {
-                    bg.g.get(members[member], offsets[member] + disp, &mut out)
-                        .expect("get");
+                On::Gasnet(bg, r) => {
+                    let (node, addr) = r.at(member, disp);
+                    bg.g.get(node, addr, &mut out).expect("get");
                 }
-                _ => panic!("coarray does not belong to this substrate"),
             }
             if let Some(src) = opts.src_event {
                 self.post_event_local_hb(src.id);

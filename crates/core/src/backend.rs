@@ -88,6 +88,16 @@ pub(crate) enum Backend {
     Gasnet(Box<GasnetBackend>),
 }
 
+/// A substrate-specific handle (a team's communicator or member list, a
+/// coarray's window or segment offsets) paired with the backend of the
+/// substrate it was created on. `Team::on` and `RegionInner::on` are the
+/// only places a handle from the other substrate can be noticed, so the
+/// mismatch panic lives there once per handle type.
+pub(crate) enum On<'a, M, G> {
+    Mpi(&'a MpiBackend, &'a M),
+    Gasnet(&'a GasnetBackend, &'a G),
+}
+
 /// CAF-MPI: MPI-3 is the runtime (paper §3).
 pub(crate) struct MpiBackend {
     pub mpi: Mpi,
@@ -314,23 +324,10 @@ impl Backend {
         }
     }
 
-    /// Block until a runtime message arrives. The blocking wait makes
+    /// Block until a runtime message arrives, or return the failed subset
+    /// of `watch` once a watched image has died. The blocking wait makes
     /// progress on the substrate (paper §3.4: "the blocking polling
-    /// operation allows the MPI runtime to make progress internally").
-    ///
-    /// Panics if an image fails while waiting — a runtime-message wait can
-    /// be satisfied by *any* image, so a failure anywhere makes the wait
-    /// unfulfillable in general. Callers that want to survive use
-    /// [`Backend::recv_rtmsg_blocking_stat`].
-    pub fn recv_rtmsg_blocking(&self) -> RtMsg {
-        let watch: Vec<usize> = (0..self.size()).collect();
-        self.recv_rtmsg_blocking_stat(&watch).unwrap_or_else(|failed| {
-            panic!("runtime AM wait: image(s) {failed:?} failed (no stat channel)")
-        })
-    }
-
-    /// Fallible runtime-message wait: returns the failed subset of `watch`
-    /// instead of blocking forever once a watched image has died. An
+    /// operation allows the MPI runtime to make progress internally"). An
     /// empty `watch` waits unconditionally.
     ///
     /// On the MPI substrate the runtime communicator spans the world, so

@@ -25,10 +25,10 @@ use caf_mpisim::Window;
 
 use caf_fabric::Pod;
 
-use crate::backend::Backend;
+use crate::backend::{Backend, On};
 use crate::image::Image;
 use crate::stats::StatCat;
-use crate::team::{Team, TeamInner};
+use crate::team::Team;
 
 /// A coarray: `len` elements of `T` on every image of its team.
 ///
@@ -62,25 +62,71 @@ impl<T: Pod> std::fmt::Debug for Coarray<T> {
 #[derive(Debug)]
 pub(crate) enum RegionInner {
     /// MPI substrate: the coarray is an RMA window.
-    Mpi { win: Arc<Window> },
+    Mpi(Arc<Window>),
     /// GASNet substrate: per-member offsets into the attached segments.
-    Gasnet {
-        id: u64,
-        offsets: Arc<[usize]>,
-        members: Arc<[usize]>,
-        bytes: usize,
-    },
+    Gasnet(GRegion),
+}
+
+#[derive(Debug)]
+pub(crate) struct GRegion {
+    pub id: u64,
+    pub offsets: Arc<[usize]>,
+    /// Member global ranks in team order.
+    pub members: Arc<[usize]>,
+    pub bytes: usize,
+}
+
+impl GRegion {
+    /// The `(image, address)` remote reference of byte `disp` in
+    /// `member`'s part.
+    #[inline]
+    pub(crate) fn at(&self, member: usize, disp: usize) -> (usize, usize) {
+        (self.members[member], self.offsets[member] + disp)
+    }
+
+    /// Team rank of global image `image`.
+    fn member_of(&self, image: usize) -> usize {
+        self.members
+            .iter()
+            .position(|&m| m == image)
+            .expect("image not a member of this coarray's team")
+    }
 }
 
 impl RegionInner {
     pub(crate) fn id(&self) -> u64 {
         match self {
-            RegionInner::Mpi { win } => win.id(),
-            RegionInner::Gasnet { id, .. } => *id,
+            RegionInner::Mpi(win) => win.id(),
+            RegionInner::Gasnet(r) => r.id,
         }
     }
 
+    /// The region paired with the backend of the substrate it was
+    /// allocated on.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the coarray was allocated by a job on the other
+    /// substrate.
+    #[inline]
+    pub(crate) fn on<'a>(&'a self, backend: &'a Backend) -> On<'a, Arc<Window>, GRegion> {
+        match (backend, self) {
+            (Backend::Mpi(b), RegionInner::Mpi(win)) => On::Mpi(b, win),
+            (Backend::Gasnet(b), RegionInner::Gasnet(r)) => On::Gasnet(b, r),
+            _ => panic!("coarray does not belong to this substrate"),
+        }
+    }
 }
+
+/// Comm rank of global image `image` in `win`'s communicator.
+fn win_member_of(win: &Window, image: usize) -> usize {
+    win.comm()
+        .comm_rank_of_global(image)
+        .expect("image not a member of this coarray's team")
+}
+
+const NO_GASNET_ATOMICS: &str = "one-sided atomics are MPI-3 features; the GASNet core API \
+     has none (use events or AMs on the GASNet substrate)";
 
 /// A strided section of a coarray — the runtime form of a Fortran array
 /// section `A(lo:hi:step)[img]`: `count` elements starting at element
@@ -152,17 +198,17 @@ impl Image {
     /// `team`.
     pub fn coarray_alloc<T: Pod>(&self, team: &Team, len: usize) -> Coarray<T> {
         let bytes = len * std::mem::size_of::<T>();
-        let region = match (&self.backend, &team.inner) {
-            (Backend::Mpi(b), TeamInner::Mpi(comm)) => {
+        let region = match team.on(&self.backend) {
+            On::Mpi(b, comm) => {
                 // Paper §3.1: allocate with MPI_WIN_ALLOCATE, lock all
                 // targets with MPI_WIN_LOCK_ALL for the window's lifetime.
                 let win = b.mpi.win_allocate(comm, bytes).expect("win_allocate");
                 b.mpi.win_lock_all(&win);
                 let win = Arc::new(win);
                 b.windows.borrow_mut().insert(win.id(), Arc::clone(&win));
-                RegionInner::Mpi { win }
+                RegionInner::Mpi(win)
             }
-            (Backend::Gasnet(b), TeamInner::Gasnet(t)) => {
+            On::Gasnet(b, t) => {
                 let off = b.arena.alloc(bytes).unwrap_or_else(|| {
                     panic!(
                         "GASNet segment exhausted allocating {bytes} bytes \
@@ -176,14 +222,13 @@ impl Image {
                     .into_iter()
                     .map(|o| o as usize)
                     .collect();
-                RegionInner::Gasnet {
+                RegionInner::Gasnet(GRegion {
                     id,
                     offsets: offsets.into(),
                     members: t.members.to_vec().into(),
                     bytes,
-                }
+                })
             }
-            _ => panic!("team does not belong to this substrate"),
         };
         Coarray {
             region: Arc::new(region),
@@ -203,19 +248,17 @@ impl Image {
         let region_id = ca.region.id();
         #[cfg(feature = "check")]
         caf_check::hooks::hb_coll_enter(self.this_image(), team.id());
-        match (&self.backend, &*ca.region) {
-            (Backend::Mpi(b), RegionInner::Mpi { win }) => {
+        match ca.region.on(&self.backend) {
+            On::Mpi(b, win) => {
                 b.forget_window(win.id());
                 b.mpi.win_unlock_all(win).expect("unlock_all");
                 b.mpi.win_free_shared(win).expect("win_free");
             }
-            (Backend::Gasnet(b), RegionInner::Gasnet { id, offsets, bytes, .. }) => {
+            On::Gasnet(b, r) => {
                 self.barrier(team);
-                b.forget_region(*id);
-                let me = team.rank();
-                b.arena.free(offsets[me], *bytes);
+                b.forget_region(r.id);
+                b.arena.free(r.offsets[team.rank()], r.bytes);
             }
-            _ => panic!("coarray does not belong to this substrate"),
         }
         #[cfg(feature = "check")]
         {
@@ -249,25 +292,23 @@ impl<T: Pod> Coarray<T> {
     /// Global image index of team member `member` (for trace attribution).
     pub(crate) fn global_member(&self, member: usize) -> usize {
         match &*self.region {
-            RegionInner::Mpi { win } => win.comm().global_rank(member),
-            RegionInner::Gasnet { members, .. } => members[member],
+            RegionInner::Mpi(win) => win.comm().global_rank(member),
+            RegionInner::Gasnet(r) => r.members[member],
         }
     }
 
     /// The substrate-level remote reference for `member`'s part.
     pub fn remote_ref(&self, member: usize) -> RemoteRef {
         match &*self.region {
-            RegionInner::Mpi { win } => RemoteRef::WindowRankDisp {
+            RegionInner::Mpi(win) => RemoteRef::WindowRankDisp {
                 window: win.id(),
                 rank: member,
                 disp: 0,
             },
-            RegionInner::Gasnet {
-                offsets, members, ..
-            } => RemoteRef::ImageAddress {
-                image: members[member],
-                address: offsets[member],
-            },
+            RegionInner::Gasnet(r) => {
+                let (image, address) = r.at(member, 0);
+                RemoteRef::ImageAddress { image, address }
+            }
         }
     }
 
@@ -290,18 +331,13 @@ impl<T: Pod> Coarray<T> {
             bytes,
             Some(self.region.id()),
             Some(disp as u64),
-            || {
-            match (&img.backend, &*self.region) {
-                (Backend::Mpi(b), RegionInner::Mpi { win }) => {
-                    b.mpi.get(win, member, disp, out).expect("coarray read");
+            || match self.region.on(&img.backend) {
+                On::Mpi(b, win) => b.mpi.get(win, member, disp, out).expect("coarray read"),
+                On::Gasnet(b, r) => {
+                    let (node, addr) = r.at(member, disp);
+                    b.g.get(node, addr, out).expect("coarray read");
                 }
-                (Backend::Gasnet(b), RegionInner::Gasnet { offsets, members, .. }) => {
-                    b.g.get(members[member], offsets[member] + disp, out)
-                        .expect("coarray read");
-                }
-                _ => panic!("coarray does not belong to this substrate"),
-            }
-        },
+            },
         );
     }
 
@@ -325,19 +361,16 @@ impl<T: Pod> Coarray<T> {
             bytes,
             Some(self.region.id()),
             Some(disp as u64),
-            || {
-            match (&img.backend, &*self.region) {
-                (Backend::Mpi(b), RegionInner::Mpi { win }) => {
+            || match self.region.on(&img.backend) {
+                On::Mpi(b, win) => {
                     b.mpi.put(win, member, disp, data).expect("coarray write");
                     b.mpi.win_flush(win, member).expect("coarray write flush");
                 }
-                (Backend::Gasnet(b), RegionInner::Gasnet { offsets, members, .. }) => {
-                    b.g.put(members[member], offsets[member] + disp, data)
-                        .expect("coarray write");
+                On::Gasnet(b, r) => {
+                    let (node, addr) = r.at(member, disp);
+                    b.g.put(node, addr, data).expect("coarray write");
                 }
-                _ => panic!("coarray does not belong to this substrate"),
-            }
-        },
+            },
         );
     }
 
@@ -357,22 +390,16 @@ impl<T: Pod> Coarray<T> {
             std::mem::size_of_val(out) as u64,
             false,
         );
-        match (&img.backend, &*self.region) {
-            (Backend::Mpi(b), RegionInner::Mpi { win }) => {
-                let me = win
-                    .comm()
-                    .comm_rank_of_global(img.this_image())
-                    .expect("image not a member of this coarray's team");
-                b.mpi.win_read_local_at(win, me, disp, out).expect("local read");
-            }
-            (Backend::Gasnet(b), RegionInner::Gasnet { offsets, members, .. }) => {
-                let me = members
-                    .iter()
-                    .position(|&m| m == img.this_image())
-                    .expect("image not a member of this coarray's team");
-                b.g.read_local(offsets[me] + disp, out).expect("local read");
-            }
-            _ => panic!("coarray does not belong to this substrate"),
+        let me = img.this_image();
+        match self.region.on(&img.backend) {
+            On::Mpi(b, win) => b
+                .mpi
+                .win_read_local_at(win, win_member_of(win, me), disp, out)
+                .expect("local read"),
+            On::Gasnet(b, r) => b
+                .g
+                .read_local(r.offsets[r.member_of(me)] + disp, out)
+                .expect("local read"),
         }
     }
 
@@ -389,22 +416,16 @@ impl<T: Pod> Coarray<T> {
             std::mem::size_of_val(data) as u64,
             true,
         );
-        match (&img.backend, &*self.region) {
-            (Backend::Mpi(b), RegionInner::Mpi { win }) => {
-                let me = win
-                    .comm()
-                    .comm_rank_of_global(img.this_image())
-                    .expect("image not a member of this coarray's team");
-                b.mpi.win_write_local_at(win, me, disp, data).expect("local write");
-            }
-            (Backend::Gasnet(b), RegionInner::Gasnet { offsets, members, .. }) => {
-                let me = members
-                    .iter()
-                    .position(|&m| m == img.this_image())
-                    .expect("image not a member of this coarray's team");
-                b.g.write_local(offsets[me] + disp, data).expect("local write");
-            }
-            _ => panic!("coarray does not belong to this substrate"),
+        let me = img.this_image();
+        match self.region.on(&img.backend) {
+            On::Mpi(b, win) => b
+                .mpi
+                .win_write_local_at(win, win_member_of(win, me), disp, data)
+                .expect("local write"),
+            On::Gasnet(b, r) => b
+                .g
+                .write_local(r.offsets[r.member_of(me)] + disp, data)
+                .expect("local write"),
         }
     }
 
@@ -435,20 +456,16 @@ impl<T: Pod> Coarray<T> {
             bytes,
             Some(self.region.id()),
             Some(disp as u64),
-            || {
-            match (&img.backend, &*self.region) {
-                (Backend::Mpi(b), RegionInner::Mpi { win }) => {
-                    b.mpi
-                        .get_vector(win, member, disp, sec.stride, out)
-                        .expect("section read");
+            || match self.region.on(&img.backend) {
+                On::Mpi(b, win) => b
+                    .mpi
+                    .get_vector(win, member, disp, sec.stride, out)
+                    .expect("section read"),
+                On::Gasnet(b, r) => {
+                    let (node, addr) = r.at(member, disp);
+                    b.g.get_strided(node, addr, sec.stride, out).expect("section read");
                 }
-                (Backend::Gasnet(b), RegionInner::Gasnet { offsets, members, .. }) => {
-                    b.g.get_strided(members[member], offsets[member] + disp, sec.stride, out)
-                        .expect("section read");
-                }
-                _ => panic!("coarray does not belong to this substrate"),
-            }
-        },
+            },
         );
     }
 
@@ -468,21 +485,18 @@ impl<T: Pod> Coarray<T> {
             bytes,
             Some(self.region.id()),
             Some(disp as u64),
-            || {
-            match (&img.backend, &*self.region) {
-                (Backend::Mpi(b), RegionInner::Mpi { win }) => {
+            || match self.region.on(&img.backend) {
+                On::Mpi(b, win) => {
                     b.mpi
                         .put_vector(win, member, disp, sec.stride, data)
                         .expect("section write");
                     b.mpi.win_flush(win, member).expect("section write flush");
                 }
-                (Backend::Gasnet(b), RegionInner::Gasnet { offsets, members, .. }) => {
-                    b.g.put_strided(members[member], offsets[member] + disp, sec.stride, data)
-                        .expect("section write");
+                On::Gasnet(b, r) => {
+                    let (node, addr) = r.at(member, disp);
+                    b.g.put_strided(node, addr, sec.stride, data).expect("section write");
                 }
-                _ => panic!("coarray does not belong to this substrate"),
-            }
-        },
+            },
         );
     }
 
@@ -517,15 +531,12 @@ impl<T: Pod> Coarray<T> {
         T: caf_mpisim::BitsRepr,
     {
         let disp = self.byte_off(elem_off, 1);
-        match (&img.backend, &*self.region) {
-            (Backend::Mpi(b), RegionInner::Mpi { win }) => b
+        match self.region.on(&img.backend) {
+            On::Mpi(b, win) => b
                 .mpi
                 .fetch_and_op(win, member, disp, value, caf_mpisim::AccOp::Sum)
                 .expect("fetch_and_op"),
-            (Backend::Gasnet(_), _) => panic!(
-                "one-sided atomics are MPI-3 features; the GASNet core API                  has none (use events or AMs on the GASNet substrate)"
-            ),
-            _ => panic!("coarray does not belong to this substrate"),
+            On::Gasnet(..) => panic!("{NO_GASNET_ATOMICS}"),
         }
     }
 
@@ -545,15 +556,12 @@ impl<T: Pod> Coarray<T> {
         T: caf_mpisim::BitsRepr,
     {
         let disp = self.byte_off(elem_off, 1);
-        match (&img.backend, &*self.region) {
-            (Backend::Mpi(b), RegionInner::Mpi { win }) => b
+        match self.region.on(&img.backend) {
+            On::Mpi(b, win) => b
                 .mpi
                 .compare_and_swap(win, member, disp, expected, new)
                 .expect("compare_and_swap"),
-            (Backend::Gasnet(_), _) => panic!(
-                "one-sided atomics are MPI-3 features; the GASNet core API                  has none (use events or AMs on the GASNet substrate)"
-            ),
-            _ => panic!("coarray does not belong to this substrate"),
+            On::Gasnet(..) => panic!("{NO_GASNET_ATOMICS}"),
         }
     }
 
@@ -657,7 +665,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "image panicked")]
+    #[should_panic(expected = "out of bounds (len 4)")]
     fn out_of_bounds_access_panics() {
         CafUniverse::run(2, |img| {
             let w = img.team_world();
@@ -712,7 +720,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "image panicked")]
+    #[should_panic(expected = "beyond coarray length 8")]
     fn section_out_of_bounds_panics() {
         CafUniverse::run(1, |img| {
             let w = img.team_world();
@@ -752,7 +760,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "image panicked")]
+    #[should_panic(expected = "one-sided atomics are MPI-3 features")]
     fn atomics_unsupported_on_gasnet() {
         CafUniverse::run_with_config(1, CafConfig::on(SubstrateKind::Gasnet), |img| {
             let w = img.team_world();

@@ -254,7 +254,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "image panicked")]
+    #[should_panic(expected = "outside 2×2 tile")]
     fn out_of_tile_access_panics() {
         CafUniverse::run(1, |img| {
             let w = img.team_world();

@@ -15,9 +15,10 @@ use caf_fabric::Pod;
 use caf_gasnetsim::AM_MAX_MEDIUM;
 use caf_mpisim::Scalar;
 
-use crate::backend::Backend;
+use crate::backend::On;
 use crate::image::Image;
 use crate::rtmsg::RtMsg;
+use crate::stat::Stat;
 use crate::stats::StatCat;
 use crate::team::{GTeam, GTeamState, Team, TeamInner};
 
@@ -43,18 +44,13 @@ impl Image {
     }
 
     /// Team barrier (`sync team` / `sync all` on the world team).
+    ///
+    /// # Panics
+    ///
+    /// Panics when a team member has failed; [`Image::barrier_stat`]
+    /// reports it instead.
     pub fn barrier(&self, team: &Team) {
-        self.hb_collective(team, || {
-            self.stats().timed_d(StatCat::Barrier, None, 0, None, Some(team.id()), || {
-                match (&self.backend, &team.inner) {
-                    (Backend::Mpi(b), TeamInner::Mpi(comm)) => {
-                        b.mpi.barrier(comm).expect("barrier");
-                    }
-                    (Backend::Gasnet(_), TeamInner::Gasnet(t)) => self.gbarrier(t),
-                    _ => panic!("team does not belong to this substrate"),
-                }
-            });
-        });
+        self.barrier_stat(team).expect_ok("barrier");
     }
 
     /// Convenience: barrier over `TEAM_WORLD` (`sync all`).
@@ -66,26 +62,20 @@ impl Image {
     /// As [`Image::barrier`], with a failure screen: returns
     /// [`crate::Stat::FailedImage`] (with the failed members) instead of
     /// hanging or panicking when a team member has died mid-barrier.
-    pub fn barrier_stat(&self, team: &Team) -> crate::stat::Stat {
+    pub fn barrier_stat(&self, team: &Team) -> Stat {
         self.hb_collective(team, || {
             self.stats().timed_d(StatCat::Barrier, None, 0, None, Some(team.id()), || {
-                match (&self.backend, &team.inner) {
-                    (Backend::Mpi(b), TeamInner::Mpi(comm)) => match b.mpi.barrier(comm) {
-                        Ok(()) => crate::stat::Stat::Ok,
-                        Err(e) => self.stat_failed(crate::image::failed_of_err(e)),
-                    },
-                    (Backend::Gasnet(_), TeamInner::Gasnet(t)) => match self.gbarrier_stat(t) {
-                        Ok(()) => crate::stat::Stat::Ok,
-                        Err(failed) => self.stat_failed(failed),
-                    },
-                    _ => panic!("team does not belong to this substrate"),
-                }
+                let done = match team.on(&self.backend) {
+                    On::Mpi(b, comm) => b.mpi.barrier(comm).map_err(crate::image::failed_of_err),
+                    On::Gasnet(_, t) => self.gbarrier_stat(t),
+                };
+                done.map_or_else(|failed| self.stat_failed(failed), |()| Stat::Ok)
             })
         })
     }
 
     /// `sync all` with a failure screen (`sync all (stat=...)`).
-    pub fn sync_all_stat(&self) -> crate::stat::Stat {
+    pub fn sync_all_stat(&self) -> Stat {
         let w = self.team_world();
         self.barrier_stat(&w)
     }
@@ -94,12 +84,9 @@ impl Image {
     pub fn broadcast<T: Pod>(&self, team: &Team, root: usize, data: &mut Vec<T>) {
         self.hb_collective(team, || {
             self.stats()
-                .timed_d(StatCat::Reduction, None, 0, None, Some(team.id()), || match (&self.backend, &team.inner) {
-                (Backend::Mpi(b), TeamInner::Mpi(comm)) => {
-                    b.mpi.bcast(comm, root, data).expect("bcast");
-                }
-                (Backend::Gasnet(_), TeamInner::Gasnet(t)) => self.gbcast(t, root, data),
-                _ => panic!("team does not belong to this substrate"),
+                .timed_d(StatCat::Reduction, None, 0, None, Some(team.id()), || match team.on(&self.backend) {
+                On::Mpi(b, comm) => b.mpi.bcast(comm, root, data).expect("bcast"),
+                On::Gasnet(_, t) => self.gbcast(t, root, data),
             });
         });
     }
@@ -114,35 +101,23 @@ impl Image {
     ) -> Option<Vec<T>> {
         self.hb_collective(team, || {
             self.stats()
-                .timed_d(StatCat::Reduction, None, 0, None, Some(team.id()), || match (&self.backend, &team.inner) {
-                    (Backend::Mpi(b), TeamInner::Mpi(comm)) => {
-                        b.mpi.reduce(comm, root, data, f).expect("reduce")
-                    }
-                    (Backend::Gasnet(_), TeamInner::Gasnet(t)) => self.greduce(t, root, data, f),
-                    _ => panic!("team does not belong to this substrate"),
+                .timed_d(StatCat::Reduction, None, 0, None, Some(team.id()), || match team.on(&self.backend) {
+                    On::Mpi(b, comm) => b.mpi.reduce(comm, root, data, f).expect("reduce"),
+                    On::Gasnet(_, t) => self.greduce(t, root, data, f),
                 })
         })
     }
 
     /// Team allreduce.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a team member has failed; [`Image::allreduce_stat`]
+    /// reports it instead.
     pub fn allreduce<T: Pod>(&self, team: &Team, data: &[T], f: impl Fn(T, T) -> T) -> Vec<T> {
-        self.hb_collective(team, || {
-            self.stats()
-                .timed_d(StatCat::Reduction, None, 0, None, Some(team.id()), || match (&self.backend, &team.inner) {
-                (Backend::Mpi(b), TeamInner::Mpi(comm)) => {
-                    b.mpi.allreduce(comm, data, f).expect("allreduce")
-                }
-                (Backend::Gasnet(_), TeamInner::Gasnet(t)) => {
-                    // Hand-rolled: reduce to team rank 0, then broadcast —
-                    // correct, but without the recursive-doubling tuning of
-                    // the MPI library.
-                    let reduced = self.greduce(t, 0, data, &f);
-                    let mut out = reduced.unwrap_or_else(|| data.to_vec());
-                    self.gbcast(t, 0, &mut out);
-                    out
-                }
-                _ => panic!("team does not belong to this substrate"),
-            })
+        self.allreduce_stat(team, data, f).unwrap_or_else(|stat| {
+            stat.expect_ok("allreduce");
+            unreachable!("allreduce_stat fails with a failed set")
         })
     }
 
@@ -156,25 +131,26 @@ impl Image {
         team: &Team,
         data: &[T],
         f: impl Fn(T, T) -> T,
-    ) -> Result<Vec<T>, crate::stat::Stat> {
+    ) -> Result<Vec<T>, Stat> {
         self.hb_collective(team, || {
             self.stats()
                 .timed_d(StatCat::Reduction, None, 0, None, Some(team.id()), || {
-                    match (&self.backend, &team.inner) {
-                        (Backend::Mpi(b), TeamInner::Mpi(comm)) => {
-                            b.mpi.allreduce(comm, data, f).map_err(|e| {
-                                self.stat_failed(crate::image::failed_of_err(e))
-                            })
-                        }
-                        (Backend::Gasnet(_), TeamInner::Gasnet(t)) => (|| {
+                    match team.on(&self.backend) {
+                        On::Mpi(b, comm) => b
+                            .mpi
+                            .allreduce(comm, data, f)
+                            .map_err(crate::image::failed_of_err),
+                        // Hand-rolled: reduce to team rank 0, then
+                        // broadcast — correct, but without the
+                        // recursive-doubling tuning of the MPI library.
+                        On::Gasnet(_, t) => (|| {
                             let reduced = self.greduce_stat(t, 0, data, &f)?;
                             let mut out = reduced.unwrap_or_else(|| data.to_vec());
                             self.gbcast_stat(t, 0, &mut out)?;
                             Ok(out)
-                        })()
-                        .map_err(|failed| self.stat_failed(failed)),
-                        _ => panic!("team does not belong to this substrate"),
+                        })(),
                     }
+                    .map_err(|failed| self.stat_failed(failed))
                 })
         })
     }
@@ -184,12 +160,9 @@ impl Image {
     pub fn allgather<T: Pod>(&self, team: &Team, data: &[T]) -> Vec<T> {
         self.hb_collective(team, || {
             self.stats()
-                .timed_d(StatCat::Reduction, None, 0, None, Some(team.id()), || match (&self.backend, &team.inner) {
-                    (Backend::Mpi(b), TeamInner::Mpi(comm)) => {
-                        b.mpi.allgather(comm, data).expect("allgather")
-                    }
-                    (Backend::Gasnet(_), TeamInner::Gasnet(t)) => self.gallgather(t, data),
-                    _ => panic!("team does not belong to this substrate"),
+                .timed_d(StatCat::Reduction, None, 0, None, Some(team.id()), || match team.on(&self.backend) {
+                    On::Mpi(b, comm) => b.mpi.allgather(comm, data).expect("allgather"),
+                    On::Gasnet(_, t) => self.gallgather(t, data),
                 })
         })
     }
@@ -199,11 +172,9 @@ impl Image {
     pub fn allgatherv<T: Pod>(&self, team: &Team, data: &[T]) -> Vec<T> {
         self.hb_collective(team, || {
             self.stats()
-                .timed_d(StatCat::Reduction, None, 0, None, Some(team.id()), || match (&self.backend, &team.inner) {
-                (Backend::Mpi(b), TeamInner::Mpi(comm)) => {
-                    b.mpi.allgatherv(comm, data).expect("allgatherv")
-                }
-                (Backend::Gasnet(_), TeamInner::Gasnet(t)) => {
+                .timed_d(StatCat::Reduction, None, 0, None, Some(team.id()), || match team.on(&self.backend) {
+                On::Mpi(b, comm) => b.mpi.allgatherv(comm, data).expect("allgatherv"),
+                On::Gasnet(_, t) => {
                     // Hand-rolled: exchange counts, then linear exchange of
                     // the ragged payloads.
                     let counts: Vec<usize> = self
@@ -231,7 +202,6 @@ impl Image {
                     }
                     out
                 }
-                _ => panic!("team does not belong to this substrate"),
             })
         })
     }
@@ -246,12 +216,9 @@ impl Image {
     pub fn alltoall<T: Pod>(&self, team: &Team, data: &[T], block: usize) -> Vec<T> {
         self.hb_collective(team, || {
             self.stats()
-                .timed_d(StatCat::Alltoall, None, 0, None, Some(team.id()), || match (&self.backend, &team.inner) {
-                    (Backend::Mpi(b), TeamInner::Mpi(comm)) => {
-                        b.mpi.alltoall(comm, data, block).expect("alltoall")
-                    }
-                    (Backend::Gasnet(_), TeamInner::Gasnet(t)) => self.galltoall(t, data, block),
-                    _ => panic!("team does not belong to this substrate"),
+                .timed_d(StatCat::Alltoall, None, 0, None, Some(team.id()), || match team.on(&self.backend) {
+                    On::Mpi(b, comm) => b.mpi.alltoall(comm, data, block).expect("alltoall"),
+                    On::Gasnet(_, t) => self.galltoall(t, data, block),
                 })
         })
     }
@@ -307,11 +274,11 @@ impl Image {
     /// Split `team` by color, ordering each part by `(key, rank)` —
     /// CAF 2.0's `team_split`.
     pub fn team_split(&self, team: &Team, color: u64, key: i64) -> Team {
-        self.hb_collective(team, || match (&self.backend, &team.inner) {
-            (Backend::Mpi(b), TeamInner::Mpi(comm)) => Team {
+        self.hb_collective(team, || match team.on(&self.backend) {
+            On::Mpi(b, comm) => Team {
                 inner: TeamInner::Mpi(b.mpi.comm_split(comm, color, key).expect("team_split")),
             },
-            (Backend::Gasnet(_), TeamInner::Gasnet(t)) => {
+            On::Gasnet(_, t) => {
                 let me = t.my_idx;
                 let triples = self.gallgather(t, &[[color, key as u64, me as u64]]);
                 let mut mine: Vec<(i64, usize)> = triples
@@ -336,7 +303,6 @@ impl Image {
                     }),
                 }
             }
-            _ => panic!("team does not belong to this substrate"),
         })
     }
 
@@ -358,8 +324,8 @@ impl Image {
     ///
     /// Panics if the calling image is itself marked failed (a dead image
     /// cannot reform anything).
-    pub fn team_reform(&self, team: &Team) -> (Team, crate::stat::Stat) {
-        let mut stat = crate::stat::Stat::Ok;
+    pub fn team_reform(&self, team: &Team) -> (Team, Stat) {
+        let mut stat = Stat::Ok;
         loop {
             let failed_in_team: Vec<usize> = {
                 let fault = self.backend.fault();
@@ -369,11 +335,11 @@ impl Image {
                     .collect()
             };
             stat.merge(&failed_in_team);
-            let new_team = match (&self.backend, &team.inner) {
-                (Backend::Mpi(b), TeamInner::Mpi(comm)) => Team {
+            let new_team = match team.on(&self.backend) {
+                On::Mpi(b, comm) => Team {
                     inner: TeamInner::Mpi(b.mpi.comm_shrink(comm, &failed_in_team)),
                 },
-                (Backend::Gasnet(_), TeamInner::Gasnet(t)) => {
+                On::Gasnet(_, t) => {
                     let members: Vec<usize> = t
                         .members
                         .iter()
@@ -401,7 +367,6 @@ impl Image {
                         }),
                     }
                 }
-                _ => panic!("team does not belong to this substrate"),
             };
             // Agreement round: a barrier over the candidate team. If it
             // reports new deaths, fold them in and re-shrink — survivors
@@ -510,11 +475,6 @@ impl Image {
             let msg = self.backend.recv_rtmsg_blocking_stat(&t.members)?;
             self.handle_msg(msg);
         }
-    }
-
-    fn gbarrier(&self, t: &GTeam) {
-        self.gbarrier_stat(t)
-            .unwrap_or_else(|failed| panic!("barrier: image(s) {failed:?} failed"));
     }
 
     fn gbarrier_stat(&self, t: &GTeam) -> Result<(), Vec<usize>> {

@@ -128,20 +128,13 @@ impl Image {
     /// Block until `ev` has been posted at this image, then consume one
     /// post (`event_wait`). The blocking poll drives runtime progress:
     /// shipped functions and other events arriving meanwhile are handled.
+    ///
+    /// # Panics
+    ///
+    /// Panics when any image has failed (an event can be posted by any
+    /// image); [`Image::event_wait_stat`] reports it instead.
     pub fn event_wait(&self, ev: &Event) {
-        self.stats().timed_d(StatCat::EventWait, None, 0, None, Some(ev.id), || loop {
-            if self.take_post(ev.id) {
-                #[cfg(feature = "check")]
-                caf_check::hooks::hb_recv(
-                    self.this_image(),
-                    caf_check::hooks::NS_EVENT,
-                    ev.id,
-                );
-                return;
-            }
-            let msg = self.backend.recv_rtmsg_blocking();
-            self.handle_msg(msg);
-        });
+        self.event_wait_stat(ev).expect_ok("event_wait");
     }
 
     /// As [`Image::event_wait`], with a failure screen: returns

@@ -25,11 +25,7 @@ impl Image {
     /// inner block only awaits its own operations (paper §2.1).
     pub fn finish<R>(&self, team: &Team, body: impl FnOnce(&Image) -> R) -> R {
         let (result, stat) = self.finish_stat(team, body);
-        assert!(
-            stat.is_ok(),
-            "finish: image(s) {:?} failed (use finish_stat to handle failure)",
-            stat.failed()
-        );
+        stat.expect_ok("finish");
         result
     }
 

@@ -126,6 +126,14 @@ impl CafUniverse {
 
     /// Run `f` on `n` images with an explicit configuration; returns
     /// per-image results in image order.
+    ///
+    /// # Panics
+    ///
+    /// A panicking image is Fortran's `error stop`: its partners observe
+    /// it as a failed image and unwind, and the first such panic is
+    /// re-raised here once every image has returned. An image killed by
+    /// fault injection panics the job too; use
+    /// [`CafUniverse::run_with_config_ft`] to tolerate those.
     pub fn run_with_config<T, F>(n: usize, config: CafConfig, f: F) -> Vec<T>
     where
         T: Send,
@@ -133,7 +141,7 @@ impl CafUniverse {
     {
         Self::launch(n, config, f)
             .into_iter()
-            .map(|r| r.expect("image panicked"))
+            .map(|r| r.expect("image killed by fault injection (use run_with_config_ft)"))
             .collect()
     }
 
@@ -148,16 +156,13 @@ impl CafUniverse {
         F: Fn(&Image) -> T + Send + Sync,
     {
         Self::launch(n, config, f)
-            .into_iter()
-            .map(|r| match r {
-                Ok(v) => Some(v),
-                Err(e) if e.downcast_ref::<caf_fabric::ImageKilled>().is_some() => None,
-                Err(e) => std::panic::resume_unwind(e),
-            })
-            .collect()
     }
 
-    fn launch<T, F>(n: usize, config: CafConfig, f: F) -> Vec<std::thread::Result<T>>
+    /// Run the job; `None` for an image killed by fault injection. Any
+    /// other panic is re-raised after the join — the first to have
+    /// happened, not the lowest rank's, which is usually a partner
+    /// reporting the first one's death.
+    fn launch<T, F>(n: usize, config: CafConfig, f: F) -> Vec<Option<T>>
     where
         T: Send,
         F: Fn(&Image) -> T + Send + Sync,
@@ -186,7 +191,7 @@ impl CafUniverse {
             .collect();
         let f = &f;
         let ship_reg = &ship_reg;
-        caf_sched::run(n, &config.exec, move |rank| {
+        let mut results = caf_sched::run(n, &config.exec, move |rank| {
             let (ep0, ep1) = slots[rank]
                 .lock()
                 .unwrap()
@@ -195,7 +200,23 @@ impl CafUniverse {
             let _model = caf_fabric::sched::register_thread(rank);
             let img = Image::init(ep0, ep1, config, Arc::clone(ship_reg));
             f(&img)
-        })
+        });
+        // A job that saw a panic unwinds below, so its result order no
+        // longer matters: bring the first panic to the front. (A job
+        // whose images all returned never consults the registry.)
+        if results.iter().any(|r| r.is_err()) {
+            if let Some(first) = fabric.first_panic() {
+                results.swap(0, first);
+            }
+        }
+        results
+            .into_iter()
+            .map(|r| match r {
+                Ok(v) => Some(v),
+                Err(e) if e.downcast_ref::<caf_fabric::ImageKilled>().is_some() => None,
+                Err(e) => std::panic::resume_unwind(e),
+            })
+            .collect()
     }
 }
 
@@ -641,6 +662,42 @@ mod tests {
             |img| img.runtime_memory_overhead(),
         );
         assert!(overheads[0] > gasnet_only[0]);
+    }
+
+    /// `error stop`: image 1 panics while image 0 sits in `sync_all`. The
+    /// job must return (own 10 s watchdog, so a regression fails instead
+    /// of hanging CI) and re-raise the *first* panic — image 0's is only
+    /// its barrier reporting image 1's death.
+    #[test]
+    fn panicking_image_releases_its_partners_and_is_the_panic_reported() {
+        for kind in [SubstrateKind::Mpi, SubstrateKind::Gasnet] {
+            for exec in [caf_sched::ExecConfig::default(), caf_sched::ExecConfig::tasks()] {
+                let cfg = CafConfig {
+                    exec,
+                    ..CafConfig::on(kind)
+                };
+                let (tx, rx) = std::sync::mpsc::channel();
+                std::thread::spawn(move || {
+                    let job = std::panic::catch_unwind(|| {
+                        CafUniverse::run_with_config(2, cfg, |img| {
+                            if img.this_image() == 1 {
+                                panic!("marker: image 1 stops with an error");
+                            }
+                            img.sync_all();
+                        })
+                    });
+                    let _ = tx.send(job.map(drop));
+                });
+                let job = rx
+                    .recv_timeout(std::time::Duration::from_secs(10))
+                    .unwrap_or_else(|_| panic!("{kind:?}/{:?}: partner never released", exec.mode));
+                let payload = job.expect_err("the job must not succeed");
+                let message = payload
+                    .downcast_ref::<&str>()
+                    .expect("the first panic's own payload");
+                assert!(message.contains("marker"), "{kind:?}/{:?}: {message}", exec.mode);
+            }
+        }
     }
 
     #[test]

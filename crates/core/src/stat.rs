@@ -46,6 +46,16 @@ impl Stat {
         }
     }
 
+    /// The policy of every plain blocking call: what its `_stat` form
+    /// reports is fatal. `call` names the plain call.
+    pub(crate) fn expect_ok(&self, call: &str) {
+        assert!(
+            self.is_ok(),
+            "{call}: image(s) {:?} failed (use {call}_stat to handle failure)",
+            self.failed()
+        );
+    }
+
     /// Fold another failed set into this status (sorted, deduplicated).
     pub(crate) fn merge(&mut self, more: &[usize]) {
         if more.is_empty() {

@@ -11,6 +11,8 @@ use std::sync::Arc;
 
 use caf_mpisim::Comm;
 
+use crate::backend::{Backend, On};
+
 /// A CAF team.
 #[derive(Debug, Clone)]
 pub struct Team {
@@ -47,6 +49,20 @@ impl GTeam {
 }
 
 impl Team {
+    /// The team paired with the backend of the substrate it lives on.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the team was created by a job on the other substrate.
+    #[inline]
+    pub(crate) fn on<'a>(&'a self, backend: &'a Backend) -> On<'a, Comm, GTeam> {
+        match (backend, &self.inner) {
+            (Backend::Mpi(b), TeamInner::Mpi(comm)) => On::Mpi(b, comm),
+            (Backend::Gasnet(b), TeamInner::Gasnet(t)) => On::Gasnet(b, t),
+            _ => panic!("team does not belong to this substrate"),
+        }
+    }
+
     /// This image's rank within the team.
     pub fn rank(&self) -> usize {
         match &self.inner {

@@ -105,6 +105,14 @@ impl Fabric {
         self.shared.n
     }
 
+    /// The rank whose own panic (not an injected death) was the first to
+    /// unwind an endpoint of this job, if any — the `error stop` a
+    /// launcher should re-raise. Later panics are usually its partners
+    /// observing the failure.
+    pub fn first_panic(&self) -> Option<usize> {
+        self.shared.fault.first_panic()
+    }
+
     /// Take the plane-0 endpoint for `rank`. Each endpoint can be taken
     /// exactly once.
     ///
@@ -267,20 +275,7 @@ impl Endpoint {
             caf_trace::instant(caf_trace::Op::ImageFailed, Some(me), me as u64, None);
         }
         if self.shared.config.fault.detect {
-            self.fault.mark_failed(me);
-            for plane in 0..self.shared.config.planes {
-                for r in 0..self.shared.n {
-                    if r == me {
-                        continue;
-                    }
-                    let pkt = Packet::control(me, KIND_FAULT, me as i64, [0; 4]);
-                    let _ = self.shared.senders[plane * self.shared.n + r].send(pkt);
-                }
-            }
-            // Survivors parked in cooperative receive loops re-poll and
-            // find the notice; OS-blocked receivers are woken by the
-            // packet itself; model-blocked threads by the Fail op above.
-            caf_sched::unpark_all();
+            self.publish_death();
         }
         crate::sched::set_fault_dying();
         // Injected deaths are expected: silence the default panic hook's
@@ -298,6 +293,26 @@ impl Endpoint {
         std::panic::panic_any(ImageKilled { rank: me })
     }
 
+    /// Mark this rank failed in the registry, then send one failure
+    /// notice to every rank on every plane.
+    fn publish_death(&self) {
+        let me = self.rank;
+        self.fault.mark_failed(me);
+        for plane in 0..self.shared.config.planes {
+            for r in 0..self.shared.n {
+                if r == me {
+                    continue;
+                }
+                let pkt = Packet::control(me, KIND_FAULT, me as i64, [0; 4]);
+                let _ = self.shared.senders[plane * self.shared.n + r].send(pkt);
+            }
+        }
+        // Survivors parked in cooperative receive loops re-poll and find
+        // the notice; OS-blocked receivers are woken by the packet itself;
+        // model-blocked threads by the Fail op of `fail_now`.
+        caf_sched::unpark_all();
+    }
+
     /// Blocking-point bookkeeping for the fault plan: counts this entry
     /// and dies here when this is the planned kill site.
     fn fault_blocking_point(&self) {
@@ -309,16 +324,40 @@ impl Endpoint {
         }
     }
 
-    /// Turn a failure notice into the error every blocking partner set
-    /// must observe; pass data packets through (with delivery tracing).
-    fn screen(&self, pkt: Packet) -> Result<Packet> {
+    /// Pass a data packet through, tracing its delivery; `None` for a
+    /// failure notice.
+    fn data(&self, pkt: Packet) -> Option<Packet> {
         if pkt.kind == KIND_FAULT {
-            return Err(FabricError::ImageFailed {
-                failed: self.fault.failed_set(),
-            });
+            return None;
         }
-        self.trace_delivery(&pkt);
-        Ok(pkt)
+        if caf_trace::enabled() {
+            caf_trace::instant(
+                caf_trace::Op::PacketDeliver,
+                Some(pkt.src),
+                pkt.wire_size() as u64,
+                None,
+            );
+        }
+        Some(pkt)
+    }
+
+    /// The next data packet already in the mailbox, if any. Failure
+    /// notices are swallowed: the registry already records the death, and
+    /// only *blocking* receives surface it as an error.
+    fn next_data(&self) -> Option<Packet> {
+        loop {
+            if let Some(pkt) = self.data(self.rx.try_recv().ok()?) {
+                return Some(pkt);
+            }
+        }
+    }
+
+    /// Turn a failure notice into the error every blocking partner set
+    /// must observe; pass data packets through.
+    fn screen(&self, pkt: Packet) -> Result<Packet> {
+        self.data(pkt).ok_or_else(|| FabricError::ImageFailed {
+            failed: self.fault.failed_set(),
+        })
     }
 
     /// Deliver `pkt` to `to`'s mailbox on this endpoint's plane. FIFO per
@@ -367,17 +406,6 @@ impl Endpoint {
         Ok(())
     }
 
-    fn trace_delivery(&self, pkt: &Packet) {
-        if caf_trace::enabled() {
-            caf_trace::instant(
-                caf_trace::Op::PacketDeliver,
-                Some(pkt.src),
-                pkt.wire_size() as u64,
-                None,
-            );
-        }
-    }
-
     fn model_recv_op(&self) -> crate::sched::ModelOp {
         crate::sched::ModelOp::Recv {
             plane: self.plane,
@@ -385,21 +413,14 @@ impl Endpoint {
         }
     }
 
-    /// Non-blocking poll of this rank's mailbox. Failure notices are
-    /// swallowed here (the registry already records the death; only
-    /// *blocking* paths surface it as an error).
+    /// Non-blocking poll of this rank's mailbox (failure notices are
+    /// swallowed, see [`Endpoint::recv_blocking`] for the path that
+    /// reports them).
     pub fn try_recv(&self) -> Option<Packet> {
         if crate::sched::active() {
             crate::sched::yield_op(self.model_recv_op());
         }
-        loop {
-            let pkt = self.rx.try_recv().ok()?;
-            if pkt.kind == KIND_FAULT {
-                continue;
-            }
-            self.trace_delivery(&pkt);
-            return Some(pkt);
-        }
+        self.next_data()
     }
 
     /// Block until a packet arrives. Returns
@@ -439,14 +460,7 @@ impl Endpoint {
             // Under the model a timeout is just "the schedule chose to let
             // it fire": one announced attempt, then give up.
             crate::sched::yield_op(self.model_recv_op());
-            loop {
-                let pkt = self.rx.try_recv().ok()?;
-                if pkt.kind == KIND_FAULT {
-                    continue;
-                }
-                self.trace_delivery(&pkt);
-                return Some(pkt);
-            }
+            return self.next_data();
         }
         if caf_sched::on_task() {
             // Deadline-bounded cooperative wait. A full park could
@@ -455,29 +469,19 @@ impl Endpoint {
             // rare diagnostic path, not steady-state.
             let deadline = crate::delay::monotonic_ns().saturating_add(timeout.as_nanos() as u64);
             loop {
-                match self.rx.try_recv() {
-                    Ok(pkt) if pkt.kind == KIND_FAULT => continue,
-                    Ok(pkt) => {
-                        self.trace_delivery(&pkt);
-                        return Some(pkt);
-                    }
-                    Err(TryRecvError::Disconnected) => return None,
-                    Err(TryRecvError::Empty) => {
-                        if crate::delay::monotonic_ns() >= deadline {
-                            return None;
-                        }
-                        caf_sched::yield_now();
-                    }
+                if let Some(pkt) = self.next_data() {
+                    return Some(pkt);
                 }
+                if crate::delay::monotonic_ns() >= deadline {
+                    return None;
+                }
+                caf_sched::yield_now();
             }
         }
         loop {
-            let pkt = self.rx.recv_timeout(timeout).ok()?;
-            if pkt.kind == KIND_FAULT {
-                continue;
+            if let Some(pkt) = self.data(self.rx.recv_timeout(timeout).ok()?) {
+                return Some(pkt);
             }
-            self.trace_delivery(&pkt);
-            return Some(pkt);
         }
     }
 
@@ -513,6 +517,22 @@ impl Endpoint {
             .get(&id.0)
             .cloned()
             .ok_or(FabricError::UnknownSegment(id.0))
+    }
+}
+
+/// An image that unwinds from a panic of its own — not from `fail_now`'s
+/// injected [`ImageKilled`] — is Fortran's `error stop`: its death is
+/// published like a detected failure, so partners blocked on it unwind
+/// through the existing detection instead of waiting forever.
+impl Drop for Endpoint {
+    fn drop(&mut self) {
+        if std::thread::panicking()
+            && !crate::sched::fault_dying()
+            && !self.fault.is_failed(self.rank)
+        {
+            self.fault.note_panic();
+            self.publish_death();
+        }
     }
 }
 

@@ -20,7 +20,7 @@
 //! partner, which is exactly the negative control the model explorer
 //! turns into a replayable deadlock token.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Packet kind reserved for failure notices. Substrate kinds live in
@@ -149,6 +149,8 @@ pub(crate) struct FaultState {
     failed: Vec<AtomicBool>,
     blocking_hits: Vec<AtomicU64>,
     op_hits: Vec<AtomicU64>,
+    /// First rank to die of its own panic (`usize::MAX`: none).
+    first_panic: AtomicUsize,
 }
 
 impl FaultState {
@@ -159,7 +161,12 @@ impl FaultState {
             failed: (0..n).map(|_| AtomicBool::new(false)).collect(),
             blocking_hits: (0..n).map(|_| AtomicU64::new(0)).collect(),
             op_hits: (0..n).map(|_| AtomicU64::new(0)).collect(),
+            first_panic: AtomicUsize::new(usize::MAX),
         }
+    }
+
+    pub(crate) fn first_panic(&self) -> Option<usize> {
+        Some(self.first_panic.load(Ordering::Relaxed)).filter(|&r| r != usize::MAX)
     }
 }
 
@@ -228,6 +235,17 @@ impl Fault {
     pub(crate) fn mark_failed(&self, rank: usize) {
         self.state.failed[rank].store(true, Ordering::Release);
         self.state.any.store(true, Ordering::Release);
+    }
+
+    /// Record that this rank is unwinding from a panic of its own; only
+    /// the first such rank of a job is kept.
+    pub(crate) fn note_panic(&self) {
+        let _ = self.state.first_panic.compare_exchange(
+            usize::MAX,
+            self.rank,
+            Ordering::Relaxed,
+            Ordering::Relaxed,
+        );
     }
 
     /// Count one blocking-point entry for this rank; true when the plan

@@ -48,7 +48,7 @@ pub use fault::{Fault, FaultPlan, ImageKilled, Kill, KillSite, KIND_FAULT};
 pub use memacct::{MemAccount, MemCategory};
 pub use packet::Packet;
 pub use pod::Pod;
-pub use segment::{Segment, SegmentId};
+pub use segment::{SegRef, Segment, SegmentId};
 
 /// Result alias used across the fabric layer.
 pub type Result<T> = std::result::Result<T, FabricError>;

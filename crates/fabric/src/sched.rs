@@ -277,6 +277,11 @@ pub fn set_fault_dying() {
     FAULT_DYING.with(|f| f.set(true));
 }
 
+/// Whether the calling thread is unwinding from an injected death.
+pub(crate) fn fault_dying() -> bool {
+    FAULT_DYING.with(|f| f.get())
+}
+
 /// True while a gate is armed in this process. The fast path of every
 /// yield point.
 #[inline]

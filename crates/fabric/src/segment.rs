@@ -40,6 +40,29 @@ impl std::fmt::Debug for Segment {
     }
 }
 
+/// The segment a substrate operation resolved its target to: the caller's
+/// own region, borrowed from where the substrate already holds it, or a
+/// peer's, by the handle [`crate::Endpoint::segment`] returned.
+#[derive(Debug)]
+pub enum SegRef<'a> {
+    /// The caller's own segment: no registry lookup, no refcount traffic.
+    Own(&'a Segment),
+    /// A peer's segment.
+    Peer(std::sync::Arc<Segment>),
+}
+
+impl std::ops::Deref for SegRef<'_> {
+    type Target = Segment;
+
+    #[inline]
+    fn deref(&self) -> &Segment {
+        match self {
+            SegRef::Own(seg) => seg,
+            SegRef::Peer(seg) => seg,
+        }
+    }
+}
+
 impl Segment {
     /// Allocate a zero-initialized segment of `len` bytes.
     pub fn new(len: usize) -> Self {

@@ -26,19 +26,6 @@ pub fn ibv_conduit_like() -> DelayConfig {
     }
 }
 
-/// GASNet-on-Aries-like cost table (the paper's Edison platform).
-pub fn aries_conduit_like() -> DelayConfig {
-    DelayConfig {
-        p2p_inject: scaled(700.0, 0.16),
-        p2p_receive: scaled(700.0, 0.16),
-        rma_put: scaled(1_800.0, 0.15),
-        rma_get: scaled(2_400.0, 0.15),
-        rma_atomic: scaled(2_600.0, 0.0),
-        flush_per_target: scaled(40.0, 0.0),
-        am_dispatch: scaled(650.0, 0.0),
-    }
-}
-
 /// Extra per-message reception cost (ns, pre-scaling) when the SRQ slow
 /// path is active. The paper's Fusion RandomAccess data implies roughly a
 /// 2× hit on the AM-heavy path at 128 cores.

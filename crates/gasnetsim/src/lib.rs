@@ -16,8 +16,8 @@
 //!   the paper's Figure 2 — a process blocked inside an *MPI* call makes no
 //!   GASNet progress.
 //! * **One-sided put/get** on registered segments, with lower per-operation
-//!   overhead than the MPI substrate (GASNet's thin RMA layer), plus
-//!   non-blocking (`_nb`/`_nbi`) variants.
+//!   overhead than the MPI substrate (GASNet's thin RMA layer), plus the
+//!   implicit-handle (`_nbi`) put the runtime's asynchronous copies use.
 //! * **No collectives.** GASNet's core API has none; the CAF-GASNet runtime
 //!   must hand-roll barriers/alltoall from puts and AMs. (A dissemination
 //!   barrier is provided because GASNet itself ships one.)
@@ -41,5 +41,4 @@ pub mod universe;
 pub use am::{Token, AM_MAX_ARGS, AM_MAX_MEDIUM, FIRST_USER_HANDLER};
 pub use caf_fabric::{FabricError, Pod, Result};
 pub use costs::{ibv_conduit_like, SRQ_PENALTY_NS, TIME_SCALE};
-pub use rma::NbHandle;
 pub use universe::{Gasnet, GasnetConfig, GasnetUniverse, SrqMode};

@@ -9,40 +9,62 @@
 //! that size are transported as long AMs and block until the target polls —
 //! reproducing the class of CAF implementations for which the paper's
 //! Figure 2 program deadlocks.
+//!
+//! Every segment operation describes itself once, as a `SegOp`, and runs
+//! the single prologue `Gasnet::seg_begin` (DESIGN.md §3.1) before it
+//! moves data.
 
 use std::sync::Arc;
 
 use caf_fabric::delay::DelayOp;
 use caf_fabric::pod::{as_bytes, as_bytes_mut};
 use caf_fabric::sched::{self, ModelOp};
-use caf_fabric::{FabricError, Pod, Result, Segment};
+use caf_fabric::{FabricError, Pod, Result, SegRef, Segment};
 
 use crate::am::H_PUT_ACK_REQ;
 use crate::universe::Gasnet;
 
-/// Explicit-handle completion object for `_nb` operations
-/// (`gasnet_handle_t`). Operations on this substrate complete at call time,
-/// so the handle certifies rather than awaits.
-#[derive(Debug)]
-#[must_use = "non-blocking handles must be synced"]
-pub struct NbHandle(pub(crate) ());
-
-impl NbHandle {
-    /// `gasnet_wait_syncnb`.
-    pub fn wait(self) {}
-
-    /// `gasnet_try_syncnb`.
-    pub fn try_sync(&self) -> bool {
-        true
-    }
+/// What the prologue does for one kind of segment operation.
+#[derive(Debug, Clone, Copy)]
+struct Kind {
+    load: bool,
+    trace: Option<caf_trace::Op>,
+    charge: Option<DelayOp>,
 }
 
-/// Announce a segment operation at the model-checking gate before it
-/// executes. GASNet segment ids occupy the low half of the region
-/// namespace (MPI window ids carry the high bit).
-fn announce(op: ModelOp) {
-    if sched::active() {
-        sched::yield_op(op);
+const PUT: Kind = Kind { load: false, trace: Some(caf_trace::Op::GasnetPut), charge: Some(DelayOp::RmaPut) };
+const GET: Kind = Kind { load: true, trace: Some(caf_trace::Op::GasnetGet), charge: Some(DelayOp::RmaGet) };
+/// The RDMA half of a long AM: priced as a put, never traced (the AM that
+/// follows is).
+const DEPOSIT: Kind = Kind { load: false, trace: None, charge: Some(DelayOp::RmaPut) };
+/// Plain load/store of this rank's own segment: no trace record, no cost.
+const LOCAL_READ: Kind = Kind { load: true, trace: None, charge: None };
+const LOCAL_WRITE: Kind = Kind { load: false, trace: None, charge: None };
+
+/// One segment operation, described once.
+#[derive(Debug, Clone, Copy)]
+struct SegOp {
+    kind: Kind,
+    node: usize,
+    offset: usize,
+    /// Payload bytes.
+    len: usize,
+    /// Bytes a strided transfer covers at the target, gaps included
+    /// (`None`: contiguous, covers `len`). Strided transfers leave no
+    /// trace record, as on the MPI substrate.
+    span: Option<usize>,
+}
+
+impl SegOp {
+    fn new(kind: Kind, node: usize, offset: usize, len: usize) -> Self {
+        SegOp { kind, node, offset, len, span: None }
+    }
+
+    /// A VIS-style strided transfer: element `i` of `buf` lives at
+    /// `offset + i·stride_elems·size_of::<T>()`.
+    fn strided<T>(kind: Kind, node: usize, offset: usize, stride_elems: usize, buf: &[T]) -> Self {
+        let span = buf.len() * stride_elems.max(1) * std::mem::size_of::<T>();
+        SegOp { span: Some(span), ..Self::new(kind, node, offset, std::mem::size_of_val(buf)) }
     }
 }
 
@@ -52,17 +74,61 @@ impl Gasnet {
         &self.local
     }
 
+    /// The prologue of every segment operation, in one fixed order
+    /// (DESIGN.md §3.1): fault screen, model `announce`, segment
+    /// resolution, trace record, `DelayMeter` charge. GASNet segment ids
+    /// occupy the low half of the model's region namespace (MPI window
+    /// ids carry the high bit).
+    ///
+    /// `Ok(None)` means the target image is dead and the operation is a
+    /// store: its data can never be observed, so it is dropped and
+    /// completes locally (never blocks). A load from a dead image has
+    /// nowhere to take its value from and fails.
+    ///
+    /// Always inlined: every caller passes a constant `kind`, so each
+    /// operation compiles to the steps it takes and nothing else.
+    #[inline(always)]
+    fn seg_begin(&self, op: SegOp) -> Result<Option<SegRef<'_>>> {
+        let SegOp { kind, node, .. } = op;
+        let own = node == self.rank();
+        if !own && self.fault.is_failed(node) {
+            return if kind.load {
+                Err(FabricError::ImageFailed { failed: vec![node] })
+            } else {
+                Ok(None)
+            };
+        }
+        if sched::active() {
+            let (region, owner, lo) = (self.seg_ids[node].0, node, op.offset as u64);
+            let hi = lo + op.span.unwrap_or(op.len) as u64;
+            sched::yield_op(if kind.load {
+                ModelOp::Read { region, owner, lo, hi }
+            } else {
+                ModelOp::Write { region, owner, lo, hi }
+            });
+        }
+        let seg = if own {
+            SegRef::Own(&self.local)
+        } else {
+            SegRef::Peer(self.ep.segment(self.seg_ids[node])?)
+        };
+        if let (Some(trace_op), None) = (kind.trace, op.span) {
+            if caf_trace::enabled() {
+                caf_trace::instant(trace_op, Some(node), op.len as u64, None);
+            }
+        }
+        if let Some(delay_op) = kind.charge {
+            self.delays.charge(delay_op, op.len);
+        }
+        Ok(Some(seg))
+    }
+
     /// Blocking put of `data` at byte `offset` in `node`'s segment
     /// (`gasnet_put`). Complete at return, both locally and remotely —
     /// unless the AM-mediated threshold applies, in which case this blocks
     /// until the target acknowledges (which requires the target to poll).
     pub fn put<T: Pod>(&self, node: usize, offset: usize, data: &[T]) -> Result<()> {
         let bytes = as_bytes(data);
-        if self.fault.is_failed(node) {
-            // The target is dead: its data can never be observed, so the
-            // put is dropped and completes locally (never blocks).
-            return Ok(());
-        }
         if self
             .config
             .put_via_am_threshold
@@ -70,22 +136,8 @@ impl Gasnet {
         {
             return self.put_via_am(node, offset, bytes);
         }
-        announce(ModelOp::Write {
-            region: self.seg_ids[node].0,
-            owner: node,
-            lo: offset as u64,
-            hi: offset as u64 + bytes.len() as u64,
-        });
-        if caf_trace::enabled() {
-            caf_trace::instant(
-                caf_trace::Op::GasnetPut,
-                Some(node),
-                bytes.len() as u64,
-                None,
-            );
-        }
-        self.delays.charge(DelayOp::RmaPut, bytes.len());
-        self.ep.segment(self.seg_ids[node])?.put(offset, bytes)
+        self.seg_begin(SegOp::new(PUT, node, offset, bytes.len()))?
+            .map_or(Ok(()), |seg| seg.put(offset, bytes))
     }
 
     /// AM-mediated put: deposit via long AM, then wait for the target's
@@ -95,7 +147,7 @@ impl Gasnet {
         self.put_acks_expected.set(seq);
         // The long-AM deposit writes the data; the reserved handler at the
         // target replies with an ack once it polls.
-        self.am_request_long_raw(node, H_PUT_ACK_REQ, &[seq], bytes, offset)?;
+        self.am_request_long(node, H_PUT_ACK_REQ, &[seq], bytes, offset)?;
         // This wait is the Figure-2 hazard: it completes only when `node`
         // polls, so the open span gives the stall watchdog its blocked-on
         // edge (origin image → target image).
@@ -124,95 +176,27 @@ impl Gasnet {
         Ok(())
     }
 
-    pub(crate) fn am_request_long_raw(
-        &self,
-        dest: usize,
-        handler: usize,
-        args: &[u64],
-        data: &[u8],
-        dest_offset: usize,
-    ) -> Result<()> {
-        // Internal variant of am_request_long that bypasses the user-index
-        // assertion (reserved handlers are allowed here).
-        announce(ModelOp::Write {
-            region: self.seg_ids[dest].0,
-            owner: dest,
-            lo: dest_offset as u64,
-            hi: dest_offset as u64 + data.len() as u64,
-        });
-        let seg = self.ep.segment(self.seg_ids[dest])?;
-        self.delays.charge(DelayOp::RmaPut, data.len());
-        seg.put(dest_offset, data)?;
-        let mut buf = Vec::with_capacity(args.len() * 8);
-        buf.extend_from_slice(as_bytes(args));
-        self.delays.charge(DelayOp::P2pInject, 0);
-        self.ep.send(
-            dest,
-            caf_fabric::Packet::with_payload(
-                self.rank(),
-                crate::universe::KIND_AM_LONG,
-                handler as i64,
-                [args.len() as u64, dest_offset as u64, data.len() as u64, 0],
-                bytes::Bytes::from(buf),
-            ),
-        )
+    /// The RDMA half of a long AM: write `data` at `offset` in `node`'s
+    /// segment. `false` when the target is dead and nothing was written.
+    pub(crate) fn deposit(&self, node: usize, offset: usize, data: &[u8]) -> Result<bool> {
+        match self.seg_begin(SegOp::new(DEPOSIT, node, offset, data.len()))? {
+            Some(seg) => seg.put(offset, data).map(|()| true),
+            None => Ok(false),
+        }
     }
 
     /// Blocking get from `node`'s segment (`gasnet_get`). Always direct
     /// RDMA.
     pub fn get<T: Pod>(&self, node: usize, offset: usize, out: &mut [T]) -> Result<()> {
-        if self.fault.is_failed(node) {
-            // Unlike a put, a get has nowhere to take its value from.
-            return Err(FabricError::ImageFailed {
-                failed: vec![node],
-            });
-        }
-        let bytes_len = std::mem::size_of_val(out);
-        announce(ModelOp::Read {
-            region: self.seg_ids[node].0,
-            owner: node,
-            lo: offset as u64,
-            hi: offset as u64 + bytes_len as u64,
-        });
-        let seg = self.ep.segment(self.seg_ids[node])?;
         let bytes = as_bytes_mut(out);
-        if caf_trace::enabled() {
-            caf_trace::instant(
-                caf_trace::Op::GasnetGet,
-                Some(node),
-                bytes.len() as u64,
-                None,
-            );
-        }
-        self.delays.charge(DelayOp::RmaGet, bytes.len());
-        seg.get(offset, bytes)
-    }
-
-    /// Non-blocking put with an explicit handle (`gasnet_put_nb`).
-    pub fn put_nb<T: Pod>(&self, node: usize, offset: usize, data: &[T]) -> Result<NbHandle> {
-        self.put(node, offset, data)?;
-        Ok(NbHandle(()))
-    }
-
-    /// Non-blocking get with an explicit handle (`gasnet_get_nb`).
-    pub fn get_nb<T: Pod>(
-        &self,
-        node: usize,
-        offset: usize,
-        out: &mut [T],
-    ) -> Result<NbHandle> {
-        self.get(node, offset, out)?;
-        Ok(NbHandle(()))
+        self.seg_begin(SegOp::new(GET, node, offset, bytes.len()))?
+            .expect("a load is never dropped")
+            .get(offset, bytes)
     }
 
     /// Implicit-handle put (`gasnet_put_nbi`).
     pub fn put_nbi<T: Pod>(&self, node: usize, offset: usize, data: &[T]) -> Result<()> {
         self.put(node, offset, data)
-    }
-
-    /// Implicit-handle get (`gasnet_get_nbi`).
-    pub fn get_nbi<T: Pod>(&self, node: usize, offset: usize, out: &mut [T]) -> Result<()> {
-        self.get(node, offset, out)
     }
 
     /// Complete all outstanding implicit-handle puts
@@ -232,16 +216,11 @@ impl Gasnet {
         stride_elems: usize,
         data: &[T],
     ) -> Result<()> {
+        let op = SegOp::strided(PUT, node, offset, stride_elems, data);
+        let Some(seg) = self.seg_begin(op)? else {
+            return Ok(());
+        };
         let esz = std::mem::size_of::<T>();
-        announce(ModelOp::Write {
-            region: self.seg_ids[node].0,
-            owner: node,
-            lo: offset as u64,
-            hi: offset as u64 + (data.len() * stride_elems.max(1) * esz) as u64,
-        });
-        let seg = self.ep.segment(self.seg_ids[node])?;
-        self.delays
-            .charge(DelayOp::RmaPut, std::mem::size_of_val(data));
         for (i, v) in data.iter().enumerate() {
             seg.put(offset + i * stride_elems * esz, as_bytes(std::slice::from_ref(v)))?;
         }
@@ -256,16 +235,9 @@ impl Gasnet {
         stride_elems: usize,
         out: &mut [T],
     ) -> Result<()> {
+        let op = SegOp::strided(GET, node, offset, stride_elems, out);
+        let seg = self.seg_begin(op)?.expect("a load is never dropped");
         let esz = std::mem::size_of::<T>();
-        announce(ModelOp::Read {
-            region: self.seg_ids[node].0,
-            owner: node,
-            lo: offset as u64,
-            hi: offset as u64 + (out.len() * stride_elems.max(1) * esz) as u64,
-        });
-        let seg = self.ep.segment(self.seg_ids[node])?;
-        self.delays
-            .charge(DelayOp::RmaGet, std::mem::size_of_val(out));
         for (i, v) in out.iter_mut().enumerate() {
             seg.get(
                 offset + i * stride_elems * esz,
@@ -275,28 +247,25 @@ impl Gasnet {
         Ok(())
     }
 
+    /// This rank's own segment, through the prologue, as `kind`.
+    #[inline(always)]
+    fn own_begin(&self, kind: Kind, offset: usize, len: usize) -> Result<SegRef<'_>> {
+        let op = SegOp::new(kind, self.rank(), offset, len);
+        Ok(self.seg_begin(op)?.expect("an image outlives its own segment"))
+    }
+
     /// Write into this rank's own segment.
     pub fn write_local<T: Pod>(&self, offset: usize, data: &[T]) -> Result<()> {
-        let me = self.rank();
-        announce(ModelOp::Write {
-            region: self.seg_ids[me].0,
-            owner: me,
-            lo: offset as u64,
-            hi: offset as u64 + std::mem::size_of_val(data) as u64,
-        });
-        self.local.put(offset, as_bytes(data))
+        let bytes = as_bytes(data);
+        self.own_begin(LOCAL_WRITE, offset, bytes.len())?
+            .put(offset, bytes)
     }
 
     /// Read from this rank's own segment.
     pub fn read_local<T: Pod>(&self, offset: usize, out: &mut [T]) -> Result<()> {
-        let me = self.rank();
-        announce(ModelOp::Read {
-            region: self.seg_ids[me].0,
-            owner: me,
-            lo: offset as u64,
-            hi: offset as u64 + std::mem::size_of_val(out) as u64,
-        });
-        self.local.get(offset, as_bytes_mut(out))
+        let bytes = as_bytes_mut(out);
+        self.own_begin(LOCAL_READ, offset, bytes.len())?
+            .get(offset, bytes)
     }
 
     /// Read-modify-write one `u64` of this rank's own segment: the
@@ -304,22 +273,8 @@ impl Gasnet {
     /// (same Read-then-Write announces, one bounds check). Owner-serial
     /// (see [`Segment::rmw_u64`]).
     pub fn rmw_local_u64(&self, offset: usize, f: impl FnOnce(u64) -> u64) -> Result<()> {
-        let owner = self.rank();
-        let region = self.seg_ids[owner].0;
-        let (lo, hi) = (offset as u64, offset as u64 + 8);
-        announce(ModelOp::Read {
-            region,
-            owner,
-            lo,
-            hi,
-        });
-        announce(ModelOp::Write {
-            region,
-            owner,
-            lo,
-            hi,
-        });
-        self.local.rmw_u64(offset, f)
+        self.own_begin(LOCAL_READ, offset, 8)?;
+        self.own_begin(LOCAL_WRITE, offset, 8)?.rmw_u64(offset, f)
     }
 }
 
@@ -346,25 +301,6 @@ mod tests {
             }
         });
         assert_eq!(res, vec![3.75, 3.75]);
-    }
-
-    #[test]
-    fn nb_variants_complete() {
-        GasnetUniverse::run(2, |g| {
-            if g.rank() == 0 {
-                let h = g.put_nb(1, 0, &[5u64]).unwrap();
-                assert!(h.try_sync());
-                h.wait();
-                g.put_nbi(1, 8, &[6u64]).unwrap();
-                g.wait_syncnbi_puts();
-            }
-            g.barrier();
-            if g.rank() == 1 {
-                let mut out = [0u64; 2];
-                g.read_local(0, &mut out).unwrap();
-                assert_eq!(out, [5, 6]);
-            }
-        });
     }
 
     #[test]
@@ -410,7 +346,7 @@ mod tests {
                 let mut acked = false;
                 let seq = g.put_acks_expected.get() + 1;
                 g.put_acks_expected.set(seq);
-                g.am_request_long_raw(1, crate::am::H_PUT_ACK_REQ, &[seq], &[1u8], 0)
+                g.am_request_long(1, crate::am::H_PUT_ACK_REQ, &[seq], &[1u8], 0)
                     .unwrap();
                 while started.elapsed() < std::time::Duration::from_millis(50) {
                     g.poll();
@@ -450,6 +386,51 @@ mod tests {
                 assert_eq!(out, [1.5, 2.5, 3.5]);
             }
         });
+    }
+
+    /// A load from a failed image fails, a store to one is dropped — the
+    /// same for every operation, because the screen is the prologue's.
+    #[test]
+    fn dead_target_fails_every_load_and_drops_every_store() {
+        use caf_fabric::{Fabric, FabricConfig, FabricError};
+        let res = Fabric::run_with_config_ft(2, FabricConfig::default(), |ep| {
+            let g = crate::Gasnet::init(ep, GasnetConfig::default());
+            // Both segments are attached and known before rank 1 dies.
+            g.barrier();
+            if g.rank() == 1 {
+                g.fail_now();
+            }
+            while !g.fault().is_failed(1) {
+                std::thread::yield_now();
+            }
+            let before = g.delay_meter().snapshot();
+            let mut out = [0u64; 2];
+            let loads = [
+                ("get", g.get(1, 0, &mut out)),
+                ("get_strided", g.get_strided(1, 0, 2, &mut out)),
+            ];
+            for (name, result) in loads {
+                assert!(
+                    matches!(&result, Err(FabricError::ImageFailed { failed }) if failed == &[1]),
+                    "{name}: {result:?}"
+                );
+            }
+            let stores = [
+                ("put", g.put(1, 0, &[1u64])),
+                ("put_nbi", g.put_nbi(1, 0, &[1u64])),
+                ("put_strided", g.put_strided(1, 0, 2, &[1u64, 2])),
+                ("am_request_long", g.am_request_long(1, 2, &[], &[1u8; 8], 0)),
+            ];
+            for (name, result) in stores {
+                assert!(result.is_ok(), "{name}: {result:?}");
+            }
+            assert_eq!(g.delay_meter().snapshot(), before, "a dropped operation costs nothing");
+            let mut dead = [0u8; 64];
+            let seg = g.ep.segment(g.seg_ids[1]).unwrap();
+            seg.get(0, &mut dead).unwrap();
+            assert_eq!(dead, [0u8; 64], "nothing reaches the dead image's segment");
+        });
+        assert!(res[0].is_some() && res[1].is_none());
     }
 
     #[test]

@@ -404,7 +404,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "image panicked")]
+    #[should_panic(expected = "needs CafConfig::hybrid_mpi")]
     fn gasnet_without_hybrid_mpi_panics_clearly() {
         CafUniverse::run_with_config(
             2,

@@ -666,7 +666,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "image panicked")]
+    #[should_panic(expected = "requires a power-of-two team")]
     fn non_pow2_team_rejected() {
         CafUniverse::run(3, |img| {
             let team = img.team_world();

@@ -68,7 +68,7 @@ const PARK_CALLS: &[(&str, &str)] = &[
 ];
 
 /// Raw segment resolution entry points (the `segment-direct` class).
-const SEGMENT_PATTERNS: &[&str] = &["win_segment", "local_segment", "win_shared_query"];
+const SEGMENT_PATTERNS: &[&str] = &["win_segment", "local_segment"];
 
 pub(crate) struct FileCtx<'a> {
     pub rel: &'a str,
@@ -92,10 +92,13 @@ impl<'a> FileCtx<'a> {
         sc: &'a Scopes,
         consumed: &'a RefCell<BTreeSet<(u32, String)>>,
     ) -> Self {
+        // A crate's `tests/` directory is test code, like a
+        // `#[cfg(test)]` module: only `src/` is the crate.
         let krate = rel
             .strip_prefix("crates/")
-            .and_then(|r| r.split('/').next())
-            .unwrap_or("");
+            .and_then(|r| r.split_once('/'))
+            .filter(|(_, path)| path.starts_with("src/"))
+            .map_or("", |(krate, _)| krate);
         let file_name = rel.rsplit('/').next().unwrap_or(rel);
         FileCtx {
             rel,

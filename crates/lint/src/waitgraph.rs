@@ -133,9 +133,8 @@ fn excluded(rel: &str) -> bool {
 }
 
 fn modeled(rel: &str) -> Option<&str> {
-    let rest = rel.strip_prefix("crates/")?;
-    let krate = &rest[..rest.find('/')?];
-    MODELED_CRATES.contains(&krate).then_some(krate)
+    let (krate, path) = rel.strip_prefix("crates/")?.split_once('/')?;
+    (path.starts_with("src/") && MODELED_CRATES.contains(&krate)).then_some(krate)
 }
 
 /// Token-level helpers over one file.

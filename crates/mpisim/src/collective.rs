@@ -415,75 +415,6 @@ impl Mpi {
         Ok(out)
     }
 
-    /// `MPI_Alltoallv`: per-destination counts. `sendcounts[d]` elements go
-    /// to rank `d` (blocks laid out contiguously in rank order);
-    /// `recvcounts[s]` elements are expected from rank `s`. Returns the
-    /// received blocks concatenated in source-rank order.
-    pub fn alltoallv<T: Pod>(
-        &self,
-        comm: &Comm,
-        sendbuf: &[T],
-        sendcounts: &[usize],
-        recvcounts: &[usize],
-    ) -> Result<Vec<T>> {
-        let _span = caf_trace::span_t(
-            caf_trace::Op::MpiAlltoall,
-            None,
-            std::mem::size_of_val(sendbuf) as u64,
-            None,
-        );
-        let n = comm.size();
-        assert_eq!(sendcounts.len(), n);
-        assert_eq!(recvcounts.len(), n);
-        assert_eq!(sendbuf.len(), sendcounts.iter().sum::<usize>());
-        let me = comm.rank();
-        let sdispl: Vec<usize> = prefix_sums(sendcounts);
-        let rdispl: Vec<usize> = prefix_sums(recvcounts);
-        let total_recv: usize = recvcounts.iter().sum();
-        let mut out: Vec<T> = Vec::with_capacity(total_recv);
-        // Fill with copies of the first element (if any) as placeholder.
-        if total_recv > 0 {
-            let fill = if sendbuf.is_empty() {
-                // Receiving data but sending none: placeholder comes from
-                // the first received block instead; start empty and write
-                // slices as they arrive via a zeroed scratch.
-                None
-            } else {
-                Some(sendbuf[0])
-            };
-            match fill {
-                Some(v) => out.resize(total_recv, v),
-                None => {
-                    // SAFETY: `T: Pod` guarantees the all-zeros bit
-                    // pattern is a valid `T`; every element is then
-                    // overwritten by the received blocks below.
-                    out.resize(total_recv, unsafe { std::mem::zeroed() })
-                }
-            }
-        }
-        // Self block.
-        out[rdispl[me]..rdispl[me] + recvcounts[me]]
-            .copy_from_slice(&sendbuf[sdispl[me]..sdispl[me] + sendcounts[me]]);
-        if n == 1 {
-            return Ok(out);
-        }
-        let seq = self.next_coll_seq(comm);
-        for step in 1..n {
-            let to = (me + step) % n;
-            let from = (me + n - step) % n;
-            self.coll_send(
-                comm,
-                to,
-                Self::ctag(seq, step as u32),
-                &sendbuf[sdispl[to]..sdispl[to] + sendcounts[to]],
-            )?;
-            let part = self.coll_recv::<T>(comm, from, Self::ctag(seq, step as u32))?;
-            assert_eq!(part.len(), recvcounts[from], "alltoallv count mismatch");
-            out[rdispl[from]..rdispl[from] + recvcounts[from]].copy_from_slice(&part);
-        }
-        Ok(out)
-    }
-
     /// `MPI_Scan` (inclusive prefix reduction) — linear chain.
     pub fn scan<T: Pod>(
         &self,
@@ -559,16 +490,6 @@ impl Mpi {
         self.ensure_comm_state(id);
         Ok(Comm::new(id, ranks.into(), my_idx))
     }
-}
-
-fn prefix_sums(counts: &[usize]) -> Vec<usize> {
-    let mut out = Vec::with_capacity(counts.len());
-    let mut acc = 0usize;
-    for &c in counts {
-        out.push(acc);
-        acc += c;
-    }
-    out
 }
 
 #[cfg(test)]
@@ -739,30 +660,6 @@ mod tests {
                 assert_eq!(tuned, naive);
             });
             drop(res);
-        }
-    }
-
-    #[test]
-    fn alltoallv_with_ragged_counts() {
-        let n = 4usize;
-        let res = Universe::run(n, |mpi| {
-            let w = mpi.world();
-            let me = mpi.rank();
-            // Rank r sends d+1 copies of (r*10+d) to destination d.
-            let sendcounts: Vec<usize> = (0..n).map(|d| d + 1).collect();
-            let mut send = Vec::new();
-            for d in 0..n {
-                send.extend(std::iter::repeat_n((me * 10 + d) as u64, d + 1));
-            }
-            let recvcounts = vec![me + 1; n];
-            mpi.alltoallv(&w, &send, &sendcounts, &recvcounts).unwrap()
-        });
-        for (me, r) in res.iter().enumerate() {
-            let mut expect = Vec::new();
-            for s in 0..n {
-                expect.extend(std::iter::repeat_n((s * 10 + me) as u64, me + 1));
-            }
-            assert_eq!(r, &expect, "rank {me}");
         }
     }
 

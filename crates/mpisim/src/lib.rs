@@ -13,11 +13,11 @@
 //! * **communicators**: `comm_world`, `dup`, `split`, deterministic
 //!   collective id agreement;
 //! * **collectives**: barrier, broadcast, reduce, allreduce, scan,
-//!   gather, allgather, alltoall, alltoallv — implemented with the classic
+//!   gather, allgather, alltoall — implemented with the classic
 //!   tuned algorithms (dissemination, binomial trees, recursive doubling,
 //!   pairwise exchange). These are the "years of optimization" the paper
 //!   credits for CAF-MPI's FFT win;
-//! * **one-sided RMA**: `win_allocate`, dynamic windows, `put`/`get`,
+//! * **one-sided RMA**: `win_allocate`, `put`/`get`,
 //!   request-generating `rput`/`rget`, `accumulate`/`get_accumulate`,
 //!   `fetch_and_op`, `compare_and_swap`, passive-target `lock_all`,
 //!   `flush`/`flush_all`. RMA is genuinely one-sided: data plane operations
@@ -40,9 +40,7 @@
 
 pub mod collective;
 pub mod comm;
-pub mod dynwin;
 pub mod costs;
-pub mod memmodel;
 pub mod ops;
 pub mod p2p;
 pub mod request;
@@ -52,8 +50,6 @@ pub mod universe;
 pub use caf_fabric::{FabricError, Pod, Result};
 pub use comm::Comm;
 pub use costs::{mvapich_like, TIME_SCALE};
-pub use dynwin::{DynAddr, DynWindow};
-pub use memmodel::SeparateWindow;
 pub use ops::{AccOp, BitsRepr, Scalar};
 pub use p2p::{RecvRequest, SendRequest, Src, Status, Tag};
 pub use request::{FlushRequest, RmaRequest};

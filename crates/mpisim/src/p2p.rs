@@ -14,8 +14,6 @@ use crate::universe::Mpi;
 pub(crate) const KIND_P2P: u16 = 1;
 /// Packet kind for internal collective traffic.
 pub(crate) const KIND_COLL: u16 = 2;
-/// Packet kind for synchronous-send acknowledgements.
-pub(crate) const KIND_SSEND_ACK: u16 = 3;
 
 /// Source selector for a receive (`MPI_ANY_SOURCE` or a specific rank).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,9 +105,6 @@ fn unpack<T: Pod>(comm: &Comm, pkt: Packet) -> (Vec<T>, Status) {
     (vec_from_bytes::<T>(&pkt.payload), status)
 }
 
-/// Marker in `h[2]` requesting a matched-acknowledgement (`MPI_Ssend`).
-const SSEND_FLAG: u64 = 1;
-
 impl Mpi {
     /// Generic ordered matcher: return the first packet (in arrival order)
     /// satisfying `pred`, stashing non-matching packets on the unexpected
@@ -166,23 +161,6 @@ impl Mpi {
         }
     }
 
-    /// Nonblocking variant of [`Mpi::match_packet`].
-    pub(crate) fn try_match_packet(&self, pred: impl Fn(&Packet) -> bool) -> Option<Packet> {
-        {
-            let mut q = self.unexpected.borrow_mut();
-            if let Some(pos) = q.iter().position(&pred) {
-                return q.remove(pos);
-            }
-        }
-        while let Some(pkt) = self.ep.try_recv() {
-            if pred(&pkt) {
-                return Some(pkt);
-            }
-            self.unexpected.borrow_mut().push_back(pkt);
-        }
-        None
-    }
-
     fn p2p_pred<'a>(
         &self,
         comm: &'a Comm,
@@ -204,8 +182,23 @@ impl Mpi {
         }
     }
 
+    /// Nonblocking variant of [`Mpi::match_packet`] for user-level
+    /// point-to-point traffic.
     pub(crate) fn try_match_p2p(&self, comm: &Comm, src: Src, tag: Tag) -> Option<Packet> {
-        self.try_match_packet(self.p2p_pred(comm, src, tag))
+        let pred = self.p2p_pred(comm, src, tag);
+        {
+            let mut q = self.unexpected.borrow_mut();
+            if let Some(pos) = q.iter().position(&pred) {
+                return q.remove(pos);
+            }
+        }
+        while let Some(pkt) = self.ep.try_recv() {
+            if pred(&pkt) {
+                return Some(pkt);
+            }
+            self.unexpected.borrow_mut().push_back(pkt);
+        }
+        None
     }
 
     /// Blocking standard-mode send (eager: completes locally at return).
@@ -259,64 +252,7 @@ impl Mpi {
         let pkt = self.match_packet(comm.members(), self.p2p_pred(comm, src, tag))?;
         span.set_bytes(pkt.payload.len() as u64);
         self.delays.charge(DelayOp::P2pReceive, pkt.payload.len());
-        if pkt.h[2] == SSEND_FLAG {
-            // Synchronous-mode sender is blocked on the match: ack it.
-            self.ep.send(
-                pkt.src,
-                Packet::control(self.ep.rank(), KIND_SSEND_ACK, 0, [pkt.h[3], 0, 0, 0]),
-            )?;
-        }
         Ok(unpack::<T>(comm, pkt))
-    }
-
-    /// Synchronous-mode send (`MPI_Ssend`): completes only once the
-    /// receiver has *matched* the message — the strongest two-sided
-    /// completion guarantee, useful for enforcing rendezvous semantics in
-    /// tests and protocols.
-    pub fn ssend<T: Pod>(&self, comm: &Comm, dest: usize, tag: i64, buf: &[T]) -> Result<()> {
-        let bytes = as_bytes(buf);
-        self.delays.charge(DelayOp::P2pInject, bytes.len());
-        let seq = {
-            let s = self.ssend_seq.get();
-            self.ssend_seq.set(s + 1);
-            s
-        };
-        let pkt = Packet::with_payload(
-            self.ep.rank(),
-            KIND_P2P,
-            tag,
-            [comm.id, comm.rank() as u64, SSEND_FLAG, seq],
-            Bytes::copy_from_slice(bytes),
-        );
-        let gdest = comm.global_rank(dest);
-        self.ep.send(gdest, pkt)?;
-        // Block until the matching ack arrives (other traffic is stashed).
-        let _ = self.match_packet(&[gdest], move |p| {
-            p.kind == KIND_SSEND_ACK && p.h[0] == seq
-        })?;
-        Ok(())
-    }
-
-    /// Blocking receive into a caller-provided buffer. The message must fit
-    /// exactly; a size mismatch is a protocol error and panics (real MPI
-    /// would raise `MPI_ERR_TRUNCATE`).
-    pub fn recv_into<T: Pod>(
-        &self,
-        comm: &Comm,
-        src: Src,
-        tag: Tag,
-        buf: &mut [T],
-    ) -> Result<Status> {
-        let (data, status) = self.recv::<T>(comm, src, tag)?;
-        assert_eq!(
-            data.len(),
-            buf.len(),
-            "recv_into: message of {} elements does not fit buffer of {}",
-            data.len(),
-            buf.len()
-        );
-        buf.copy_from_slice(&data);
-        Ok(status)
     }
 
     /// Nonblocking receive.
@@ -360,66 +296,6 @@ impl Mpi {
         st
     }
 
-    /// `MPI_Waitany` over receive requests: block until one completes;
-    /// returns its index and result. Fairness: repeatedly tests in order,
-    /// driving progress between sweeps.
-    pub fn waitany<T: Pod>(&self, reqs: &mut Vec<RecvRequest<T>>) -> (usize, Vec<T>, Status) {
-        assert!(!reqs.is_empty(), "waitany on an empty request set");
-        // Name a sender this wait can be charged to (the first pending
-        // request with a known source) so a model deadlock report — and
-        // the task executor's wait accounting — shows a wait-for edge.
-        let _hint = reqs
-            .iter()
-            .find_map(|r| match r.src {
-                Src::Rank(s) => Some(r.comm.global_rank(s)),
-                Src::Any => None,
-            })
-            .map(caf_fabric::sched::wait_hint);
-        // Union of every pending request's communicator: the set of
-        // images whose failure could strand this wait.
-        let mut watch: Vec<usize> = reqs
-            .iter()
-            .flat_map(|r| r.comm.members().iter().copied())
-            .collect();
-        watch.sort_unstable();
-        watch.dedup();
-        loop {
-            for i in 0..reqs.len() {
-                if reqs[i].test(self) {
-                    let req = reqs.remove(i);
-                    let (data, st) = req.wait(self);
-                    return (i, data, st);
-                }
-            }
-            let failed = self.fault.failed_of(&watch);
-            assert!(
-                failed.is_empty(),
-                "waitany: partner image(s) failed: {failed:?}"
-            );
-            // Nothing ready: block for the next packet of any kind, then
-            // retest (the packet was stashed by the matcher).
-            match self.ep.recv_blocking() {
-                Ok(pkt) => self.unexpected.borrow_mut().push_back(pkt),
-                Err(FabricError::ImageFailed { .. }) => continue,
-                Err(e) => panic!("fabric torn down while receiving: {e}"),
-            }
-        }
-    }
-
-    /// Nonblocking probe: status of the next matching message, if any has
-    /// arrived, without consuming it.
-    pub fn iprobe(&self, comm: &Comm, src: Src, tag: Tag) -> Option<Status> {
-        // Peek: match, then put the packet back at the *front* so a
-        // subsequent recv sees it first (preserving order).
-        let pkt = self.try_match_packet(self.p2p_pred(comm, src, tag))?;
-        let st = Status {
-            source: pkt.h[1] as usize,
-            tag: pkt.tag,
-            bytes: pkt.payload.len(),
-        };
-        self.unexpected.borrow_mut().push_front(pkt);
-        Some(st)
-    }
 }
 
 #[cfg(test)]
@@ -542,68 +418,6 @@ mod tests {
     }
 
     #[test]
-    fn iprobe_peeks_without_consuming() {
-        Universe::run(2, |mpi| {
-            let w = mpi.world();
-            if mpi.rank() == 0 {
-                mpi.send(&w, 1, 4, &[7u8, 8, 9]).unwrap();
-            } else {
-                let st = loop {
-                    if let Some(st) = mpi.iprobe(&w, Src::Any, Tag::Any) {
-                        break st;
-                    }
-                };
-                assert_eq!(st.bytes, 3);
-                let (d, _) = mpi.recv::<u8>(&w, Src::Rank(0), Tag::Is(4)).unwrap();
-                assert_eq!(d, vec![7, 8, 9]);
-            }
-        });
-    }
-
-    #[test]
-    #[cfg_attr(miri, ignore = "wall-clock timing / raw spin")]
-    fn ssend_completes_only_after_match() {
-        use std::time::{Duration, Instant};
-        let times = Universe::run(2, |mpi| {
-            let w = mpi.world();
-            if mpi.rank() == 0 {
-                let t = Instant::now();
-                mpi.ssend(&w, 1, 3, &[1u64, 2]).unwrap();
-                t.elapsed()
-            } else {
-                // Delay the matching receive; the ssend must wait it out.
-                std::thread::sleep(Duration::from_millis(60));
-                let (d, _) = mpi.recv::<u64>(&w, Src::Rank(0), Tag::Is(3)).unwrap();
-                assert_eq!(d, vec![1, 2]);
-                Duration::ZERO
-            }
-        });
-        assert!(
-            times[0] >= Duration::from_millis(30),
-            "ssend returned before the match: {:?}",
-            times[0]
-        );
-    }
-
-    #[test]
-    fn ssends_interleave_with_regular_traffic() {
-        Universe::run(2, |mpi| {
-            let w = mpi.world();
-            if mpi.rank() == 0 {
-                mpi.send(&w, 1, 1, &[9u8]).unwrap();
-                mpi.ssend(&w, 1, 2, &[8u8]).unwrap();
-                mpi.send(&w, 1, 3, &[7u8]).unwrap();
-            } else {
-                // Receive out of order; acks must still route correctly.
-                let (c, _) = mpi.recv::<u8>(&w, Src::Rank(0), Tag::Is(2)).unwrap();
-                let (a, _) = mpi.recv::<u8>(&w, Src::Rank(0), Tag::Is(1)).unwrap();
-                let (b, _) = mpi.recv::<u8>(&w, Src::Rank(0), Tag::Is(3)).unwrap();
-                assert_eq!((a[0], c[0], b[0]), (9, 8, 7));
-            }
-        });
-    }
-
-    #[test]
     #[cfg_attr(miri, ignore = "wall-clock timing / raw spin")]
     fn blocking_probe_waits_for_message() {
         Universe::run(2, |mpi| {
@@ -623,30 +437,6 @@ mod tests {
     }
 
     #[test]
-    fn waitany_returns_first_arrival() {
-        Universe::run(3, |mpi| {
-            let w = mpi.world();
-            if mpi.rank() == 0 {
-                let mut reqs = vec![
-                    mpi.irecv::<u64>(&w, Src::Rank(1), Tag::Is(1)),
-                    mpi.irecv::<u64>(&w, Src::Rank(2), Tag::Is(2)),
-                ];
-                let mut seen = Vec::new();
-                let (_, d, st) = mpi.waitany(&mut reqs);
-                seen.push((st.source, d[0]));
-                let (_, d, st) = mpi.waitany(&mut reqs);
-                seen.push((st.source, d[0]));
-                seen.sort_unstable();
-                assert_eq!(seen, vec![(1, 10), (2, 20)]);
-                assert!(reqs.is_empty());
-            } else {
-                let v = mpi.rank() as u64 * 10;
-                mpi.send(&w, 0, mpi.rank() as i64, &[v]).unwrap();
-            }
-        });
-    }
-
-    #[test]
     fn isend_request_completes() {
         Universe::run(2, |mpi| {
             let w = mpi.world();
@@ -656,21 +446,6 @@ mod tests {
                 r.wait();
             } else {
                 let _ = mpi.recv::<u8>(&w, Src::Rank(0), Tag::Is(0)).unwrap();
-            }
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "rank panicked")]
-    fn recv_into_rejects_truncation() {
-        // Two ranks; rank 1 panics on truncation, which aborts the job.
-        Universe::run(2, |mpi| {
-            let w = mpi.world();
-            if mpi.rank() == 0 {
-                mpi.send(&w, 1, 0, &[1u64, 2, 3]).unwrap();
-            } else {
-                let mut small = [0u64; 2];
-                let _ = mpi.recv_into(&w, Src::Rank(0), Tag::Is(0), &mut small);
             }
         });
     }

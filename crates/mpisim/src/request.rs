@@ -1,14 +1,14 @@
 //! Request objects for request-generating RMA operations (`MPI_Rput`,
-//! `MPI_Rget`, `MPI_Raccumulate`, `MPI_Rget_accumulate`).
+//! `MPI_Rget`, `MPI_WIN_RFLUSH`).
 //!
 //! Completion semantics follow MPI-3 §11.3 precisely, because the paper's
 //! asynchronous-operation mapping (§3.3) depends on them:
 //!
-//! * an **`rput`/`raccumulate`** request completes when the operation is
-//!   *locally* complete (the origin buffer is reusable) — it says nothing
-//!   about the target;
-//! * an **`rget`/`rget_accumulate`** request completes when the operation is
-//!   both locally and *remotely* complete (the data is at the origin).
+//! * an **`rput`** request completes when the operation is *locally*
+//!   complete (the origin buffer is reusable) — it says nothing about the
+//!   target;
+//! * an **`rget`** request completes when the operation is both locally and
+//!   *remotely* complete (the data is at the origin).
 //!
 //! On this substrate the data plane applies operations at call time, so
 //! requests are born complete; the distinction is preserved in the types and
@@ -54,10 +54,22 @@ impl<T: Pod> RmaRequest<T> {
         }
     }
 
-    /// Attach a caf-check request token (see `hooks::request_open`).
-    #[cfg(feature = "check")]
-    pub(crate) fn with_check_token(mut self, token: u64) -> Self {
-        self.check_token = token;
+    /// Register the request with caf-check as live on window `win_id`
+    /// over the origin buffer `buf` (address, bytes); the identity in a
+    /// build without the checker.
+    #[cfg_attr(not(feature = "check"), allow(unused_mut, unused_variables))]
+    pub(crate) fn tracked(
+        mut self,
+        win_id: u64,
+        origin: usize,
+        buf: (usize, usize),
+        kind: &'static str,
+    ) -> Self {
+        #[cfg(feature = "check")]
+        {
+            self.check_token =
+                caf_check::hooks::request_open(win_id, origin, buf.0 as u64, buf.1 as u64, kind);
+        }
         self
     }
 
@@ -100,13 +112,6 @@ impl RmaRequest<()> {
     }
 }
 
-/// Wait on a set of PUT-style requests (`MPI_Waitall`).
-pub fn waitall_put(reqs: Vec<RmaRequest<()>>) {
-    for r in reqs {
-        let _ = r.wait();
-    }
-}
-
 /// An in-flight non-blocking per-target flush — the request returned by
 /// `MPI_WIN_RFLUSH`, the extension the paper proposes in §5 so that an
 /// origin can overlap release-time completion with other work.
@@ -120,40 +125,19 @@ pub fn waitall_put(reqs: Vec<RmaRequest<()>>) {
 #[derive(Debug)]
 #[must_use = "an rflush completes nothing until wait()"]
 pub struct FlushRequest {
-    win_id: u64,
-    origin: usize,
+    pub(crate) win_id: u64,
+    pub(crate) origin: usize,
     /// Comm-relative target (for dirty-set retirement).
-    target: usize,
+    pub(crate) target: usize,
     /// Global target rank (for tracing and check diagnostics).
-    target_global: usize,
+    pub(crate) target_global: usize,
     /// Modeled completion time: issue time + per-target flush cost.
-    deadline_ns: u64,
-    epoch_open: bool,
-    dirty: crate::rma::DirtySet,
+    pub(crate) deadline_ns: u64,
+    pub(crate) epoch_open: bool,
+    pub(crate) dirty: crate::rma::DirtySet,
 }
 
 impl FlushRequest {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        win_id: u64,
-        origin: usize,
-        target: usize,
-        target_global: usize,
-        deadline_ns: u64,
-        epoch_open: bool,
-        dirty: crate::rma::DirtySet,
-    ) -> Self {
-        FlushRequest {
-            win_id,
-            origin,
-            target,
-            target_global,
-            deadline_ns,
-            epoch_open,
-            dirty,
-        }
-    }
-
     /// The window this flush targets.
     pub fn window_id(&self) -> u64 {
         self.win_id
@@ -187,7 +171,6 @@ impl FlushRequest {
         }
         #[cfg(feature = "check")]
         caf_check::hooks::win_flush(self.win_id, self.origin, self.target_global, self.epoch_open);
-        #[cfg(not(feature = "check"))]
         let _ = (self.origin, self.epoch_open);
         self.dirty.clear(self.target);
         std::sync::atomic::fence(std::sync::atomic::Ordering::SeqCst);
@@ -211,10 +194,5 @@ mod tests {
         let r = RmaRequest::completed_put();
         assert_eq!(r.completion(), RmaCompletion::LocalOnly);
         assert!(r.wait().is_empty());
-    }
-
-    #[test]
-    fn waitall_consumes_everything() {
-        waitall_put(vec![RmaRequest::completed_put(), RmaRequest::completed_put()]);
     }
 }

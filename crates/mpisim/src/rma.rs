@@ -6,6 +6,11 @@
 //! passive-target model the paper builds coarrays on (§3.1): lock all
 //! targets once at window allocation, `put`/`get` freely, `flush` for
 //! remote completion, unlock only at deallocation.
+//!
+//! Every operation describes itself once, as an `RmaOp`, and hands the
+//! description to the single prologue `Mpi::rma_begin`, which instruments,
+//! validates and prices it in one fixed order (DESIGN.md §3.1). What is
+//! left in each operation's body is the data movement.
 
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -13,7 +18,7 @@ use std::sync::Arc;
 use caf_fabric::delay::DelayOp;
 use caf_fabric::pod::{as_bytes, as_bytes_mut, vec_from_bytes};
 use caf_fabric::sched::{self, ModelOp, ANY_OWNER};
-use caf_fabric::{FabricError, MemCategory, Pod, Result, Segment, SegmentId};
+use caf_fabric::{FabricError, MemCategory, Pod, Result, SegRef, Segment, SegmentId};
 
 use crate::comm::Comm;
 use crate::ops::{AccOp, BitsRepr};
@@ -105,33 +110,6 @@ pub struct Window {
     pub(crate) dirty: DirtySet,
 }
 
-/// MPI window ids live in the high-bit half of the model-checker's region
-/// namespace; GASNet segment ids own the low half. Keeps the two
-/// substrates' resources disjoint when both run in one hybrid job.
-fn model_region(win_id: u64) -> u64 {
-    win_id | (1u64 << 63)
-}
-
-/// Announce a window operation at the scheduler gate *before* its check
-/// hook fires, so the interleaving the model explores is exactly the
-/// event order the oracle observes.
-fn announce(op: ModelOp) {
-    if sched::active() {
-        sched::yield_op(op);
-    }
-}
-
-/// Whole-window synchronization (flush / epoch transitions / free):
-/// conflicts with every data operation on the window.
-pub(crate) fn announce_sync(win_id: u64) {
-    announce(ModelOp::Atomic {
-        region: model_region(win_id),
-        owner: ANY_OWNER,
-        lo: 0,
-        hi: u64::MAX,
-    });
-}
-
 impl std::fmt::Debug for Window {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Window")
@@ -175,29 +153,265 @@ impl Window {
         self.dirty.count()
     }
 
-    fn assert_epoch(&self) {
-        assert!(
-            self.locked_all.load(Ordering::Relaxed),
-            "RMA operation outside a passive-target epoch (call win_lock_all first)"
-        );
+    /// Whether this origin's passive-target epoch is open.
+    #[inline]
+    fn epoch_open(&self) -> bool {
+        self.locked_all.load(Ordering::Relaxed)
     }
 }
 
-#[cfg(feature = "check")]
-impl Mpi {
-    /// Best-effort global rank of `target` for check diagnostics
-    /// (out-of-range targets are reported raw; the data path returns an
-    /// error right after the hook fires).
-    fn check_global(&self, win: &Window, target: usize) -> usize {
-        if target < win.comm.size() {
-            win.comm.global_rank(target)
-        } else {
-            target
+/// What a window operation is, as far as its prologue is concerned.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    Put,
+    Get,
+    /// Accumulate / fetch-and-op / compare-and-swap.
+    Atomic,
+    /// Plain load of a rank's region by whichever image is executing: no
+    /// epoch, no trace record, no modeled cost.
+    LocalRead,
+    /// Plain store, as [`Kind::LocalRead`].
+    LocalWrite,
+    Flush,
+    /// Issue half of `MPI_WIN_RFLUSH`; [`FlushRequest::wait`] completes it.
+    Rflush,
+    FlushAll,
+    LockAll,
+    UnlockAll,
+    Free,
+}
+
+/// One window operation, described once: everything the prologue needs to
+/// announce, check, validate, trace and price it. A contiguous transfer is
+/// one element of `elem` bytes; a vector transfer is `count` elements
+/// `stride` bytes apart. Whole-window kinds leave everything zero.
+#[derive(Debug, Clone, Copy)]
+struct RmaOp {
+    kind: Kind,
+    /// Comm-relative target rank.
+    target: usize,
+    /// Byte displacement of the first element in the target's region.
+    disp: usize,
+    elem: usize,
+    count: usize,
+    /// Bytes between consecutive elements at the target (`None`:
+    /// contiguous).
+    stride: Option<usize>,
+    /// Address of the origin buffer (read by the check hook only).
+    #[allow(dead_code)]
+    origin_buf: usize,
+}
+
+impl RmaOp {
+    /// A buffer-less operation on `elem` bytes at `disp` (atomics on one
+    /// word, flushes with `elem == 0`).
+    fn new(kind: Kind, target: usize, disp: usize, elem: usize) -> Self {
+        RmaOp { kind, target, disp, elem, count: 1, stride: None, origin_buf: 0 }
+    }
+
+    /// A whole-window operation.
+    fn window(kind: Kind) -> Self {
+        Self::new(kind, 0, 0, 0)
+    }
+
+    /// A contiguous transfer of all of `buf`.
+    fn contiguous<T>(kind: Kind, target: usize, disp: usize, buf: &[T]) -> Self {
+        RmaOp {
+            origin_buf: buf.as_ptr() as usize,
+            ..Self::new(kind, target, disp, std::mem::size_of_val(buf))
+        }
+    }
+
+    /// An `MPI_Type_vector` transfer: element `i` of `buf` lives at
+    /// `disp + i·stride_elems·size_of::<T>()`.
+    fn vector<T>(kind: Kind, target: usize, disp: usize, stride_elems: usize, buf: &[T]) -> Self {
+        let elem = std::mem::size_of::<T>();
+        RmaOp {
+            count: buf.len(),
+            stride: Some(stride_elems * elem),
+            origin_buf: buf.as_ptr() as usize,
+            ..Self::new(kind, target, disp, elem)
+        }
+    }
+
+    /// Payload bytes.
+    fn len(&self) -> usize {
+        self.elem * self.count
+    }
+
+    /// The operation as the model explorer sees it. A vector transfer is
+    /// one access covering its whole strided span (per-element yields
+    /// would explode the schedule space without adding distinct
+    /// conflicts); synchronization conflicts with every data operation on
+    /// the window. Inlined so that the descriptor is only ever built in
+    /// memory on the armed path.
+    #[inline]
+    fn model_op(&self, win_id: u64) -> ModelOp {
+        let region = model_region(win_id);
+        let owner = self.target;
+        let lo = self.disp as u64;
+        let hi = lo + (self.count * self.stride.unwrap_or(0).max(self.elem)) as u64;
+        match self.kind {
+            Kind::Put | Kind::LocalWrite => ModelOp::Write { region, owner, lo, hi },
+            Kind::Get | Kind::LocalRead => ModelOp::Read { region, owner, lo, hi },
+            Kind::Atomic => ModelOp::Atomic { region, owner, lo, hi },
+            _ => ModelOp::Atomic { region, owner: ANY_OWNER, lo: 0, hi: u64::MAX },
         }
     }
 }
 
+/// MPI window ids live in the high-bit half of the model-checker's region
+/// namespace; GASNet segment ids own the low half. Keeps the two
+/// substrates' resources disjoint when both run in one hybrid job.
+fn model_region(win_id: u64) -> u64 {
+    win_id | (1u64 << 63)
+}
+
+/// Announce a whole-window synchronization (the completion half of an
+/// rflush, which has no `Mpi` at hand to run the prologue with).
+pub(crate) fn announce_sync(win_id: u64) {
+    if sched::active() {
+        sched::yield_op(RmaOp::window(Kind::Flush).model_op(win_id));
+    }
+}
+
 impl Mpi {
+    /// The prologue of every window operation: the seven numbered steps
+    /// below, always in this order (DESIGN.md §3.1 says why). Returns the
+    /// target's segment (the window's own for operations that move no
+    /// data). Always inlined: every caller passes a constant `kind`, so
+    /// each operation compiles to the steps it takes and nothing else
+    /// (left to its own judgement the compiler keeps one shared copy,
+    /// which costs a put 35 ns on the ladder).
+    #[inline(always)]
+    fn rma_begin<'w>(&self, win: &'w Window, op: RmaOp) -> Result<SegRef<'w>> {
+        use Kind::*;
+        let kind = op.kind;
+        // 1. Model announce: the explorer's interleaving is the order the
+        //    oracle observes.
+        if sched::active() {
+            sched::yield_op(op.model_op(win.id));
+        }
+        // 2. Checker hook: ahead of the assertion, so the diagnostic
+        //    survives the abort.
+        #[cfg(feature = "check")]
+        self.check_hook(win, &op);
+        // 3. Epoch assertion.
+        if !matches!(kind, LocalRead | LocalWrite | LockAll | Free) {
+            assert!(
+                win.epoch_open(),
+                "RMA operation outside a passive-target epoch (call win_lock_all first)"
+            );
+        }
+        // 4. Target range check and segment resolution: an error returns
+        //    before anything is traced, charged or marked.
+        let targeted = !matches!(kind, FlushAll | LockAll | UnlockAll | Free);
+        if targeted && op.target >= win.comm.size() {
+            return Err(FabricError::RankOutOfRange {
+                rank: op.target,
+                size: win.comm.size(),
+            });
+        }
+        let moves_data = matches!(kind, Put | Get | Atomic | LocalRead | LocalWrite);
+        let seg = if moves_data && op.target != win.comm.rank() {
+            SegRef::Peer(self.ep.segment(win.segs[op.target])?)
+        } else {
+            SegRef::Own(&win.local)
+        };
+        let (trace_op, delay_op) = match kind {
+            Put => (Some(caf_trace::Op::RmaPut), Some(DelayOp::RmaPut)),
+            Get => (Some(caf_trace::Op::RmaGet), Some(DelayOp::RmaGet)),
+            Atomic => (Some(caf_trace::Op::RmaAtomic), Some(DelayOp::RmaAtomic)),
+            Flush => (Some(caf_trace::Op::WinFlush), Some(DelayOp::FlushPerTarget)),
+            FlushAll => (Some(caf_trace::Op::WinFlushAll), Some(DelayOp::FlushPerTarget)),
+            // The caller notes the cost; its spin is paid at wait time.
+            Rflush => (Some(caf_trace::Op::WinRflush), None),
+            LockAll => (Some(caf_trace::Op::WinLockAll), None),
+            Free => (Some(caf_trace::Op::WinFree), None),
+            // Traced by the caller, after its interior flush.
+            UnlockAll => (None, None),
+            LocalRead | LocalWrite => (None, None),
+        };
+        // `MPI_Win_flush_all` is one per-target handshake per rank of the
+        // window, whatever is dirty — Θ(P), paper §4.1.
+        let handshakes = if kind == FlushAll { win.comm.size() } else { 1 };
+        // 5. Trace record. Vector transfers leave none: the offline audit
+        //    replays the contiguous timeline only.
+        let _span = match trace_op {
+            Some(trace_op) if op.stride.is_none() && caf_trace::enabled() => {
+                let target = targeted.then(|| win.comm.global_rank(op.target));
+                if kind == FlushAll {
+                    // A span over the charges below whose `bytes` carries
+                    // the handshake count — the Θ(P) signature a trace
+                    // viewer should surface.
+                    Some(caf_trace::span_t(trace_op, target, handshakes as u64, Some(win.id)))
+                } else {
+                    let disp = matches!(kind, Put | Get).then_some(op.disp as u64);
+                    caf_trace::instant_d(trace_op, target, op.len() as u64, Some(win.id), disp);
+                    None
+                }
+            }
+            _ => None,
+        };
+        // 6. Modeled cost.
+        if let Some(delay_op) = delay_op {
+            for _ in 0..handshakes {
+                self.delays.charge(delay_op, op.len());
+            }
+        }
+        // 7. Dirty set.
+        match kind {
+            Put | Atomic => win.dirty.mark(op.target),
+            Flush => win.dirty.clear(op.target),
+            FlushAll => win.dirty.clear_all(),
+            _ => {}
+        }
+        Ok(seg)
+    }
+
+    /// Step 2 of [`Mpi::rma_begin`]. Ranks are reported global, best
+    /// effort: an out-of-range target is reported raw (the prologue
+    /// returns its error right after the hook fires). Vector transfers
+    /// are reported per element — stride gaps are untouched bytes.
+    #[cfg(feature = "check")]
+    fn check_hook(&self, win: &Window, op: &RmaOp) {
+        use caf_check::hooks;
+        if !caf_check::enabled() {
+            return;
+        }
+        let (id, origin, open) = (win.id, self.rank(), win.epoch_open());
+        let target = if op.target < win.comm.size() {
+            win.comm.global_rank(op.target)
+        } else {
+            op.target
+        };
+        let (disp, len) = (op.disp as u64, op.len() as u64);
+        match op.kind {
+            Kind::Put | Kind::Get => {
+                let elem = op.elem as u64;
+                for i in 0..op.count {
+                    let at = (op.disp + i * op.stride.unwrap_or(0)) as u64;
+                    let buf = (op.origin_buf + i * op.elem) as u64;
+                    if op.kind == Kind::Put {
+                        hooks::rma_put(id, origin, target, at, elem, buf, elem, open);
+                    } else {
+                        hooks::rma_get(id, origin, target, at, elem, buf, elem, open);
+                    }
+                }
+            }
+            Kind::Atomic => hooks::rma_atomic(id, origin, target, disp, len, open),
+            Kind::LocalRead => hooks::local_read(id, target, disp, len),
+            Kind::LocalWrite => hooks::local_write(id, target, disp, len),
+            Kind::Flush => hooks::win_flush(id, origin, target, open),
+            // Certified at `FlushRequest::wait`, not at issue.
+            Kind::Rflush => {}
+            Kind::FlushAll => hooks::win_flush_all(id, origin, open),
+            Kind::LockAll => hooks::win_lock_all(id, origin),
+            Kind::UnlockAll => hooks::win_unlock_all(id, origin, open),
+            Kind::Free => hooks::win_free(id, origin, open),
+        }
+    }
+
     /// `MPI_Win_allocate` — collective: every rank exposes `bytes` bytes of
     /// library-allocated memory.
     pub fn win_allocate(&self, comm: &Comm, bytes: usize) -> Result<Window> {
@@ -235,17 +449,12 @@ impl Mpi {
         // A window freed with dirty targets while its epoch is still open
         // must complete those stores before teardown — otherwise the data
         // of an unflushed put could be lost with the exposure.
-        if win.locked_all.load(Ordering::Relaxed) && win.dirty.count() > 0 {
+        if win.epoch_open() {
             for target in win.dirty.ranks() {
                 self.win_flush(win, target)?;
             }
         }
-        announce_sync(win.id);
-        #[cfg(feature = "check")]
-        caf_check::hooks::win_free(win.id, self.rank(), win.locked_all.load(Ordering::Relaxed));
-        if caf_trace::enabled() {
-            caf_trace::instant(caf_trace::Op::WinFree, None, 0, Some(win.id));
-        }
+        self.rma_begin(win, RmaOp::window(Kind::Free))?;
         self.barrier(&win.comm)?;
         let me = win.comm.rank();
         self.mem.unmap(MemCategory::UserData, win.sizes[me]);
@@ -256,55 +465,21 @@ impl Mpi {
     /// `MPI_Win_lock_all` — open a shared passive-target epoch to every
     /// rank of the window.
     pub fn win_lock_all(&self, win: &Window) {
-        announce_sync(win.id);
-        #[cfg(feature = "check")]
-        caf_check::hooks::win_lock_all(win.id, self.rank());
-        if caf_trace::enabled() {
-            caf_trace::instant(caf_trace::Op::WinLockAll, None, 0, Some(win.id));
-        }
+        self.rma_begin(win, RmaOp::window(Kind::LockAll))
+            .expect("opening an epoch cannot fail");
         win.locked_all.store(true, Ordering::Relaxed);
     }
 
     /// `MPI_Win_unlock_all` — close the epoch, completing all operations.
     pub fn win_unlock_all(&self, win: &Window) -> Result<()> {
-        announce_sync(win.id);
-        #[cfg(feature = "check")]
-        caf_check::hooks::win_unlock_all(
-            win.id,
-            self.rank(),
-            win.locked_all.load(Ordering::Relaxed),
-        );
-        win.assert_epoch();
+        self.rma_begin(win, RmaOp::window(Kind::UnlockAll))?;
         self.win_flush_all(win)?;
         // Traced after the interior flush: in the recorded timeline the
         // epoch closes once its completing flush is done, which is what
         // the offline checker replays.
-        if caf_trace::enabled() {
-            caf_trace::instant(caf_trace::Op::WinUnlockAll, None, 0, Some(win.id));
-        }
+        caf_trace::instant(caf_trace::Op::WinUnlockAll, None, 0, Some(win.id));
         win.locked_all.store(false, Ordering::Relaxed);
         Ok(())
-    }
-
-    fn trace_rma_atomic(&self, win: &Window, target: usize, bytes: usize) {
-        if caf_trace::enabled() {
-            caf_trace::instant(
-                caf_trace::Op::RmaAtomic,
-                Some(win.comm.global_rank(target)),
-                bytes as u64,
-                Some(win.id),
-            );
-        }
-    }
-
-    fn target_segment(&self, win: &Window, target: usize) -> Result<Arc<Segment>> {
-        if target >= win.comm.size() {
-            return Err(FabricError::RankOutOfRange {
-                rank: target,
-                size: win.comm.size(),
-            });
-        }
-        self.ep.segment(win.segs[target])
     }
 
     /// `MPI_Put` — one-sided write of `data` at byte displacement `disp` in
@@ -313,38 +488,8 @@ impl Mpi {
     /// immediately, but portable callers must still flush — and the CAF
     /// runtime does).
     pub fn put<T: Pod>(&self, win: &Window, target: usize, disp: usize, data: &[T]) -> Result<()> {
-        let bytes = as_bytes(data);
-        announce(ModelOp::Write {
-            region: model_region(win.id),
-            owner: target,
-            lo: disp as u64,
-            hi: disp as u64 + bytes.len() as u64,
-        });
-        #[cfg(feature = "check")]
-        caf_check::hooks::rma_put(
-            win.id,
-            self.rank(),
-            self.check_global(win, target),
-            disp as u64,
-            bytes.len() as u64,
-            bytes.as_ptr() as u64,
-            bytes.len() as u64,
-            win.locked_all.load(Ordering::Relaxed),
-        );
-        win.assert_epoch();
-        if caf_trace::enabled() {
-            caf_trace::instant_d(
-                caf_trace::Op::RmaPut,
-                Some(win.comm.global_rank(target)),
-                bytes.len() as u64,
-                Some(win.id),
-                Some(disp as u64),
-            );
-        }
-        self.delays.charge(DelayOp::RmaPut, bytes.len());
-        let seg = self.target_segment(win, target)?;
-        win.dirty.mark(target);
-        seg.put(disp, bytes)
+        self.rma_begin(win, RmaOp::contiguous(Kind::Put, target, disp, data))?
+            .put(disp, as_bytes(data))
     }
 
     /// `MPI_Get` — one-sided read from `target`'s window region.
@@ -355,37 +500,8 @@ impl Mpi {
         disp: usize,
         out: &mut [T],
     ) -> Result<()> {
-        let bytes = as_bytes_mut(out);
-        announce(ModelOp::Read {
-            region: model_region(win.id),
-            owner: target,
-            lo: disp as u64,
-            hi: disp as u64 + bytes.len() as u64,
-        });
-        #[cfg(feature = "check")]
-        caf_check::hooks::rma_get(
-            win.id,
-            self.rank(),
-            self.check_global(win, target),
-            disp as u64,
-            bytes.len() as u64,
-            bytes.as_ptr() as u64,
-            bytes.len() as u64,
-            win.locked_all.load(Ordering::Relaxed),
-        );
-        win.assert_epoch();
-        let seg = self.target_segment(win, target)?;
-        if caf_trace::enabled() {
-            caf_trace::instant_d(
-                caf_trace::Op::RmaGet,
-                Some(win.comm.global_rank(target)),
-                bytes.len() as u64,
-                Some(win.id),
-                Some(disp as u64),
-            );
-        }
-        self.delays.charge(DelayOp::RmaGet, bytes.len());
-        seg.get(disp, bytes)
+        self.rma_begin(win, RmaOp::contiguous(Kind::Get, target, disp, out))?
+            .get(disp, as_bytes_mut(out))
     }
 
     /// `MPI_Rput` — request-generating put. The returned request certifies
@@ -401,16 +517,8 @@ impl Mpi {
         data: &[T],
     ) -> Result<RmaRequest<()>> {
         self.put(win, target, disp, data)?;
-        let req = RmaRequest::completed_put();
-        #[cfg(feature = "check")]
-        let req = req.with_check_token(caf_check::hooks::request_open(
-            win.id,
-            self.rank(),
-            data.as_ptr() as u64,
-            std::mem::size_of_val(data) as u64,
-            "rput",
-        ));
-        Ok(req)
+        let buf = (data.as_ptr() as usize, std::mem::size_of_val(data));
+        Ok(RmaRequest::completed_put().tracked(win.id, self.rank(), buf, "rput"))
     }
 
     /// `MPI_Rget` — request-generating get; completion of the request
@@ -422,20 +530,10 @@ impl Mpi {
         disp: usize,
         count: usize,
     ) -> Result<RmaRequest<T>> {
-        let mut buf = vec_from_bytes::<T>(&vec![0u8; count * std::mem::size_of::<T>()]);
-        self.get(win, target, disp, &mut buf)?;
-        #[cfg(feature = "check")]
-        let token = caf_check::hooks::request_open(
-            win.id,
-            self.rank(),
-            buf.as_ptr() as u64,
-            std::mem::size_of_val(buf.as_slice()) as u64,
-            "rget",
-        );
-        let req = RmaRequest::completed_get(buf);
-        #[cfg(feature = "check")]
-        let req = req.with_check_token(token);
-        Ok(req)
+        let mut data = vec_from_bytes::<T>(&vec![0u8; count * std::mem::size_of::<T>()]);
+        self.get(win, target, disp, &mut data)?;
+        let buf = (data.as_ptr() as usize, std::mem::size_of_val(&data[..]));
+        Ok(RmaRequest::completed_get(data).tracked(win.id, self.rank(), buf, "rget"))
     }
 
     /// Strided one-sided write: `count` elements of `data` land at
@@ -450,40 +548,10 @@ impl Mpi {
         stride_elems: usize,
         data: &[T],
     ) -> Result<()> {
-        let esz = std::mem::size_of::<T>();
-        // One announce covering the whole strided span (per-element yields
-        // would explode the schedule space without adding distinct
-        // conflicts).
-        announce(ModelOp::Write {
-            region: model_region(win.id),
-            owner: target,
-            lo: disp as u64,
-            hi: disp as u64 + (data.len() * stride_elems.max(1) * esz) as u64,
-        });
-        #[cfg(feature = "check")]
-        if caf_check::enabled() {
-            let (origin, tgt) = (self.rank(), self.check_global(win, target));
-            let open = win.locked_all.load(Ordering::Relaxed);
-            for (i, v) in data.iter().enumerate() {
-                caf_check::hooks::rma_put(
-                    win.id,
-                    origin,
-                    tgt,
-                    (disp + i * stride_elems * esz) as u64,
-                    esz as u64,
-                    (v as *const T) as u64,
-                    esz as u64,
-                    open,
-                );
-            }
-        }
-        win.assert_epoch();
-        let seg = self.target_segment(win, target)?;
-        win.dirty.mark(target);
-        self.delays
-            .charge(DelayOp::RmaPut, std::mem::size_of_val(data));
+        let op = RmaOp::vector(Kind::Put, target, disp, stride_elems, data);
+        let seg = self.rma_begin(win, op)?;
         for (i, v) in data.iter().enumerate() {
-            seg.put(disp + i * stride_elems * esz, as_bytes(std::slice::from_ref(v)))?;
+            seg.put(disp + i * stride_elems * op.elem, as_bytes(std::slice::from_ref(v)))?;
         }
         Ok(())
     }
@@ -498,99 +566,15 @@ impl Mpi {
         stride_elems: usize,
         out: &mut [T],
     ) -> Result<()> {
-        let esz = std::mem::size_of::<T>();
-        announce(ModelOp::Read {
-            region: model_region(win.id),
-            owner: target,
-            lo: disp as u64,
-            hi: disp as u64 + (out.len() * stride_elems.max(1) * esz) as u64,
-        });
-        #[cfg(feature = "check")]
-        if caf_check::enabled() {
-            let (origin, tgt) = (self.rank(), self.check_global(win, target));
-            let open = win.locked_all.load(Ordering::Relaxed);
-            for (i, v) in out.iter().enumerate() {
-                caf_check::hooks::rma_get(
-                    win.id,
-                    origin,
-                    tgt,
-                    (disp + i * stride_elems * esz) as u64,
-                    esz as u64,
-                    (v as *const T) as u64,
-                    esz as u64,
-                    open,
-                );
-            }
-        }
-        win.assert_epoch();
-        let seg = self.target_segment(win, target)?;
-        self.delays
-            .charge(DelayOp::RmaGet, std::mem::size_of_val(out));
+        let op = RmaOp::vector(Kind::Get, target, disp, stride_elems, out);
+        let seg = self.rma_begin(win, op)?;
         for (i, v) in out.iter_mut().enumerate() {
             seg.get(
-                disp + i * stride_elems * esz,
+                disp + i * stride_elems * op.elem,
                 as_bytes_mut(std::slice::from_mut(v)),
             )?;
         }
         Ok(())
-    }
-
-    /// `MPI_Raccumulate` — request-generating accumulate; like `rput`,
-    /// the request certifies **local completion only** (MPI-3 §11.3).
-    pub fn raccumulate<T: BitsRepr>(
-        &self,
-        win: &Window,
-        target: usize,
-        disp: usize,
-        data: &[T],
-        op: AccOp,
-    ) -> Result<RmaRequest<()>> {
-        self.accumulate(win, target, disp, data, op)?;
-        let req = RmaRequest::completed_put();
-        #[cfg(feature = "check")]
-        let req = req.with_check_token(caf_check::hooks::request_open(
-            win.id,
-            self.rank(),
-            data.as_ptr() as u64,
-            std::mem::size_of_val(data) as u64,
-            "raccumulate",
-        ));
-        Ok(req)
-    }
-
-    /// `MPI_Rget_accumulate` — request-generating fetch-and-accumulate;
-    /// the request certifies local *and* remote completion and carries
-    /// the fetched previous contents.
-    pub fn rget_accumulate<T: BitsRepr>(
-        &self,
-        win: &Window,
-        target: usize,
-        disp: usize,
-        data: &[T],
-        op: AccOp,
-    ) -> Result<RmaRequest<T>> {
-        let prev = self.get_accumulate(win, target, disp, data, op)?;
-        #[cfg(feature = "check")]
-        let token = caf_check::hooks::request_open(
-            win.id,
-            self.rank(),
-            prev.as_ptr() as u64,
-            std::mem::size_of_val(prev.as_slice()) as u64,
-            "rget_accumulate",
-        );
-        let req = RmaRequest::completed_get(prev);
-        #[cfg(feature = "check")]
-        let req = req.with_check_token(token);
-        Ok(req)
-    }
-
-    /// `MPI_Win_shared_query` — the shared-memory window accessor of
-    /// `MPI_WIN_ALLOCATE_SHARED`. On this in-process substrate every
-    /// window's memory is shared, so any rank's region can be mapped for
-    /// direct load/store access (the fast path the paper notes
-    /// `MPI_WIN_ALLOCATE` enables, §2.2).
-    pub fn win_shared_query(&self, win: &Window, rank: usize) -> Result<Arc<Segment>> {
-        self.target_segment(win, rank)
     }
 
     /// `MPI_Accumulate` — elementwise atomic `target = target OP source`.
@@ -603,32 +587,7 @@ impl Mpi {
         data: &[T],
         op: AccOp,
     ) -> Result<()> {
-        announce(ModelOp::Atomic {
-            region: model_region(win.id),
-            owner: target,
-            lo: disp as u64,
-            hi: disp as u64 + std::mem::size_of_val(data) as u64,
-        });
-        #[cfg(feature = "check")]
-        caf_check::hooks::rma_atomic(
-            win.id,
-            self.rank(),
-            self.check_global(win, target),
-            disp as u64,
-            std::mem::size_of_val(data) as u64,
-            win.locked_all.load(Ordering::Relaxed),
-        );
-        win.assert_epoch();
-        let seg = self.target_segment(win, target)?;
-        win.dirty.mark(target);
-        self.trace_rma_atomic(win, target, std::mem::size_of_val(data));
-        self.delays
-            .charge(DelayOp::RmaAtomic, std::mem::size_of_val(data));
-        for (i, &v) in data.iter().enumerate() {
-            let off = disp + i * 8;
-            seg.fetch_update_u64(off, |old| op.apply_bits::<T>(old, T::to_bits(v)))?;
-        }
-        Ok(())
+        self.get_accumulate(win, target, disp, data, op).map(drop)
     }
 
     /// `MPI_Get_accumulate` — fetch the previous contents while applying
@@ -641,31 +600,11 @@ impl Mpi {
         data: &[T],
         op: AccOp,
     ) -> Result<Vec<T>> {
-        announce(ModelOp::Atomic {
-            region: model_region(win.id),
-            owner: target,
-            lo: disp as u64,
-            hi: disp as u64 + std::mem::size_of_val(data) as u64,
-        });
-        #[cfg(feature = "check")]
-        caf_check::hooks::rma_atomic(
-            win.id,
-            self.rank(),
-            self.check_global(win, target),
-            disp as u64,
-            std::mem::size_of_val(data) as u64,
-            win.locked_all.load(Ordering::Relaxed),
-        );
-        win.assert_epoch();
-        let seg = self.target_segment(win, target)?;
-        win.dirty.mark(target);
-        self.trace_rma_atomic(win, target, std::mem::size_of_val(data));
-        self.delays
-            .charge(DelayOp::RmaAtomic, std::mem::size_of_val(data));
+        let seg = self.rma_begin(win, RmaOp::contiguous(Kind::Atomic, target, disp, data))?;
         let mut prev = Vec::with_capacity(data.len());
         for (i, &v) in data.iter().enumerate() {
-            let off = disp + i * 8;
-            let old = seg.fetch_update_u64(off, |old| op.apply_bits::<T>(old, T::to_bits(v)))?;
+            let old =
+                seg.fetch_update_u64(disp + i * 8, |old| op.apply_bits::<T>(old, T::to_bits(v)))?;
             prev.push(T::from_bits(old));
         }
         Ok(prev)
@@ -680,26 +619,7 @@ impl Mpi {
         value: T,
         op: AccOp,
     ) -> Result<T> {
-        announce(ModelOp::Atomic {
-            region: model_region(win.id),
-            owner: target,
-            lo: disp as u64,
-            hi: disp as u64 + 8,
-        });
-        #[cfg(feature = "check")]
-        caf_check::hooks::rma_atomic(
-            win.id,
-            self.rank(),
-            self.check_global(win, target),
-            disp as u64,
-            8,
-            win.locked_all.load(Ordering::Relaxed),
-        );
-        win.assert_epoch();
-        let seg = self.target_segment(win, target)?;
-        win.dirty.mark(target);
-        self.trace_rma_atomic(win, target, 8);
-        self.delays.charge(DelayOp::RmaAtomic, 8);
+        let seg = self.rma_begin(win, RmaOp::new(Kind::Atomic, target, disp, 8))?;
         let old = seg.fetch_update_u64(disp, |old| op.apply_bits::<T>(old, T::to_bits(value)))?;
         Ok(T::from_bits(old))
     }
@@ -713,26 +633,7 @@ impl Mpi {
         expected: T,
         new: T,
     ) -> Result<T> {
-        announce(ModelOp::Atomic {
-            region: model_region(win.id),
-            owner: target,
-            lo: disp as u64,
-            hi: disp as u64 + 8,
-        });
-        #[cfg(feature = "check")]
-        caf_check::hooks::rma_atomic(
-            win.id,
-            self.rank(),
-            self.check_global(win, target),
-            disp as u64,
-            8,
-            win.locked_all.load(Ordering::Relaxed),
-        );
-        win.assert_epoch();
-        let seg = self.target_segment(win, target)?;
-        win.dirty.mark(target);
-        self.trace_rma_atomic(win, target, 8);
-        self.delays.charge(DelayOp::RmaAtomic, 8);
+        let seg = self.rma_begin(win, RmaOp::new(Kind::Atomic, target, disp, 8))?;
         let prev = seg.compare_exchange_u64(disp, T::to_bits(expected), T::to_bits(new))?;
         Ok(T::from_bits(prev))
     }
@@ -740,31 +641,7 @@ impl Mpi {
     /// `MPI_Win_flush` — complete all outstanding operations from this
     /// origin to `target`, at the origin *and* the target.
     pub fn win_flush(&self, win: &Window, target: usize) -> Result<()> {
-        announce_sync(win.id);
-        #[cfg(feature = "check")]
-        caf_check::hooks::win_flush(
-            win.id,
-            self.rank(),
-            self.check_global(win, target),
-            win.locked_all.load(Ordering::Relaxed),
-        );
-        win.assert_epoch();
-        if target >= win.comm.size() {
-            return Err(FabricError::RankOutOfRange {
-                rank: target,
-                size: win.comm.size(),
-            });
-        }
-        if caf_trace::enabled() {
-            caf_trace::instant(
-                caf_trace::Op::WinFlush,
-                Some(win.comm.global_rank(target)),
-                0,
-                Some(win.id),
-            );
-        }
-        self.delays.charge(DelayOp::FlushPerTarget, 0);
-        win.dirty.clear(target);
+        self.rma_begin(win, RmaOp::new(Kind::Flush, target, 0, 0))?;
         fence(Ordering::SeqCst);
         Ok(())
     }
@@ -780,35 +657,19 @@ impl Mpi {
     /// release-barrier `waitall` — overlaps the flush instead of adding to
     /// it.
     pub fn win_rflush(&self, win: &Window, target: usize) -> Result<FlushRequest> {
-        announce_sync(win.id);
-        win.assert_epoch();
-        if target >= win.comm.size() {
-            return Err(FabricError::RankOutOfRange {
-                rank: target,
-                size: win.comm.size(),
-            });
-        }
-        let target_global = win.comm.global_rank(target);
-        if caf_trace::enabled() {
-            caf_trace::instant(
-                caf_trace::Op::WinRflush,
-                Some(target_global),
-                0,
-                Some(win.id),
-            );
-        }
+        self.rma_begin(win, RmaOp::new(Kind::Rflush, target, 0, 0))?;
         // Count and model the cost now; the spin (whatever is left of it)
         // is paid at wait time.
         let cost_ns = self.delays.note(DelayOp::FlushPerTarget, 0);
-        Ok(FlushRequest::new(
-            win.id,
-            self.rank(),
+        Ok(FlushRequest {
+            win_id: win.id,
+            origin: self.rank(),
             target,
-            target_global,
-            caf_fabric::delay::monotonic_ns() + cost_ns as u64,
-            win.locked_all.load(Ordering::Relaxed),
-            win.dirty.clone(),
-        ))
+            target_global: win.comm.global_rank(target),
+            deadline_ns: caf_fabric::delay::monotonic_ns() + cost_ns as u64,
+            epoch_open: win.epoch_open(),
+            dirty: win.dirty.clone(),
+        })
     }
 
     /// `MPI_Win_flush_all` — complete outstanding operations to **every**
@@ -817,26 +678,7 @@ impl Mpi {
     /// grows linearly with the job size (paper §4.1 — the root cause of
     /// CAF-MPI's `event_notify` overhead in RandomAccess).
     pub fn win_flush_all(&self, win: &Window) -> Result<()> {
-        announce_sync(win.id);
-        #[cfg(feature = "check")]
-        caf_check::hooks::win_flush_all(
-            win.id,
-            self.rank(),
-            win.locked_all.load(Ordering::Relaxed),
-        );
-        win.assert_epoch();
-        // The span's `bytes` field carries the per-target flush count —
-        // the Θ(P) signature a trace viewer should surface.
-        let _span = caf_trace::span_t(
-            caf_trace::Op::WinFlushAll,
-            None,
-            win.comm.size() as u64,
-            Some(win.id),
-        );
-        for _target in 0..win.comm.size() {
-            self.delays.charge(DelayOp::FlushPerTarget, 0);
-        }
-        win.dirty.clear_all();
+        self.rma_begin(win, RmaOp::window(Kind::FlushAll))?;
         fence(Ordering::SeqCst);
         Ok(())
     }
@@ -846,46 +688,24 @@ impl Mpi {
     /// runtimes layered on this library to access window memory from
     /// whichever process is executing (e.g. CAF function shipping).
     pub fn win_segment(&self, win: &Window, rank: usize) -> Result<Arc<Segment>> {
-        self.target_segment(win, rank)
+        if rank >= win.comm.size() {
+            return Err(FabricError::RankOutOfRange {
+                rank,
+                size: win.comm.size(),
+            });
+        }
+        self.ep.segment(win.segs[rank])
     }
 
     /// Read from this rank's own window region (a local "load" under the
     /// unified memory model).
     pub fn win_read_local<T: Pod>(&self, win: &Window, disp: usize, out: &mut [T]) -> Result<()> {
-        let bytes = as_bytes_mut(out);
-        announce(ModelOp::Read {
-            region: model_region(win.id),
-            owner: win.comm.rank(),
-            lo: disp as u64,
-            hi: disp as u64 + bytes.len() as u64,
-        });
-        #[cfg(feature = "check")]
-        caf_check::hooks::local_read(
-            win.id,
-            win.comm.global_rank(win.comm.rank()),
-            disp as u64,
-            bytes.len() as u64,
-        );
-        win.local.get(disp, bytes)
+        self.win_read_local_at(win, win.comm.rank(), disp, out)
     }
 
     /// Write to this rank's own window region (a local "store").
     pub fn win_write_local<T: Pod>(&self, win: &Window, disp: usize, data: &[T]) -> Result<()> {
-        let bytes = as_bytes(data);
-        announce(ModelOp::Write {
-            region: model_region(win.id),
-            owner: win.comm.rank(),
-            lo: disp as u64,
-            hi: disp as u64 + bytes.len() as u64,
-        });
-        #[cfg(feature = "check")]
-        caf_check::hooks::local_write(
-            win.id,
-            win.comm.global_rank(win.comm.rank()),
-            disp as u64,
-            bytes.len() as u64,
-        );
-        win.local.put(disp, bytes)
+        self.win_write_local_at(win, win.comm.rank(), disp, data)
     }
 
     /// Read-modify-write one `u64` of this rank's own window region: the
@@ -898,25 +718,10 @@ impl Mpi {
         disp: usize,
         f: impl FnOnce(u64) -> u64,
     ) -> Result<()> {
-        let (region, owner) = (model_region(win.id), win.comm.rank());
-        let (lo, hi) = (disp as u64, disp as u64 + 8);
-        announce(ModelOp::Read {
-            region,
-            owner,
-            lo,
-            hi,
-        });
-        #[cfg(feature = "check")]
-        caf_check::hooks::local_read(win.id, win.comm.global_rank(owner), lo, 8);
-        announce(ModelOp::Write {
-            region,
-            owner,
-            lo,
-            hi,
-        });
-        #[cfg(feature = "check")]
-        caf_check::hooks::local_write(win.id, win.comm.global_rank(owner), lo, 8);
-        win.local.rmw_u64(disp, f)
+        let me = win.comm.rank();
+        self.rma_begin(win, RmaOp::new(Kind::LocalRead, me, disp, 8))?;
+        self.rma_begin(win, RmaOp::new(Kind::LocalWrite, me, disp, 8))?
+            .rmw_u64(disp, f)
     }
 
     /// Read `rank`'s window region as a local "load" from whichever
@@ -932,22 +737,8 @@ impl Mpi {
         disp: usize,
         out: &mut [T],
     ) -> Result<()> {
-        let seg = self.target_segment(win, rank)?;
-        let bytes = as_bytes_mut(out);
-        announce(ModelOp::Read {
-            region: model_region(win.id),
-            owner: rank,
-            lo: disp as u64,
-            hi: disp as u64 + bytes.len() as u64,
-        });
-        #[cfg(feature = "check")]
-        caf_check::hooks::local_read(
-            win.id,
-            win.comm.global_rank(rank),
-            disp as u64,
-            bytes.len() as u64,
-        );
-        seg.get(disp, bytes)
+        self.rma_begin(win, RmaOp::contiguous(Kind::LocalRead, rank, disp, out))?
+            .get(disp, as_bytes_mut(out))
     }
 
     /// Write `rank`'s window region as a local "store" from whichever
@@ -959,22 +750,8 @@ impl Mpi {
         disp: usize,
         data: &[T],
     ) -> Result<()> {
-        let seg = self.target_segment(win, rank)?;
-        let bytes = as_bytes(data);
-        announce(ModelOp::Write {
-            region: model_region(win.id),
-            owner: rank,
-            lo: disp as u64,
-            hi: disp as u64 + bytes.len() as u64,
-        });
-        #[cfg(feature = "check")]
-        caf_check::hooks::local_write(
-            win.id,
-            win.comm.global_rank(rank),
-            disp as u64,
-            bytes.len() as u64,
-        );
-        seg.put(disp, bytes)
+        self.rma_begin(win, RmaOp::contiguous(Kind::LocalWrite, rank, disp, data))?
+            .put(disp, as_bytes(data))
     }
 }
 
@@ -1398,44 +1175,6 @@ mod tests {
                 let mut out = [0u64; 4];
                 mpi.get_vector(win, 1, 8, 3, &mut out).unwrap();
                 assert_eq!(out, [10, 11, 12, 13]);
-            }
-        });
-    }
-
-    #[test]
-    fn raccumulate_and_rget_accumulate() {
-        with_window(2, 16, |mpi, win| {
-            if mpi.rank() == 0 {
-                let r = mpi.raccumulate(win, 1, 0, &[5u64], AccOp::Sum).unwrap();
-                r.wait();
-                mpi.win_flush(win, 1).unwrap();
-                let rga = mpi
-                    .rget_accumulate(win, 1, 0, &[3u64], AccOp::Sum)
-                    .unwrap();
-                assert_eq!(rga.wait(), vec![5]);
-            }
-            mpi.barrier(win.comm()).unwrap();
-            if mpi.rank() == 1 {
-                let mut v = [0u64];
-                mpi.win_read_local(win, 0, &mut v).unwrap();
-                assert_eq!(v[0], 8);
-            }
-        });
-    }
-
-    #[test]
-    fn shared_query_gives_direct_access() {
-        with_window(2, 16, |mpi, win| {
-            if mpi.rank() == 0 {
-                // Load/store directly through the shared mapping.
-                let seg = mpi.win_shared_query(win, 1).unwrap();
-                seg.store_u64(0, 0xfeed).unwrap();
-            }
-            mpi.barrier(win.comm()).unwrap();
-            if mpi.rank() == 1 {
-                let mut v = [0u64];
-                mpi.win_read_local(win, 0, &mut v).unwrap();
-                assert_eq!(v[0], 0xfeed);
             }
         });
     }

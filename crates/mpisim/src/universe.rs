@@ -84,8 +84,6 @@ pub struct Mpi {
     pub(crate) mem: Arc<MemAccount>,
     pub(crate) unexpected: RefCell<VecDeque<Packet>>,
     pub(crate) comm_states: RefCell<HashMap<u64, CommState>>,
-    /// Sequence numbers for synchronous-send acknowledgements.
-    pub(crate) ssend_seq: Cell<u64>,
     world: Comm,
     /// Keeps the accounted eager pool allocation alive for the lifetime of
     /// the library instance.
@@ -118,7 +116,6 @@ impl Mpi {
             mem,
             unexpected: RefCell::new(VecDeque::new()),
             comm_states: RefCell::new(HashMap::new()),
-            ssend_seq: Cell::new(0),
             world,
             _eager_pool: eager_pool,
         };
