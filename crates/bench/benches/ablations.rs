@@ -1,18 +1,19 @@
 //! Ablation benches for the design choices DESIGN.md calls out:
 //!
 //! 1. `notify_flush`: `event_notify` with the paper's Θ(P)
-//!    `MPI_Win_flush_all` vs. the §5 improvement direction (per-target
-//!    flush, what `MPI_WIN_RFLUSH` would enable);
+//!    `MPI_Win_flush_all` (`FlushMode::All`) vs. the §5 improvement
+//!    direction (`FlushMode::targeted()`: only dirty targets are flushed);
 //! 2. `event_impl`: the paper's ISEND/RECV event implementation vs. the
 //!    §3.4 alternative built on `MPI_FETCH_AND_OP` polling;
 //! 3. `put_dst_event`: copy_async with a destination event — the §3.3
-//!    case-4 AM data path — vs. a blocking write + notify;
+//!    case-4 AM data path — vs. a blocking write + notify under
+//!    `FlushMode::targeted()`;
 //! 4. `finish_impl`: full termination-detection `finish` vs. the
 //!    flush_all+barrier fast path, with no shipping in the block.
 
 use std::time::{Duration, Instant};
 
-use caf::{AsyncOpts, Coarray, NotifyFlush, SubstrateKind};
+use caf::{AsyncOpts, CafConfig, Coarray, FlushMode, SubstrateKind};
 use caf_bench::{fusion_like, timed_on_rank0};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -24,14 +25,14 @@ fn bench_notify_flush(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(2));
 
     // Several windows allocated → flush_all walks all of them × P ranks.
-    for policy in [NotifyFlush::All, NotifyFlush::TargetOnly] {
-        let name = match policy {
-            NotifyFlush::All => "flush_all",
-            NotifyFlush::TargetOnly => "flush_target",
+    for flush in [FlushMode::All, FlushMode::targeted()] {
+        let cfg = CafConfig {
+            flush,
+            ..fusion_like(SubstrateKind::Mpi)
         };
-        group.bench_function(BenchmarkId::new(name, 8), |b| {
+        group.bench_function(BenchmarkId::new(flush.name(), 8), |b| {
             b.iter_custom(|iters| {
-                timed_on_rank0(8, fusion_like(SubstrateKind::Mpi), |img| {
+                timed_on_rank0(8, cfg, |img| {
                     let w = img.team_world();
                     let cas: Vec<Coarray<u64>> =
                         (0..4).map(|_| img.coarray_alloc(&w, 16)).collect();
@@ -41,7 +42,7 @@ fn bench_notify_flush(c: &mut Criterion) {
                         let t = Instant::now();
                         for _ in 0..iters {
                             cas[0].write(img, 1, 0, &[1u64]);
-                            img.event_notify_with_flush(&w, &ev, 1, policy);
+                            img.event_notify(&w, &ev, 1);
                         }
                         t.elapsed()
                     } else {
@@ -177,10 +178,15 @@ fn bench_put_dst_event(c: &mut Criterion) {
             })
         });
 
-        // The direct alternative: blocking put (+flush) then notify.
+        // The direct alternative: blocking put (+flush) then notify; the
+        // write already completed its target, so the notify flushes nothing.
+        let targeted = CafConfig {
+            flush: FlushMode::targeted(),
+            ..fusion_like(SubstrateKind::Mpi)
+        };
         group.bench_function(BenchmarkId::new("put_flush_notify", payload), |b| {
             b.iter_custom(|iters| {
-                timed_on_rank0(2, fusion_like(SubstrateKind::Mpi), move |img| {
+                timed_on_rank0(2, targeted, move |img| {
                     let w = img.team_world();
                     let ca: Coarray<u64> = img.coarray_alloc(&w, payload);
                     let ev = img.event_alloc(&w);
@@ -190,7 +196,7 @@ fn bench_put_dst_event(c: &mut Criterion) {
                         let t = Instant::now();
                         for _ in 0..iters {
                             ca.write(img, 1, 0, &data);
-                            img.event_notify_with_flush(&w, &ev, 1, NotifyFlush::TargetOnly);
+                            img.event_notify(&w, &ev, 1);
                         }
                         t.elapsed()
                     } else {

@@ -60,8 +60,8 @@ const RA_P_SMOKE: [usize; 3] = [2, 4, 8];
 const RA_LOG2_LOCAL: u32 = 8;
 const RA_UPDATES: usize = 800;
 
-/// Executed high-P rows: the caf-sched task executor multiplexes `p`
-/// image tasks onto a handful of workers, so these jobs run for *real*
+/// Executed high-P rows: the caf-sched task executor lets only a handful
+/// of the `p` image tasks run at once, so these jobs run for *real*
 /// (no netmodel extrapolation) on a laptop. Cost-free delay tables keep
 /// the wall clock tractable — the gated quantities are the deterministic
 /// op counts (modeled ns is zero), and each row's executed per-notify

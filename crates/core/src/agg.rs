@@ -228,21 +228,6 @@ impl Image {
         self.agg_drain_all(self.agg_fid());
     }
 
-    /// Targeted-notify drain: only the bucket headed to `global`. With
-    /// routing on there is no per-destination bucket to single out
-    /// (records travel via hops), so everything drains.
-    pub(crate) fn agg_drain_target(&self, global: usize) {
-        if self.agg.borrow().config().routing {
-            self.agg_drain_for_release();
-            return;
-        }
-        let fid = self.agg_fid();
-        let batch = self.agg.borrow_mut().drain(global);
-        if let Some(batch) = batch {
-            self.agg_send_batch(global, batch, fid);
-        }
-    }
-
     /// Ship one drained bucket as a single batched AM.
     ///
     /// Drain-time reroute: when the planned store-and-forward hop has

@@ -27,52 +27,45 @@ use crate::rtmsg::RtMsg;
 /// [`FlushMode::All`] as the default so the paper's measured behaviour is
 /// what benchmarks reproduce out of the box; the fixed modes are opt-in via
 /// `CafConfig::flush`.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FlushMode {
     /// Paper-faithful baseline: `MPI_Win_flush_all` on every window the
     /// image has touched — Θ(P) per window regardless of what is dirty.
     #[default]
     All,
     /// Targeted flush (§5): `MPI_Win_flush` per dirty `(window, rank)`
-    /// pair. Falls back to `flush_all` on a window when more than
-    /// `fallback_fraction` of its ranks are dirty (at that point the Θ(P)
-    /// scan is the cheaper handshake pattern).
-    Targeted {
-        /// Dirty fraction in `0.0..=1.0` above which a whole-window flush
-        /// is used instead of per-target flushes.
-        fallback_fraction: f64,
-    },
+    /// pair. Falls back to `flush_all` on a window when more than half
+    /// of its ranks are dirty (`FALLBACK_FRACTION`).
+    Targeted,
     /// Non-blocking targeted flush (`MPI_WIN_RFLUSH`, §5's "even better
     /// approach"): per-target flushes are *initiated*, local release work
     /// overlaps their latency, and completion is waited at the end. Same
     /// dirty-fraction fallback as [`FlushMode::Targeted`].
-    Rflush {
-        /// See [`FlushMode::Targeted::fallback_fraction`].
-        fallback_fraction: f64,
-    },
+    Rflush,
 }
 
+/// Dirty fraction of a window's ranks above which the targeted modes
+/// flush the whole window instead (at that point the Θ(P) scan is the
+/// cheaper handshake pattern).
+const FALLBACK_FRACTION: f64 = 0.5;
+
 impl FlushMode {
-    /// Targeted flush with the default 50% dirty-fraction fallback.
+    /// Targeted flush.
     pub fn targeted() -> Self {
-        FlushMode::Targeted {
-            fallback_fraction: 0.5,
-        }
+        FlushMode::Targeted
     }
 
-    /// Non-blocking targeted flush with the default 50% fallback.
+    /// Non-blocking targeted flush.
     pub fn rflush() -> Self {
-        FlushMode::Rflush {
-            fallback_fraction: 0.5,
-        }
+        FlushMode::Rflush
     }
 
     /// Stable identifier used in bench JSON and CLI flags.
     pub fn name(self) -> &'static str {
         match self {
             FlushMode::All => "all",
-            FlushMode::Targeted { .. } => "targeted",
-            FlushMode::Rflush { .. } => "rflush",
+            FlushMode::Targeted => "targeted",
+            FlushMode::Rflush => "rflush",
         }
     }
 }
@@ -153,16 +146,10 @@ impl MpiBackend {
 
     /// Blocking completion of one window under the configured policy.
     fn flush_window(&self, win: &Window) {
-        let (targeted, fallback_fraction) = match self.flush {
-            FlushMode::All => (false, 0.0),
-            // In a blocking context Rflush degrades to Targeted: with no
-            // local work left to overlap, issue+wait back-to-back is just
-            // a per-target flush.
-            FlushMode::Targeted { fallback_fraction } | FlushMode::Rflush { fallback_fraction } => {
-                (true, fallback_fraction)
-            }
-        };
-        if !targeted {
+        // In a blocking context Rflush degrades to Targeted: with no
+        // local work left to overlap, issue+wait back-to-back is just a
+        // per-target flush.
+        if self.flush == FlushMode::All {
             self.mpi.win_flush_all(win).expect("flush_all");
             return;
         }
@@ -170,7 +157,7 @@ impl MpiBackend {
         if dirty.is_empty() {
             return;
         }
-        if dirty.len() as f64 > fallback_fraction * win.comm().size() as f64 {
+        if dirty.len() as f64 > FALLBACK_FRACTION * win.comm().size() as f64 {
             self.mpi.win_flush_all(win).expect("flush_all fallback");
             return;
         }
@@ -186,16 +173,12 @@ impl MpiBackend {
     /// overlapped work.
     pub(crate) fn rflush_issue_all(&self) -> Vec<FlushRequest> {
         let mut reqs = Vec::new();
-        let fallback_fraction = match self.flush {
-            FlushMode::Rflush { fallback_fraction } => fallback_fraction,
-            _ => return reqs,
-        };
         for win in self.windows.borrow().values() {
             let dirty = win.dirty_targets();
             if dirty.is_empty() {
                 continue;
             }
-            if dirty.len() as f64 > fallback_fraction * win.comm().size() as f64 {
+            if dirty.len() as f64 > FALLBACK_FRACTION * win.comm().size() as f64 {
                 self.mpi.win_flush_all(win).expect("flush_all fallback");
                 continue;
             }

@@ -21,19 +21,6 @@ use crate::rtmsg::RtMsg;
 use crate::stats::StatCat;
 use crate::team::Team;
 
-/// How much remote completion `event_notify` enforces before posting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NotifyFlush {
-    /// The paper's implementation: `MPI_Win_flush_all` on every touched
-    /// window — correct, but Θ(P) per window in MPICH derivatives.
-    All,
-    /// The paper's §5/§7 improvement direction (what a per-target flush or
-    /// `MPI_WIN_RFLUSH` would enable): complete only operations headed to
-    /// the notification target. Sufficient when, as in RandomAccess, all
-    /// operations the event guards target the notified image.
-    TargetOnly,
-}
-
 /// A CAF event. Every image of the allocating team holds one instance;
 /// `notify` posts a *specific image's* instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,18 +51,6 @@ impl Image {
     /// semantics); the notification itself is nonblocking (`MPI_ISEND`) to
     /// avoid deadlock in circular notify/wait chains (paper §3.4).
     pub fn event_notify(&self, team: &Team, ev: &Event, target: usize) {
-        self.event_notify_with_flush(team, ev, target, NotifyFlush::All);
-    }
-
-    /// As [`Image::event_notify`], with an explicit flush policy — the
-    /// ablation hook for the paper's `MPI_WIN_RFLUSH` discussion (§5).
-    pub fn event_notify_with_flush(
-        &self,
-        team: &Team,
-        ev: &Event,
-        target: usize,
-        flush: NotifyFlush,
-    ) {
         self.fault_point("event_notify");
         self.stats().timed_d(
             StatCat::EventNotify,
@@ -86,24 +61,15 @@ impl Image {
             || {
             // Release barrier: local completion of implicitly synchronized
             // asynchronous operations, then remote completion — flush_all
-            // (Θ(P) per window on the MPI substrate), the configured
-            // targeted/rflush policy, or the explicit per-target ablation.
+            // (Θ(P) per window on the MPI substrate) or the configured
+            // targeted/rflush policy.
             // Coalesced small puts leave their buckets first: each drained
             // bucket is one batched AM, so aggregation adds zero per-target
             // flush handshakes below — O(drained buckets) messages, never
             // O(records) flush work. FIFO order on the AM channel then
             // applies the batch before the notification itself.
-            match flush {
-                NotifyFlush::All => {
-                    self.agg_drain_for_release();
-                    self.release_all();
-                }
-                NotifyFlush::TargetOnly => {
-                    self.agg_drain_target(team.global_rank(target));
-                    self.complete_implicit_local();
-                    self.backend_flush_target(team.global_rank(target));
-                }
-            }
+            self.agg_drain_for_release();
+            self.release_all();
             if team.global_rank(target) == self.this_image() {
                 // Self-notification short-circuits the AM layer.
                 self.post_event_local_hb(ev.id);
@@ -210,7 +176,7 @@ impl Image {
     /// §5 `MPI_WIN_RFLUSH` overlap), and waited after it.
     pub(crate) fn release_all(&self) {
         if let Backend::Mpi(b) = &self.backend {
-            if matches!(b.flush, crate::backend::FlushMode::Rflush { .. }) {
+            if b.flush == crate::backend::FlushMode::Rflush {
                 let reqs = b.rflush_issue_all();
                 self.complete_implicit_local();
                 for r in reqs {
@@ -221,20 +187,6 @@ impl Image {
         }
         self.complete_implicit_local();
         self.backend.flush_all();
-    }
-
-    /// Complete outstanding one-sided operations to one global rank only.
-    pub(crate) fn backend_flush_target(&self, global: usize) {
-        match &self.backend {
-            Backend::Mpi(b) => {
-                for win in b.windows.borrow().values() {
-                    if let Some(rank) = win.comm().comm_rank_of_global(global) {
-                        b.mpi.win_flush(win, rank).expect("flush");
-                    }
-                }
-            }
-            Backend::Gasnet(b) => b.g.wait_syncnbi_puts(),
-        }
     }
 
     /// Local completion of implicitly synchronized async operations (the
@@ -333,14 +285,26 @@ mod tests {
     #[test]
     fn target_only_flush_still_releases_writes_to_target() {
         // The §5 per-target flush is sufficient when the guarded writes go
-        // to the notified image — the RandomAccess pattern.
-        both(3, |img| {
+        // to the notified image — the RandomAccess pattern: the notify
+        // flushes that one rank and nothing else.
+        use caf_fabric::DelayOp::FlushPerTarget;
+        let cfg = CafConfig {
+            flush: crate::backend::FlushMode::targeted(),
+            ..CafConfig::on(SubstrateKind::Mpi)
+        };
+        CafUniverse::run_with_config(3, cfg, |img| {
             let w = img.team_world();
             let ca: crate::coarray::Coarray<u64> = img.coarray_alloc(&w, 1);
             let ev = img.event_alloc(&w);
             if img.this_image() == 0 {
+                let flushes = || {
+                    let meter = img.delay_meter_snapshot();
+                    meter.iter().find(|m| m.0 == FlushPerTarget).map_or(0, |m| m.1)
+                };
                 img.copy_async_put(&ca, 1, 0, &[4242], crate::asyncops::AsyncOpts::none());
-                img.event_notify_with_flush(&w, &ev, 1, super::NotifyFlush::TargetOnly);
+                let before = flushes();
+                img.event_notify(&w, &ev, 1);
+                assert_eq!(flushes() - before, 1);
             } else if img.this_image() == 1 {
                 img.event_wait(&ev);
                 assert_eq!(ca.local_vec(img)[0], 4242);

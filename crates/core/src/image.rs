@@ -54,9 +54,9 @@ pub struct CafConfig {
     /// [`Image::agg_config`] for the effective values.
     pub agg: caf_agg::AggConfig,
     /// How images execute: one OS thread each ([`caf_sched::ExecMode::Threads`],
-    /// the paper-faithful default) or as stackful tasks on the caf-sched
-    /// work-stealing pool ([`caf_sched::ExecMode::Tasks`]), which executes
-    /// P=1024 jobs for real. See DESIGN.md §15.
+    /// the paper-faithful default) or as caf-sched tasks sharing a few
+    /// run slots ([`caf_sched::ExecMode::Tasks`]), which executes P=1024
+    /// jobs for real. See DESIGN.md §15.
     pub exec: caf_sched::ExecConfig,
     /// Deterministic fault-injection schedule (DESIGN.md §17). Default:
     /// nothing dies. Jobs that inject kills should launch through

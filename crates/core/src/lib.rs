@@ -78,7 +78,7 @@ pub use caf_gasnetsim::{GasnetConfig, SrqMode};
 pub use caf_mpisim::MpiConfig;
 pub use coarray::{Coarray, RemoteRef, Section};
 pub use coarray2d::Coarray2d;
-pub use event::{Event, NotifyFlush};
+pub use event::Event;
 pub use backend::FlushMode;
 pub use image::{CafConfig, CafUniverse, Image, SubstrateKind};
 pub use stat::{ImageStatus, Stat};
@@ -93,7 +93,7 @@ pub mod prelude {
     pub use caf_sched::{ExecConfig, ExecMode};
     pub use crate::coarray::{Coarray, Section};
     pub use crate::coarray2d::Coarray2d;
-    pub use crate::event::{Event, NotifyFlush};
+    pub use crate::event::Event;
     pub use crate::image::{CafConfig, CafUniverse, Image, SubstrateKind};
     pub use crate::stat::{ImageStatus, Stat};
     pub use crate::stats::StatCat;

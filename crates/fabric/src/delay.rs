@@ -308,8 +308,9 @@ pub fn spin_for_ns(ns: f64) {
     }
     if caf_sched::on_task() {
         // On the task executor the charged wall-clock delay still
-        // elapses, but the worker is yielded between clock checks so the
-        // other N-W images keep making progress underneath the spin.
+        // elapses, but the run slot is offered to every ready task
+        // between clock checks so the other images keep making progress
+        // underneath the spin.
         let deadline = monotonic_ns().saturating_add(ns as u64);
         while monotonic_ns() < deadline {
             caf_sched::yield_now();

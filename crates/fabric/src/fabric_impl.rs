@@ -29,10 +29,10 @@ pub struct FabricConfig {
     /// same rank without seeing each other's traffic. Default 1.
     pub planes: usize,
     /// How ranks execute: one OS thread each (`Threads`, the
-    /// paper-faithful default) or as stackful tasks on the caf-sched
-    /// work-stealing pool (`Tasks`), which is what makes P=1024 jobs
-    /// executable. Under `Tasks` every blocking receive below parks
-    /// cooperatively instead of blocking its worker.
+    /// paper-faithful default) or as caf-sched tasks sharing a few run
+    /// slots (`Tasks`), which is what makes P=1024 jobs executable. Under
+    /// `Tasks` every blocking receive below parks cooperatively instead
+    /// of sleeping on its slot.
     pub exec: caf_sched::ExecConfig,
     /// Deterministic fault schedule (default: nobody dies). See
     /// [`FaultPlan`].
@@ -438,9 +438,9 @@ impl Endpoint {
         }
         if caf_sched::on_task() {
             // Cooperative form of the blocking receive: park the task
-            // (releasing the worker) until a sender's unpark re-runs the
-            // poll. OS-blocking here would wedge a worker and, with more
-            // images than workers, deadlock the job.
+            // (giving up its run slot) until a sender's unpark re-runs
+            // the poll. OS-blocking here would sleep on the slot and,
+            // with more images than slots, deadlock the job.
             loop {
                 match self.rx.try_recv() {
                     Ok(pkt) => return self.screen(pkt),
@@ -465,8 +465,8 @@ impl Endpoint {
         if caf_sched::on_task() {
             // Deadline-bounded cooperative wait. A full park could
             // oversleep the deadline (nobody unparks a timeout), so this
-            // yields the worker instead of suspending; timeouts are a
-            // rare diagnostic path, not steady-state.
+            // yields to whoever is ready instead of suspending; timeouts
+            // are a rare diagnostic path, not steady-state.
             let deadline = crate::delay::monotonic_ns().saturating_add(timeout.as_nanos() as u64);
             loop {
                 if let Some(pkt) = self.next_data() {

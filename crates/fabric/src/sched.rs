@@ -310,7 +310,8 @@ fn lock() -> MutexGuard<'static, Option<GateState>> {
 /// cooperatively parked on the caf-sched executor instead, so every
 /// notify pairs with an `unpark_all` (spurious permits are harmless —
 /// a woken task re-checks `current` and parks again). Lock order is
-/// GATE → task-ctrl → run-queue, never reversed.
+/// GATE → a task's mutex, released, then GATE → the slot mutex (caf-sched
+/// never holds those two together and never takes GATE).
 fn wake_waiters() {
     GATE_CV.notify_all();
     caf_sched::unpark_all();
@@ -450,9 +451,9 @@ fn wait_turn(
         }
         if caf_sched::on_task() {
             // Task-mode participant: a condvar wait here would OS-block
-            // the carrier *and occupy its worker*; with fewer workers
+            // the carrier *while it holds a run slot*; with fewer slots
             // than images the job could never schedule the image whose
-            // turn it is. Release the gate lock, return the worker via
+            // turn it is. Release the gate lock, give the slot up via
             // the cooperative park, and re-check on wake (every
             // `wake_waiters` hands out permits; a permit that raced this
             // park is banked, so the wake cannot be lost).

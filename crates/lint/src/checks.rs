@@ -215,8 +215,8 @@ fn push(report: &mut Report, code: &'static str, class: &'static str, ctx: &File
 /// `// lint:allow(blocking)`. Software waits (`.wait(...)` on requests,
 /// `recv_blocking` call sites) block *via* gated primitives underneath;
 /// they are recorded in the inventory as `via-callee` but are not
-/// violations — they are exactly the resume points a future
-/// work-stealing image scheduler must know about.
+/// violations — they are exactly the resume points the caf-sched task
+/// executor must know about.
 fn blocking_pass(ctx: &FileCtx, report: &mut Report) {
     if !ctx.modeled {
         return;
@@ -412,7 +412,7 @@ fn lock_across_park_pass(ctx: &FileCtx, report: &mut Report) {
             }
             // Park points while a guard is live. `caf_sched::park` /
             // `yield_now` suspend the whole task: a guard held across
-            // them pins every other image mapped to this worker.
+            // them stays locked while other images run in its place.
             let parks = matches!(ctx.ident(i), Some("yield_op" | "model_blocking" | "yield_tick"))
                 && ctx.punct(i + 1, "(")
                 || ctx.path2(i, "caf_sched", "park")

@@ -8,8 +8,7 @@
 //! - **CAFL001 `blocking`** — blocking-point discipline: parking
 //!   primitives in the modeled crates must route through the `sched.rs`
 //!   announce-before-execute gate; emits the complete blocking-point
-//!   inventory (`LINT_BLOCKING.json`) for the future work-stealing image
-//!   scheduler.
+//!   inventory (`LINT_BLOCKING.json`) for the caf-sched task executor.
 //! - **CAFL002 `lock-across-park`** — no lock guard live across a
 //!   gate/park call.
 //! - **CAFL003 `atomic-ordering`** — every `Ordering::` use justified in

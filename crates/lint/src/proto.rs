@@ -73,9 +73,9 @@ const DIRTY_OPS: &[&str] = &[
 /// Ops that release *all* outstanding deferred work (route through
 /// `release_all()` in `crates/core`).
 const RELEASE_OPS: &[&str] =
-    &["cofence", "cofence_with_event", "event_notify", "event_notify_with_flush"];
+    &["cofence", "cofence_with_event", "event_notify"];
 
-const NOTIFY_OPS: &[&str] = &["event_notify", "event_notify_with_flush"];
+const NOTIFY_OPS: &[&str] = &["event_notify"];
 const WAIT_OP: &str = "event_wait";
 
 /// Team collectives (do NOT release deferred work; forbidden inside

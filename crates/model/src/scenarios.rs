@@ -120,12 +120,12 @@ fn event_pp_run(kind: SubstrateKind) {
 }
 
 /// The event ping-pong executed by the caf-sched task executor
-/// (`ExecMode::Tasks`) on a *single* worker: both images share one OS
-/// thread, so every blocking site the schedule reaches must suspend
+/// (`ExecMode::Tasks`) on a *single* run slot: only one image executes
+/// at a time, so every blocking site the schedule reaches must suspend
 /// cooperatively through `caf_sched::park` — an OS-level block anywhere
-/// would wedge the worker and surface to the explorer as a deadlock
-/// counterexample. The gate still decides which image runs; the worker
-/// pool only decides where.
+/// would sleep on the slot and surface to the explorer as a deadlock
+/// counterexample. The gate still decides which image runs; the executor
+/// only decides when its carrier may.
 pub fn tasks_event_ping_pong(kind: SubstrateKind) -> Scenario {
     match kind {
         SubstrateKind::Mpi => Scenario {

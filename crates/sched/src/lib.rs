@@ -1,49 +1,44 @@
-//! caf-sched: the work-stealing task executor that decouples images from
-//! OS scheduling.
+//! caf-sched: the task executor that decouples images from OS scheduling.
 //!
 //! The paper's evaluation runs RandomAccess and FFT at thousands of
-//! images; mapping one *runnable* OS thread per image stops being viable
-//! long before that. This crate runs each image as a **stackful task**: a
-//! carrier thread with a small dedicated stack that is *multiplexed onto a
-//! bounded pool of workers*. At most `workers` images execute at any
-//! moment; everyone else is either queued (runnable) or **parked** on the
-//! cooperative [`park`]/[`unpark`] API, occupying nothing but its stack.
+//! images; one *runnable* OS thread per image stops being viable long
+//! before that. This crate runs each image as a **task**: a carrier
+//! thread with a small dedicated stack that executes only while it holds
+//! one of `workers` **run slots**. Everyone else is either queued for a
+//! slot (ready) or **parked** on the cooperative [`park`]/[`unpark`] API,
+//! occupying nothing but its stack.
 //!
-//! Scheduling structure is the classic work-stealing triple:
-//!
-//! * a **per-worker deque** of runnable tasks (owner pops FIFO from the
-//!   front, thieves steal from the back),
-//! * a **global injector** where wakeups land ([`unpark`] cannot know
-//!   which worker will host the task next),
-//! * **seed-ordered stealing**: each worker probes victims in a fixed
-//!   permutation derived from `ExecConfig::seed` via SplitMix64, so the
-//!   *choice structure* of the scheduler is a deterministic function of
-//!   the seed — which is what keeps caf-model replay tokens valid when
-//!   the announce-before-execute gate drives tasks instead of threads
-//!   (the gate serializes execution; the executor must not add choice
-//!   points of its own).
+//! The whole scheduler is a count of free slots and one FIFO queue of
+//! ready task ids under one mutex. There are no worker threads: a task
+//! that parks, yields or finishes hands its slot *directly* to the head
+//! of the queue (one condvar signal, carrier to carrier) or, when nobody
+//! is ready, back to the free count; an [`unpark`] takes a free slot for
+//! its target or queues it. The queue being FIFO is what keeps a task
+//! that loops on [`yield_now`] from starving one an `unpark` has woken,
+//! and with one slot it makes the run order a pure function of the
+//! program — the executor adds no choice points of its own, which keeps
+//! caf-model replay tokens valid when the announce-before-execute gate
+//! drives tasks instead of threads.
 //!
 //! # Why carrier threads and not ucontext-style green threads
 //!
 //! Each task owns one OS thread for its whole life, created with an
-//! explicit (small) stack via `std::thread::Builder::stack_size`. The
-//! thread is *suspended* (condvar handoff) whenever the task is not
-//! scheduled on a worker, so the OS never sees more than `workers`
+//! explicit small stack. The thread sleeps on its own condvar whenever
+//! the task holds no slot, so the OS never sees more than `workers`
 //! runnable threads. This keeps every thread-local in the stack above
 //! working unchanged — `caf_trace`'s per-image ring, the model gate's
 //! per-thread id, `RefCell` image state — and stays portable, Miri-clean
 //! and TSan-visible, where hand-rolled context switching would be none of
-//! those. "Stackful task" here means: own stack, cooperative scheduling
-//! points, worker-multiplexed execution.
+//! those.
 //!
 //! # The park/unpark contract
 //!
-//! [`park`] is a *cooperative* blocking point: it returns the calling
-//! task's worker to the pool and suspends the task until some other task
-//! calls [`unpark`] with its id. A token (permit) makes the pair
-//! race-free in the standard way: an `unpark` that arrives while the task
-//! is still running is banked and consumed by the next `park`, so the
-//! wakeup protocol
+//! [`park`] is a *cooperative* blocking point: it gives up the calling
+//! task's slot and suspends the task until some other task calls
+//! [`unpark`] with its id. A token (permit) makes the pair race-free in
+//! the standard way: an `unpark` that arrives while the task is still
+//! running is banked and consumed by the next `park`, so the wakeup
+//! protocol
 //!
 //! ```text
 //! receiver:  loop { if try_recv() { return } park() }
@@ -52,14 +47,19 @@
 //!
 //! never loses a message regardless of interleaving. Every blocking site
 //! in the fabric funnels through exactly this loop when running under
-//! [`ExecMode::Tasks`]; OS-blocking there would wedge a worker and — with
-//! more images than workers — deadlock the job, so the cooperative form
-//! is a correctness requirement, not an optimisation.
+//! [`ExecMode::Tasks`]; OS-blocking there would sleep while holding a
+//! slot and — with more images than slots — deadlock the job, so the
+//! cooperative form is a correctness requirement, not an optimisation.
+//!
+//! # Locking rules
+//!
+//! The slot mutex and a task's mutex are never held together, and every
+//! `notify_one` happens after its mutex is released.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// How a job's images are executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -69,9 +69,9 @@ pub enum ExecMode {
     /// process-per-image).
     #[default]
     Threads,
-    /// Images are stackful tasks multiplexed onto a bounded worker pool
-    /// by the work-stealing executor; blocking points park cooperatively.
-    /// This is what makes P=1024 executable for real.
+    /// Images are tasks that run only while holding one of a bounded
+    /// number of run slots; blocking points park cooperatively. This is
+    /// what makes P=1024 executable for real.
     Tasks,
 }
 
@@ -80,103 +80,122 @@ pub enum ExecMode {
 pub struct ExecConfig {
     /// Execution mode (see [`ExecMode`]).
     pub mode: ExecMode,
-    /// Worker count under [`ExecMode::Tasks`]; `0` = auto
-    /// (`available_parallelism` capped at 8, clamped to the task count).
+    /// Run slots under [`ExecMode::Tasks`] — how many tasks execute at
+    /// once; `0` = auto (`available_parallelism` capped at 8).
     pub workers: usize,
-    /// Seed for the deterministic steal-order permutation.
+    /// Nothing reads this. It seeded the steal order of the work-stealing
+    /// pool this executor replaced and stays only because the frozen
+    /// `benchmark/` sets it by name; it goes at the next benchmark
+    /// re-baseline (ROADMAP item 2).
     pub seed: u64,
-    /// Per-task stack size in bytes; `0` = 512 KiB. At P=1024 the default
-    /// costs 512 MiB of *virtual* address space — only touched pages are
-    /// resident.
-    pub stack_bytes: usize,
 }
+
+/// Per-task stack size. At P=1024 this is 512 MiB of *virtual* address
+/// space — only touched pages are resident.
+const STACK_BYTES: usize = 512 << 10;
 
 impl Default for ExecConfig {
     fn default() -> Self {
-        ExecConfig { mode: ExecMode::Threads, workers: 0, seed: 0xCAF5_C4ED, stack_bytes: 0 }
+        ExecConfig { mode: ExecMode::Threads, workers: 0, seed: 0xCAF5_C4ED }
     }
 }
 
 impl ExecConfig {
-    /// The task-executor mode with automatic worker count.
+    /// The task-executor mode with automatic slot count.
     pub fn tasks() -> Self {
         ExecConfig { mode: ExecMode::Tasks, ..ExecConfig::default() }
     }
 
-    fn effective_workers(&self, n: usize) -> usize {
-        let auto = std::thread::available_parallelism().map_or(4, |p| p.get()).min(8);
-        let w = if self.workers == 0 { auto } else { self.workers };
-        w.clamp(1, n.max(1))
-    }
-
-    fn effective_stack(&self) -> usize {
-        if self.stack_bytes == 0 {
-            512 << 10
-        } else {
-            self.stack_bytes
+    fn slots(&self) -> usize {
+        match self.workers {
+            0 => std::thread::available_parallelism().map_or(4, |p| p.get()).min(8),
+            w => w,
         }
     }
 }
 
-/// What a task reports to its hosting worker when it yields the quantum.
-enum Report {
-    /// `yield_now`: still runnable, requeue me.
-    Yield,
-    /// `park`: suspend me unless a permit is banked.
-    WantPark,
-    /// The task closure returned (or panicked).
-    Done,
-}
-
-/// After the worker processed a report (park decision folded in).
-enum Resumed {
-    Requeue,
-    Parked,
-    Done,
-}
-
-/// Per-task handoff cell. The carrier thread and the hosting worker
-/// rendezvous through it: the worker grants the quantum (`go`), the task
-/// gives it back (`report`). `permit`/`parked` implement the unpark
-/// token; both are only ever decided under this mutex, which is what
-/// makes the park/unpark race-free.
+/// Per-task state. `go` is the slot grant the carrier sleeps on;
+/// `permit`/`parked` implement the unpark token and are only ever decided
+/// under this mutex, which is what makes park/unpark race-free.
 #[derive(Default)]
 struct TaskFlags {
     go: bool,
-    report: Option<Report>,
     permit: bool,
     parked: bool,
 }
 
-#[derive(Default)]
 struct TaskCtrl {
     m: Mutex<TaskFlags>,
-    /// Task waits here for its next quantum.
-    cv_go: Condvar,
-    /// The hosting worker waits here for the task to yield.
-    cv_report: Condvar,
+    /// The carrier sleeps here whenever its task holds no slot.
+    cv: Condvar,
 }
 
-/// All runnable-task queues live under one mutex: the per-worker deques
-/// and the injector. Worker counts are small (≤ 8 by default) and a
-/// quantum switch takes two condvar handoffs anyway, so fine-grained
-/// per-deque locking would buy nothing here; the *structure* (local
-/// deques + injector + ordered stealing) is what matters for determinism
-/// and locality.
-struct SchedState {
-    injector: VecDeque<usize>,
-    locals: Vec<VecDeque<usize>>,
-    live: usize,
-    shutdown: bool,
+/// The whole scheduler state. `ready` is non-empty only while `free` is 0.
+struct Slots {
+    free: usize,
+    ready: VecDeque<usize>,
 }
 
 struct Inner {
     tasks: Vec<TaskCtrl>,
-    sched: Mutex<SchedState>,
-    /// Workers idle here when every queue is empty.
-    work_cv: Condvar,
-    workers: usize,
-    seed: u64,
+    slots: Mutex<Slots>,
+}
+
+/// No task code ever runs under an executor mutex, so a panicking task
+/// cannot poison one.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().expect("executor mutex poisoned")
+}
+
+impl Inner {
+    /// Hand a slot to task `t` and wake its carrier.
+    fn grant(&self, t: usize) {
+        lock(&self.tasks[t].m).go = true;
+        self.tasks[t].cv.notify_one();
+    }
+
+    /// Sleep until task `me` is granted a slot.
+    fn wait_slot(&self, me: usize) {
+        let ctrl = &self.tasks[me];
+        let mut g = lock(&ctrl.m);
+        while !g.go {
+            g = ctrl.cv.wait(g).expect("executor mutex poisoned");
+        }
+        g.go = false;
+    }
+
+    /// Give up the caller's slot: to the task that has been ready longest,
+    /// or back to the free count.
+    fn release_slot(&self) {
+        let next = {
+            let mut s = lock(&self.slots);
+            let next = s.ready.pop_front();
+            if next.is_none() {
+                s.free += 1;
+            }
+            next
+        };
+        if let Some(t) = next {
+            self.grant(t);
+        }
+    }
+
+    /// Task `t` stopped being parked: it takes a free slot or queues.
+    fn make_ready(&self, t: usize) {
+        let granted = {
+            let mut s = lock(&self.slots);
+            if s.free > 0 {
+                s.free -= 1;
+                true
+            } else {
+                s.ready.push_back(t);
+                false
+            }
+        };
+        if granted {
+            self.grant(t);
+        }
+    }
 }
 
 thread_local! {
@@ -204,8 +223,8 @@ pub fn current_task() -> Option<usize> {
 }
 
 /// Cooperatively block the calling task until [`unpark`] grants it a
-/// permit. Consumes a banked permit immediately (no yield) if one is
-/// pending. On a non-task thread this degrades to `thread::yield_now` —
+/// permit. Consumes a banked permit immediately (keeping its slot) if one
+/// is pending. On a non-task thread this degrades to `thread::yield_now` —
 /// callers gate on [`on_task`], so that path only exists for safety.
 pub fn park() {
     let Some((inner, me)) = current() else {
@@ -213,16 +232,21 @@ pub fn park() {
         return;
     };
     {
-        let mut g = inner.tasks[me].m.lock().unwrap();
+        let mut g = lock(&inner.tasks[me].m);
         if g.permit {
             g.permit = false;
             return;
         }
+        // Set before the slot goes, so an `unpark` from here on makes us
+        // ready instead of banking a permit we would sleep through. If it
+        // finds a free slot for us we hold two for a moment; harmless.
+        g.parked = true;
     }
-    yield_to_worker(&inner, me, Report::WantPark);
+    inner.release_slot();
+    inner.wait_slot(me);
 }
 
-/// Make task `target` runnable (or bank a permit if it is not parked).
+/// Make task `target` ready (or bank a permit if it is not parked).
 /// Callable only from a task of the same executor; a no-op elsewhere, so
 /// senders can call it unconditionally under both exec modes.
 pub fn unpark(target: usize) {
@@ -245,23 +269,30 @@ pub fn unpark_all() {
     }
 }
 
-/// Yield the worker but stay runnable (requeued at the back of the
-/// hosting worker's deque). Used for bounded waits — a deadline poll has
+/// Let every ready task run before the caller does: the slot goes to the
+/// head of the ready queue and the caller joins its back. Returns at once
+/// when nobody is ready. Used for bounded waits — a deadline poll has
 /// nobody to unpark it, so it must not fully park.
 pub fn yield_now() {
-    if let Some((inner, me)) = current() {
-        yield_to_worker(&inner, me, Report::Yield);
-    } else {
+    let Some((inner, me)) = current() else {
         std::thread::yield_now();
-    }
+        return;
+    };
+    let next = {
+        let mut s = lock(&inner.slots);
+        let Some(next) = s.ready.pop_front() else { return };
+        s.ready.push_back(me);
+        next
+    };
+    inner.grant(next);
+    inner.wait_slot(me);
 }
 
 fn unpark_on(inner: &Inner, target: usize) {
     let wake = {
-        let mut g = inner.tasks[target].m.lock().unwrap();
+        let mut g = lock(&inner.tasks[target].m);
         if g.parked {
             g.parked = false;
-            g.permit = false;
             true
         } else {
             g.permit = true;
@@ -269,124 +300,7 @@ fn unpark_on(inner: &Inner, target: usize) {
         }
     };
     if wake {
-        let mut s = inner.sched.lock().unwrap();
-        s.injector.push_back(target);
-        drop(s);
-        inner.work_cv.notify_one();
-    }
-}
-
-/// Task side of the quantum handoff: post `rep`, then sleep until a
-/// worker grants the next `go`.
-fn yield_to_worker(inner: &Inner, me: usize, rep: Report) {
-    let ctrl = &inner.tasks[me];
-    let mut g = ctrl.m.lock().unwrap();
-    g.report = Some(rep);
-    ctrl.cv_report.notify_one();
-    while !g.go {
-        g = ctrl.cv_go.wait(g).unwrap();
-    }
-    g.go = false;
-}
-
-/// Worker side: grant task `t` a quantum, wait for its report, and fold
-/// the park decision in under the task's mutex (so it cannot race an
-/// `unpark`).
-fn resume(inner: &Inner, t: usize) -> Resumed {
-    let ctrl = &inner.tasks[t];
-    let mut g = ctrl.m.lock().unwrap();
-    g.go = true;
-    ctrl.cv_go.notify_one();
-    loop {
-        match g.report.take() {
-            Some(Report::Yield) => return Resumed::Requeue,
-            Some(Report::Done) => return Resumed::Done,
-            Some(Report::WantPark) => {
-                if g.permit {
-                    // A wakeup raced the park: the task retries instead
-                    // of suspending.
-                    g.permit = false;
-                    return Resumed::Requeue;
-                }
-                g.parked = true;
-                return Resumed::Parked;
-            }
-            None => g = ctrl.cv_report.wait(g).unwrap(),
-        }
-    }
-}
-
-/// SplitMix64 — the same generator the model's random walker uses, so
-/// seed provenance is uniform across the repo.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Worker `w`'s fixed victim order: a seed-derived permutation of the
-/// other workers (Fisher–Yates driven by SplitMix64). Deterministic in
-/// `(seed, w)` — re-running a job with the same config probes victims in
-/// the same order at every steal attempt.
-fn steal_order(workers: usize, seed: u64, w: usize) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..workers).filter(|&v| v != w).collect();
-    let mut st = seed ^ (w as u64).wrapping_mul(0xA076_1D64_78BD_642F);
-    for i in (1..order.len()).rev() {
-        let j = (splitmix64(&mut st) % (i as u64 + 1)) as usize;
-        order.swap(i, j);
-    }
-    order
-}
-
-fn worker_loop(inner: &Inner, w: usize) {
-    let victims = steal_order(inner.workers, inner.seed, w);
-    loop {
-        let t = {
-            let mut s = inner.sched.lock().unwrap();
-            loop {
-                if s.shutdown {
-                    return;
-                }
-                // Own deque first (FIFO: message-driven tasks are woken in
-                // arrival order), then the injector, then steal from the
-                // back of each victim in seed order.
-                if let Some(t) = s.locals[w].pop_front() {
-                    break t;
-                }
-                if let Some(t) = s.injector.pop_front() {
-                    break t;
-                }
-                if let Some(t) = victims.iter().find_map(|&v| s.locals[v].pop_back()) {
-                    break t;
-                }
-                s = inner.work_cv.wait(s).unwrap();
-            }
-        };
-        match resume(inner, t) {
-            Resumed::Requeue => {
-                let mut s = inner.sched.lock().unwrap();
-                s.locals[w].push_back(t);
-                drop(s);
-                // Our deque is now non-empty: give an idle worker a
-                // chance to steal it while we pick our own next task.
-                inner.work_cv.notify_one();
-            }
-            Resumed::Parked => {}
-            Resumed::Done => {
-                let mut s = inner.sched.lock().unwrap();
-                s.live -= 1;
-                let all_done = s.live == 0;
-                if all_done {
-                    s.shutdown = true;
-                }
-                drop(s);
-                if all_done {
-                    inner.work_cv.notify_all();
-                }
-            }
-        }
+        inner.make_ready(target);
     }
 }
 
@@ -425,29 +339,18 @@ where
     T: Send,
     F: Fn(usize) -> T + Send + Sync,
 {
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = cfg.effective_workers(n);
+    // The first `running` ranks start holding a slot and the rest queue in
+    // rank order, so the job's start is the same on every run.
+    let slots = cfg.slots();
+    let running = slots.min(n);
     let inner = Arc::new(Inner {
-        tasks: (0..n).map(|_| TaskCtrl::default()).collect(),
-        sched: Mutex::new(SchedState {
-            injector: VecDeque::new(),
-            // Initial distribution: rank r starts on worker r % workers,
-            // so the job begins spread across the pool.
-            locals: {
-                let mut locals = vec![VecDeque::new(); workers];
-                for t in 0..n {
-                    locals[t % workers].push_back(t);
-                }
-                locals
-            },
-            live: n,
-            shutdown: false,
-        }),
-        work_cv: Condvar::new(),
-        workers,
-        seed: cfg.seed,
+        tasks: (0..n)
+            .map(|t| TaskCtrl {
+                m: Mutex::new(TaskFlags { go: t < running, ..TaskFlags::default() }),
+                cv: Condvar::new(),
+            })
+            .collect(),
+        slots: Mutex::new(Slots { free: slots - running, ready: (running..n).collect() }),
     });
     let results: Vec<Mutex<Option<std::thread::Result<T>>>> =
         (0..n).map(|_| Mutex::new(None)).collect();
@@ -458,52 +361,33 @@ where
             let results = &results;
             std::thread::Builder::new()
                 .name(format!("caf-img-{rank}"))
-                .stack_size(cfg.effective_stack())
+                .stack_size(STACK_BYTES)
                 .spawn_scoped(s, move || {
                     CURRENT.with(|c| *c.borrow_mut() = Some((Arc::clone(&inner), rank)));
-                    // First quantum is granted by a worker like any other.
-                    {
-                        let ctrl = &inner.tasks[rank];
-                        let mut g = ctrl.m.lock().unwrap();
-                        while !g.go {
-                            g = ctrl.cv_go.wait(g).unwrap();
-                        }
-                        g.go = false;
-                    }
+                    inner.wait_slot(rank);
                     let r = catch_unwind(AssertUnwindSafe(|| f(rank)));
-                    *results[rank].lock().unwrap() = Some(r);
+                    *lock(&results[rank]) = Some(r);
                     // A finished task can be what a parked peer was
                     // waiting on (e.g. a dropped channel): let everyone
-                    // re-check before this task disappears.
+                    // re-check, then pass the slot on.
                     unpark_all();
                     CURRENT.with(|c| *c.borrow_mut() = None);
-                    // Final report; the worker retires the task. No
-                    // wait-for-go follows — the thread exits.
-                    let ctrl = &inner.tasks[rank];
-                    let mut g = ctrl.m.lock().unwrap();
-                    g.report = Some(Report::Done);
-                    ctrl.cv_report.notify_one();
+                    inner.release_slot();
                 })
                 .expect("spawn image task");
-        }
-        for w in 0..workers {
-            let inner = Arc::clone(&inner);
-            std::thread::Builder::new()
-                .name(format!("caf-worker-{w}"))
-                .spawn_scoped(s, move || worker_loop(&inner, w))
-                .expect("spawn executor worker");
         }
     });
 
     results
         .into_iter()
-        .map(|m| m.into_inner().unwrap().expect("task finished without a result"))
+        .map(|m| lock(&m).take().expect("task finished without a result"))
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
 
     fn tasks_cfg(workers: usize) -> ExecConfig {
         ExecConfig { workers, ..ExecConfig::tasks() }
@@ -522,7 +406,7 @@ mod tests {
     fn park_unpark_pingpong_through_shared_mailboxes() {
         // A 2-task ping-pong over bare mailboxes: the receive loop is the
         // canonical try-then-park pattern the fabric uses. With a single
-        // worker this deadlocks unless park really releases the worker.
+        // slot this deadlocks unless park really gives the slot up.
         let mail: Vec<Mutex<VecDeque<u64>>> = (0..2).map(|_| Mutex::new(VecDeque::new())).collect();
         let rounds = 64u64;
         let out = run(2, &tasks_cfg(1), |rank| {
@@ -556,7 +440,7 @@ mod tests {
     #[test]
     fn permit_prevents_lost_wakeup() {
         // Unpark strictly before the park: the permit must be banked and
-        // the park must return immediately (with one worker, a lost
+        // the park must return immediately (with one slot, a lost
         // wakeup would hang the job).
         let out = run(2, &tasks_cfg(1), |rank| {
             if rank == 0 {
@@ -576,6 +460,76 @@ mod tests {
     }
 
     #[test]
+    fn a_yielding_task_lets_a_woken_task_run() {
+        // One slot. Task 1 parks; task 0 wakes it and then only ever
+        // yields. The ready queue is FIFO, so the first yield runs task 1.
+        let parking = AtomicBool::new(false);
+        let ran = AtomicBool::new(false);
+        let out = run(2, &tasks_cfg(1), |rank| {
+            if rank == 1 {
+                parking.store(true, SeqCst);
+                park();
+                ran.store(true, SeqCst);
+                return 0;
+            }
+            while !parking.load(SeqCst) {
+                yield_now();
+            }
+            unpark(1);
+            let mut yields = 0;
+            while !ran.load(SeqCst) && yields < 1000 {
+                yield_now();
+                yields += 1;
+            }
+            yields
+        });
+        assert_eq!(out[0].as_ref().unwrap(), &1, "yields before the woken task ran");
+    }
+
+    /// `n` tasks pass tokens round a ring, mixing `unpark`, `yield_now`
+    /// and `park`. Returns the most tasks ever seen between two scheduling
+    /// calls (a task counts itself out before each call and in after it).
+    fn ring_high_water(n: usize, workers: usize) -> usize {
+        let mail: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+        let (running, high) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let enter = || high.fetch_max(running.fetch_add(1, SeqCst) + 1, SeqCst);
+        let leave = || running.fetch_sub(1, SeqCst);
+        let out = run(n, &tasks_cfg(workers), |rank| {
+            enter();
+            for round in 1..=4 {
+                let next = (rank + 1) % n;
+                mail[next].fetch_add(1, SeqCst);
+                leave();
+                unpark(next);
+                yield_now();
+                enter();
+                while mail[rank].load(SeqCst) < round {
+                    leave();
+                    park();
+                    enter();
+                }
+            }
+            leave();
+        });
+        assert!(out.into_iter().all(|r| r.is_ok()));
+        high.load(SeqCst)
+    }
+
+    #[test]
+    fn never_more_tasks_running_than_slots() {
+        for workers in [1, 3] {
+            let high = ring_high_water(48, workers);
+            assert!((1..=workers).contains(&high), "{high} tasks ran at once on {workers} slots");
+        }
+    }
+
+    #[test]
+    fn more_slots_than_tasks() {
+        // Every unpark of a parked task finds a free slot; none queue.
+        assert!((1..=3).contains(&ring_high_water(3, 8)));
+    }
+
+    #[test]
     fn panics_are_reported_per_rank() {
         let out = run(3, &tasks_cfg(2), |rank| {
             if rank == 1 {
@@ -590,23 +544,78 @@ mod tests {
     }
 
     #[test]
-    fn steal_order_is_deterministic_and_a_permutation() {
-        for w in 0..6 {
-            let a = steal_order(6, 42, w);
-            let b = steal_order(6, 42, w);
-            assert_eq!(a, b, "steal order must be a pure function of (seed, worker)");
-            let mut sorted = a.clone();
-            sorted.sort_unstable();
-            let expect: Vec<usize> = (0..6).filter(|&v| v != w).collect();
-            assert_eq!(sorted, expect);
+    fn a_panicking_task_releases_the_peers_parked_on_it() {
+        // Task 0 panics once its three peers have gone to park on it;
+        // nothing but its exit-time `unpark_all` ever wakes them.
+        for workers in [1, 3] {
+            let (waiting, gone) = (AtomicUsize::new(0), AtomicBool::new(false));
+            let out = run(4, &tasks_cfg(workers), |rank| {
+                if rank == 0 {
+                    while waiting.load(SeqCst) < 3 {
+                        yield_now();
+                    }
+                    gone.store(true, SeqCst);
+                    panic!("task 0 exploded");
+                }
+                waiting.fetch_add(1, SeqCst);
+                while !gone.load(SeqCst) {
+                    park();
+                }
+            });
+            let err = out[0].as_ref().unwrap_err();
+            assert_eq!(err.downcast_ref::<&str>(), Some(&"task 0 exploded"));
+            assert!(out[1..].iter().all(|r| r.is_ok()));
         }
-        assert_ne!(steal_order(6, 1, 0), steal_order(6, 2, 0), "seed must matter");
+    }
+
+    #[test]
+    fn unpark_all_storm_from_every_task() {
+        // A barrier made of nothing but `unpark_all`: every arrival wakes
+        // everyone, and all but the last wake-up of a round are spurious.
+        let n = 16;
+        for workers in [1, 3] {
+            let arrived = AtomicUsize::new(0);
+            let out = run(n, &tasks_cfg(workers), |_| {
+                for round in 1..=8 {
+                    arrived.fetch_add(1, SeqCst);
+                    unpark_all();
+                    while arrived.load(SeqCst) < n * round {
+                        park();
+                    }
+                }
+            });
+            assert!(out.into_iter().all(|r| r.is_ok()));
+        }
+    }
+
+    #[test]
+    fn the_start_of_a_job_is_the_same_on_every_run() {
+        // One slot: tasks that make no scheduling call run in rank order.
+        for _ in 0..5 {
+            let order = Mutex::new(Vec::new());
+            run(8, &tasks_cfg(1), |rank| order.lock().unwrap().push(rank));
+            assert_eq!(*order.lock().unwrap(), (0..8).collect::<Vec<_>>());
+        }
+        // Three slots: ranks 0–2 hold them from the start (they meet at an
+        // OS barrier, which would hang otherwise) and nobody else has run
+        // by then.
+        let order = Mutex::new(Vec::new());
+        let first = std::sync::Barrier::new(3);
+        run(8, &tasks_cfg(3), |rank| {
+            order.lock().unwrap().push(rank);
+            if rank < 3 {
+                first.wait();
+            }
+        });
+        let mut head = order.lock().unwrap()[..3].to_vec();
+        head.sort_unstable();
+        assert_eq!(head, [0, 1, 2]);
     }
 
     #[test]
     #[cfg_attr(miri, ignore = "spawns hundreds of OS carrier threads")]
     fn many_more_tasks_than_workers() {
-        // 512 tasks on ≤ 8 workers, all parking once mid-flight on a
+        // 512 tasks on ≤ 8 slots, all parking once mid-flight on a
         // neighbour's wakeup ring.
         let n = 512;
         let flags: Vec<Mutex<bool>> = (0..n).map(|_| Mutex::new(false)).collect();

@@ -1,9 +1,9 @@
 //! Execution-mode parity: the caf-sched task executor is a pure
 //! scheduling substrate, so every program must produce **byte-identical**
 //! results under `ExecMode::Threads` (one OS thread per image, the
-//! paper-faithful default) and `ExecMode::Tasks` (images as stackful
-//! tasks on the work-stealing worker pool). The comparison covers the
-//! four workload families the runtime exercises — RandomAccess routing,
+//! paper-faithful default) and `ExecMode::Tasks` (images as carrier
+//! threads passing a few run slots between them). The comparison covers
+//! the four workload families the runtime exercises — RandomAccess routing,
 //! event notify/wait release, `finish` termination, and the caf-agg
 //! coalescing path — on both substrates, plus the modeled delay-meter
 //! deltas (schedule-independent by design; an executor that changed them
@@ -16,8 +16,8 @@ use caf_bench::fast;
 use caf_hpcc::ra::{self, RaOpts};
 use proptest::prelude::*;
 
-/// The same base configuration under both execution modes. Three workers
-/// for the task pool: fewer workers than images, so the cooperative park
+/// The same base configuration under both execution modes. Three run
+/// slots for the tasks: fewer slots than images, so the cooperative park
 /// paths (not just the handoff) are load-bearing.
 fn modes(kind: SubstrateKind) -> [CafConfig; 2] {
     let base = fast(kind);
@@ -127,7 +127,7 @@ proptest! {
     /// Aggregated RandomAccess (caf-agg coalescing inside a `finish`
     /// block): tables AND the per-image modeled delay-meter deltas must
     /// match — batching decisions are functions of the update stream, not
-    /// of which worker hosted the image.
+    /// of when the image held a slot.
     #[test]
     fn aggregated_ra_agrees_across_exec_modes(updates in 1usize..64) {
         const P: usize = 8;
@@ -155,7 +155,7 @@ proptest! {
 
 /// Direct (staging-router) RandomAccess at P=64 — the largest job the
 /// thread-per-image launcher is comfortable with, and well above the
-/// worker count, on both substrates: tables and meter deltas identical.
+/// slot count, on both substrates: tables and meter deltas identical.
 #[test]
 #[cfg_attr(miri, ignore = "spawns a 64-image job per mode")]
 fn direct_ra_at_p64_agrees_across_exec_modes() {

@@ -157,7 +157,7 @@ fn guard_dropped_before_park_is_clean() {
 #[test]
 fn guard_across_task_park_trips_cafl002() {
     // caf_sched::park() suspends the whole task: a guard still live at
-    // the park pins every image sharing this worker.
+    // the park stays locked while other images run in its place.
     let bad = r#"
         fn broken(m: &std::sync::Mutex<u8>) {
             let g = m.lock().unwrap();

@@ -183,9 +183,9 @@ fn seeded_walk_catches_unflushed_put_the_default_schedule_hides() {
 }
 
 /// The task executor under the explorer: the gate drives images running
-/// as caf-sched tasks on a *single* worker, so every blocking site any
+/// as caf-sched tasks on a *single* run slot, so every blocking site any
 /// explored schedule reaches must suspend cooperatively — an OS-level
-/// block would wedge the worker and surface as a deadlock
+/// block would sleep on the slot and surface as a deadlock
 /// counterexample. At least 100 interleavings (or the exhausted space)
 /// on both substrates, full epoch/race oracle silent throughout.
 #[test]
