@@ -1,7 +1,7 @@
 //! Figure 1 bench: runtime initialization cost and mapped-memory
 //! footprint of GASNet-only / MPI-only / duplicate-runtimes jobs.
 //!
-//! Criterion times the full init+teardown; the measured byte footprints
+//! Criterion times the full init+teardown; the accounted byte footprints
 //! (the actual Figure-1 quantity) are printed once per configuration.
 
 use std::time::Duration;

@@ -14,9 +14,16 @@
 //! ```
 
 use caf::SubstrateKind;
-use caf_bench::{real_cgpop, real_fft, real_hpl, real_memory, real_ra, traced_ra};
+use caf_bench::{
+    fig1_configs, launch_footprint, real_cgpop, real_fft, real_hpl, real_ra, traced_ra,
+};
 use caf_hpcc::cgpop::ExchangeMode;
 use caf_netmodel::figures;
+
+/// `real`'s Figure-1 section reports heap actually held beside what
+/// `MemAccount` accounts for.
+#[global_allocator]
+static GLOBAL: caf_bench::heap::Counting = caf_bench::heap::Counting;
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
@@ -335,14 +342,22 @@ fn substrate_path(path: &str, substrate: &str) -> String {
 
 fn real_sections() {
     println!("== real-execution (in-process fabric, 2-16 images) ==");
-    println!("-- Figure 1 (measured runtime overhead, bytes/process) --");
+    println!("-- Figure 1 (runtime overhead, bytes/process: accounted by MemAccount,");
+    println!("   and heap an image holds on entering its body; segment apart) --");
     println!(
-        "{:>10} {:>14} {:>14} {:>14}",
-        "images", "GASNet-only", "MPI-only", "duplicate"
+        "{:>10} {:>22} {:>22} {:>22} {:>10}",
+        "", "GASNet-only", "MPI-only", "duplicate", "GASNet"
+    );
+    println!(
+        "{:>10} {:>12} {:>9} {:>12} {:>9} {:>12} {:>9} {:>10}",
+        "images", "accounted", "heap", "accounted", "heap", "accounted", "heap", "segment"
     );
     for p in [2usize, 4, 8, 16] {
-        let (g, m, d) = real_memory(p);
-        println!("{p:>10} {g:>14} {m:>14} {d:>14}");
+        let [g, m, d] = fig1_configs().map(|cfg| launch_footprint(p, cfg));
+        println!(
+            "{p:>10} {:>12} {:>9} {:>12} {:>9} {:>12} {:>9} {:>10}",
+            g.accounted, g.heap, m.accounted, m.heap, d.accounted, d.heap, g.segment
+        );
     }
 
     println!("\n-- RandomAccess (measured GUP/s) --");

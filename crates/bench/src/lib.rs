@@ -9,6 +9,8 @@
 //! the full 16–4096-core figures come from `caf-netmodel`. The `figures`
 //! binary prints both.
 
+pub mod heap;
+
 use std::time::Duration;
 
 use caf::{CafConfig, CafUniverse, GasnetConfig, Image, MpiConfig, SubstrateKind};
@@ -207,26 +209,56 @@ pub fn real_cgpop(
     }
 }
 
-/// Measured per-process runtime memory overhead (bytes) for the three
+/// The three Figure-1 configurations: GASNet-only, MPI-only, and the
+/// duplicate runtimes of a hybrid job.
+pub fn fig1_configs() -> [CafConfig; 3] {
+    let gasnet_only = CafConfig::on(SubstrateKind::Gasnet);
+    [
+        gasnet_only,
+        CafConfig::default(),
+        CafConfig { hybrid_mpi: true, ..gasnet_only },
+    ]
+}
+
+/// What one launch costs each image in memory, by both books.
+#[derive(Debug, Clone, Copy)]
+pub struct Footprint {
+    /// `MemAccount`'s Figure-1 number: the bytes a real library of this
+    /// configuration maps at init. Accounted for, never allocated.
+    pub accounted: usize,
+    /// Heap bytes an image holds on entering its body ([`heap::live_bytes`],
+    /// GASNet segment excluded), averaged over the job — a mailbox block
+    /// is on the books of whichever sender touched it first, so only the
+    /// job-wide mean is independent of who ran first. Zero unless the
+    /// binary installed [`heap::Counting`].
+    pub heap: i64,
+    /// The GASNet segment each image attached (zero on CAF-MPI): real
+    /// memory, but the user's, not the runtime's.
+    pub segment: usize,
+}
+
+/// Launch `p` images under `cfg` and report their [`Footprint`].
+pub fn launch_footprint(p: usize, cfg: CafConfig) -> Footprint {
+    let segment = match cfg.substrate {
+        SubstrateKind::Gasnet => cfg.gasnet.segment_size,
+        SubstrateKind::Mpi => 0,
+    };
+    let rows = CafUniverse::run_with_config(p, cfg, move |img| {
+        (heap::live_bytes() - segment as i64, img.runtime_memory_overhead())
+    });
+    Footprint {
+        accounted: rows[0].1,
+        heap: rows.iter().map(|r| r.0).sum::<i64>() / p as i64,
+        segment,
+    }
+}
+
+/// Accounted per-process runtime memory overhead (bytes) for the three
 /// Figure-1 configurations, at job size `p`:
 /// `(gasnet_only, mpi_only, duplicate)`.
 pub fn real_memory(p: usize) -> (usize, usize, usize) {
-    let gasnet_only = CafUniverse::run_with_config(
-        p,
-        CafConfig::on(SubstrateKind::Gasnet),
-        |img| img.runtime_memory_overhead(),
-    )[0];
-    let mpi_only =
-        CafUniverse::run(p, |img| img.runtime_memory_overhead())[0];
-    let duplicate = CafUniverse::run_with_config(
-        p,
-        CafConfig {
-            hybrid_mpi: true,
-            ..CafConfig::on(SubstrateKind::Gasnet)
-        },
-        |img| img.runtime_memory_overhead(),
-    )[0];
-    (gasnet_only, mpi_only, duplicate)
+    let [g, m, d] = fig1_configs().map(|cfg| launch_footprint(p, cfg).accounted);
+    (g, m, d)
 }
 
 /// Sanitized runs: replay the benchmark kernels under an armed

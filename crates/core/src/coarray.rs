@@ -607,6 +607,38 @@ mod tests {
         });
     }
 
+    /// The Θ(P log P) claim as an exact count: one collective allocate
+    /// plus free injects ⌈log₂ P⌉ messages per image for the Bruck
+    /// allgather of the allocate (window ids on CAF-MPI, arena offsets on
+    /// CAF-GASNet) and ⌈log₂ P⌉ for the dissemination barrier of the
+    /// free — where the ring and the linear exchange injected P−1.
+    #[test]
+    #[cfg_attr(miri, ignore = "launches jobs of 48 and 64 images")]
+    fn alloc_plus_free_injects_two_log_p_messages_per_image() {
+        use caf_fabric::DelayOp;
+
+        let injected = |img: &Image| {
+            let snap = img.delay_meter_snapshot();
+            let (_, count, _) = snap.iter().find(|(op, ..)| *op == DelayOp::P2pInject).unwrap();
+            *count
+        };
+        for kind in [SubstrateKind::Mpi, SubstrateKind::Gasnet] {
+            for p in [2usize, 3, 48, 64] {
+                let mut cfg = CafConfig { exec: crate::ExecConfig::tasks(), ..CafConfig::on(kind) };
+                cfg.gasnet.segment_size = 64 << 10;
+                let deltas = CafUniverse::run_with_config(p, cfg, |img| {
+                    let w = img.team_world();
+                    let before = injected(img);
+                    let ca: Coarray<u64> = img.coarray_alloc(&w, 4);
+                    img.coarray_free(&w, ca);
+                    injected(img) - before
+                });
+                let log2_ceil = u64::from(p.next_power_of_two().trailing_zeros());
+                assert_eq!(deltas, vec![2 * log2_ceil; p], "{kind:?} P={p}");
+            }
+        }
+    }
+
     #[test]
     fn remote_ref_shapes_match_substrate() {
         CafUniverse::run(2, |img| {

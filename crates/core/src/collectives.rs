@@ -578,29 +578,36 @@ impl Image {
         Ok((t.my_idx == root).then_some(acc))
     }
 
+    /// Bruck allgather, the algorithm of `Mpi::allgather`: ⌈log₂ n⌉
+    /// rounds, round k sending the first min(2ᵏ, n−2ᵏ) accumulated blocks
+    /// to `me−2ᵏ` and appending what `me+2ᵏ` sent. Unlike `galltoall`
+    /// this is not left linear: the paper's hand-rolled-collective
+    /// finding (Figs 6/7) is about the FFT's bulk alltoall, while this
+    /// carries a few bytes per image inside every collective allocate and
+    /// `team_split`, where n·(n−1) AMs is a cost of this runtime and not
+    /// a result of the paper.
     fn gallgather<T: Pod>(&self, t: &GTeam, data: &[T]) -> Vec<T> {
         let n = t.members.len();
         let len = data.len();
-        let mut out = vec![data[0]; len * n];
-        out[t.my_idx * len..(t.my_idx + 1) * len].copy_from_slice(data);
+        let mut out = Vec::with_capacity(len * n);
+        out.extend_from_slice(data);
         if n == 1 {
             return out;
         }
         let seq = t.next_seq();
-        // Linear exchange: everyone sends to everyone (the unspecialized
-        // hand-rolled shape).
-        for d in 0..n {
-            if d != t.my_idx {
-                self.gcoll_send(t, d, seq, 0, as_bytes(data));
-            }
+        let me = t.my_idx;
+        let mut phase = 0u32;
+        let mut dist = 1usize;
+        while dist < n {
+            let blocks = dist.min(n - dist);
+            self.gcoll_send(t, (me + n - dist) % n, seq, phase, as_bytes(&out[..blocks * len]));
+            let part: Vec<T> = vec_from_bytes(&self.gcoll_recv(t, (me + dist) % n, seq, phase));
+            assert_eq!(part.len(), blocks * len, "ragged allgather");
+            out.extend_from_slice(&part);
+            phase += 1;
+            dist <<= 1;
         }
-        for s in 0..n {
-            if s != t.my_idx {
-                let bytes = self.gcoll_recv(t, s, seq, 0);
-                let part: Vec<T> = vec_from_bytes(&bytes);
-                out[s * len..(s + 1) * len].copy_from_slice(&part);
-            }
-        }
+        out.rotate_right(me * len);
         out
     }
 
@@ -692,6 +699,52 @@ mod tests {
             let all = img.allgather(&w, &[img.this_image() as u32 * 7]);
             assert_eq!(all, vec![0, 7, 14, 21]);
         });
+    }
+
+    /// The sweep of `caf-mpisim`'s
+    /// `allgather_family_at_every_size_in_both_exec_modes`, through the
+    /// portable layer: non-powers of two are where a Bruck rotation goes
+    /// wrong, and the hand-rolled GASNet exchange has its own copy of it.
+    #[test]
+    #[cfg_attr(miri, ignore = "launches 160 jobs of up to 33 images")]
+    fn allgather_family_at_every_size_on_both_substrates_and_exec_modes() {
+        use crate::ExecConfig;
+
+        let tasks = ExecConfig { workers: 2, ..ExecConfig::tasks() };
+        for kind in [SubstrateKind::Mpi, SubstrateKind::Gasnet] {
+            for exec in [ExecConfig::default(), tasks] {
+                for n in (1usize..=17).chain([31, 32, 33]) {
+                    let mut cfg = CafConfig { exec, ..CafConfig::on(kind) };
+                    // 33 default 4 MiB segments are 132 MiB nobody touches.
+                    cfg.gasnet.segment_size = 64 << 10;
+                    CafUniverse::run_with_config(n, cfg, |img| {
+                        let (w, me) = (img.team_world(), img.this_image() as u64);
+                        let what = format!("{kind:?} {:?} n={n} image={me}", exec.mode);
+
+                        let ones = img.allgather(&w, &[me * 7]);
+                        assert_eq!(ones, (0..n as u64).map(|r| r * 7).collect::<Vec<_>>(), "{what}");
+                        let threes = img.allgather(&w, &[me, me + 100, me + 200]);
+                        let expect: Vec<u64> =
+                            (0..n as u64).flat_map(|r| [r, r + 100, r + 200]).collect();
+                        assert_eq!(threes, expect, "{what}");
+
+                        // Image r contributes r % 4 elements (some none).
+                        let ragged = img.allgatherv(&w, &vec![me; me as usize % 4]);
+                        let expect: Vec<u64> = (0..n as u64)
+                            .flat_map(|r| std::iter::repeat_n(r, r as usize % 4))
+                            .collect();
+                        assert_eq!(ragged, expect, "{what}");
+
+                        // Three colours, keys reversing the image order.
+                        let sub = img.team_split(&w, me % 3, -(me as i64));
+                        let peers: Vec<usize> =
+                            (0..n).rev().filter(|r| r % 3 == me as usize % 3).collect();
+                        assert_eq!(sub.members(), peers, "{what}");
+                        assert_eq!(sub.global_rank(sub.rank()), me as usize, "{what}");
+                    });
+                }
+            }
+        }
     }
 
     #[test]

@@ -2,9 +2,11 @@
 //!
 //! The paper's Figure 1 measures the per-process mapped memory of a program
 //! that initializes GASNet only, MPI only, or both runtimes. Each substrate
-//! in this workspace reports every buffer it maps (eager buffers, segment
-//! metadata, matching structures, window tables, ...) to a [`MemAccount`],
-//! so the same experiment can be rerun over the simulated runtimes.
+//! in this workspace reports every buffer a library of its kind maps (eager
+//! buffers, segment metadata, matching structures, window tables, ...) to a
+//! [`MemAccount`], so the same experiment can be rerun over the simulated
+//! runtimes. The ledger is the whole of it: only user data (windows,
+//! segments) is backed by memory.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

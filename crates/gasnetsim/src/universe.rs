@@ -51,12 +51,13 @@ pub struct GasnetConfig {
     /// implementations where "a coarray write operation may require the
     /// involvement of the target process" (paper Figure 2 discussion).
     pub put_via_am_threshold: Option<usize>,
-    /// Fixed library state mapped at init.
+    /// Fixed library state accounted for at init (a [`MemAccount`]
+    /// number; nothing is mapped — only the segment is real memory).
     pub base_footprint: usize,
-    /// Per-peer connection state mapped at init without SRQ.
+    /// Per-peer connection state accounted for at init without SRQ.
     pub per_peer_state: usize,
-    /// Per-peer connection state with SRQ active (smaller — that is SRQ's
-    /// purpose).
+    /// Per-peer connection state accounted for with SRQ active (smaller —
+    /// that is SRQ's purpose).
     pub per_peer_state_srq: usize,
 }
 
@@ -124,8 +125,6 @@ pub struct Gasnet {
     /// AM-mediated put acknowledgement counters (see `rma::put`).
     pub(crate) put_acks_expected: Cell<u64>,
     pub(crate) put_acks_received: Cell<u64>,
-    /// Keeps accounted library allocations alive.
-    _state_pool: Vec<u8>,
 }
 
 impl Gasnet {
@@ -146,8 +145,6 @@ impl Gasnet {
         } else {
             config.per_peer_state
         };
-        let pool_bytes = config.base_footprint + per_peer * size;
-        let state_pool = vec![0u8; pool_bytes];
         mem.map(MemCategory::SegmentMeta, config.base_footprint / 2);
         mem.map(MemCategory::Matching, config.base_footprint / 2);
         mem.map(MemCategory::PerPeerState, per_peer * size);
@@ -179,26 +176,33 @@ impl Gasnet {
         let mut stash = VecDeque::new();
         let mut have = vec![false; size];
         have[rank] = true;
-        loop {
-            // A peer that died before (or while) bootstrapping will never
-            // send its segment id; count it as resolved with a dead
-            // zero-sized segment rather than hang the exchange.
+        let mut missing = size - 1;
+        // A peer that died before (or while) bootstrapping will never send
+        // its segment id; count it as resolved with a dead zero-sized
+        // segment rather than hang the exchange. The registry is read on
+        // entry and again only after an `ImageFailed` wake (a death is
+        // marked before its notices go out, so none is missed) — not
+        // after every packet, which at P peers is P² flag loads per rank.
+        let resolve_dead = |have: &mut [bool], missing: &mut usize| {
             for (peer, h) in have.iter_mut().enumerate() {
                 if !*h && fault.is_failed(peer) {
                     *h = true;
+                    *missing -= 1;
                 }
             }
-            if have.iter().all(|&h| h) {
-                break;
-            }
+        };
+        resolve_dead(&mut have, &mut missing);
+        while missing > 0 {
             match ep.recv_blocking() {
                 Ok(pkt) if pkt.kind == KIND_BOOTSTRAP => {
                     seg_ids[pkt.src] = SegmentId(pkt.h[0]);
                     seg_sizes[pkt.src] = pkt.h[1] as usize;
-                    have[pkt.src] = true;
+                    if !std::mem::replace(&mut have[pkt.src], true) {
+                        missing -= 1;
+                    }
                 }
                 Ok(pkt) => stash.push_back(pkt),
-                Err(FabricError::ImageFailed { .. }) => continue,
+                Err(FabricError::ImageFailed { .. }) => resolve_dead(&mut have, &mut missing),
                 Err(e) => panic!("bootstrap recv: {e}"),
             }
         }
@@ -219,7 +223,6 @@ impl Gasnet {
             barrier_phase: Cell::new(None),
             put_acks_expected: Cell::new(0),
             put_acks_received: Cell::new(0),
-            _state_pool: state_pool,
         }
     }
 

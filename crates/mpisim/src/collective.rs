@@ -1,6 +1,7 @@
 //! Collective operations, implemented with the classic tuned algorithms:
 //! dissemination barrier, binomial-tree broadcast/reduce, recursive-doubling
-//! allreduce, ring allgather, pairwise-exchange alltoall.
+//! allreduce, Bruck allgather (ring for `allgatherv`'s large ragged blocks),
+//! pairwise-exchange alltoall.
 //!
 //! The paper credits exactly this accumulated tuning for CAF-MPI's FFT win
 //! over CAF-GASNet ("collectives in MPI are well-optimized over the years…
@@ -260,8 +261,14 @@ impl Mpi {
         }
     }
 
-    /// `MPI_Allgather` — ring algorithm, n−1 steps, each forwarding the
-    /// block received in the previous step.
+    /// `MPI_Allgather` — Bruck's algorithm, ⌈log₂ n⌉ rounds for any n.
+    /// Rank `me` accumulates blocks in the order me, me+1, me+2, …: round
+    /// k sends the first min(2ᵏ, n−2ᵏ) of them to `me−2ᵏ` and appends
+    /// what `me+2ᵏ` sent; one rotation at the end puts block i at index
+    /// i. This is the short-message case (window ids, split triples,
+    /// counts) where latency — here one task hand-off per message —
+    /// decides, so log-depth beats a ring's n−1 dependent steps even
+    /// though each block crosses the wire more than once.
     pub fn allgather<T: Pod>(&self, comm: &Comm, sendbuf: &[T]) -> Result<Vec<T>> {
         let _span = caf_trace::span_t(
             caf_trace::Op::MpiGather,
@@ -271,31 +278,35 @@ impl Mpi {
         );
         let n = comm.size();
         let len = sendbuf.len();
-        let mut out = vec![sendbuf[0]; len * n];
-        let me = comm.rank();
-        out[me * len..(me + 1) * len].copy_from_slice(sendbuf);
+        let mut out = Vec::with_capacity(len * n);
+        out.extend_from_slice(sendbuf);
         if n == 1 {
             return Ok(out);
         }
         let seq = self.next_coll_seq(comm);
-        let right = (me + 1) % n;
-        let left = (me + n - 1) % n;
-        let mut have = me; // owner of the block we forward next
-        for step in 0..n - 1 {
-            let block = out[have * len..(have + 1) * len].to_vec();
-            self.coll_send(comm, right, Self::ctag(seq, step as u32), &block)?;
-            let incoming_owner = (me + n - 1 - step) % n;
-            let part = self.coll_recv::<T>(comm, left, Self::ctag(seq, step as u32))?;
-            out[incoming_owner * len..(incoming_owner + 1) * len].copy_from_slice(&part);
-            have = incoming_owner;
+        let me = comm.rank();
+        let mut round = 0u32;
+        let mut dist = 1usize;
+        while dist < n {
+            let blocks = dist.min(n - dist);
+            let tag = Self::ctag(seq, round);
+            self.coll_send(comm, (me + n - dist) % n, tag, &out[..blocks * len])?;
+            let part = self.coll_recv::<T>(comm, (me + dist) % n, tag)?;
+            assert_eq!(part.len(), blocks * len, "ragged allgather");
+            out.extend_from_slice(&part);
+            round += 1;
+            dist <<= 1;
         }
+        out.rotate_right(me * len);
         Ok(out)
     }
 
     /// `MPI_Allgatherv` — variable-length allgather: each rank contributes
     /// `data.len()` elements (may differ per rank); the result concatenates
-    /// all contributions in rank order. Ring algorithm with a preliminary
-    /// count exchange.
+    /// all contributions in rank order. A count exchange (the log-depth
+    /// [`Mpi::allgather`]) and then a ring for the data: these blocks are
+    /// large (HPL panels), so bandwidth decides, and the ring moves every
+    /// byte exactly once where Bruck would resend accumulated blocks.
     pub fn allgatherv<T: Pod>(&self, comm: &Comm, data: &[T]) -> Result<Vec<T>> {
         let n = comm.size();
         if n == 1 {
@@ -582,6 +593,50 @@ mod tests {
             let expect: Vec<u32> = (0..2 * n as u32).collect();
             for r in res {
                 assert_eq!(r, expect);
+            }
+        }
+    }
+
+    /// Every size where a Bruck round count or the final rotation could
+    /// go wrong — all of 1..=17 and both sides of 32 — with one- and
+    /// three-element blocks, as OS threads and as tasks on two run
+    /// slots. `comm_split` and `allgatherv` ride the same exchange (their
+    /// triples and counts), so they are swept with it.
+    #[test]
+    #[cfg_attr(miri, ignore = "launches 80 jobs of up to 33 ranks")]
+    fn allgather_family_at_every_size_in_both_exec_modes() {
+        use caf_fabric::{ExecConfig, Fabric, FabricConfig};
+
+        let tasks = ExecConfig { workers: 2, ..ExecConfig::tasks() };
+        for exec in [ExecConfig::default(), tasks] {
+            for n in (1usize..=17).chain([31, 32, 33]) {
+                let config = FabricConfig { exec, ..FabricConfig::default() };
+                Fabric::run_with_config(n, config, |ep| {
+                    let mpi = crate::Mpi::init(ep, crate::MpiConfig::default());
+                    let (w, me) = (mpi.world(), mpi.rank() as u64);
+                    let what = format!("n={n} rank={me} {:?}", exec.mode);
+
+                    let ones = mpi.allgather(&w, &[me * 7]).unwrap();
+                    assert_eq!(ones, (0..n as u64).map(|r| r * 7).collect::<Vec<_>>(), "{what}");
+                    let threes = mpi.allgather(&w, &[me, me + 100, me + 200]).unwrap();
+                    let expect: Vec<u64> =
+                        (0..n as u64).flat_map(|r| [r, r + 100, r + 200]).collect();
+                    assert_eq!(threes, expect, "{what}");
+
+                    // Rank r contributes r % 4 elements (some none).
+                    let ragged = mpi.allgatherv(&w, &vec![me; me as usize % 4]).unwrap();
+                    let expect: Vec<u64> = (0..n as u64)
+                        .flat_map(|r| std::iter::repeat_n(r, r as usize % 4))
+                        .collect();
+                    assert_eq!(ragged, expect, "{what}");
+
+                    // Three colours, keys reversing the rank order.
+                    let sub = mpi.comm_split(&w, me % 3, -(me as i64)).unwrap();
+                    let peers: Vec<usize> =
+                        (0..n).rev().filter(|r| r % 3 == me as usize % 3).collect();
+                    assert_eq!(sub.members(), &peers[..], "{what}");
+                    assert_eq!(sub.global_rank(sub.rank()), me as usize, "{what}");
+                });
             }
         }
     }

@@ -19,10 +19,12 @@ pub struct MpiConfig {
     /// messages still travel eagerly on this lossless fabric but are
     /// accounted as rendezvous traffic.
     pub eager_limit: usize,
-    /// Bytes of bounce/eager buffering the library maps per peer at init
-    /// (drives the Figure-1 memory accounting).
+    /// Bytes of bounce/eager buffering accounted for per peer at init
+    /// (drives the Figure-1 memory accounting; nothing is mapped — the
+    /// bytes exist only as [`MemAccount`] numbers).
     pub eager_buffer_per_peer: usize,
-    /// Fixed library state mapped at init, independent of job size.
+    /// Fixed library state accounted for at init, independent of job
+    /// size; like the eager buffers, a number and not an allocation.
     pub base_footprint: usize,
 }
 
@@ -31,8 +33,9 @@ impl Default for MpiConfig {
         MpiConfig {
             delays: DelayConfig::free(),
             eager_limit: 64 << 10,
-            // Scaled-down stand-ins for a real MPI's mapped memory (the
-            // netmodel crate holds the full-scale Figure-1 magnitudes).
+            // Scaled-down stand-ins for a real MPI's mapped memory,
+            // accounted for but not allocated (the netmodel crate holds
+            // the full-scale Figure-1 magnitudes).
             eager_buffer_per_peer: 16 << 10,
             base_footprint: 1 << 20,
         }
@@ -85,9 +88,6 @@ pub struct Mpi {
     pub(crate) unexpected: RefCell<VecDeque<Packet>>,
     pub(crate) comm_states: RefCell<HashMap<u64, CommState>>,
     world: Comm,
-    /// Keeps the accounted eager pool allocation alive for the lifetime of
-    /// the library instance.
-    _eager_pool: Vec<u8>,
 }
 
 impl Mpi {
@@ -97,9 +97,9 @@ impl Mpi {
         let rank = ep.rank();
         let mem = Arc::new(MemAccount::new());
 
-        // Map the library's working memory and account it (Figure 1).
-        let pool_bytes = config.base_footprint + config.eager_buffer_per_peer * size;
-        let eager_pool = vec![0u8; pool_bytes];
+        // Account the library's working memory (Figure 1). Nothing reads
+        // these bytes, so none are allocated: at P=256 they would be
+        // 5 MiB of zero-filled heap per rank.
         mem.map(MemCategory::EagerBuffers, config.eager_buffer_per_peer * size);
         mem.map(MemCategory::SegmentMeta, config.base_footprint / 2);
         mem.map(MemCategory::Matching, config.base_footprint / 4);
@@ -117,7 +117,6 @@ impl Mpi {
             unexpected: RefCell::new(VecDeque::new()),
             comm_states: RefCell::new(HashMap::new()),
             world,
-            _eager_pool: eager_pool,
         };
         mpi.ensure_comm_state(0);
         mpi

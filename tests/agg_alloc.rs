@@ -12,49 +12,14 @@
 //!   per applied accumulate — what `figures trace` builds its aggregation
 //!   column from.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::Mutex;
 
 use caf::{AggConfig, CafConfig, CafUniverse, Coarray, SubstrateKind};
+use caf_bench::heap::{allocs, Counting};
 use caf_trace::{Op, Session, TraceConfig};
-
-thread_local! {
-    /// Allocations (including growing reallocations) made by this thread.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-// SAFETY: every operation is `System`'s, unchanged; the only addition is
-// a bump of a const-initialized, destructor-free thread-local counter,
-// which neither allocates nor is visible to the allocator.
-unsafe impl GlobalAlloc for Counting {
-    // SAFETY: `GlobalAlloc`'s contract, passed through to `System` as is.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
-        // SAFETY: the caller vouches for `layout`.
-        unsafe { System.alloc(layout) }
-    }
-    // SAFETY: as for `alloc`.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    // SAFETY: as for `alloc`.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
-        // SAFETY: as for `dealloc`; the caller vouches for `new_size`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
-
-fn allocs() -> u64 {
-    ALLOCS.with(Cell::get)
-}
 
 /// A trace session is process-global and makes every instrumented call
 /// allocate; the two tests must not overlap.

@@ -183,11 +183,16 @@ fn direct_ra_at_p64_agrees_across_exec_modes() {
 /// P=1024 under `Tasks`: the job the thread-per-image launcher cannot
 /// reasonably run is just another job for the executor. A neighbour ring
 /// with a full release barrier — every image writes its right neighbour's
-/// slot, synchronizes, and checks what its left neighbour wrote.
+/// slot, synchronizes, and checks what its left neighbour wrote — and
+/// then a second collective allocate while the first window is live,
+/// written a third of the ring away: at this size the allocate's window
+/// table comes out of ten Bruck rounds and a rotation, and a wrong entry
+/// sends the write to the wrong image.
 #[test]
 #[cfg_attr(miri, ignore = "1024-image job (wall-clock scale)")]
 fn p1024_ring_executes_for_real_under_tasks() {
     const P: usize = 1024;
+    const FAR: usize = P / 3;
     let cfg = CafConfig {
         exec: ExecConfig::tasks(),
         ..fast(SubstrateKind::Mpi)
@@ -200,14 +205,20 @@ fn p1024_ring_executes_for_real_under_tasks() {
         let right = (me + 1) % P;
         ca.write(img, right, 0, &[me as u64 + 1]);
         img.sync_all();
-        let mut got = [0u64];
-        ca.local_read(img, 0, &mut got);
+        let mut got = [0u64; 2];
+        ca.local_read(img, 0, &mut got[..1]);
+
+        let far: Coarray<u64> = img.coarray_alloc(&world, 1);
+        far.write(img, (me + FAR) % P, 0, &[me as u64 + 1]);
         img.sync_all();
+        far.local_read(img, 0, &mut got[1..]);
+        img.sync_all();
+        img.coarray_free(&world, far);
         img.coarray_free(&world, ca);
-        got[0]
+        got
     });
     for (me, &got) in out.iter().enumerate() {
-        let left = (me + P - 1) % P;
-        assert_eq!(got, left as u64 + 1, "image {me} saw the wrong writer");
+        let writers = [(me + P - 1) % P, (me + P - FAR) % P];
+        assert_eq!(got, writers.map(|w| w as u64 + 1), "image {me} saw the wrong writer");
     }
 }

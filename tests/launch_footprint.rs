@@ -1,0 +1,67 @@
+//! The heap an image holds on entering its body — what a launch really
+//! costs, beside the Figure-1 bytes `MemAccount` accounts for without
+//! allocating. Both substrates' `init` once zero-filled those accounted
+//! bytes as well (1 MiB + 16 KiB per peer on MPI, 256 KiB + 1–4 KiB per
+//! peer on GASNet: 5 MiB an image at P=256, 1.25 GiB a job) and nothing
+//! ever read them; a counting global allocator keeps that ballast, or
+//! anything else that grows with P², from coming back.
+//!
+//! Measured (this file's own numbers, debug and release alike; mean over
+//! the job, GASNet segment excluded — see `caf_bench::Footprint::heap`),
+//! under `Tasks` on one run slot:
+//!
+//! | configuration | P=16    | P=256    | per peer |
+//! |---------------|---------|----------|----------|
+//! | MPI-only      | 1 695 B | 13 214 B |  48 B    |
+//! | GASNet-only   | 4 846 B | 37 502 B | 136 B    |
+//! | hybrid        | 5 170 B | 39 748 B | 144 B    |
+//!
+//! The per-peer bytes are the world communicator's and segment table's
+//! `Vec<usize>` entries plus each image's share of the mailbox blocks;
+//! the assertion allows twice the measurement.
+
+use caf::{CafConfig, ExecConfig};
+use caf_bench::heap::Counting;
+use caf_bench::{fig1_configs, launch_footprint};
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Small on purpose: 256 default segments would be 1 GiB of user memory
+/// around a measurement of kilobytes. Reported apart from the heap.
+const SEGMENT: usize = 64 << 10;
+
+/// `(name, heap bytes per image at P=16, at P=256)` in `fig1_configs` order.
+const MEASURED: [(&str, i64, i64); 3] = [
+    ("GASNet-only", 4_846, 37_502),
+    ("MPI-only", 1_695, 13_214),
+    ("hybrid", 5_170, 39_748),
+];
+
+#[test]
+#[cfg_attr(miri, ignore = "launches 256-image jobs")]
+fn an_image_enters_its_body_holding_kilobytes_not_megabytes() {
+    for (cfg, (name, at16, at256)) in fig1_configs().into_iter().zip(MEASURED) {
+        let mut cfg = CafConfig {
+            exec: ExecConfig { workers: 1, ..ExecConfig::tasks() },
+            ..cfg
+        };
+        cfg.gasnet.segment_size = SEGMENT;
+        let small = launch_footprint(16, cfg);
+        let large = launch_footprint(256, cfg);
+        let slope = (large.heap - small.heap) / 240;
+        println!(
+            "{name}: heap {} B at P=16, {} B at P=256 ({slope} B per peer), segment {} B, accounted {} B",
+            small.heap, large.heap, large.segment, large.accounted
+        );
+        for (p, got, measured) in [(16, small.heap, at16), (256, large.heap, at256)] {
+            assert!(got > 0, "{name} P={p}: the counting allocator is not installed");
+            assert!(got <= 2 * measured, "{name} P={p}: {got} B held, measured {measured} B");
+        }
+        let measured = (at256 - at16) / 240;
+        assert!(slope <= 2 * measured, "{name}: {slope} B per peer, measured {measured} B");
+        // The accounted bytes are the ballast's size: the heap must stay
+        // far below them, not track them.
+        assert!(large.heap < large.accounted as i64 / 8, "{name}: heap tracks the accounted bytes");
+    }
+}
