@@ -12,6 +12,7 @@ use std::sync::Arc;
 
 use crossbeam::queue::SegQueue;
 
+use caf_fabric::Watch;
 use caf_gasnetsim::{Gasnet, AM_MAX_MEDIUM};
 use caf_mpisim::{Comm, FlushRequest, Mpi, Src, Tag, Window};
 
@@ -307,37 +308,33 @@ impl Backend {
         }
     }
 
-    /// Block until a runtime message arrives, or return the failed subset
-    /// of `watch` once a watched image has died. The blocking wait makes
-    /// progress on the substrate (paper §3.4: "the blocking polling
-    /// operation allows the MPI runtime to make progress internally"). An
-    /// empty `watch` waits unconditionally.
+    /// Block until a runtime message arrives, or fail with the failed
+    /// subset of `watch` once a watched image has died. The blocking wait
+    /// makes progress on the substrate (paper §3.4: "the blocking polling
+    /// operation allows the MPI runtime to make progress internally").
     ///
     /// On the MPI substrate the runtime communicator spans the world, so
     /// the detection granularity is the whole job regardless of `watch`
     /// (a narrower watch is honored on GASNet, whose AM wait screens
     /// per-rank).
-    pub fn recv_rtmsg_blocking_stat(&self, watch: &[usize]) -> Result<RtMsg, Vec<usize>> {
+    pub fn recv_rtmsg_blocking_stat(&self, watch: Watch<'_>) -> caf_fabric::Result<RtMsg> {
         let _span = caf_trace::span(caf_trace::Op::RtMsgRecvBlocking);
         match self {
-            Backend::Mpi(b) => match b.mpi.recv::<u8>(&b.rt_comm, Src::Any, Tag::Is(RT_TAG)) {
-                Ok((bytes, _st)) => Ok(RtMsg::decode(bytes)),
-                Err(e) => Err(crate::image::failed_of_err(e)),
-            },
+            Backend::Mpi(b) => {
+                let (bytes, _st) = b.mpi.recv::<u8>(&b.rt_comm, Src::Any, Tag::Is(RT_TAG))?;
+                Ok(RtMsg::decode(bytes))
+            }
             Backend::Gasnet(b) => loop {
                 if let Some((_src, bytes)) = b.inbox.pop() {
                     return Ok(RtMsg::decode(bytes));
                 }
-                match b.g.wait_am_packet_watching(watch) {
-                    Ok(pkt) => b.g.dispatch_packet(pkt),
-                    Err(e) => return Err(crate::image::failed_of_err(e)),
-                }
+                b.g.dispatch_packet(b.g.wait_am_packet_watching(watch)?);
             },
         }
     }
 
     /// Handle onto the substrate's failure registry.
-    pub fn fault(&self) -> caf_fabric::Fault {
+    pub fn fault(&self) -> &caf_fabric::Fault {
         match self {
             Backend::Mpi(b) => b.mpi.fault(),
             Backend::Gasnet(b) => b.g.fault(),

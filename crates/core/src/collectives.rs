@@ -5,18 +5,24 @@
 //! (paper §5), which is where CAF-MPI's FFT advantage comes from.
 //!
 //! On the GASNet substrate the runtime must hand-roll every collective from
-//! active messages, because the GASNet core API has none (paper §4.2). The
-//! hand-rolled versions here use reasonable but unspecialized algorithms,
-//! and their payloads are chunked to the medium-AM limit — both faithful
-//! sources of the baseline's collective slowness.
+//! active messages, because the GASNet core API has none (paper §4.2):
+//! `TeamRounds` carries a collective's messages as runtime AMs, chunked
+//! to the medium-AM limit. Barrier, broadcast, reduce and allgather run
+//! the algorithms of `caf_fabric::coll` over it — the ones `caf-mpisim`
+//! runs, since their cost is this runtime's and not a finding of the
+//! paper. What *is* a finding stays untuned on purpose: `alltoall` is the
+//! linear exchange behind Figs 6/7 (as is `allgatherv`'s data phase), and
+//! allreduce is reduce-then-broadcast, without MPI's recursive doubling.
 
-use caf_fabric::pod::{as_bytes, vec_from_bytes};
-use caf_fabric::Pod;
+use std::collections::hash_map::{Entry, HashMap};
+
+use caf_fabric::coll::{self, Rounds};
+use caf_fabric::{Pod, Watch};
 use caf_gasnetsim::AM_MAX_MEDIUM;
 use caf_mpisim::Scalar;
 
 use crate::backend::On;
-use crate::image::Image;
+use crate::image::{failed_of_err, Image};
 use crate::rtmsg::RtMsg;
 use crate::stat::Stat;
 use crate::stats::StatCat;
@@ -25,6 +31,78 @@ use crate::team::{GTeam, GTeamState, Team, TeamInner};
 /// Payload bytes per hand-rolled-collective fragment (medium-AM limit
 /// minus headroom for the runtime-message header).
 const GCOLL_CHUNK: usize = AM_MAX_MEDIUM - 64;
+
+/// Hand-rolled-collective messages on their way to a consumer, by
+/// `(team_id, seq, phase, src_idx)`: how many fragments are still missing,
+/// and the bytes of those that arrived, joined. AMs between two images are
+/// delivered in order, so joining is appending.
+pub(crate) type CollStash = HashMap<(u64, u64, u32, u32), (u32, Vec<u8>)>;
+
+/// The rounds of one collective on a GASNet team, as chunked
+/// [`RtMsg::CollPayload`] runtime AMs.
+struct TeamRounds<'a> {
+    img: &'a Image,
+    t: &'a GTeam,
+    seq: u64,
+}
+
+impl Rounds for TeamRounds<'_> {
+    type Buf = Vec<u8>;
+
+    fn n(&self) -> usize {
+        self.t.members.len()
+    }
+
+    fn me(&self) -> usize {
+        self.t.my_idx
+    }
+
+    fn failed(&self) -> Vec<usize> {
+        self.img.backend.fault().failed_of(Watch::Ranks(&self.t.members))
+    }
+
+    fn send(&self, to: usize, round: u32, bytes: &[u8]) -> caf_fabric::Result<()> {
+        let nchunks = bytes.len().div_ceil(GCOLL_CHUNK).max(1) as u32;
+        for (i, chunk) in bytes
+            .chunks(GCOLL_CHUNK)
+            .chain(std::iter::repeat_n(&[][..], usize::from(bytes.is_empty())))
+            .enumerate()
+        {
+            self.img.backend.send_rtmsg(
+                self.t.members[to],
+                &RtMsg::CollPayload {
+                    team_id: self.t.id,
+                    seq: self.seq,
+                    phase: round,
+                    src_idx: self.t.my_idx as u32,
+                    chunk: i as u32,
+                    nchunks,
+                    data: chunk.to_vec(),
+                },
+            );
+        }
+        Ok(())
+    }
+
+    /// Handles runtime messages until every fragment is in the stash. A
+    /// failure abandons the partially received collective; the team's
+    /// next collective drops what it left behind ([`Image::rounds`]).
+    fn recv(&self, from: usize, round: u32) -> caf_fabric::Result<Vec<u8>> {
+        let key = (self.t.id, self.seq, round, from as u32);
+        loop {
+            if let Entry::Occupied(e) = self.img.coll_stash.borrow_mut().entry(key) {
+                if e.get().0 == 0 {
+                    return Ok(e.remove().1);
+                }
+            }
+            let msg = self
+                .img
+                .backend
+                .recv_rtmsg_blocking_stat(Watch::Ranks(&self.t.members))?;
+            self.img.handle_msg(msg);
+        }
+    }
+}
 
 impl Image {
     /// Bracket a collective's body with the race detector's round
@@ -66,10 +144,10 @@ impl Image {
         self.hb_collective(team, || {
             self.stats().timed_d(StatCat::Barrier, None, 0, None, Some(team.id()), || {
                 let done = match team.on(&self.backend) {
-                    On::Mpi(b, comm) => b.mpi.barrier(comm).map_err(crate::image::failed_of_err),
-                    On::Gasnet(_, t) => self.gbarrier_stat(t),
+                    On::Mpi(b, comm) => b.mpi.barrier(comm),
+                    On::Gasnet(_, t) => coll::barrier(&self.rounds(t)),
                 };
-                done.map_or_else(|failed| self.stat_failed(failed), |()| Stat::Ok)
+                done.map_or_else(|e| self.stat_failed(failed_of_err(e)), |()| Stat::Ok)
             })
         })
     }
@@ -85,9 +163,9 @@ impl Image {
         self.hb_collective(team, || {
             self.stats()
                 .timed_d(StatCat::Reduction, None, 0, None, Some(team.id()), || match team.on(&self.backend) {
-                On::Mpi(b, comm) => b.mpi.bcast(comm, root, data).expect("bcast"),
-                On::Gasnet(_, t) => self.gbcast(t, root, data),
-            });
+                On::Mpi(b, comm) => b.mpi.bcast(comm, root, data),
+                On::Gasnet(_, t) => coll::bcast(&self.rounds(t), root, data),
+            }.expect("bcast"));
         });
     }
 
@@ -102,9 +180,9 @@ impl Image {
         self.hb_collective(team, || {
             self.stats()
                 .timed_d(StatCat::Reduction, None, 0, None, Some(team.id()), || match team.on(&self.backend) {
-                    On::Mpi(b, comm) => b.mpi.reduce(comm, root, data, f).expect("reduce"),
-                    On::Gasnet(_, t) => self.greduce(t, root, data, f),
-                })
+                    On::Mpi(b, comm) => b.mpi.reduce(comm, root, data, f),
+                    On::Gasnet(_, t) => coll::reduce(&self.rounds(t), root, data, f),
+                }.expect("reduce"))
         })
     }
 
@@ -136,21 +214,18 @@ impl Image {
             self.stats()
                 .timed_d(StatCat::Reduction, None, 0, None, Some(team.id()), || {
                     match team.on(&self.backend) {
-                        On::Mpi(b, comm) => b
-                            .mpi
-                            .allreduce(comm, data, f)
-                            .map_err(crate::image::failed_of_err),
+                        On::Mpi(b, comm) => b.mpi.allreduce(comm, data, f),
                         // Hand-rolled: reduce to team rank 0, then
                         // broadcast — correct, but without the
                         // recursive-doubling tuning of the MPI library.
-                        On::Gasnet(_, t) => (|| {
-                            let reduced = self.greduce_stat(t, 0, data, &f)?;
-                            let mut out = reduced.unwrap_or_else(|| data.to_vec());
-                            self.gbcast_stat(t, 0, &mut out)?;
-                            Ok(out)
-                        })(),
+                        On::Gasnet(_, t) => coll::reduce(&self.rounds(t), 0, data, &f)
+                            .and_then(|reduced| {
+                                let mut out = reduced.unwrap_or_else(|| data.to_vec());
+                                coll::bcast(&self.rounds(t), 0, &mut out)?;
+                                Ok(out)
+                            }),
                     }
-                    .map_err(|failed| self.stat_failed(failed))
+                    .map_err(|e| self.stat_failed(failed_of_err(e)))
                 })
         })
     }
@@ -161,9 +236,9 @@ impl Image {
         self.hb_collective(team, || {
             self.stats()
                 .timed_d(StatCat::Reduction, None, 0, None, Some(team.id()), || match team.on(&self.backend) {
-                    On::Mpi(b, comm) => b.mpi.allgather(comm, data).expect("allgather"),
-                    On::Gasnet(_, t) => self.gallgather(t, data),
-                })
+                    On::Mpi(b, comm) => b.mpi.allgather(comm, data),
+                    On::Gasnet(_, t) => coll::allgather(&self.rounds(t), data),
+                }.expect("allgather"))
         })
     }
 
@@ -177,26 +252,20 @@ impl Image {
                 On::Gasnet(_, t) => {
                     // Hand-rolled: exchange counts, then linear exchange of
                     // the ragged payloads.
-                    let counts: Vec<usize> = self
-                        .gallgather(t, &[data.len() as u64])
-                        .into_iter()
-                        .map(|c| c as usize)
-                        .collect();
-                    let seq = t.next_seq();
-                    let n = t.members.len();
+                    let counts = coll::allgather(&self.rounds(t), &[data.len() as u64])
+                        .expect("allgatherv counts");
+                    let r = self.rounds(t);
                     let me = t.my_idx;
-                    for d in 0..n {
-                        if d != me {
-                            self.gcoll_send(t, d, seq, 1, as_bytes(data));
-                        }
+                    for d in (0..counts.len()).filter(|&d| d != me) {
+                        r.send_pod(d, 1, data).expect("allgatherv");
                     }
                     let mut out = Vec::new();
                     for (s, &count) in counts.iter().enumerate() {
                         if s == me {
                             out.extend_from_slice(data);
                         } else {
-                            let part: Vec<T> = vec_from_bytes(&self.gcoll_recv(t, s, seq, 1));
-                            assert_eq!(part.len(), count, "allgatherv count");
+                            let part: Vec<T> = r.recv_pod(s, 1).expect("allgatherv");
+                            assert_eq!(part.len() as u64, count, "allgatherv count");
                             out.extend_from_slice(&part);
                         }
                     }
@@ -280,7 +349,8 @@ impl Image {
             },
             On::Gasnet(_, t) => {
                 let me = t.my_idx;
-                let triples = self.gallgather(t, &[[color, key as u64, me as u64]]);
+                let triples = coll::allgather(&self.rounds(t), &[[color, key as u64, me as u64]])
+                    .expect("team_split");
                 let mut mine: Vec<(i64, usize)> = triples
                     .iter()
                     .filter(|x| x[0] == color)
@@ -382,256 +452,34 @@ impl Image {
 
     // ----- hand-rolled GASNet collectives ------------------------------
 
-    fn gcoll_send(&self, t: &GTeam, dest_idx: usize, seq: u64, phase: u32, bytes: &[u8]) {
-        let nchunks = bytes.len().div_ceil(GCOLL_CHUNK).max(1) as u32;
-        for (i, chunk) in bytes
-            .chunks(GCOLL_CHUNK)
-            .chain(std::iter::repeat_n(&[][..], usize::from(bytes.is_empty())))
-            .enumerate()
-        {
-            self.backend.send_rtmsg(
-                t.members[dest_idx],
-                &RtMsg::CollPayload {
-                    team_id: t.id,
-                    seq,
-                    phase,
-                    src_idx: t.my_idx as u32,
-                    chunk: i as u32,
-                    nchunks,
-                    data: chunk.to_vec(),
-                },
-            );
-        }
-    }
-
-    fn gcoll_recv(&self, t: &GTeam, src_idx: usize, seq: u64, phase: u32) -> Vec<u8> {
-        self.gcoll_recv_stat(t, src_idx, seq, phase)
-            .unwrap_or_else(|failed| panic!("collective: image(s) {failed:?} failed"))
-    }
-
-    /// Fallible fragment wait: watches the whole team, so a death anywhere
-    /// in it — not just the direct source — unblocks the receive (the
-    /// source itself may be stalled on the dead member). A failure
-    /// abandons the partially received collective; its stale fragments
-    /// stay in the stash, harmlessly keyed by a sequence number no retry
-    /// reuses.
-    fn gcoll_recv_stat(
-        &self,
-        t: &GTeam,
-        src_idx: usize,
-        seq: u64,
-        phase: u32,
-    ) -> Result<Vec<u8>, Vec<usize>> {
-        let mut parts: Vec<Option<Vec<u8>>> = Vec::new();
-        let mut have = 0usize;
-        let mut want = usize::MAX;
-        loop {
-            // Scan the stash for matching fragments.
-            {
-                let mut stash = self.coll_stash.borrow_mut();
-                let mut i = 0;
-                while i < stash.len() {
-                    let matched = matches!(
-                        &stash[i],
-                        RtMsg::CollPayload {
-                            team_id,
-                            seq: s,
-                            phase: p,
-                            src_idx: si,
-                            ..
-                        } if *team_id == t.id && *s == seq && *p == phase
-                            && *si as usize == src_idx
-                    );
-                    if matched {
-                        if let RtMsg::CollPayload {
-                            chunk,
-                            nchunks,
-                            data,
-                            ..
-                        } = stash.swap_remove(i)
-                        {
-                            want = nchunks as usize;
-                            if parts.len() < want {
-                                parts.resize(want, None);
-                            }
-                            if parts[chunk as usize].replace(data).is_none() {
-                                have += 1;
-                            }
-                        }
-                    } else {
-                        i += 1;
-                    }
-                }
-            }
-            if have == want {
-                let mut out = Vec::new();
-                for p in parts.into_iter().flatten() {
-                    out.extend_from_slice(&p);
-                }
-                return Ok(out);
-            }
-            // Need more: block for the next runtime message, screening the
-            // team for failures.
-            let msg = self.backend.recv_rtmsg_blocking_stat(&t.members)?;
-            self.handle_msg(msg);
-        }
-    }
-
-    fn gbarrier_stat(&self, t: &GTeam) -> Result<(), Vec<usize>> {
-        let n = t.members.len();
-        if n == 1 {
-            return Ok(());
-        }
+    /// The next collective on GASNet team `t`. Fragments still stashed
+    /// for an earlier one have no consumer left — a completed collective
+    /// consumed all of its own, so they belong to one a failure abandoned
+    /// — and are dropped here.
+    fn rounds<'a>(&'a self, t: &'a GTeam) -> TeamRounds<'a> {
         let seq = t.next_seq();
-        let me = t.my_idx;
-        let mut phase = 0u32;
-        let mut dist = 1usize;
-        while dist < n {
-            self.gcoll_send(t, (me + dist) % n, seq, phase, &[]);
-            let _ = self.gcoll_recv_stat(t, (me + n - dist) % n, seq, phase)?;
-            phase += 1;
-            dist <<= 1;
-        }
-        Ok(())
+        self.coll_stash
+            .borrow_mut()
+            .retain(|key, _| key.0 != t.id || key.1 >= seq);
+        TeamRounds { img: self, t, seq }
     }
 
-    fn gbcast<T: Pod>(&self, t: &GTeam, root: usize, data: &mut Vec<T>) {
-        self.gbcast_stat(t, root, data)
-            .unwrap_or_else(|failed| panic!("bcast: image(s) {failed:?} failed"));
-    }
-
-    fn gbcast_stat<T: Pod>(
-        &self,
-        t: &GTeam,
-        root: usize,
-        data: &mut Vec<T>,
-    ) -> Result<(), Vec<usize>> {
-        let n = t.members.len();
-        if n == 1 {
-            return Ok(());
-        }
-        let seq = t.next_seq();
-        let vrank = (t.my_idx + n - root) % n;
-        let unv = |v: usize| (v + root) % n;
-        let mut mask = 1usize;
-        while mask < n {
-            if vrank & mask != 0 {
-                let bytes = self.gcoll_recv_stat(t, unv(vrank - mask), seq, 0)?;
-                *data = vec_from_bytes(&bytes);
-                break;
-            }
-            mask <<= 1;
-        }
-        mask >>= 1;
-        while mask > 0 {
-            if vrank & mask == 0 && vrank + mask < n {
-                self.gcoll_send(t, unv(vrank + mask), seq, 0, as_bytes(data));
-            }
-            mask >>= 1;
-        }
-        Ok(())
-    }
-
-    fn greduce<T: Pod>(
-        &self,
-        t: &GTeam,
-        root: usize,
-        data: &[T],
-        f: impl Fn(T, T) -> T,
-    ) -> Option<Vec<T>> {
-        self.greduce_stat(t, root, data, f)
-            .unwrap_or_else(|failed| panic!("reduce: image(s) {failed:?} failed"))
-    }
-
-    fn greduce_stat<T: Pod>(
-        &self,
-        t: &GTeam,
-        root: usize,
-        data: &[T],
-        f: impl Fn(T, T) -> T,
-    ) -> Result<Option<Vec<T>>, Vec<usize>> {
-        let n = t.members.len();
-        let mut acc = data.to_vec();
-        if n == 1 {
-            return Ok(Some(acc));
-        }
-        let seq = t.next_seq();
-        let vrank = (t.my_idx + n - root) % n;
-        let unv = |v: usize| (v + root) % n;
-        let mut mask = 1usize;
-        while mask < n {
-            if vrank & mask == 0 {
-                let src = vrank | mask;
-                if src < n {
-                    let part: Vec<T> =
-                        vec_from_bytes(&self.gcoll_recv_stat(t, unv(src), seq, 0)?);
-                    for (a, s) in acc.iter_mut().zip(&part) {
-                        *a = f(*a, *s);
-                    }
-                }
-            } else {
-                self.gcoll_send(t, unv(vrank & !mask), seq, 0, as_bytes(&acc));
-                break;
-            }
-            mask <<= 1;
-        }
-        Ok((t.my_idx == root).then_some(acc))
-    }
-
-    /// Bruck allgather, the algorithm of `Mpi::allgather`: ⌈log₂ n⌉
-    /// rounds, round k sending the first min(2ᵏ, n−2ᵏ) accumulated blocks
-    /// to `me−2ᵏ` and appending what `me+2ᵏ` sent. Unlike `galltoall`
-    /// this is not left linear: the paper's hand-rolled-collective
-    /// finding (Figs 6/7) is about the FFT's bulk alltoall, while this
-    /// carries a few bytes per image inside every collective allocate and
-    /// `team_split`, where n·(n−1) AMs is a cost of this runtime and not
-    /// a result of the paper.
-    fn gallgather<T: Pod>(&self, t: &GTeam, data: &[T]) -> Vec<T> {
-        let n = t.members.len();
-        let len = data.len();
-        let mut out = Vec::with_capacity(len * n);
-        out.extend_from_slice(data);
-        if n == 1 {
-            return out;
-        }
-        let seq = t.next_seq();
-        let me = t.my_idx;
-        let mut phase = 0u32;
-        let mut dist = 1usize;
-        while dist < n {
-            let blocks = dist.min(n - dist);
-            self.gcoll_send(t, (me + n - dist) % n, seq, phase, as_bytes(&out[..blocks * len]));
-            let part: Vec<T> = vec_from_bytes(&self.gcoll_recv(t, (me + dist) % n, seq, phase));
-            assert_eq!(part.len(), blocks * len, "ragged allgather");
-            out.extend_from_slice(&part);
-            phase += 1;
-            dist <<= 1;
-        }
-        out.rotate_right(me * len);
-        out
-    }
-
+    /// Linear exchange, deliberately: the paper's finding (Figs 6/7) is
+    /// this alltoall hand-rolled from AMs against a tuned `MPI_ALLTOALL`.
     fn galltoall<T: Pod>(&self, t: &GTeam, data: &[T], block: usize) -> Vec<T> {
         let n = t.members.len();
         assert_eq!(data.len(), n * block, "alltoall buffer size mismatch");
         let me = t.my_idx;
         let mut out = vec![data[0]; n * block];
         out[me * block..(me + 1) * block].copy_from_slice(&data[me * block..(me + 1) * block]);
-        if n == 1 {
-            return out;
+        let r = self.rounds(t);
+        for d in (0..n).filter(|&d| d != me) {
+            r.send_pod(d, 0, &data[d * block..(d + 1) * block])
+                .expect("alltoall");
         }
-        let seq = t.next_seq();
-        for d in 0..n {
-            if d != me {
-                self.gcoll_send(t, d, seq, 0, as_bytes(&data[d * block..(d + 1) * block]));
-            }
-        }
-        for s in 0..n {
-            if s != me {
-                let bytes = self.gcoll_recv(t, s, seq, 0);
-                let part: Vec<T> = vec_from_bytes(&bytes);
-                out[s * block..(s + 1) * block].copy_from_slice(&part);
-            }
+        for s in (0..n).filter(|&s| s != me) {
+            let part: Vec<T> = r.recv_pod(s, 0).expect("alltoall");
+            out[s * block..(s + 1) * block].copy_from_slice(&part);
         }
         out
     }

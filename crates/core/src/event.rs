@@ -120,10 +120,9 @@ impl Image {
                 );
                 return crate::stat::Stat::Ok;
             }
-            let watch: Vec<usize> = (0..self.num_images()).collect();
-            match self.backend.recv_rtmsg_blocking_stat(&watch) {
+            match self.backend.recv_rtmsg_blocking_stat(caf_fabric::Watch::All) {
                 Ok(msg) => self.handle_msg(msg),
-                Err(failed) => return self.stat_failed(failed),
+                Err(e) => return self.stat_failed(crate::image::failed_of_err(e)),
             }
         })
     }

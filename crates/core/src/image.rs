@@ -12,6 +12,7 @@ use caf_mpisim::{Mpi, MpiConfig};
 
 use crate::arena::SegmentArena;
 use crate::backend::{Backend, FlushMode, GasnetBackend, MpiBackend, RT_HANDLER};
+use crate::collectives::CollStash;
 use crate::rtmsg::RtMsg;
 use crate::ship::ShipRegistry;
 use crate::stats::Stats;
@@ -234,7 +235,7 @@ pub struct Image {
     /// Per-finish (shipped, completed) counters.
     pub(crate) finish_counters: RefCell<HashMap<u64, (u64, u64)>>,
     /// Hand-rolled collective fragments awaiting their consumer (GASNet).
-    pub(crate) coll_stash: RefCell<Vec<RtMsg>>,
+    pub(crate) coll_stash: RefCell<CollStash>,
     /// Per-team token counter for collectively derived ids (events, finish
     /// blocks, GASNet regions). Consistent across members because all
     /// derivations happen in collective calls.
@@ -328,7 +329,7 @@ impl Image {
             deferred: RefCell::new(Vec::new()),
             finish_stack: RefCell::new(Vec::new()),
             finish_counters: RefCell::new(HashMap::new()),
-            coll_stash: RefCell::new(Vec::new()),
+            coll_stash: RefCell::new(HashMap::new()),
             team_tokens: RefCell::new(HashMap::new()),
             implicit_puts: Cell::new(0),
             implicit_gets: Cell::new(0),
@@ -454,8 +455,17 @@ impl Image {
                 finish_id,
                 data,
             } => self.handle_agg_batch(token, finish_id, &data),
-            RtMsg::CollPayload { .. } => {
-                self.coll_stash.borrow_mut().push(msg);
+            RtMsg::CollPayload { team_id, seq, phase, src_idx, nchunks, data, .. } => {
+                let mut stash = self.coll_stash.borrow_mut();
+                let (missing, bytes) = stash
+                    .entry((team_id, seq, phase, src_idx))
+                    .or_insert((nchunks, Vec::new()));
+                *missing -= 1;
+                if bytes.is_empty() {
+                    *bytes = data;
+                } else {
+                    bytes.extend_from_slice(&data);
+                }
             }
         }
     }

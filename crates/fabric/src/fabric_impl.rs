@@ -1,17 +1,17 @@
 //! The [`Fabric`] itself: job construction, endpoints, and the segment
 //! registry.
 
-use std::collections::HashMap;
+use std::cell::RefCell;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use crossbeam::channel::{self, Receiver, Sender, TryRecvError};
 use parking_lot::RwLock;
 
 use crate::delay::DelayConfig;
 use crate::error::FabricError;
-use crate::fault::{Fault, FaultPlan, FaultState, ImageKilled, KIND_FAULT};
+use crate::fault::{Fault, FaultPlan, FaultState, ImageKilled, Watch, KIND_FAULT};
 use crate::packet::Packet;
 use crate::segment::{Segment, SegmentId};
 use crate::Result;
@@ -135,6 +135,7 @@ impl Fabric {
             fault: Fault::new(Arc::clone(&self.shared.fault), rank),
             shared: Arc::clone(&self.shared),
             rx,
+            stash: RefCell::new(VecDeque::new()),
         }
     }
 
@@ -222,6 +223,9 @@ pub struct Endpoint {
     fault: Fault,
     shared: Arc<Shared>,
     rx: Receiver<Packet>,
+    /// Packets pulled off the mailbox ahead of the receive that wants
+    /// them (MPI's unexpected-message queue), in arrival order.
+    stash: RefCell<VecDeque<Packet>>,
 }
 
 impl std::fmt::Debug for Endpoint {
@@ -341,17 +345,6 @@ impl Endpoint {
         Some(pkt)
     }
 
-    /// The next data packet already in the mailbox, if any. Failure
-    /// notices are swallowed: the registry already records the death, and
-    /// only *blocking* receives surface it as an error.
-    fn next_data(&self) -> Option<Packet> {
-        loop {
-            if let Some(pkt) = self.data(self.rx.try_recv().ok()?) {
-                return Some(pkt);
-            }
-        }
-    }
-
     /// Turn a failure notice into the error every blocking partner set
     /// must observe; pass data packets through.
     fn screen(&self, pkt: Packet) -> Result<Packet> {
@@ -413,14 +406,18 @@ impl Endpoint {
         }
     }
 
-    /// Non-blocking poll of this rank's mailbox (failure notices are
-    /// swallowed, see [`Endpoint::recv_blocking`] for the path that
-    /// reports them).
+    /// Non-blocking poll of this rank's mailbox. Failure notices are
+    /// swallowed: the registry already records the death, and only
+    /// [`Endpoint::recv_blocking`] surfaces it as an error.
     pub fn try_recv(&self) -> Option<Packet> {
         if crate::sched::active() {
             crate::sched::yield_op(self.model_recv_op());
         }
-        self.next_data()
+        loop {
+            if let Some(pkt) = self.data(self.rx.try_recv().ok()?) {
+                return Some(pkt);
+            }
+        }
     }
 
     /// Block until a packet arrives. Returns
@@ -453,34 +450,104 @@ impl Endpoint {
         self.screen(pkt)
     }
 
-    /// Block until a packet arrives or `timeout` elapses. Failure
-    /// notices are swallowed (as in [`Endpoint::try_recv`]).
-    pub fn recv_timeout(&self, timeout: Duration) -> Option<Packet> {
-        if crate::sched::active() {
-            // Under the model a timeout is just "the schedule chose to let
-            // it fire": one announced attempt, then give up.
-            crate::sched::yield_op(self.model_recv_op());
-            return self.next_data();
-        }
-        if caf_sched::on_task() {
-            // Deadline-bounded cooperative wait. A full park could
-            // oversleep the deadline (nobody unparks a timeout), so this
-            // yields to whoever is ready instead of suspending; timeouts
-            // are a rare diagnostic path, not steady-state.
-            let deadline = crate::delay::monotonic_ns().saturating_add(timeout.as_nanos() as u64);
-            loop {
-                if let Some(pkt) = self.next_data() {
-                    return Some(pkt);
-                }
-                if crate::delay::monotonic_ns() >= deadline {
-                    return None;
-                }
-                caf_sched::yield_now();
+    /// Keep `pkt` for a later matching receive.
+    #[inline]
+    pub fn stash(&self, pkt: Packet) {
+        self.stash.borrow_mut().push_back(pkt);
+    }
+
+    /// Remove the oldest stashed packet satisfying `pred`.
+    #[inline]
+    fn take_stashed(&self, pred: &impl Fn(&Packet) -> bool) -> Option<Packet> {
+        let mut q = self.stash.borrow_mut();
+        let pos = q.iter().position(pred)?;
+        q.remove(pos)
+    }
+
+    /// Pull delivered packets until one satisfies `pred`. Each of the
+    /// others meets `other`, which either consumes it (GASNet runs an AM
+    /// handler) or hands it back to be stashed. The stash is not borrowed
+    /// while `other` runs: a handler may poll and re-enter here.
+    #[inline]
+    fn drain_match(
+        &self,
+        pred: &impl Fn(&Packet) -> bool,
+        other: &mut impl FnMut(Packet) -> Option<Packet>,
+    ) -> Option<Packet> {
+        while let Some(pkt) = self.try_recv() {
+            if pred(&pkt) {
+                return Some(pkt);
+            }
+            if let Some(pkt) = other(pkt) {
+                self.stash(pkt);
             }
         }
+        None
+    }
+
+    /// Non-blocking matching receive: the oldest stashed packet
+    /// satisfying `pred`, else the first such packet already delivered
+    /// (see [`Endpoint::match_blocking`] for `other`).
+    #[inline]
+    pub fn try_match(
+        &self,
+        pred: impl Fn(&Packet) -> bool,
+        mut other: impl FnMut(Packet) -> Option<Packet>,
+    ) -> Option<Packet> {
+        self.take_stashed(&pred)
+            .or_else(|| self.drain_match(&pred, &mut other))
+    }
+
+    /// Blocking matching receive: the first packet, in arrival order,
+    /// satisfying `pred`. A non-matching packet is given to `other`, which
+    /// returns it to have it stashed (`Some`, for MPI's matching) or
+    /// consumes it (GASNet dispatches AMs while it waits).
+    ///
+    /// `watch` is the partner set the wait depends on; if one of them is
+    /// marked failed the wait returns [`FabricError::ImageFailed`] instead
+    /// of hanging. Three rules order data against deaths, all of them here:
+    ///
+    /// 1. A stashed match wins, even if its sender has since died.
+    /// 2. Everything already delivered is drained *before* the failure
+    ///    registry is consulted. Sends inject synchronously, so what a
+    ///    rank sent before dying sits in the mailbox ahead of its failure
+    ///    notice; that data must win, or an exchange the dead rank fully
+    ///    took part in would fail on its survivors.
+    /// 3. A notice for a rank outside `watch` is not this wait's to
+    ///    report: it re-loops. The registry is authoritative (marked
+    ///    before any notice is sent), so checking it every time round also
+    ///    covers notices that other waits consumed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the fabric is torn down under the wait.
+    #[inline]
+    pub fn match_blocking(
+        &self,
+        watch: Watch<'_>,
+        pred: impl Fn(&Packet) -> bool,
+        mut other: impl FnMut(Packet) -> Option<Packet>,
+    ) -> Result<Packet> {
+        if let Some(pkt) = self.take_stashed(&pred) {
+            return Ok(pkt);
+        }
         loop {
-            if let Some(pkt) = self.data(self.rx.recv_timeout(timeout).ok()?) {
-                return Some(pkt);
+            if let Some(pkt) = self.drain_match(&pred, &mut other) {
+                return Ok(pkt);
+            }
+            let failed = self.fault.failed_of(watch);
+            if !failed.is_empty() {
+                return Err(FabricError::ImageFailed { failed });
+            }
+            match self.recv_blocking() {
+                Ok(pkt) if pred(&pkt) => return Ok(pkt),
+                Ok(pkt) => {
+                    if let Some(pkt) = other(pkt) {
+                        self.stash(pkt);
+                    }
+                }
+                Err(FabricError::ImageFailed { .. }) => {}
+                Err(e) => panic!("fabric torn down while receiving: {e}"),
             }
         }
     }
@@ -539,6 +606,7 @@ impl Drop for Endpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sched::tests::gate_test_lock;
     use bytes::Bytes;
 
     #[test]
@@ -649,6 +717,69 @@ mod tests {
     fn run_returns_rank_ordered_results() {
         let results = Fabric::run(8, |ep| ep.rank() * 10);
         assert_eq!(results, vec![0, 10, 20, 30, 40, 50, 60, 70]);
+    }
+
+    fn tagged(tag: i64) -> impl Fn(&Packet) -> bool {
+        move |p| p.tag == tag
+    }
+
+    fn wait_until_failed(ep: &Endpoint, rank: usize) {
+        while !ep.fault().is_failed(rank) {
+            std::thread::yield_now();
+        }
+    }
+
+    /// Rule 1 of [`Endpoint::match_blocking`].
+    #[test]
+    fn stashed_match_is_returned_although_its_sender_has_died() {
+        let _l = gate_test_lock();
+        Fabric::run_with_config_ft(2, FabricConfig::default(), |ep| {
+            if ep.rank() == 1 {
+                ep.send(0, Packet::control(1, 0, 1, [0; 4])).unwrap();
+                ep.send(0, Packet::control(1, 0, 2, [0; 4])).unwrap();
+                ep.fail_now();
+            }
+            // Matching tag 2 stashes tag 1; the next wait can only end on
+            // the death.
+            assert_eq!(ep.match_blocking(Watch::All, tagged(2), Some).unwrap().tag, 2);
+            let err = ep.match_blocking(Watch::All, tagged(3), Some).unwrap_err();
+            assert!(matches!(err, FabricError::ImageFailed { failed } if failed == [1]));
+            assert_eq!(ep.match_blocking(Watch::All, tagged(1), Some).unwrap().tag, 1);
+            assert!(ep.try_match(tagged(1), Some).is_none());
+        });
+    }
+
+    /// Rule 2: the mailbox holds data then notice, the registry is marked.
+    #[test]
+    fn data_injected_before_a_death_wins_over_the_notice() {
+        let _l = gate_test_lock();
+        Fabric::run_with_config_ft(2, FabricConfig::default(), |ep| {
+            if ep.rank() == 1 {
+                ep.send(0, Packet::control(1, 0, 7, [0; 4])).unwrap();
+                ep.fail_now();
+            }
+            wait_until_failed(&ep, 1);
+            assert_eq!(ep.match_blocking(Watch::All, tagged(7), Some).unwrap().tag, 7);
+            assert!(ep.match_blocking(Watch::Ranks(&[1]), tagged(7), Some).is_err());
+        });
+    }
+
+    /// Rule 3: rank 2 dies while rank 0 waits on rank 1 alone.
+    #[test]
+    fn notice_for_a_rank_outside_watch_does_not_end_the_wait() {
+        let _l = gate_test_lock();
+        Fabric::run_with_config_ft(3, FabricConfig::default(), |ep| match ep.rank() {
+            0 => {
+                let pkt = ep.match_blocking(Watch::Ranks(&[1]), tagged(5), Some);
+                assert_eq!(pkt.unwrap().src, 1);
+                assert!(ep.fault().is_failed(2));
+            }
+            1 => {
+                wait_until_failed(&ep, 2);
+                ep.send(0, Packet::control(1, 0, 5, [0; 4])).unwrap();
+            }
+            _ => ep.fail_now(),
+        });
     }
 
     #[test]

@@ -27,6 +27,16 @@ use std::sync::Arc;
 /// 1..=3 (mpisim) and 10..=14 (gasnetsim); 0xFA is clear of both.
 pub const KIND_FAULT: u16 = 0xFA;
 
+/// The partner set a blocking wait depends on: the wait fails instead of
+/// hanging once any of these ranks is marked failed.
+#[derive(Debug, Clone, Copy)]
+pub enum Watch<'a> {
+    /// These ranks only; an empty slice waits unconditionally.
+    Ranks(&'a [usize]),
+    /// Every rank of the job, without a vector to say so.
+    All,
+}
+
 /// Maximum number of kill directives one plan can carry (kept fixed-size
 /// so `FaultPlan` stays `Copy`, like every other config knob).
 pub const MAX_KILLS: usize = 4;
@@ -206,10 +216,14 @@ impl Fault {
 
     /// The failed members of `watch`, ascending. Empty on the fault-free
     /// fast path after a single relaxed load.
-    pub fn failed_of(&self, watch: &[usize]) -> Vec<usize> {
+    #[inline]
+    pub fn failed_of(&self, watch: Watch<'_>) -> Vec<usize> {
         if !self.any_failed() {
             return Vec::new();
         }
+        let Watch::Ranks(watch) = watch else {
+            return self.failed_set();
+        };
         let mut out: Vec<usize> = watch
             .iter()
             .copied()
@@ -305,8 +319,9 @@ mod tests {
         assert!(!f0.any_failed());
         f2.mark_failed(2);
         assert!(f0.any_failed() && f0.is_failed(2) && !f0.is_failed(0));
-        assert_eq!(f0.failed_of(&[0, 1, 3]), Vec::<usize>::new());
-        assert_eq!(f0.failed_of(&[0, 2, 3]), vec![2]);
+        assert_eq!(f0.failed_of(Watch::Ranks(&[0, 1, 3])), Vec::<usize>::new());
+        assert_eq!(f0.failed_of(Watch::Ranks(&[0, 2, 3])), vec![2]);
+        assert_eq!(f0.failed_of(Watch::All), vec![2]);
         assert_eq!(f0.failed_set(), vec![2]);
     }
 

@@ -28,6 +28,7 @@
 //! have the same "undefined result" status they have under the MPI-3 unified
 //! memory model.
 
+pub mod coll;
 pub mod delay;
 pub mod error;
 pub mod fault;
@@ -44,7 +45,7 @@ pub use caf_sched::{ExecConfig, ExecMode};
 pub use delay::{DelayConfig, DelayMeter, DelayOp, Delays};
 pub use error::FabricError;
 pub use fabric_impl::{Endpoint, Fabric, FabricConfig};
-pub use fault::{Fault, FaultPlan, ImageKilled, Kill, KillSite, KIND_FAULT};
+pub use fault::{Fault, FaultPlan, ImageKilled, Kill, KillSite, Watch, KIND_FAULT};
 pub use memacct::{MemAccount, MemCategory};
 pub use packet::Packet;
 pub use pod::Pod;

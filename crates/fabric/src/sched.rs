@@ -646,13 +646,16 @@ fn schedule_next(g: &mut GateState) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::{Fabric, Packet};
-    use std::sync::Mutex as StdMutex;
 
-    /// Model runs are process-exclusive; tests in this binary serialize.
-    pub(crate) static GATE_TEST_LOCK: StdMutex<()> = StdMutex::new(());
+    /// Model runs are process-exclusive: tests of this binary that arm
+    /// the gate, or launch a job an armed gate would capture, serialize.
+    pub(crate) fn gate_test_lock() -> MutexGuard<'static, ()> {
+        static GATE_TEST_LOCK: Mutex<()> = Mutex::new(());
+        GATE_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     struct FirstEnabled;
     impl Chooser for FirstEnabled {
@@ -700,7 +703,7 @@ mod tests {
 
     #[test]
     fn gated_ping_pong_completes_and_records_steps() {
-        let _l = GATE_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _l = gate_test_lock();
         let out = run_gated(2, |ep| {
             if ep.rank() == 0 {
                 ep.send(1, Packet::control(0, 1, 7, [0; 4])).unwrap();
@@ -724,7 +727,7 @@ mod tests {
 
     #[test]
     fn cross_recv_deadlock_is_detected_not_hung() {
-        let _l = GATE_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _l = gate_test_lock();
         // Both ranks receive first: a genuine deadlock.
         let out = run_gated(2, |ep| {
             let peer = 1 - ep.rank();
@@ -745,7 +748,7 @@ mod tests {
 
     #[test]
     fn step_budget_bounds_livelock() {
-        let _l = GATE_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _l = gate_test_lock();
         arm(1, 64, Box::new(FirstEnabled)).unwrap();
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             Fabric::run(1, |ep| {
@@ -765,7 +768,7 @@ mod tests {
 
     #[test]
     fn disarmed_gate_is_inert() {
-        let _l = GATE_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _l = gate_test_lock();
         assert!(!armed());
         yield_op(ModelOp::Tick); // must not block or panic
         assert!(!yield_tick());

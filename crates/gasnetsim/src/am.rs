@@ -193,14 +193,14 @@ impl Gasnet {
     /// number of AMs dispatched.
     pub fn poll(&self) -> usize {
         let mut dispatched = 0;
-        while let Some(pkt) = self.ep.try_recv() {
-            if self.is_am(&pkt) {
-                self.dispatch_am(pkt);
-                dispatched += 1;
-            } else {
-                self.pending.borrow_mut().push_back(pkt);
-            }
-        }
+        self.ep.try_match(
+            |_| false,
+            |pkt| {
+                let kept = self.dispatch_or_keep(pkt);
+                dispatched += usize::from(kept.is_none());
+                kept
+            },
+        );
         // Only productive polls are recorded (`bytes` = AMs dispatched);
         // empty polls run in spin loops and would flood the ring.
         if dispatched > 0 && caf_trace::enabled() {

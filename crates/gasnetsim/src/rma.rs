@@ -19,7 +19,7 @@ use std::sync::Arc;
 use caf_fabric::delay::DelayOp;
 use caf_fabric::pod::{as_bytes, as_bytes_mut};
 use caf_fabric::sched::{self, ModelOp};
-use caf_fabric::{FabricError, Pod, Result, SegRef, Segment};
+use caf_fabric::{FabricError, Pod, Result, SegRef, Segment, Watch};
 
 use crate::am::H_PUT_ACK_REQ;
 use crate::universe::Gasnet;
@@ -161,7 +161,7 @@ impl Gasnet {
         // deadlock report of the Fig 2 program names.
         let _hint = caf_fabric::sched::wait_hint(node);
         while self.put_acks_received.get() < self.put_acks_expected.get() {
-            match self.wait_for(&[node], |p| self.is_am(p)) {
+            match self.wait_am_packet_watching(Watch::Ranks(&[node])) {
                 Ok(pkt) => self.dispatch_am(pkt),
                 Err(FabricError::ImageFailed { .. }) => {
                     // The target died with the ack outstanding: it will

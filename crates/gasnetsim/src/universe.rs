@@ -1,14 +1,16 @@
 //! GASNet job initialization (`gasnet_init` + `gasnet_attach`) and per-rank
 //! library state.
 
-use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
+use std::cell::Cell;
 use std::sync::Arc;
 
+use bytes::Bytes;
+
+use caf_fabric::coll::{self, Rounds};
 use caf_fabric::delay::{DelayConfig, DelayMeter, Delays};
 use caf_fabric::{
     Endpoint, Fabric, FabricError, Fault, MemAccount, MemCategory, Packet, Result, Segment,
-    SegmentId,
+    SegmentId, Watch,
 };
 
 use crate::am::HandlerTable;
@@ -117,11 +119,6 @@ pub struct Gasnet {
     pub(crate) seg_sizes: Vec<usize>,
     pub(crate) local: Arc<Segment>,
     pub(crate) handlers: HandlerTable,
-    /// Stash for non-AM packets pulled while polling.
-    pub(crate) pending: RefCell<VecDeque<Packet>>,
-    pub(crate) barrier_seq: Cell<u64>,
-    /// Open split-phase barrier: (sequence, next round awaited).
-    pub(crate) barrier_phase: Cell<Option<(u64, u64)>>,
     /// AM-mediated put acknowledgement counters (see `rma::put`).
     pub(crate) put_acks_expected: Cell<u64>,
     pub(crate) put_acks_received: Cell<u64>,
@@ -173,7 +170,6 @@ impl Gasnet {
         seg_ids[rank] = id;
         seg_sizes[rank] = config.segment_size;
         let fault = ep.fault();
-        let mut stash = VecDeque::new();
         let mut have = vec![false; size];
         have[rank] = true;
         let mut missing = size - 1;
@@ -201,7 +197,7 @@ impl Gasnet {
                         missing -= 1;
                     }
                 }
-                Ok(pkt) => stash.push_back(pkt),
+                Ok(pkt) => ep.stash(pkt),
                 Err(FabricError::ImageFailed { .. }) => resolve_dead(&mut have, &mut missing),
                 Err(e) => panic!("bootstrap recv: {e}"),
             }
@@ -218,9 +214,6 @@ impl Gasnet {
             seg_sizes,
             local,
             handlers: HandlerTable::with_reserved(),
-            pending: RefCell::new(stash),
-            barrier_seq: Cell::new(0),
-            barrier_phase: Cell::new(None),
             put_acks_expected: Cell::new(0),
             put_acks_received: Cell::new(0),
         }
@@ -242,8 +235,8 @@ impl Gasnet {
     }
 
     /// Handle onto the fabric's failure registry.
-    pub fn fault(&self) -> Fault {
-        self.fault.clone()
+    pub fn fault(&self) -> &Fault {
+        &self.fault
     }
 
     /// Kill this rank here (fault injection / `fail image`).
@@ -276,193 +269,28 @@ impl Gasnet {
         }
     }
 
-    /// Dissemination barrier (`gasnet_barrier_notify` + `_wait`, fused).
-    /// Polls AMs while waiting, as GASNet's barrier does.
-    pub fn barrier(&self) {
-        self.barrier_notify();
-        self.barrier_wait();
-    }
-
-    /// `gasnet_barrier_notify`: enter the split-phase barrier. Sends the
-    /// first dissemination round and returns immediately; AMs keep being
-    /// serviced by subsequent polls. Must be paired with
-    /// [`Gasnet::barrier_wait`] (or repeated [`Gasnet::barrier_try`]).
-    pub fn barrier_notify(&self) {
-        assert!(
-            self.barrier_phase.get().is_none(),
-            "barrier_notify while a split-phase barrier is already open"
-        );
-        let seq = self.barrier_seq.get();
-        self.barrier_seq.set(seq + 1);
-        self.barrier_phase.set(Some((seq, 0)));
-        if self.size() > 1 {
-            self.send_barrier_round(seq, 0);
-        }
-    }
-
-    fn send_barrier_round(&self, seq: u64, round: u64) {
-        let n = self.size();
-        let me = self.rank();
-        let dist = 1usize << round;
-        let to = (me + dist) % n;
-        self.ep
-            .send(
-                to,
-                Packet::control(me, KIND_BARRIER, 0, [seq, round, 0, 0]),
-            )
-            .expect("barrier send");
-    }
-
-    fn barrier_round_done(&self, seq: u64, round: u64, blocking: bool) -> Result<bool> {
-        let n = self.size();
-        let me = self.rank();
-        let dist = 1usize << round;
-        let from = (me + n - dist) % n;
-        let pred = |p: &Packet| {
-            p.kind == KIND_BARRIER && p.src == from && p.h[0] == seq && p.h[1] == round
-        };
-        if blocking {
-            // A dissemination round waits on exactly one peer: name it so
-            // model deadlock reports carry the wait-for edge. Failure
-            // detection watches the *whole* job — a dissemination barrier
-            // hangs if any rank dies, not just the round neighbour.
-            let _hint = caf_fabric::sched::wait_hint(from);
-            let watch: Vec<usize> = (0..n).collect();
-            let _ = self.wait_for(&watch, pred)?;
-            return Ok(true);
-        }
-        // Nonblocking: poll AMs, scan the stash, drain arrivals.
-        self.poll();
-        let mut q = self.pending.borrow_mut();
-        if let Some(pos) = q.iter().position(pred) {
-            q.remove(pos);
-            return Ok(true);
-        }
-        Ok(false)
-    }
-
-    /// `gasnet_barrier_wait`: complete the split-phase barrier opened by
-    /// [`Gasnet::barrier_notify`], blocking (and servicing AMs) until all
-    /// ranks have entered.
+    /// Dissemination barrier (`gasnet_barrier_notify` + `_wait`, fused):
+    /// the shared rounds of [`coll::barrier`] over barrier packets. Polls
+    /// AMs while waiting, as GASNet's barrier does.
     ///
     /// # Panics
     ///
-    /// Panics if a member image failed; use [`Gasnet::barrier_wait_stat`]
-    /// to observe the failure instead.
-    pub fn barrier_wait(&self) {
-        self.barrier_wait_stat()
-            .expect("barrier: partner image failed")
-    }
-
-    /// Fallible [`Gasnet::barrier_wait`]: returns
-    /// [`FabricError::ImageFailed`] naming the dead members instead of
-    /// hanging (or panicking) when an image fails. The split-phase barrier
-    /// is closed either way — survivors must re-form before the next one.
-    pub fn barrier_wait_stat(&self) -> Result<()> {
+    /// Panics if an image has failed.
+    pub fn barrier(&self) {
         let _span = caf_trace::span(caf_trace::Op::GasnetBarrier);
-        let (seq, mut round) = self
-            .barrier_phase
-            .get()
-            .expect("barrier_wait without barrier_notify");
-        let n = self.size();
-        while (1usize << round) < n {
-            if let Err(e) = self.barrier_round_done(seq, round, true) {
-                self.barrier_phase.set(None);
-                return Err(e);
-            }
-            round += 1;
-            if (1usize << round) < n {
-                self.send_barrier_round(seq, round);
-            }
-        }
-        self.barrier_phase.set(None);
-        Ok(())
+        coll::barrier(self).expect("barrier: partner image failed");
     }
 
-    /// `gasnet_barrier_try`: nonblocking completion attempt; returns true
-    /// once the barrier is complete. Services AMs on every call.
-    pub fn barrier_try(&self) -> bool {
-        let Some((seq, mut round)) = self.barrier_phase.get() else {
-            panic!("barrier_try without barrier_notify");
-        };
-        let n = self.size();
-        while (1usize << round) < n {
-            let done = self
-                .barrier_round_done(seq, round, false)
-                .expect("nonblocking barrier round cannot observe a failure");
-            if !done {
-                self.barrier_phase.set(Some((seq, round)));
-                return false;
-            }
-            round += 1;
-            if (1usize << round) < n {
-                self.send_barrier_round(seq, round);
-            }
-        }
-        self.barrier_phase.set(None);
-        true
-    }
-
-    /// Block until a packet matching `pred` arrives, dispatching AMs and
-    /// stashing unrelated packets meanwhile. This is the polling loop every
-    /// blocking GASNet operation sits in.
-    ///
-    /// `watch` names the images this wait depends on: if any of them is
-    /// marked failed the wait returns [`FabricError::ImageFailed`] instead
-    /// of hanging. An empty `watch` waits unconditionally. Already-stashed
-    /// matches win over a failure notice.
-    pub(crate) fn wait_for(
-        &self,
-        watch: &[usize],
-        pred: impl Fn(&Packet) -> bool,
-    ) -> Result<Packet> {
-        // Check the stash first.
-        {
-            let mut q = self.pending.borrow_mut();
-            if let Some(pos) = q.iter().position(&pred) {
-                return Ok(q.remove(pos).expect("position from iter"));
-            }
-        }
-        loop {
-            // Pull everything already delivered *before* consulting the
-            // failure registry: sends inject synchronously, so anything a
-            // member sent before dying sits in the mailbox ahead of its
-            // failure notice — that data must win over the death, or an
-            // exchange the dead rank fully completed would spuriously
-            // fail on survivors.
-            while let Some(pkt) = self.ep.try_recv() {
-                if pred(&pkt) {
-                    return Ok(pkt);
-                }
-                if self.is_am(&pkt) {
-                    self.dispatch_am(pkt);
-                } else {
-                    self.pending.borrow_mut().push_back(pkt);
-                }
-            }
-            // The registry is authoritative (marked before notices go
-            // out), so the loop-top check covers notices consumed by
-            // unrelated waits.
-            let failed = self.fault.failed_of(watch);
-            if !failed.is_empty() {
-                return Err(FabricError::ImageFailed { failed });
-            }
-            match self.ep.recv_blocking() {
-                Ok(pkt) => {
-                    if pred(&pkt) {
-                        return Ok(pkt);
-                    }
-                    if self.is_am(&pkt) {
-                        self.dispatch_am(pkt);
-                    } else {
-                        self.pending.borrow_mut().push_back(pkt);
-                    }
-                }
-                // Notice for an image outside `watch`: re-check, keep
-                // waiting.
-                Err(FabricError::ImageFailed { .. }) => continue,
-                Err(e) => panic!("fabric torn down: {e}"),
-            }
+    /// What a packet meets that no wait is matching, in a poll or a
+    /// blocking call: an AM runs its handler, anything else goes back to
+    /// be stashed for its blocking consumer.
+    #[inline]
+    pub(crate) fn dispatch_or_keep(&self, pkt: Packet) -> Option<Packet> {
+        if self.is_am(&pkt) {
+            self.dispatch_am(pkt);
+            None
+        } else {
+            Some(pkt)
         }
     }
 
@@ -476,7 +304,7 @@ impl Gasnet {
     /// Exposed for runtimes layered on GASNet whose blocking waits (e.g. a
     /// CAF `event_wait`) must drive AM progress themselves.
     pub fn wait_am_packet(&self) -> Packet {
-        self.wait_for(&[], |p| self.is_am(p))
+        self.wait_am_packet_watching(Watch::Ranks(&[]))
             .expect("unconditional wait cannot fail")
     }
 
@@ -484,8 +312,8 @@ impl Gasnet {
     /// [`FabricError::ImageFailed`] if any image in `watch` is marked
     /// failed — the hook a layered runtime's blocking waits (e.g. CAF
     /// `event_wait`) use to survive partner death.
-    pub fn wait_am_packet_watching(&self, watch: &[usize]) -> Result<Packet> {
-        self.wait_for(watch, |p| self.is_am(p))
+    pub fn wait_am_packet_watching(&self, watch: Watch<'_>) -> Result<Packet> {
+        self.ep.match_blocking(watch, |p| self.is_am(p), Some)
     }
 
     /// Dispatch one packet previously returned by
@@ -493,6 +321,44 @@ impl Gasnet {
     pub fn dispatch_packet(&self, pkt: Packet) {
         assert!(self.is_am(&pkt), "dispatch_packet on a non-AM packet");
         self.dispatch_am(pkt);
+    }
+}
+
+/// Barrier rounds over `KIND_BARRIER` packets. They carry no sequence
+/// number: a peer sends its round-k packets in barrier order and the
+/// fabric is FIFO per pair, so the oldest match is this barrier's.
+impl Rounds for Gasnet {
+    type Buf = Bytes;
+
+    fn n(&self) -> usize {
+        self.size()
+    }
+
+    fn me(&self) -> usize {
+        self.rank()
+    }
+
+    fn failed(&self) -> Vec<usize> {
+        self.fault.failed_of(Watch::All)
+    }
+
+    fn send(&self, to: usize, round: u32, bytes: &[u8]) -> Result<()> {
+        let h = [u64::from(round), 0, 0, 0];
+        let payload = Bytes::copy_from_slice(bytes);
+        self.ep
+            .send(to, Packet::with_payload(self.rank(), KIND_BARRIER, 0, h, payload))
+    }
+
+    fn recv(&self, from: usize, round: u32) -> Result<Bytes> {
+        // A round waits on exactly one peer: name it so model deadlock
+        // reports carry the wait-for edge. Failure detection watches the
+        // whole job: a dissemination barrier hangs if *any* rank dies.
+        let _hint = caf_fabric::sched::wait_hint(from);
+        let pred = |p: &Packet| {
+            p.kind == KIND_BARRIER && p.src == from && p.h[0] == u64::from(round)
+        };
+        let other = |pkt| self.dispatch_or_keep(pkt);
+        Ok(self.ep.match_blocking(Watch::All, pred, other)?.payload)
     }
 }
 
@@ -559,46 +425,5 @@ mod tests {
                 }
             });
         }
-    }
-
-    #[test]
-    fn split_phase_barrier_overlaps_computation() {
-        GasnetUniverse::run(4, |g| {
-            for _ in 0..3 {
-                g.barrier_notify();
-                // "Computation" between notify and wait.
-                let mut acc = 0u64;
-                for i in 0..1000u64 {
-                    acc = acc.wrapping_add(i * i);
-                }
-                std::hint::black_box(acc);
-                g.barrier_wait();
-            }
-        });
-    }
-
-    #[test]
-    #[cfg_attr(miri, ignore = "wall-clock timing / raw spin")]
-    fn barrier_try_eventually_succeeds() {
-        GasnetUniverse::run(3, |g| {
-            g.barrier_notify();
-            let mut spins = 0u64;
-            while !g.barrier_try() {
-                spins += 1;
-                std::hint::spin_loop();
-            }
-            let _ = spins;
-            // A second barrier still works after a try-completed one.
-            g.barrier();
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "rank panicked")]
-    fn double_notify_rejected() {
-        GasnetUniverse::run(2, |g| {
-            g.barrier_notify();
-            g.barrier_notify();
-        });
     }
 }

@@ -10,13 +10,13 @@
 //! * **two-sided messaging** with full `(source, tag, communicator)`
 //!   matching, wildcards, and eager delivery (`send`, `recv`, `isend`,
 //!   `irecv`, `sendrecv`, requests with `wait`/`test`/`waitall`);
-//! * **communicators**: `comm_world`, `dup`, `split`, deterministic
+//! * **communicators**: `comm_world`, `split`, `shrink`, deterministic
 //!   collective id agreement;
-//! * **collectives**: barrier, broadcast, reduce, allreduce, scan,
-//!   gather, allgather, alltoall — implemented with the classic
-//!   tuned algorithms (dissemination, binomial trees, recursive doubling,
-//!   pairwise exchange). These are the "years of optimization" the paper
-//!   credits for CAF-MPI's FFT win;
+//! * **collectives**: barrier, broadcast, reduce, allreduce, allgather,
+//!   alltoall — implemented with the classic tuned algorithms
+//!   (dissemination, binomial trees, recursive doubling, pairwise
+//!   exchange). These are the "years of optimization" the paper credits
+//!   for CAF-MPI's FFT win;
 //! * **one-sided RMA**: `win_allocate`, `put`/`get`,
 //!   request-generating `rput`/`rget`, `accumulate`/`get_accumulate`,
 //!   `fetch_and_op`, `compare_and_swap`, passive-target `lock_all`,

@@ -5,7 +5,7 @@ use bytes::Bytes;
 
 use caf_fabric::delay::DelayOp;
 use caf_fabric::pod::{as_bytes, vec_from_bytes};
-use caf_fabric::{FabricError, Packet, Pod, Result};
+use caf_fabric::{Packet, Pod, Result, Watch};
 
 use crate::comm::Comm;
 use crate::universe::Mpi;
@@ -87,7 +87,8 @@ impl<T: Pod> RecvRequest<T> {
         if self.done.is_some() {
             return true;
         }
-        if let Some(pkt) = mpi.try_match_p2p(&self.comm, self.src, self.tag) {
+        let pred = mpi.p2p_pred(&self.comm, self.src, self.tag);
+        if let Some(pkt) = mpi.ep.try_match(pred, Some) {
             self.done = Some(unpack::<T>(&self.comm, pkt));
             return true;
         }
@@ -106,61 +107,6 @@ fn unpack<T: Pod>(comm: &Comm, pkt: Packet) -> (Vec<T>, Status) {
 }
 
 impl Mpi {
-    /// Generic ordered matcher: return the first packet (in arrival order)
-    /// satisfying `pred`, stashing non-matching packets on the unexpected
-    /// queue. Blocking.
-    ///
-    /// `watch` is the partner set this wait depends on: if any of those
-    /// ranks is marked failed, the wait returns
-    /// [`FabricError::ImageFailed`] instead of hanging. Already-arrived
-    /// data wins over a failure notice (a stashed match is returned even
-    /// if its sender has since died).
-    pub(crate) fn match_packet(
-        &self,
-        watch: &[usize],
-        pred: impl Fn(&Packet) -> bool,
-    ) -> Result<Packet> {
-        {
-            let mut q = self.unexpected.borrow_mut();
-            if let Some(pos) = q.iter().position(&pred) {
-                return Ok(q.remove(pos).expect("position came from iter"));
-            }
-        }
-        loop {
-            // Pull everything already delivered *before* consulting the
-            // failure registry: sends inject synchronously, so anything a
-            // member sent before dying is in the mailbox ahead of its
-            // failure notice — that data must win over the death, or a
-            // collective the dead rank fully participated in would
-            // spuriously fail on survivors.
-            while let Some(pkt) = self.ep.try_recv() {
-                if pred(&pkt) {
-                    return Ok(pkt);
-                }
-                self.unexpected.borrow_mut().push_back(pkt);
-            }
-            // The registry is authoritative (marked before any notice is
-            // sent), so re-checking it at the top of every wait covers
-            // notices consumed by unrelated waits.
-            let failed = self.fault.failed_of(watch);
-            if !failed.is_empty() {
-                return Err(FabricError::ImageFailed { failed });
-            }
-            match self.ep.recv_blocking() {
-                Ok(pkt) => {
-                    if pred(&pkt) {
-                        return Ok(pkt);
-                    }
-                    self.unexpected.borrow_mut().push_back(pkt);
-                }
-                // Failure notice for an image outside `watch`: not ours
-                // to report; the loop top re-checks and keeps waiting.
-                Err(FabricError::ImageFailed { .. }) => continue,
-                Err(e) => panic!("fabric torn down while receiving: {e}"),
-            }
-        }
-    }
-
     fn p2p_pred<'a>(
         &self,
         comm: &'a Comm,
@@ -182,25 +128,6 @@ impl Mpi {
         }
     }
 
-    /// Nonblocking variant of [`Mpi::match_packet`] for user-level
-    /// point-to-point traffic.
-    pub(crate) fn try_match_p2p(&self, comm: &Comm, src: Src, tag: Tag) -> Option<Packet> {
-        let pred = self.p2p_pred(comm, src, tag);
-        {
-            let mut q = self.unexpected.borrow_mut();
-            if let Some(pos) = q.iter().position(&pred) {
-                return q.remove(pos);
-            }
-        }
-        while let Some(pkt) = self.ep.try_recv() {
-            if pred(&pkt) {
-                return Some(pkt);
-            }
-            self.unexpected.borrow_mut().push_back(pkt);
-        }
-        None
-    }
-
     /// Blocking standard-mode send (eager: completes locally at return).
     pub fn send<T: Pod>(&self, comm: &Comm, dest: usize, tag: i64, buf: &[T]) -> Result<()> {
         let bytes = as_bytes(buf);
@@ -212,14 +139,23 @@ impl Mpi {
                 None,
             );
         }
+        self.inject(KIND_P2P, comm, dest, tag, bytes)
+    }
+
+    /// Charge and inject one eager message of `kind` (user p2p or
+    /// collective: same transport, disjoint matching spaces).
+    #[inline]
+    pub(crate) fn inject(
+        &self,
+        kind: u16,
+        comm: &Comm,
+        dest: usize,
+        tag: i64,
+        bytes: &[u8],
+    ) -> Result<()> {
         self.delays.charge(DelayOp::P2pInject, bytes.len());
-        let pkt = Packet::with_payload(
-            self.ep.rank(),
-            KIND_P2P,
-            tag,
-            [comm.id, comm.rank() as u64, 0, 0],
-            Bytes::copy_from_slice(bytes),
-        );
+        let h = [comm.id, comm.rank() as u64, 0, 0];
+        let pkt = Packet::with_payload(self.ep.rank(), kind, tag, h, Bytes::copy_from_slice(bytes));
         self.ep.send(comm.global_rank(dest), pkt)
     }
 
@@ -249,7 +185,8 @@ impl Mpi {
         // Watch the whole communicator, not just `src`: a wildcard recv
         // depends on every member, and even a named-source recv can hang
         // transitively if a third member's failure stalls the sender.
-        let pkt = self.match_packet(comm.members(), self.p2p_pred(comm, src, tag))?;
+        let pred = self.p2p_pred(comm, src, tag);
+        let pkt = self.ep.match_blocking(Watch::Ranks(comm.members()), pred, Some)?;
         span.set_bytes(pkt.payload.len() as u64);
         self.delays.charge(DelayOp::P2pReceive, pkt.payload.len());
         Ok(unpack::<T>(comm, pkt))
@@ -280,22 +217,6 @@ impl Mpi {
         self.send(comm, dest, send_tag, sendbuf)?;
         self.recv::<U>(comm, src, recv_tag)
     }
-
-    /// Blocking probe (`MPI_Probe`): wait until a matching message is
-    /// available and return its status without consuming it.
-    pub fn probe(&self, comm: &Comm, src: Src, tag: Tag) -> Status {
-        let pkt = self
-            .match_packet(comm.members(), self.p2p_pred(comm, src, tag))
-            .expect("probe: partner image failed");
-        let st = Status {
-            source: pkt.h[1] as usize,
-            tag: pkt.tag,
-            bytes: pkt.payload.len(),
-        };
-        self.unexpected.borrow_mut().push_front(pkt);
-        st
-    }
-
 }
 
 #[cfg(test)]
@@ -415,25 +336,6 @@ mod tests {
             got[0]
         });
         assert_eq!(results, vec![100, 0]);
-    }
-
-    #[test]
-    #[cfg_attr(miri, ignore = "wall-clock timing / raw spin")]
-    fn blocking_probe_waits_for_message() {
-        Universe::run(2, |mpi| {
-            let w = mpi.world();
-            if mpi.rank() == 0 {
-                std::thread::sleep(std::time::Duration::from_millis(10));
-                mpi.send(&w, 1, 6, &[1u16, 2, 3]).unwrap();
-            } else {
-                let st = mpi.probe(&w, Src::Any, Tag::Any);
-                assert_eq!(st.tag, 6);
-                assert_eq!(st.bytes, 6);
-                // Probe did not consume: recv still sees it.
-                let (d, _) = mpi.recv::<u16>(&w, Src::Rank(0), Tag::Is(6)).unwrap();
-                assert_eq!(d, vec![1, 2, 3]);
-            }
-        });
     }
 
     #[test]

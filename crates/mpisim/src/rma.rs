@@ -66,11 +66,6 @@ impl DirtySet {
         }
     }
 
-    /// Whether `rank` has outstanding stores.
-    pub fn is_dirty(&self, rank: usize) -> bool {
-        self.bits[rank / 64].load(Ordering::Relaxed) & (1 << (rank % 64)) != 0
-    }
-
     /// Number of dirty ranks.
     pub fn count(&self) -> usize {
         self.bits

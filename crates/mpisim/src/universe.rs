@@ -1,11 +1,11 @@
 //! Job launch and per-rank MPI state (`MPI_Init` .. `MPI_Finalize`).
 
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use caf_fabric::delay::{DelayConfig, DelayMeter, Delays};
-use caf_fabric::{Endpoint, Fabric, Fault, MemAccount, MemCategory, Packet};
+use caf_fabric::{Endpoint, Fabric, Fault, MemAccount, MemCategory};
 
 use crate::comm::Comm;
 
@@ -85,7 +85,6 @@ pub struct Mpi {
     pub(crate) delays: Delays,
     pub(crate) config: MpiConfig,
     pub(crate) mem: Arc<MemAccount>,
-    pub(crate) unexpected: RefCell<VecDeque<Packet>>,
     pub(crate) comm_states: RefCell<HashMap<u64, CommState>>,
     world: Comm,
 }
@@ -114,7 +113,6 @@ impl Mpi {
             delays: Delays::new(config.delays),
             config,
             mem,
-            unexpected: RefCell::new(VecDeque::new()),
             comm_states: RefCell::new(HashMap::new()),
             world,
         };
@@ -166,8 +164,8 @@ impl Mpi {
     }
 
     /// Handle onto the fabric's failure registry.
-    pub fn fault(&self) -> Fault {
-        self.fault.clone()
+    pub fn fault(&self) -> &Fault {
+        &self.fault
     }
 
     /// Kill this rank here (fault injection / `fail image`).

@@ -68,37 +68,6 @@ proptest! {
     }
 
     #[test]
-    fn gather_scatter_roundtrip(n in 1usize..7, root_sel in any::<u64>(), seed in any::<u64>()) {
-        let root = (root_sel % n as u64) as usize;
-        let results = Universe::run(n, move |mpi| {
-            let w = mpi.world();
-            let mine = [seed ^ mpi.rank() as u64];
-            let gathered = mpi.gather(&w, root, &mine).unwrap();
-            let data = gathered.unwrap_or_default();
-            let back = mpi.scatter(&w, root, &data, 1).unwrap();
-            back[0]
-        });
-        for (r, got) in results.into_iter().enumerate() {
-            prop_assert_eq!(got, seed ^ r as u64);
-        }
-    }
-
-    #[test]
-    fn scan_matches_prefix_fold(n in 1usize..7, per_rank in proptest::collection::vec(any::<i64>(), 7)) {
-        let vals = per_rank[..n].to_vec();
-        let v2 = vals.clone();
-        let results = Universe::run(n, move |mpi| {
-            let w = mpi.world();
-            mpi.scan(&w, &[v2[mpi.rank()]], |a, b| a.wrapping_add(b)).unwrap()[0]
-        });
-        let mut acc = 0i64;
-        for (r, got) in results.into_iter().enumerate() {
-            acc = acc.wrapping_add(vals[r]);
-            prop_assert_eq!(got, acc);
-        }
-    }
-
-    #[test]
     fn comm_split_partitions_consistently(
         n in 2usize..7,
         colors in proptest::collection::vec(0u64..3, 7),

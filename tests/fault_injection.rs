@@ -237,13 +237,6 @@ fn double_kill_reforms_to_p_minus_2() {
                 failed.extend_from_slice(stat.failed());
                 failed.sort_unstable();
                 failed.dedup();
-                if !stat.is_ok() {
-                    // A fail-fast round is a microsecond of local work that
-                    // still sends one barrier fragment: pace it, or a
-                    // survivor with a CPU to itself buries the second
-                    // victim's mailbox faster than the victim can drain it.
-                    std::thread::sleep(Duration::from_micros(100));
-                }
             }
             let world = img.team_world();
             let (survivors, stat) = img.team_reform(&world);
