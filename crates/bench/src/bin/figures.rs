@@ -236,7 +236,6 @@ fn model_sections() {
 /// `caf-check` sanitizer armed (epoch legality + happens-before races),
 /// then audit a recorded trace with the offline checker. Exits nonzero
 /// if anything is flagged, so CI can gate on it.
-#[cfg(feature = "check")]
 fn check_sections() {
     use caf_bench::checked::{checked_fft, checked_ra};
     println!("== caf-check sanitizer (RMA epoch legality + vector-clock races) ==");
@@ -284,12 +283,6 @@ fn check_sections() {
         eprintln!("caf-check: {flagged} finding(s)");
         std::process::exit(1);
     }
-}
-
-#[cfg(not(feature = "check"))]
-fn check_sections() {
-    eprintln!("`figures check` needs the sanitizer compiled in: rebuild with --features check");
-    std::process::exit(2);
 }
 
 /// Run the Figure-4 workload (miniature RandomAccess, `ra_mini`

@@ -262,11 +262,10 @@ pub fn real_memory(p: usize) -> (usize, usize, usize) {
 }
 
 /// Sanitized runs: replay the benchmark kernels under an armed
-/// `caf-check` session (`cargo ... --features check`, or the `figures
-/// check` subcommand). Kept out of the measurement paths — the hooks are
-/// a single relaxed load when disarmed, but an armed session serializes
+/// `caf-check` session (the `check_clean` suite and the `figures check`
+/// subcommand). Kept out of the measurement paths — the hooks are a
+/// single relaxed load when disarmed, but an armed session serializes
 /// every RMA call through the checker.
-#[cfg(feature = "check")]
 pub mod checked {
     use super::*;
     use caf_check::{CheckConfig, CheckSession, Report};

@@ -45,6 +45,70 @@ pub const NS_AGG: u8 = 3;
 /// Ceiling on queued unconsumed snapshots per channel.
 const MAX_CHANNEL: usize = 1 << 16;
 
+/// One happens-before edge as the CAF layer reports it: the argument of
+/// the single runtime hook ([`crate::hooks::hb`]), the unit the offline
+/// pass reconstructs from a trace, and a row of [`crate::Report::edges`].
+/// All ranks are global image indices.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HbEdge {
+    /// A synchronization send (event post, ship dispatch, batch drain)
+    /// on channel `(ns, token)` towards image `dest` — the image whose
+    /// counter or run queue the send targets, part of the channel key.
+    Send {
+        /// Channel namespace ([`NS_EVENT`], [`NS_SHIP`], [`NS_AGG`]).
+        ns: u8,
+        /// Event id, ship slot or batch token.
+        token: u64,
+        /// Destination image.
+        dest: usize,
+    },
+    /// The matching receive (consumed post, ship execution, batch
+    /// unpack) by the reporting image.
+    Recv {
+        /// Channel namespace.
+        ns: u8,
+        /// Event id, ship slot or batch token.
+        token: u64,
+    },
+    /// The image enters its next collective round on `team`.
+    CollEnter {
+        /// Team id.
+        team: u64,
+    },
+    /// The image leaves the round it last entered; `members` (the team
+    /// size) retires the round once everyone has left.
+    CollExit {
+        /// Team id.
+        team: u64,
+        /// Team size.
+        members: usize,
+    },
+    /// A coarray access to `[disp, disp + len)` of `owner`'s part.
+    Access {
+        /// Region (window) id.
+        region: u64,
+        /// Image whose part is accessed.
+        owner: usize,
+        /// First byte.
+        disp: u64,
+        /// Bytes touched.
+        len: u64,
+        /// Store (`true`) or load.
+        write: bool,
+    },
+    /// The region was freed: its shadow history goes (ids are recycled).
+    RegionFree {
+        /// Region (window) id.
+        region: u64,
+    },
+    /// The image observed, through a delivered `Stat`, that `failed`
+    /// died: edges to a failed image terminate.
+    ImageFailed {
+        /// The dead image.
+        failed: usize,
+    },
+}
+
 type Clock = Vec<u64>;
 
 fn join(a: &mut Clock, b: &Clock) {
@@ -124,6 +188,21 @@ impl RaceDetector {
 
     fn tick(&mut self, img: usize) {
         self.clocks[img][img] += 1;
+    }
+
+    /// Apply one reported edge of image `img`.
+    pub fn apply(&mut self, img: usize, edge: HbEdge, out: &mut Vec<Violation>) {
+        match edge {
+            HbEdge::Send { ns, token, dest } => self.send(img, ns, token, dest),
+            HbEdge::Recv { ns, token } => self.recv(img, ns, token),
+            HbEdge::CollEnter { team } => self.collective_enter(img, team),
+            HbEdge::CollExit { team, members } => self.collective_exit(img, team, members),
+            HbEdge::Access { region, owner, disp, len, write } => {
+                self.access(img, region, owner, ByteRange::new(disp, len), write, out);
+            }
+            HbEdge::RegionFree { region } => self.region_free(region),
+            HbEdge::ImageFailed { failed } => self.image_failed(failed),
+        }
     }
 
     /// A synchronization send by `img` on channel `(ns, token)` towards

@@ -33,7 +33,7 @@ mod report;
 mod session;
 
 pub use epoch::EpochChecker;
-pub use hb::{RaceDetector, NS_AGG, NS_EVENT, NS_SHIP};
+pub use hb::{HbEdge, RaceDetector, NS_AGG, NS_EVENT, NS_SHIP};
 pub use offline::{check_events, check_trace};
 pub use report::{ByteRange, Report, Violation, ViolationKind};
 pub use session::{

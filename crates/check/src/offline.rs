@@ -21,7 +21,7 @@ use std::collections::HashSet;
 use caf_trace::{Op, Trace, TraceEvent};
 
 use crate::epoch::EpochChecker;
-use crate::hb::{RaceDetector, NS_EVENT};
+use crate::hb::{HbEdge, RaceDetector, NS_EVENT};
 use crate::report::{ByteRange, Report, Violation};
 
 enum Action {
@@ -33,11 +33,8 @@ enum Action {
     Atomic { win: u64, target: usize, range: ByteRange },
     Flush { win: u64, target: usize },
     FlushAll { win: u64 },
-    EventSend { id: u64, dest: usize },
-    EventRecv { id: u64 },
-    CollEnter { team: u64 },
-    CollExit { team: u64 },
-    Access { region: u64, owner: usize, range: ByteRange, write: bool },
+    /// A CAF-layer edge, in the vocabulary the online hook reports.
+    Hb(HbEdge),
 }
 
 /// Replay `trace` through both checkers and report what they flag.
@@ -45,8 +42,16 @@ pub fn check_trace(trace: &Trace) -> Report {
     let mut actions: Vec<(u64, usize, usize, Action)> = Vec::new();
     let mut push = |t: u64, seq: usize, img: usize, a: Action| actions.push((t, seq, img, a));
 
+    let mut unattributed = 0usize;
     for (seq, e) in trace.events.iter().enumerate() {
         let img = e.image;
+        if img == usize::MAX {
+            // Recorded by a thread that never called
+            // `caf_trace::set_image` (a helper or harness thread): no
+            // image's program order to place it in.
+            unattributed += 1;
+            continue;
+        }
         let t0 = e.t0_ns;
         let t_end = e.t0_ns.saturating_add(e.dur_ns);
         match e.op {
@@ -90,33 +95,29 @@ pub fn check_trace(trace: &Trace) -> Report {
                 // The span's target is the notified image; it is part of
                 // the channel key (posts count at the receiver).
                 if let (Some(id), Some(dest)) = (e.disp, e.target) {
-                    push(t_end, seq, img, Action::EventSend { id, dest });
+                    push(t_end, seq, img, Action::Hb(HbEdge::Send { ns: NS_EVENT, token: id, dest }));
                 }
             }
             Op::EventWait => {
                 if let Some(id) = e.disp {
-                    push(t_end, seq, img, Action::EventRecv { id });
+                    push(t_end, seq, img, Action::Hb(HbEdge::Recv { ns: NS_EVENT, token: id }));
                 }
             }
             Op::Barrier | Op::Reduction | Op::Alltoall => {
                 if let Some(team) = e.disp {
-                    push(t0, seq, img, Action::CollEnter { team });
-                    push(t_end, seq, img, Action::CollExit { team });
+                    // Offline member counts are unknown: `usize::MAX`
+                    // keeps rounds alive, bounded by the number of
+                    // collectives.
+                    push(t0, seq, img, Action::Hb(HbEdge::CollEnter { team }));
+                    let exit = HbEdge::CollExit { team, members: usize::MAX };
+                    push(t_end, seq, img, Action::Hb(exit));
                 }
             }
             Op::CoarrayWrite | Op::CoarrayRead => {
                 if let (Some(region), Some(owner), Some(disp)) = (e.window, e.target, e.disp) {
-                    push(
-                        t0,
-                        seq,
-                        img,
-                        Action::Access {
-                            region,
-                            owner,
-                            range: ByteRange::new(disp, e.bytes),
-                            write: e.op == Op::CoarrayWrite,
-                        },
-                    );
+                    let write = e.op == Op::CoarrayWrite;
+                    let access = HbEdge::Access { region, owner, disp, len: e.bytes, write };
+                    push(t0, seq, img, Action::Hb(access));
                 }
             }
             _ => {}
@@ -164,22 +165,14 @@ pub fn check_trace(trace: &Trace) -> Report {
                 let o = open.contains(&(win, img));
                 epoch.flush_all(win, img, o, &mut out);
             }
-            Action::EventSend { id, dest } => hb.send(img, NS_EVENT, id, dest),
-            Action::EventRecv { id } => hb.recv(img, NS_EVENT, id),
-            Action::CollEnter { team } => hb.collective_enter(img, team),
-            // Offline member counts are unknown; rounds are retired
-            // once every image seen so far has exited (usize::MAX keeps
-            // them alive, bounded by the number of collectives).
-            Action::CollExit { team } => hb.collective_exit(img, team, usize::MAX),
-            Action::Access { region, owner, range, write } => {
-                hb.access(img, region, owner, range, write, &mut out);
-            }
+            Action::Hb(edge) => hb.apply(img, edge, &mut out),
         }
     }
 
     Report {
         violations: out,
-        dropped: 0,
+        dropped: unattributed,
+        edges: Vec::new(),
     }
 }
 
@@ -270,6 +263,30 @@ mod tests {
         // Same accesses with no edge: a race.
         let r = check_events(vec![access(0, 10, true), access(1, 40, false)]);
         assert_eq!(r.of_kind(ViolationKind::CoarrayRace).len(), 1);
+    }
+
+    /// Regression: an event recorded by a thread that never called
+    /// `caf_trace::set_image` carries image `usize::MAX`, and replaying
+    /// it grew the detector's clock table to `usize::MAX + 1` entries —
+    /// an `attempt to add with overflow` panic. Such events are skipped
+    /// and counted.
+    #[test]
+    fn offline_skips_and_counts_unattributed_events() {
+        let mut stray_access = ev(usize::MAX, Op::CoarrayWrite, 10, 1);
+        stray_access.window = Some(9);
+        stray_access.target = Some(0);
+        stray_access.disp = Some(0);
+        stray_access.bytes = 8;
+        let mut stray_barrier = ev(usize::MAX, Op::Barrier, 20, 5);
+        stray_barrier.disp = Some(5);
+        let mut write = stray_access.clone();
+        write.image = 1;
+        write.t0_ns = 30;
+
+        let r = check_events(vec![stray_access, stray_barrier, write]);
+        assert!(r.violations.is_empty(), "{}", r.render());
+        assert_eq!(r.dropped, 2);
+        assert!(!r.is_clean(), "a report that skipped events says so");
     }
 
     #[test]

@@ -145,8 +145,15 @@ impl fmt::Display for Violation {
 pub struct Report {
     /// The diagnostics, in detection order.
     pub violations: Vec<Violation>,
-    /// Diagnostics discarded after the session's cap was reached.
+    /// Diagnostics discarded after the session's cap was reached; for
+    /// an offline audit, trace events skipped because no image recorded
+    /// them (a thread that never called `caf_trace::set_image`).
     pub dropped: usize,
+    /// The happens-before edges the runtime reported, in arrival order,
+    /// as `(caf_trace::now_ns(), image, edge)`: what the detector was
+    /// told, for reading a diagnostic against. The first
+    /// `CheckConfig::max_violations` of them; empty for an offline audit.
+    pub edges: Vec<(u64, usize, crate::hb::HbEdge)>,
 }
 
 impl Report {

@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use crate::epoch::EpochChecker;
-use crate::hb::RaceDetector;
+use crate::hb::{HbEdge, RaceDetector};
 use crate::report::{ByteRange, Report, Violation};
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -45,7 +45,7 @@ pub struct CheckConfig {
     /// Access-history bound per `(region, owner)` shadow cell.
     pub history_limit: usize,
     /// Collected-diagnostic cap; further violations are counted as
-    /// dropped.
+    /// dropped. Also bounds the edge log ([`Report::edges`]).
     pub max_violations: usize,
 }
 
@@ -84,6 +84,7 @@ struct State {
     hb: RaceDetector,
     violations: Vec<Violation>,
     dropped: usize,
+    edges: Vec<(u64, usize, HbEdge)>,
 }
 
 static STATE: Mutex<Option<State>> = Mutex::new(None);
@@ -110,6 +111,7 @@ impl CheckSession {
         }
         let history_limit = cfg.history_limit;
         *st = Some(State {
+            edges: Vec::new(),
             cfg,
             epoch: EpochChecker::new(),
             hb: RaceDetector::new(history_limit),
@@ -137,6 +139,7 @@ fn teardown() -> Option<Report> {
     lock().take().map(|s| Report {
         violations: s.violations,
         dropped: s.dropped,
+        edges: s.edges,
     })
 }
 
@@ -163,8 +166,8 @@ pub static SESSION_TEST_LOCK: Mutex<()> = Mutex::new(());
 pub mod hooks {
     use super::*;
 
-    /// Re-exported channel namespaces for `hb_send`/`hb_recv` callers.
-    pub use crate::hb::{NS_AGG, NS_EVENT, NS_SHIP};
+    /// The edge vocabulary of [`hb`] and its channel namespaces.
+    pub use crate::hb::{HbEdge, NS_AGG, NS_EVENT, NS_SHIP};
 
     fn with_state(f: impl FnOnce(&mut State) -> Vec<Violation>) {
         if !enabled() {
@@ -390,80 +393,18 @@ pub mod hooks {
         });
     }
 
-    /// A happens-before send edge (event post, ship dispatch) towards
-    /// image `dest` — the image whose event counter / run queue the send
-    /// targets, which is part of the channel identity.
-    pub fn hb_send(img: usize, ns: u8, token: u64, dest: usize) {
+    /// One happens-before edge of image `img`, reported by the CAF
+    /// layer's operation prologue — the only place that calls this.
+    pub fn hb(img: usize, edge: HbEdge) {
         with_state(|st| {
-            if st.cfg.races {
-                st.hb.send(img, ns, token, dest);
+            if st.edges.len() < st.cfg.max_violations {
+                st.edges.push((caf_trace::now_ns(), img, edge));
             }
-            Vec::new()
-        });
-    }
-
-    /// The matching receive edge (event wait, ship execution).
-    pub fn hb_recv(img: usize, ns: u8, token: u64) {
-        with_state(|st| {
-            if st.cfg.races {
-                st.hb.recv(img, ns, token);
-            }
-            Vec::new()
-        });
-    }
-
-    /// `img` enters a collective on `team`.
-    pub fn hb_coll_enter(img: usize, team: u64) {
-        with_state(|st| {
-            if st.cfg.races {
-                st.hb.collective_enter(img, team);
-            }
-            Vec::new()
-        });
-    }
-
-    /// `img` exits the collective; `members` = team size.
-    pub fn hb_coll_exit(img: usize, team: u64, members: usize) {
-        with_state(|st| {
-            if st.cfg.races {
-                st.hb.collective_exit(img, team, members);
-            }
-            Vec::new()
-        });
-    }
-
-    /// A coarray access to `(disp, len)` of `owner`'s part of `region`.
-    pub fn hb_access(img: usize, region: u64, owner: usize, disp: u64, len: u64, write: bool) {
-        with_state(|st| {
             let mut out = Vec::new();
             if st.cfg.races {
-                st.hb
-                    .access(img, region, owner, ByteRange::new(disp, len), write, &mut out);
+                st.hb.apply(img, edge, &mut out);
             }
             out
-        });
-    }
-
-    /// The region was freed; drops its shadow access history.
-    pub fn hb_region_free(region: u64) {
-        with_state(|st| {
-            st.hb.region_free(region);
-            Vec::new()
-        });
-    }
-
-    /// Image `img` observed (via a `Stat` delivery) that image `failed`
-    /// died. Happens-before edges to failed images terminate: the dead
-    /// image's recorded accesses and undeliverable channel snapshots are
-    /// purged so survivors' post-stat accesses are not flagged against a
-    /// past that can no longer be ordered. Idempotent per failed image.
-    pub fn image_failed(img: usize, failed: usize) {
-        let _ = img;
-        with_state(|st| {
-            if st.cfg.races {
-                st.hb.image_failed(failed);
-            }
-            Vec::new()
         });
     }
 }
@@ -484,8 +425,9 @@ mod tests {
         assert!(enabled());
         assert!(CheckSession::start(CheckConfig::default()).is_err());
         hooks::rma_put(1, 0, 1, 0, 8, 0, 0, false);
-        hooks::hb_access(0, 9, 0, 0, 8, true);
-        hooks::hb_access(1, 9, 0, 0, 8, true);
+        let write = hooks::HbEdge::Access { region: 9, owner: 0, disp: 0, len: 8, write: true };
+        hooks::hb(0, write);
+        hooks::hb(1, write);
         let report = s.finish();
         assert!(!enabled());
         assert_eq!(report.of_kind(ViolationKind::OutsideEpoch).len(), 1);

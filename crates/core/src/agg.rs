@@ -35,15 +35,17 @@
 //!
 //! **Happens-before.** A drained bucket carries the union of its
 //! records' edges for free: each enqueue happens before the drain in
-//! program order, so the origin's vector clock at `hb_send` time already
-//! joins every record's accesses; the unpacking image joins it via
-//! `hb_recv` before applying, and forwarding propagates transitively.
+//! program order, so the origin's vector clock at the batch's send edge
+//! already joins every record's accesses; the unpacking image joins it
+//! with the receive edge before applying, and forwarding propagates
+//! transitively.
 
 use caf_agg::{batch_records, AggConfig, AggStats, Batch, RecordOp, RecordRef};
 use caf_gasnetsim::AM_MAX_MEDIUM;
 
 use crate::coarray::Coarray;
 use crate::image::{Image, SubstrateKind};
+use crate::op::{CafOp, Chan};
 use crate::rtmsg::write_agg_batch_header;
 
 /// Clamp the user's aggregation knobs to what the job can actually run:
@@ -272,11 +274,7 @@ impl Image {
         // shipped at the origin and completed once the target applied it,
         // so Yang's loop inside `finish` awaits in-flight batches and
         // their forwarded continuations.
-        self.finish_counters
-            .borrow_mut()
-            .entry(fid)
-            .or_insert((0, 0))
-            .0 += 1;
+        self.finish_counter(fid).0 += 1;
         // Structurally unique happens-before token: (image, counter).
         let ctr = self.agg_token_ctr.get() + 1;
         self.agg_token_ctr.set(ctr);
@@ -292,17 +290,13 @@ impl Image {
         }
         // The batch carries the union of its records' happens-before
         // edges: every enqueue precedes this send in program order.
-        #[cfg(feature = "check")]
-        caf_check::hooks::hb_send(
-            self.this_image(),
-            caf_check::hooks::NS_AGG,
-            token,
-            target,
-        );
-        // The bucket reserved the message header in front of its records,
-        // so the drained buffer *is* the encoded `RtMsg::AggBatch`.
-        write_agg_batch_header(batch.headroom_mut(), token, fid);
-        self.backend.send_rtmsg_bytes(target, batch.frame());
+        self.op(CafOp::send(Chan::Batch, token, target), || {
+            // The bucket reserved the message header in front of its
+            // records, so the drained buffer *is* the encoded
+            // `RtMsg::AggBatch`.
+            write_agg_batch_header(batch.headroom_mut(), token, fid);
+            self.backend.send_rtmsg_bytes(target, batch.frame());
+        });
         self.agg.borrow_mut().recycle(batch);
     }
 
@@ -311,10 +305,7 @@ impl Image {
     /// (store-and-forward). Completion is accounted *after* forwards are
     /// shipped so the finish counters never transiently claim quiescence.
     pub(crate) fn handle_agg_batch(&self, token: u64, finish_id: u64, data: &[u8]) {
-        #[cfg(feature = "check")]
-        caf_check::hooks::hb_recv(self.this_image(), caf_check::hooks::NS_AGG, token);
-        #[cfg(not(feature = "check"))]
-        let _ = token;
+        self.edge(CafOp::recv(Chan::Batch, token));
         let me = self.this_image();
         let mut sends: Vec<(usize, Batch)> = Vec::new();
         let mut touched: Vec<usize> = Vec::new();
@@ -355,11 +346,7 @@ impl Image {
         for (target, batch) in sends {
             self.agg_send_batch(target, batch, finish_id);
         }
-        self.finish_counters
-            .borrow_mut()
-            .entry(finish_id)
-            .or_insert((0, 0))
-            .1 += 1;
+        self.finish_counter(finish_id).1 += 1;
     }
 
     fn agg_apply_record(&self, rec: RecordRef<'_>) {

@@ -26,9 +26,13 @@ use crate::backend::{Backend, On};
 use crate::coarray::Coarray;
 use crate::event::Event;
 use crate::image::Image;
+use crate::op::{CafOp, Chan, Edge};
 use crate::rtmsg::RtMsg;
 use crate::stats::StatCat;
 use crate::team::Team;
+
+/// The issue path of an asynchronous copy.
+const COPY_ASYNC: CafOp = CafOp::of(Some(StatCat::CopyAsync));
 
 /// Optional event arguments of an asynchronous operation (paper §2.1):
 /// the *predicate* gates the start, the *source* event signals the source
@@ -77,28 +81,27 @@ impl Image {
         data: &[T],
         opts: AsyncOpts,
     ) {
-        if let Some(pred) = opts.predicate {
-            let posted = *self.events.borrow().get(&pred.id).unwrap_or(&0) > 0;
-            if !posted {
-                // Defer the whole operation until the predicate fires.
-                let ca = ca.clone();
-                let data = data.to_vec();
-                let rest = AsyncOpts {
-                    predicate: None,
-                    ..opts
-                };
-                self.deferred.borrow_mut().push((
-                    pred.id,
-                    Box::new(move |img: &Image| {
-                        img.copy_async_put(&ca, member, elem_off, &data, rest);
-                    }),
-                ));
-                return;
-            }
+        if let Some(pred) = self.unposted_predicate(opts) {
+            // Defer the whole operation until the predicate fires.
+            let (ca, data, rest) = (ca.clone(), data.to_vec(), AsyncOpts { predicate: None, ..opts });
+            return self.defer(pred, move |img| img.copy_async_put(&ca, member, elem_off, &data, rest));
         }
-        self.stats().timed(StatCat::CopyAsync, || {
+        self.op(COPY_ASYNC, || {
             self.put_with_events(ca, member, elem_off, data, opts.src_event, opts.dst_event);
         });
+    }
+
+    /// The id of `opts`' predicate event while it has no post at this
+    /// image (observed by polling: no post is consumed, no edge created).
+    fn unposted_predicate(&self, opts: AsyncOpts) -> Option<u64> {
+        let id = opts.predicate?.id;
+        let posted = *self.events.borrow().get(&id).unwrap_or(&0) > 0;
+        (!posted).then_some(id)
+    }
+
+    /// Park `op` until event `id` is posted here.
+    fn defer(&self, id: u64, op: impl FnOnce(&Image) + 'static) {
+        self.deferred.borrow_mut().push((id, Box::new(op)));
     }
 
     fn put_with_events<T: Pod>(
@@ -111,105 +114,66 @@ impl Image {
         dst_event: Option<Event>,
     ) {
         let disp = elem_off * std::mem::size_of::<T>();
-        #[cfg(feature = "check")]
-        caf_check::hooks::hb_access(
-            self.this_image(),
-            ca.region.id(),
-            ca.global_member(member),
-            disp as u64,
-            std::mem::size_of_val(data) as u64,
-            true,
-        );
-        // Cases 1 and 3 (no remote-completion event) may coalesce into an
-        // aggregation bucket: the record travels in a batched AM at the
-        // next drain, which is never later than the direct put's release
-        // point, so implicit-synchronization semantics are unchanged. The
-        // payload is copied into the record, so local completion — all a
-        // source event certifies — is immediate.
-        if dst_event.is_none()
-            && self.agg_try_put(
-                ca.region.id(),
-                ca.global_member(member),
-                disp,
-                caf_fabric::pod::as_bytes(data),
-            )
-        {
-            if let Some(src) = src_event {
-                self.post_event_local_hb(src.id);
+        let target = ca.global_member(member);
+        let me = self.this_image();
+        let post_src = || self.post_here([src_event, None]);
+        let op = ca.data_op(None, target, disp, data.len(), Edge::Write);
+        ca.access(self, op, |on| {
+            // Cases 1 and 3 (no remote-completion event) may coalesce into
+            // an aggregation bucket: the record travels in a batched AM at
+            // the next drain, which is never later than the direct put's
+            // release point, so implicit-synchronization semantics are
+            // unchanged. The payload is copied into the record, so local
+            // completion — all a source event certifies — is immediate.
+            if dst_event.is_none() && self.agg_try_put(ca.region.id(), target, disp, as_bytes(data)) {
+                return post_src();
             }
-            return;
-        }
-        match ca.region.on(&self.backend) {
-            On::Mpi(b, win) => {
-                match dst_event {
+            match on {
+                On::Mpi(b, win) => match dst_event {
+                    // Case 3: MPI_RPUT — local completion only.
+                    None if src_event.is_some() => {
+                        b.mpi.rput(win, member, disp, data).expect("rput").wait();
+                    }
+                    // Case 1: plain MPI_PUT, implicitly synchronized.
                     None => {
-                        if src_event.is_some() {
-                            // Case 3: MPI_RPUT — local completion only.
-                            b.mpi.rput(win, member, disp, data).expect("rput").wait();
-                        } else {
-                            // Case 1: plain MPI_PUT, implicitly synchronized.
-                            b.mpi.put(win, member, disp, data).expect("put");
-                            self.implicit_puts.set(self.implicit_puts.get() + 1);
-                        }
+                        b.mpi.put(win, member, disp, data).expect("put");
+                        self.implicit_puts.set(self.implicit_puts.get() + 1);
                     }
-                    Some(dst) => {
-                        // Case 4: remote-completion event requested — the
-                        // data must travel by AM so the target can post the
-                        // event after delivery.
-                        let target = win.comm().global_rank(member);
-                        if target == self.this_image() {
-                            b.mpi.win_write_local(win, disp, data).expect("self put");
-                            self.post_event_local_hb(dst.id);
-                        } else {
-                            #[cfg(feature = "check")]
-                            caf_check::hooks::hb_send(
-                                self.this_image(),
-                                caf_check::hooks::NS_EVENT,
-                                dst.id,
-                                target,
-                            );
-                            self.backend.send_rtmsg(
-                                target,
-                                &RtMsg::PutWithEvent {
-                                    region_id: win.id(),
-                                    offset: disp as u64,
-                                    event_id: dst.id,
-                                    data: as_bytes(data).to_vec(),
-                                },
-                            );
-                        }
+                    // Case 4: remote-completion event requested — the data
+                    // must travel by AM so the target can post the event
+                    // after delivery.
+                    Some(dst) if target == me => {
+                        b.mpi.win_write_local(win, disp, data).expect("self put");
+                        self.post_event(dst.id, me);
                     }
-                }
-            }
-            On::Gasnet(bg, r) => {
-                // GASNet puts are remotely complete at sync; a destination
-                // event is just put + notify.
-                let (target, addr) = r.at(member, disp);
-                bg.g.put_nbi(target, addr, data).expect("put_nbi");
-                self.implicit_puts.set(self.implicit_puts.get() + 1);
-                if let Some(dst) = dst_event {
-                    bg.g.wait_syncnbi_puts();
-                    if target == self.this_image() {
-                        self.post_event_local_hb(dst.id);
-                    } else {
-                        #[cfg(feature = "check")]
-                        caf_check::hooks::hb_send(
-                            self.this_image(),
-                            caf_check::hooks::NS_EVENT,
-                            dst.id,
+                    Some(dst) => self.op(CafOp::send(Chan::Event, dst.id, target), || {
+                        self.backend.send_rtmsg(
                             target,
+                            &RtMsg::PutWithEvent {
+                                region_id: win.id(),
+                                offset: disp as u64,
+                                event_id: dst.id,
+                                data: as_bytes(data).to_vec(),
+                            },
                         );
-                        self.backend
-                            .send_rtmsg(target, &RtMsg::EventNotify { event_id: dst.id });
+                    }),
+                },
+                On::Gasnet(bg, r) => {
+                    // GASNet puts are remotely complete at sync; a
+                    // destination event is just put + notify.
+                    let (node, addr) = r.at(member, disp);
+                    bg.g.put_nbi(node, addr, data).expect("put_nbi");
+                    self.implicit_puts.set(self.implicit_puts.get() + 1);
+                    if let Some(dst) = dst_event {
+                        bg.g.wait_syncnbi_puts();
+                        self.post_event(dst.id, target);
                     }
                 }
             }
-        }
-        // The source buffer was consumed synchronously on this substrate;
-        // its event can post immediately (local completion).
-        if let Some(src) = src_event {
-            self.post_event_local_hb(src.id);
-        }
+            // The source buffer was consumed synchronously on this
+            // substrate; its event can post immediately (local completion).
+            post_src();
+        });
     }
 
     /// Asynchronous GET-style copy: fetch `len` elements from `member`'s
@@ -224,19 +188,12 @@ impl Image {
         len: usize,
         opts: AsyncOpts,
     ) -> Vec<T> {
-        self.stats().timed(StatCat::CopyAsync, || {
+        self.op(COPY_ASYNC, || {
             let mut out = crate::zeroed_vec::<T>(len);
             let disp = elem_off * std::mem::size_of::<T>();
-            #[cfg(feature = "check")]
-            caf_check::hooks::hb_access(
-                self.this_image(),
-                ca.region.id(),
-                ca.global_member(member),
-                disp as u64,
-                (len * std::mem::size_of::<T>()) as u64,
-                false,
-            );
-            match ca.region.on(&self.backend) {
+            let owner = ca.global_member(member);
+            let op = ca.data_op(None, owner, disp, len, Edge::Read);
+            ca.access(self, op, |on| match on {
                 On::Mpi(b, win) => {
                     out = b.mpi.rget::<T>(win, member, disp, len).expect("rget").wait();
                 }
@@ -244,15 +201,17 @@ impl Image {
                     let (node, addr) = r.at(member, disp);
                     bg.g.get(node, addr, &mut out).expect("get");
                 }
-            }
-            if let Some(src) = opts.src_event {
-                self.post_event_local_hb(src.id);
-            }
-            if let Some(dst) = opts.dst_event {
-                self.post_event_local_hb(dst.id);
-            }
+            });
+            self.post_here([opts.src_event, opts.dst_event]);
             out
         })
+    }
+
+    /// Post each requested completion event at this image.
+    fn post_here(&self, events: [Option<Event>; 2]) {
+        for ev in events.into_iter().flatten() {
+            self.post_event(ev.id, self.this_image());
+        }
     }
 
     /// `cofence`: block until all implicitly synchronized asynchronous
@@ -276,7 +235,7 @@ impl Image {
     /// the implicit lists and posts `ev` locally.
     pub fn cofence_with_event(&self, ev: &Event) {
         self.cofence();
-        self.post_event_local_hb(ev.id);
+        self.post_event(ev.id, self.this_image());
     }
 
     /// Number of implicitly synchronized puts issued since the last
@@ -302,25 +261,11 @@ impl Image {
         len: usize,
         opts: AsyncOpts,
     ) {
-        if let Some(pred) = opts.predicate {
-            let posted = *self.events.borrow().get(&pred.id).unwrap_or(&0) > 0;
-            if !posted {
-                let src = src.clone();
-                let dst = dst.clone();
-                let rest = AsyncOpts {
-                    predicate: None,
-                    ..opts
-                };
-                self.deferred.borrow_mut().push((
-                    pred.id,
-                    Box::new(move |img: &Image| {
-                        img.copy_async_between(
-                            &src, src_member, src_off, &dst, dst_member, dst_off, len, rest,
-                        );
-                    }),
-                ));
-                return;
-            }
+        if let Some(pred) = self.unposted_predicate(opts) {
+            let (src, dst, rest) = (src.clone(), dst.clone(), AsyncOpts { predicate: None, ..opts });
+            return self.defer(pred, move |img| {
+                img.copy_async_between(&src, src_member, src_off, &dst, dst_member, dst_off, len, rest);
+            });
         }
         // Fetch (local+remote complete at return: case 2)...
         let data = self.copy_async_get(src, src_member, src_off, len, AsyncOpts::none());
@@ -346,12 +291,7 @@ impl Image {
         op_event: Option<Event>,
     ) {
         self.broadcast(team, root, data);
-        if let Some(ev) = data_event {
-            self.post_event_local_hb(ev.id);
-        }
-        if let Some(ev) = op_event {
-            self.post_event_local_hb(ev.id);
-        }
+        self.post_here([data_event, op_event]);
     }
 
     /// Asynchronous team allgather, with the async-collective event
@@ -364,12 +304,7 @@ impl Image {
         op_event: Option<Event>,
     ) -> Vec<T> {
         let out = self.allgather(team, data);
-        if let Some(ev) = data_event {
-            self.post_event_local_hb(ev.id);
-        }
-        if let Some(ev) = op_event {
-            self.post_event_local_hb(ev.id);
-        }
+        self.post_here([data_event, op_event]);
         out
     }
 
@@ -386,12 +321,7 @@ impl Image {
         op_event: Option<Event>,
     ) -> Vec<T> {
         let out = self.allreduce(team, data, f);
-        if let Some(ev) = data_event {
-            self.post_event_local_hb(ev.id);
-        }
-        if let Some(ev) = op_event {
-            self.post_event_local_hb(ev.id);
-        }
+        self.post_here([data_event, op_event]);
         out
     }
 
@@ -405,12 +335,7 @@ impl Image {
         op_event: Option<Event>,
     ) -> Vec<T> {
         let out = self.alltoall(team, data, block);
-        if let Some(ev) = data_event {
-            self.post_event_local_hb(ev.id);
-        }
-        if let Some(ev) = op_event {
-            self.post_event_local_hb(ev.id);
-        }
+        self.post_here([data_event, op_event]);
         out
     }
 }
@@ -418,13 +343,7 @@ impl Image {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::image::{CafConfig, CafUniverse, SubstrateKind};
-
-    fn both(n: usize, f: impl Fn(&Image) + Send + Sync) {
-        for kind in [SubstrateKind::Mpi, SubstrateKind::Gasnet] {
-            CafUniverse::run_with_config(n, CafConfig::on(kind), |img| f(img));
-        }
-    }
+    use crate::image::both;
 
     #[test]
     fn case1_implicit_put_completed_by_cofence_and_barrier() {
@@ -436,7 +355,7 @@ mod tests {
                 assert_eq!(img.implicit_put_count(), 1);
                 img.cofence();
                 assert_eq!(img.implicit_put_count(), 0);
-                img.backend_flush_all();
+                img.backend.flush_all();
             }
             img.sync_all();
             if img.this_image() == 1 {
@@ -559,7 +478,7 @@ mod tests {
                 },
             );
             img.cofence();
-            img.backend_flush_all();
+            img.backend.flush_all();
             assert_eq!(ca.local_vec(img)[0], 7);
             img.coarray_free(&w, ca);
         });

@@ -27,6 +27,7 @@ use caf_fabric::Pod;
 
 use crate::backend::{Backend, On};
 use crate::image::Image;
+use crate::op::{CafOp, Edge};
 use crate::stats::StatCat;
 use crate::team::Team;
 
@@ -241,14 +242,16 @@ impl Image {
     /// participate; outstanding clones of the handle become invalid.
     pub fn coarray_free<T: Pod>(&self, team: &Team, ca: Coarray<T>) {
         // The free is collective and programs may rely on it as a sync
-        // point, but its interior barrier is substrate-level — record the
-        // round explicitly so the race detector sees the edge, then drop
-        // the region's shadow history (ids may be recycled).
-        #[cfg(feature = "check")]
-        let region_id = ca.region.id();
-        #[cfg(feature = "check")]
-        caf_check::hooks::hb_coll_enter(self.this_image(), team.id());
-        match ca.region.on(&self.backend) {
+        // point, but its interior barrier is substrate-level — the
+        // descriptor records the round so the race detector sees the
+        // edge, then drops the region's shadow history.
+        let op = CafOp {
+            region: Some(ca.region.id()),
+            word: Some(team.id()),
+            edge: Edge::Free(team.size()),
+            ..CafOp::of(None)
+        };
+        ca.access(self, op, |on| match on {
             On::Mpi(b, win) => {
                 b.forget_window(win.id());
                 b.mpi.win_unlock_all(win).expect("unlock_all");
@@ -259,12 +262,7 @@ impl Image {
                 b.forget_region(r.id);
                 b.arena.free(r.offsets[team.rank()], r.bytes);
             }
-        }
-        #[cfg(feature = "check")]
-        {
-            caf_check::hooks::hb_coll_exit(self.this_image(), team.id(), team.size());
-            caf_check::hooks::hb_region_free(region_id);
-        }
+        });
     }
 }
 
@@ -277,6 +275,12 @@ impl<T: Pod> Coarray<T> {
     /// True when the coarray has zero elements per image.
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// The collectively agreed region identity (the window id on
+    /// CAF-MPI) — the `window` of this coarray's trace records.
+    pub fn id(&self) -> u64 {
+        self.region.id()
     }
 
     fn byte_off(&self, elem_off: usize, count: usize) -> usize {
@@ -312,66 +316,66 @@ impl<T: Pod> Coarray<T> {
         }
     }
 
+    /// The descriptor of a data operation on `elems` elements at byte
+    /// `disp` of image `owner`'s part (global index).
+    #[inline(always)]
+    pub(crate) fn data_op(&self, cat: Option<StatCat>, owner: usize, disp: usize, elems: usize, edge: Edge) -> CafOp {
+        CafOp {
+            target: Some(owner),
+            bytes: (elems * std::mem::size_of::<T>()) as u64,
+            region: Some(self.region.id()),
+            word: Some(disp as u64),
+            edge,
+            ..CafOp::of(cat)
+        }
+    }
+
+    /// As [`Coarray::data_op`], on team member `member`'s part.
+    #[inline(always)]
+    fn remote_op(&self, cat: StatCat, member: usize, disp: usize, elems: usize, edge: Edge) -> CafOp {
+        self.data_op(Some(cat), self.global_member(member), disp, elems, edge)
+    }
+
+    /// Run the data operation `op` with this coarray's region paired
+    /// with `img`'s backend.
+    #[inline(always)]
+    pub(crate) fn access<'a, R>(
+        &'a self,
+        img: &'a Image,
+        op: CafOp,
+        body: impl FnOnce(On<'a, Arc<Window>, GRegion>) -> R,
+    ) -> R {
+        img.op(op, || body(self.region.on(&img.backend)))
+    }
+
     /// Blocking remote read: `out = A(elem_off .. elem_off+|out|)[member]`.
     pub fn read(&self, img: &Image, member: usize, elem_off: usize, out: &mut [T]) {
         let disp = self.byte_off(elem_off, out.len());
-        let bytes = std::mem::size_of_val(out) as u64;
-        #[cfg(feature = "check")]
-        caf_check::hooks::hb_access(
-            img.this_image(),
-            self.region.id(),
-            self.global_member(member),
-            disp as u64,
-            bytes,
-            false,
-        );
-        img.stats().timed_d(
-            StatCat::CoarrayRead,
-            Some(self.global_member(member)),
-            bytes,
-            Some(self.region.id()),
-            Some(disp as u64),
-            || match self.region.on(&img.backend) {
-                On::Mpi(b, win) => b.mpi.get(win, member, disp, out).expect("coarray read"),
-                On::Gasnet(b, r) => {
-                    let (node, addr) = r.at(member, disp);
-                    b.g.get(node, addr, out).expect("coarray read");
-                }
-            },
-        );
+        let op = self.remote_op(StatCat::CoarrayRead, member, disp, out.len(), Edge::Read);
+        self.access(img, op, |on| match on {
+            On::Mpi(b, win) => b.mpi.get(win, member, disp, out).expect("coarray read"),
+            On::Gasnet(b, r) => {
+                let (node, addr) = r.at(member, disp);
+                b.g.get(node, addr, out).expect("coarray read");
+            }
+        });
     }
 
     /// Blocking remote write: `A(elem_off ..)[member] = data`, globally
     /// visible at return (put + flush on MPI, paper §3.1).
     pub fn write(&self, img: &Image, member: usize, elem_off: usize, data: &[T]) {
         let disp = self.byte_off(elem_off, data.len());
-        let bytes = std::mem::size_of_val(data) as u64;
-        #[cfg(feature = "check")]
-        caf_check::hooks::hb_access(
-            img.this_image(),
-            self.region.id(),
-            self.global_member(member),
-            disp as u64,
-            bytes,
-            true,
-        );
-        img.stats().timed_d(
-            StatCat::CoarrayWrite,
-            Some(self.global_member(member)),
-            bytes,
-            Some(self.region.id()),
-            Some(disp as u64),
-            || match self.region.on(&img.backend) {
-                On::Mpi(b, win) => {
-                    b.mpi.put(win, member, disp, data).expect("coarray write");
-                    b.mpi.win_flush(win, member).expect("coarray write flush");
-                }
-                On::Gasnet(b, r) => {
-                    let (node, addr) = r.at(member, disp);
-                    b.g.put(node, addr, data).expect("coarray write");
-                }
-            },
-        );
+        let op = self.remote_op(StatCat::CoarrayWrite, member, disp, data.len(), Edge::Write);
+        self.access(img, op, |on| match on {
+            On::Mpi(b, win) => {
+                b.mpi.put(win, member, disp, data).expect("coarray write");
+                b.mpi.win_flush(win, member).expect("coarray write flush");
+            }
+            On::Gasnet(b, r) => {
+                let (node, addr) = r.at(member, disp);
+                b.g.put(node, addr, data).expect("coarray write");
+            }
+        });
     }
 
     /// Read this image's local part.
@@ -381,17 +385,9 @@ impl<T: Pod> Coarray<T> {
     /// not the shipper's.
     pub fn local_read(&self, img: &Image, elem_off: usize, out: &mut [T]) {
         let disp = self.byte_off(elem_off, out.len());
-        #[cfg(feature = "check")]
-        caf_check::hooks::hb_access(
-            img.this_image(),
-            self.region.id(),
-            img.this_image(),
-            disp as u64,
-            std::mem::size_of_val(out) as u64,
-            false,
-        );
         let me = img.this_image();
-        match self.region.on(&img.backend) {
+        let op = self.data_op(None, me, disp, out.len(), Edge::Read);
+        self.access(img, op, |on| match on {
             On::Mpi(b, win) => b
                 .mpi
                 .win_read_local_at(win, win_member_of(win, me), disp, out)
@@ -400,24 +396,16 @@ impl<T: Pod> Coarray<T> {
                 .g
                 .read_local(r.offsets[r.member_of(me)] + disp, out)
                 .expect("local read"),
-        }
+        });
     }
 
     /// Write this image's local part (see [`Coarray::local_read`] for the
     /// meaning of "local" under function shipping).
     pub fn local_write(&self, img: &Image, elem_off: usize, data: &[T]) {
         let disp = self.byte_off(elem_off, data.len());
-        #[cfg(feature = "check")]
-        caf_check::hooks::hb_access(
-            img.this_image(),
-            self.region.id(),
-            img.this_image(),
-            disp as u64,
-            std::mem::size_of_val(data) as u64,
-            true,
-        );
         let me = img.this_image();
-        match self.region.on(&img.backend) {
+        let op = self.data_op(None, me, disp, data.len(), Edge::Write);
+        self.access(img, op, |on| match on {
             On::Mpi(b, win) => b
                 .mpi
                 .win_write_local_at(win, win_member_of(win, me), disp, data)
@@ -426,7 +414,7 @@ impl<T: Pod> Coarray<T> {
                 .g
                 .write_local(r.offsets[r.member_of(me)] + disp, data)
                 .expect("local write"),
-        }
+        });
     }
 
     fn check_section(&self, sec: Section, buf_len: usize) -> usize {
@@ -441,32 +429,29 @@ impl<T: Pod> Coarray<T> {
         sec.offset * std::mem::size_of::<T>()
     }
 
+    /// The edge of a strided transfer of `sec`.
+    fn section_edge(sec: Section, write: bool) -> Edge {
+        let elem = std::mem::size_of::<T>() as u64;
+        Edge::Section { write, elem, stride: sec.stride as u64 * elem }
+    }
+
     /// Blocking strided remote read of a section (`out = A(sec)[member]`).
     pub fn read_section(&self, img: &Image, member: usize, sec: Section, out: &mut [T]) {
         let disp = self.check_section(sec, out.len());
         if sec.count == 0 {
             return;
         }
-        let bytes = std::mem::size_of_val(out) as u64;
-        #[cfg(feature = "check")]
-        self.section_accesses(img, member, sec, false);
-        img.stats().timed_d(
-            StatCat::CoarrayRead,
-            Some(self.global_member(member)),
-            bytes,
-            Some(self.region.id()),
-            Some(disp as u64),
-            || match self.region.on(&img.backend) {
-                On::Mpi(b, win) => b
-                    .mpi
-                    .get_vector(win, member, disp, sec.stride, out)
-                    .expect("section read"),
-                On::Gasnet(b, r) => {
-                    let (node, addr) = r.at(member, disp);
-                    b.g.get_strided(node, addr, sec.stride, out).expect("section read");
-                }
-            },
-        );
+        let op = self.remote_op(StatCat::CoarrayRead, member, disp, sec.count, Self::section_edge(sec, false));
+        self.access(img, op, |on| match on {
+            On::Mpi(b, win) => b
+                .mpi
+                .get_vector(win, member, disp, sec.stride, out)
+                .expect("section read"),
+            On::Gasnet(b, r) => {
+                let (node, addr) = r.at(member, disp);
+                b.g.get_strided(node, addr, sec.stride, out).expect("section read");
+            }
+        });
     }
 
     /// Blocking strided remote write of a section
@@ -476,47 +461,19 @@ impl<T: Pod> Coarray<T> {
         if sec.count == 0 {
             return;
         }
-        let bytes = std::mem::size_of_val(data) as u64;
-        #[cfg(feature = "check")]
-        self.section_accesses(img, member, sec, true);
-        img.stats().timed_d(
-            StatCat::CoarrayWrite,
-            Some(self.global_member(member)),
-            bytes,
-            Some(self.region.id()),
-            Some(disp as u64),
-            || match self.region.on(&img.backend) {
-                On::Mpi(b, win) => {
-                    b.mpi
-                        .put_vector(win, member, disp, sec.stride, data)
-                        .expect("section write");
-                    b.mpi.win_flush(win, member).expect("section write flush");
-                }
-                On::Gasnet(b, r) => {
-                    let (node, addr) = r.at(member, disp);
-                    b.g.put_strided(node, addr, sec.stride, data).expect("section write");
-                }
-            },
-        );
-    }
-
-    /// Record one shadow access per section element — stride gaps are
-    /// untouched bytes and must not be claimed, or disjoint interleaved
-    /// sections would be flagged as overlapping.
-    #[cfg(feature = "check")]
-    fn section_accesses(&self, img: &Image, member: usize, sec: Section, write: bool) {
-        let esz = std::mem::size_of::<T>();
-        let owner = self.global_member(member);
-        for i in 0..sec.count {
-            caf_check::hooks::hb_access(
-                img.this_image(),
-                self.region.id(),
-                owner,
-                ((sec.offset + i * sec.stride) * esz) as u64,
-                esz as u64,
-                write,
-            );
-        }
+        let op = self.remote_op(StatCat::CoarrayWrite, member, disp, sec.count, Self::section_edge(sec, true));
+        self.access(img, op, |on| match on {
+            On::Mpi(b, win) => {
+                b.mpi
+                    .put_vector(win, member, disp, sec.stride, data)
+                    .expect("section write");
+                b.mpi.win_flush(win, member).expect("section write flush");
+            }
+            On::Gasnet(b, r) => {
+                let (node, addr) = r.at(member, disp);
+                b.g.put_strided(node, addr, sec.stride, data).expect("section write");
+            }
+        });
     }
 
     /// One-sided atomic fetch-and-add on an 8-byte element of `member`'s
@@ -578,13 +535,7 @@ impl<T: Pod> Coarray<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::image::{CafConfig, CafUniverse, SubstrateKind};
-
-    fn both(n: usize, f: impl Fn(&Image) + Send + Sync) {
-        for kind in [SubstrateKind::Mpi, SubstrateKind::Gasnet] {
-            CafUniverse::run_with_config(n, CafConfig::on(kind), |img| f(img));
-        }
-    }
+    use crate::image::{both, CafConfig, CafUniverse, SubstrateKind};
 
     #[test]
     fn remote_write_then_read() {

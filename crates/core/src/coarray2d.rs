@@ -182,13 +182,7 @@ impl<T: Pod> Coarray2d<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::image::{CafConfig, CafUniverse, SubstrateKind};
-
-    fn both(n: usize, f: impl Fn(&Image) + Send + Sync) {
-        for kind in [SubstrateKind::Mpi, SubstrateKind::Gasnet] {
-            CafUniverse::run_with_config(n, CafConfig::on(kind), |img| f(img));
-        }
-    }
+    use crate::image::{both, CafUniverse};
 
     #[test]
     fn rows_cols_elements_roundtrip() {

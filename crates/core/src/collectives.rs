@@ -22,11 +22,11 @@ use caf_gasnetsim::AM_MAX_MEDIUM;
 use caf_mpisim::Scalar;
 
 use crate::backend::On;
-use crate::image::{failed_of_err, Image};
+use crate::image::Image;
 use crate::rtmsg::RtMsg;
 use crate::stat::Stat;
 use crate::stats::StatCat;
-use crate::team::{GTeam, GTeamState, Team, TeamInner};
+use crate::team::{GTeam, Team, TeamInner};
 
 /// Payload bytes per hand-rolled-collective fragment (medium-AM limit
 /// minus headroom for the runtime-message header).
@@ -105,22 +105,6 @@ impl Rounds for TeamRounds<'_> {
 }
 
 impl Image {
-    /// Bracket a collective's body with the race detector's round
-    /// bookkeeping: members entering round `n` of a team have their entry
-    /// clocks joined by every member at exit. The GASNet collectives are
-    /// hand-rolled from AMs the detector cannot see, so the edge must be
-    /// recorded here, at the portable layer.
-    fn hb_collective<R>(&self, team: &Team, f: impl FnOnce() -> R) -> R {
-        #[cfg(not(feature = "check"))]
-        let _ = team;
-        #[cfg(feature = "check")]
-        caf_check::hooks::hb_coll_enter(self.this_image(), team.id());
-        let out = f();
-        #[cfg(feature = "check")]
-        caf_check::hooks::hb_coll_exit(self.this_image(), team.id(), team.size());
-        out
-    }
-
     /// Team barrier (`sync team` / `sync all` on the world team).
     ///
     /// # Panics
@@ -141,14 +125,12 @@ impl Image {
     /// [`crate::Stat::FailedImage`] (with the failed members) instead of
     /// hanging or panicking when a team member has died mid-barrier.
     pub fn barrier_stat(&self, team: &Team) -> Stat {
-        self.hb_collective(team, || {
-            self.stats().timed_d(StatCat::Barrier, None, 0, None, Some(team.id()), || {
-                let done = match team.on(&self.backend) {
-                    On::Mpi(b, comm) => b.mpi.barrier(comm),
-                    On::Gasnet(_, t) => coll::barrier(&self.rounds(t)),
-                };
-                done.map_or_else(|e| self.stat_failed(failed_of_err(e)), |()| Stat::Ok)
-            })
+        self.collective(team, Some(StatCat::Barrier), |on| {
+            let done = match on {
+                On::Mpi(b, comm) => b.mpi.barrier(comm),
+                On::Gasnet(_, t) => coll::barrier(&self.rounds(t)),
+            };
+            done.map_or_else(|e| self.stat_failed(e), |()| Stat::Ok)
         })
     }
 
@@ -160,12 +142,12 @@ impl Image {
 
     /// Team broadcast from `root` (team rank).
     pub fn broadcast<T: Pod>(&self, team: &Team, root: usize, data: &mut Vec<T>) {
-        self.hb_collective(team, || {
-            self.stats()
-                .timed_d(StatCat::Reduction, None, 0, None, Some(team.id()), || match team.on(&self.backend) {
+        self.collective(team, Some(StatCat::Reduction), |on| {
+            match on {
                 On::Mpi(b, comm) => b.mpi.bcast(comm, root, data),
                 On::Gasnet(_, t) => coll::bcast(&self.rounds(t), root, data),
-            }.expect("bcast"));
+            }
+            .expect("bcast")
         });
     }
 
@@ -177,12 +159,12 @@ impl Image {
         data: &[T],
         f: impl Fn(T, T) -> T,
     ) -> Option<Vec<T>> {
-        self.hb_collective(team, || {
-            self.stats()
-                .timed_d(StatCat::Reduction, None, 0, None, Some(team.id()), || match team.on(&self.backend) {
-                    On::Mpi(b, comm) => b.mpi.reduce(comm, root, data, f),
-                    On::Gasnet(_, t) => coll::reduce(&self.rounds(t), root, data, f),
-                }.expect("reduce"))
+        self.collective(team, Some(StatCat::Reduction), |on| {
+            match on {
+                On::Mpi(b, comm) => b.mpi.reduce(comm, root, data, f),
+                On::Gasnet(_, t) => coll::reduce(&self.rounds(t), root, data, f),
+            }
+            .expect("reduce")
         })
     }
 
@@ -210,68 +192,61 @@ impl Image {
         data: &[T],
         f: impl Fn(T, T) -> T,
     ) -> Result<Vec<T>, Stat> {
-        self.hb_collective(team, || {
-            self.stats()
-                .timed_d(StatCat::Reduction, None, 0, None, Some(team.id()), || {
-                    match team.on(&self.backend) {
-                        On::Mpi(b, comm) => b.mpi.allreduce(comm, data, f),
-                        // Hand-rolled: reduce to team rank 0, then
-                        // broadcast — correct, but without the
-                        // recursive-doubling tuning of the MPI library.
-                        On::Gasnet(_, t) => coll::reduce(&self.rounds(t), 0, data, &f)
-                            .and_then(|reduced| {
-                                let mut out = reduced.unwrap_or_else(|| data.to_vec());
-                                coll::bcast(&self.rounds(t), 0, &mut out)?;
-                                Ok(out)
-                            }),
-                    }
-                    .map_err(|e| self.stat_failed(failed_of_err(e)))
-                })
+        self.collective(team, Some(StatCat::Reduction), |on| {
+            match on {
+                On::Mpi(b, comm) => b.mpi.allreduce(comm, data, f),
+                // Hand-rolled: reduce to team rank 0, then broadcast —
+                // correct, but without the recursive-doubling tuning of
+                // the MPI library.
+                On::Gasnet(_, t) => coll::reduce(&self.rounds(t), 0, data, &f).and_then(|reduced| {
+                    let mut out = reduced.unwrap_or_else(|| data.to_vec());
+                    coll::bcast(&self.rounds(t), 0, &mut out)?;
+                    Ok(out)
+                }),
+            }
+            .map_err(|e| self.stat_failed(e))
         })
     }
 
     /// Team allgather of equal-length contributions, concatenated in team
     /// order.
     pub fn allgather<T: Pod>(&self, team: &Team, data: &[T]) -> Vec<T> {
-        self.hb_collective(team, || {
-            self.stats()
-                .timed_d(StatCat::Reduction, None, 0, None, Some(team.id()), || match team.on(&self.backend) {
-                    On::Mpi(b, comm) => b.mpi.allgather(comm, data),
-                    On::Gasnet(_, t) => coll::allgather(&self.rounds(t), data),
-                }.expect("allgather"))
+        self.collective(team, Some(StatCat::Reduction), |on| {
+            match on {
+                On::Mpi(b, comm) => b.mpi.allgather(comm, data),
+                On::Gasnet(_, t) => coll::allgather(&self.rounds(t), data),
+            }
+            .expect("allgather")
         })
     }
 
     /// Variable-length team allgather: contributions may differ in length
     /// per image; the result concatenates them in team order.
     pub fn allgatherv<T: Pod>(&self, team: &Team, data: &[T]) -> Vec<T> {
-        self.hb_collective(team, || {
-            self.stats()
-                .timed_d(StatCat::Reduction, None, 0, None, Some(team.id()), || match team.on(&self.backend) {
-                On::Mpi(b, comm) => b.mpi.allgatherv(comm, data).expect("allgatherv"),
-                On::Gasnet(_, t) => {
-                    // Hand-rolled: exchange counts, then linear exchange of
-                    // the ragged payloads.
-                    let counts = coll::allgather(&self.rounds(t), &[data.len() as u64])
-                        .expect("allgatherv counts");
-                    let r = self.rounds(t);
-                    let me = t.my_idx;
-                    for d in (0..counts.len()).filter(|&d| d != me) {
-                        r.send_pod(d, 1, data).expect("allgatherv");
-                    }
-                    let mut out = Vec::new();
-                    for (s, &count) in counts.iter().enumerate() {
-                        if s == me {
-                            out.extend_from_slice(data);
-                        } else {
-                            let part: Vec<T> = r.recv_pod(s, 1).expect("allgatherv");
-                            assert_eq!(part.len() as u64, count, "allgatherv count");
-                            out.extend_from_slice(&part);
-                        }
-                    }
-                    out
+        self.collective(team, Some(StatCat::Reduction), |on| match on {
+            On::Mpi(b, comm) => b.mpi.allgatherv(comm, data).expect("allgatherv"),
+            On::Gasnet(_, t) => {
+                // Hand-rolled: exchange counts, then linear exchange of
+                // the ragged payloads.
+                let counts = coll::allgather(&self.rounds(t), &[data.len() as u64])
+                    .expect("allgatherv counts");
+                let r = self.rounds(t);
+                let me = t.my_idx;
+                for d in (0..counts.len()).filter(|&d| d != me) {
+                    r.send_pod(d, 1, data).expect("allgatherv");
                 }
-            })
+                let mut out = Vec::new();
+                for (s, &count) in counts.iter().enumerate() {
+                    if s == me {
+                        out.extend_from_slice(data);
+                    } else {
+                        let part: Vec<T> = r.recv_pod(s, 1).expect("allgatherv");
+                        assert_eq!(part.len() as u64, count, "allgatherv count");
+                        out.extend_from_slice(&part);
+                    }
+                }
+                out
+            }
         })
     }
 
@@ -283,12 +258,9 @@ impl Image {
     /// §4.2: "CAF-GASNet implements alltoall with GASNet's PUT, GET, and
     /// Active Messages... not as well tuned as MPI_ALLTOALL").
     pub fn alltoall<T: Pod>(&self, team: &Team, data: &[T], block: usize) -> Vec<T> {
-        self.hb_collective(team, || {
-            self.stats()
-                .timed_d(StatCat::Alltoall, None, 0, None, Some(team.id()), || match team.on(&self.backend) {
-                    On::Mpi(b, comm) => b.mpi.alltoall(comm, data, block).expect("alltoall"),
-                    On::Gasnet(_, t) => self.galltoall(t, data, block),
-                })
+        self.collective(team, Some(StatCat::Alltoall), |on| match on {
+            On::Mpi(b, comm) => b.mpi.alltoall(comm, data, block).expect("alltoall"),
+            On::Gasnet(_, t) => self.galltoall(t, data, block),
         })
     }
 
@@ -343,7 +315,7 @@ impl Image {
     /// Split `team` by color, ordering each part by `(key, rank)` —
     /// CAF 2.0's `team_split`.
     pub fn team_split(&self, team: &Team, color: u64, key: i64) -> Team {
-        self.hb_collective(team, || match team.on(&self.backend) {
+        self.collective(team, None, |on| match on {
             On::Mpi(b, comm) => Team {
                 inner: TeamInner::Mpi(b.mpi.comm_split(comm, color, key).expect("team_split")),
             },
@@ -363,15 +335,7 @@ impl Image {
                     .position(|&(_, idx)| idx == me)
                     .expect("self in own color group");
                 let token = self.next_team_token(team, 0x51);
-                let id = crate::image::derive_token(token, color.wrapping_add(1), 0x52);
-                Team {
-                    inner: TeamInner::Gasnet(GTeam {
-                        id,
-                        members: members.into(),
-                        my_idx,
-                        state: std::sync::Arc::new(GTeamState::default()),
-                    }),
-                }
+                Team::gasnet(crate::image::derive_token(token, color.wrapping_add(1), 0x52), members, my_idx)
             }
         })
     }
@@ -427,15 +391,7 @@ impl Image {
                     for &r in &failed_in_team {
                         h = crate::image::derive_token(h, r as u64 + 1, 0xFA);
                     }
-                    let id = crate::image::derive_token(t.id, h, 0xFA);
-                    Team {
-                        inner: TeamInner::Gasnet(GTeam {
-                            id,
-                            members: members.into(),
-                            my_idx,
-                            state: std::sync::Arc::new(GTeamState::default()),
-                        }),
-                    }
+                    Team::gasnet(crate::image::derive_token(t.id, h, 0xFA), members, my_idx)
                 }
             };
             // Agreement round: a barrier over the candidate team. If it
@@ -487,17 +443,11 @@ impl Image {
 
 #[cfg(test)]
 mod tests {
-    use crate::image::{CafConfig, CafUniverse, SubstrateKind};
-
-    fn both_substrates(n: usize, f: impl Fn(&crate::image::Image) + Send + Sync) {
-        for kind in [SubstrateKind::Mpi, SubstrateKind::Gasnet] {
-            CafUniverse::run_with_config(n, CafConfig::on(kind), |img| f(img));
-        }
-    }
+    use crate::image::{both, CafConfig, CafUniverse, SubstrateKind};
 
     #[test]
     fn barrier_on_both_substrates() {
-        both_substrates(5, |img| {
+        both(5, |img| {
             for _ in 0..3 {
                 img.sync_all();
             }
@@ -506,7 +456,7 @@ mod tests {
 
     #[test]
     fn broadcast_on_both_substrates() {
-        both_substrates(6, |img| {
+        both(6, |img| {
             let w = img.team_world();
             let mut data = if img.this_image() == 2 {
                 vec![3.5f64; 10]
@@ -520,7 +470,7 @@ mod tests {
 
     #[test]
     fn allreduce_on_both_substrates() {
-        both_substrates(7, |img| {
+        both(7, |img| {
             let w = img.team_world();
             let s = img.allreduce(&w, &[img.this_image() as u64, 1], |a, b| a + b);
             assert_eq!(s, vec![21, 7]);
@@ -529,7 +479,7 @@ mod tests {
 
     #[test]
     fn reduce_on_both_substrates() {
-        both_substrates(4, |img| {
+        both(4, |img| {
             let w = img.team_world();
             let r = img.reduce(&w, 1, &[img.this_image() as i64], |a, b| a.max(b));
             if img.this_image() == 1 {
@@ -542,7 +492,7 @@ mod tests {
 
     #[test]
     fn allgather_on_both_substrates() {
-        both_substrates(4, |img| {
+        both(4, |img| {
             let w = img.team_world();
             let all = img.allgather(&w, &[img.this_image() as u32 * 7]);
             assert_eq!(all, vec![0, 7, 14, 21]);
@@ -597,7 +547,7 @@ mod tests {
 
     #[test]
     fn allgatherv_on_both_substrates() {
-        both_substrates(4, |img| {
+        both(4, |img| {
             let w = img.team_world();
             let mine = vec![img.this_image() as u64 * 5; img.this_image()];
             let all = img.allgatherv(&w, &mine);
@@ -611,7 +561,7 @@ mod tests {
 
     #[test]
     fn alltoall_on_both_substrates() {
-        both_substrates(4, |img| {
+        both(4, |img| {
             let w = img.team_world();
             let me = img.this_image();
             let send: Vec<u64> = (0..4).map(|d| (me * 10 + d) as u64).collect();
@@ -649,7 +599,7 @@ mod tests {
 
     #[test]
     fn team_split_on_both_substrates() {
-        both_substrates(8, |img| {
+        both(8, |img| {
             let w = img.team_world();
             let color = (img.this_image() % 2) as u64;
             let sub = img.team_split(&w, color, img.this_image() as i64);
@@ -662,7 +612,7 @@ mod tests {
 
     #[test]
     fn sync_images_pairs_only() {
-        both_substrates(4, |img| {
+        both(4, |img| {
             let w = img.team_world();
             let me = img.this_image();
             // Partner with the image whose index differs in bit 0.
@@ -676,7 +626,7 @@ mod tests {
 
     #[test]
     fn sync_images_with_multiple_partners() {
-        both_substrates(4, |img| {
+        both(4, |img| {
             let w = img.team_world();
             let me = img.this_image();
             // Everyone syncs with both ring neighbours.
@@ -691,7 +641,7 @@ mod tests {
 
     #[test]
     fn co_intrinsics() {
-        both_substrates(4, |img| {
+        both(4, |img| {
             let w = img.team_world();
             let me = img.this_image() as i64;
 
@@ -719,7 +669,7 @@ mod tests {
 
     #[test]
     fn nested_team_split() {
-        both_substrates(8, |img| {
+        both(8, |img| {
             let w = img.team_world();
             let half = img.team_split(&w, (img.this_image() / 4) as u64, 0);
             let quarter = img.team_split(&half, (half.rank() / 2) as u64, 0);

@@ -17,7 +17,9 @@
 
 use crate::backend::Backend;
 use crate::image::Image;
+use crate::op::{CafOp, Chan};
 use crate::rtmsg::RtMsg;
+use crate::stat::Stat;
 use crate::stats::StatCat;
 use crate::team::Team;
 
@@ -52,13 +54,13 @@ impl Image {
     /// avoid deadlock in circular notify/wait chains (paper §3.4).
     pub fn event_notify(&self, team: &Team, ev: &Event, target: usize) {
         self.fault_point("event_notify");
-        self.stats().timed_d(
-            StatCat::EventNotify,
-            Some(team.global_rank(target)),
-            0,
-            None,
-            Some(ev.id),
-            || {
+        let target = team.global_rank(target);
+        let op = CafOp {
+            target: Some(target),
+            word: Some(ev.id),
+            ..CafOp::of(Some(StatCat::EventNotify))
+        };
+        self.op(op, || {
             // Release barrier: local completion of implicitly synchronized
             // asynchronous operations, then remote completion — flush_all
             // (Θ(P) per window on the MPI substrate) or the configured
@@ -70,25 +72,26 @@ impl Image {
             // applies the batch before the notification itself.
             self.agg_drain_for_release();
             self.release_all();
-            if team.global_rank(target) == self.this_image() {
-                // Self-notification short-circuits the AM layer.
-                self.post_event_local_hb(ev.id);
+            self.post_event(ev.id, target);
+        });
+    }
+
+    /// Post `event_id` at global image `target`: locally when that is
+    /// this image (short-circuiting the AM layer), as an
+    /// [`RtMsg::EventNotify`] otherwise. The poster's causal past must be
+    /// visible to the waiter, so this is the send edge the sanitizer
+    /// pairs with the consuming wait — posts pair FIFO with consumers,
+    /// not with message delivery (which posts through
+    /// [`Image::post_event_local`] on behalf of a sender that already
+    /// recorded its edge).
+    pub(crate) fn post_event(&self, event_id: u64, target: usize) {
+        self.op(CafOp::send(Chan::Event, event_id, target), || {
+            if target == self.this_image() {
+                self.post_event_local(event_id);
             } else {
-                // The sanitizer records the notifier's clock at the send
-                // (the receive edge is recorded by the consuming wait, not
-                // by message delivery — posts pair FIFO with consumers).
-                #[cfg(feature = "check")]
-                caf_check::hooks::hb_send(
-                    self.this_image(),
-                    caf_check::hooks::NS_EVENT,
-                    ev.id,
-                    team.global_rank(target),
-                );
-                self.backend
-                    .send_rtmsg(team.global_rank(target), &RtMsg::EventNotify { event_id: ev.id });
+                self.backend.send_rtmsg(target, &RtMsg::EventNotify { event_id });
             }
-        },
-        );
+        });
     }
 
     /// Block until `ev` has been posted at this image, then consume one
@@ -109,39 +112,31 @@ impl Image {
     /// posted by any image, so any failure makes the wait unfulfillable
     /// in general; callers that know the poster survived can simply call
     /// again after reforming their team.
-    pub fn event_wait_stat(&self, ev: &Event) -> crate::stat::Stat {
-        self.stats().timed_d(StatCat::EventWait, None, 0, None, Some(ev.id), || loop {
+    pub fn event_wait_stat(&self, ev: &Event) -> Stat {
+        self.op(Self::wait_op(ev), || loop {
             if self.take_post(ev.id) {
-                #[cfg(feature = "check")]
-                caf_check::hooks::hb_recv(
-                    self.this_image(),
-                    caf_check::hooks::NS_EVENT,
-                    ev.id,
-                );
-                return crate::stat::Stat::Ok;
+                return Stat::Ok;
             }
             match self.backend.recv_rtmsg_blocking_stat(caf_fabric::Watch::All) {
                 Ok(msg) => self.handle_msg(msg),
-                Err(e) => return self.stat_failed(crate::image::failed_of_err(e)),
+                Err(e) => return self.stat_failed(e),
             }
         })
     }
 
     /// Nonblocking test: consume one post if available (`event_trywait`).
     pub fn event_trywait(&self, ev: &Event) -> bool {
-        self.stats().timed_d(StatCat::EventWait, None, 0, None, Some(ev.id), || {
+        self.op(Self::wait_op(ev), || {
             self.poll();
-            let got = self.take_post(ev.id);
-            #[cfg(feature = "check")]
-            if got {
-                caf_check::hooks::hb_recv(
-                    self.this_image(),
-                    caf_check::hooks::NS_EVENT,
-                    ev.id,
-                );
-            }
-            got
+            self.take_post(ev.id)
         })
+    }
+
+    fn wait_op(ev: &Event) -> CafOp {
+        CafOp {
+            word: Some(ev.id),
+            ..CafOp::of(Some(StatCat::EventWait))
+        }
     }
 
     /// Number of unconsumed posts currently visible at this image.
@@ -150,19 +145,15 @@ impl Image {
         *self.events.borrow().get(&ev.id).unwrap_or(&0)
     }
 
+    /// Consume one post of event `id` if there is one — the receive edge
+    /// of the oldest unconsumed post towards this image.
     fn take_post(&self, id: u64) -> bool {
-        let mut events = self.events.borrow_mut();
-        match events.get_mut(&id) {
-            Some(c) if *c > 0 => {
-                *c -= 1;
-                true
-            }
-            _ => false,
+        match self.events.borrow_mut().get_mut(&id) {
+            Some(c) if *c > 0 => *c -= 1,
+            _ => return false,
         }
-    }
-
-    pub(crate) fn backend_flush_all(&self) {
-        self.backend.flush_all();
+        self.edge(CafOp::recv(Chan::Event, id));
+        true
     }
 
     /// The release barrier of `event_notify`/`finish`: local completion of
@@ -200,13 +191,7 @@ impl Image {
 
 #[cfg(test)]
 mod tests {
-    use crate::image::{CafConfig, CafUniverse, SubstrateKind};
-
-    fn both(n: usize, f: impl Fn(&crate::image::Image) + Send + Sync) {
-        for kind in [SubstrateKind::Mpi, SubstrateKind::Gasnet] {
-            CafUniverse::run_with_config(n, CafConfig::on(kind), |img| f(img));
-        }
-    }
+    use crate::image::{both, CafConfig, CafUniverse, SubstrateKind};
 
     #[test]
     fn notify_then_wait() {

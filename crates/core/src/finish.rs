@@ -14,9 +14,13 @@
 //! `MPI_WIN_FLUSH_ALL` on every touched window plus a team barrier.
 
 use crate::image::Image;
+use crate::op::{CafOp, Chan};
 use crate::rtmsg::RtMsg;
 use crate::stats::StatCat;
 use crate::team::Team;
+
+/// The closing synchronization of a finish block.
+const FINISH: CafOp = CafOp::of(Some(StatCat::Finish));
 
 impl Image {
     /// Run `body` inside a finish block over `team`. On return, all
@@ -48,7 +52,7 @@ impl Image {
         let result = body(self);
         self.finish_stack.borrow_mut().pop();
 
-        let stat = self.stats().timed(StatCat::Finish, || {
+        let stat = self.op(FINISH, || {
             // Aggregation buckets drain first, accounted to this block's
             // id (the stack is already popped, so the id is explicit):
             // every batch — and every store-and-forward hop it spawns —
@@ -87,7 +91,7 @@ impl Image {
     /// flush every touched window, then barrier (paper §3.5).
     pub fn finish_fast<R>(&self, team: &Team, body: impl FnOnce(&Image) -> R) -> R {
         let result = body(self);
-        self.stats().timed(StatCat::Finish, || {
+        self.op(FINISH, || {
             let agg = self.agg_enabled();
             if agg {
                 self.agg_drain_all(0);
@@ -131,48 +135,32 @@ impl Image {
         f: impl FnOnce(&Image) + Send + 'static,
     ) {
         let fid = self.finish_stack.borrow().last().copied().unwrap_or(0);
-        self.finish_counters
-            .borrow_mut()
-            .entry(fid)
-            .or_insert((0, 0))
-            .0 += 1;
+        self.finish_counter(fid).0 += 1;
         let global = team.global_rank(target);
         if global == self.this_image() {
             // Self-shipping executes immediately (same as CAF 2.0).
             f(self);
-            self.backend_flush_all();
-            self.finish_counters
-                .borrow_mut()
-                .entry(fid)
-                .or_insert((0, 0))
-                .1 += 1;
+            self.backend.flush_all();
+            self.finish_counter(fid).1 += 1;
             return;
         }
         let slot = self.ship_reg.park(Box::new(f));
-        if caf_trace::enabled() {
-            caf_trace::instant_d(caf_trace::Op::Ship, Some(global), 0, None, Some(slot));
-        }
+        caf_trace::instant_d(caf_trace::Op::Ship, Some(global), 0, None, Some(slot));
         // The executor joins the shipper's clock before running the
         // closure (token = the globally unique registry slot).
-        #[cfg(feature = "check")]
-        caf_check::hooks::hb_send(self.this_image(), caf_check::hooks::NS_SHIP, slot, global);
-        self.backend
-            .send_rtmsg(global, &RtMsg::Ship { slot, finish_id: fid });
+        self.op(CafOp::send(Chan::Ship, slot, global), || {
+            self.backend
+                .send_rtmsg(global, &RtMsg::Ship { slot, finish_id: fid });
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use crate::coarray::Coarray;
-    use crate::image::{CafConfig, CafUniverse, SubstrateKind};
+    use crate::image::{both, CafConfig, CafUniverse, SubstrateKind};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
-
-    fn both(n: usize, f: impl Fn(&crate::image::Image) + Send + Sync) {
-        for kind in [SubstrateKind::Mpi, SubstrateKind::Gasnet] {
-            CafUniverse::run_with_config(n, CafConfig::on(kind), |img| f(img));
-        }
-    }
 
     #[test]
     fn finish_without_shipping_is_a_sync() {

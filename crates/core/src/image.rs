@@ -13,10 +13,11 @@ use caf_mpisim::{Mpi, MpiConfig};
 use crate::arena::SegmentArena;
 use crate::backend::{Backend, FlushMode, GasnetBackend, MpiBackend, RT_HANDLER};
 use crate::collectives::CollStash;
+use crate::op::{CafOp, Chan, Edge};
 use crate::rtmsg::RtMsg;
 use crate::ship::ShipRegistry;
 use crate::stats::Stats;
-use crate::team::{GTeam, GTeamState, Team, TeamInner};
+use crate::team::{Team, TeamInner};
 
 /// Which communication substrate the CAF runtime runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -309,14 +310,7 @@ impl Image {
                         region_cursor: Cell::new(None),
                         hybrid_mpi,
                     })),
-                    Team {
-                        inner: TeamInner::Gasnet(GTeam {
-                            id: 0,
-                            members: (0..n).collect::<Vec<_>>().into(),
-                            my_idx: rank,
-                            state: Arc::new(GTeamState::default()),
-                        }),
-                    },
+                    Team::gasnet(0, (0..n).collect(), rank),
                 )
             }
         };
@@ -418,12 +412,10 @@ impl Image {
         match msg {
             RtMsg::EventNotify { event_id } => self.post_event_local(event_id),
             RtMsg::Ship { slot, finish_id } => {
-                let f = self.ship_reg.claim(slot);
-                // Join the shipper's clock before the closure runs: the
-                // ship-registry slot is globally unique, so it doubles as
-                // the happens-before channel token.
-                #[cfg(feature = "check")]
-                caf_check::hooks::hb_recv(self.this_image(), caf_check::hooks::NS_SHIP, slot);
+                // The executor joins the shipper's clock before the
+                // closure runs: the ship-registry slot is globally unique,
+                // so it doubles as the happens-before channel token.
+                let f = self.op(CafOp::recv(Chan::Ship, slot), || self.ship_reg.claim(slot));
                 // Functions shipped *by* this function belong to the same
                 // finish block (Yang's accounting), so propagate its id as
                 // the innermost scope for the duration of the execution.
@@ -436,8 +428,7 @@ impl Image {
                 // accounted to the same finish id.
                 self.agg_drain_all(finish_id);
                 self.backend.flush_all();
-                let mut counters = self.finish_counters.borrow_mut();
-                counters.entry(finish_id).or_insert((0, 0)).1 += 1;
+                self.finish_counter(finish_id).1 += 1;
             }
             RtMsg::PutWithEvent {
                 region_id,
@@ -468,6 +459,11 @@ impl Image {
                 }
             }
         }
+    }
+
+    /// The `(shipped, completed)` counters of finish block `fid`.
+    pub(crate) fn finish_counter(&self, fid: u64) -> std::cell::RefMut<'_, (u64, u64)> {
+        std::cell::RefMut::map(self.finish_counters.borrow_mut(), |c| c.entry(fid).or_insert((0, 0)))
     }
 
     /// Write into this image's part of a region (the target path of
@@ -523,22 +519,6 @@ impl Image {
         }
     }
 
-    /// As [`Image::post_event_local`], also recording the happens-before
-    /// send edge the sanitizer pairs with the consuming wait. Use this
-    /// wherever the *poster's* causal past must be visible to the waiter
-    /// (never on the AM-delivery path, which posts on behalf of a sender
-    /// that already recorded its edge).
-    pub(crate) fn post_event_local_hb(&self, event_id: u64) {
-        #[cfg(feature = "check")]
-        caf_check::hooks::hb_send(
-            self.this_image(),
-            caf_check::hooks::NS_EVENT,
-            event_id,
-            self.this_image(),
-        );
-        self.post_event_local(event_id);
-    }
-
     // ----- failed-image semantics (Fortran 2018, DESIGN.md §17) --------
 
     /// Fail this image here (`fail image`). The image stops executing
@@ -582,16 +562,18 @@ impl Image {
         }
     }
 
-    /// Deliver a failed-image status: record the trace instant and inform
-    /// the race detector that edges to the failed images terminate.
-    pub(crate) fn stat_failed(&self, failed: Vec<usize>) -> crate::stat::Stat {
+    /// Deliver the failed-image status a substrate error carries: record
+    /// the trace instant and tell the race detector that edges to the
+    /// failed images terminate. Any error other than a detected failure
+    /// is a runtime bug and panics.
+    pub(crate) fn stat_failed(&self, e: caf_fabric::FabricError) -> crate::stat::Stat {
+        let caf_fabric::FabricError::ImageFailed { failed } = e else {
+            panic!("substrate error: {e}")
+        };
         debug_assert!(!failed.is_empty(), "stat_failed needs a failed set");
-        if caf_trace::enabled() {
-            caf_trace::instant(caf_trace::Op::StatDelivered, None, failed.len() as u64, None);
-        }
-        #[cfg(feature = "check")]
+        caf_trace::instant(caf_trace::Op::StatDelivered, None, failed.len() as u64, None);
         for &r in &failed {
-            caf_check::hooks::image_failed(self.this_image(), r);
+            self.edge(CafOp { edge: Edge::Failed(r), ..CafOp::of(None) });
         }
         crate::stat::Stat::FailedImage(failed)
     }
@@ -607,15 +589,6 @@ impl Image {
     }
 }
 
-/// Extract the failed-image set from a substrate error. Any error other
-/// than a detected failure is a runtime bug and panics.
-pub(crate) fn failed_of_err(e: caf_fabric::FabricError) -> Vec<usize> {
-    match e {
-        caf_fabric::FabricError::ImageFailed { failed } => failed,
-        e => panic!("substrate error: {e}"),
-    }
-}
-
 /// SplitMix64-based token derivation (same mixer as the MPI substrate's
 /// context ids).
 pub(crate) fn derive_token(team_id: u64, counter: u64, salt: u64) -> u64 {
@@ -623,6 +596,14 @@ pub(crate) fn derive_token(team_id: u64, counter: u64, salt: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
     (x ^ (x >> 31)) | 1 // never 0 (0 is the "no event" sentinel)
+}
+
+/// Unit-test helper: run `f` on `n` images of each substrate in turn.
+#[cfg(test)]
+pub(crate) fn both(n: usize, f: impl Fn(&Image) + Send + Sync) {
+    for kind in [SubstrateKind::Mpi, SubstrateKind::Gasnet] {
+        CafUniverse::run_with_config(n, CafConfig::on(kind), |img| f(img));
+    }
 }
 
 #[cfg(test)]

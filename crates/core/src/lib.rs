@@ -63,6 +63,7 @@ pub mod collectives;
 pub mod event;
 pub mod finish;
 pub mod image;
+pub(crate) mod op;
 pub mod rtmsg;
 pub mod ship;
 pub mod stat;

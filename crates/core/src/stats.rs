@@ -1,98 +1,36 @@
 //! Per-image time decomposition — the runtime's built-in stand-in for the
 //! paper's HPCToolkit profiles (Figures 4 and 8).
 //!
-//! Every runtime primitive wraps itself in [`Stats::timed`], so after a
-//! benchmark run each image can report how much wall-clock time went to
-//! coarray writes, event waits, event notifies, alltoalls, and so on — the
-//! exact categories the paper's decomposition figures use.
+//! Every runtime primitive runs inside a ledger section opened by its
+//! prologue (`crate::op`), so after a benchmark run each image can report
+//! how much wall-clock time went to coarray writes, event waits, event
+//! notifies, alltoalls, and so on — the exact categories the paper's
+//! decomposition figures use.
 
 use std::cell::Cell;
 
 use caf_fabric::delay::monotonic_ns;
 
-/// The accounting categories.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum StatCat {
-    /// Blocking remote coarray writes.
-    CoarrayWrite,
-    /// Blocking remote coarray reads.
-    CoarrayRead,
-    /// `event_wait` / `event_trywait` polling.
-    EventWait,
-    /// `event_notify`, including its release barrier and flush.
-    EventNotify,
-    /// Team alltoall (the FFT hot spot).
-    Alltoall,
-    /// Team barriers.
-    Barrier,
-    /// Team reductions / broadcasts.
-    Reduction,
-    /// `finish` termination detection and closing synchronization.
-    Finish,
-    /// Asynchronous-copy issue path.
-    CopyAsync,
-    /// Application compute time, recorded by the benchmark itself through
-    /// [`Stats::timed`].
-    Computation,
-}
+/// The accounting categories — the legend of the paper's Figs 4 and 8.
+/// The enum lives in `caf-trace`, whose spans are recorded under the
+/// same ten names; the ledger indexes its rows with [`StatCat::index`].
+pub use caf_trace::Cat as StatCat;
 
-/// Indexable list of every category, in display order.
-pub const ALL_CATS: [StatCat; 10] = [
-    StatCat::Computation,
-    StatCat::CoarrayWrite,
-    StatCat::CoarrayRead,
-    StatCat::EventWait,
-    StatCat::EventNotify,
-    StatCat::Alltoall,
-    StatCat::Barrier,
-    StatCat::Reduction,
-    StatCat::Finish,
-    StatCat::CopyAsync,
-];
-
-const fn idx(c: StatCat) -> usize {
-    // Must agree with ALL_CATS order; checked by `idx_matches_all_cats`.
-    match c {
-        StatCat::Computation => 0,
-        StatCat::CoarrayWrite => 1,
-        StatCat::CoarrayRead => 2,
-        StatCat::EventWait => 3,
-        StatCat::EventNotify => 4,
-        StatCat::Alltoall => 5,
-        StatCat::Barrier => 6,
-        StatCat::Reduction => 7,
-        StatCat::Finish => 8,
-        StatCat::CopyAsync => 9,
-    }
-}
-
-/// The trace operation a category's timed sections are recorded under.
-const fn trace_op(c: StatCat) -> caf_trace::Op {
-    match c {
-        StatCat::Computation => caf_trace::Op::Computation,
-        StatCat::CoarrayWrite => caf_trace::Op::CoarrayWrite,
-        StatCat::CoarrayRead => caf_trace::Op::CoarrayRead,
-        StatCat::EventWait => caf_trace::Op::EventWait,
-        StatCat::EventNotify => caf_trace::Op::EventNotify,
-        StatCat::Alltoall => caf_trace::Op::Alltoall,
-        StatCat::Barrier => caf_trace::Op::Barrier,
-        StatCat::Reduction => caf_trace::Op::Reduction,
-        StatCat::Finish => caf_trace::Op::Finish,
-        StatCat::CopyAsync => caf_trace::Op::CopyAsync,
-    }
-}
+/// Every category, in display order.
+pub const ALL_CATS: [StatCat; caf_trace::NCAT] = StatCat::ALL;
 
 /// Per-image accounting ledger. Not thread-safe by design — each image owns
 /// its own.
 #[derive(Debug)]
 pub struct Stats {
-    nanos: [Cell<u64>; 10],
-    calls: [Cell<u64>; 10],
+    nanos: [Cell<u64>; caf_trace::NCAT],
+    calls: [Cell<u64>; caf_trace::NCAT],
     /// Depth guard so nested timed sections do not double-count: only the
     /// outermost section accrues time.
     depth: Cell<u32>,
-    /// When false, `timed` runs its closure without reading the clock or
-    /// touching the ledger (trace spans are still emitted if tracing is on).
+    /// When false, a section runs its closure without reading the clock
+    /// or touching the ledger (trace spans are still emitted if tracing
+    /// is on).
     enabled: Cell<bool>,
 }
 
@@ -113,7 +51,7 @@ impl Stats {
         Self::default()
     }
 
-    /// Turn the wall-clock accounting on or off. Disabled, `timed` costs
+    /// Turn the wall-clock accounting on or off. Disabled, a section costs
     /// one branch per call — no `Instant::now`, no ledger writes. Tracing
     /// (the `caf-trace` session, if one is active) is unaffected.
     pub fn set_accounting(&self, on: bool) {
@@ -125,46 +63,29 @@ impl Stats {
         self.enabled.get()
     }
 
-    /// Run `f`, attributing its wall-clock time to `cat`. Nested `timed`
-    /// calls do not double-count: inner sections are charged to their own
-    /// category *only when entered at top level*; time inside an outer
-    /// section stays with the outer category.
+    /// Run `f` as a section of `cat`: a trace span plus a ledger
+    /// section. The entry point for application code — a kernel brackets
+    /// its compute phase with `StatCat::Computation`; the runtime's own
+    /// operations go through their prologue instead, which tags the span
+    /// with the operation's coordinates.
     pub fn timed<R>(&self, cat: StatCat, f: impl FnOnce() -> R) -> R {
-        self.timed_t(cat, None, 0, f)
+        let _span = caf_trace::span(cat.op());
+        self.section(cat, f)
     }
 
-    /// As [`Stats::timed`], also tagging the emitted trace span with a
-    /// target image and payload size (used by remote coarray accesses and
-    /// notifies, where the blocked-on edge matters for stall diagnosis).
-    pub fn timed_t<R>(
-        &self,
-        cat: StatCat,
-        target: Option<usize>,
-        bytes: u64,
-        f: impl FnOnce() -> R,
-    ) -> R {
-        self.timed_d(cat, target, bytes, None, None, f)
-    }
-
-    /// As [`Stats::timed_t`], also tagging the span with a window/region
-    /// id and a displacement-or-sync-token word — the coordinates the
-    /// offline checker (`caf-check`) replays.
-    pub fn timed_d<R>(
-        &self,
-        cat: StatCat,
-        target: Option<usize>,
-        bytes: u64,
-        window: Option<u64>,
-        disp: Option<u64>,
-        f: impl FnOnce() -> R,
-    ) -> R {
-        let _span = caf_trace::span_d(trace_op(cat), target, bytes, window, disp);
+    /// Run `f`, attributing its wall-clock time to `cat`. Nested
+    /// sections do not double-count: an inner section is charged to its
+    /// own category *only when entered at top level*; time inside an
+    /// outer section stays with the outer category (the call is still
+    /// counted).
+    #[inline]
+    pub(crate) fn section<R>(&self, cat: StatCat, f: impl FnOnce() -> R) -> R {
         if !self.enabled.get() {
             return f();
         }
         if self.depth.get() > 0 {
             // Count the call but let the enclosing section keep the time.
-            self.calls[idx(cat)].set(self.calls[idx(cat)].get() + 1);
+            self.add_ns(cat, 0);
             return f();
         }
         self.depth.set(1);
@@ -172,28 +93,27 @@ impl Stats {
         let r = f();
         let ns = monotonic_ns().saturating_sub(t0);
         self.depth.set(0);
-        let i = idx(cat);
-        self.nanos[i].set(self.nanos[i].get() + ns);
-        self.calls[i].set(self.calls[i].get() + 1);
+        self.add_ns(cat, ns);
         r
     }
 
     /// Directly add `ns` nanoseconds to `cat` (for callers that measured
     /// themselves).
+    #[inline]
     pub fn add_ns(&self, cat: StatCat, ns: u64) {
-        let i = idx(cat);
+        let i = cat.index();
         self.nanos[i].set(self.nanos[i].get() + ns);
         self.calls[i].set(self.calls[i].get() + 1);
     }
 
     /// Seconds accumulated under `cat`.
     pub fn seconds(&self, cat: StatCat) -> f64 {
-        self.nanos[idx(cat)].get() as f64 * 1e-9
+        self.nanos[cat.index()].get() as f64 * 1e-9
     }
 
     /// Number of sections/calls recorded under `cat`.
     pub fn calls(&self, cat: StatCat) -> u64 {
-        self.calls[idx(cat)].get()
+        self.calls[cat.index()].get()
     }
 
     /// Reset every counter.
@@ -231,32 +151,20 @@ impl StatsReport {
         }
     }
 
-    /// Seconds for one category.
+    /// Seconds for one category (0 in a default, empty report).
     pub fn seconds(&self, cat: StatCat) -> f64 {
-        self.rows
-            .iter()
-            .find(|(c, _, _)| *c == cat)
-            .map(|&(_, s, _)| s)
-            .unwrap_or(0.0)
+        self.rows.get(cat.index()).map_or(0.0, |row| row.1)
     }
 
     /// Elementwise mean across many reports (per-image → per-run).
     pub fn mean(reports: &[StatsReport]) -> StatsReport {
-        let n = reports.len().max(1) as f64;
-        let rows = ALL_CATS
-            .iter()
-            .map(|&c| {
-                let secs: f64 = reports.iter().map(|r| r.seconds(c)).sum::<f64>() / n;
-                let calls: u64 = reports
-                    .iter()
-                    .flat_map(|r| r.rows.iter().filter(|(rc, _, _)| *rc == c))
-                    .map(|&(_, _, k)| k)
-                    .sum::<u64>()
-                    / reports.len().max(1) as u64;
-                (c, secs, calls)
-            })
-            .collect();
-        StatsReport { rows }
+        let n = reports.len().max(1);
+        let calls = |r: &StatsReport, c: StatCat| r.rows.get(c.index()).map_or(0, |row| row.2);
+        let mean_row = |&c: &StatCat| {
+            let secs = reports.iter().map(|r| r.seconds(c)).sum::<f64>() / n as f64;
+            (c, secs, reports.iter().map(|r| calls(r, c)).sum::<u64>() / n as u64)
+        };
+        StatsReport { rows: ALL_CATS.iter().map(mean_row).collect() }
     }
 }
 
@@ -315,13 +223,6 @@ mod tests {
         let s = Stats::new();
         let v = s.timed(StatCat::Computation, || 42);
         assert_eq!(v, 42);
-    }
-
-    #[test]
-    fn idx_matches_all_cats() {
-        for (i, &c) in ALL_CATS.iter().enumerate() {
-            assert_eq!(idx(c), i, "{c:?}");
-        }
     }
 
     #[test]

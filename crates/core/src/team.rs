@@ -49,6 +49,13 @@ impl GTeam {
 }
 
 impl Team {
+    /// A fresh GASNet team: `members` (global ranks, team order) with this
+    /// image at `my_idx`, and a collective sequence space of its own.
+    pub(crate) fn gasnet(id: u64, members: Vec<usize>, my_idx: usize) -> Team {
+        let state = Arc::new(GTeamState::default());
+        Team { inner: TeamInner::Gasnet(GTeam { id, members: members.into(), my_idx, state }) }
+    }
+
     /// The team paired with the backend of the substrate it lives on.
     ///
     /// # Panics

@@ -8,34 +8,38 @@ use crate::session::Trace;
 /// Number of decomposition categories.
 pub const NCAT: usize = 10;
 
-/// Decomposition category — mirrors the runtime's `StatCat` (and the
-/// legend of the paper's Figs 4 and 8) exactly.
+/// Decomposition category: the legend of the paper's Figs 4 and 8, and
+/// the ledger categories of the runtime's `Stats` (`caf::StatCat` is this
+/// enum). Each category *is* one of the first ten [`Op`]s — the
+/// discriminants are shared, so [`Cat::op`], [`Op::cat`] and
+/// [`Cat::index`] are casts, not tables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(u16)]
 pub enum Cat {
-    /// Application compute.
-    Computation,
-    /// Remote coarray writes.
-    CoarrayWrite,
-    /// Remote coarray reads.
-    CoarrayRead,
-    /// `event_wait`.
-    EventWait,
-    /// `event_notify` (includes the pre-notify flush).
-    EventNotify,
-    /// Alltoall exchanges.
-    Alltoall,
-    /// Barriers.
-    Barrier,
-    /// Reductions.
-    Reduction,
-    /// `finish` termination detection.
-    Finish,
-    /// Asynchronous copies.
-    CopyAsync,
+    /// Application compute, bracketed by the application itself.
+    Computation = Op::Computation as u16,
+    /// Blocking remote coarray writes.
+    CoarrayWrite = Op::CoarrayWrite as u16,
+    /// Blocking remote coarray reads.
+    CoarrayRead = Op::CoarrayRead as u16,
+    /// `event_wait` / `event_trywait` polling.
+    EventWait = Op::EventWait as u16,
+    /// `event_notify`, including its release barrier and flush.
+    EventNotify = Op::EventNotify as u16,
+    /// Team alltoall (the FFT hot spot).
+    Alltoall = Op::Alltoall as u16,
+    /// Team barriers.
+    Barrier = Op::Barrier as u16,
+    /// Team reductions / broadcasts.
+    Reduction = Op::Reduction as u16,
+    /// `finish` termination detection and closing synchronization.
+    Finish = Op::Finish as u16,
+    /// Asynchronous-copy issue path.
+    CopyAsync = Op::CopyAsync as u16,
 }
 
 impl Cat {
-    /// All categories in display order (matches `StatCat::ALL_CATS`).
+    /// All categories in display (and discriminant) order.
     pub const ALL: [Cat; NCAT] = [
         Cat::Computation,
         Cat::CoarrayWrite,
@@ -49,36 +53,24 @@ impl Cat {
         Cat::CopyAsync,
     ];
 
-    /// Position in [`Cat::ALL`] (constant-time).
+    /// Position in [`Cat::ALL`].
+    #[inline]
     pub const fn index(self) -> usize {
-        match self {
-            Cat::Computation => 0,
-            Cat::CoarrayWrite => 1,
-            Cat::CoarrayRead => 2,
-            Cat::EventWait => 3,
-            Cat::EventNotify => 4,
-            Cat::Alltoall => 5,
-            Cat::Barrier => 6,
-            Cat::Reduction => 7,
-            Cat::Finish => 8,
-            Cat::CopyAsync => 9,
+        self as usize
+    }
+
+    /// The trace operation this category's sections are recorded under.
+    #[inline]
+    pub const fn op(self) -> Op {
+        match Op::from_u16(self as u16) {
+            Some(op) => op,
+            None => unreachable!(),
         }
     }
 
     /// Display name.
     pub fn name(self) -> &'static str {
-        match self {
-            Cat::Computation => "Computation",
-            Cat::CoarrayWrite => "CoarrayWrite",
-            Cat::CoarrayRead => "CoarrayRead",
-            Cat::EventWait => "EventWait",
-            Cat::EventNotify => "EventNotify",
-            Cat::Alltoall => "Alltoall",
-            Cat::Barrier => "Barrier",
-            Cat::Reduction => "Reduction",
-            Cat::Finish => "Finish",
-            Cat::CopyAsync => "CopyAsync",
-        }
+        self.op().name()
     }
 }
 
@@ -445,10 +437,14 @@ mod tests {
         assert!(d.render().contains("agg"));
     }
 
+    /// What the shared discriminants promise: `ALL` is in index order and
+    /// a category and its op name each other.
     #[test]
     fn cat_index_matches_all_order() {
         for (i, c) in Cat::ALL.iter().enumerate() {
             assert_eq!(c.index(), i);
+            assert_eq!(c.op().cat(), Some(*c));
+            assert_eq!(c.name(), c.op().name());
         }
     }
 }

@@ -7,7 +7,7 @@ use crate::decomp::Cat;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u16)]
 pub enum Op {
-    // --- caf core (the ten StatCat categories) ---
+    // --- caf core (the ten `Cat` categories, which share these discriminants) ---
     /// Application compute bracketed by the benchmark harness.
     Computation = 0,
     /// Remote coarray write (`a(..)[p] = v`).
@@ -28,7 +28,7 @@ pub enum Op {
     Finish,
     /// Asynchronous copy (`copy_async`).
     CopyAsync,
-    // --- caf core (non-StatCat) ---
+    // --- caf core (no category of their own) ---
     /// Function shipping (`ship`) send side.
     Ship,
     /// Runtime control message send.
@@ -190,23 +190,11 @@ impl Op {
     }
 
     /// The decomposition category this op rolls up into (the paper's
-    /// Fig 4/8 legend), if any. Only the ten `StatCat`-mirroring ops
-    /// participate; substrate-internal ops are attributed to whichever
-    /// category encloses them.
+    /// Fig 4/8 legend), if any. Only the first ten ops are categories;
+    /// substrate-internal ops are attributed to whichever category
+    /// encloses them.
     pub fn cat(self) -> Option<Cat> {
-        Some(match self {
-            Op::Computation => Cat::Computation,
-            Op::CoarrayWrite => Cat::CoarrayWrite,
-            Op::CoarrayRead => Cat::CoarrayRead,
-            Op::EventWait => Cat::EventWait,
-            Op::EventNotify => Cat::EventNotify,
-            Op::Alltoall => Cat::Alltoall,
-            Op::Barrier => Cat::Barrier,
-            Op::Reduction => Cat::Reduction,
-            Op::Finish => Cat::Finish,
-            Op::CopyAsync => Cat::CopyAsync,
-            _ => return None,
-        })
+        Cat::ALL.get(self as usize).copied()
     }
 
     /// Whether an open span of this op means the image is *waiting* on
@@ -238,7 +226,7 @@ impl Op {
         )
     }
 
-    pub(crate) fn from_u16(v: u16) -> Option<Op> {
+    pub(crate) const fn from_u16(v: u16) -> Option<Op> {
         if v < NOPS {
             // SAFETY: repr(u16) fieldless enum with contiguous
             // discriminants 0..NOPS, checked above.

@@ -242,55 +242,6 @@ fn notify_flush_cost_is_per_bucket_not_per_record() {
     }
 }
 
-/// Representative aggregated programs under an armed `caf-check` session:
-/// batch delivery must discharge every epoch/race obligation exactly as
-/// the direct path does (HB edges ride the batch token).
-#[cfg(feature = "check")]
-#[test]
-fn aggregated_programs_are_checker_clean() {
-    use caf_check::{CheckConfig, CheckSession};
-    let _guard = caf_check::SESSION_TEST_LOCK
-        .lock()
-        .unwrap_or_else(|e| e.into_inner());
-    for kind in [SubstrateKind::Mpi, SubstrateKind::Gasnet] {
-        for routing in [false, true] {
-            let session = CheckSession::start(CheckConfig::default())
-                .expect("another check session is active");
-            let agg = if routing { AggConfig::routed() } else { AggConfig::on() };
-            let cfg = CafConfig { agg, ..fast(kind) };
-            CafUniverse::run_with_config(P, cfg, |img| {
-                let world = img.team_world();
-                let ca: Coarray<u64> = img.coarray_alloc(&world, 8);
-                let ev = img.event_alloc(&world);
-                let me = img.this_image();
-                let right = (me + 1) % P;
-                // Notify-released put batches (routing-off path) ...
-                if !img.agg_config().routing {
-                    for round in 0..3 {
-                        img.copy_async_put(&ca, right, round, &[me as u64], AsyncOpts::none());
-                        img.event_notify(&world, &ev, right);
-                        img.event_wait(&ev);
-                    }
-                }
-                // ... and finish-released accumulate batches (both paths).
-                img.finish(&world, |img| {
-                    for target in 0..P {
-                        img.agg_accumulate_xor(&ca, target, 4 + me % 4, 1 << me);
-                    }
-                });
-                img.sync_all();
-                img.coarray_free(&world, ca);
-            });
-            let report = session.finish();
-            assert!(
-                report.is_clean(),
-                "aggregation (routing={routing}, {kind:?}) leaked checker obligations:\n{}",
-                report.render()
-            );
-        }
-    }
-}
-
 /// Failed-hop reroute regression (DESIGN.md §17): hypercube
 /// store-and-forward is an optimization, not a delivery requirement.
 /// Routing geometry stays the *world* hypercube even after a reform, so

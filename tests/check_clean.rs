@@ -1,23 +1,48 @@
 //! Positive suite for the `caf-check` sanitizer: correctly synchronized
 //! programs must produce **zero** diagnostics on both substrates.
 //!
-//! Two layers:
+//! Three layers:
 //!
 //! * property tests over randomized schedules of coarray traffic whose
 //!   only synchronization is the legal kind (`sync_all` phases, event
 //!   notify/wait chains) — a sound sanitizer must stay silent on all of
 //!   them;
+//! * representative programs on the runtime's alternative paths —
+//!   aggregated puts and accumulates, the targeted and rflush release
+//!   policies — which must discharge the same obligations as the direct
+//!   path;
 //! * regression tests pinning two diagnostics that early versions of
 //!   the checker raised against *correct* code (see the test comments),
 //!   so those false-positive classes cannot return.
 //!
-//! Requires `--features check`.
+//! Check and trace sessions are process-global and the hooks are compiled
+//! into every build of this workspace, so a universe running beside an
+//! armed session feeds it. Every test here — including the one that only
+//! records a trace — therefore runs its universes under
+//! [`SESSION_TEST_LOCK`]; a test that arms a session belongs in this file
+//! (or in `check_violations.rs`, which has the same rule), not next to
+//! unlocked siblings in a parity suite.
 
-use caf::{CafConfig, CafUniverse, Coarray, SubstrateKind};
+use std::sync::MutexGuard;
+
+use caf::{AggConfig, AsyncOpts, CafConfig, CafUniverse, Coarray, FlushMode, SubstrateKind};
 use caf_bench::checked::{checked_fft, checked_ra};
-use caf_bench::traced_ra;
+use caf_bench::{fast, traced_ra};
 use caf_check::{CheckConfig, CheckSession, Report, SESSION_TEST_LOCK};
 use proptest::prelude::*;
+
+fn locked() -> MutexGuard<'static, ()> {
+    SESSION_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Run `job` under the lock and an armed default session.
+fn sanitized(job: impl FnOnce()) -> Report {
+    let _guard = locked();
+    let session =
+        CheckSession::start(CheckConfig::default()).expect("no other check session active");
+    job();
+    session.finish()
+}
 
 const P: usize = 3;
 /// Elements of each origin image's private slot within every member's
@@ -66,25 +91,23 @@ fn decode_plans(bytes: &[u8]) -> Vec<Vec<Plan>> {
 /// (never overlapping another image's writes), `sync_all`, then reads
 /// anywhere (ordered behind every write by the collective), `sync_all`.
 fn run_phased(kind: SubstrateKind, rounds: &[Vec<Plan>]) -> Report {
-    let _guard = SESSION_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let session =
-        CheckSession::start(CheckConfig::default()).expect("no other check session active");
-    CafUniverse::run_with_config(P, CafConfig::on(kind), |img| {
-        let world = img.team_world();
-        let a: Coarray<u64> = img.coarray_alloc(&world, P * SLOT);
-        let me = img.this_image();
-        for round in rounds {
-            let plan = round[me];
-            let data = vec![me as u64 + 1; plan.wr_len];
-            a.write(img, plan.member, me * SLOT + plan.wr_off, &data);
-            img.sync_all();
-            let mut out = vec![0u64; plan.rd_len];
-            a.read(img, plan.rd_member, plan.rd_off, &mut out);
-            img.sync_all();
-        }
-        img.coarray_free(&world, a);
-    });
-    session.finish()
+    sanitized(|| {
+        CafUniverse::run_with_config(P, CafConfig::on(kind), |img| {
+            let world = img.team_world();
+            let a: Coarray<u64> = img.coarray_alloc(&world, P * SLOT);
+            let me = img.this_image();
+            for round in rounds {
+                let plan = round[me];
+                let data = vec![me as u64 + 1; plan.wr_len];
+                a.write(img, plan.member, me * SLOT + plan.wr_off, &data);
+                img.sync_all();
+                let mut out = vec![0u64; plan.rd_len];
+                a.read(img, plan.rd_member, plan.rd_off, &mut out);
+                img.sync_all();
+            }
+            img.coarray_free(&world, a);
+        });
+    })
 }
 
 /// Run an event ping-pong: image 0 writes image 1's part and notifies;
@@ -92,35 +115,33 @@ fn run_phased(kind: SubstrateKind, rounds: &[Vec<Plan>]) -> Report {
 /// 0 waits and reads. Each round's accesses are ordered purely by the
 /// two event chains — no barriers between rounds.
 fn run_pingpong(kind: SubstrateKind, rounds: usize) -> Report {
-    let _guard = SESSION_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let session =
-        CheckSession::start(CheckConfig::default()).expect("no other check session active");
-    CafUniverse::run_with_config(2, CafConfig::on(kind), |img| {
-        let world = img.team_world();
-        let a: Coarray<u64> = img.coarray_alloc(&world, 8);
-        let fwd = img.event_alloc(&world);
-        let back = img.event_alloc(&world);
-        for k in 0..rounds as u64 {
-            if img.this_image() == 0 {
-                a.write(img, 1, 0, &[k; 4]);
-                img.event_notify(&world, &fwd, 1);
-                img.event_wait(&back);
-                let mut out = [0u64; 4];
-                a.local_read(img, 0, &mut out);
-                assert_eq!(out, [k + 100; 4]);
-            } else {
-                img.event_wait(&fwd);
-                let mut out = [0u64; 4];
-                a.local_read(img, 0, &mut out);
-                assert_eq!(out, [k; 4]);
-                a.write(img, 0, 0, &[k + 100; 4]);
-                img.event_notify(&world, &back, 0);
+    sanitized(|| {
+        CafUniverse::run_with_config(2, CafConfig::on(kind), |img| {
+            let world = img.team_world();
+            let a: Coarray<u64> = img.coarray_alloc(&world, 8);
+            let fwd = img.event_alloc(&world);
+            let back = img.event_alloc(&world);
+            for k in 0..rounds as u64 {
+                if img.this_image() == 0 {
+                    a.write(img, 1, 0, &[k; 4]);
+                    img.event_notify(&world, &fwd, 1);
+                    img.event_wait(&back);
+                    let mut out = [0u64; 4];
+                    a.local_read(img, 0, &mut out);
+                    assert_eq!(out, [k + 100; 4]);
+                } else {
+                    img.event_wait(&fwd);
+                    let mut out = [0u64; 4];
+                    a.local_read(img, 0, &mut out);
+                    assert_eq!(out, [k; 4]);
+                    a.write(img, 0, 0, &[k + 100; 4]);
+                    img.event_notify(&world, &back, 0);
+                }
             }
-        }
-        img.sync_all();
-        img.coarray_free(&world, a);
-    });
-    session.finish()
+            img.sync_all();
+            img.coarray_free(&world, a);
+        });
+    })
 }
 
 proptest! {
@@ -176,6 +197,86 @@ fn fft_kernel_is_clean_under_the_sanitizer() {
     }
 }
 
+/// Representative aggregated programs: batch delivery must discharge
+/// every epoch/race obligation exactly as the direct path does (the
+/// happens-before edges ride the batch token).
+#[test]
+fn aggregated_programs_are_checker_clean() {
+    const P: usize = 4;
+    for kind in [SubstrateKind::Mpi, SubstrateKind::Gasnet] {
+        for routing in [false, true] {
+            let agg = if routing { AggConfig::routed() } else { AggConfig::on() };
+            let cfg = CafConfig { agg, ..fast(kind) };
+            let report = sanitized(|| {
+                CafUniverse::run_with_config(P, cfg, |img| {
+                    let world = img.team_world();
+                    let ca: Coarray<u64> = img.coarray_alloc(&world, 8);
+                    let ev = img.event_alloc(&world);
+                    let me = img.this_image();
+                    let right = (me + 1) % P;
+                    // Notify-released put batches (routing-off path) ...
+                    if !img.agg_config().routing {
+                        for round in 0..3 {
+                            img.copy_async_put(&ca, right, round, &[me as u64], AsyncOpts::none());
+                            img.event_notify(&world, &ev, right);
+                            img.event_wait(&ev);
+                        }
+                    }
+                    // ... and finish-released accumulate batches (both paths).
+                    img.finish(&world, |img| {
+                        for target in 0..P {
+                            img.agg_accumulate_xor(&ca, target, 4 + me % 4, 1 << me);
+                        }
+                    });
+                    img.sync_all();
+                    img.coarray_free(&world, ca);
+                });
+            });
+            assert!(
+                report.is_clean(),
+                "aggregation (routing={routing}, {kind:?}) leaked checker obligations:\n{}",
+                report.render()
+            );
+        }
+    }
+}
+
+/// The targeted and rflush release policies must satisfy the epoch
+/// checker's flush obligations exactly as `flush_all` does (no
+/// pending-put leaks).
+#[test]
+fn targeted_and_rflush_are_checker_clean() {
+    const P: usize = 4;
+    for flush in [FlushMode::targeted(), FlushMode::rflush()] {
+        let cfg = CafConfig {
+            flush,
+            ..fast(SubstrateKind::Mpi)
+        };
+        let report = sanitized(|| {
+            CafUniverse::run_with_config(P, cfg, |img| {
+                let world = img.team_world();
+                let ca: Coarray<u64> = img.coarray_alloc(&world, 4);
+                let ev = img.event_alloc(&world);
+                let me = img.this_image();
+                let right = (me + 1) % P;
+                for round in 0..3 {
+                    img.copy_async_put(&ca, right, round, &[me as u64], AsyncOpts::none());
+                    img.event_notify(&world, &ev, right);
+                    img.event_wait(&ev);
+                }
+                img.sync_all();
+                img.coarray_free(&world, ca);
+            });
+        });
+        assert!(
+            report.is_clean(),
+            "flush mode {} leaked checker obligations:\n{}",
+            flush.name(),
+            report.render()
+        );
+    }
+}
+
 /// Regression: the offline checker once reported `win_flush_all` outside
 /// an epoch for every window of a recorded run. `win_unlock_all` used to
 /// emit its trace instant *before* running the interior flush that
@@ -184,6 +285,9 @@ fn fft_kernel_is_clean_under_the_sanitizer() {
 /// run of correct code must be clean.
 #[test]
 fn offline_audit_of_a_traced_randomaccess_run_is_clean() {
+    // The run arms no check session, but a sibling's armed session
+    // would see its traffic — and its recorded trace theirs.
+    let _guard = locked();
     let (_, trace) = traced_ra(2, SubstrateKind::Mpi, 7, 500, 1);
     assert!(!trace.events.is_empty());
     let report = caf_check::check_trace(&trace);

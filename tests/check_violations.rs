@@ -4,10 +4,8 @@
 //! checker's reports stay precise enough to debug from, not just
 //! non-empty.
 //!
-//! Requires `--features check` (registered with `required-features` in
-//! `crates/bench/Cargo.toml`). Every test hand-rolls a global
-//! [`CheckSession`], so all of them serialize on
-//! [`caf_check::SESSION_TEST_LOCK`].
+//! Every test hand-rolls a global [`CheckSession`], so all of them
+//! serialize on [`caf_check::SESSION_TEST_LOCK`].
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -160,44 +160,3 @@ proptest! {
         }
     }
 }
-
-/// The same representative program under an armed `caf-check` session:
-/// the targeted and rflush paths must satisfy the epoch checker's flush
-/// obligations exactly as `flush_all` does (no pending-put leaks).
-#[cfg(feature = "check")]
-#[test]
-fn targeted_and_rflush_are_checker_clean() {
-    use caf_check::{CheckConfig, CheckSession};
-    let _guard = caf_check::SESSION_TEST_LOCK
-        .lock()
-        .unwrap_or_else(|e| e.into_inner());
-    for flush in [FlushMode::targeted(), FlushMode::rflush()] {
-        let session = CheckSession::start(CheckConfig::default())
-            .expect("another check session is active");
-        let cfg = CafConfig {
-            flush,
-            ..fast(SubstrateKind::Mpi)
-        };
-        CafUniverse::run_with_config(P, cfg, |img| {
-            let world = img.team_world();
-            let ca: Coarray<u64> = img.coarray_alloc(&world, 4);
-            let ev = img.event_alloc(&world);
-            let me = img.this_image();
-            let right = (me + 1) % P;
-            for round in 0..3 {
-                img.copy_async_put(&ca, right, round, &[me as u64], AsyncOpts::none());
-                img.event_notify(&world, &ev, right);
-                img.event_wait(&ev);
-            }
-            img.sync_all();
-            img.coarray_free(&world, ca);
-        });
-        let report = session.finish();
-        assert!(
-            report.is_clean(),
-            "flush mode {} leaked checker obligations:\n{}",
-            flush.name(),
-            report.render()
-        );
-    }
-}
