@@ -8,7 +8,7 @@
 
 use crate::backend::On;
 use crate::image::Image;
-use crate::stats::StatCat;
+use crate::stats::{sampled, StatCat};
 use crate::team::{GTeam, Team};
 
 /// The happens-before edge an operation creates; its coordinates are the
@@ -120,7 +120,7 @@ impl Image {
         let out = match op.cat {
             Some(cat) => {
                 let _span = caf_trace::span_d(cat.op(), op.target, op.bytes, op.region, op.word);
-                self.stats().section(cat, body)
+                self.stats().section(cat, sampled(cat, op.bytes), body)
             }
             None => body(),
         };

@@ -49,7 +49,7 @@ pub use fault::{Fault, FaultPlan, ImageKilled, Kill, KillSite, Watch, KIND_FAULT
 pub use memacct::{MemAccount, MemCategory};
 pub use packet::Packet;
 pub use pod::Pod;
-pub use segment::{SegRef, Segment, SegmentId};
+pub use segment::{PeerSegments, Segment, SegmentId};
 
 /// Result alias used across the fabric layer.
 pub type Result<T> = std::result::Result<T, FabricError>;

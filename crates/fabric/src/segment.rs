@@ -14,9 +14,10 @@
 //! which performs a release/acquire edge.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use crate::error::FabricError;
-use crate::Result;
+use crate::{Endpoint, Result};
 
 /// Identifier of a registered segment, unique within one [`crate::Fabric`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -40,25 +41,30 @@ impl std::fmt::Debug for Segment {
     }
 }
 
-/// The segment a substrate operation resolved its target to: the caller's
-/// own region, borrowed from where the substrate already holds it, or a
-/// peer's, by the handle [`crate::Endpoint::segment`] returned.
+/// The peer segments one handle — an MPI window, an attached GASNet
+/// library — has resolved: looked up in the registry on first touch (a
+/// lock, a hash and a reference count: more than the 8-byte put they
+/// serve), borrowed from then on, released when the handle is dropped.
+/// Lazy: resolving every peer up front is Θ(P²) lookups per allocate.
 #[derive(Debug)]
-pub enum SegRef<'a> {
-    /// The caller's own segment: no registry lookup, no refcount traffic.
-    Own(&'a Segment),
-    /// A peer's segment.
-    Peer(std::sync::Arc<Segment>),
-}
+pub struct PeerSegments(Box<[OnceLock<Arc<Segment>>]>);
 
-impl std::ops::Deref for SegRef<'_> {
-    type Target = Segment;
+impl PeerSegments {
+    /// Nothing resolved yet, for `peers` ranks.
+    pub fn new(peers: usize) -> Self {
+        PeerSegments((0..peers).map(|_| OnceLock::new()).collect())
+    }
 
+    /// Rank `peer`'s segment, registered as `id`. A failed lookup is
+    /// returned, not remembered.
     #[inline]
-    fn deref(&self) -> &Segment {
-        match self {
-            SegRef::Own(seg) => seg,
-            SegRef::Peer(seg) => seg,
+    pub fn resolve(&self, ep: &Endpoint, peer: usize, id: SegmentId) -> Result<&Segment> {
+        match self.0[peer].get() {
+            Some(seg) => Ok(seg),
+            None => {
+                let seg = ep.segment(id)?;
+                Ok(self.0[peer].get_or_init(|| seg))
+            }
         }
     }
 }

@@ -19,7 +19,7 @@ use std::sync::Arc;
 use caf_fabric::delay::DelayOp;
 use caf_fabric::pod::{as_bytes, as_bytes_mut};
 use caf_fabric::sched::{self, ModelOp};
-use caf_fabric::{FabricError, Pod, Result, SegRef, Segment, Watch};
+use caf_fabric::{FabricError, Pod, Result, Segment, Watch};
 
 use crate::am::H_PUT_ACK_REQ;
 use crate::universe::Gasnet;
@@ -88,7 +88,7 @@ impl Gasnet {
     /// Always inlined: every caller passes a constant `kind`, so each
     /// operation compiles to the steps it takes and nothing else.
     #[inline(always)]
-    fn seg_begin(&self, op: SegOp) -> Result<Option<SegRef<'_>>> {
+    fn seg_begin(&self, op: SegOp) -> Result<Option<&Segment>> {
         let SegOp { kind, node, .. } = op;
         let own = node == self.rank();
         if !own && self.fault.is_failed(node) {
@@ -108,9 +108,9 @@ impl Gasnet {
             });
         }
         let seg = if own {
-            SegRef::Own(&self.local)
+            &self.local
         } else {
-            SegRef::Peer(self.ep.segment(self.seg_ids[node])?)
+            self.peers.resolve(&self.ep, node, self.seg_ids[node])?
         };
         if let (Some(trace_op), None) = (kind.trace, op.span) {
             if caf_trace::enabled() {
@@ -249,7 +249,7 @@ impl Gasnet {
 
     /// This rank's own segment, through the prologue, as `kind`.
     #[inline(always)]
-    fn own_begin(&self, kind: Kind, offset: usize, len: usize) -> Result<SegRef<'_>> {
+    fn own_begin(&self, kind: Kind, offset: usize, len: usize) -> Result<&Segment> {
         let op = SegOp::new(kind, self.rank(), offset, len);
         Ok(self.seg_begin(op)?.expect("an image outlives its own segment"))
     }

@@ -9,8 +9,8 @@ use bytes::Bytes;
 use caf_fabric::coll::{self, Rounds};
 use caf_fabric::delay::{DelayConfig, DelayMeter, Delays};
 use caf_fabric::{
-    Endpoint, Fabric, FabricError, Fault, MemAccount, MemCategory, Packet, Result, Segment,
-    SegmentId, Watch,
+    Endpoint, Fabric, FabricError, Fault, MemAccount, MemCategory, Packet, PeerSegments, Result,
+    Segment, SegmentId, Watch,
 };
 
 use crate::am::HandlerTable;
@@ -117,6 +117,8 @@ pub struct Gasnet {
     pub(crate) mem: Arc<MemAccount>,
     pub(crate) seg_ids: Vec<SegmentId>,
     pub(crate) seg_sizes: Vec<usize>,
+    /// The peers' segments this rank has touched.
+    pub(crate) peers: PeerSegments,
     pub(crate) local: Arc<Segment>,
     pub(crate) handlers: HandlerTable,
     /// AM-mediated put acknowledgement counters (see `rma::put`).
@@ -212,6 +214,7 @@ impl Gasnet {
             mem,
             seg_ids,
             seg_sizes,
+            peers: PeerSegments::new(size),
             local,
             handlers: HandlerTable::with_reserved(),
             put_acks_expected: Cell::new(0),

@@ -2,13 +2,16 @@
 //! segment operation, run by rank 0 of a two-rank job, with its
 //! success-path observables pinned — the trace records it leaves, the
 //! `DelayOp`s it is charged, and the `ModelOp`s it announces to the
-//! explorer.
+//! explorer. One more row pins the remembered peer segment: resolved
+//! once, and never a way around the fault screen.
 //!
 //! One test on purpose: trace sessions and the model gate are
 //! process-global, so this file is its own binary with nothing to race.
 
+use std::sync::Arc;
+
 use caf_fabric::sched::{self, Choice, Chooser, ModelOp, RunStatus};
-use caf_fabric::DelayOp;
+use caf_fabric::{DelayOp, Fabric, FabricConfig, FabricError};
 use caf_gasnetsim::{Gasnet, GasnetConfig, GasnetUniverse, FIRST_USER_HANDLER};
 use caf_trace::{Op, Session, TraceConfig};
 
@@ -161,6 +164,41 @@ fn program(g: &Gasnet) {
     g.barrier();
 }
 
+/// "repeated ops resolve once, screened every time": rank 0 touches rank
+/// 1's segment three times and the registry hands out one handle, held
+/// for as long as the library is attached; the fault screen still runs
+/// ahead of it on every operation — once rank 1 is dead a store is
+/// dropped uncharged and a load fails, remembered segment or not.
+fn memo_program(g: &Gasnet) {
+    // The registry and the library.
+    // lint:allow(segment-direct) counts the handles, moves no data through them
+    let attached = Arc::strong_count(g.local_segment());
+    g.barrier();
+    if g.rank() == 0 {
+        let mut out = [0u64];
+        g.put(1, 0, &[7u64]).unwrap();
+        g.get(1, 0, &mut out).unwrap();
+        g.put(1, 8, &[out[0] + 1]).unwrap();
+    }
+    g.barrier();
+    if g.rank() == 1 {
+        // lint:allow(segment-direct) as above
+        assert_eq!(Arc::strong_count(g.local_segment()), attached + 1, "resolved once");
+        g.fail_now();
+    }
+    while !g.fault().is_failed(1) {
+        std::thread::yield_now();
+    }
+    let before = g.delay_meter().snapshot();
+    let mut out = [0u64];
+    for _ in 0..2 {
+        let load = g.get(1, 0, &mut out);
+        assert!(matches!(&load, Err(FabricError::ImageFailed { failed }) if failed == &[1]), "{load:?}");
+        g.put(1, 0, &[9u64]).unwrap();
+    }
+    assert_eq!(g.delay_meter().snapshot(), before, "a dropped operation costs nothing");
+}
+
 /// Puts of 64 bytes and more travel as long AMs.
 fn config() -> GasnetConfig {
     GasnetConfig {
@@ -222,4 +260,9 @@ fn every_segment_op_keeps_its_observables() {
         assert_eq!(ops, row.model, "{}: ModelOp sequence", row.name);
     }
     assert_eq!(announced.next(), None, "announces nobody expected");
+
+    let survived = Fabric::run_with_config_ft(2, FabricConfig::default(), |ep| {
+        memo_program(&Gasnet::init(ep, GasnetConfig::default()))
+    });
+    assert!(survived[0].is_some() && survived[1].is_none());
 }

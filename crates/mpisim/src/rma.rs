@@ -18,7 +18,7 @@ use std::sync::Arc;
 use caf_fabric::delay::DelayOp;
 use caf_fabric::pod::{as_bytes, as_bytes_mut, vec_from_bytes};
 use caf_fabric::sched::{self, ModelOp, ANY_OWNER};
-use caf_fabric::{FabricError, MemCategory, Pod, Result, SegRef, Segment, SegmentId};
+use caf_fabric::{FabricError, MemCategory, PeerSegments, Pod, Result, Segment, SegmentId};
 
 use crate::comm::Comm;
 use crate::ops::{AccOp, BitsRepr};
@@ -99,6 +99,8 @@ pub struct Window {
     pub(crate) id: u64,
     pub(crate) comm: Comm,
     pub(crate) segs: Arc<[SegmentId]>,
+    /// The peers' segments this origin has touched, by comm rank.
+    peers: PeerSegments,
     pub(crate) sizes: Arc<[usize]>,
     pub(crate) local: Arc<Segment>,
     pub(crate) locked_all: AtomicBool,
@@ -279,7 +281,7 @@ impl Mpi {
     /// (left to its own judgement the compiler keeps one shared copy,
     /// which costs a put 35 ns on the ladder).
     #[inline(always)]
-    fn rma_begin<'w>(&self, win: &'w Window, op: RmaOp) -> Result<SegRef<'w>> {
+    fn rma_begin<'w>(&self, win: &'w Window, op: RmaOp) -> Result<&'w Segment> {
         use Kind::*;
         let kind = op.kind;
         // 1. Model announce: the explorer's interleaving is the order the
@@ -309,9 +311,9 @@ impl Mpi {
         }
         let moves_data = matches!(kind, Put | Get | Atomic | LocalRead | LocalWrite);
         let seg = if moves_data && op.target != win.comm.rank() {
-            SegRef::Peer(self.ep.segment(win.segs[op.target])?)
+            win.peers.resolve(&self.ep, op.target, win.segs[op.target])?
         } else {
-            SegRef::Own(&win.local)
+            &win.local
         };
         let (trace_op, delay_op) = match kind {
             Put => (Some(caf_trace::Op::RmaPut), Some(DelayOp::RmaPut)),
@@ -426,6 +428,7 @@ impl Mpi {
             id: win_id,
             comm: comm.clone(),
             segs: segs.into(),
+            peers: PeerSegments::new(nranks),
             sizes: sizes.into(),
             local,
             locked_all: AtomicBool::new(false),
@@ -676,20 +679,6 @@ impl Mpi {
         self.rma_begin(win, RmaOp::window(Kind::FlushAll))?;
         fence(Ordering::SeqCst);
         Ok(())
-    }
-
-    /// Resolve the segment backing `rank`'s exposed region — the direct
-    /// load/store access the unified memory model permits. Used by
-    /// runtimes layered on this library to access window memory from
-    /// whichever process is executing (e.g. CAF function shipping).
-    pub fn win_segment(&self, win: &Window, rank: usize) -> Result<Arc<Segment>> {
-        if rank >= win.comm.size() {
-            return Err(FabricError::RankOutOfRange {
-                rank,
-                size: win.comm.size(),
-            });
-        }
-        self.ep.segment(win.segs[rank])
     }
 
     /// Read from this rank's own window region (a local "load" under the

@@ -3,10 +3,13 @@
 //! success-path observables pinned — the trace records it leaves, the
 //! `DelayOp`s it is charged, the dirty set afterwards, and the `ModelOp`s
 //! it announces to the explorer. An out-of-range target must leave none
-//! of them.
+//! of them. Two more rows pin whose the remembered peer segments are: the
+//! window's, for its life and no longer.
 //!
 //! One test on purpose: trace sessions and the model gate are
 //! process-global, so this file is its own binary with nothing to race.
+
+use std::sync::Arc;
 
 use caf_fabric::sched::{self, Choice, Chooser, ModelOp, RunStatus, ANY_OWNER};
 use caf_fabric::{DelayOp, FabricError};
@@ -345,6 +348,47 @@ fn out_of_range_program(mpi: &Mpi) -> u64 {
     id
 }
 
+/// Each rank writes its peer's part of a window, frees the window, and
+/// does the same on a fresh one. A window resolves a peer's segment on
+/// first touch and remembers it — per window, never per endpoint:
+///
+/// * "put after win_free + win_allocate": the second put lands in the new
+///   window's segment and leaves the freed one's bytes alone;
+/// * "win_free releases the peers": the collective free drops the
+///   registry's handle, the window's own and the one the peer's window
+///   remembered — the exposed memory is the holder's alone again.
+fn realloc_program(mpi: &Mpi) {
+    let world = mpi.world();
+    let peer = 1 - mpi.rank();
+    let touch = |value: u64| {
+        let win = mpi.win_allocate(&world, 64).unwrap();
+        // lint:allow(segment-direct) counts the handles, moves no data through them
+        let exposed = Arc::clone(win.local_segment());
+        // The registry, the window, this function.
+        assert_eq!(Arc::strong_count(&exposed), 3);
+        mpi.barrier(&world).unwrap();
+        mpi.win_lock_all(&win);
+        mpi.put(&win, peer, 0, &[value]).unwrap();
+        mpi.put(&win, peer, 8, &[value]).unwrap();
+        mpi.win_flush(&win, peer).unwrap();
+        mpi.barrier(&world).unwrap();
+        assert_eq!(Arc::strong_count(&exposed), 4, "the peer's window resolved once, for two puts");
+        mpi.win_unlock_all(&win).unwrap();
+        mpi.win_free(win).unwrap();
+        mpi.barrier(&world).unwrap();
+        assert_eq!(Arc::strong_count(&exposed), 1, "win_free releases the peers");
+        exposed
+    };
+    let word = |seg: &caf_fabric::Segment| {
+        let mut out = [0u8; 8];
+        seg.get(0, &mut out).unwrap();
+        u64::from_ne_bytes(out)
+    };
+    let first = touch(0xA);
+    let second = touch(0xB);
+    assert_eq!((word(&first), word(&second)), (0xA, 0xB), "put after win_free + win_allocate");
+}
+
 /// Rank 0's records on window `win`, in program order.
 fn window_records(trace: &caf_trace::Trace, win: u64) -> Vec<Rec> {
     trace
@@ -418,4 +462,6 @@ fn every_window_op_keeps_its_observables() {
             instant(Op::WinFree, None, 0, None)
         ]
     );
+
+    Universe::run(P, realloc_program);
 }

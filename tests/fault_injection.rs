@@ -19,7 +19,9 @@
 //! the double-kill test's failure deadline, so the whole file runs under
 //! Miri (with a reduced case count).
 
-use caf::{CafConfig, CafUniverse, Coarray, FaultPlan, Image, ImageStatus, SubstrateKind, Team};
+use caf::{
+    CafConfig, CafUniverse, Coarray, ExecConfig, FaultPlan, Image, ImageStatus, SubstrateKind, Team,
+};
 use caf_bench::fast;
 use proptest::prelude::*;
 use std::time::{Duration, Instant};
@@ -200,6 +202,59 @@ fn victim_dies_inside_gasnet_bootstrap() {
                 survivors,
                 "p={p} victim={victim}: every survivor, and only they, finished"
             );
+        }
+    }
+}
+
+/// A window (CAF-MPI) or the attached library (CAF-GASNet) remembers the
+/// segment of a target it has touched, and a failed target answers the
+/// same either way. Image 0 writes to image 1 after it died — having
+/// resolved its segment while it lived (`touched`), or touching it now
+/// for the first time. On CAF-GASNet the store is dropped at the fault
+/// screen, ahead of any resolution; on CAF-MPI it lands in the dead
+/// rank's exposure, which outlives its owner, as it always has. On both
+/// the write returns, and writes to the living image 2 go on landing.
+#[test]
+fn a_dead_target_answers_the_same_whether_or_not_its_segment_was_resolved() {
+    for kind in [SubstrateKind::Mpi, SubstrateKind::Gasnet] {
+        for (exec, touched) in [ExecConfig::default(), ExecConfig::tasks()]
+            .into_iter()
+            .flat_map(|exec| [(exec, false), (exec, true)])
+        {
+            let cfg = CafConfig { exec, ..fast(kind) };
+            let out = CafUniverse::run_with_config_ft(3, cfg, move |img| {
+                let me = img.this_image();
+                let world = img.team_world();
+                let ca: Coarray<u64> = img.coarray_alloc(&world, 4);
+                let go = img.event_alloc(&world);
+                if me == 0 {
+                    if touched {
+                        ca.write(img, 1, 0, &[1]);
+                    }
+                    img.event_notify(&world, &go, 1);
+                }
+                if me == 1 {
+                    // lint:allow(CAFL008) nobody has died yet: the victim is the waiter
+                    img.event_wait(&go);
+                    img.fail_image();
+                }
+                while img.sync_all_stat().is_ok() {}
+                assert_eq!(img.image_status(1), ImageStatus::Failed);
+                if me == 0 {
+                    ca.write(img, 1, 1, &[2]);
+                    ca.write(img, 2, 0, &[3]);
+                    if kind == SubstrateKind::Mpi {
+                        let mut landed = [0u64];
+                        ca.read(img, 1, 1, &mut landed);
+                        assert_eq!(landed, [2]);
+                    }
+                }
+                let (survivors, _) = img.team_reform(&world);
+                assert!(img.barrier_stat(&survivors).is_ok());
+                ca.local_vec(img)[0]
+            });
+            let what = format!("{kind:?} {:?} touched={touched}", exec.mode);
+            assert_eq!(out, [Some(0), None, Some(3)], "{what}");
         }
     }
 }

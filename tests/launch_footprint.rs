@@ -20,8 +20,8 @@
 //! `Vec<usize>` entries plus each image's share of the mailbox blocks;
 //! the assertion allows twice the measurement.
 
-use caf::{CafConfig, ExecConfig};
-use caf_bench::heap::Counting;
+use caf::{CafConfig, CafUniverse, Coarray, ExecConfig, SubstrateKind};
+use caf_bench::heap::{self, Counting};
 use caf_bench::{fig1_configs, launch_footprint};
 
 #[global_allocator]
@@ -63,5 +63,46 @@ fn an_image_enters_its_body_holding_kilobytes_not_megabytes() {
         // The accounted bytes are the ballast's size: the heap must stay
         // far below them, not track them.
         assert!(large.heap < large.accounted as i64 / 8, "{name}: heap tracks the accounted bytes");
+    }
+}
+
+/// A window remembers the peer segments it has resolved (16 B a peer) and
+/// must let go of them, and of the table, when it is freed: one handle
+/// left behind keeps a peer's whole part alive. Summed over the job — a
+/// part is on its owner's books and comes off those of whichever image
+/// dropped the last handle — and held against one part, not against zero:
+/// mailbox blocks are still being first-touched in the sixteenth round
+/// (some 24 B an image a round, the same before windows remembered
+/// anything).
+#[test]
+#[cfg_attr(miri, ignore = "launches 256-image jobs")]
+fn a_freed_coarray_gives_its_heap_back_at_p256() {
+    const PART: usize = 32 << 10;
+    for kind in [SubstrateKind::Mpi, SubstrateKind::Gasnet] {
+        let mut cfg = CafConfig {
+            exec: ExecConfig { workers: 1, ..ExecConfig::tasks() },
+            ..CafConfig::on(kind)
+        };
+        cfg.gasnet.segment_size = SEGMENT;
+        let held = CafUniverse::run_with_config(256, cfg, |img| {
+            let w = img.team_world();
+            let (me, p) = (img.this_image(), img.num_images());
+            let round = || {
+                let ca: Coarray<u64> = img.coarray_alloc(&w, PART / 8);
+                for peer in [(me + 1) % p, (me + p / 2) % p] {
+                    ca.write(img, peer, me, &[me as u64]);
+                }
+                img.sync_all();
+                img.coarray_free(&w, ca);
+                img.sync_all();
+            };
+            round();
+            let before = heap::live_bytes();
+            round();
+            heap::live_bytes() - before
+        });
+        let held: i64 = held.iter().sum();
+        println!("{kind:?}: {held} B held job-wide after 256 parts of {PART} B were freed");
+        assert!(held.abs() < PART as i64, "{kind:?}: {held} B still held after coarray_free");
     }
 }
