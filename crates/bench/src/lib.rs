@@ -124,7 +124,7 @@ pub fn real_ra(p: usize, kind: SubstrateKind, log2_local: u32, updates: usize) -
 /// [`caf_trace::Trace::decomposition`] reproduces the Figure-4 profile
 /// and [`caf_trace::Trace::to_chrome_json`] exports a
 /// `chrome://tracing` / Perfetto timeline. Fails if another trace
-/// session is already active in the process.
+/// session is already recording on the calling thread.
 pub fn traced_ra(
     p: usize,
     kind: SubstrateKind,
@@ -270,18 +270,15 @@ pub mod checked {
     use super::*;
     use caf_check::{CheckConfig, CheckSession, Report};
 
-    /// Run `body` on `p` images of `kind` with the sanitizer armed and
-    /// return its report. Uses the cost-free [`fast`] configuration:
-    /// legality does not depend on the cost tables, and the checker
-    /// already serializes the interesting calls.
+    /// Run `body` on `p` images of `kind` with the sanitizer armed on
+    /// this thread and return its report. Uses the cost-free [`fast`]
+    /// configuration: legality does not depend on the cost tables, and
+    /// the checker already serializes the interesting calls.
     pub fn checked_run(
         p: usize,
         kind: SubstrateKind,
         body: impl Fn(&Image) + Send + Sync,
     ) -> Report {
-        let _guard = caf_check::SESSION_TEST_LOCK
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
         let session = CheckSession::start(CheckConfig::default())
             .expect("another check session is active");
         CafUniverse::run_with_config(p, fast(kind), |img| body(img));

@@ -20,10 +20,10 @@
 //!    shadow access history per coarray member, flagging unordered
 //!    conflicting accesses on either substrate.
 //!
-//! Both run **online** — arm a [`CheckSession`] around a simulator run;
-//! the runtime's hooks (compiled in with the `check` feature of
-//! `caf`/`caf-mpisim`, a single relaxed load when disarmed) feed the
-//! checkers — or **offline** via [`check_trace`] over a recorded
+//! Both run **online** — arm a [`CheckSession`] around a simulator run
+//! launched from the same thread; the runtime's hooks (compiled in with
+//! the `check` feature of `caf`/`caf-mpisim`, a single thread-local load
+//! when disarmed) feed the checkers — or **offline** via [`check_trace`] over a recorded
 //! `caf-trace` timeline.
 
 mod epoch;
@@ -36,6 +36,4 @@ pub use epoch::EpochChecker;
 pub use hb::{HbEdge, RaceDetector, NS_AGG, NS_EVENT, NS_SHIP};
 pub use offline::{check_events, check_trace};
 pub use report::{ByteRange, Report, Violation, ViolationKind};
-pub use session::{
-    enabled, hooks, CheckConfig, CheckError, CheckMode, CheckSession, SESSION_TEST_LOCK,
-};
+pub use session::{enabled, hooks, CheckConfig, CheckError, CheckMode, CheckSession};

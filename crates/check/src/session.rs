@@ -1,25 +1,27 @@
 //! Online check sessions and the runtime hook surface.
 //!
-//! Mirrors the `caf-trace` session pattern: a process-global session
-//! guarded by one relaxed [`enabled`] flag, so every hook is a single
-//! relaxed load when no session is active — the sanitizer costs nothing
-//! unless armed. Hooks take only primitive arguments (ids, global ranks,
-//! `(start, len)` byte pairs) so the instrumented crates need no types
-//! from this one.
+//! Mirrors the `caf-trace` session: a session arms the thread that
+//! starts it and every job that thread launches (its launch scope,
+//! `caf_trace::scope`), and [`enabled`] tests one bit of a thread-local
+//! flag word, so every hook is a single load when no session is armed —
+//! the sanitizer costs nothing unless armed, and a job running beside an
+//! armed one feeds nothing. Hooks take only primitive arguments (ids,
+//! global ranks, `(start, len)` byte pairs) so the instrumented crates
+//! need no types from this one.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
+
+use caf_trace::scope::{self, Part};
 
 use crate::epoch::EpochChecker;
 use crate::hb::{HbEdge, RaceDetector};
 use crate::report::{ByteRange, Report, Violation};
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// True while a check session is active. The fast path of every hook.
+/// True while a check session is armed on the calling thread. The fast
+/// path of every hook.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    scope::armed(Part::Check)
 }
 
 /// What to do when a violation fires.
@@ -64,7 +66,7 @@ impl Default for CheckConfig {
 /// Why a session could not start.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CheckError {
-    /// Another check session is active in this process.
+    /// Another check session is armed on this thread.
     SessionActive,
 }
 
@@ -87,60 +89,68 @@ struct State {
     edges: Vec<(u64, usize, HbEdge)>,
 }
 
-static STATE: Mutex<Option<State>> = Mutex::new(None);
+/// One session's state, as its scope holds it; `None` once finished.
+type Shared = Mutex<Option<State>>;
 
 /// Lock the session state, surviving poisoning (a `Panic`-mode violation
 /// panics with the lock held; later hooks and `finish` must still work).
-fn lock() -> MutexGuard<'static, Option<State>> {
-    STATE.lock().unwrap_or_else(|e| e.into_inner())
+fn lock(shared: &Shared) -> MutexGuard<'_, Option<State>> {
+    shared.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// The session armed on the calling thread.
+fn armed() -> Option<Arc<Shared>> {
+    scope::with(|s| s.get(Part::Check).cloned())?.downcast().ok()
 }
 
 /// An active sanitizer session. Start one around a simulator run, then
-/// [`CheckSession::finish`] to collect the [`Report`]. One per process.
+/// [`CheckSession::finish`] to collect the [`Report`]. One per thread.
 #[must_use = "finish() the session to collect its report"]
 pub struct CheckSession {
-    _priv: (),
+    shared: Arc<Shared>,
 }
 
 impl CheckSession {
-    /// Arm the sanitizer. Fails if a session is already active.
+    /// Arm the sanitizer on the calling thread. Fails if a session is
+    /// already armed there.
     pub fn start(cfg: CheckConfig) -> Result<CheckSession, CheckError> {
-        let mut st = lock();
-        if st.is_some() {
+        if armed().is_some_and(|s| lock(&s).is_some()) {
             return Err(CheckError::SessionActive);
         }
         let history_limit = cfg.history_limit;
-        *st = Some(State {
+        let shared = Arc::new(Mutex::new(Some(State {
             edges: Vec::new(),
             cfg,
             epoch: EpochChecker::new(),
             hb: RaceDetector::new(history_limit),
             violations: Vec::new(),
             dropped: 0,
-        });
-        ENABLED.store(true, Ordering::SeqCst);
-        Ok(CheckSession { _priv: () })
+        })));
+        scope::set(Part::Check, Some(shared.clone()));
+        Ok(CheckSession { shared })
     }
 
     /// Disarm and return everything collected.
     pub fn finish(self) -> Report {
-        teardown().unwrap_or_default()
+        self.teardown().unwrap_or_default()
+    }
+
+    fn teardown(&self) -> Option<Report> {
+        if armed().is_some_and(|s| Arc::ptr_eq(&s, &self.shared)) {
+            scope::set(Part::Check, None);
+        }
+        lock(&self.shared).take().map(|s| Report {
+            violations: s.violations,
+            dropped: s.dropped,
+            edges: s.edges,
+        })
     }
 }
 
 impl Drop for CheckSession {
     fn drop(&mut self) {
-        teardown();
+        self.teardown();
     }
-}
-
-fn teardown() -> Option<Report> {
-    ENABLED.store(false, Ordering::SeqCst);
-    lock().take().map(|s| Report {
-        violations: s.violations,
-        dropped: s.dropped,
-        edges: s.edges,
-    })
 }
 
 /// Record `found` per the session's mode. Panics in `Panic` mode.
@@ -157,65 +167,52 @@ fn sink(st: &mut State, found: Vec<Violation>) {
     }
 }
 
-/// Serializes tests that start their own global session (mirrors
-/// `caf_trace::SESSION_TEST_LOCK`).
-pub static SESSION_TEST_LOCK: Mutex<()> = Mutex::new(());
-
 /// Instrumentation entry points called by the runtime crates. All are
-/// no-ops (one relaxed load) unless a session is active.
+/// no-ops (one thread-local load) unless a session is armed.
 pub mod hooks {
     use super::*;
 
     /// The edge vocabulary of [`hb`] and its channel namespaces.
     pub use crate::hb::{HbEdge, NS_AGG, NS_EVENT, NS_SHIP};
 
-    fn with_state(f: impl FnOnce(&mut State) -> Vec<Violation>) {
+    /// Run `f` against the armed session's state; what it finds is sunk
+    /// per the session's mode.
+    fn with_state(f: impl FnOnce(&mut State, &mut Vec<Violation>)) {
         if !enabled() {
             return;
         }
-        let mut guard = lock();
+        let Some(shared) = armed() else { return };
+        let mut guard = lock(&shared);
         let Some(st) = guard.as_mut() else { return };
-        let found = f(st);
+        let mut found = Vec::new();
+        f(st, &mut found);
         if !found.is_empty() {
             sink(st, found);
         }
     }
 
-    fn epochs_on(st: &State) -> bool {
-        st.cfg.epochs
+    /// Feed the epoch checker, when the session runs it.
+    fn epoch(f: impl FnOnce(&mut EpochChecker, &mut Vec<Violation>)) {
+        with_state(|st, out| {
+            if st.cfg.epochs {
+                f(&mut st.epoch, out);
+            }
+        });
     }
 
     /// `win_lock_all` by global rank `origin`.
     pub fn win_lock_all(window: u64, origin: usize) {
-        with_state(|st| {
-            let mut out = Vec::new();
-            if epochs_on(st) {
-                st.epoch.lock_all(window, origin, &mut out);
-            }
-            out
-        });
+        epoch(|e, out| e.lock_all(window, origin, out));
     }
 
     /// `win_unlock_all`; `epoch_open` is the runtime's `locked_all` flag.
     pub fn win_unlock_all(window: u64, origin: usize, epoch_open: bool) {
-        with_state(|st| {
-            let mut out = Vec::new();
-            if epochs_on(st) {
-                st.epoch.unlock_all(window, origin, epoch_open, &mut out);
-            }
-            out
-        });
+        epoch(|e, out| e.unlock_all(window, origin, epoch_open, out));
     }
 
     /// `win_free` by `origin`.
     pub fn win_free(window: u64, origin: usize, epoch_open: bool) {
-        with_state(|st| {
-            let mut out = Vec::new();
-            if epochs_on(st) {
-                st.epoch.free(window, origin, epoch_open, &mut out);
-            }
-            out
-        });
+        epoch(|e, out| e.free(window, origin, epoch_open, out));
     }
 
     /// An `MPI_Put`-family data transfer. `(disp, len)` is the byte range
@@ -232,21 +229,8 @@ pub mod hooks {
         buf_len: u64,
         epoch_open: bool,
     ) {
-        with_state(|st| {
-            let mut out = Vec::new();
-            if epochs_on(st) {
-                st.epoch.rma_put(
-                    window,
-                    origin,
-                    target,
-                    ByteRange::new(disp, len),
-                    ByteRange::new(buf_addr, buf_len),
-                    epoch_open,
-                    &mut out,
-                );
-            }
-            out
-        });
+        let (range, buf) = (ByteRange::new(disp, len), ByteRange::new(buf_addr, buf_len));
+        epoch(|e, out| e.rma_put(window, origin, target, range, buf, epoch_open, out));
     }
 
     /// An `MPI_Get`-family data transfer.
@@ -261,21 +245,8 @@ pub mod hooks {
         buf_len: u64,
         epoch_open: bool,
     ) {
-        with_state(|st| {
-            let mut out = Vec::new();
-            if epochs_on(st) {
-                st.epoch.rma_get(
-                    window,
-                    origin,
-                    target,
-                    ByteRange::new(disp, len),
-                    ByteRange::new(buf_addr, buf_len),
-                    epoch_open,
-                    &mut out,
-                );
-            }
-            out
-        });
+        let (range, buf) = (ByteRange::new(disp, len), ByteRange::new(buf_addr, buf_len));
+        epoch(|e, out| e.rma_get(window, origin, target, range, buf, epoch_open, out));
     }
 
     /// An accumulate-family operation.
@@ -287,66 +258,28 @@ pub mod hooks {
         len: u64,
         epoch_open: bool,
     ) {
-        with_state(|st| {
-            let mut out = Vec::new();
-            if epochs_on(st) {
-                st.epoch.rma_atomic(
-                    window,
-                    origin,
-                    target,
-                    ByteRange::new(disp, len),
-                    epoch_open,
-                    &mut out,
-                );
-            }
-            out
-        });
+        let range = ByteRange::new(disp, len);
+        epoch(|e, out| e.rma_atomic(window, origin, target, range, epoch_open, out));
     }
 
     /// A local load of `owner`'s own window region.
     pub fn local_read(window: u64, owner: usize, disp: u64, len: u64) {
-        with_state(|st| {
-            let mut out = Vec::new();
-            if epochs_on(st) {
-                st.epoch
-                    .local_read(window, owner, ByteRange::new(disp, len), &mut out);
-            }
-            out
-        });
+        epoch(|e, out| e.local_read(window, owner, ByteRange::new(disp, len), out));
     }
 
     /// A local store into `owner`'s own window region.
     pub fn local_write(window: u64, owner: usize, disp: u64, len: u64) {
-        with_state(|st| {
-            let mut out = Vec::new();
-            if epochs_on(st) {
-                st.epoch
-                    .local_write(window, owner, ByteRange::new(disp, len), &mut out);
-            }
-            out
-        });
+        epoch(|e, out| e.local_write(window, owner, ByteRange::new(disp, len), out));
     }
 
     /// `win_flush(origin → target)`.
     pub fn win_flush(window: u64, origin: usize, target: usize, epoch_open: bool) {
-        with_state(|st| {
-            let mut out = Vec::new();
-            if epochs_on(st) {
-                st.epoch.flush(window, origin, target, epoch_open, &mut out);
-            }
-            out
-        });
+        epoch(|e, out| e.flush(window, origin, target, epoch_open, out));
     }
 
     /// `win_flush_all(origin)`.
     pub fn win_flush_all(window: u64, origin: usize, epoch_open: bool) {
-        with_state(|st| {
-            let mut out = Vec::new();
-            if epochs_on(st) {
-                st.epoch.flush_all(window, origin, epoch_open, &mut out);
-            }
-            out
-        });
+        epoch(|e, out| e.flush_all(window, origin, epoch_open, out));
     }
 
     /// A request-generating RMA op went live; returns a tracking token
@@ -361,7 +294,8 @@ pub mod hooks {
         if !enabled() {
             return 0;
         }
-        let mut guard = lock();
+        let Some(shared) = armed() else { return 0 };
+        let mut guard = lock(&shared);
         let Some(st) = guard.as_mut() else { return 0 };
         if !st.cfg.epochs {
             return 0;
@@ -372,39 +306,28 @@ pub mod hooks {
 
     /// The tracked request completed properly.
     pub fn request_wait(token: u64) {
-        if token == 0 {
-            return;
+        if token != 0 {
+            epoch(|e, _| e.request_wait(token));
         }
-        with_state(|st| {
-            st.epoch.request_wait(token);
-            Vec::new()
-        });
     }
 
     /// The tracked request was dropped without completion.
     pub fn request_drop(token: u64) {
-        if token == 0 {
-            return;
+        if token != 0 {
+            epoch(|e, out| e.request_drop(token, out));
         }
-        with_state(|st| {
-            let mut out = Vec::new();
-            st.epoch.request_drop(token, &mut out);
-            out
-        });
     }
 
     /// One happens-before edge of image `img`, reported by the CAF
     /// layer's operation prologue — the only place that calls this.
     pub fn hb(img: usize, edge: HbEdge) {
-        with_state(|st| {
+        with_state(|st, out| {
             if st.edges.len() < st.cfg.max_violations {
                 st.edges.push((caf_trace::now_ns(), img, edge));
             }
-            let mut out = Vec::new();
             if st.cfg.races {
-                st.hb.apply(img, edge, &mut out);
+                st.hb.apply(img, edge, out);
             }
-            out
         });
     }
 }
@@ -416,7 +339,6 @@ mod tests {
 
     #[test]
     fn hooks_are_inert_without_a_session_and_live_with_one() {
-        let _guard = SESSION_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         assert!(!enabled());
         hooks::rma_put(1, 0, 1, 0, 8, 0, 0, false); // no session: swallowed
         assert_eq!(hooks::request_open(1, 0, 0, 8, "rput"), 0);
@@ -425,6 +347,8 @@ mod tests {
         assert!(enabled());
         assert!(CheckSession::start(CheckConfig::default()).is_err());
         hooks::rma_put(1, 0, 1, 0, 8, 0, 0, false);
+        // A thread outside the session's scope feeds nothing.
+        std::thread::spawn(|| hooks::rma_put(1, 0, 1, 0, 8, 0, 0, false)).join().unwrap();
         let write = hooks::HbEdge::Access { region: 9, owner: 0, disp: 0, len: 8, write: true };
         hooks::hb(0, write);
         hooks::hb(1, write);
@@ -436,7 +360,6 @@ mod tests {
 
     #[test]
     fn panic_mode_fires_at_the_violation_site() {
-        let _guard = SESSION_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let s = CheckSession::start(CheckConfig {
             mode: CheckMode::Panic,
             ..CheckConfig::default()

@@ -160,65 +160,26 @@ impl CafUniverse {
         Self::launch(n, config, f)
     }
 
-    /// Run the job; `None` for an image killed by fault injection. Any
-    /// other panic is re-raised after the join — the first to have
-    /// happened, not the lowest rank's, which is usually a partner
-    /// reporting the first one's death.
+    /// Run the job through the fabric's launcher; `None` for an image
+    /// killed by fault injection, any other panic re-raised after the
+    /// join — the first to have happened ([`Fabric::launch`]).
     fn launch<T, F>(n: usize, config: CafConfig, f: F) -> Vec<Option<T>>
     where
         T: Send,
         F: Fn(&Image) -> T + Send + Sync,
     {
-        let mut fabric = Fabric::with_config(
-            n,
-            FabricConfig {
-                planes: 2,
-                exec: config.exec,
-                fault: config.fault,
-                ..FabricConfig::default()
-            },
-        );
+        let fabric = FabricConfig {
+            planes: 2,
+            exec: config.exec,
+            fault: config.fault,
+            ..FabricConfig::default()
+        };
         let ship_reg = Arc::new(ShipRegistry::new());
-        // Per-rank endpoint pairs travel to their image through take-once
-        // slots: the executor invokes `Fn(rank)` and caf-sched guarantees
-        // task id == rank (under `Threads` this degenerates to the old
-        // one-scoped-thread-per-image launch).
-        let slots: Vec<std::sync::Mutex<Option<_>>> = (0..n)
-            .map(|rank| {
-                std::sync::Mutex::new(Some((
-                    fabric.take_endpoint_on(rank, 0),
-                    fabric.take_endpoint_on(rank, 1),
-                )))
-            })
-            .collect();
-        let f = &f;
-        let ship_reg = &ship_reg;
-        let mut results = caf_sched::run(n, &config.exec, move |rank| {
-            let (ep0, ep1) = slots[rank]
-                .lock()
-                .unwrap()
-                .take()
-                .expect("endpoint slot taken twice");
-            let _model = caf_fabric::sched::register_thread(rank);
-            let img = Image::init(ep0, ep1, config, Arc::clone(ship_reg));
+        Fabric::launch(n, fabric, |planes| {
+            let [ep0, ep1] = <[_; 2]>::try_from(planes).expect("two planes");
+            let img = Image::init(ep0, ep1, config, Arc::clone(&ship_reg));
             f(&img)
-        });
-        // A job that saw a panic unwinds below, so its result order no
-        // longer matters: bring the first panic to the front. (A job
-        // whose images all returned never consults the registry.)
-        if results.iter().any(|r| r.is_err()) {
-            if let Some(first) = fabric.first_panic() {
-                results.swap(0, first);
-            }
-        }
-        results
-            .into_iter()
-            .map(|r| match r {
-                Ok(v) => Some(v),
-                Err(e) if e.downcast_ref::<caf_fabric::ImageKilled>().is_some() => None,
-                Err(e) => std::panic::resume_unwind(e),
-            })
-            .collect()
+        })
     }
 }
 

@@ -82,7 +82,7 @@ impl Stats {
     }
 
     /// Whether wall-clock accounting is currently on.
-    pub fn accounting_enabled(&self) -> bool {
+    fn accounting_enabled(&self) -> bool {
         !self.off.get()
     }
 

@@ -13,8 +13,8 @@
 //! (every method is one of the `Coarray` rows) and the `co_*` intrinsics
 //! (each is `allreduce` or `broadcast`).
 //!
-//! One test on purpose: check and trace sessions are process-global, so
-//! this file is its own binary with nothing to race.
+//! The check and trace sessions see only the jobs this test's thread
+//! launches, so nothing else in the process adds to what is pinned.
 
 use caf::{
     AggConfig, AsyncOpts, CafConfig, CafUniverse, Coarray, Event, Image, Section, StatCat,

@@ -167,7 +167,6 @@ pub fn allgather<T: Pod>(t: &impl Rounds, sendbuf: &[T]) -> Result<Vec<T>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sched::tests::gate_test_lock;
     use crate::{Endpoint, Fabric, Packet, Watch};
     use bytes::Bytes;
 
@@ -205,7 +204,6 @@ mod tests {
     /// edge or the Bruck rotation could go wrong, from every root.
     #[test]
     fn every_algorithm_at_every_size_from_every_root() {
-        let _l = gate_test_lock();
         for n in (1usize..=17).chain([31, 32, 33]) {
             Fabric::run(n, |ep| {
                 let me = ep.rank() as u64;
@@ -236,7 +234,6 @@ mod tests {
     /// The entry screen: once a member is dead no collective sends.
     #[test]
     fn a_collective_on_a_broken_team_fails_without_sending() {
-        let _l = gate_test_lock();
         let out = Fabric::run_with_config_ft(3, Default::default(), |ep| {
             if ep.rank() == 2 {
                 ep.fail_now();

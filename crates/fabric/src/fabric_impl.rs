@@ -57,98 +57,21 @@ struct Shared {
     segments: RwLock<HashMap<u64, Arc<Segment>>>,
     next_segment: AtomicU64,
     config: FabricConfig,
-    /// Per-fabric failure registry (never process-global: concurrent
-    /// test fabrics must not observe each other's failures).
+    /// Per-job failure registry (never process-global: concurrent jobs
+    /// must not observe each other's failures).
     fault: Arc<FaultState>,
 }
 
-/// One parallel job: `n` ranks wired together by mailboxes and a shared
-/// segment registry.
-pub struct Fabric {
-    shared: Arc<Shared>,
-    receivers: Vec<Option<Receiver<Packet>>>,
-}
+/// The launcher of parallel jobs: `n` ranks wired together by mailboxes
+/// and a shared segment registry.
+pub struct Fabric;
 
 impl Fabric {
-    /// Create a job of `size` ranks with default configuration.
-    pub fn new(size: usize) -> Self {
-        Self::with_config(size, FabricConfig::default())
-    }
-
-    /// Create a job of `size` ranks.
-    pub fn with_config(size: usize, config: FabricConfig) -> Self {
-        assert!(size > 0, "fabric must have at least one rank");
-        assert!(config.planes > 0, "fabric must have at least one plane");
-        let slots = size * config.planes;
-        let mut senders = Vec::with_capacity(slots);
-        let mut receivers = Vec::with_capacity(slots);
-        for _ in 0..slots {
-            let (tx, rx) = channel::unbounded();
-            senders.push(tx);
-            receivers.push(Some(rx));
-        }
-        Fabric {
-            shared: Arc::new(Shared {
-                n: size,
-                senders,
-                segments: RwLock::new(HashMap::new()),
-                next_segment: AtomicU64::new(1),
-                config,
-                fault: Arc::new(FaultState::new(size, config.fault)),
-            }),
-            receivers,
-        }
-    }
-
-    /// Number of ranks in the job.
-    pub fn size(&self) -> usize {
-        self.shared.n
-    }
-
-    /// The rank whose own panic (not an injected death) was the first to
-    /// unwind an endpoint of this job, if any — the `error stop` a
-    /// launcher should re-raise. Later panics are usually its partners
-    /// observing the failure.
-    pub fn first_panic(&self) -> Option<usize> {
-        self.shared.fault.first_panic()
-    }
-
-    /// Take the plane-0 endpoint for `rank`. Each endpoint can be taken
-    /// exactly once.
+    /// SPMD convenience launcher: run `f` on `size` ranks with their
+    /// endpoints and return the per-rank results in rank order.
     ///
-    /// # Panics
-    ///
-    /// Panics if `rank` is out of range or its endpoint was already taken.
-    pub fn take_endpoint(&mut self, rank: usize) -> Endpoint {
-        self.take_endpoint_on(rank, 0)
-    }
-
-    /// Take the endpoint for `rank` on mailbox `plane`.
-    pub fn take_endpoint_on(&mut self, rank: usize, plane: usize) -> Endpoint {
-        assert!(plane < self.shared.config.planes, "plane out of range");
-        let rx = self.receivers[plane * self.shared.n + rank]
-            .take()
-            .expect("endpoint already taken");
-        Endpoint {
-            rank,
-            plane,
-            fault: Fault::new(Arc::clone(&self.shared.fault), rank),
-            shared: Arc::clone(&self.shared),
-            rx,
-            stash: RefCell::new(VecDeque::new()),
-        }
-    }
-
-    /// Take all endpoints, in rank order.
-    pub fn take_all(&mut self) -> Vec<Endpoint> {
-        (0..self.size()).map(|r| self.take_endpoint(r)).collect()
-    }
-
-    /// SPMD convenience launcher: spawn `size` threads, run `f` on each with
-    /// its endpoint, and return the per-rank results in rank order.
-    ///
-    /// Panics in any rank are propagated (the whole job aborts), matching
-    /// the fail-stop behaviour of an MPI job.
+    /// A panic in any rank aborts the job (the fail-stop behaviour of an
+    /// MPI job) and is re-raised here; see [`Fabric::launch`].
     pub fn run<T, F>(size: usize, f: F) -> Vec<T>
     where
         T: Send,
@@ -163,9 +86,9 @@ impl Fabric {
         T: Send,
         F: Fn(Endpoint) -> T + Send + Sync,
     {
-        Self::run_raw(size, config, f)
+        Self::run_with_config_ft(size, config, f)
             .into_iter()
-            .map(|r| r.expect("rank panicked"))
+            .map(|r| r.expect("rank killed by fault injection (use run_with_config_ft)"))
             .collect()
     }
 
@@ -177,7 +100,83 @@ impl Fabric {
         T: Send,
         F: Fn(Endpoint) -> T + Send + Sync,
     {
-        Self::run_raw(size, config, f)
+        Self::launch(size, config, |planes| f(planes.into_iter().next().expect("plane 0")))
+    }
+
+    /// The launcher every job goes through: run `f` on `size` ranks, each
+    /// handed its endpoints on every plane in plane order, and return the
+    /// per-rank results in rank order — `None` for a rank killed by fault
+    /// injection.
+    ///
+    /// Every rank runs inside the launching thread's scope
+    /// (`caf_trace::scope`): a trace session, check session or model gate
+    /// armed there sees the job, and a job launched from anywhere else
+    /// does not. Ranks register with an armed gate before `f` runs.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises, once every rank has returned, the payload of the first
+    /// rank to panic on its own (not an injected death) — usually the
+    /// cause, where the lowest failing rank is usually a partner reporting
+    /// it.
+    pub fn launch<T, F>(size: usize, config: FabricConfig, f: F) -> Vec<Option<T>>
+    where
+        T: Send,
+        F: Fn(Vec<Endpoint>) -> T + Send + Sync,
+    {
+        assert!(size > 0, "fabric must have at least one rank");
+        assert!(config.planes > 0, "fabric must have at least one plane");
+        let (senders, receivers): (Vec<_>, Vec<_>) =
+            (0..size * config.planes).map(|_| channel::unbounded()).unzip();
+        let shared = Arc::new(Shared {
+            n: size,
+            senders,
+            segments: RwLock::new(HashMap::new()),
+            next_segment: AtomicU64::new(1),
+            config,
+            fault: Arc::new(FaultState::new(size, config.fault)),
+        });
+        // Mailbox `plane * size + rank` is rank's on that plane.
+        let mut planes: Vec<Vec<Endpoint>> = (0..size).map(|_| Vec::new()).collect();
+        for (i, rx) in receivers.into_iter().enumerate() {
+            let (rank, plane) = (i % size, i / size);
+            planes[rank].push(Endpoint {
+                rank,
+                plane,
+                fault: Fault::new(Arc::clone(&shared.fault), rank),
+                shared: Arc::clone(&shared),
+                rx,
+                stash: RefCell::new(VecDeque::new()),
+            });
+        }
+        // Hand each rank its endpoints through a take-once slot: the
+        // executor invokes `Fn(rank)`, so by-value per-rank state travels
+        // via its rank index. Task id == rank is a caf-sched invariant,
+        // which is also what lets `Endpoint::send` translate a
+        // destination rank into an `unpark`.
+        let slots: Vec<std::sync::Mutex<Option<Vec<Endpoint>>>> =
+            planes.into_iter().map(|p| std::sync::Mutex::new(Some(p))).collect();
+        let scope = caf_trace::Scope::current();
+        let f = &f;
+        let mut results = caf_sched::run(size, &config.exec, move |rank| {
+            let _scope = scope.enter();
+            let planes = slots[rank]
+                .lock()
+                .expect("no rank panics holding its slot")
+                .take()
+                .expect("endpoint slot taken twice");
+            let _model = crate::sched::register_thread(rank);
+            f(planes)
+        });
+        // A job that saw a panic unwinds below, so its result order no
+        // longer matters: bring the first panic to the front. (A job
+        // whose ranks all returned never consults the registry.)
+        if results.iter().any(|r| r.is_err()) {
+            if let Some(first) = shared.fault.first_panic() {
+                results.swap(0, first);
+            }
+        }
+        results
             .into_iter()
             .map(|r| match r {
                 Ok(v) => Some(v),
@@ -185,34 +184,6 @@ impl Fabric {
                 Err(e) => std::panic::resume_unwind(e),
             })
             .collect()
-    }
-
-    fn run_raw<T, F>(size: usize, config: FabricConfig, f: F) -> Vec<std::thread::Result<T>>
-    where
-        T: Send,
-        F: Fn(Endpoint) -> T + Send + Sync,
-    {
-        let mut fabric = Fabric::with_config(size, config);
-        // Hand each rank its endpoint through a take-once slot: the
-        // executor invokes `Fn(rank)`, so by-value per-rank state travels
-        // via its rank index. Task id == rank is a caf-sched invariant,
-        // which is also what lets `Endpoint::send` translate a
-        // destination rank into an `unpark`.
-        let slots: Vec<std::sync::Mutex<Option<Endpoint>>> = fabric
-            .take_all()
-            .into_iter()
-            .map(|ep| std::sync::Mutex::new(Some(ep)))
-            .collect();
-        let f = &f;
-        caf_sched::run(size, &config.exec, move |rank| {
-            let ep = slots[rank]
-                .lock()
-                .unwrap()
-                .take()
-                .expect("endpoint slot taken twice");
-            let _model = crate::sched::register_thread(rank);
-            f(ep)
-        })
     }
 }
 
@@ -606,7 +577,6 @@ impl Drop for Endpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sched::tests::gate_test_lock;
     use bytes::Bytes;
 
     #[test]
@@ -732,7 +702,6 @@ mod tests {
     /// Rule 1 of [`Endpoint::match_blocking`].
     #[test]
     fn stashed_match_is_returned_although_its_sender_has_died() {
-        let _l = gate_test_lock();
         Fabric::run_with_config_ft(2, FabricConfig::default(), |ep| {
             if ep.rank() == 1 {
                 ep.send(0, Packet::control(1, 0, 1, [0; 4])).unwrap();
@@ -752,7 +721,6 @@ mod tests {
     /// Rule 2: the mailbox holds data then notice, the registry is marked.
     #[test]
     fn data_injected_before_a_death_wins_over_the_notice() {
-        let _l = gate_test_lock();
         Fabric::run_with_config_ft(2, FabricConfig::default(), |ep| {
             if ep.rank() == 1 {
                 ep.send(0, Packet::control(1, 0, 7, [0; 4])).unwrap();
@@ -767,7 +735,6 @@ mod tests {
     /// Rule 3: rank 2 dies while rank 0 waits on rank 1 alone.
     #[test]
     fn notice_for_a_rank_outside_watch_does_not_end_the_wait() {
-        let _l = gate_test_lock();
         Fabric::run_with_config_ft(3, FabricConfig::default(), |ep| match ep.rank() {
             0 => {
                 let pkt = ep.match_blocking(Watch::Ranks(&[1]), tagged(5), Some);
@@ -780,13 +747,5 @@ mod tests {
             }
             _ => ep.fail_now(),
         });
-    }
-
-    #[test]
-    #[should_panic(expected = "endpoint already taken")]
-    fn endpoints_are_single_take() {
-        let mut f = Fabric::new(2);
-        let _a = f.take_endpoint(0);
-        let _b = f.take_endpoint(0);
     }
 }

@@ -148,8 +148,8 @@ pub struct ImageKilled {
     pub rank: usize,
 }
 
-/// Per-fabric failure registry. One per `Fabric` (not process-global:
-/// concurrent test fabrics must not see each other's failures).
+/// Per-job failure registry. One per launch (not process-global:
+/// concurrent jobs must not see each other's failures).
 #[derive(Debug)]
 pub(crate) struct FaultState {
     plan: FaultPlan,

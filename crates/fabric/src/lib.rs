@@ -3,8 +3,8 @@
 //! # caf-fabric
 //!
 //! The in-process interconnect that every communication substrate in this
-//! workspace is built on. A [`Fabric`] models one parallel job: `n` ranks
-//! (OS threads) connected by
+//! workspace is built on. [`Fabric::launch`] runs one parallel job: `n`
+//! ranks (OS threads or caf-sched tasks) connected by
 //!
 //! * per-rank **packet mailboxes** (the "NIC receive queues") used for
 //!   two-sided traffic and active messages,

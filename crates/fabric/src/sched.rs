@@ -1,7 +1,9 @@
 //! The model-checking scheduler gate (loom/shuttle-style).
 //!
 //! When a gate is **armed** (by `caf-model`'s exploration engine), every
-//! image thread of one simulated job serializes through this module:
+//! image thread of the jobs the arming thread launches serializes
+//! through this module — the gate lives in the arming thread's launch
+//! scope (`caf_trace::scope`), so a job launched elsewhere runs free:
 //! exactly one thread runs at a time, and control changes hands only at
 //! *yield points* — the instrumented substrate entry points (RMA
 //! put/get/atomic/flush, local window access), the fabric mailbox
@@ -27,13 +29,16 @@
 //! gate aborts all threads with a [`ModelAbort`] panic and reports the
 //! wait-for edges instead of hanging (the paper's Figure 2 scenario).
 //!
-//! When no gate is armed, every entry point here is a single relaxed
-//! atomic load — the same disarmed-cost discipline as `caf-trace` and
-//! `caf-check`.
+//! When no gate is armed, every entry point here is a single
+//! thread-local load — the same disarmed-cost discipline as `caf-trace`
+//! and `caf-check`. An armed gate also keeps the `caf-trace` stall
+//! watchdog off: wall-clock thresholds mean nothing across a paused
+//! schedule.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+
+use caf_trace::scope::{self, Part};
 
 /// Sentinel owner matching any rank (whole-window operations: flush,
 /// epoch open/close, free).
@@ -256,12 +261,38 @@ struct GateState {
     panicked: bool,
 }
 
-static ARMED: AtomicBool = AtomicBool::new(false);
-static GATE: Mutex<Option<GateState>> = Mutex::new(None);
-static GATE_CV: Condvar = Condvar::new();
-/// Deterministic logical clock: total steps scheduled under the current
-/// gate (read by [`crate::delay::monotonic_ns`]).
-static LOGICAL_STEPS: AtomicU64 = AtomicU64::new(0);
+/// One armed gate: the controlled run (`None` once disarmed) and the
+/// condvar its thread participants park on.
+struct Gate {
+    state: Mutex<Option<GateState>>,
+    cv: Condvar,
+}
+
+type Locked<'a> = MutexGuard<'a, Option<GateState>>;
+
+impl Gate {
+    fn lock(&self) -> Locked<'_> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Wake every parked participant to re-check the schedule. Thread
+    /// participants sleep on `cv`; under `ExecMode::Tasks` they are
+    /// cooperatively parked on the caf-sched executor instead, so every
+    /// notify pairs with an `unpark_all` (spurious permits are harmless —
+    /// a woken task re-checks `current` and parks again). Lock order is
+    /// the gate → a task's mutex, released, then the gate → the slot
+    /// mutex (caf-sched never holds those two together and never takes a
+    /// gate).
+    fn wake_waiters(&self) {
+        self.cv.notify_all();
+        caf_sched::unpark_all();
+    }
+}
+
+/// The gate armed in the calling thread's scope.
+fn gate() -> Option<Arc<Gate>> {
+    scope::with(|s| s.get(Part::Gate).cloned())?.downcast().ok()
+}
 
 thread_local! {
     static TID: Cell<Option<usize>> = const { Cell::new(None) };
@@ -273,7 +304,7 @@ thread_local! {
 /// Its gate retirement then counts as normal completion rather than a
 /// program panic (the surviving images keep running; without this the
 /// gate would abort the whole schedule as `Panicked`).
-pub fn set_fault_dying() {
+pub(crate) fn set_fault_dying() {
     FAULT_DYING.with(|f| f.set(true));
 }
 
@@ -282,11 +313,11 @@ pub(crate) fn fault_dying() -> bool {
     FAULT_DYING.with(|f| f.get())
 }
 
-/// True while a gate is armed in this process. The fast path of every
-/// yield point.
+/// True while a gate is armed in the calling thread's scope. The fast
+/// path of every yield point.
 #[inline]
 pub fn armed() -> bool {
-    ARMED.load(Ordering::Relaxed)
+    scope::armed(Part::Gate)
 }
 
 /// True when the calling thread is a registered participant of an armed
@@ -298,36 +329,18 @@ pub fn active() -> bool {
 
 /// The gate's deterministic logical clock, in scheduled steps.
 pub fn logical_steps() -> u64 {
-    LOGICAL_STEPS.load(Ordering::Relaxed)
+    gate().map_or(0, |g| g.lock().as_ref().map_or(0, |g| g.steps.len() as u64))
 }
 
-fn lock() -> MutexGuard<'static, Option<GateState>> {
-    GATE.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Wake every parked gate participant to re-check the schedule. Thread
-/// participants sleep on [`GATE_CV`]; under `ExecMode::Tasks` they are
-/// cooperatively parked on the caf-sched executor instead, so every
-/// notify pairs with an `unpark_all` (spurious permits are harmless —
-/// a woken task re-checks `current` and parks again). Lock order is
-/// GATE → a task's mutex, released, then GATE → the slot mutex (caf-sched
-/// never holds those two together and never takes GATE).
-fn wake_waiters() {
-    GATE_CV.notify_all();
-    caf_sched::unpark_all();
-}
-
-/// Arm the gate for one controlled run of `n` image threads. Fails if a
-/// gate is already armed (model runs are process-exclusive; serialize
-/// tests on a lock). Also inhibits the `caf-trace` stall watchdog so no
-/// free-running sampling thread perturbs or outlives the schedule.
+/// Arm a gate for one controlled run of `n` image threads: the calling
+/// thread's next launch is the run. Fails if a gate is already armed on
+/// this thread.
 pub fn arm(n: usize, max_steps: usize, chooser: Box<dyn Chooser>) -> Result<(), &'static str> {
     assert!(n > 0, "model run needs at least one image");
-    let mut st = lock();
-    if st.is_some() {
+    if gate().is_some_and(|g| g.lock().is_some()) {
         return Err("scheduler gate already armed");
     }
-    *st = Some(GateState {
+    let state = GateState {
         n,
         registered: 0,
         started: false,
@@ -342,20 +355,18 @@ pub fn arm(n: usize, max_steps: usize, chooser: Box<dyn Chooser>) -> Result<(), 
         steps: Vec::new(),
         max_steps,
         panicked: false,
-    });
-    LOGICAL_STEPS.store(0, Ordering::Relaxed);
-    caf_trace::set_stall_watchdog_inhibit(true);
-    ARMED.store(true, Ordering::SeqCst);
+    };
+    let gate = Gate { state: Mutex::new(Some(state)), cv: Condvar::new() };
+    scope::set(Part::Gate, Some(Arc::new(gate)));
     Ok(())
 }
 
-/// Disarm the gate and collect the run record. Call after every image
-/// thread has been joined.
+/// Disarm the calling thread's gate and collect the run record. Call
+/// after every image thread has been joined.
 pub fn disarm() -> Option<RunOutcome> {
-    let mut st = lock();
-    let g = st.take()?;
-    ARMED.store(false, Ordering::SeqCst);
-    caf_trace::set_stall_watchdog_inhibit(false);
+    let gate = gate()?;
+    scope::set(Part::Gate, None);
+    let g = gate.lock().take()?;
     let status = match g.abort {
         Some(s) => s,
         None if g.panicked => RunStatus::Panicked,
@@ -364,24 +375,21 @@ pub fn disarm() -> Option<RunOutcome> {
     Some(RunOutcome { steps: g.steps, status })
 }
 
-/// RAII registration of an image thread with the armed gate. A no-op
-/// handle when no gate is armed. On drop (normal return or unwind) the
-/// thread is marked done and the scheduler moves on.
-pub struct ThreadGuard {
-    tid: Option<usize>,
+/// RAII registration of an image thread with the armed gate. On drop
+/// (normal return or unwind) the thread is marked done and the scheduler
+/// moves on.
+pub(crate) struct ThreadGuard {
+    gate: Arc<Gate>,
+    me: usize,
 }
 
-/// Register the calling thread as image `rank` of the armed gate and
-/// park until all `n` images have registered and this thread is
-/// scheduled. Returns a no-op guard when no gate is armed.
-pub fn register_thread(rank: usize) -> ThreadGuard {
-    if !armed() {
-        return ThreadGuard { tid: None };
-    }
-    let mut st = lock();
-    let Some(g) = st.as_mut() else {
-        return ThreadGuard { tid: None };
-    };
+/// Register the calling thread as image `rank` of the gate armed in its
+/// scope and park until all `n` images have registered and this thread
+/// is scheduled. `None` when no gate is armed.
+pub(crate) fn register_thread(rank: usize) -> Option<ThreadGuard> {
+    let gate = gate()?;
+    let mut st = gate.lock();
+    let g = st.as_mut()?;
     assert!(
         rank < g.n,
         "model gate armed for {} images but thread registered as rank {rank}",
@@ -396,20 +404,19 @@ pub fn register_thread(rank: usize) -> ThreadGuard {
     if g.registered == g.n {
         g.started = true;
         schedule_next(g);
-        wake_waiters();
+        gate.wake_waiters();
     }
-    let st = wait_turn(st, rank);
-    drop(st);
-    ThreadGuard { tid: Some(rank) }
+    drop(wait_turn(&gate, st, rank));
+    Some(ThreadGuard { gate, me: rank })
 }
 
 impl Drop for ThreadGuard {
     fn drop(&mut self) {
-        let Some(me) = self.tid else { return };
+        let (gate, me) = (&self.gate, self.me);
         TID.with(|t| t.set(None));
         HINT.with(|h| h.set(None));
         let fault_dying = FAULT_DYING.with(|f| f.replace(false));
-        let mut st = lock();
+        let mut st = gate.lock();
         let Some(g) = st.as_mut() else { return };
         g.status[me] = TStatus::Done;
         if std::thread::panicking() && !fault_dying {
@@ -426,16 +433,13 @@ impl Drop for ThreadGuard {
                 schedule_next(g);
             }
         }
-        wake_waiters();
+        gate.wake_waiters();
     }
 }
 
 /// Park until the gate schedules `me`; panics with [`ModelAbort`] when
 /// the run is aborted.
-fn wait_turn(
-    mut st: MutexGuard<'static, Option<GateState>>,
-    me: usize,
-) -> MutexGuard<'static, Option<GateState>> {
+fn wait_turn<'a>(gate: &'a Gate, mut st: Locked<'a>, me: usize) -> Locked<'a> {
     loop {
         let Some(g) = st.as_mut() else {
             // Gate disarmed under us (abort teardown): unwind.
@@ -459,62 +463,46 @@ fn wait_turn(
             // park is banked, so the wake cannot be lost).
             drop(st);
             caf_sched::park();
-            st = lock();
+            st = gate.lock();
         } else {
-            st = GATE_CV.wait(st).unwrap_or_else(|e| e.into_inner());
+            st = gate.cv.wait(st).unwrap_or_else(|e| e.into_inner());
         }
     }
 }
 
+/// Give up the calling participant's turn once `mark` has recorded why,
+/// and park until the scheduler grants the next one. No-op when the
+/// calling thread is not a gate participant.
+fn hand_off(mark: impl FnOnce(&mut GateState, usize)) {
+    let Some(me) = TID.with(|t| t.get()).filter(|_| armed()) else { return };
+    let Some(gate) = gate() else { return };
+    let mut st = gate.lock();
+    let Some(g) = st.as_mut() else { return };
+    if g.abort.is_some() {
+        drop(st);
+        std::panic::panic_any(ModelAbort);
+    }
+    mark(g, me);
+    g.current = None;
+    schedule_next(g);
+    gate.wake_waiters();
+    let mut st = wait_turn(&gate, st, me);
+    if let Some(g) = st.as_mut() {
+        g.status[me] = TStatus::Ready;
+    }
+}
+
 /// Announce `op` as the calling thread's next operation and park until
-/// the scheduler grants it. No-op when the calling thread is not a gate
-/// participant.
+/// the scheduler grants it.
 pub fn yield_op(op: ModelOp) {
-    if !armed() {
-        return;
-    }
-    let Some(me) = TID.with(|t| t.get()) else { return };
-    let st = lock();
-    if st.is_none() {
-        return;
-    }
-    {
-        let mut st = st;
-        let g = st.as_mut().expect("checked above");
-        if g.abort.is_some() {
-            drop(st);
-            std::panic::panic_any(ModelAbort);
-        }
-        g.pending[me] = PendingOp { op, target: HINT.with(|h| h.get()) };
-        g.current = None;
-        schedule_next(g);
-        wake_waiters();
-        let _st = wait_turn(st, me);
-    }
+    hand_off(|g, me| g.pending[me] = PendingOp { op, target: HINT.with(|h| h.get()) });
 }
 
 /// Park the calling thread as blocked (its announced operation could not
 /// complete). It becomes schedulable again only after another thread
 /// performs a fresh operation; being rescheduled is permission to retry.
 fn park_blocked() {
-    let Some(me) = TID.with(|t| t.get()) else { return };
-    let st = lock();
-    if st.is_none() {
-        return;
-    }
-    let mut st = st;
-    let g = st.as_mut().expect("checked above");
-    if g.abort.is_some() {
-        drop(st);
-        std::panic::panic_any(ModelAbort);
-    }
-    g.status[me] = TStatus::Blocked { epoch: g.progress };
-    g.current = None;
-    schedule_next(g);
-    wake_waiters();
-    let mut st = wait_turn(st, me);
-    let g = st.as_mut().expect("gate present while scheduled");
-    g.status[me] = TStatus::Ready;
+    hand_off(|g, me| g.status[me] = TStatus::Blocked { epoch: g.progress });
 }
 
 /// Run a blocking operation under the gate: announce `op`, then attempt
@@ -592,7 +580,6 @@ fn schedule_next(g: &mut GateState) {
             enabled: vec![t],
             pending,
         });
-        LOGICAL_STEPS.fetch_add(1, Ordering::Relaxed);
         g.current = Some(t);
         return;
     }
@@ -639,23 +626,15 @@ fn schedule_next(g: &mut GateState) {
                 enabled,
                 pending,
             });
-            LOGICAL_STEPS.fetch_add(1, Ordering::Relaxed);
             g.current = Some(t);
         }
     }
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use crate::{Fabric, Packet};
-
-    /// Model runs are process-exclusive: tests of this binary that arm
-    /// the gate, or launch a job an armed gate would capture, serialize.
-    pub(crate) fn gate_test_lock() -> MutexGuard<'static, ()> {
-        static GATE_TEST_LOCK: Mutex<()> = Mutex::new(());
-        GATE_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
 
     struct FirstEnabled;
     impl Chooser for FirstEnabled {
@@ -703,7 +682,6 @@ pub(crate) mod tests {
 
     #[test]
     fn gated_ping_pong_completes_and_records_steps() {
-        let _l = gate_test_lock();
         let out = run_gated(2, |ep| {
             if ep.rank() == 0 {
                 ep.send(1, Packet::control(0, 1, 7, [0; 4])).unwrap();
@@ -727,7 +705,6 @@ pub(crate) mod tests {
 
     #[test]
     fn cross_recv_deadlock_is_detected_not_hung() {
-        let _l = gate_test_lock();
         // Both ranks receive first: a genuine deadlock.
         let out = run_gated(2, |ep| {
             let peer = 1 - ep.rank();
@@ -748,7 +725,6 @@ pub(crate) mod tests {
 
     #[test]
     fn step_budget_bounds_livelock() {
-        let _l = gate_test_lock();
         arm(1, 64, Box::new(FirstEnabled)).unwrap();
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             Fabric::run(1, |ep| {
@@ -768,11 +744,9 @@ pub(crate) mod tests {
 
     #[test]
     fn disarmed_gate_is_inert() {
-        let _l = gate_test_lock();
         assert!(!armed());
         yield_op(ModelOp::Tick); // must not block or panic
         assert!(!yield_tick());
-        let g = register_thread(0);
-        drop(g);
+        assert!(register_thread(0).is_none());
     }
 }

@@ -165,6 +165,9 @@ impl Segment {
     }
 
     /// Read `out.len()` bytes from byte `offset` (a remote or local GET).
+    /// Inlined into the substrates' reads, whose prologue has just tested
+    /// the same thread-local trace flag.
+    #[inline]
     pub fn get(&self, offset: usize, out: &mut [u8]) -> Result<()> {
         self.check(offset, out.len())?;
         if caf_trace::enabled() {

@@ -362,7 +362,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "rank panicked")]
+    #[should_panic(expected = "are reserved")]
     fn reserved_handler_indices_rejected() {
         GasnetUniverse::run(1, |g| {
             g.register_handler(0, |_g, _t, _a, _d| {});

@@ -116,7 +116,6 @@ pub struct Gasnet {
     pub(crate) srq_active: bool,
     pub(crate) mem: Arc<MemAccount>,
     pub(crate) seg_ids: Vec<SegmentId>,
-    pub(crate) seg_sizes: Vec<usize>,
     /// The peers' segments this rank has touched.
     pub(crate) peers: PeerSegments,
     pub(crate) local: Arc<Segment>,
@@ -150,7 +149,8 @@ impl Gasnet {
         mem.map(MemCategory::UserData, config.segment_size);
 
         // Attach the segment and bootstrap-exchange (id, size) with every
-        // peer over raw fabric packets (GASNet bootstraps out-of-band).
+        // peer over raw fabric packets (GASNet bootstraps out-of-band);
+        // the ids are what the library keeps.
         let id = ep.register_segment(Segment::new(config.segment_size));
         let local = ep.segment(id).expect("just registered");
         for peer in 0..size {
@@ -168,9 +168,7 @@ impl Gasnet {
             }
         }
         let mut seg_ids = vec![SegmentId(0); size];
-        let mut seg_sizes = vec![0usize; size];
         seg_ids[rank] = id;
-        seg_sizes[rank] = config.segment_size;
         let fault = ep.fault();
         let mut have = vec![false; size];
         have[rank] = true;
@@ -194,7 +192,6 @@ impl Gasnet {
             match ep.recv_blocking() {
                 Ok(pkt) if pkt.kind == KIND_BOOTSTRAP => {
                     seg_ids[pkt.src] = SegmentId(pkt.h[0]);
-                    seg_sizes[pkt.src] = pkt.h[1] as usize;
                     if !std::mem::replace(&mut have[pkt.src], true) {
                         missing -= 1;
                     }
@@ -213,7 +210,6 @@ impl Gasnet {
             srq_active,
             mem,
             seg_ids,
-            seg_sizes,
             peers: PeerSegments::new(size),
             local,
             handlers: HandlerTable::with_reserved(),
@@ -256,11 +252,6 @@ impl Gasnet {
     /// nanoseconds per [`caf_fabric::DelayOp`]); deterministic across runs.
     pub fn delay_meter(&self) -> &DelayMeter {
         self.delays.meter()
-    }
-
-    /// Segment size attached by `rank`.
-    pub fn segment_size_of(&self, rank: usize) -> usize {
-        self.seg_sizes[rank]
     }
 
     /// Extra reception cost while SRQ is active, in nanoseconds.
@@ -371,12 +362,15 @@ mod tests {
 
     #[test]
     fn init_exchanges_segments() {
+        // Every rank resolves every peer's segment: its word of each lands.
         let res = GasnetUniverse::run(4, |g| {
-            (0..4).map(|r| g.segment_size_of(r)).collect::<Vec<_>>()
+            (0..4).for_each(|t| g.put(t, 8 * g.rank(), &[g.rank() as u64 + 1]).unwrap());
+            g.barrier();
+            let mut words = [0u64; 4];
+            g.read_local(0, &mut words).unwrap();
+            words
         });
-        for r in res {
-            assert_eq!(r, vec![4 << 20; 4]);
-        }
+        assert_eq!(res, vec![[1, 2, 3, 4]; 4]);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! explorer. One more row pins the remembered peer segment: resolved
 //! once, and never a way around the fault screen.
 //!
-//! One test on purpose: trace sessions and the model gate are
-//! process-global, so this file is its own binary with nothing to race.
+//! The trace session and the model gate see only the jobs this test's
+//! thread launches, so nothing else in the process adds to what is pinned.
 
 use std::sync::Arc;
 

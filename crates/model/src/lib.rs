@@ -31,8 +31,7 @@
 #![warn(missing_docs)]
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, Once};
+use std::sync::{Arc, Mutex, Once};
 
 use caf_check::{CheckConfig, CheckMode, CheckSession, Report};
 use caf_fabric::sched::{self, Choice, Chooser, ModelOp, RunOutcome, RunStatus, StepRecord};
@@ -156,29 +155,22 @@ pub struct Replay {
     pub schedule: Vec<String>,
 }
 
-/// Model runs are process-exclusive (one scheduler gate, one check
-/// session); everything in this crate serializes on this lock.
-static EXPLORE_LOCK: Mutex<()> = Mutex::new(());
-
-/// While > 0, the installed panic hook swallows all panic output: aborted
-/// image threads unwind with `ModelAbort` by design, and modeled-program
-/// panics are reported as counterexamples instead.
-static SUPPRESS_PANICS: AtomicUsize = AtomicUsize::new(0);
 static HOOK: Once = Once::new();
 
+/// Chain a panic hook that stays quiet for the image threads of a gated
+/// job: aborted ones unwind with `ModelAbort` by design, and a panic in
+/// the modeled program is reported as a counterexample instead. Every
+/// other thread — an unrelated test beside an exploration included —
+/// reports its panics as before.
 fn install_panic_hook() {
     HOOK.call_once(|| {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
-            if SUPPRESS_PANICS.load(Ordering::SeqCst) == 0 {
+            if !sched::active() {
                 prev(info);
             }
         }));
     });
-}
-
-fn lock_exploration() -> MutexGuard<'static, ()> {
-    EXPLORE_LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Render a recorded schedule, one line per decision.
@@ -197,8 +189,8 @@ pub fn render_schedule(steps: &[StepRecord]) -> Vec<String> {
         .collect()
 }
 
-/// Run one schedule: arm the oracle and the gate, execute the scenario,
-/// collect both. The caller holds [`EXPLORE_LOCK`].
+/// Run one schedule: arm the oracle and the gate on this thread, execute
+/// the scenario, collect both.
 fn run_controlled(
     scenario: &Scenario,
     cfg: &ExploreConfig,
@@ -214,9 +206,7 @@ fn run_controlled(
         .expect("a caf-check session is already active")
     });
     sched::arm(scenario.images, cfg.max_steps, chooser).expect("scheduler gate already armed");
-    SUPPRESS_PANICS.fetch_add(1, Ordering::SeqCst);
     let result = catch_unwind(AssertUnwindSafe(|| (scenario.run)()));
-    SUPPRESS_PANICS.fetch_sub(1, Ordering::SeqCst);
     let mut outcome = sched::disarm().expect("gate was armed");
     if result.is_err() && matches!(outcome.status, RunStatus::Completed) {
         // The job panicked outside any scheduling decision (launcher-side
@@ -466,11 +456,10 @@ fn explore_random(scenario: &Scenario, cfg: &ExploreConfig, seed: u64, walks: us
 // ---------------------------------------------------------------------------
 // Entry points
 
-/// Explore the scenario's schedule space under `cfg`. Serializes with
-/// every other exploration/replay in the process.
+/// Explore the scenario's schedule space under `cfg`. The gate and the
+/// oracle are armed on the calling thread only, so explorations on
+/// different threads run side by side.
 pub fn explore(scenario: &Scenario, cfg: &ExploreConfig) -> ExploreReport {
-    let _x = lock_exploration();
-    let _c = caf_check::SESSION_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     install_panic_hook();
     match cfg.mode {
         ExploreMode::Dfs { sleep_sets } => explore_dfs(scenario, cfg, sleep_sets),
@@ -519,8 +508,6 @@ fn parse_token(token: &str) -> Result<Box<dyn Chooser>, String> {
 /// diagnostics.
 pub fn replay(scenario: &Scenario, cfg: &ExploreConfig, token: &str) -> Replay {
     let chooser = parse_token(token).expect("valid replay token");
-    let _x = lock_exploration();
-    let _c = caf_check::SESSION_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     install_panic_hook();
     let (outcome, report) = run_controlled(scenario, cfg, chooser);
     Replay {
@@ -551,6 +538,32 @@ mod tests {
         assert!(parse_token("rand:00ff00ff00ff00ff").is_ok());
         assert!(parse_token("bogus:1").is_err());
         assert!(parse_token("dfs:x").is_err());
+    }
+
+    /// Only the image threads of a gated job are silenced: a raw thread
+    /// that panics while an exploration runs is reported. The only test
+    /// of this binary that explores, so its hook is the one the
+    /// explorer's chains to.
+    #[test]
+    fn a_thread_outside_the_scope_is_not_silenced_during_an_exploration() {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&seen);
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            match info.payload().downcast_ref::<&str>().filter(|m| m.starts_with("marker")) {
+                Some(m) => sink.lock().unwrap().push(m.to_string()),
+                None => prev(info),
+            }
+        }));
+        fn run() {
+            let _ = std::thread::spawn(|| panic!("marker: outside")).join();
+            caf_fabric::Fabric::run(1, |_| panic!("marker: image"));
+        }
+        let scenario = Scenario { name: "panics", images: 1, run };
+        let cfg = ExploreConfig { max_schedules: 1, oracle: None, ..ExploreConfig::default() };
+        let rep = explore(&scenario, &cfg);
+        assert_eq!(rep.counterexamples[0].kind, "panic");
+        assert_eq!(*seen.lock().unwrap(), ["marker: outside"]);
     }
 
     #[test]

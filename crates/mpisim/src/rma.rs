@@ -101,7 +101,6 @@ pub struct Window {
     pub(crate) segs: Arc<[SegmentId]>,
     /// The peers' segments this origin has touched, by comm rank.
     peers: PeerSegments,
-    pub(crate) sizes: Arc<[usize]>,
     pub(crate) local: Arc<Segment>,
     pub(crate) locked_all: AtomicBool,
     pub(crate) dirty: DirtySet,
@@ -126,11 +125,6 @@ impl Window {
     /// The communicator the window spans.
     pub fn comm(&self) -> &Comm {
         &self.comm
-    }
-
-    /// Size in bytes of `rank`'s exposed region.
-    pub fn size_of(&self, rank: usize) -> usize {
-        self.sizes[rank]
     }
 
     /// Direct handle to the local region (used for load/store access to
@@ -418,9 +412,11 @@ impl Mpi {
         self.mem.map(MemCategory::UserData, bytes);
         self.mem.map(MemCategory::SegmentMeta, 64 * comm.size());
 
+        // Each rank's size travels with its segment id, as in
+        // `MPI_Win_allocate`'s exchange (the modeled cost is charged for
+        // those bytes); the ids are what a window keeps.
         let pairs = self.allgather(comm, &[[id.0, bytes as u64]])?;
         let segs: Vec<SegmentId> = pairs.iter().map(|p| SegmentId(p[0])).collect();
-        let sizes: Vec<usize> = pairs.iter().map(|p| p[1] as usize).collect();
         let child = self.next_child_index(comm);
         let win_id = crate::comm::derive_comm_id(comm.id(), child, 0x77);
         let nranks = comm.size();
@@ -429,7 +425,6 @@ impl Mpi {
             comm: comm.clone(),
             segs: segs.into(),
             peers: PeerSegments::new(nranks),
-            sizes: sizes.into(),
             local,
             locked_all: AtomicBool::new(false),
             dirty: DirtySet::new(nranks),
@@ -455,7 +450,7 @@ impl Mpi {
         self.rma_begin(win, RmaOp::window(Kind::Free))?;
         self.barrier(&win.comm)?;
         let me = win.comm.rank();
-        self.mem.unmap(MemCategory::UserData, win.sizes[me]);
+        self.mem.unmap(MemCategory::UserData, win.local.len());
         self.mem.unmap(MemCategory::SegmentMeta, 64 * win.comm.size());
         self.ep.unregister_segment(win.segs[me])
     }
@@ -1165,18 +1160,24 @@ mod tests {
 
     #[test]
     fn windows_with_heterogeneous_sizes() {
+        // Regions of 24, 32 and 40 bytes: every rank resolves every peer's
+        // segment, its word of each lands, and each peer's end holds.
         let res = Universe::run(3, |mpi| {
-            let w = mpi.world();
-            let bytes = (mpi.rank() + 1) * 16;
-            let win = mpi.win_allocate(&w, bytes).unwrap();
+            let (w, me) = (mpi.world(), mpi.rank());
+            let win = mpi.win_allocate(&w, (me + 3) * 8).unwrap();
             mpi.win_lock_all(&win);
-            let sizes: Vec<usize> = (0..3).map(|r| win.size_of(r)).collect();
+            for t in 0..3 {
+                mpi.put(&win, t, 8 * me, &[me as u64 + 1]).unwrap();
+                assert!(mpi.put(&win, t, (t + 3) * 8, &[0u64]).is_err(), "past {t}'s end");
+            }
+            mpi.win_flush_all(&win).unwrap();
+            mpi.barrier(&w).unwrap();
+            let mut words = [0u64; 3];
+            mpi.win_read_local(&win, 0, &mut words).unwrap();
             mpi.win_unlock_all(&win).unwrap();
             mpi.win_free(win).unwrap();
-            sizes
+            words
         });
-        for r in res {
-            assert_eq!(r, vec![16, 32, 48]);
-        }
+        assert_eq!(res, vec![[1, 2, 3]; 3]);
     }
 }

@@ -156,13 +156,6 @@ impl Mpi {
         self.config.eager_limit
     }
 
-    /// Raw fabric endpoint (used by layered runtimes that need to share the
-    /// fabric, e.g. a GASNet instance in the "duplicate runtimes" memory
-    /// experiment).
-    pub fn endpoint(&self) -> &Endpoint {
-        &self.ep
-    }
-
     /// Handle onto the fabric's failure registry.
     pub fn fault(&self) -> &Fault {
         &self.fault

@@ -6,8 +6,8 @@
 //! of them. Two more rows pin whose the remembered peer segments are: the
 //! window's, for its life and no longer.
 //!
-//! One test on purpose: trace sessions and the model gate are
-//! process-global, so this file is its own binary with nothing to race.
+//! The trace session and the model gate see only the jobs this test's
+//! thread launches, so nothing else in the process adds to what is pinned.
 
 use std::sync::Arc;
 

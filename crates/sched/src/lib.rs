@@ -217,11 +217,6 @@ pub fn on_task() -> bool {
     CURRENT.with(|c| c.borrow().is_some())
 }
 
-/// The calling task's id (its image rank), if on a task.
-pub fn current_task() -> Option<usize> {
-    CURRENT.with(|c| c.borrow().as_ref().map(|(_, t)| *t))
-}
-
 /// Cooperatively block the calling task until [`unpark`] grants it a
 /// permit. Consumes a banked permit immediately (keeping its slot) if one
 /// is pending. On a non-task thread this degrades to `thread::yield_now` —
@@ -637,7 +632,6 @@ mod tests {
     #[test]
     fn outside_a_task_the_api_is_inert() {
         assert!(!on_task());
-        assert_eq!(current_task(), None);
         unpark(0);
         unpark_all();
         yield_now();

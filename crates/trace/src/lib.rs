@@ -9,15 +9,15 @@
 //! * **Per-image collectors** — each runtime thread owns a lock-free
 //!   ring buffer of fixed-size event records; recording is a handful of
 //!   relaxed atomic stores, and when tracing is disabled every probe is a
-//!   single relaxed atomic load ([`enabled`]).
+//!   single thread-local load ([`enabled`]).
 //! * **Spans and instants** — [`span`] brackets an operation
 //!   (recorded on drop with its duration); [`instant`] records a point
 //!   event. Both carry an optional target image, payload size, and
 //!   window/segment id.
-//! * **A global session** — [`Session::start`] turns tracing on,
-//!   registers collectors as threads first record, and
-//!   [`Session::finish`] merges all per-image buffers into one
-//!   time-sorted [`Trace`].
+//! * **A scoped session** — [`Session::start`] turns tracing on for the
+//!   calling thread and every job it launches ([`scope`]), registers
+//!   collectors as threads first record, and [`Session::finish`] merges
+//!   all per-image buffers into one time-sorted [`Trace`].
 //! * **Exports** — [`Trace::to_chrome_json`] emits Chrome
 //!   `trace_event` JSON loadable in `chrome://tracing` / Perfetto;
 //!   [`Trace::decomposition`] reproduces the `StatCat` decomposition of
@@ -36,15 +36,17 @@ mod collector;
 mod decomp;
 mod op;
 mod ring;
+pub mod scope;
 mod session;
 mod stall;
 
 pub use collector::SpanGuard;
+pub use scope::Scope;
 pub use decomp::{Cat, Decomposition, NCAT};
 pub use op::{EventKind, Op};
 pub use session::{
-    enabled, instant, instant_d, set_image, set_stall_watchdog_inhibit, span, span_d, span_t,
-    stall_watchdog_inhibited, Session, Trace, TraceConfig, TraceError, TraceEvent,
+    enabled, instant, instant_d, set_image, span, span_d, span_t, Session, Trace, TraceConfig,
+    TraceError, TraceEvent,
 };
 pub use stall::StallReport;
 

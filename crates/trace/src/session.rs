@@ -1,83 +1,56 @@
-//! The global trace session: the enable flag every probe checks, the
-//! registry collecting per-thread buffers, and the merge into one
-//! timeline.
+//! Trace sessions: the enable flag every probe checks, the registry
+//! collecting per-thread buffers, and the merge into one timeline. A
+//! session records on the thread that started it and in every job that
+//! thread launches while it is armed ([`crate::scope`]).
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::collector::{Collector, SpanGuard};
 use crate::op::{EventKind, Op};
+use crate::scope::{self, Part};
 use crate::stall::{self, StallReport};
 
-/// The near-zero disabled path: every probe is gated on this single
-/// relaxed load.
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Bumped on session start *and* finish so stale thread-local
-/// collectors from a previous session are never written into a new one.
-static GENERATION: AtomicU64 = AtomicU64::new(0);
-
-static CURRENT: Mutex<Option<Arc<SessionShared>>> = Mutex::new(None);
-
 thread_local! {
-    static TLS: RefCell<Option<(u64, Arc<Collector>)>> = const { RefCell::new(None) };
+    /// This thread's collector and the session it feeds.
+    static TLS: RefCell<Option<(Weak<SessionShared>, Arc<Collector>)>> =
+        const { RefCell::new(None) };
 }
 
-/// Whether a trace session is currently recording.
+/// Whether a trace session records on the calling thread: the disarmed
+/// path of every probe, one thread-local load.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    scope::tracing()
 }
 
-/// Set while a model-checking gate controls the process: sessions started
-/// with it set do not spawn the stall watchdog, whose free-running
-/// sampling thread would perturb (and outlive) explored schedules — and
-/// whose wall-clock thresholds are meaningless under a logical clock.
-static WATCHDOG_INHIBIT: AtomicBool = AtomicBool::new(false);
-
-/// Inhibit (or re-allow) the stall watchdog for sessions started from now
-/// on. Called by the model-checking scheduler when it arms/disarms.
-pub fn set_stall_watchdog_inhibit(inhibit: bool) {
-    WATCHDOG_INHIBIT.store(inhibit, Ordering::SeqCst);
-}
-
-/// Whether the stall watchdog is currently inhibited.
-pub fn stall_watchdog_inhibited() -> bool {
-    WATCHDOG_INHIBIT.load(Ordering::SeqCst)
-}
-
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(p) => p.into_inner(),
-    }
+pub(crate) fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Run `f` against this thread's collector, creating and registering it
-/// with the active session on first use. No-op (returns `None`) when
-/// tracing is disabled.
+/// with the scope's session on first use. No-op (returns `None`) when
+/// tracing is disabled or the session has finished.
 fn with_collector<R>(f: impl FnOnce(&Arc<Collector>) -> R) -> Option<R> {
     if !enabled() {
         return None;
     }
-    TLS.with(|tls| {
-        let mut tls = tls.borrow_mut();
-        let gen_now = GENERATION.load(Ordering::Acquire);
-        let stale = !matches!(&*tls, Some((g, _)) if *g == gen_now);
-        if stale {
-            let shared = lock(&CURRENT).clone()?;
-            if shared.gen != gen_now {
-                return None; // session is mid-start/finish; skip this probe
+    scope::with(|s| {
+        let shared = s.trace.as_ref().filter(|t| t.live.load(Ordering::Relaxed))?;
+        TLS.with(|tls| {
+            let mut tls = tls.borrow_mut();
+            let fresh = matches!(&*tls, Some((w, _)) if w.as_ptr() == Arc::as_ptr(shared));
+            if !fresh {
+                let col = Arc::new(Collector::new(shared.cfg.ring_capacity));
+                lock(&shared.collectors).push(Arc::clone(&col));
+                *tls = Some((Arc::downgrade(shared), col));
             }
-            let col = Arc::new(Collector::new(shared.cfg.ring_capacity));
-            lock(&shared.collectors).push(Arc::clone(&col));
-            *tls = Some((gen_now, col));
-        }
-        let (_, col) = tls.as_ref().expect("collector just installed");
-        Some(f(col))
+            let (_, col) = tls.as_ref().expect("collector just installed");
+            Some(f(col))
+        })
     })
 }
 
@@ -161,7 +134,7 @@ impl Default for TraceConfig {
 /// Why a session could not be started.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceError {
-    /// Another [`Session`] is already recording in this process.
+    /// Another [`Session`] is already recording on this thread.
     SessionActive,
 }
 
@@ -176,57 +149,54 @@ impl std::fmt::Display for TraceError {
 impl std::error::Error for TraceError {}
 
 pub(crate) struct SessionShared {
-    pub gen: u64,
+    /// Cleared when the session finishes: a thread still in its scope
+    /// stops recording.
+    pub live: AtomicBool,
     pub cfg: TraceConfig,
     pub collectors: Mutex<Vec<Arc<Collector>>>,
     pub stalls: Mutex<Vec<StallReport>>,
 }
 
-/// An active recording session. Only one can exist per process; finish
-/// it (after the traced job's threads have been joined) to obtain the
-/// merged [`Trace`].
+/// An active recording session. It records on the thread that started
+/// it and in the jobs that thread launches; finish it (after the traced
+/// job's threads have been joined) to obtain the merged [`Trace`].
 pub struct Session {
     shared: Arc<SessionShared>,
     watchdog: Option<(Arc<AtomicBool>, JoinHandle<()>)>,
-    active: bool,
 }
 
 impl Session {
-    /// Begin recording. Fails if a session is already active.
+    /// Begin recording on the calling thread. Fails if a session is
+    /// already recording there. No stall watchdog runs under an armed
+    /// model gate: a free-running sampling thread would perturb (and
+    /// outlive) the explored schedules, and wall-clock thresholds mean
+    /// nothing under the gate's logical clock.
     pub fn start(cfg: TraceConfig) -> Result<Session, TraceError> {
-        let mut cur = lock(&CURRENT);
-        if cur.is_some() {
+        if scope::with(|s| s.trace.as_ref().is_some_and(|t| t.live.load(Ordering::Relaxed))) {
             return Err(TraceError::SessionActive);
         }
-        let gen = GENERATION.fetch_add(1, Ordering::AcqRel) + 1;
         let shared = Arc::new(SessionShared {
-            gen,
+            live: AtomicBool::new(true),
             cfg: cfg.clone(),
             collectors: Mutex::new(Vec::new()),
             stalls: Mutex::new(Vec::new()),
         });
-        *cur = Some(Arc::clone(&shared));
-        drop(cur);
-        ENABLED.store(true, Ordering::SeqCst);
+        scope::modify(|s| s.trace = Some(Arc::clone(&shared)));
         let watchdog = cfg
             .stall_threshold
-            .filter(|_| !stall_watchdog_inhibited())
+            .filter(|_| !scope::armed(Part::Gate))
             .map(|threshold| {
-            let stop = Arc::new(AtomicBool::new(false));
-            let handle = stall::spawn_watchdog(
-                Arc::clone(&shared),
-                Arc::clone(&stop),
-                threshold,
-                cfg.stall_poll_period,
-                cfg.announce_stalls,
-            );
-            (stop, handle)
-        });
-        Ok(Session {
-            shared,
-            watchdog,
-            active: true,
-        })
+                let stop = Arc::new(AtomicBool::new(false));
+                let handle = stall::spawn_watchdog(
+                    Arc::clone(&shared),
+                    Arc::clone(&stop),
+                    threshold,
+                    cfg.stall_poll_period,
+                    cfg.announce_stalls,
+                );
+                (stop, handle)
+            });
+        Ok(Session { shared, watchdog })
     }
 
     /// Stall reports accumulated so far (live view; the watchdog keeps
@@ -272,18 +242,16 @@ impl Session {
     }
 
     fn teardown(&mut self) {
-        if !self.active {
+        if !self.shared.live.swap(false, Ordering::Relaxed) {
             return;
         }
-        self.active = false;
-        ENABLED.store(false, Ordering::SeqCst);
         if let Some((stop, handle)) = self.watchdog.take() {
             stop.store(true, Ordering::SeqCst);
             let _ = handle.join();
         }
-        *lock(&CURRENT) = None;
-        // Invalidate surviving thread-local collectors.
-        GENERATION.fetch_add(1, Ordering::AcqRel);
+        if scope::with(|s| s.trace.as_ref().is_some_and(|t| Arc::ptr_eq(t, &self.shared))) {
+            scope::modify(|s| s.trace = None);
+        }
     }
 }
 
@@ -334,37 +302,35 @@ pub struct Trace {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
-
-    /// Sessions are process-global; the crate's session-using tests
-    /// serialize on this.
-    pub(crate) static SESSION_TEST_LOCK: Mutex<()> = Mutex::new(());
+    use crate::scope::Scope;
 
     #[test]
     fn disabled_probes_are_inert() {
-        let _guard = lock(&SESSION_TEST_LOCK);
         assert!(!enabled());
         instant(Op::RmaPut, Some(1), 8, None);
         let g = span(Op::Barrier);
         drop(g);
-        // Nothing to assert beyond "did not panic / did not allocate a
-        // session": no session exists, so no state changed.
-        assert!(lock(&CURRENT).is_none());
+        // No session is armed on this thread, so no collector was made.
+        assert!(TLS.with(|t| t.borrow().is_none()));
     }
 
     #[test]
     fn session_records_and_merges_across_threads() {
-        let _guard = lock(&SESSION_TEST_LOCK);
         let session = Session::start(TraceConfig {
             stall_threshold: None,
             ..TraceConfig::default()
         })
         .expect("no other session");
         assert!(enabled());
-        let handles: Vec<_> = (0..3)
+        // Raw threads record only once they enter the starter's scope.
+        let scope = Scope::current();
+        let handles: Vec<_> = (0..4)
             .map(|img| {
+                let scope = scope.clone();
                 std::thread::spawn(move || {
+                    let _in = (img < 3).then(|| scope.enter());
                     set_image(img);
                     for i in 0..4 {
                         let mut s = span_t(Op::CoarrayWrite, Some((img + 1) % 3), 8, None);
@@ -380,7 +346,7 @@ pub(crate) mod tests {
         }
         let trace = session.finish();
         assert!(!enabled());
-        assert_eq!(trace.events.len(), 3 * 5);
+        assert_eq!(trace.events.len(), 3 * 5, "the thread outside the scope recorded");
         assert_eq!(trace.dropped_events, 0);
         // Merged ordering: start times are globally non-decreasing.
         for pair in trace.events.windows(2) {
@@ -406,12 +372,15 @@ pub(crate) mod tests {
 
     #[test]
     fn second_session_is_rejected_while_active() {
-        let _guard = lock(&SESSION_TEST_LOCK);
         let s1 = Session::start(TraceConfig::default()).unwrap();
         assert_eq!(
             Session::start(TraceConfig::default()).err(),
             Some(TraceError::SessionActive)
         );
+        // Another thread is outside the session and may record its own.
+        std::thread::spawn(|| Session::start(TraceConfig::default()).unwrap().finish())
+            .join()
+            .unwrap();
         drop(s1); // Drop (without finish) must still tear down.
         assert!(!enabled());
         let s2 = Session::start(TraceConfig::default()).unwrap();

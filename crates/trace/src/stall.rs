@@ -6,14 +6,14 @@
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::collector::{Collector, MAX_OPEN};
 use crate::op::Op;
 use crate::ring::NONE_SENTINEL;
-use crate::session::SessionShared;
+use crate::session::{lock, SessionShared};
 
 /// A blocking operation observed open past the configured threshold.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,13 +53,6 @@ impl std::fmt::Display for StallReport {
             write!(f, " [window {w}]")?;
         }
         Ok(())
-    }
-}
-
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(p) => p.into_inner(),
     }
 }
 
@@ -146,7 +139,7 @@ pub(crate) fn spawn_watchdog(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::tests::SESSION_TEST_LOCK;
+    use crate::scope::Scope;
     use crate::session::{set_image, span_t, Session, TraceConfig};
 
     #[test]
@@ -169,7 +162,6 @@ mod tests {
     #[test]
     #[cfg_attr(miri, ignore = "watchdog thread + wall-clock sleeps")]
     fn watchdog_reports_long_open_blocking_span_once() {
-        let _guard = lock(&SESSION_TEST_LOCK);
         let session = Session::start(TraceConfig {
             stall_threshold: Some(Duration::from_millis(20)),
             stall_poll_period: Duration::from_millis(5),
@@ -177,7 +169,9 @@ mod tests {
             ..TraceConfig::default()
         })
         .unwrap();
-        let worker = std::thread::spawn(|| {
+        let scope = Scope::current();
+        let worker = std::thread::spawn(move || {
+            let _in = scope.enter();
             set_image(7);
             let g = span_t(Op::EventWait, Some(2), 0, None);
             std::thread::sleep(Duration::from_millis(120));
@@ -196,7 +190,6 @@ mod tests {
     #[test]
     #[cfg_attr(miri, ignore = "watchdog thread + wall-clock sleeps")]
     fn short_spans_do_not_trip_the_watchdog() {
-        let _guard = lock(&SESSION_TEST_LOCK);
         let session = Session::start(TraceConfig {
             stall_threshold: Some(Duration::from_millis(80)),
             stall_poll_period: Duration::from_millis(5),
@@ -204,7 +197,9 @@ mod tests {
             ..TraceConfig::default()
         })
         .unwrap();
-        let worker = std::thread::spawn(|| {
+        let scope = Scope::current();
+        let worker = std::thread::spawn(move || {
+            let _in = scope.enter();
             set_image(1);
             for _ in 0..10 {
                 let g = span_t(Op::MpiRecv, Some(0), 0, None);

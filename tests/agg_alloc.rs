@@ -12,8 +12,6 @@
 //!   per applied accumulate — what `figures trace` builds its aggregation
 //!   column from.
 
-use std::sync::Mutex;
-
 use caf::{AggConfig, CafConfig, CafUniverse, Coarray, SubstrateKind};
 use caf_bench::heap::{allocs, Counting};
 use caf_trace::{Op, Session, TraceConfig};
@@ -21,16 +19,11 @@ use caf_trace::{Op, Session, TraceConfig};
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// A trace session is process-global and makes every instrumented call
-/// allocate; the two tests must not overlap.
-static PROCESS_LOCK: Mutex<()> = Mutex::new(());
-
 const RECORDS: usize = 64 * 1024;
 const TABLE_WORDS: usize = 1 << 12;
 
 #[test]
 fn accumulates_allocate_per_batch_not_per_record() {
-    let _guard = PROCESS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     for kind in [SubstrateKind::Mpi, SubstrateKind::Gasnet] {
         let cfg = CafConfig {
             agg: AggConfig::on(),
@@ -83,12 +76,11 @@ fn accumulates_allocate_per_batch_not_per_record() {
 
 #[test]
 fn traced_run_keeps_its_aggregation_and_segment_instants() {
-    let _guard = PROCESS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     const P: usize = 4;
     const PER_PEER: usize = 100;
     for kind in [SubstrateKind::Mpi, SubstrateKind::Gasnet] {
         let session =
-            Session::start(TraceConfig::default()).expect("tests serialize on PROCESS_LOCK");
+            Session::start(TraceConfig::default()).expect("no other session on this thread");
         let cfg = CafConfig {
             agg: AggConfig::routed(),
             ..CafConfig::on(kind)

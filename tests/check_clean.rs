@@ -15,29 +15,17 @@
 //!   the checker raised against *correct* code (see the test comments),
 //!   so those false-positive classes cannot return.
 //!
-//! Check and trace sessions are process-global and the hooks are compiled
-//! into every build of this workspace, so a universe running beside an
-//! armed session feeds it. Every test here — including the one that only
-//! records a trace — therefore runs its universes under
-//! [`SESSION_TEST_LOCK`]; a test that arms a session belongs in this file
-//! (or in `check_violations.rs`, which has the same rule), not next to
-//! unlocked siblings in a parity suite.
-
-use std::sync::MutexGuard;
+//! A session arms the thread that starts it and the jobs that thread
+//! launches, nothing else, so these tests run side by side with no lock.
 
 use caf::{AggConfig, AsyncOpts, CafConfig, CafUniverse, Coarray, FlushMode, SubstrateKind};
 use caf_bench::checked::{checked_fft, checked_ra};
 use caf_bench::{fast, traced_ra};
-use caf_check::{CheckConfig, CheckSession, Report, SESSION_TEST_LOCK};
+use caf_check::{CheckConfig, CheckSession, Report};
 use proptest::prelude::*;
 
-fn locked() -> MutexGuard<'static, ()> {
-    SESSION_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Run `job` under the lock and an armed default session.
+/// Run `job` under an armed default session.
 fn sanitized(job: impl FnOnce()) -> Report {
-    let _guard = locked();
     let session =
         CheckSession::start(CheckConfig::default()).expect("no other check session active");
     job();
@@ -285,9 +273,6 @@ fn targeted_and_rflush_are_checker_clean() {
 /// run of correct code must be clean.
 #[test]
 fn offline_audit_of_a_traced_randomaccess_run_is_clean() {
-    // The run arms no check session, but a sibling's armed session
-    // would see its traffic — and its recorded trace theirs.
-    let _guard = locked();
     let (_, trace) = traced_ra(2, SubstrateKind::Mpi, 7, 500, 1);
     assert!(!trace.events.is_empty());
     let report = caf_check::check_trace(&trace);

@@ -4,22 +4,16 @@
 //! checker's reports stay precise enough to debug from, not just
 //! non-empty.
 //!
-//! Every test hand-rolls a global [`CheckSession`], so all of them
-//! serialize on [`caf_check::SESSION_TEST_LOCK`].
+//! Every test arms its own [`CheckSession`] on its own thread; the
+//! session sees only the jobs that thread launches, so the tests run side
+//! by side.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::MutexGuard;
 
 use caf::{CafConfig, CafUniverse, Coarray, SubstrateKind};
-use caf_check::{
-    ByteRange, CheckConfig, CheckMode, CheckSession, Report, ViolationKind, SESSION_TEST_LOCK,
-};
+use caf_check::{ByteRange, CheckConfig, CheckMode, CheckSession, Report, ViolationKind};
 use caf_mpisim::Universe;
-
-fn locked() -> MutexGuard<'static, ()> {
-    SESSION_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// Run `f` under a collect-mode session with the given config.
 fn collect(cfg: CheckConfig, f: impl FnOnce()) -> Report {
@@ -33,7 +27,6 @@ fn collect(cfg: CheckConfig, f: impl FnOnce()) -> Report {
 /// the simulator's own epoch assertion aborts the image.
 #[test]
 fn put_outside_epoch_is_flagged_before_the_runtime_aborts() {
-    let _guard = locked();
     let win_id = AtomicU64::new(0);
     let report = collect(CheckConfig::default(), || {
         let aborted = catch_unwind(AssertUnwindSafe(|| {
@@ -58,7 +51,6 @@ fn put_outside_epoch_is_flagged_before_the_runtime_aborts() {
 /// first. The diagnostic pinpoints reader, origin, and the overlap.
 #[test]
 fn local_read_of_unflushed_put_pinpoints_origin_and_range() {
-    let _guard = locked();
     let report = collect(CheckConfig::default(), || {
         let ids = Universe::run(2, |mpi| {
             let world = mpi.world();
@@ -98,7 +90,6 @@ fn local_read_of_unflushed_put_pinpoints_origin_and_range() {
 /// epoch with no separating flush — undefined under MPI-3 §11.7.
 #[test]
 fn overlapping_unflushed_puts_flag_epoch_overlap() {
-    let _guard = locked();
     let report = collect(CheckConfig::default(), || {
         Universe::run(3, |mpi| {
             let world = mpi.world();
@@ -128,7 +119,6 @@ fn overlapping_unflushed_puts_flag_epoch_overlap() {
 /// operation before `wait` — the request still borrows it.
 #[test]
 fn origin_buffer_reuse_before_request_completion_is_flagged() {
-    let _guard = locked();
     let report = collect(CheckConfig::default(), || {
         Universe::run(1, |mpi| {
             let world = mpi.world();
@@ -155,7 +145,6 @@ fn origin_buffer_reuse_before_request_completion_is_flagged() {
 /// is lost — the paper's Figure 2 put-ack hazard.
 #[test]
 fn dropped_rput_request_loses_its_completion_certificate() {
-    let _guard = locked();
     let report = collect(CheckConfig::default(), || {
         Universe::run(1, |mpi| {
             let world = mpi.world();
@@ -177,7 +166,6 @@ fn dropped_rput_request_loses_its_completion_certificate() {
 /// then `win_free` without ever unlocking.
 #[test]
 fn unbalanced_lock_and_free_with_open_epoch_are_flagged() {
-    let _guard = locked();
     let report = collect(CheckConfig::default(), || {
         Universe::run(1, |mpi| {
             let world = mpi.world();
@@ -204,7 +192,6 @@ fn unbalanced_lock_and_free_with_open_epoch_are_flagged() {
 /// between them. Epoch checking is off so the only possible diagnostic
 /// is the vector-clock race.
 fn coarray_race_on(kind: SubstrateKind) -> Report {
-    let _guard = locked();
     collect(
         CheckConfig {
             epochs: false,
@@ -255,7 +242,6 @@ fn unsynchronized_coarray_write_read_races_on_caf_gasnet() {
 /// single edge orders exactly this pair.
 #[test]
 fn event_ordered_coarray_accesses_do_not_race() {
-    let _guard = locked();
     let report = collect(
         CheckConfig {
             epochs: false,
@@ -287,7 +273,6 @@ fn event_ordered_coarray_accesses_do_not_race() {
 /// collecting.
 #[test]
 fn panic_mode_aborts_the_job_at_the_violation_site() {
-    let _guard = locked();
     let session = CheckSession::start(CheckConfig {
         mode: CheckMode::Panic,
         ..CheckConfig::default()

@@ -5,15 +5,10 @@
 //! session must produce a stall report naming the blocked image and the
 //! image it is blocked on.
 
-use std::sync::Mutex;
 use std::time::Duration;
 
 use caf::{CafConfig, CafUniverse, Coarray, GasnetConfig, SubstrateKind};
 use caf_trace::{Op, Session, TraceConfig};
-
-/// Trace sessions are process-global; the tests in this binary serialize
-/// on this so they never race for the one session slot.
-static SESSION_LOCK: Mutex<()> = Mutex::new(());
 
 /// How long the target withholds progress ("blocked in MPI").
 const STALL: Duration = Duration::from_millis(200);
@@ -31,14 +26,13 @@ fn am_put_config() -> CafConfig {
 
 #[test]
 fn stall_detector_names_the_fig2_deadlock_edge() {
-    let _guard = SESSION_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let session = Session::start(TraceConfig {
         stall_threshold: Some(Duration::from_millis(30)),
         stall_poll_period: Duration::from_millis(5),
         announce_stalls: false,
         ..TraceConfig::default()
     })
-    .expect("no other session in this test binary");
+    .expect("no other session on this thread");
 
     CafUniverse::run_with_config(2, am_put_config(), |img| {
         let world = img.team_world();
@@ -83,14 +77,13 @@ fn untraced_run_reports_no_stalls_and_rdma_puts_do_not_trip() {
     // Control: the same pattern over RDMA puts (the default GASNet
     // config) completes without target progress, so the watchdog stays
     // quiet even with a tight threshold.
-    let _guard = SESSION_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let session = Session::start(TraceConfig {
         stall_threshold: Some(Duration::from_millis(50)),
         stall_poll_period: Duration::from_millis(5),
         announce_stalls: false,
         ..TraceConfig::default()
     })
-    .expect("no other session in this test binary");
+    .expect("no other session on this thread");
 
     CafUniverse::run_with_config(2, CafConfig::on(SubstrateKind::Gasnet), |img| {
         let world = img.team_world();
