@@ -7,10 +7,8 @@
 //! semantics, collectives availability — lives here.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
-use std::sync::Arc;
-
-use crossbeam::queue::SegQueue;
+use std::collections::{HashMap, VecDeque};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use caf_fabric::Watch;
 use caf_gasnetsim::{Gasnet, AM_MAX_MEDIUM};
@@ -196,8 +194,8 @@ pub(crate) struct GasnetBackend {
     pub g: Gasnet,
     /// Allocator over the attached segment (coarrays live inside it).
     pub arena: SegmentArena,
-    /// Decoded-but-unhandled runtime AMs, filled by the GASNet handler.
-    pub inbox: Arc<SegQueue<(usize, Vec<u8>)>>,
+    /// Received-but-unhandled runtime AMs, filled by the GASNet handler.
+    pub inbox: Arc<Mutex<VecDeque<Vec<u8>>>>,
     /// Region id -> this image's segment offset (PutWithEvent resolution
     /// and bookkeeping).
     pub regions: RefCell<HashMap<u64, usize>>,
@@ -213,6 +211,12 @@ pub(crate) struct GasnetBackend {
 }
 
 impl GasnetBackend {
+    /// The oldest runtime AM the handler has queued.
+    fn next_rtmsg(&self) -> Option<RtMsg> {
+        let bytes = self.inbox.lock().unwrap_or_else(PoisonError::into_inner).pop_front()?;
+        Some(RtMsg::decode(bytes))
+    }
+
     /// This image's segment offset of region `id`.
     ///
     /// # Panics
@@ -298,13 +302,10 @@ impl Backend {
     pub fn try_recv_rtmsg(&self) -> Option<RtMsg> {
         match self {
             Backend::Mpi(b) => try_match_rt(&b.mpi, &b.rt_comm, RT_TAG).map(RtMsg::decode),
-            Backend::Gasnet(b) => {
-                if let Some((_src, bytes)) = b.inbox.pop() {
-                    return Some(RtMsg::decode(bytes));
-                }
+            Backend::Gasnet(b) => b.next_rtmsg().or_else(|| {
                 b.g.poll();
-                b.inbox.pop().map(|(_src, bytes)| RtMsg::decode(bytes))
-            }
+                b.next_rtmsg()
+            }),
         }
     }
 
@@ -325,8 +326,8 @@ impl Backend {
                 Ok(RtMsg::decode(bytes))
             }
             Backend::Gasnet(b) => loop {
-                if let Some((_src, bytes)) = b.inbox.pop() {
-                    return Ok(RtMsg::decode(bytes));
+                if let Some(msg) = b.next_rtmsg() {
+                    return Ok(msg);
                 }
                 b.g.dispatch_packet(b.g.wait_am_packet_watching(watch)?);
             },

@@ -1,10 +1,8 @@
 //! Images, the job launcher, and the runtime progress engine.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
-use std::sync::Arc;
-
-use crossbeam::queue::SegQueue;
+use std::collections::{HashMap, VecDeque};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use caf_fabric::{Fabric, FabricConfig};
 use caf_gasnetsim::{Gasnet, GasnetConfig};
@@ -249,10 +247,12 @@ impl Image {
             }
             SubstrateKind::Gasnet => {
                 let g = Gasnet::init(ep0, config.gasnet);
-                let inbox: Arc<SegQueue<(usize, Vec<u8>)>> = Arc::new(SegQueue::new());
-                let sink = Arc::clone(&inbox);
-                g.register_handler(RT_HANDLER, move |_g: &Gasnet, tok, _args, data| {
-                    sink.push((tok.src, data.to_vec()));
+                let inbox = Arc::new(Mutex::new(VecDeque::new()));
+                g.register_handler(RT_HANDLER, {
+                    let inbox = Arc::clone(&inbox);
+                    move |_g: &Gasnet, _tok, _args, data| {
+                        inbox.lock().unwrap_or_else(PoisonError::into_inner).push_back(data.to_vec());
+                    }
                 });
                 let hybrid_mpi = if config.hybrid_mpi {
                     Some(Mpi::init(ep1, config.mpi))

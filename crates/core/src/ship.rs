@@ -11,8 +11,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-use parking_lot::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::image::Image;
 
@@ -22,11 +21,17 @@ pub type ShippedFn = Box<dyn FnOnce(&Image) + Send + 'static>;
 /// Universe-wide parking lot for in-flight shipped closures.
 #[derive(Default)]
 pub struct ShipRegistry {
+    /// Every update is one insert or remove, so a poisoned lock still
+    /// guards a consistent map.
     slots: Mutex<HashMap<u64, ShippedFn>>,
     next: AtomicU64,
 }
 
 impl ShipRegistry {
+    fn slots(&self) -> MutexGuard<'_, HashMap<u64, ShippedFn>> {
+        self.slots.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Empty registry.
     pub fn new() -> Self {
         Self::default()
@@ -35,7 +40,7 @@ impl ShipRegistry {
     /// Park a closure; returns its slot id.
     pub fn park(&self, f: ShippedFn) -> u64 {
         let slot = self.next.fetch_add(1, Ordering::Relaxed) + 1;
-        self.slots.lock().insert(slot, f);
+        self.slots().insert(slot, f);
         slot
     }
 
@@ -45,15 +50,14 @@ impl ShipRegistry {
     ///
     /// Panics if the slot does not exist (a runtime protocol bug).
     pub fn claim(&self, slot: u64) -> ShippedFn {
-        self.slots
-            .lock()
+        self.slots()
             .remove(&slot)
             .unwrap_or_else(|| panic!("ship slot {slot} missing or already claimed"))
     }
 
     /// Number of closures currently parked (in flight).
     pub fn in_flight(&self) -> usize {
-        self.slots.lock().len()
+        self.slots().len()
     }
 }
 

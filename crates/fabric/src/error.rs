@@ -35,8 +35,6 @@ pub enum FabricError {
         /// The job size.
         size: usize,
     },
-    /// The peer endpoint's mailbox has been torn down.
-    Disconnected,
     /// A blocking operation's partner set includes at least one failed
     /// image (fault injection, [`crate::FaultPlan`]). Carries the failed
     /// ranks known at detection time, ascending.
@@ -65,7 +63,6 @@ impl fmt::Display for FabricError {
             FabricError::RankOutOfRange { rank, size } => {
                 write!(f, "rank {rank} out of range for job of size {size}")
             }
-            FabricError::Disconnected => write!(f, "peer endpoint disconnected"),
             FabricError::ImageFailed { failed } => {
                 write!(f, "partner image(s) failed: {failed:?}")
             }

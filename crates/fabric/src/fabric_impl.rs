@@ -4,14 +4,12 @@
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use crossbeam::channel::{self, Receiver, Sender, TryRecvError};
-use parking_lot::RwLock;
+use std::sync::{Arc, PoisonError, RwLock};
 
 use crate::delay::DelayConfig;
 use crate::error::FabricError;
 use crate::fault::{Fault, FaultPlan, FaultState, ImageKilled, Watch, KIND_FAULT};
+use crate::mailbox::Mailbox;
 use crate::packet::Packet;
 use crate::segment::{Segment, SegmentId};
 use crate::Result;
@@ -31,8 +29,7 @@ pub struct FabricConfig {
     /// How ranks execute: one OS thread each (`Threads`, the
     /// paper-faithful default) or as caf-sched tasks sharing a few run
     /// slots (`Tasks`), which is what makes P=1024 jobs executable. Under
-    /// `Tasks` every blocking receive below parks cooperatively instead
-    /// of sleeping on its slot.
+    /// `Tasks` a blocking receive gives its slot up while it sleeps.
     pub exec: caf_sched::ExecConfig,
     /// Deterministic fault schedule (default: nobody dies). See
     /// [`FaultPlan`].
@@ -52,8 +49,12 @@ impl Default for FabricConfig {
 
 struct Shared {
     n: usize,
-    /// Senders indexed `plane * n + rank`.
-    senders: Vec<Sender<Packet>>,
+    /// Mailboxes indexed `plane * n + rank`. The fabric owns them all, so
+    /// a receiver never outlives its senders and a send never finds its
+    /// destination gone.
+    mailboxes: Vec<Mailbox>,
+    /// Registered segments. Every update is one insert or remove, so a
+    /// poisoned lock still guards a consistent map.
     segments: RwLock<HashMap<u64, Arc<Segment>>>,
     next_segment: AtomicU64,
     config: FabricConfig,
@@ -126,36 +127,30 @@ impl Fabric {
     {
         assert!(size > 0, "fabric must have at least one rank");
         assert!(config.planes > 0, "fabric must have at least one plane");
-        let (senders, receivers): (Vec<_>, Vec<_>) =
-            (0..size * config.planes).map(|_| channel::unbounded()).unzip();
         let shared = Arc::new(Shared {
             n: size,
-            senders,
+            mailboxes: (0..size * config.planes).map(|_| Mailbox::default()).collect(),
             segments: RwLock::new(HashMap::new()),
             next_segment: AtomicU64::new(1),
             config,
             fault: Arc::new(FaultState::new(size, config.fault)),
         });
-        // Mailbox `plane * size + rank` is rank's on that plane.
-        let mut planes: Vec<Vec<Endpoint>> = (0..size).map(|_| Vec::new()).collect();
-        for (i, rx) in receivers.into_iter().enumerate() {
-            let (rank, plane) = (i % size, i / size);
-            planes[rank].push(Endpoint {
-                rank,
-                plane,
-                fault: Fault::new(Arc::clone(&shared.fault), rank),
-                shared: Arc::clone(&shared),
-                rx,
-                stash: RefCell::new(VecDeque::new()),
-            });
-        }
+        let planes = (0..size).map(|rank| {
+            (0..config.planes)
+                .map(|plane| Endpoint {
+                    rank,
+                    plane,
+                    fault: Fault::new(Arc::clone(&shared.fault), rank),
+                    shared: Arc::clone(&shared),
+                    stash: RefCell::new(VecDeque::new()),
+                })
+                .collect::<Vec<_>>()
+        });
         // Hand each rank its endpoints through a take-once slot: the
         // executor invokes `Fn(rank)`, so by-value per-rank state travels
-        // via its rank index. Task id == rank is a caf-sched invariant,
-        // which is also what lets `Endpoint::send` translate a
-        // destination rank into an `unpark`.
+        // via its rank index.
         let slots: Vec<std::sync::Mutex<Option<Vec<Endpoint>>>> =
-            planes.into_iter().map(|p| std::sync::Mutex::new(Some(p))).collect();
+            planes.map(|p| std::sync::Mutex::new(Some(p))).collect();
         let scope = caf_trace::Scope::current();
         let f = &f;
         let mut results = caf_sched::run(size, &config.exec, move |rank| {
@@ -193,7 +188,6 @@ pub struct Endpoint {
     plane: usize,
     fault: Fault,
     shared: Arc<Shared>,
-    rx: Receiver<Packet>,
     /// Packets pulled off the mailbox ahead of the receive that wants
     /// them (MPI's unexpected-message queue), in arrival order.
     stash: RefCell<VecDeque<Packet>>,
@@ -227,6 +221,12 @@ impl Endpoint {
     /// Mailbox plane this endpoint lives on.
     pub fn plane(&self) -> usize {
         self.plane
+    }
+
+    /// `rank`'s mailbox on this endpoint's plane.
+    #[inline]
+    fn mailbox(&self, rank: usize) -> &Mailbox {
+        &self.shared.mailboxes[self.plane * self.shared.n + rank]
     }
 
     /// Cloneable handle onto this fabric's failure registry.
@@ -273,18 +273,14 @@ impl Endpoint {
     fn publish_death(&self) {
         let me = self.rank;
         self.fault.mark_failed(me);
-        for plane in 0..self.shared.config.planes {
-            for r in 0..self.shared.n {
-                if r == me {
-                    continue;
-                }
-                let pkt = Packet::control(me, KIND_FAULT, me as i64, [0; 4]);
-                let _ = self.shared.senders[plane * self.shared.n + r].send(pkt);
+        for (i, mailbox) in self.shared.mailboxes.iter().enumerate() {
+            if i % self.shared.n != me {
+                mailbox.push(Packet::control(me, KIND_FAULT, me as i64, [0; 4]));
             }
         }
-        // Survivors parked in cooperative receive loops re-poll and find
-        // the notice; OS-blocked receivers are woken by the packet itself;
-        // model-blocked threads by the Fail op of `fail_now`.
+        // Receivers asleep in their mailboxes are woken by the notice
+        // itself, model-blocked ones by the Fail op of `fail_now`; this
+        // re-runs the gate's cooperatively parked waiters.
         caf_sched::unpark_all();
     }
 
@@ -352,21 +348,7 @@ impl Endpoint {
                 None,
             );
         }
-        let tx = &self.shared.senders[self.plane * self.shared.n + to];
-        if tx.send(pkt).is_err() {
-            // The destination's receiver is gone, which only happens when
-            // that image's thread already unwound from a kill (the
-            // registry check above can race the death: under the model
-            // the peer may die while this send is parked at its
-            // scheduling decision). Same policy as a registered failure:
-            // the packet is dropped at injection.
-            return Ok(());
-        }
-        // Under ExecMode::Tasks the destination image may be parked in
-        // one of the cooperative receive loops below; hand it a permit.
-        // No-op on plain OS threads (and for wakeups that race the park —
-        // the permit is banked, see caf-sched).
-        caf_sched::unpark(to);
+        self.mailbox(to).push(pkt);
         Ok(())
     }
 
@@ -384,8 +366,9 @@ impl Endpoint {
         if crate::sched::active() {
             crate::sched::yield_op(self.model_recv_op());
         }
+        let mailbox = self.mailbox(self.rank);
         loop {
-            if let Some(pkt) = self.data(self.rx.try_recv().ok()?) {
+            if let Some(pkt) = self.data(mailbox.try_pop()?) {
                 return Some(pkt);
             }
         }
@@ -396,28 +379,15 @@ impl Endpoint {
     /// instead of data.
     pub fn recv_blocking(&self) -> Result<Packet> {
         self.fault_blocking_point();
-        if crate::sched::active() {
+        let mailbox = self.mailbox(self.rank);
+        let pkt = if crate::sched::active() {
             // Announce, then retry under the gate: the scheduler reruns us
             // only after another image makes progress, and reports a
             // wait-for edge if no image ever can.
-            let pkt =
-                crate::sched::model_blocking(self.model_recv_op(), || self.rx.try_recv().ok());
-            return self.screen(pkt);
-        }
-        if caf_sched::on_task() {
-            // Cooperative form of the blocking receive: park the task
-            // (giving up its run slot) until a sender's unpark re-runs
-            // the poll. OS-blocking here would sleep on the slot and,
-            // with more images than slots, deadlock the job.
-            loop {
-                match self.rx.try_recv() {
-                    Ok(pkt) => return self.screen(pkt),
-                    Err(TryRecvError::Empty) => caf_sched::park(),
-                    Err(TryRecvError::Disconnected) => return Err(FabricError::Disconnected),
-                }
-            }
-        }
-        let pkt = self.rx.recv().map_err(|_| FabricError::Disconnected)?;
+            crate::sched::model_blocking(self.model_recv_op(), || mailbox.try_pop())
+        } else {
+            mailbox.pop_blocking()
+        };
         self.screen(pkt)
     }
 
@@ -479,19 +449,20 @@ impl Endpoint {
     /// of hanging. Three rules order data against deaths, all of them here:
     ///
     /// 1. A stashed match wins, even if its sender has since died.
-    /// 2. Everything already delivered is drained *before* the failure
-    ///    registry is consulted. Sends inject synchronously, so what a
-    ///    rank sent before dying sits in the mailbox ahead of its failure
-    ///    notice; that data must win, or an exchange the dead rank fully
-    ///    took part in would fail on its survivors.
+    /// 2. Everything already delivered is drained *before* a failure is
+    ///    reported. Sends inject synchronously, so what a rank sent before
+    ///    dying sits in the mailbox ahead of its failure notice; that data
+    ///    must win, or an exchange the dead rank fully took part in would
+    ///    fail on its survivors. The drain reads "empty" without the
+    ///    mailbox lock, and can do so before the registry shows the
+    ///    death; so once the registry shows one, emptiness is decided
+    ///    again *under the lock*, after the registry's acquire load,
+    ///    which orders every push the dead rank made before it. A
+    ///    mailbox found non-empty there is drained again.
     /// 3. A notice for a rank outside `watch` is not this wait's to
     ///    report: it re-loops. The registry is authoritative (marked
     ///    before any notice is sent), so checking it every time round also
     ///    covers notices that other waits consumed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fabric is torn down under the wait.
     #[inline]
     pub fn match_blocking(
         &self,
@@ -508,7 +479,10 @@ impl Endpoint {
             }
             let failed = self.fault.failed_of(watch);
             if !failed.is_empty() {
-                return Err(FabricError::ImageFailed { failed });
+                if self.mailbox(self.rank).is_empty() {
+                    return Err(FabricError::ImageFailed { failed });
+                }
+                continue;
             }
             match self.recv_blocking() {
                 Ok(pkt) if pred(&pkt) => return Ok(pkt),
@@ -517,8 +491,9 @@ impl Endpoint {
                         self.stash(pkt);
                     }
                 }
-                Err(FabricError::ImageFailed { .. }) => {}
-                Err(e) => panic!("fabric torn down while receiving: {e}"),
+                // A failure notice, the one error a receive returns:
+                // the registry decides at the top (rule 3).
+                Err(_) => {}
             }
         }
     }
@@ -529,7 +504,11 @@ impl Endpoint {
             crate::sched::yield_op(crate::sched::ModelOp::Registry);
         }
         let id = self.shared.next_segment.fetch_add(1, Ordering::Relaxed);
-        self.shared.segments.write().insert(id, Arc::new(seg));
+        self.shared
+            .segments
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(id, Arc::new(seg));
         SegmentId(id)
     }
 
@@ -542,6 +521,7 @@ impl Endpoint {
         self.shared
             .segments
             .write()
+            .unwrap_or_else(PoisonError::into_inner)
             .remove(&id.0)
             .map(|_| ())
             .ok_or(FabricError::UnknownSegment(id.0))
@@ -552,6 +532,7 @@ impl Endpoint {
         self.shared
             .segments
             .read()
+            .unwrap_or_else(PoisonError::into_inner)
             .get(&id.0)
             .cloned()
             .ok_or(FabricError::UnknownSegment(id.0))
@@ -695,14 +676,24 @@ mod tests {
 
     fn wait_until_failed(ep: &Endpoint, rank: usize) {
         while !ep.fault().is_failed(rank) {
-            std::thread::yield_now();
+            caf_sched::yield_now();
+        }
+    }
+
+    /// Every rule test runs on OS threads and on tasks sharing one slot.
+    fn in_both_modes(n: usize, f: impl Fn(Endpoint) + Send + Sync) {
+        for exec in [caf_sched::ExecConfig::default(), caf_sched::ExecConfig {
+            workers: 1,
+            ..caf_sched::ExecConfig::tasks()
+        }] {
+            Fabric::run_with_config_ft(n, FabricConfig { exec, ..FabricConfig::default() }, &f);
         }
     }
 
     /// Rule 1 of [`Endpoint::match_blocking`].
     #[test]
     fn stashed_match_is_returned_although_its_sender_has_died() {
-        Fabric::run_with_config_ft(2, FabricConfig::default(), |ep| {
+        in_both_modes(2, |ep| {
             if ep.rank() == 1 {
                 ep.send(0, Packet::control(1, 0, 1, [0; 4])).unwrap();
                 ep.send(0, Packet::control(1, 0, 2, [0; 4])).unwrap();
@@ -719,23 +710,29 @@ mod tests {
     }
 
     /// Rule 2: the mailbox holds data then notice, the registry is marked.
+    /// Every other round the wait starts at once instead, racing the
+    /// death: the data must still win.
     #[test]
     fn data_injected_before_a_death_wins_over_the_notice() {
-        Fabric::run_with_config_ft(2, FabricConfig::default(), |ep| {
-            if ep.rank() == 1 {
-                ep.send(0, Packet::control(1, 0, 7, [0; 4])).unwrap();
-                ep.fail_now();
-            }
-            wait_until_failed(&ep, 1);
-            assert_eq!(ep.match_blocking(Watch::All, tagged(7), Some).unwrap().tag, 7);
-            assert!(ep.match_blocking(Watch::Ranks(&[1]), tagged(7), Some).is_err());
-        });
+        for round in 0..if cfg!(miri) { 4 } else { 1_000 } {
+            in_both_modes(2, |ep| {
+                if ep.rank() == 1 {
+                    ep.send(0, Packet::control(1, 0, 7, [0; 4])).unwrap();
+                    ep.fail_now();
+                }
+                if round % 2 == 0 {
+                    wait_until_failed(&ep, 1);
+                }
+                assert_eq!(ep.match_blocking(Watch::All, tagged(7), Some).unwrap().tag, 7);
+                assert!(ep.match_blocking(Watch::Ranks(&[1]), tagged(7), Some).is_err());
+            });
+        }
     }
 
     /// Rule 3: rank 2 dies while rank 0 waits on rank 1 alone.
     #[test]
     fn notice_for_a_rank_outside_watch_does_not_end_the_wait() {
-        Fabric::run_with_config_ft(3, FabricConfig::default(), |ep| match ep.rank() {
+        in_both_modes(3, |ep| match ep.rank() {
             0 => {
                 let pkt = ep.match_blocking(Watch::Ranks(&[1]), tagged(5), Some);
                 assert_eq!(pkt.unwrap().src, 1);

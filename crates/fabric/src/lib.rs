@@ -7,7 +7,8 @@
 //! ranks (OS threads or caf-sched tasks) connected by
 //!
 //! * per-rank **packet mailboxes** (the "NIC receive queues") used for
-//!   two-sided traffic and active messages,
+//!   two-sided traffic and active messages — one locked queue per rank
+//!   and plane, whose push wakes the receiver only when it sleeps,
 //! * a table of **registered memory segments** (the "RDMA-able" memory) that
 //!   any rank may read, write, or atomically update without the owner's
 //!   involvement, and
@@ -40,6 +41,7 @@ pub mod segment;
 pub mod topology;
 
 mod fabric_impl;
+mod mailbox;
 
 pub use caf_sched::{ExecConfig, ExecMode};
 pub use delay::{DelayConfig, DelayMeter, DelayOp, Delays};

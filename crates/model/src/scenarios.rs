@@ -425,8 +425,9 @@ fn agg_drain_finish_run() {
 /// the committed graph, coupling the scenario to the artifact.
 pub const WAITGRAPH_TARGETED_NODES: &[&str] = &[
     "lock:core/slots",
+    "lock:fabric/queue",
     "park:core/wait",
-    "park:fabric/recv",
+    "park:fabric/model_blocking",
     "park:fabric/yield_op",
 ];
 

@@ -37,19 +37,29 @@
 //! task's slot and suspends the task until some other task calls
 //! [`unpark`] with its id. A token (permit) makes the pair race-free in
 //! the standard way: an `unpark` that arrives while the task is still
-//! running is banked and consumed by the next `park`, so the wakeup
-//! protocol
+//! running is banked and consumed by the next `park`. Off a task, `park`
+//! is `std::thread::park`, whose token works the same way.
+//!
+//! A [`Waker`] is what a waiter leaves behind for whoever makes its
+//! condition true: [`waker`] returns the calling task's (or, off a task,
+//! the calling thread's), and [`Waker::wake`] is the matching `unpark`.
+//! So one wait loop serves both execution modes:
 //!
 //! ```text
-//! receiver:  loop { if try_recv() { return } park() }
-//! sender:    push(msg); unpark(receiver)
+//! receiver:  loop { lock; if pop() { return }; sleeper = waker(); unlock; park() }
+//! sender:    lock; push(msg); w = sleeper.take(); unlock; if w { w.wake() }
 //! ```
 //!
-//! never loses a message regardless of interleaving. Every blocking site
-//! in the fabric funnels through exactly this loop when running under
-//! [`ExecMode::Tasks`]; OS-blocking there would sleep while holding a
-//! slot and — with more images than slots — deadlock the job, so the
-//! cooperative form is a correctness requirement, not an optimisation.
+//! It never loses a message: the sender finds the sleeper whenever the
+//! receiver saw an empty queue, and a wake that lands before the `park`
+//! is banked. It never pays for a wake nobody asked for: a sender that
+//! finds no sleeper touches neither the executor nor the kernel. A stray
+//! permit (an [`unpark_all`], a sleeper taken after the receiver already
+//! popped) only makes some later `park` return early, so every caller
+//! re-checks its condition and parks again. Under [`ExecMode::Tasks`]
+//! OS-blocking at such a site would sleep while holding a slot and —
+//! with more images than slots — deadlock the job, so the cooperative
+//! form is a correctness requirement, not an optimisation.
 //!
 //! # Locking rules
 //!
@@ -86,7 +96,7 @@ pub struct ExecConfig {
     /// Nothing reads this. It seeded the steal order of the work-stealing
     /// pool this executor replaced and stays only because the frozen
     /// `benchmark/` sets it by name; it goes at the next benchmark
-    /// re-baseline (ROADMAP item 2).
+    /// re-baseline (ROADMAP item 9).
     pub seed: u64,
 }
 
@@ -201,53 +211,53 @@ impl Inner {
 thread_local! {
     /// Set for the lifetime of a carrier thread: (executor, task id).
     /// Task ids are image ranks — every launcher spawns rank `i` as task
-    /// `i` — which is what lets `Endpoint::send(to, ..)` translate a
-    /// destination rank straight into an `unpark(to)`.
+    /// `i`.
     static CURRENT: RefCell<Option<(Arc<Inner>, usize)>> = const { RefCell::new(None) };
 }
 
-fn current() -> Option<(Arc<Inner>, usize)> {
-    CURRENT.with(|c| c.borrow().as_ref().map(|(i, t)| (Arc::clone(i), *t)))
+/// Run `f` on the calling task's executor and id, borrowed in place;
+/// `None` off a task.
+fn with_current<R>(f: impl FnOnce(&Arc<Inner>, usize) -> R) -> Option<R> {
+    CURRENT.with(|c| c.borrow().as_ref().map(|(inner, me)| f(inner, *me)))
 }
 
-/// Whether the calling thread is a task of a running executor. The fabric
-/// uses this to pick between the cooperative park loop and the plain
-/// OS-blocking receive.
+/// Whether the calling thread is a task of a running executor.
 pub fn on_task() -> bool {
     CURRENT.with(|c| c.borrow().is_some())
 }
 
-/// Cooperatively block the calling task until [`unpark`] grants it a
-/// permit. Consumes a banked permit immediately (keeping its slot) if one
-/// is pending. On a non-task thread this degrades to `thread::yield_now` —
-/// callers gate on [`on_task`], so that path only exists for safety.
+/// Block the caller until it is woken. On a task this is cooperative: it
+/// gives up the run slot until [`unpark`] (or a [`Waker`]) makes the
+/// task ready, and consumes a banked permit immediately, keeping the
+/// slot, if one is pending. Off a task it is `std::thread::park`, ended
+/// by the thread's [`Waker`]. Either way it may return early, so callers
+/// re-check their condition in a loop.
 pub fn park() {
-    let Some((inner, me)) = current() else {
-        std::thread::yield_now();
-        return;
-    };
-    {
-        let mut g = lock(&inner.tasks[me].m);
-        if g.permit {
-            g.permit = false;
-            return;
+    let parked = with_current(|inner, me| {
+        {
+            let mut g = lock(&inner.tasks[me].m);
+            if g.permit {
+                g.permit = false;
+                return;
+            }
+            // Set before the slot goes, so an `unpark` from here on makes
+            // us ready instead of banking a permit we would sleep
+            // through. If it finds a free slot for us we hold two for a
+            // moment; harmless.
+            g.parked = true;
         }
-        // Set before the slot goes, so an `unpark` from here on makes us
-        // ready instead of banking a permit we would sleep through. If it
-        // finds a free slot for us we hold two for a moment; harmless.
-        g.parked = true;
+        inner.release_slot();
+        inner.wait_slot(me);
+    });
+    if parked.is_none() {
+        std::thread::park();
     }
-    inner.release_slot();
-    inner.wait_slot(me);
 }
 
 /// Make task `target` ready (or bank a permit if it is not parked).
-/// Callable only from a task of the same executor; a no-op elsewhere, so
-/// senders can call it unconditionally under both exec modes.
+/// Callable only from a task of the same executor; a no-op elsewhere.
 pub fn unpark(target: usize) {
-    if let Some((inner, _)) = current() {
-        unpark_on(&inner, target);
-    }
+    with_current(|inner, _| unpark_on(inner, target));
 }
 
 /// [`unpark`] every task of the calling task's executor. The model gate
@@ -257,11 +267,11 @@ pub fn unpark(target: usize) {
 /// `Condvar::notify_all` for thread-mode participants). Spurious permits
 /// are harmless — a woken task re-checks its condition and parks again.
 pub fn unpark_all() {
-    if let Some((inner, _)) = current() {
+    with_current(|inner, _| {
         for t in 0..inner.tasks.len() {
-            unpark_on(&inner, t);
+            unpark_on(inner, t);
         }
-    }
+    });
 }
 
 /// Let every ready task run before the caller does: the slot goes to the
@@ -269,18 +279,50 @@ pub fn unpark_all() {
 /// when nobody is ready. Used for bounded waits — a deadline poll has
 /// nobody to unpark it, so it must not fully park.
 pub fn yield_now() {
-    let Some((inner, me)) = current() else {
+    let yielded = with_current(|inner, me| {
+        let next = {
+            let mut s = lock(&inner.slots);
+            let Some(next) = s.ready.pop_front() else { return };
+            s.ready.push_back(me);
+            next
+        };
+        inner.grant(next);
+        inner.wait_slot(me);
+    });
+    if yielded.is_none() {
         std::thread::yield_now();
-        return;
-    };
-    let next = {
-        let mut s = lock(&inner.slots);
-        let Some(next) = s.ready.pop_front() else { return };
-        s.ready.push_back(me);
-        next
-    };
-    inner.grant(next);
-    inner.wait_slot(me);
+    }
+}
+
+/// What a sleeper leaves for whoever makes its condition true: the
+/// [`unpark`] of one task, or of one OS thread off a task. See the
+/// module docs for the wait loop it serves.
+#[derive(Clone)]
+pub struct Waker(Sleeper);
+
+#[derive(Clone)]
+enum Sleeper {
+    Task(Arc<Inner>, usize),
+    Thread(std::thread::Thread),
+}
+
+/// The calling task's waker, or the calling thread's off a task.
+pub fn waker() -> Waker {
+    Waker(
+        with_current(|inner, me| Sleeper::Task(Arc::clone(inner), me))
+            .unwrap_or_else(|| Sleeper::Thread(std::thread::current())),
+    )
+}
+
+impl Waker {
+    /// End the owner's [`park`], or bank the wake for its next one.
+    /// Callable from any thread.
+    pub fn wake(self) {
+        match self.0 {
+            Sleeper::Task(inner, t) => unpark_on(&inner, t),
+            Sleeper::Thread(thread) => thread.unpark(),
+        }
+    }
 }
 
 fn unpark_on(inner: &Inner, target: usize) {
@@ -363,8 +405,8 @@ where
                     let r = catch_unwind(AssertUnwindSafe(|| f(rank)));
                     *lock(&results[rank]) = Some(r);
                     // A finished task can be what a parked peer was
-                    // waiting on (e.g. a dropped channel): let everyone
-                    // re-check, then pass the slot on.
+                    // waiting on (e.g. its panic published a death): let
+                    // everyone re-check, then pass the slot on.
                     unpark_all();
                     CURRENT.with(|c| *c.borrow_mut() = None);
                     inner.release_slot();
@@ -451,6 +493,57 @@ mod tests {
         assert_eq!(out.len(), 2);
         for r in out {
             r.unwrap();
+        }
+    }
+
+    #[test]
+    fn the_one_wait_loop_serves_threads_and_tasks() {
+        // The module docs' loop: the receiver registers its waker under
+        // the lock and parks; the sender wakes only a registered sleeper.
+        struct Slot {
+            value: Option<u64>,
+            sleeper: Option<Waker>,
+        }
+        let rounds = 200u64;
+        for cfg in [ExecConfig::default(), tasks_cfg(1)] {
+            let slots: Vec<Mutex<Slot>> =
+                (0..2).map(|_| Mutex::new(Slot { value: None, sleeper: None })).collect();
+            let put = |to: usize, v: u64| {
+                let w = {
+                    let mut s = slots[to].lock().unwrap();
+                    s.value = Some(v);
+                    s.sleeper.take()
+                };
+                if let Some(w) = w {
+                    w.wake();
+                }
+            };
+            let take = |me: usize| loop {
+                {
+                    let mut s = slots[me].lock().unwrap();
+                    if let Some(v) = s.value.take() {
+                        return v;
+                    }
+                    s.sleeper = Some(waker());
+                }
+                park();
+            };
+            let out = run(2, &cfg, |rank| {
+                let mut sum = 0;
+                for i in 0..rounds {
+                    if rank == 0 {
+                        put(1, i);
+                        sum += take(0);
+                    } else {
+                        sum += take(1);
+                        put(0, i);
+                    }
+                }
+                sum
+            });
+            for r in out {
+                assert_eq!(r.unwrap(), (0..rounds).sum::<u64>(), "{cfg:?}");
+            }
         }
     }
 
