@@ -261,33 +261,36 @@ pub fn real_memory(p: usize) -> (usize, usize, usize) {
     (g, m, d)
 }
 
-/// Sanitized runs: replay the benchmark kernels under an armed
-/// `caf-check` session (the `check_clean` suite and the `figures check`
-/// subcommand). Kept out of the measurement paths — the hooks are a
-/// single relaxed load when disarmed, but an armed session serializes
-/// every RMA call through the checker.
+/// Sanitized runs: the benchmark kernels recorded by a `caf-trace`
+/// session and replayed through `caf-check` (the `check_clean` suite and
+/// the `figures check` subcommand). An armed session adds only its
+/// records to each operation: the run keeps the schedule of an unchecked
+/// one.
 pub mod checked {
     use super::*;
-    use caf_check::{CheckConfig, CheckSession, Report};
+    use caf_check::{check_trace, CheckConfig, Report};
+    use caf_trace::{Session, TraceConfig};
 
-    /// Run `body` on `p` images of `kind` with the sanitizer armed on
-    /// this thread and return its report. Uses the cost-free [`fast`]
-    /// configuration: legality does not depend on the cost tables, and
-    /// the checker already serializes the interesting calls.
-    pub fn checked_run(
-        p: usize,
-        kind: SubstrateKind,
-        body: impl Fn(&Image) + Send + Sync,
-    ) -> Report {
-        let session = CheckSession::start(CheckConfig::default())
-            .expect("another check session is active");
-        CafUniverse::run_with_config(p, fast(kind), |img| body(img));
-        session.finish()
+    /// Run `body` on `p` images of `cfg` under a trace session armed on
+    /// this thread, and return the replay's report. The kernels below use
+    /// the cost-free [`fast`] configuration: legality does not depend on
+    /// the cost tables.
+    pub fn checked_run(p: usize, cfg: CafConfig, body: impl Fn(&Image) + Send + Sync) -> Report {
+        let session = Session::start(TraceConfig {
+            // A ring allocates only the blocks it writes: room to spare
+            // costs nothing, and a ring that wrapped fails the report.
+            ring_capacity: 1 << 18,
+            stall_threshold: None,
+            ..TraceConfig::default()
+        })
+        .expect("another trace session is active");
+        CafUniverse::run_with_config(p, cfg, |img| body(img));
+        check_trace(&session.finish(), CheckConfig::default())
     }
 
     /// RandomAccess under the sanitizer.
     pub fn checked_ra(p: usize, kind: SubstrateKind, log2_local: u32, updates: usize) -> Report {
-        checked_run(p, kind, |img| {
+        checked_run(p, fast(kind), |img| {
             let team = img.team_world();
             ra::run(img, &team, log2_local, updates);
         })
@@ -295,7 +298,7 @@ pub mod checked {
 
     /// FFT under the sanitizer.
     pub fn checked_fft(p: usize, kind: SubstrateKind, log2_size: u32) -> Report {
-        checked_run(p, kind, |img| {
+        checked_run(p, fast(kind), |img| {
             let team = img.team_world();
             fft::run(img, &team, log2_size);
         })
@@ -303,7 +306,7 @@ pub mod checked {
 
     /// HPL under the sanitizer.
     pub fn checked_hpl(p: usize, kind: SubstrateKind, n: usize, nb: usize) -> Report {
-        checked_run(p, kind, |img| {
+        checked_run(p, fast(kind), |img| {
             let team = img.team_world();
             hpl::run(img, &team, n, nb, 42);
         })
@@ -311,7 +314,7 @@ pub mod checked {
 
     /// CGPOP under the sanitizer.
     pub fn checked_cgpop(p: usize, kind: SubstrateKind, mode: ExchangeMode) -> Report {
-        checked_run(p, kind, move |img| {
+        checked_run(p, fast(kind), move |img| {
             let team = img.team_world();
             cgpop::run(
                 img,

@@ -1,15 +1,14 @@
 //! The MPI-3 passive-target epoch-legality checker.
 //!
-//! Pure shadow state — no clocks, no threads: the simulator (or the
-//! offline trace replay) feeds it one call per RMA entry point, with the
+//! Pure shadow state — no clocks, no threads: the trace replay feeds it
+//! one call per recorded RMA entry point, with the
 //! **global** ranks of origin and target and the byte range touched in
 //! the target's window coordinates. The checker tracks, per window:
 //!
 //! - which origins currently hold a `lock_all` epoch (to catch unbalanced
-//!   lock/unlock pairs and frees with an epoch open — the real epoch
-//!   status used for `OutsideEpoch` comes from the runtime's own
-//!   `locked_all` flag, passed in as `epoch_open`, so a checker attached
-//!   mid-run never false-positives);
+//!   lock/unlock pairs and frees with an epoch open — the epoch status
+//!   used for `OutsideEpoch` is passed in as `epoch_open`, the replay's
+//!   view of the origin's `locked_all` flag);
 //! - the set of *pending* (issued, not yet flushed) puts and accumulates
 //!   as `(origin, target, byte range)` triples, cleared by
 //!   `win_flush(origin → target)` / `win_flush_all(origin)`;
@@ -56,8 +55,8 @@ struct OpenRequest {
     kind: &'static str,
 }
 
-/// Shadow state for every window of the job. One instance per check
-/// session; all methods append any diagnostics to `out`.
+/// Shadow state for every window of the job. One instance per replay;
+/// all methods append any diagnostics to `out`.
 #[derive(Debug, Default)]
 pub struct EpochChecker {
     windows: HashMap<u64, WinState>,
@@ -176,7 +175,7 @@ impl EpochChecker {
 
     /// An `MPI_Put` (or `rput`) of `range` bytes at `target`'s region.
     /// `buf` is the origin buffer's address range (for the buffer-reuse
-    /// check); pass an empty range when unknown (offline replay).
+    /// check); an empty range checks nothing.
     #[allow(clippy::too_many_arguments)]
     pub fn rma_put(
         &mut self,

@@ -32,23 +32,24 @@
 
 use std::collections::{HashMap, VecDeque};
 
+use caf_trace::Chan;
+
 use crate::report::{ByteRange, Violation, ViolationKind};
 
 /// Channel namespace: counting-event posts.
-pub const NS_EVENT: u8 = 1;
+pub const NS_EVENT: u8 = Chan::Event as u8;
 /// Channel namespace: function-shipping slots.
-pub const NS_SHIP: u8 = 2;
+pub const NS_SHIP: u8 = Chan::Ship as u8;
 /// Channel namespace: aggregation batches (one token per drained
 /// bucket; the batch carries the union of its records' edges).
-pub const NS_AGG: u8 = 3;
+pub const NS_AGG: u8 = Chan::Batch as u8;
 
 /// Ceiling on queued unconsumed snapshots per channel.
 const MAX_CHANNEL: usize = 1 << 16;
 
-/// One happens-before edge as the CAF layer reports it: the argument of
-/// the single runtime hook ([`crate::hooks::hb`]), the unit the offline
-/// pass reconstructs from a trace, and a row of [`crate::Report::edges`].
-/// All ranks are global image indices.
+/// One happens-before edge of the CAF layer: what the replay reads off a
+/// trace record of core's operation prologue, and a row of
+/// [`crate::Report::edges`]. All ranks are global image indices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HbEdge {
     /// A synchronization send (event post, ship dispatch, batch drain)
@@ -139,7 +140,7 @@ struct CollRound {
     exits: usize,
 }
 
-/// One race detector per check session.
+/// One race detector per replay.
 #[derive(Debug)]
 pub struct RaceDetector {
     clocks: Vec<Clock>,

@@ -1,195 +1,242 @@
-//! Offline checking: replay a recorded [`caf_trace::Trace`] through the
-//! same epoch and happens-before analyses the online hooks drive.
+//! The checker: replay a recorded [`caf_trace::Trace`] through the epoch
+//! checker and the happens-before race detector.
 //!
-//! The trace carries enough to reconstruct most of the online view on
-//! the MPI substrate: `WinLockAll`/`WinUnlockAll`/`WinFree` instants,
-//! `RmaPut`/`RmaGet`/`RmaAtomic` instants with the target displacement
-//! in the `disp` field, `WinFlush`/`WinFlushAll`, coarray read/write
-//! spans tagged with region id + displacement, and sync tokens on
-//! `EventNotify`/`EventWait` spans (the event id in `disp`) and
-//! collective spans (the team id in `disp`).
+//! A checked run is a `caf_trace::Session` around the job, then
+//! [`check_trace`] over what it recorded. The two runtime prologues put
+//! everything the analyses need on the trace (DESIGN.md §10):
 //!
-//! The offline pass is necessarily approximate where the trace is:
-//! origin-buffer addresses and request lifetimes are not recorded (no
-//! buffer-reuse / lost-completion detection), local loads of window
-//! memory are not traced (no read-before-flush), and function-shipping
-//! edges are not replayed. The online session sees all of those; use
-//! the offline pass to audit traces collected without the sanitizer.
+//! * the MPI substrate's window operations with global ranks, byte
+//!   ranges and origin-buffer addresses (`RmaPut`/`RmaGet`/`RmaAtomic`,
+//!   one record per element of a vector transfer), its flushes and epoch
+//!   lifecycle, the local loads and stores of window memory
+//!   (`WinLoad`/`WinStore`) and the life of every request
+//!   (`RequestOpen`/`RequestWait`/`RequestDrop`);
+//! * the portable layer's happens-before edges: coarray accesses (a
+//!   remote read or write is its `CoarrayRead`/`CoarrayWrite` span, any
+//!   other access a `Load`/`Store`), `Send`/`Recv` legs of event posts,
+//!   shipped functions and aggregation batches, collective rounds with
+//!   their member counts, region frees and observed failures.
+//!
+//! The replay orders every image's actions by the trace clock. A send
+//! and an access carry the time the operation started; a receive is
+//! recorded once its message was consumed, a round is left after its
+//! span closed, so every edge is replayed after the send it joins.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet, VecDeque};
 
 use caf_trace::{Op, Trace, TraceEvent};
 
 use crate::epoch::EpochChecker;
-use crate::hb::{HbEdge, RaceDetector, NS_EVENT};
+use crate::hb::{HbEdge, RaceDetector};
 use crate::report::{ByteRange, Report, Violation};
 
+/// Which analyses a replay runs.
+#[derive(Debug, Clone, Copy)]
+pub struct CheckConfig {
+    /// The MPI-3 epoch-legality checker.
+    pub epochs: bool,
+    /// The happens-before race detector.
+    pub races: bool,
+}
+
+impl Default for CheckConfig {
+    fn default() -> Self {
+        CheckConfig { epochs: true, races: true }
+    }
+}
+
+/// Access-history bound per `(region, owner)` shadow cell.
+const HISTORY_LIMIT: usize = 1 << 14;
+
+/// Collected-diagnostic cap (further violations are counted as dropped);
+/// also bounds the edge log, [`Report::edges`].
+const MAX_VIOLATIONS: usize = 1 << 14;
+
+/// One replayed step of an image, in the analyses' vocabulary.
 enum Action {
     LockAll { win: u64 },
     UnlockAll { win: u64 },
     Free { win: u64 },
-    Put { win: u64, target: usize, range: ByteRange },
-    Get { win: u64, target: usize, range: ByteRange },
+    Put { win: u64, target: usize, range: ByteRange, buf: ByteRange },
+    Get { win: u64, target: usize, range: ByteRange, buf: ByteRange },
     Atomic { win: u64, target: usize, range: ByteRange },
+    LocalRead { win: u64, owner: usize, range: ByteRange },
+    LocalWrite { win: u64, owner: usize, range: ByteRange },
     Flush { win: u64, target: usize },
     FlushAll { win: u64 },
-    /// A CAF-layer edge, in the vocabulary the online hook reports.
+    /// A request went live borrowing `buf`.
+    Open { win: u64, buf: ByteRange, kind: &'static str },
+    /// The request borrowing the buffer at `addr` was waited.
+    Wait { addr: u64 },
+    /// ... or dropped without a wait.
+    Drop { addr: u64 },
+    /// A happens-before edge of the portable layer.
     Hb(HbEdge),
 }
 
-/// Replay `trace` through both checkers and report what they flag.
-pub fn check_trace(trace: &Trace) -> Report {
-    let mut actions: Vec<(u64, usize, usize, Action)> = Vec::new();
-    let mut push = |t: u64, seq: usize, img: usize, a: Action| actions.push((t, seq, img, a));
+/// What `e` asks of the analyses, and when: `None` for an event they do
+/// not read.
+fn action(e: &TraceEvent) -> Option<(u64, Action)> {
+    let range = |disp: u64| ByteRange::new(disp, e.bytes);
+    let a = match (e.op, e.window, e.target, e.disp) {
+        (Op::WinLockAll, Some(win), ..) => Action::LockAll { win },
+        (Op::WinUnlockAll, Some(win), ..) => Action::UnlockAll { win },
+        (Op::WinFree, Some(win), ..) => Action::Free { win },
+        (Op::RmaPut, Some(win), Some(target), Some(d)) => {
+            Action::Put { win, target, range: range(d), buf: range(e.arg) }
+        }
+        (Op::RmaGet, Some(win), Some(target), Some(d)) => {
+            Action::Get { win, target, range: range(d), buf: range(e.arg) }
+        }
+        (Op::RmaAtomic, Some(win), Some(target), Some(d)) => Action::Atomic { win, target, range: range(d) },
+        (Op::WinLoad, Some(win), Some(owner), Some(d)) => Action::LocalRead { win, owner, range: range(d) },
+        (Op::WinStore, Some(win), Some(owner), Some(d)) => Action::LocalWrite { win, owner, range: range(d) },
+        (Op::WinFlush, Some(win), Some(target), _) => Action::Flush { win, target },
+        // An rflush certifies its target when its wait completes.
+        (Op::WinRflushWait, Some(win), Some(target), _) => {
+            return Some((e.t0_ns.saturating_add(e.dur_ns), Action::Flush { win, target }));
+        }
+        (Op::WinFlushAll, Some(win), ..) => Action::FlushAll { win },
+        (Op::RequestOpen, Some(win), _, Some(addr)) => {
+            let kind = if e.arg == Op::RmaGet as u64 { "rget" } else { "rput" };
+            Action::Open { win, buf: range(addr), kind }
+        }
+        (Op::RequestWait, _, _, Some(addr)) => Action::Wait { addr },
+        (Op::RequestDrop, _, _, Some(addr)) => Action::Drop { addr },
+        (Op::CoarrayRead | Op::CoarrayWrite | Op::Load | Op::Store, Some(region), Some(owner), Some(disp)) => {
+            let write = matches!(e.op, Op::CoarrayWrite | Op::Store);
+            Action::Hb(HbEdge::Access { region, owner, disp, len: e.bytes, write })
+        }
+        (Op::Send, _, Some(dest), Some(token)) => Action::Hb(HbEdge::Send { ns: e.bytes as u8, token, dest }),
+        (Op::Recv, _, _, Some(token)) => Action::Hb(HbEdge::Recv { ns: e.bytes as u8, token }),
+        (Op::RoundEnter, _, _, Some(team)) => Action::Hb(HbEdge::CollEnter { team }),
+        (Op::RoundExit, _, _, Some(team)) => {
+            Action::Hb(HbEdge::CollExit { team, members: e.bytes as usize })
+        }
+        (Op::RegionFree, Some(region), ..) => Action::Hb(HbEdge::RegionFree { region }),
+        (Op::FailureSeen, _, Some(failed), _) => Action::Hb(HbEdge::ImageFailed { failed }),
+        _ => return None,
+    };
+    Some((e.t0_ns, a))
+}
 
-    let mut unattributed = 0usize;
+/// Replay `trace` through the analyses `cfg` selects and report what they
+/// flag. Events lost to ring wraparound, and events the analyses read
+/// that no image recorded, are counted in [`Report::dropped`]: a report
+/// that could not see everything is never clean.
+pub fn check_trace(trace: &Trace, cfg: CheckConfig) -> Report {
+    let mut dropped = trace.dropped_events as usize;
+    let mut actions: Vec<(u64, usize, usize, Action)> = Vec::new();
     for (seq, e) in trace.events.iter().enumerate() {
-        let img = e.image;
-        if img == usize::MAX {
-            // Recorded by a thread that never called
-            // `caf_trace::set_image` (a helper or harness thread): no
-            // image's program order to place it in.
-            unattributed += 1;
+        let Some((t, a)) = action(e) else { continue };
+        if e.image == usize::MAX {
+            // Recorded by a thread no launch attributed: no image's
+            // program order to place it in.
+            dropped += 1;
             continue;
         }
-        let t0 = e.t0_ns;
-        let t_end = e.t0_ns.saturating_add(e.dur_ns);
-        match e.op {
-            Op::WinLockAll => {
-                if let Some(win) = e.window {
-                    push(t0, seq, img, Action::LockAll { win });
-                }
-            }
-            Op::WinUnlockAll => {
-                if let Some(win) = e.window {
-                    push(t0, seq, img, Action::UnlockAll { win });
-                }
-            }
-            Op::WinFree => {
-                if let Some(win) = e.window {
-                    push(t0, seq, img, Action::Free { win });
-                }
-            }
-            Op::RmaPut | Op::RmaGet | Op::RmaAtomic => {
-                if let (Some(win), Some(target), Some(disp)) = (e.window, e.target, e.disp) {
-                    let range = ByteRange::new(disp, e.bytes);
-                    let a = match e.op {
-                        Op::RmaPut => Action::Put { win, target, range },
-                        Op::RmaGet => Action::Get { win, target, range },
-                        _ => Action::Atomic { win, target, range },
-                    };
-                    push(t0, seq, img, a);
-                }
-            }
-            Op::WinFlush => {
-                if let (Some(win), Some(target)) = (e.window, e.target) {
-                    push(t0, seq, img, Action::Flush { win, target });
-                }
-            }
-            Op::WinFlushAll => {
-                if let Some(win) = e.window {
-                    push(t0, seq, img, Action::FlushAll { win });
-                }
-            }
-            Op::EventNotify => {
-                // The span's target is the notified image; it is part of
-                // the channel key (posts count at the receiver).
-                if let (Some(id), Some(dest)) = (e.disp, e.target) {
-                    push(t_end, seq, img, Action::Hb(HbEdge::Send { ns: NS_EVENT, token: id, dest }));
-                }
-            }
-            Op::EventWait => {
-                if let Some(id) = e.disp {
-                    push(t_end, seq, img, Action::Hb(HbEdge::Recv { ns: NS_EVENT, token: id }));
-                }
-            }
-            Op::Barrier | Op::Reduction | Op::Alltoall => {
-                if let Some(team) = e.disp {
-                    // Offline member counts are unknown: `usize::MAX`
-                    // keeps rounds alive, bounded by the number of
-                    // collectives.
-                    push(t0, seq, img, Action::Hb(HbEdge::CollEnter { team }));
-                    let exit = HbEdge::CollExit { team, members: usize::MAX };
-                    push(t_end, seq, img, Action::Hb(exit));
-                }
-            }
-            Op::CoarrayWrite | Op::CoarrayRead => {
-                if let (Some(region), Some(owner), Some(disp)) = (e.window, e.target, e.disp) {
-                    let write = e.op == Op::CoarrayWrite;
-                    let access = HbEdge::Access { region, owner, disp, len: e.bytes, write };
-                    push(t0, seq, img, Action::Hb(access));
-                }
-            }
-            _ => {}
-        }
+        actions.push((t, seq, e.image, a));
     }
     actions.sort_by_key(|&(t, seq, _, _)| (t, seq));
 
     let mut epoch = EpochChecker::new();
-    let mut hb = RaceDetector::new(1 << 14);
-    let mut open: HashSet<(u64, usize)> = HashSet::new();
+    let mut hb = RaceDetector::new(HISTORY_LIMIT);
+    // Per-origin epoch state, as the runtime's `locked_all` flag had it.
+    let mut open = HashSet::new();
+    // Live requests' tokens by (origin, buffer address), oldest first.
+    let mut requests: HashMap<(usize, u64), VecDeque<u64>> = HashMap::new();
+    let mut edges = Vec::new();
     let mut out: Vec<Violation> = Vec::new();
-    let none = ByteRange::new(0, 0);
-
-    for (_, _, img, a) in actions {
+    let mut found = Vec::new();
+    for (t, _, img, a) in actions {
         match a {
-            Action::LockAll { win } => {
-                epoch.lock_all(win, img, &mut out);
-                open.insert((win, img));
+            Action::Hb(edge) => {
+                if edges.len() < MAX_VIOLATIONS {
+                    edges.push((t, img, edge));
+                }
+                if cfg.races {
+                    hb.apply(img, edge, &mut found);
+                }
             }
-            Action::UnlockAll { win } => {
-                let was = open.remove(&(win, img));
-                epoch.unlock_all(win, img, was, &mut out);
+            a if cfg.epochs => replay_epoch(&mut epoch, &mut open, &mut requests, img, a, &mut found),
+            _ => {}
+        }
+        for v in found.drain(..) {
+            if out.len() < MAX_VIOLATIONS {
+                out.push(v);
+            } else {
+                dropped += 1;
             }
-            Action::Free { win } => {
-                let is_open = open.remove(&(win, img));
-                epoch.free(win, img, is_open, &mut out);
-            }
-            Action::Put { win, target, range } => {
-                let o = open.contains(&(win, img));
-                epoch.rma_put(win, img, target, range, none, o, &mut out);
-            }
-            Action::Get { win, target, range } => {
-                let o = open.contains(&(win, img));
-                epoch.rma_get(win, img, target, range, none, o, &mut out);
-            }
-            Action::Atomic { win, target, range } => {
-                let o = open.contains(&(win, img));
-                epoch.rma_atomic(win, img, target, range, o, &mut out);
-            }
-            Action::Flush { win, target } => {
-                let o = open.contains(&(win, img));
-                epoch.flush(win, img, target, o, &mut out);
-            }
-            Action::FlushAll { win } => {
-                let o = open.contains(&(win, img));
-                epoch.flush_all(win, img, o, &mut out);
-            }
-            Action::Hb(edge) => hb.apply(img, edge, &mut out),
         }
     }
-
-    Report {
-        violations: out,
-        dropped: unattributed,
-        edges: Vec::new(),
-    }
+    Report { violations: out, dropped, edges }
 }
 
-/// Convenience for tests: replay a hand-built event list.
-pub fn check_events(events: Vec<TraceEvent>) -> Report {
-    check_trace(&Trace {
-        events,
-        stalls: Vec::new(),
-        dropped_events: 0,
-    })
+/// Feed one epoch-checker action of image `img`.
+fn replay_epoch(
+    epoch: &mut EpochChecker,
+    open: &mut HashSet<(u64, usize)>,
+    requests: &mut HashMap<(usize, u64), VecDeque<u64>>,
+    img: usize,
+    a: Action,
+    out: &mut Vec<Violation>,
+) {
+    let is_open = |win| open.contains(&(win, img));
+    match a {
+        Action::LockAll { win } => {
+            epoch.lock_all(win, img, out);
+            open.insert((win, img));
+        }
+        Action::UnlockAll { win } => {
+            let was = open.remove(&(win, img));
+            epoch.unlock_all(win, img, was, out);
+        }
+        Action::Free { win } => {
+            let was = open.remove(&(win, img));
+            epoch.free(win, img, was, out);
+        }
+        Action::Put { win, target, range, buf } => {
+            epoch.rma_put(win, img, target, range, buf, is_open(win), out);
+        }
+        Action::Get { win, target, range, buf } => {
+            epoch.rma_get(win, img, target, range, buf, is_open(win), out);
+        }
+        Action::Atomic { win, target, range } => {
+            epoch.rma_atomic(win, img, target, range, is_open(win), out);
+        }
+        Action::LocalRead { win, owner, range } => epoch.local_read(win, owner, range, out),
+        Action::LocalWrite { win, owner, range } => epoch.local_write(win, owner, range, out),
+        Action::Flush { win, target } => epoch.flush(win, img, target, is_open(win), out),
+        Action::FlushAll { win } => epoch.flush_all(win, img, is_open(win), out),
+        Action::Open { win, buf, kind } => {
+            let token = epoch.request_open(win, img, buf, kind);
+            requests.entry((img, buf.start)).or_default().push_back(token);
+        }
+        Action::Wait { addr } | Action::Drop { addr } => {
+            let Some(token) = requests.get_mut(&(img, addr)).and_then(VecDeque::pop_front) else {
+                return;
+            };
+            if matches!(a, Action::Wait { .. }) {
+                epoch.request_wait(token);
+            } else {
+                epoch.request_drop(token, out);
+            }
+        }
+        Action::Hb(_) => unreachable!("edges go to the race detector"),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::report::ViolationKind;
-    use caf_trace::EventKind;
+    use caf_trace::{Chan, EventKind};
+
+    /// Replay a hand-built event list with both analyses.
+    fn check_events(events: Vec<TraceEvent>) -> Report {
+        let trace = Trace { events, stalls: Vec::new(), dropped_events: 0 };
+        check_trace(&trace, CheckConfig::default())
+    }
 
     fn ev(image: usize, op: Op, t0: u64, dur: u64) -> TraceEvent {
         TraceEvent {
@@ -198,6 +245,7 @@ mod tests {
             kind: if dur == 0 { EventKind::Instant } else { EventKind::Span },
             t0_ns: t0,
             dur_ns: dur,
+            arg: 0,
             target: None,
             bytes: 0,
             window: None,
@@ -205,6 +253,25 @@ mod tests {
             top_cat: false,
             disp: None,
         }
+    }
+
+    /// A coarray access of bytes `[0, 8)` of image 0's part of region 9.
+    fn access(img: usize, t0: u64, write: bool) -> TraceEvent {
+        let mut e = ev(img, if write { Op::CoarrayWrite } else { Op::CoarrayRead }, t0, 1);
+        e.window = Some(9);
+        e.target = Some(0);
+        e.disp = Some(0);
+        e.bytes = 8;
+        e
+    }
+
+    /// An edge leg on the event channel.
+    fn leg(img: usize, op: Op, t0: u64, dest: Option<usize>) -> TraceEvent {
+        let mut e = ev(img, op, t0, 0);
+        e.bytes = Chan::Event as u64;
+        e.disp = Some(42);
+        e.target = dest;
+        e
     }
 
     #[test]
@@ -242,27 +309,41 @@ mod tests {
 
     #[test]
     fn offline_event_edge_orders_coarray_accesses() {
-        let access = |img: usize, t0: u64, write: bool| {
-            let mut e = ev(img, if write { Op::CoarrayWrite } else { Op::CoarrayRead }, t0, 1);
-            e.window = Some(9);
-            e.target = Some(0);
-            e.disp = Some(0);
-            e.bytes = 8;
-            e
-        };
-        let mut notify = ev(0, Op::EventNotify, 20, 5);
-        notify.disp = Some(42);
-        notify.target = Some(1);
-        let mut wait = ev(1, Op::EventWait, 21, 10);
-        wait.disp = Some(42);
-
-        // write(0) → notify(0) → wait(1) → read(1): clean.
-        let r = check_events(vec![access(0, 10, true), notify.clone(), wait.clone(), access(1, 40, false)]);
+        // write(0) → post(0) → take(1) → read(1): clean.
+        let r = check_events(vec![
+            access(0, 10, true),
+            leg(0, Op::Send, 20, Some(1)),
+            leg(1, Op::Recv, 30, None),
+            access(1, 40, false),
+        ]);
         assert!(r.is_clean(), "{}", r.render());
+        assert_eq!(r.edges.len(), 4, "every edge is logged");
 
         // Same accesses with no edge: a race.
         let r = check_events(vec![access(0, 10, true), access(1, 40, false)]);
         assert_eq!(r.of_kind(ViolationKind::CoarrayRace).len(), 1);
+    }
+
+    /// Regression: the notify edge was posted at the end of the notify's
+    /// span, so a waiter whose wait ended first joined nothing and its
+    /// next read was flagged. The edge is the post, made inside the span
+    /// before the waiter could consume it.
+    #[test]
+    fn a_wait_ending_before_its_notify_span_still_joins_the_post() {
+        let mut notify = ev(0, Op::EventNotify, 20, 30);
+        notify.target = Some(1);
+        notify.disp = Some(42);
+        let mut wait = ev(1, Op::EventWait, 21, 19);
+        wait.disp = Some(42);
+        let r = check_events(vec![
+            access(0, 10, true),
+            notify,
+            wait,
+            leg(0, Op::Send, 30, Some(1)),
+            leg(1, Op::Recv, 39, None),
+            access(1, 45, false),
+        ]);
+        assert!(r.is_clean(), "{}", r.render());
     }
 
     /// Regression: an event recorded by a thread that never called
@@ -272,44 +353,66 @@ mod tests {
     /// and counted.
     #[test]
     fn offline_skips_and_counts_unattributed_events() {
-        let mut stray_access = ev(usize::MAX, Op::CoarrayWrite, 10, 1);
-        stray_access.window = Some(9);
-        stray_access.target = Some(0);
-        stray_access.disp = Some(0);
-        stray_access.bytes = 8;
-        let mut stray_barrier = ev(usize::MAX, Op::Barrier, 20, 5);
-        stray_barrier.disp = Some(5);
+        let stray_access = access(usize::MAX, 10, true);
+        let mut stray_round = ev(usize::MAX, Op::RoundEnter, 20, 0);
+        stray_round.disp = Some(5);
         let mut write = stray_access.clone();
         write.image = 1;
         write.t0_ns = 30;
 
-        let r = check_events(vec![stray_access, stray_barrier, write]);
+        let r = check_events(vec![stray_access, stray_round, write]);
         assert!(r.violations.is_empty(), "{}", r.render());
         assert_eq!(r.dropped, 2);
         assert!(!r.is_clean(), "a report that skipped events says so");
+
+        // So is one whose rings wrapped.
+        let trace = Trace { events: Vec::new(), stalls: Vec::new(), dropped_events: 3 };
+        assert_eq!(check_trace(&trace, CheckConfig::default()).dropped, 3);
     }
 
     #[test]
     fn offline_collective_round_synchronizes() {
-        let access = |img: usize, t0: u64| {
-            let mut e = ev(img, Op::CoarrayWrite, t0, 1);
-            e.window = Some(9);
-            e.target = Some(0);
-            e.disp = Some(0);
-            e.bytes = 8;
+        let round = |img: usize, t0: u64| {
+            let mut enter = ev(img, Op::RoundEnter, t0, 0);
+            enter.disp = Some(5);
+            let mut exit = ev(img, Op::RoundExit, t0 + 10, 0);
+            exit.disp = Some(5);
+            exit.bytes = 2;
+            [enter, exit]
+        };
+        let mut events = vec![access(0, 10, true)];
+        events.extend(round(0, 20));
+        events.extend(round(1, 22));
+        events.push(access(1, 50, true));
+        let r = check_events(events);
+        assert!(r.is_clean(), "{}", r.render());
+    }
+
+    #[test]
+    fn request_records_flag_reuse_and_a_lost_completion() {
+        let at = |op: Op, t0: u64, addr: u64, bytes: u64| {
+            let mut e = ev(0, op, t0, 0);
+            e.window = Some(7);
+            e.disp = Some(addr);
+            e.bytes = bytes;
             e
         };
-        let barrier = |img: usize, t0: u64| {
-            let mut e = ev(img, Op::Barrier, t0, 10);
-            e.disp = Some(5);
-            e
-        };
-        let r = check_events(vec![
-            access(0, 10),
-            barrier(0, 20),
-            barrier(1, 22),
-            access(1, 50),
-        ]);
+        let mut lock = ev(0, Op::WinLockAll, 1, 0);
+        lock.window = Some(7);
+        let mut open = at(Op::RequestOpen, 3, 1000, 64);
+        open.arg = Op::RmaPut as u64;
+        // A put whose origin buffer lies inside the live request's.
+        let mut put = at(Op::RmaPut, 4, 128, 8);
+        put.target = Some(0);
+        put.arg = 1032;
+        let r = check_events(vec![lock, open.clone(), put, at(Op::RequestDrop, 5, 1000, 0)]);
+        assert_eq!(r.violations.len(), 2, "{}", r.render());
+        assert_eq!(r.violations[0].kind, ViolationKind::BufferReuse);
+        assert_eq!(r.violations[1].kind, ViolationKind::LostCompletion);
+        assert!(r.violations[1].detail.contains("rput"));
+
+        // Waited, then dropped: nothing.
+        let r = check_events(vec![open, at(Op::RequestWait, 4, 1000, 0), at(Op::RequestDrop, 5, 1000, 0)]);
         assert!(r.is_clean(), "{}", r.render());
     }
 }

@@ -140,19 +140,18 @@ impl fmt::Display for Violation {
     }
 }
 
-/// Everything a check session collected.
+/// Everything a replay found.
 #[derive(Debug, Clone, Default)]
 pub struct Report {
     /// The diagnostics, in detection order.
     pub violations: Vec<Violation>,
-    /// Diagnostics discarded after the session's cap was reached; for
-    /// an offline audit, trace events skipped because no image recorded
-    /// them (a thread that never called `caf_trace::set_image`).
+    /// What the replay could not judge: trace events lost to ring
+    /// wraparound, events the analyses read that no image recorded (a
+    /// thread no launch attributed), and diagnostics past the cap.
     pub dropped: usize,
-    /// The happens-before edges the runtime reported, in arrival order,
-    /// as `(caf_trace::now_ns(), image, edge)`: what the detector was
-    /// told, for reading a diagnostic against. The first
-    /// `CheckConfig::max_violations` of them; empty for an offline audit.
+    /// The happens-before edges the trace recorded, in replay order, as
+    /// `(trace time, image, edge)`: what the detector was told, for
+    /// reading a diagnostic against (the first 16 384).
     pub edges: Vec<(u64, usize, crate::hb::HbEdge)>,
 }
 

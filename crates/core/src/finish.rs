@@ -145,9 +145,9 @@ impl Image {
             return;
         }
         let slot = self.ship_reg.park(Box::new(f));
-        caf_trace::instant_d(caf_trace::Op::Ship, Some(global), 0, None, Some(slot));
         // The executor joins the shipper's clock before running the
-        // closure (token = the globally unique registry slot).
+        // closure (token = the globally unique registry slot); the send's
+        // record is the shipping's trace instant.
         self.op(CafOp::send(Chan::Ship, slot, global), || {
             self.backend
                 .send_rtmsg(global, &RtMsg::Ship { slot, finish_id: fid });

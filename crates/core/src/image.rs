@@ -220,9 +220,6 @@ impl Image {
         ship_reg: Arc<ShipRegistry>,
     ) -> Self {
         let n = ep0.size();
-        // Attribute this thread's trace collector to the image before any
-        // instrumented call can record an event.
-        caf_trace::set_image(ep0.rank());
         let (backend, world) = match config.substrate {
             SubstrateKind::Mpi => {
                 let mpi = Mpi::init(ep0, config.mpi);

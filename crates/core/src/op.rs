@@ -1,24 +1,26 @@
 //! The prologue of every CAF operation (DESIGN.md §3.2).
 //!
 //! An operation describes itself once, as a [`CafOp`], and [`Image::op`]
-//! feeds that description to the three instruments that watch the
-//! portable layer: the `caf-check` sanitizer, the `caf-trace` span ring
-//! and the [`crate::Stats`] ledger. This file is the only place in the
-//! crate that knows the sanitizer is a cargo feature.
+//! feeds that description to the two instruments that watch the portable
+//! layer: the `caf-trace` ring — whose records the `caf-check` replay
+//! reads as happens-before edges — and the [`crate::Stats`] ledger.
+
+use caf_trace::Op;
 
 use crate::backend::On;
 use crate::image::Image;
 use crate::stats::{sampled, StatCat};
 use crate::team::{GTeam, Team};
 
+pub(crate) use caf_trace::Chan;
+
 /// The happens-before edge an operation creates; its coordinates are the
 /// descriptor's (`region`, `target`, `word`, `bytes`). All but the second
-/// half of a round are *entry* edges, reported before the body runs: an
+/// half of a round are *entry* edges, recorded before the body runs: an
 /// access is judged against the clock the image starts the operation
 /// with, a send snapshots the sender's past, a receive joins the sender's
 /// clock before the image acts on what it received.
 #[derive(Debug, Clone, Copy)]
-#[allow(dead_code)] // read by `Image::sanitize` alone, which a hooks-off build leaves out
 pub(crate) enum Edge {
     /// The operation orders nothing and touches no coarray memory itself
     /// (its sub-operations may).
@@ -28,7 +30,7 @@ pub(crate) enum Edge {
     /// Store to the same.
     Write,
     /// Strided access: `bytes / elem` elements of `elem` bytes, `stride`
-    /// bytes apart, from `word`. Reported per element — stride gaps are
+    /// bytes apart, from `word`. Recorded per element — stride gaps are
     /// untouched bytes and must not be claimed, or disjoint interleaved
     /// sections would be flagged as overlapping.
     Section { write: bool, elem: u64, stride: u64 },
@@ -39,7 +41,7 @@ pub(crate) enum Edge {
     /// One collective round of the `.0`-member team with id `word`:
     /// entered at entry, left at exit, where every member's entry clock is
     /// joined. (The GASNet collectives are hand-rolled from AMs the
-    /// detector cannot see, so the round is recorded here.)
+    /// replay cannot see, so the round is recorded here.)
     Round(usize),
     /// As `Round`; at exit the shadow history of `region` is dropped too
     /// (a collective free — region ids are recycled).
@@ -47,17 +49,6 @@ pub(crate) enum Edge {
     /// A `Stat` about to be delivered says image `.0` died: edges to a
     /// failed image terminate.
     Failed(usize),
-}
-
-/// The channel a [`Edge::Send`] / [`Edge::Recv`] token is unique in.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Chan {
-    /// Counting-event posts (token: the event id).
-    Event,
-    /// Function shipping (token: the ship-registry slot).
-    Ship,
-    /// Aggregation batches (token: one per drained bucket).
-    Batch,
 }
 
 /// One CAF operation, described once: `Copy`, built by its caller from
@@ -79,7 +70,6 @@ pub(crate) struct CafOp {
     /// (event id, ship slot, batch token, team id).
     pub word: Option<u64>,
     /// The happens-before edge.
-    #[allow(dead_code)] // as `Edge`: the sanitizer step is its only reader
     pub edge: Edge,
 }
 
@@ -99,15 +89,35 @@ impl CafOp {
     pub(crate) const fn recv(chan: Chan, token: u64) -> CafOp {
         CafOp { word: Some(token), edge: Edge::Recv(chan), ..CafOp::of(None) }
     }
+
+    /// Whether the edge needs a trace record of its own. A remote read or
+    /// write is its span (`window`, `target` and `disp` are the access),
+    /// so the hot path tests nothing it did not test before.
+    const fn records_edge(&self) -> bool {
+        !matches!(
+            (self.edge, self.cat),
+            (Edge::None, _)
+                | (Edge::Read | Edge::Write, Some(StatCat::CoarrayRead | StatCat::CoarrayWrite))
+        )
+    }
+
+    /// The span's displacement word: none for a strided transfer, whose
+    /// elements are recorded one by one.
+    const fn span_word(&self) -> Option<u64> {
+        match self.edge {
+            Edge::Section { .. } => None,
+            _ => self.word,
+        }
+    }
 }
 
 impl Image {
     /// Run `body` as the operation `op` describes, always in this order
-    /// (DESIGN.md §3.2 says why): sanitizer entry edge; trace span opens;
+    /// (DESIGN.md §3.2 says why): entry edge recorded; trace span opens;
     /// ledger section opens; `body`; ledger and span close — a `_stat`
     /// call reporting a failed image returns through here like any other;
-    /// sanitizer exit edge. Span and ledger are for categorised
-    /// operations only.
+    /// exit edge recorded. Span and ledger are for categorised operations
+    /// only.
     ///
     /// Always inlined: callers are generic code instantiated downstream
     /// without LTO, and each passes a descriptor whose `cat` and `edge`
@@ -115,17 +125,20 @@ impl Image {
     /// and nothing else.
     #[inline(always)]
     pub(crate) fn op<R>(&self, op: CafOp, body: impl FnOnce() -> R) -> R {
-        #[cfg(feature = "check")]
-        self.sanitize(&op, false);
+        let traced = op.records_edge() && caf_trace::enabled();
+        if traced {
+            self.record_edge(&op, false);
+        }
         let out = match op.cat {
             Some(cat) => {
-                let _span = caf_trace::span_d(cat.op(), op.target, op.bytes, op.region, op.word);
+                let _span = caf_trace::span_d(cat.op(), op.target, op.bytes, op.region, op.span_word());
                 self.stats().section(cat, sampled(cat, op.bytes), body)
             }
             None => body(),
         };
-        #[cfg(feature = "check")]
-        self.sanitize(&op, true);
+        if traced {
+            self.record_edge(&op, true);
+        }
         out
     }
 
@@ -148,39 +161,35 @@ impl Image {
         self.op(op, || body(team.on(&self.backend)))
     }
 
-    /// The first and last step of [`Image::op`]: the descriptor's edge in
-    /// the sanitizer's vocabulary.
-    #[cfg(feature = "check")]
-    #[inline]
-    fn sanitize(&self, op: &CafOp, exit: bool) {
-        use caf_check::hooks::{hb, HbEdge, NS_AGG, NS_EVENT, NS_SHIP};
-        if matches!(op.edge, Edge::None) || !caf_check::enabled() {
-            return;
-        }
-        let me = self.this_image();
-        let (region, owner) = (op.region.unwrap_or(0), op.target.unwrap_or(me));
+    /// The first and last step of [`Image::op`] on an armed trace: the
+    /// descriptor's edge as the records the `caf-check` replay reads.
+    #[cold]
+    #[inline(never)]
+    fn record_edge(&self, op: &CafOp, exit: bool) {
+        use caf_trace::{instant, instant_d};
+        let owner = Some(op.target.unwrap_or_else(|| self.this_image()));
         let word = op.word.unwrap_or(0);
-        let access = |disp, len, write| hb(me, HbEdge::Access { region, owner, disp, len, write });
-        let ns = |chan| match chan {
-            Chan::Event => NS_EVENT,
-            Chan::Ship => NS_SHIP,
-            Chan::Batch => NS_AGG,
+        let access = |write, disp, len| {
+            let rec = if write { Op::Store } else { Op::Load };
+            instant_d(rec, owner, len, op.region, Some(disp));
         };
         match (op.edge, exit) {
-            (Edge::Read, false) => access(word, op.bytes, false),
-            (Edge::Write, false) => access(word, op.bytes, true),
+            (Edge::Read | Edge::Write, false) => access(matches!(op.edge, Edge::Write), word, op.bytes),
             (Edge::Section { write, elem, stride }, false) => {
-                (0..op.bytes / elem).for_each(|i| access(word + i * stride, elem, write));
+                (0..op.bytes / elem).for_each(|i| access(write, word + i * stride, elem));
             }
-            (Edge::Send(chan), false) => hb(me, HbEdge::Send { ns: ns(chan), token: word, dest: owner }),
-            (Edge::Recv(chan), false) => hb(me, HbEdge::Recv { ns: ns(chan), token: word }),
-            (Edge::Round(_) | Edge::Free(_), false) => hb(me, HbEdge::CollEnter { team: word }),
-            (Edge::Round(members), true) => hb(me, HbEdge::CollExit { team: word, members }),
-            (Edge::Free(members), true) => {
-                hb(me, HbEdge::CollExit { team: word, members });
-                hb(me, HbEdge::RegionFree { region });
+            (Edge::Send(chan), false) => instant_d(Op::Send, owner, chan as u64, None, Some(word)),
+            (Edge::Recv(chan), false) => instant_d(Op::Recv, None, chan as u64, None, Some(word)),
+            (Edge::Round(_) | Edge::Free(_), false) => {
+                instant_d(Op::RoundEnter, None, 0, None, Some(word));
             }
-            (Edge::Failed(failed), false) => hb(me, HbEdge::ImageFailed { failed }),
+            (Edge::Round(members) | Edge::Free(members), true) => {
+                instant_d(Op::RoundExit, None, members as u64, None, Some(word));
+                if matches!(op.edge, Edge::Free(_)) {
+                    instant(Op::RegionFree, None, 0, op.region);
+                }
+            }
+            (Edge::Failed(failed), false) => instant(Op::FailureSeen, Some(failed), 0, None),
             (_, true) | (Edge::None, _) => {}
         }
     }

@@ -110,9 +110,10 @@ impl Fabric {
     /// injection.
     ///
     /// Every rank runs inside the launching thread's scope
-    /// (`caf_trace::scope`): a trace session, check session or model gate
-    /// armed there sees the job, and a job launched from anywhere else
-    /// does not. Ranks register with an armed gate before `f` runs.
+    /// (`caf_trace::scope`): a trace session or model gate armed there sees
+    /// the job, and a job launched from anywhere else does not. Each rank's
+    /// trace records are attributed to it, and ranks register with an
+    /// armed gate, before `f` runs.
     ///
     /// # Panics
     ///
@@ -155,6 +156,7 @@ impl Fabric {
         let f = &f;
         let mut results = caf_sched::run(size, &config.exec, move |rank| {
             let _scope = scope.enter();
+            caf_trace::set_image(rank);
             let planes = slots[rank]
                 .lock()
                 .expect("no rank panics holding its slot")

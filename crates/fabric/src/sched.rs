@@ -30,8 +30,8 @@
 //! wait-for edges instead of hanging (the paper's Figure 2 scenario).
 //!
 //! When no gate is armed, every entry point here is a single
-//! thread-local load — the same disarmed-cost discipline as `caf-trace`
-//! and `caf-check`. An armed gate also keeps the `caf-trace` stall
+//! thread-local load — the same disarmed-cost discipline as `caf-trace`.
+//! An armed gate also keeps the `caf-trace` stall
 //! watchdog off: wall-clock thresholds mean nothing across a paused
 //! schedule.
 

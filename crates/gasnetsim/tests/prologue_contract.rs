@@ -141,7 +141,6 @@ fn table() -> Vec<Row> {
 /// Rank 0 runs the table between two barriers; rank 1 only keeps its
 /// segment attached (and runs the long AM's handler in the second one).
 fn program(g: &Gasnet) {
-    caf_trace::set_image(g.rank());
     g.register_handler(FIRST_USER_HANDLER, |_g, _tok, _args, data| {
         assert_eq!(data, [9u8; 8]);
     });

@@ -8,7 +8,7 @@
 //! | CAFL002 | `lock-across-park` | no `Mutex`/`RwLock` guard live across a gate/park call |
 //! | CAFL003 | `atomic-ordering`  | every `Ordering::` use matches a checked-in justification table; SeqCst needs an explicit SeqCst rationale; stale entries flagged |
 //! | CAFL004 | `unsafe`         | every `unsafe` token carries a `// SAFETY:` comment (same line or up to 3 lines above) |
-//! | CAFL005 | `layering`       | substrates never reference core/agg/hpcc/model; other crates never deep-path into `caf_mpisim::x::` / `caf_gasnetsim::x::` internals |
+//! | CAFL005 | `layering`       | substrates never reference core/agg/hpcc/model; no runtime crate names the `caf_check` oracle; other crates never deep-path into `caf_mpisim::x::` / `caf_gasnetsim::x::` internals |
 //! | CAFL006 | `segment-direct` | raw `Segment` resolution only inside the instrumented substrate crates |
 //! | CAFL007 | `nondeterminism` | no wall-clock / raw-spin primitives in the modeled crates outside `delay.rs` / `stall.rs` |
 //!
@@ -24,9 +24,10 @@ use crate::ordering::OrderingTable;
 use crate::scope::Scopes;
 use crate::{Diag, Report};
 
-/// Crates whose execution the `caf-model` scheduler gate controls; the
-/// blocking / lock-across-park / atomic-ordering / nondeterminism
-/// audits apply to these.
+/// Crates whose execution the `caf-model` scheduler gate controls — the
+/// runtime; the blocking / lock-across-park / atomic-ordering /
+/// nondeterminism audits apply to these, and none of them may name the
+/// `caf-check` oracle that replays their trace from above.
 pub const MODELED_CRATES: &[&str] = &["fabric", "mpisim", "gasnetsim", "core", "agg", "sched"];
 
 /// The substrate crates: own the instrumented segment entry points
@@ -560,13 +561,27 @@ fn unsafe_pass(ctx: &FileCtx, report: &mut Report) {
 
 /// Use-graph layering. Substrates (`fabric`, `mpisim`, `gasnetsim`)
 /// never name the layers above them (`caf`, `caf_agg`, `caf_hpcc`,
-/// `caf_model`); everything else reaches `caf_mpisim` / `caf_gasnetsim`
-/// only through their crate-root re-exports, never `crate::module::`
-/// deep paths (a lowercase path segment right after the crate name).
+/// `caf_model`); no runtime crate names `caf_check`, the oracle that
+/// replays their trace; everything else reaches `caf_mpisim` /
+/// `caf_gasnetsim` only through their crate-root re-exports, never
+/// `crate::module::` deep paths (a lowercase path segment right after the
+/// crate name).
 fn layering_pass(ctx: &FileCtx, report: &mut Report) {
     for i in 0..ctx.toks.len() {
         let Some(id) = ctx.ident(i) else { continue };
         let line = ctx.toks[i].line;
+        if ctx.modeled && id == "caf_check" && !ctx.allow(line, "layering") {
+            push(
+                report,
+                "CAFL005",
+                "layering",
+                ctx,
+                line,
+                "runtime crate names the `caf_check` oracle: the checker replays the trace \
+                 from above the runtime — record what it needs instead"
+                    .into(),
+            );
+        }
         if ctx.substrate {
             if FORBIDDEN_IN_SUBSTRATES.contains(&id)
                 && ctx.punct(i + 1, ":")

@@ -15,7 +15,8 @@
 //!   `crates/lint/orderings.tsv`; flags SeqCst-by-default drift and
 //!   stale table rows.
 //! - **CAFL004 `unsafe`** — every `unsafe` carries a `// SAFETY:`.
-//! - **CAFL005 `layering`** — substrates never reference upper layers;
+//! - **CAFL005 `layering`** — substrates never reference upper layers,
+//!   runtime crates never name the `caf-check` oracle;
 //!   upper layers never deep-path into substrate internals (source
 //!   `use`-graph plus a Cargo.toml dependency check).
 //! - **CAFL006 `segment-direct`** / **CAFL007 `nondeterminism`** — the
@@ -378,38 +379,59 @@ pub fn run_workspace(root: &Path) -> Result<Report, String> {
     Ok(report)
 }
 
-/// Substrate crate manifests must not declare runtime dependencies on
-/// the layers above them (the source-level check cannot see a `path`
-/// dependency that is merely declared but not yet imported).
+/// Run [`scan_manifest`] over every runtime crate's manifest.
 fn manifest_layering(root: &Path, report: &mut Report) {
-    const FORBIDDEN: &[&str] = &["caf", "caf-agg", "caf-hpcc", "caf-model"];
-    for sub in checks::SUBSTRATE_CRATES {
-        let rel = format!("crates/{sub}/Cargo.toml");
-        let Ok(text) = fs::read_to_string(root.join(&rel)) else { continue };
-        let mut in_deps = false;
-        for (idx, line) in text.lines().enumerate() {
-            let t = line.trim();
-            if t.starts_with('[') {
-                in_deps = t == "[dependencies]";
-                continue;
-            }
-            if !in_deps {
-                continue;
-            }
-            let name = t.split(['=', ' ', '.']).next().unwrap_or("");
-            if FORBIDDEN.contains(&name) {
-                report.diags.push(Diag {
-                    code: "CAFL005",
-                    class: "layering",
-                    file: rel.clone(),
-                    line: (idx + 1) as u32,
-                    msg: format!(
-                        "substrate crate `{sub}` declares a dependency on upper layer \
-                         `{name}`: substrates must not depend on core/agg/hpcc/model"
-                    ),
-                });
-            }
+    for krate in checks::MODELED_CRATES {
+        let rel = format!("crates/{krate}/Cargo.toml");
+        if let Ok(text) = fs::read_to_string(root.join(&rel)) {
+            scan_manifest(&rel, &text, report);
         }
+    }
+}
+
+/// Manifest-level layering of one `crates/<name>/Cargo.toml` (the
+/// source-level check cannot see a `path` dependency that is merely
+/// declared but not yet imported): substrate crates declare no runtime
+/// dependency on the layers above them, and no runtime crate names
+/// `caf-check` in any dependency table or feature. Other crates' manifests
+/// are not checked.
+pub fn scan_manifest(rel: &str, text: &str, report: &mut Report) {
+    const FORBIDDEN: &[&str] = &["caf", "caf-agg", "caf-hpcc", "caf-model"];
+    let krate = rel.trim_start_matches("crates/").split('/').next().unwrap_or("");
+    if !checks::MODELED_CRATES.contains(&krate) {
+        return;
+    }
+    let substrate = checks::SUBSTRATE_CRATES.contains(&krate);
+    let mut section = "";
+    for (idx, line) in text.lines().enumerate() {
+        let t = line.trim();
+        if t.starts_with('[') {
+            section = t;
+            continue;
+        }
+        let name = t.split(['=', ' ', '.']).next().unwrap_or("");
+        let msg = if (section.contains("dependencies") && name == "caf-check")
+            || (section == "[features]" && t.contains("caf-check"))
+        {
+            format!(
+                "runtime crate `{krate}` names the `caf-check` oracle in its manifest: \
+                 the checker replays the trace from above the runtime"
+            )
+        } else if substrate && section == "[dependencies]" && FORBIDDEN.contains(&name) {
+            format!(
+                "substrate crate `{krate}` declares a dependency on upper layer \
+                 `{name}`: substrates must not depend on core/agg/hpcc/model"
+            )
+        } else {
+            continue;
+        };
+        report.diags.push(Diag {
+            code: "CAFL005",
+            class: "layering",
+            file: rel.to_string(),
+            line: (idx + 1) as u32,
+            msg,
+        });
     }
 }
 

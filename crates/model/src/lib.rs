@@ -33,7 +33,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, Once};
 
-use caf_check::{CheckConfig, CheckMode, CheckSession, Report};
+use caf_check::{check_trace, CheckConfig, Report};
 use caf_fabric::sched::{self, Choice, Chooser, ModelOp, RunOutcome, RunStatus, StepRecord};
 
 pub mod scenarios;
@@ -109,8 +109,9 @@ pub struct Counterexample {
     /// Replay token: `dfs:<choice,...>` or `rand:<seed>`. Feed to
     /// [`replay`] with the same scenario and config.
     pub token: String,
-    /// `deadlock`, `panic`, `step_budget`, or a `caf-check` violation
-    /// kind (`read_before_flush`, `coarray_race`, ...).
+    /// `deadlock`, `panic`, `step_budget`, a `caf-check` violation kind
+    /// (`read_before_flush`, `coarray_race`, ...), or `dropped` when the
+    /// oracle's trace lost events.
     pub kind: String,
     /// Human-readable specifics (wait-for edges, the violation line).
     pub detail: String,
@@ -189,21 +190,17 @@ pub fn render_schedule(steps: &[StepRecord]) -> Vec<String> {
         .collect()
 }
 
-/// Run one schedule: arm the oracle and the gate on this thread, execute
-/// the scenario, collect both.
+/// Run one schedule: arm the oracle's trace and the gate on this thread,
+/// execute the scenario, replay the trace.
 fn run_controlled(
     scenario: &Scenario,
     cfg: &ExploreConfig,
     chooser: Box<dyn Chooser>,
 ) -> (RunOutcome, Option<Report>) {
     let session = cfg.oracle.map(|o| {
-        CheckSession::start(CheckConfig {
-            mode: CheckMode::Collect,
-            epochs: o.epochs,
-            races: o.races,
-            ..CheckConfig::default()
-        })
-        .expect("a caf-check session is already active")
+        let trace = caf_trace::TraceConfig { stall_threshold: None, ..caf_trace::TraceConfig::default() };
+        let session = caf_trace::Session::start(trace).expect("a trace session is already active");
+        (session, CheckConfig { epochs: o.epochs, races: o.races })
     });
     sched::arm(scenario.images, cfg.max_steps, chooser).expect("scheduler gate already armed");
     let result = catch_unwind(AssertUnwindSafe(|| (scenario.run)()));
@@ -213,7 +210,7 @@ fn run_controlled(
         // assertion): still a failed run.
         outcome.status = RunStatus::Panicked;
     }
-    (outcome, session.map(CheckSession::finish))
+    (outcome, session.map(|(s, check)| check_trace(&s.finish(), check)))
 }
 
 /// Classify one finished run into the report. Returns true when the run
@@ -239,8 +236,12 @@ fn record_run(
             format!("no end state within {} steps (livelock?)", outcome.steps.len()),
         )),
         RunStatus::Panicked => Some(("panic".into(), "an image panicked".into())),
-        RunStatus::Completed => oracle.and_then(|r| {
-            r.violations.first().map(|v| (v.kind.name().to_string(), v.to_string()))
+        RunStatus::Completed => oracle.and_then(|r| match r.violations.first() {
+            Some(v) => Some((v.kind.name().to_string(), v.to_string())),
+            None if r.dropped > 0 => {
+                Some(("dropped".into(), format!("{} trace events the oracle could not judge", r.dropped)))
+            }
+            None => None,
         }),
     };
     rep.schedules += 1;

@@ -16,6 +16,7 @@
 //! would on real MPI.
 
 use caf_fabric::Pod;
+use caf_trace::Op;
 
 /// Completion kind certified by a request, mirroring MPI-3 RMA semantics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,48 +30,36 @@ pub enum RmaCompletion {
 /// A request handle returned by a request-generating RMA operation.
 ///
 /// `T` is the fetched element type for GET-style operations, or `()` for
-/// PUT-style operations.
+/// PUT-style operations. Under an armed trace its life is recorded —
+/// opened, waited, or dropped without a wait (the Fig 2 put-ack hazard:
+/// nothing ever certifies the operation's completion) — with the origin
+/// buffer it borrows, which names it.
 #[derive(Debug)]
 #[must_use = "RMA requests must be completed with wait()"]
 pub struct RmaRequest<T: Pod> {
     data: Option<Vec<T>>,
     completion: RmaCompletion,
-    /// caf-check tracking token (0 = untracked). A tracked request
-    /// dropped without `wait()` is the Fig 2 put-ack hazard: nothing
-    /// ever certifies the operation's completion.
-    #[allow(dead_code)]
-    check_token: u64,
-    #[allow(dead_code)]
-    waited: bool,
+    win_id: u64,
+    /// Address of the origin buffer the request borrows until waited.
+    buf: u64,
 }
 
 impl<T: Pod> RmaRequest<T> {
-    pub(crate) fn completed_get(data: Vec<T>) -> Self {
+    /// A live request of `op` (`RmaPut` or `RmaGet`) on window `win_id`
+    /// borrowing the origin buffer `(addr, len)` — for a get, the
+    /// request's own `data`.
+    pub(crate) fn open(win_id: u64, op: Op, (addr, len): (u64, u64), data: Option<Vec<T>>) -> Self {
+        caf_trace::instant_a(Op::RequestOpen, None, len, Some(win_id), Some(addr), op as u64);
         RmaRequest {
-            data: Some(data),
-            completion: RmaCompletion::LocalAndRemote,
-            check_token: 0,
-            waited: false,
+            completion: if data.is_some() {
+                RmaCompletion::LocalAndRemote
+            } else {
+                RmaCompletion::LocalOnly
+            },
+            data,
+            win_id,
+            buf: addr,
         }
-    }
-
-    /// Register the request with caf-check as live on window `win_id`
-    /// over the origin buffer `buf` (address, bytes); the identity in a
-    /// build without the checker.
-    #[cfg_attr(not(feature = "check"), allow(unused_mut, unused_variables))]
-    pub(crate) fn tracked(
-        mut self,
-        win_id: u64,
-        origin: usize,
-        buf: (usize, usize),
-        kind: &'static str,
-    ) -> Self {
-        #[cfg(feature = "check")]
-        {
-            self.check_token =
-                caf_check::hooks::request_open(win_id, origin, buf.0 as u64, buf.1 as u64, kind);
-        }
-        self
     }
 
     /// What completing this request certifies.
@@ -85,29 +74,18 @@ impl<T: Pod> RmaRequest<T> {
 
     /// Wait for completion and take the fetched data (`MPI_Wait`).
     pub fn wait(mut self) -> Vec<T> {
-        self.waited = true;
-        #[cfg(feature = "check")]
-        caf_check::hooks::request_wait(self.check_token);
-        self.data.take().unwrap_or_default()
+        caf_trace::instant_d(Op::RequestWait, None, 0, Some(self.win_id), Some(self.buf));
+        let data = self.data.take();
+        // Completed: nothing is left for `Drop` to report.
+        std::mem::forget(self);
+        data.unwrap_or_default()
     }
 }
 
 impl<T: Pod> Drop for RmaRequest<T> {
     fn drop(&mut self) {
-        #[cfg(feature = "check")]
-        if !self.waited && self.check_token != 0 && !std::thread::panicking() {
-            caf_check::hooks::request_drop(self.check_token);
-        }
-    }
-}
-
-impl RmaRequest<()> {
-    pub(crate) fn completed_put() -> Self {
-        RmaRequest {
-            data: None,
-            completion: RmaCompletion::LocalOnly,
-            check_token: 0,
-            waited: false,
+        if caf_trace::enabled() && !std::thread::panicking() {
+            caf_trace::instant_d(Op::RequestDrop, None, 0, Some(self.win_id), Some(self.buf));
         }
     }
 }
@@ -118,22 +96,21 @@ impl RmaRequest<()> {
 ///
 /// The modeled flush latency starts at initiation; [`FlushRequest::wait`]
 /// spins only for whatever remains of it, then certifies remote completion
-/// (memory fence, checker notification, dirty-target retirement). Dropping
-/// the request without waiting abandons the flush: the target stays dirty
-/// and, under `caf-check`, its pending puts stay pending — the same hazard
-/// an unwaited `rput` models.
+/// (memory fence, dirty-target retirement; the end of its `WinRflushWait`
+/// span is the flush the caf-check replay reads). Dropping the request
+/// without waiting abandons the flush: the target stays dirty and, under
+/// `caf-check`, its pending puts stay pending — the same hazard an
+/// unwaited `rput` models.
 #[derive(Debug)]
 #[must_use = "an rflush completes nothing until wait()"]
 pub struct FlushRequest {
     pub(crate) win_id: u64,
-    pub(crate) origin: usize,
     /// Comm-relative target (for dirty-set retirement).
     pub(crate) target: usize,
-    /// Global target rank (for tracing and check diagnostics).
+    /// Global target rank (for tracing).
     pub(crate) target_global: usize,
     /// Modeled completion time: issue time + per-target flush cost.
     pub(crate) deadline_ns: u64,
-    pub(crate) epoch_open: bool,
     pub(crate) dirty: crate::rma::DirtySet,
 }
 
@@ -169,9 +146,6 @@ impl FlushRequest {
         if now < self.deadline_ns {
             caf_fabric::delay::spin_for_ns((self.deadline_ns - now) as f64);
         }
-        #[cfg(feature = "check")]
-        caf_check::hooks::win_flush(self.win_id, self.origin, self.target_global, self.epoch_open);
-        let _ = (self.origin, self.epoch_open);
         self.dirty.clear(self.target);
         std::sync::atomic::fence(std::sync::atomic::Ordering::SeqCst);
     }
@@ -183,7 +157,7 @@ mod tests {
 
     #[test]
     fn get_requests_certify_remote_completion() {
-        let r = RmaRequest::completed_get(vec![1u64, 2]);
+        let r = RmaRequest::open(7, Op::RmaGet, (0, 16), Some(vec![1u64, 2]));
         assert_eq!(r.completion(), RmaCompletion::LocalAndRemote);
         assert!(r.test());
         assert_eq!(r.wait(), vec![1, 2]);
@@ -191,7 +165,7 @@ mod tests {
 
     #[test]
     fn put_requests_certify_local_only() {
-        let r = RmaRequest::completed_put();
+        let r = RmaRequest::<()>::open(7, Op::RmaPut, (0, 8), None);
         assert_eq!(r.completion(), RmaCompletion::LocalOnly);
         assert!(r.wait().is_empty());
     }

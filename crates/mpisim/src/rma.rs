@@ -173,7 +173,7 @@ enum Kind {
 }
 
 /// One window operation, described once: everything the prologue needs to
-/// announce, check, validate, trace and price it. A contiguous transfer is
+/// announce, validate, trace and price it. A contiguous transfer is
 /// one element of `elem` bytes; a vector transfer is `count` elements
 /// `stride` bytes apart. Whole-window kinds leave everything zero.
 #[derive(Debug, Clone, Copy)]
@@ -188,8 +188,7 @@ struct RmaOp {
     /// Bytes between consecutive elements at the target (`None`:
     /// contiguous).
     stride: Option<usize>,
-    /// Address of the origin buffer (read by the check hook only).
-    #[allow(dead_code)]
+    /// Address of the origin buffer (for the trace record).
     origin_buf: usize,
 }
 
@@ -258,6 +257,11 @@ fn model_region(win_id: u64) -> u64 {
     win_id | (1u64 << 63)
 }
 
+/// The `(address, bytes)` of an origin buffer, as its trace records name it.
+fn buffer<T>(buf: &[T]) -> (u64, u64) {
+    (buf.as_ptr() as u64, std::mem::size_of_val(buf) as u64)
+}
+
 /// Announce a whole-window synchronization (the completion half of an
 /// rflush, which has no `Mpi` at hand to run the prologue with).
 pub(crate) fn announce_sync(win_id: u64) {
@@ -266,8 +270,46 @@ pub(crate) fn announce_sync(win_id: u64) {
     }
 }
 
+/// Step 3 of [`Mpi::rma_begin`], on an armed trace only: the record the
+/// caf-check replay reads, ranks global. A vector transfer is recorded
+/// one element at a time — stride gaps are untouched bytes — and a data
+/// transfer carries its origin buffer's address for the buffer-reuse
+/// check. `flush_all` is a span over its charges whose `bytes` is the
+/// handshake count — the Θ(P) signature a trace viewer should surface.
+/// Out of line, so the disarmed prologue carries none of it.
+#[inline(never)]
+fn trace(
+    win: &Window,
+    op: &RmaOp,
+    trace_op: caf_trace::Op,
+    handshakes: usize,
+) -> Option<caf_trace::SpanGuard> {
+    let target = Some(win.comm.global_rank(op.target));
+    match op.kind {
+        Kind::FlushAll => {
+            return Some(caf_trace::span_t(trace_op, None, handshakes as u64, Some(win.id)));
+        }
+        Kind::LockAll | Kind::Free => caf_trace::instant(trace_op, None, 0, Some(win.id)),
+        Kind::Put | Kind::Get => {
+            for i in 0..op.count {
+                let at = Some((op.disp + i * op.stride.unwrap_or(0)) as u64);
+                let buf = (op.origin_buf + i * op.elem) as u64;
+                caf_trace::instant_a(trace_op, target, op.elem as u64, Some(win.id), at, buf);
+            }
+        }
+        Kind::Atomic | Kind::LocalRead | Kind::LocalWrite => {
+            let disp = Some(op.disp as u64);
+            caf_trace::instant_d(trace_op, target, op.len() as u64, Some(win.id), disp);
+        }
+        Kind::Flush | Kind::Rflush | Kind::UnlockAll => {
+            caf_trace::instant(trace_op, target, 0, Some(win.id));
+        }
+    }
+    None
+}
+
 impl Mpi {
-    /// The prologue of every window operation: the seven numbered steps
+    /// The prologue of every window operation: the six numbered steps
     /// below, always in this order (DESIGN.md §3.1 says why). Returns the
     /// target's segment (the window's own for operations that move no
     /// data). Always inlined: every caller passes a constant `kind`, so
@@ -283,18 +325,7 @@ impl Mpi {
         if sched::active() {
             sched::yield_op(op.model_op(win.id));
         }
-        // 2. Checker hook: ahead of the assertion, so the diagnostic
-        //    survives the abort.
-        #[cfg(feature = "check")]
-        self.check_hook(win, &op);
-        // 3. Epoch assertion.
-        if !matches!(kind, LocalRead | LocalWrite | LockAll | Free) {
-            assert!(
-                win.epoch_open(),
-                "RMA operation outside a passive-target epoch (call win_lock_all first)"
-            );
-        }
-        // 4. Target range check and segment resolution: an error returns
+        // 2. Target range check and segment resolution: an error returns
         //    before anything is traced, charged or marked.
         let targeted = !matches!(kind, FlushAll | LockAll | UnlockAll | Free);
         if targeted && op.target >= win.comm.size() {
@@ -319,38 +350,35 @@ impl Mpi {
             Rflush => (Some(caf_trace::Op::WinRflush), None),
             LockAll => (Some(caf_trace::Op::WinLockAll), None),
             Free => (Some(caf_trace::Op::WinFree), None),
+            LocalRead => (Some(caf_trace::Op::WinLoad), None),
+            LocalWrite => (Some(caf_trace::Op::WinStore), None),
             // Traced by the caller, after its interior flush.
             UnlockAll => (None, None),
-            LocalRead | LocalWrite => (None, None),
         };
         // `MPI_Win_flush_all` is one per-target handshake per rank of the
         // window, whatever is dirty — Θ(P), paper §4.1.
         let handshakes = if kind == FlushAll { win.comm.size() } else { 1 };
-        // 5. Trace record. Vector transfers leave none: the offline audit
-        //    replays the contiguous timeline only.
+        // 3. Trace record: ahead of the assertion, so the record of an
+        //    operation outside its epoch survives the abort for the
+        //    caf-check replay to report.
         let _span = match trace_op {
-            Some(trace_op) if op.stride.is_none() && caf_trace::enabled() => {
-                let target = targeted.then(|| win.comm.global_rank(op.target));
-                if kind == FlushAll {
-                    // A span over the charges below whose `bytes` carries
-                    // the handshake count — the Θ(P) signature a trace
-                    // viewer should surface.
-                    Some(caf_trace::span_t(trace_op, target, handshakes as u64, Some(win.id)))
-                } else {
-                    let disp = matches!(kind, Put | Get).then_some(op.disp as u64);
-                    caf_trace::instant_d(trace_op, target, op.len() as u64, Some(win.id), disp);
-                    None
-                }
-            }
+            Some(trace_op) if caf_trace::enabled() => trace(win, &op, trace_op, handshakes),
             _ => None,
         };
-        // 6. Modeled cost.
+        // 4. Epoch assertion.
+        if !matches!(kind, LocalRead | LocalWrite | LockAll | Free) {
+            assert!(
+                win.epoch_open(),
+                "RMA operation outside a passive-target epoch (call win_lock_all first)"
+            );
+        }
+        // 5. Modeled cost.
         if let Some(delay_op) = delay_op {
             for _ in 0..handshakes {
                 self.delays.charge(delay_op, op.len());
             }
         }
-        // 7. Dirty set.
+        // 6. Dirty set.
         match kind {
             Put | Atomic => win.dirty.mark(op.target),
             Flush => win.dirty.clear(op.target),
@@ -358,49 +386,6 @@ impl Mpi {
             _ => {}
         }
         Ok(seg)
-    }
-
-    /// Step 2 of [`Mpi::rma_begin`]. Ranks are reported global, best
-    /// effort: an out-of-range target is reported raw (the prologue
-    /// returns its error right after the hook fires). Vector transfers
-    /// are reported per element — stride gaps are untouched bytes.
-    #[cfg(feature = "check")]
-    fn check_hook(&self, win: &Window, op: &RmaOp) {
-        use caf_check::hooks;
-        if !caf_check::enabled() {
-            return;
-        }
-        let (id, origin, open) = (win.id, self.rank(), win.epoch_open());
-        let target = if op.target < win.comm.size() {
-            win.comm.global_rank(op.target)
-        } else {
-            op.target
-        };
-        let (disp, len) = (op.disp as u64, op.len() as u64);
-        match op.kind {
-            Kind::Put | Kind::Get => {
-                let elem = op.elem as u64;
-                for i in 0..op.count {
-                    let at = (op.disp + i * op.stride.unwrap_or(0)) as u64;
-                    let buf = (op.origin_buf + i * op.elem) as u64;
-                    if op.kind == Kind::Put {
-                        hooks::rma_put(id, origin, target, at, elem, buf, elem, open);
-                    } else {
-                        hooks::rma_get(id, origin, target, at, elem, buf, elem, open);
-                    }
-                }
-            }
-            Kind::Atomic => hooks::rma_atomic(id, origin, target, disp, len, open),
-            Kind::LocalRead => hooks::local_read(id, target, disp, len),
-            Kind::LocalWrite => hooks::local_write(id, target, disp, len),
-            Kind::Flush => hooks::win_flush(id, origin, target, open),
-            // Certified at `FlushRequest::wait`, not at issue.
-            Kind::Rflush => {}
-            Kind::FlushAll => hooks::win_flush_all(id, origin, open),
-            Kind::LockAll => hooks::win_lock_all(id, origin),
-            Kind::UnlockAll => hooks::win_unlock_all(id, origin, open),
-            Kind::Free => hooks::win_free(id, origin, open),
-        }
     }
 
     /// `MPI_Win_allocate` — collective: every rank exposes `bytes` bytes of
@@ -469,7 +454,7 @@ impl Mpi {
         self.win_flush_all(win)?;
         // Traced after the interior flush: in the recorded timeline the
         // epoch closes once its completing flush is done, which is what
-        // the offline checker replays.
+        // the caf-check replay reads.
         caf_trace::instant(caf_trace::Op::WinUnlockAll, None, 0, Some(win.id));
         win.locked_all.store(false, Ordering::Relaxed);
         Ok(())
@@ -510,8 +495,7 @@ impl Mpi {
         data: &[T],
     ) -> Result<RmaRequest<()>> {
         self.put(win, target, disp, data)?;
-        let buf = (data.as_ptr() as usize, std::mem::size_of_val(data));
-        Ok(RmaRequest::completed_put().tracked(win.id, self.rank(), buf, "rput"))
+        Ok(RmaRequest::open(win.id, caf_trace::Op::RmaPut, buffer(data), None))
     }
 
     /// `MPI_Rget` — request-generating get; completion of the request
@@ -525,8 +509,9 @@ impl Mpi {
     ) -> Result<RmaRequest<T>> {
         let mut data = vec_from_bytes::<T>(&vec![0u8; count * std::mem::size_of::<T>()]);
         self.get(win, target, disp, &mut data)?;
-        let buf = (data.as_ptr() as usize, std::mem::size_of_val(&data[..]));
-        Ok(RmaRequest::completed_get(data).tracked(win.id, self.rank(), buf, "rget"))
+        // The request owns the buffer it borrows: moving the `Vec` in
+        // leaves its heap address where the get wrote.
+        Ok(RmaRequest::open(win.id, caf_trace::Op::RmaGet, buffer(&data), Some(data)))
     }
 
     /// Strided one-sided write: `count` elements of `data` land at
@@ -656,11 +641,9 @@ impl Mpi {
         let cost_ns = self.delays.note(DelayOp::FlushPerTarget, 0);
         Ok(FlushRequest {
             win_id: win.id,
-            origin: self.rank(),
             target,
             target_global: win.comm.global_rank(target),
             deadline_ns: caf_fabric::delay::monotonic_ns() + cost_ns as u64,
-            epoch_open: win.epoch_open(),
             dirty: win.dirty.clone(),
         })
     }
@@ -689,7 +672,7 @@ impl Mpi {
 
     /// Read-modify-write one `u64` of this rank's own window region: the
     /// [`Mpi::win_read_local`] + [`Mpi::win_write_local`] pair as one call
-    /// — the same Read-then-Write announces and checker hooks, one bounds
+    /// — the same Read-then-Write announces and trace records, one bounds
     /// check. Owner-serial (see [`Segment::rmw_u64`]).
     pub fn win_rmw_local_u64(
         &self,

@@ -27,6 +27,16 @@ fn instant(op: Op, target: Option<usize>, bytes: u64, disp: Option<u64>) -> Rec 
     (op, EventKind::Instant, target, bytes, disp)
 }
 
+/// Stands for the origin buffer's address in a request's records: where
+/// the buffer lives is the caller's business, that the records name it is
+/// the replay's (caf-check's unit tests pin the pairing).
+const BUF: Option<u64> = Some(u64::MAX - 1);
+
+/// A request's life: opened over `bytes` of origin buffer, then waited.
+fn request(bytes: u64) -> [Rec; 2] {
+    [instant(Op::RequestOpen, None, bytes, BUF), instant(Op::RequestWait, None, 0, BUF)]
+}
+
 /// An announced memory operation, window-relative.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Mem {
@@ -102,7 +112,7 @@ fn table() -> Vec<Row> {
             |mpi, win| {
                 mpi.rput(win, 1, 0, &[7u64]).unwrap().wait();
             },
-            vec![instant(Op::RmaPut, Some(1), 8, Some(0))],
+            [vec![instant(Op::RmaPut, Some(1), 8, Some(0))], request(8).into()].concat(),
             vec![(RmaPut, 1)],
             &[1],
             vec![Write(1, 0, 8)],
@@ -110,17 +120,18 @@ fn table() -> Vec<Row> {
         row(
             "rget",
             |mpi, win| assert_eq!(mpi.rget::<u64>(win, 1, 0, 1).unwrap().wait(), [7]),
-            vec![instant(Op::RmaGet, Some(1), 8, Some(0))],
+            [vec![instant(Op::RmaGet, Some(1), 8, Some(0))], request(8).into()].concat(),
             vec![(RmaGet, 1)],
             &[1],
             vec![Read(1, 0, 8)],
         ),
-        // Vector transfers: no trace record, one charge for the payload,
-        // one announce over the whole strided span (4 elements, 3 apart).
+        // Vector transfers: one record per element (stride gaps are not
+        // claimed), one charge for the payload, one announce over the
+        // whole strided span (4 elements, 3 apart).
         row(
             "put_vector",
             |mpi, win| mpi.put_vector(win, 1, 32, 3, &[1u64, 2, 3, 4]).unwrap(),
-            vec![],
+            [32, 56, 80, 104].map(|d| instant(Op::RmaPut, Some(1), 8, Some(d))).into(),
             vec![(RmaPut, 1)],
             &[1],
             vec![Write(1, 32, 32 + 96)],
@@ -132,7 +143,7 @@ fn table() -> Vec<Row> {
                 mpi.get_vector(win, 1, 32, 3, &mut out).unwrap();
                 assert_eq!(out, [1, 2, 3, 4]);
             },
-            vec![],
+            [32, 56, 80, 104].map(|d| instant(Op::RmaGet, Some(1), 8, Some(d))).into(),
             vec![(RmaGet, 1)],
             &[1],
             vec![Read(1, 32, 32 + 96)],
@@ -152,7 +163,7 @@ fn table() -> Vec<Row> {
         row(
             "accumulate",
             |mpi, win| mpi.accumulate(win, 1, 0, &[1u64, 1], AccOp::Sum).unwrap(),
-            vec![instant(Op::RmaAtomic, Some(1), 16, None)],
+            vec![instant(Op::RmaAtomic, Some(1), 16, Some(0))],
             vec![(RmaAtomic, 1)],
             &[1],
             vec![Atomic(1, 0, 16)],
@@ -163,7 +174,7 @@ fn table() -> Vec<Row> {
                 let prev = mpi.get_accumulate(win, 1, 0, &[1u64, 1], AccOp::Sum);
                 assert_eq!(prev.unwrap(), [8, 2]);
             },
-            vec![instant(Op::RmaAtomic, Some(1), 16, None)],
+            vec![instant(Op::RmaAtomic, Some(1), 16, Some(0))],
             vec![(RmaAtomic, 1)],
             &[1],
             vec![Atomic(1, 0, 16)],
@@ -171,7 +182,7 @@ fn table() -> Vec<Row> {
         row(
             "fetch_and_op",
             |mpi, win| assert_eq!(mpi.fetch_and_op(win, 1, 8, 1u64, AccOp::Sum).unwrap(), 3),
-            vec![instant(Op::RmaAtomic, Some(1), 8, None)],
+            vec![instant(Op::RmaAtomic, Some(1), 8, Some(8))],
             vec![(RmaAtomic, 1)],
             &[1],
             vec![Atomic(1, 8, 16)],
@@ -179,7 +190,7 @@ fn table() -> Vec<Row> {
         row(
             "compare_and_swap",
             |mpi, win| assert_eq!(mpi.compare_and_swap(win, 1, 8, 4u64, 0).unwrap(), 4),
-            vec![instant(Op::RmaAtomic, Some(1), 8, None)],
+            vec![instant(Op::RmaAtomic, Some(1), 8, Some(8))],
             vec![(RmaAtomic, 1)],
             &[1],
             vec![Atomic(1, 8, 16)],
@@ -194,11 +205,11 @@ fn table() -> Vec<Row> {
             &[],
             vec![Sync],
         ),
-        // Local accesses: announced, never traced, charged or marked.
+        // Local accesses: announced and traced, never charged or marked.
         row(
             "win_write_local",
             |mpi, win| mpi.win_write_local(win, 16, &[5u64]).unwrap(),
-            vec![],
+            vec![instant(Op::WinStore, Some(0), 8, Some(16))],
             vec![],
             &[],
             vec![Write(0, 16, 24)],
@@ -210,7 +221,7 @@ fn table() -> Vec<Row> {
                 mpi.win_read_local(win, 16, &mut out).unwrap();
                 assert_eq!(out, [5]);
             },
-            vec![],
+            vec![instant(Op::WinLoad, Some(0), 8, Some(16))],
             vec![],
             &[],
             vec![Read(0, 16, 24)],
@@ -218,7 +229,7 @@ fn table() -> Vec<Row> {
         row(
             "win_rmw_local_u64",
             |mpi, win| mpi.win_rmw_local_u64(win, 16, |v| v + 1).unwrap(),
-            vec![],
+            vec![instant(Op::WinLoad, Some(0), 8, Some(16)), instant(Op::WinStore, Some(0), 8, Some(16))],
             vec![],
             &[],
             vec![Read(0, 16, 24), Write(0, 16, 24)],
@@ -226,7 +237,7 @@ fn table() -> Vec<Row> {
         row(
             "win_write_local_at",
             |mpi, win| mpi.win_write_local_at(win, 1, 24, &[9u64]).unwrap(),
-            vec![],
+            vec![instant(Op::WinStore, Some(1), 8, Some(24))],
             vec![],
             &[],
             vec![Write(1, 24, 32)],
@@ -238,7 +249,7 @@ fn table() -> Vec<Row> {
                 mpi.win_read_local_at(win, 1, 24, &mut out).unwrap();
                 assert_eq!(out, [9]);
             },
-            vec![],
+            vec![instant(Op::WinLoad, Some(1), 8, Some(24))],
             vec![],
             &[],
             vec![Read(1, 24, 32)],
@@ -284,7 +295,6 @@ fn window_charges(mpi: &Mpi) -> Vec<u64> {
 /// Rank 0 runs the table; rank 1 only exposes its window. Returns the
 /// window id (rank 0) for picking records out of the timeline.
 fn program(mpi: &Mpi) -> u64 {
-    caf_trace::set_image(mpi.rank());
     let win = mpi.win_allocate(&mpi.world(), 256).unwrap();
     if mpi.rank() == 1 {
         // The barrier inside holds this rank's exposure open until rank 0
@@ -311,7 +321,6 @@ fn program(mpi: &Mpi) -> u64 {
 /// before anything is charged or marked (the trace is checked by the
 /// caller: it must hold no record at all).
 fn out_of_range_program(mpi: &Mpi) -> u64 {
-    caf_trace::set_image(mpi.rank());
     let win = mpi.win_allocate(&mpi.world(), 64).unwrap();
     mpi.win_lock_all(&win);
     if mpi.rank() == 0 {
@@ -395,7 +404,10 @@ fn window_records(trace: &caf_trace::Trace, win: u64) -> Vec<Rec> {
         .events
         .iter()
         .filter(|e| e.image == 0 && e.window == Some(win))
-        .map(|e| (e.op, e.kind, e.target, e.bytes, e.disp))
+        .map(|e| {
+            let request = matches!(e.op, Op::RequestOpen | Op::RequestWait | Op::RequestDrop);
+            (e.op, e.kind, e.target, e.bytes, if request { BUF } else { e.disp })
+        })
         .collect()
 }
 

@@ -83,6 +83,7 @@ mod tests {
                     kind: EventKind::Span,
                     t0_ns: 1_234_567,
                     dur_ns: 89_012,
+                    arg: 0,
                     target: Some(1),
                     bytes: 64,
                     window: Some(2),
@@ -96,6 +97,7 @@ mod tests {
                     kind: EventKind::Instant,
                     t0_ns: 2_000_000,
                     dur_ns: 0,
+                    arg: 0,
                     target: None,
                     bytes: 8,
                     window: None,
@@ -109,6 +111,7 @@ mod tests {
                     kind: EventKind::Span,
                     t0_ns: 3_000_001,
                     dur_ns: 1_000,
+                    arg: 0,
                     target: None,
                     bytes: 0,
                     window: None,

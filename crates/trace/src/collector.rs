@@ -81,6 +81,7 @@ impl Collector {
         bytes: u64,
         window: Option<u64>,
         disp: Option<u64>,
+        arg: u64,
     ) {
         let depth = self.depth.load(Ordering::Relaxed).min(255) as u8;
         let top_cat = op.cat().is_some() && self.cat_depth.load(Ordering::Relaxed) == 0;
@@ -90,7 +91,7 @@ impl Collector {
             top_cat,
             depth,
             crate::now_ns(),
-            0,
+            arg,
             target,
             bytes,
             window,
@@ -227,7 +228,7 @@ mod tests {
                 let _mid = col.open_span(Op::WinFlushAll, None, 0, Some(2), None);
                 let _inner = col.open_span(Op::EventNotify, Some(1), 0, None, None);
             }
-            col.record_instant(Op::RmaPut, Some(1), 8, Some(2), Some(16));
+            col.record_instant(Op::RmaPut, Some(1), 8, Some(2), Some(16), 0);
         }
         let recs = col.records();
         // Drop order: inner EventNotify, WinFlushAll, RmaPut instant, outer.

@@ -345,6 +345,7 @@ mod tests {
             kind,
             t0_ns: 0,
             dur_ns,
+            arg: 0,
             target: None,
             bytes: 0,
             window: None,

@@ -43,10 +43,10 @@ mod stall;
 pub use collector::SpanGuard;
 pub use scope::Scope;
 pub use decomp::{Cat, Decomposition, NCAT};
-pub use op::{EventKind, Op};
+pub use op::{Chan, EventKind, Op};
 pub use session::{
-    enabled, instant, instant_d, set_image, span, span_d, span_t, Session, Trace, TraceConfig,
-    TraceError, TraceEvent,
+    enabled, instant, instant_a, instant_d, set_image, span, span_d, span_t, Session, Trace,
+    TraceConfig, TraceError, TraceEvent,
 };
 pub use stall::StallReport;
 

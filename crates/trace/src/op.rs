@@ -29,8 +29,10 @@ pub enum Op {
     /// Asynchronous copy (`copy_async`).
     CopyAsync,
     // --- caf core (no category of their own) ---
-    /// Function shipping (`ship`) send side.
-    Ship,
+    /// A synchronization send: `target` = the destination image, `disp`
+    /// = the token, `bytes` = the [`Chan`] it is unique in (an event post,
+    /// a shipped function, an aggregation batch).
+    Send,
     /// Runtime control message send.
     RtMsgSend,
     /// Blocking receive of a runtime control message.
@@ -115,10 +117,56 @@ pub enum Op {
     /// A blocking call returned `STAT_FAILED_IMAGE` to the program;
     /// `bytes` = number of failed images in the delivered set.
     StatDelivered,
+    // --- the facts the caf-check replay needs beyond the timeline above
+    //     (appended for stable decode) ---
+    /// Local load of a rank's window memory (`win_read_local*`):
+    /// `target` = the owner, `disp`/`bytes` = the range.
+    WinLoad,
+    /// Local store into a rank's window memory, as [`Op::WinLoad`].
+    WinStore,
+    /// An `rput`/`rget` request went live: `disp`/`bytes` = the origin
+    /// buffer it borrows (address, length), `arg` = the tracked op
+    /// ([`Op::RmaPut`] or [`Op::RmaGet`]).
+    RequestOpen,
+    /// The request borrowing the buffer at `disp` was waited.
+    RequestWait,
+    /// The request borrowing the buffer at `disp` was dropped — after its
+    /// wait, or instead of it.
+    RequestDrop,
+    /// A coarray load outside a [`Op::CoarrayRead`] span (a local read,
+    /// one element of a section, the fetch of a `copy_async`): `target` =
+    /// the owner, `window` = the region, `disp`/`bytes` = the range.
+    Load,
+    /// A coarray store, as [`Op::Load`].
+    Store,
+    /// The receive matching a [`Op::Send`]: `disp` = the token, `bytes`
+    /// = the [`Chan`].
+    Recv,
+    /// The image enters its next collective round on the team in `disp`.
+    RoundEnter,
+    /// The image leaves that round; `bytes` = the team's size.
+    RoundExit,
+    /// A collective free dropped the region in `window`.
+    RegionFree,
+    /// A delivered `Stat` told the image that `target` died.
+    FailureSeen,
+}
+
+/// The channel a [`Op::Send`] / [`Op::Recv`] token is unique in, carried
+/// in the record's `bytes` word.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
+pub enum Chan {
+    /// Counting-event posts (token: the event id).
+    Event = 1,
+    /// Function shipping (token: the ship-registry slot).
+    Ship = 2,
+    /// Aggregation batches (token: one per drained bucket).
+    Batch = 3,
 }
 
 /// Number of [`Op`] variants (for decode bounds checks).
-pub(crate) const NOPS: u16 = Op::StatDelivered as u16 + 1;
+pub(crate) const NOPS: u16 = Op::FailureSeen as u16 + 1;
 
 impl Op {
     /// Display name (used verbatim in Chrome trace output).
@@ -134,7 +182,7 @@ impl Op {
             Op::Reduction => "Reduction",
             Op::Finish => "Finish",
             Op::CopyAsync => "CopyAsync",
-            Op::Ship => "Ship",
+            Op::Send => "Send",
             Op::RtMsgSend => "RtMsgSend",
             Op::RtMsgRecvBlocking => "RtMsgRecvBlocking",
             Op::MpiSend => "MpiSend",
@@ -170,6 +218,18 @@ impl Op {
             Op::AggForward => "AggForward",
             Op::ImageFailed => "ImageFailed",
             Op::StatDelivered => "StatDelivered",
+            Op::WinLoad => "WinLoad",
+            Op::WinStore => "WinStore",
+            Op::RequestOpen => "RequestOpen",
+            Op::RequestWait => "RequestWait",
+            Op::RequestDrop => "RequestDrop",
+            Op::Load => "Load",
+            Op::Store => "Store",
+            Op::Recv => "Recv",
+            Op::RoundEnter => "RoundEnter",
+            Op::RoundExit => "RoundExit",
+            Op::RegionFree => "RegionFree",
+            Op::FailureSeen => "FailureSeen",
         }
     }
 
@@ -178,11 +238,13 @@ impl Op {
         use Op::*;
         match self {
             Computation | CoarrayWrite | CoarrayRead | EventWait | EventNotify | Alltoall
-            | Barrier | Reduction | Finish | CopyAsync | Ship | RtMsgSend | RtMsgRecvBlocking
-            | AggEnqueue | AggDrain | AggForward | ImageFailed | StatDelivered => "caf",
+            | Barrier | Reduction | Finish | CopyAsync | Send | RtMsgSend | RtMsgRecvBlocking
+            | AggEnqueue | AggDrain | AggForward | ImageFailed | StatDelivered | Load | Store
+            | Recv | RoundEnter | RoundExit | RegionFree | FailureSeen => "caf",
             MpiSend | MpiRecv | MpiBarrier | MpiBcast | MpiReduce | MpiGather | MpiAlltoall
             | RmaPut | RmaGet | RmaAtomic | WinFlush | WinFlushAll | WinLockAll
-            | WinUnlockAll | WinFree | WinRflush | WinRflushWait => "mpi",
+            | WinUnlockAll | WinFree | WinRflush | WinRflushWait | WinLoad | WinStore
+            | RequestOpen | RequestWait | RequestDrop => "mpi",
             AmDispatch | AmPoll | SrqSlowPath | AmPutAckWait | GasnetBarrier | GasnetPut
             | GasnetGet => "gasnet",
             PacketInject | PacketDeliver | SegmentPut | SegmentGet => "fabric",

@@ -1,5 +1,5 @@
-//! The launch scope: which trace session, check session and model gate a
-//! thread belongs to.
+//! The launch scope: which trace session and model gate a thread belongs
+//! to.
 //!
 //! Starting a session arms the calling thread and every job it launches
 //! while armed — never the process. The fabric's one launcher captures
@@ -13,9 +13,9 @@
 //! std::thread::spawn(move || { let _in = scope.enter(); /* probes record */ });
 //! ```
 //!
-//! This crate holds the trace session by type; the check session and the
-//! model gate belong to crates above it and ride here as opaque `Arc`s
-//! ([`Part`]) that only their own crates downcast, on armed paths only.
+//! This crate holds the trace session by type; the model gate belongs to
+//! a crate above it and rides here as an opaque `Arc` ([`Part`]) that only
+//! its own crate downcasts, on armed paths only.
 //! The disarmed cost of every probe is one load of a `const`-initialised,
 //! destructor-free thread-local flag word.
 
@@ -31,8 +31,6 @@ pub type Opaque = Arc<dyn Any + Send + Sync>;
 /// The parts of a scope owned by crates above this one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Part {
-    /// `caf-check`'s online session.
-    Check,
     /// `caf-fabric`'s model-checking gate.
     Gate,
 }
@@ -48,14 +46,14 @@ thread_local! {
     /// One bit per armed part of [`CURRENT`]: the whole disarmed path.
     static FLAGS: Cell<u8> = const { Cell::new(0) };
     static CURRENT: RefCell<Scope> =
-        const { RefCell::new(Scope { trace: None, parts: [None, None] }) };
+        const { RefCell::new(Scope { trace: None, parts: [None] }) };
 }
 
 /// What one thread is armed with.
 #[derive(Clone, Default)]
 pub struct Scope {
     pub(crate) trace: Option<Arc<SessionShared>>,
-    parts: [Option<Opaque>; 2],
+    parts: [Option<Opaque>; 1],
 }
 
 impl Scope {
@@ -89,7 +87,7 @@ impl Drop for Entered {
 
 fn replace(next: Scope) -> Scope {
     let mut flags = u8::from(next.trace.is_some());
-    for part in [Part::Check, Part::Gate] {
+    for part in [Part::Gate] {
         if next.get(part).is_some() {
             flags |= part.bit();
         }
@@ -134,19 +132,19 @@ mod tests {
 
     #[test]
     fn entered_scopes_nest_and_unwind() {
-        set(Part::Check, Some(Arc::new(())));
+        set(Part::Gate, Some(Arc::new(())));
         let outer = Scope::current();
-        set(Part::Check, None);
+        set(Part::Gate, None);
         let g = outer.enter();
-        assert!(armed(Part::Check) && !armed(Part::Gate));
+        assert!(armed(Part::Gate) && !tracing());
         let r = std::panic::catch_unwind(|| {
             let _in = Scope::default().enter();
-            assert!(!armed(Part::Check));
+            assert!(!armed(Part::Gate));
             panic!("unwind through an entered scope");
         });
-        assert!(r.is_err() && armed(Part::Check), "the unwind restored the outer scope");
+        assert!(r.is_err() && armed(Part::Gate), "the unwind restored the outer scope");
         drop(g);
-        assert!(!armed(Part::Check));
+        assert!(!armed(Part::Gate));
     }
 
     #[test]

@@ -100,10 +100,24 @@ pub fn instant(op: Op, target: Option<usize>, bytes: u64, window: Option<u64>) {
 /// [`instant`] with the displacement / sync-token word (see [`span_d`]).
 #[inline]
 pub fn instant_d(op: Op, target: Option<usize>, bytes: u64, window: Option<u64>, disp: Option<u64>) {
+    instant_a(op, target, bytes, window, disp, 0);
+}
+
+/// [`instant_d`] plus the argument word the op documents (an origin
+/// buffer's address, a request's operation) — [`TraceEvent::arg`].
+#[inline]
+pub fn instant_a(
+    op: Op,
+    target: Option<usize>,
+    bytes: u64,
+    window: Option<u64>,
+    disp: Option<u64>,
+    arg: u64,
+) {
     if !enabled() {
         return;
     }
-    let _ = with_collector(|c| c.record_instant(op, target, bytes, window, disp));
+    let _ = with_collector(|c| c.record_instant(op, target, bytes, window, disp, arg));
 }
 
 /// Configuration for a trace session.
@@ -223,6 +237,7 @@ impl Session {
                     kind: r.kind,
                     t0_ns: r.t0_ns,
                     dur_ns: r.dur_ns,
+                    arg: r.arg,
                     target: r.target,
                     bytes: r.bytes,
                     window: r.window,
@@ -274,6 +289,9 @@ pub struct TraceEvent {
     pub t0_ns: u64,
     /// Duration (zero for instants).
     pub dur_ns: u64,
+    /// An instant's argument word, as its [`Op`] documents (zero for
+    /// spans and for ops that document none).
+    pub arg: u64,
     /// Target image of the operation, if any.
     pub target: Option<usize>,
     /// Payload bytes moved, if meaningful.

@@ -15,21 +15,23 @@
 //!   the checker raised against *correct* code (see the test comments),
 //!   so those false-positive classes cannot return.
 //!
-//! A session arms the thread that starts it and the jobs that thread
-//! launches, nothing else, so these tests run side by side with no lock.
+//! A trace session arms the thread that starts it and the jobs that
+//! thread launches, nothing else, so these tests run side by side with no
+//! lock.
 
 use caf::{AggConfig, AsyncOpts, CafConfig, CafUniverse, Coarray, FlushMode, SubstrateKind};
 use caf_bench::checked::{checked_fft, checked_ra};
 use caf_bench::{fast, traced_ra};
-use caf_check::{CheckConfig, CheckSession, Report};
+use caf_check::{CheckConfig, Report};
+use caf_trace::{Session, TraceConfig};
 use proptest::prelude::*;
 
-/// Run `job` under an armed default session.
+/// Record `job` and replay the trace through both analyses.
 fn sanitized(job: impl FnOnce()) -> Report {
-    let session =
-        CheckSession::start(CheckConfig::default()).expect("no other check session active");
+    let session = Session::start(TraceConfig { stall_threshold: None, ..TraceConfig::default() })
+        .expect("no other trace session active");
     job();
-    session.finish()
+    caf_check::check_trace(&session.finish(), CheckConfig::default())
 }
 
 const P: usize = 3;
@@ -265,16 +267,16 @@ fn targeted_and_rflush_are_checker_clean() {
     }
 }
 
-/// Regression: the offline checker once reported `win_flush_all` outside
-/// an epoch for every window of a recorded run. `win_unlock_all` used to
-/// emit its trace instant *before* running the interior flush that
-/// completes the epoch, so the recorded timeline closed the epoch too
-/// early. The instant is now emitted after the flush; auditing a traced
-/// run of correct code must be clean.
+/// Regression: the replay once reported `win_flush_all` outside an epoch
+/// for every window of a recorded run. `win_unlock_all` used to emit its
+/// trace instant *before* running the interior flush that completes the
+/// epoch, so the recorded timeline closed the epoch too early. The
+/// instant is now emitted after the flush; auditing a traced run of
+/// correct code (cost tables on) must be clean.
 #[test]
 fn offline_audit_of_a_traced_randomaccess_run_is_clean() {
     let (_, trace) = traced_ra(2, SubstrateKind::Mpi, 7, 500, 1);
     assert!(!trace.events.is_empty());
-    let report = caf_check::check_trace(&trace);
+    let report = caf_check::check_trace(&trace, CheckConfig::default());
     assert!(report.is_clean(), "{}", report.render());
 }

@@ -4,27 +4,30 @@
 //! checker's reports stay precise enough to debug from, not just
 //! non-empty.
 //!
-//! Every test arms its own [`CheckSession`] on its own thread; the
-//! session sees only the jobs that thread launches, so the tests run side
-//! by side.
+//! Every test records its job under its own `caf_trace::Session` and
+//! replays the trace; a session sees only the jobs its thread launches,
+//! so the tests run side by side.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use caf::{CafConfig, CafUniverse, Coarray, SubstrateKind};
-use caf_check::{ByteRange, CheckConfig, CheckMode, CheckSession, Report, ViolationKind};
+use caf_check::{check_trace, ByteRange, CheckConfig, Report, ViolationKind};
 use caf_mpisim::Universe;
+use caf_trace::{Session, TraceConfig};
 
-/// Run `f` under a collect-mode session with the given config.
+/// Record `f` and replay the trace with the given config.
 fn collect(cfg: CheckConfig, f: impl FnOnce()) -> Report {
-    let session = CheckSession::start(cfg).expect("no other check session active");
+    let session = Session::start(TraceConfig { stall_threshold: None, ..TraceConfig::default() })
+        .expect("no other trace session active");
     f();
-    session.finish()
+    check_trace(&session.finish(), cfg)
 }
 
-/// An `MPI_Put` with no `win_lock_all` in sight. The checker must record
-/// the outside-epoch diagnostic (with the window and origin) *before*
-/// the simulator's own epoch assertion aborts the image.
+/// An `MPI_Put` with no `win_lock_all` in sight. The put's record must
+/// exist *before* the simulator's own epoch assertion aborts the image,
+/// so the replay reports the outside-epoch diagnostic (with the window
+/// and origin).
 #[test]
 fn put_outside_epoch_is_flagged_before_the_runtime_aborts() {
     let win_id = AtomicU64::new(0);
@@ -267,25 +270,4 @@ fn event_ordered_coarray_accesses_do_not_race() {
         },
     );
     assert!(report.is_clean(), "{}", report.render());
-}
-
-/// `CheckMode::Panic` aborts the job at the violation site instead of
-/// collecting.
-#[test]
-fn panic_mode_aborts_the_job_at_the_violation_site() {
-    let session = CheckSession::start(CheckConfig {
-        mode: CheckMode::Panic,
-        ..CheckConfig::default()
-    })
-    .expect("no other check session active");
-    let aborted = catch_unwind(AssertUnwindSafe(|| {
-        Universe::run(1, |mpi| {
-            let world = mpi.world();
-            let win = mpi.win_allocate(&world, 64).expect("win_allocate");
-            mpi.put(&win, 0, 0, &[1u64]).unwrap(); // outside any epoch
-        });
-    }));
-    assert!(aborted.is_err(), "panic mode must abort the job");
-    let report = session.finish();
-    assert!(report.is_clean(), "panic mode does not collect");
 }

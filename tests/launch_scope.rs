@@ -1,16 +1,17 @@
 //! Sessions belong to the job that armed them. Three threads of one
-//! process, no lock between them: one arms a trace and a check session
-//! and runs RandomAccess at P=4 on each substrate, one runs the same
-//! kernel unarmed at the same time, one explores a model scenario. The
-//! armed job must be observed exactly as when it runs alone, the unarmed
-//! one not at all, and the exploration must find what it finds alone.
+//! process, no lock between them: one arms a trace session, runs
+//! RandomAccess at P=4 on each substrate and replays the trace through
+//! the checker, one runs the same kernel unarmed at the same time, one
+//! explores a model scenario. The armed job must be observed exactly as
+//! when it runs alone, the unarmed one not at all, and the exploration
+//! must find what it finds alone.
 
 use std::collections::BTreeMap;
 use std::sync::Barrier;
 
 use caf::{CafUniverse, SubstrateKind};
 use caf_bench::fast;
-use caf_check::{CheckConfig, CheckSession, HbEdge};
+use caf_check::{check_trace, CheckConfig, HbEdge};
 use caf_hpcc::ra;
 use caf_model::{explore, scenarios, ExploreConfig, ExploreMode, OracleConfig};
 use caf_trace::{Session, TraceConfig};
@@ -23,7 +24,7 @@ fn kernel(kind: SubstrateKind) {
     });
 }
 
-/// What the sessions saw of one armed run: the checker's findings, each
+/// What the session saw of one armed run: the checker's findings, each
 /// image's happens-before edges in program order, and the trace's event
 /// count per operation.
 #[derive(Debug, PartialEq)]
@@ -36,10 +37,9 @@ struct Seen {
 fn armed(kind: SubstrateKind) -> Seen {
     let trace = Session::start(TraceConfig { stall_threshold: None, ..TraceConfig::default() })
         .expect("no trace session on this thread");
-    let check = CheckSession::start(CheckConfig::default()).expect("no check session on this thread");
     kernel(kind);
-    let report = check.finish();
     let trace = trace.finish();
+    let report = check_trace(&trace, CheckConfig::default());
     let mut edges = BTreeMap::<usize, Vec<HbEdge>>::new();
     for &(_, img, edge) in &report.edges {
         edges.entry(img).or_default().push(edge);

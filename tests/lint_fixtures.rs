@@ -7,7 +7,7 @@
 //! disarming the rest of the file after its module closes, and false
 //! positives on patterns inside string literals or trailing comments.
 
-use caf_lint::{scan_file, OrderingTable, Report};
+use caf_lint::{scan_file, scan_manifest, OrderingTable, Report};
 
 /// Scan one virtual file and return the diagnostic codes it trips.
 fn codes(rel: &str, src: &str) -> Vec<&'static str> {
@@ -323,6 +323,34 @@ fn deep_path_into_substrate_trips_cafl005() {
     assert_eq!(codes("crates/core/src/foo.rs", bad), vec!["CAFL005"]);
     let good = "use caf_mpisim::Scalar;\n";
     assert!(codes("crates/core/src/foo.rs", good).is_empty());
+}
+
+#[test]
+fn runtime_naming_the_check_oracle_trips_cafl005() {
+    // caf-check replays the trace from above the runtime: no runtime
+    // crate may name it, while the crates above (bench, model) use it.
+    let src = "fn audit(t: &caf_trace::Trace) { let _ = caf_check::check_trace(t, Default::default()); }\n";
+    for krate in ["fabric", "mpisim", "gasnetsim", "core", "agg", "sched"] {
+        assert_eq!(codes(&format!("crates/{krate}/src/foo.rs"), src), vec!["CAFL005"], "{krate}");
+    }
+    assert!(codes("crates/model/src/foo.rs", src).is_empty());
+    assert!(codes("crates/bench/src/foo.rs", src).is_empty());
+}
+
+#[test]
+fn runtime_manifest_naming_the_check_oracle_trips_cafl005() {
+    let manifest = |rel: &str, text: &str| {
+        let mut report = Report::default();
+        scan_manifest(rel, text, &mut report);
+        report.diags.iter().map(|d| (d.code, d.line)).collect::<Vec<_>>()
+    };
+    let bad = "[dependencies]\ncaf-trace = { workspace = true }\ncaf-check = { workspace = true, optional = true }\n\n[features]\ncheck = [\"dep:caf-check\"]\n";
+    assert_eq!(manifest("crates/core/Cargo.toml", bad), vec![("CAFL005", 3), ("CAFL005", 6)]);
+    assert_eq!(manifest("crates/mpisim/Cargo.toml", bad), vec![("CAFL005", 3), ("CAFL005", 6)]);
+    // The oracle's users above the runtime may depend on it.
+    assert!(manifest("crates/model/Cargo.toml", bad).is_empty());
+    let good = "[dependencies]\ncaf-trace = { workspace = true }\n\n[dev-dependencies]\nproptest = { workspace = true }\n";
+    assert!(manifest("crates/core/Cargo.toml", good).is_empty());
 }
 
 #[test]
