@@ -7,7 +7,7 @@
 //! semantics, collectives availability — lives here.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use caf_fabric::Watch;
@@ -98,8 +98,9 @@ pub(crate) struct MpiBackend {
     pub rt_comm: Comm,
     /// Every window the runtime has allocated, keyed by window id. Used by
     /// `flush_all` ("every window the local process has touched", §3.5) and
-    /// to resolve `PutWithEvent` targets.
-    pub windows: RefCell<HashMap<u64, Arc<Window>>>,
+    /// to resolve `PutWithEvent` targets. Ordered, so a release flushes
+    /// its windows in the same order on every run.
+    pub windows: RefCell<BTreeMap<u64, Arc<Window>>>,
     /// One-entry cursor over `windows`: the window last resolved by id.
     /// Message targets (aggregation records above all) hit the same
     /// region many times in a row, so the map is consulted once per run

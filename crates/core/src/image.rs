@@ -1,7 +1,7 @@
 //! Images, the job launcher, and the runtime progress engine.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use caf_fabric::{Fabric, FabricConfig};
@@ -233,7 +233,7 @@ impl Image {
                     Backend::Mpi(Box::new(MpiBackend {
                         mpi,
                         rt_comm,
-                        windows: RefCell::new(HashMap::new()),
+                        windows: RefCell::new(BTreeMap::new()),
                         window_cursor: RefCell::new(None),
                         flush: config.flush,
                     })),

@@ -113,7 +113,8 @@ impl Fabric {
     /// (`caf_trace::scope`): a trace session or model gate armed there sees
     /// the job, and a job launched from anywhere else does not. Each rank's
     /// trace records are attributed to it, and ranks register with an
-    /// armed gate, before `f` runs.
+    /// armed gate, before `f` runs. A gated job runs as caf-sched tasks on
+    /// one run slot whatever `config.exec` says.
     ///
     /// # Panics
     ///
@@ -152,9 +153,17 @@ impl Fabric {
         // via its rank index.
         let slots: Vec<std::sync::Mutex<Option<Vec<Endpoint>>>> =
             planes.map(|p| std::sync::Mutex::new(Some(p))).collect();
+        // A gated job runs as tasks on one run slot, whatever the
+        // configuration asks for: the gate's hand-off is an unpark of the
+        // image it picks, and only one image may run.
+        let exec = if crate::sched::armed() {
+            caf_sched::ExecConfig { mode: caf_sched::ExecMode::Tasks, workers: 1, ..config.exec }
+        } else {
+            config.exec
+        };
         let scope = caf_trace::Scope::current();
         let f = &f;
-        let mut results = caf_sched::run(size, &config.exec, move |rank| {
+        let mut results = caf_sched::run(size, &exec, move |rank| {
             let _scope = scope.enter();
             caf_trace::set_image(rank);
             let planes = slots[rank]
@@ -271,7 +280,9 @@ impl Endpoint {
     }
 
     /// Mark this rank failed in the registry, then send one failure
-    /// notice to every rank on every plane.
+    /// notice to every rank on every plane. A receiver asleep in its
+    /// mailbox is woken by the notice itself, a model-blocked one by the
+    /// `Fail` op of [`Endpoint::fail_now`].
     fn publish_death(&self) {
         let me = self.rank;
         self.fault.mark_failed(me);
@@ -280,10 +291,6 @@ impl Endpoint {
                 mailbox.push(Packet::control(me, KIND_FAULT, me as i64, [0; 4]));
             }
         }
-        // Receivers asleep in their mailboxes are woken by the notice
-        // itself, model-blocked ones by the Fail op of `fail_now`; this
-        // re-runs the gate's cooperatively parked waiters.
-        caf_sched::unpark_all();
     }
 
     /// Blocking-point bookkeeping for the fault plan: counts this entry

@@ -184,7 +184,6 @@ mod tests {
                 };
                 for i in 0..rounds {
                     w.clone().wake();
-                    caf_sched::unpark_all();
                     mb.push(tagged(1, i));
                     w.clone().wake();
                     if i % 7 == 0 {

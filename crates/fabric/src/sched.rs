@@ -1,10 +1,12 @@
 //! The model-checking scheduler gate (loom/shuttle-style).
 //!
 //! When a gate is **armed** (by `caf-model`'s exploration engine), every
-//! image thread of the jobs the arming thread launches serializes
-//! through this module — the gate lives in the arming thread's launch
-//! scope (`caf_trace::scope`), so a job launched elsewhere runs free:
-//! exactly one thread runs at a time, and control changes hands only at
+//! image of the jobs the arming thread launches serializes through this
+//! module — the gate lives in the arming thread's launch scope
+//! (`caf_trace::scope`), so a job launched elsewhere runs free. A gated
+//! job always runs as caf-sched tasks on **one run slot**
+//! ([`crate::Fabric::launch`] sees to that), so exactly one image runs
+//! at a time, and control changes hands only at
 //! *yield points* — the instrumented substrate entry points (RMA
 //! put/get/atomic/flush, local window access), the fabric mailbox
 //! operations (send / try_recv / recv_blocking), segment registry
@@ -14,20 +16,27 @@
 //! these entry points, so the yield set covers every schedule-visible
 //! operation.
 //!
-//! The protocol is *announce-before-execute*: a thread declares its next
-//! operation ([`ModelOp`]) and parks; the scheduler (running on whichever
-//! thread yielded last) picks the next thread to run from the enabled
-//! set, consulting a [`Chooser`] installed by the exploration engine.
-//! Because every parked thread's next operation is known, the engine can
-//! compute conflicts *before* execution — the prerequisite for sleep-set
-//! partial-order reduction.
+//! The protocol is *announce-before-execute*: an image declares its next
+//! operation ([`ModelOp`]); the scheduler (running on that image) picks
+//! the next image to run from the enabled set, consulting a [`Chooser`]
+//! installed by the exploration engine. Because every parked image's
+//! next operation is known, the engine can compute conflicts *before*
+//! execution — the prerequisite for sleep-set partial-order reduction.
+//!
+//! A step is a directed hand-off: the image that yielded
+//! `caf_sched::unpark`s the one the chooser picked and
+//! `caf_sched::park`s. On one slot the ready queue then holds only the
+//! pick, so the slot passes straight to it; a pick of the yielding image
+//! itself switches nothing. No other image wakes, and the gate needs no
+//! condvar of its own.
 //!
 //! Blocking operations register a wait edge (op + optional target image,
 //! via [`wait_hint`]); a blocked thread becomes schedulable again only
 //! after some other thread performs a real operation. When no thread is
 //! runnable and at least one is blocked, the run is a **deadlock**: the
-//! gate aborts all threads with a [`ModelAbort`] panic and reports the
-//! wait-for edges instead of hanging (the paper's Figure 2 scenario).
+//! gate unparks every live image once, each unwinds with a [`ModelAbort`]
+//! panic, and the run reports the wait-for edges instead of hanging (the
+//! paper's Figure 2 scenario).
 //!
 //! When no gate is armed, every entry point here is a single
 //! thread-local load — the same disarmed-cost discipline as `caf-trace`.
@@ -36,7 +45,7 @@
 //! schedule.
 
 use std::cell::Cell;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use caf_trace::scope::{self, Part};
 
@@ -153,10 +162,6 @@ pub struct StepRecord {
     /// True when this step re-attempted a blocked operation rather than
     /// executing a fresh announcement.
     pub retry: bool,
-    /// Images that were schedulable at this step.
-    pub enabled: Vec<usize>,
-    /// Every live image's announced next operation at this step.
-    pub pending: Vec<(usize, ModelOp)>,
 }
 
 /// One edge of the wait-for graph at a deadlock.
@@ -261,32 +266,28 @@ struct GateState {
     panicked: bool,
 }
 
-/// One armed gate: the controlled run (`None` once disarmed) and the
-/// condvar its thread participants park on.
-struct Gate {
-    state: Mutex<Option<GateState>>,
-    cv: Condvar,
+impl GateState {
+    /// Pass the run on from image `me` after a scheduling decision:
+    /// unpark the image it picked, or, once the run is aborted, every
+    /// live image (each unwinds when it next runs). Under the gate lock;
+    /// caf-sched never takes it, so the order is the gate, then its own.
+    fn wake_next(&self, me: usize) {
+        let live = |t: &usize| *t != me && self.status[*t] != TStatus::Done;
+        if self.abort.is_some() {
+            (0..self.n).filter(live).for_each(caf_sched::unpark);
+        } else if let Some(t) = self.current.filter(live) {
+            caf_sched::unpark(t);
+        }
+    }
 }
+
+/// One armed gate: the controlled run, `None` once disarmed.
+type Gate = Mutex<Option<GateState>>;
 
 type Locked<'a> = MutexGuard<'a, Option<GateState>>;
 
-impl Gate {
-    fn lock(&self) -> Locked<'_> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Wake every parked participant to re-check the schedule. Thread
-    /// participants sleep on `cv`; under `ExecMode::Tasks` they are
-    /// cooperatively parked on the caf-sched executor instead, so every
-    /// notify pairs with an `unpark_all` (spurious permits are harmless —
-    /// a woken task re-checks `current` and parks again). Lock order is
-    /// the gate → a task's mutex, released, then the gate → the slot
-    /// mutex (caf-sched never holds those two together and never takes a
-    /// gate).
-    fn wake_waiters(&self) {
-        self.cv.notify_all();
-        caf_sched::unpark_all();
-    }
+fn lock(gate: &Gate) -> Locked<'_> {
+    gate.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// The gate armed in the calling thread's scope.
@@ -329,15 +330,15 @@ pub fn active() -> bool {
 
 /// The gate's deterministic logical clock, in scheduled steps.
 pub fn logical_steps() -> u64 {
-    gate().map_or(0, |g| g.lock().as_ref().map_or(0, |g| g.steps.len() as u64))
+    gate().map_or(0, |g| lock(&g).as_ref().map_or(0, |g| g.steps.len() as u64))
 }
 
-/// Arm a gate for one controlled run of `n` image threads: the calling
-/// thread's next launch is the run. Fails if a gate is already armed on
-/// this thread.
+/// Arm a gate for one controlled run of `n` images: the calling thread's
+/// next launch is the run. Fails if a gate is already armed on this
+/// thread.
 pub fn arm(n: usize, max_steps: usize, chooser: Box<dyn Chooser>) -> Result<(), &'static str> {
     assert!(n > 0, "model run needs at least one image");
-    if gate().is_some_and(|g| g.lock().is_some()) {
+    if gate().is_some_and(|g| lock(&g).is_some()) {
         return Err("scheduler gate already armed");
     }
     let state = GateState {
@@ -356,17 +357,17 @@ pub fn arm(n: usize, max_steps: usize, chooser: Box<dyn Chooser>) -> Result<(), 
         max_steps,
         panicked: false,
     };
-    let gate = Gate { state: Mutex::new(Some(state)), cv: Condvar::new() };
-    scope::set(Part::Gate, Some(Arc::new(gate)));
+    let gate: Arc<Gate> = Arc::new(Mutex::new(Some(state)));
+    scope::set(Part::Gate, Some(gate));
     Ok(())
 }
 
 /// Disarm the calling thread's gate and collect the run record. Call
-/// after every image thread has been joined.
+/// after every image has been joined.
 pub fn disarm() -> Option<RunOutcome> {
     let gate = gate()?;
     scope::set(Part::Gate, None);
-    let g = gate.lock().take()?;
+    let g = lock(&gate).take()?;
     let status = match g.abort {
         Some(s) => s,
         None if g.panicked => RunStatus::Panicked,
@@ -375,20 +376,19 @@ pub fn disarm() -> Option<RunOutcome> {
     Some(RunOutcome { steps: g.steps, status })
 }
 
-/// RAII registration of an image thread with the armed gate. On drop
-/// (normal return or unwind) the thread is marked done and the scheduler
-/// moves on.
+/// RAII registration of an image with the armed gate. On drop (normal
+/// return or unwind) the image is marked done and the scheduler moves on.
 pub(crate) struct ThreadGuard {
     gate: Arc<Gate>,
     me: usize,
 }
 
-/// Register the calling thread as image `rank` of the gate armed in its
-/// scope and park until all `n` images have registered and this thread
-/// is scheduled. `None` when no gate is armed.
+/// Register the calling task as image `rank` of the gate armed in its
+/// scope and park until all `n` images have registered and this one is
+/// scheduled. `None` when no gate is armed.
 pub(crate) fn register_thread(rank: usize) -> Option<ThreadGuard> {
     let gate = gate()?;
-    let mut st = gate.lock();
+    let mut st = lock(&gate);
     let g = st.as_mut()?;
     assert!(
         rank < g.n,
@@ -404,7 +404,7 @@ pub(crate) fn register_thread(rank: usize) -> Option<ThreadGuard> {
     if g.registered == g.n {
         g.started = true;
         schedule_next(g);
-        gate.wake_waiters();
+        g.wake_next(rank);
     }
     drop(wait_turn(&gate, st, rank));
     Some(ThreadGuard { gate, me: rank })
@@ -412,12 +412,13 @@ pub(crate) fn register_thread(rank: usize) -> Option<ThreadGuard> {
 
 impl Drop for ThreadGuard {
     fn drop(&mut self) {
-        let (gate, me) = (&self.gate, self.me);
+        let me = self.me;
         TID.with(|t| t.set(None));
         HINT.with(|h| h.set(None));
         let fault_dying = FAULT_DYING.with(|f| f.replace(false));
-        let mut st = gate.lock();
+        let mut st = lock(&self.gate);
         let Some(g) = st.as_mut() else { return };
+        let torn_down = g.abort.is_some();
         g.status[me] = TStatus::Done;
         if std::thread::panicking() && !fault_dying {
             g.panicked = true;
@@ -429,54 +430,45 @@ impl Drop for ThreadGuard {
         }
         if g.current == Some(me) {
             g.current = None;
-            if g.abort.is_none() {
-                schedule_next(g);
-            }
+            schedule_next(g);
         }
-        gate.wake_waiters();
+        if !torn_down {
+            g.wake_next(me);
+        }
     }
 }
 
 /// Park until the gate schedules `me`; panics with [`ModelAbort`] when
-/// the run is aborted.
+/// the run is aborted. A wake that finds another image scheduled (a
+/// stray permit) parks again.
 fn wait_turn<'a>(gate: &'a Gate, mut st: Locked<'a>, me: usize) -> Locked<'a> {
     loop {
-        let Some(g) = st.as_mut() else {
-            // Gate disarmed under us (abort teardown): unwind.
-            drop(st);
-            std::panic::panic_any(ModelAbort);
-        };
-        if g.abort.is_some() {
-            drop(st);
-            std::panic::panic_any(ModelAbort);
+        match st.as_ref() {
+            Some(g) if g.abort.is_none() => {
+                if g.current == Some(me) {
+                    return st;
+                }
+            }
+            // Aborted, or disarmed under us (abort teardown): unwind.
+            _ => {
+                drop(st);
+                std::panic::panic_any(ModelAbort);
+            }
         }
-        if g.current == Some(me) {
-            return st;
-        }
-        if caf_sched::on_task() {
-            // Task-mode participant: a condvar wait here would OS-block
-            // the carrier *while it holds a run slot*; with fewer slots
-            // than images the job could never schedule the image whose
-            // turn it is. Release the gate lock, give the slot up via
-            // the cooperative park, and re-check on wake (every
-            // `wake_waiters` hands out permits; a permit that raced this
-            // park is banked, so the wake cannot be lost).
-            drop(st);
-            caf_sched::park();
-            st = gate.lock();
-        } else {
-            st = gate.cv.wait(st).unwrap_or_else(|e| e.into_inner());
-        }
+        drop(st);
+        caf_sched::park();
+        st = lock(gate);
     }
 }
 
 /// Give up the calling participant's turn once `mark` has recorded why,
-/// and park until the scheduler grants the next one. No-op when the
-/// calling thread is not a gate participant.
+/// hand it to the image the scheduler picks, and park until the
+/// scheduler grants the next one. No-op when the calling thread is not a
+/// gate participant.
 fn hand_off(mark: impl FnOnce(&mut GateState, usize)) {
     let Some(me) = TID.with(|t| t.get()).filter(|_| armed()) else { return };
     let Some(gate) = gate() else { return };
-    let mut st = gate.lock();
+    let mut st = lock(&gate);
     let Some(g) = st.as_mut() else { return };
     if g.abort.is_some() {
         drop(st);
@@ -485,7 +477,7 @@ fn hand_off(mark: impl FnOnce(&mut GateState, usize)) {
     mark(g, me);
     g.current = None;
     schedule_next(g);
-    gate.wake_waiters();
+    g.wake_next(me);
     let mut st = wait_turn(&gate, st, me);
     if let Some(g) = st.as_mut() {
         g.status[me] = TStatus::Ready;
@@ -560,52 +552,37 @@ fn schedule_next(g: &mut GateState) {
         g.abort = Some(RunStatus::StepBudget);
         return;
     }
-    let pending_snapshot = |g: &GateState| -> Vec<(usize, ModelOp)> {
-        (0..g.n)
-            .filter(|&t| g.status[t] != TStatus::Done)
-            .map(|t| (t, g.pending[t].op))
-            .collect()
-    };
-    // Start discovery: run threads that have not announced their first
-    // operation yet, in tid order. These are forced (single-candidate)
-    // steps, so they create no exploration branching.
-    if let Some(t) = (0..g.n)
-        .find(|&t| g.status[t] == TStatus::Ready && g.pending[t].op == ModelOp::Start)
-    {
-        let pending = pending_snapshot(g);
-        g.steps.push(StepRecord {
-            chosen: t,
-            op: ModelOp::Start,
-            retry: false,
-            enabled: vec![t],
-            pending,
-        });
-        g.current = Some(t);
-        return;
+    // One pass over the images. Start discovery comes first: images that
+    // have not announced their first operation yet run in tid order.
+    // These are forced (single-candidate) steps, so they create no
+    // exploration branching.
+    let mut enabled = Vec::with_capacity(g.n);
+    let mut pending = Vec::with_capacity(g.n);
+    for (t, (status, p)) in g.status.iter().zip(&g.pending).enumerate() {
+        match *status {
+            TStatus::Ready if p.op == ModelOp::Start => {
+                g.steps.push(StepRecord { chosen: t, op: ModelOp::Start, retry: false });
+                g.current = Some(t);
+                return;
+            }
+            TStatus::Ready => enabled.push(t),
+            TStatus::Blocked { epoch } if epoch < g.progress => enabled.push(t),
+            TStatus::Blocked { .. } => {}
+            TStatus::Done => continue,
+        }
+        pending.push((t, p.op));
     }
-    let enabled: Vec<usize> = (0..g.n)
-        .filter(|&t| match g.status[t] {
-            TStatus::Ready => true,
-            TStatus::Blocked { epoch } => epoch < g.progress,
-            TStatus::Done => false,
-        })
-        .collect();
     if enabled.is_empty() {
-        if g.status.iter().all(|s| *s == TStatus::Done) {
+        if pending.is_empty() {
             return; // run complete
         }
-        let edges = (0..g.n)
-            .filter(|&t| matches!(g.status[t], TStatus::Blocked { .. }))
-            .map(|t| BlockedEdge {
-                image: t,
-                op: g.pending[t].op,
-                target: g.pending[t].target,
-            })
+        let edges = pending
+            .iter()
+            .map(|&(t, op)| BlockedEdge { image: t, op, target: g.pending[t].target })
             .collect();
         g.abort = Some(RunStatus::Deadlock(edges));
         return;
     }
-    let pending = pending_snapshot(g);
     match g.chooser.choose(g.steps.len(), &enabled, &pending) {
         Choice::Prune => {
             g.abort = Some(RunStatus::Pruned);
@@ -619,13 +596,7 @@ fn schedule_next(g: &mut GateState) {
             if !retry {
                 g.progress += 1;
             }
-            g.steps.push(StepRecord {
-                chosen: t,
-                op: g.pending[t].op,
-                retry,
-                enabled,
-                pending,
-            });
+            g.steps.push(StepRecord { chosen: t, op: g.pending[t].op, retry });
             g.current = Some(t);
         }
     }

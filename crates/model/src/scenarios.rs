@@ -8,8 +8,8 @@
 //! scenario bodies must be self-contained and repeatable.
 
 use caf::{
-    AggConfig, AsyncOpts, CafConfig, CafUniverse, Coarray, ExecConfig, FaultPlan, FlushMode,
-    GasnetConfig, KillSite, SubstrateKind,
+    AggConfig, AsyncOpts, CafConfig, CafUniverse, Coarray, FaultPlan, FlushMode, GasnetConfig,
+    KillSite, SubstrateKind,
 };
 use caf_fabric::{Fabric, Packet};
 
@@ -119,61 +119,6 @@ fn event_pp_run(kind: SubstrateKind) {
     });
 }
 
-/// The event ping-pong executed by the caf-sched task executor
-/// (`ExecMode::Tasks`) on a *single* run slot: only one image executes
-/// at a time, so every blocking site the schedule reaches must suspend
-/// cooperatively through `caf_sched::park` — an OS-level block anywhere
-/// would sleep on the slot and surface to the explorer as a deadlock
-/// counterexample. The gate still decides which image runs; the executor
-/// only decides when its carrier may.
-pub fn tasks_event_ping_pong(kind: SubstrateKind) -> Scenario {
-    match kind {
-        SubstrateKind::Mpi => Scenario {
-            name: "event ping-pong, task executor (CAF-MPI)",
-            images: 2,
-            run: tasks_event_pp_mpi,
-        },
-        SubstrateKind::Gasnet => Scenario {
-            name: "event ping-pong, task executor (CAF-GASNet)",
-            images: 2,
-            run: tasks_event_pp_gasnet,
-        },
-    }
-}
-
-fn tasks_event_pp_mpi() {
-    tasks_event_pp_run(SubstrateKind::Mpi);
-}
-
-fn tasks_event_pp_gasnet() {
-    tasks_event_pp_run(SubstrateKind::Gasnet);
-}
-
-fn tasks_event_pp_run(kind: SubstrateKind) {
-    let cfg = CafConfig {
-        exec: ExecConfig { workers: 1, ..ExecConfig::tasks() },
-        ..CafConfig::on(kind)
-    };
-    CafUniverse::run_with_config(2, cfg, |img| {
-        let world = img.team_world();
-        let me = img.this_image();
-        let ca: Coarray<u64> = img.coarray_alloc(&world, 1);
-        let ev = img.event_alloc(&world);
-        if me == 0 {
-            ca.write(img, 1, 0, &[7]);
-            img.event_notify(&world, &ev, 1);
-            img.event_wait(&ev);
-            assert_eq!(ca.local_vec(img)[0], 9);
-        } else {
-            img.event_wait(&ev);
-            assert_eq!(ca.local_vec(img)[0], 7);
-            ca.write(img, 0, 0, &[9]);
-            img.event_notify(&world, &ev, 0);
-        }
-        img.coarray_free(&world, ca);
-    });
-}
-
 /// One miniature RandomAccess round: every image updates one distinct
 /// slot of every other image's table, then all verify after `sync_all`.
 /// Disjoint slots, so clean on both substrates.
@@ -189,15 +134,41 @@ pub fn ra_round(kind: SubstrateKind) -> Scenario {
 }
 
 fn ra_mpi() {
-    ra_run(SubstrateKind::Mpi);
+    ra_run(SubstrateKind::Mpi, 2);
 }
 
 fn ra_gasnet() {
-    ra_run(SubstrateKind::Gasnet);
+    ra_run(SubstrateKind::Gasnet, 2);
 }
 
-fn ra_run(kind: SubstrateKind) {
-    CafUniverse::run_with_config(2, CafConfig::on(kind), |img| {
+/// [`ra_round`] at sixteen images: about 1 500 scheduling steps per
+/// schedule, where the two-image round takes 40.
+pub fn ra_round_p16(kind: SubstrateKind) -> Scenario {
+    match kind {
+        SubstrateKind::Mpi => {
+            Scenario { name: "RandomAccess round, P=16 (CAF-MPI)", images: 16, run: ra16_mpi }
+        }
+        SubstrateKind::Gasnet => {
+            Scenario { name: "RandomAccess round, P=16 (CAF-GASNet)", images: 16, run: ra16_gasnet }
+        }
+    }
+}
+
+fn ra16_mpi() {
+    ra_run(SubstrateKind::Mpi, 16);
+}
+
+fn ra16_gasnet() {
+    ra_run(SubstrateKind::Gasnet, 16);
+}
+
+/// GASNet segments are 64 KiB, which the round's few words fit many
+/// times over: zero-filling sixteen of the default 4 MiB would cost more
+/// than a schedule.
+fn ra_run(kind: SubstrateKind, images: usize) {
+    let mut cfg = CafConfig::on(kind);
+    cfg.gasnet.segment_size = 64 << 10;
+    CafUniverse::run_with_config(images, cfg, |img| {
         let world = img.team_world();
         let me = img.this_image();
         let n = img.num_images();

@@ -16,9 +16,11 @@
 //! its target or queues it. The queue being FIFO is what keeps a task
 //! that loops on [`yield_now`] from starving one an `unpark` has woken,
 //! and with one slot it makes the run order a pure function of the
-//! program — the executor adds no choice points of its own, which keeps
-//! caf-model replay tokens valid when the announce-before-execute gate
-//! drives tasks instead of threads.
+//! program — the executor adds no choice points of its own. That is what
+//! the model gate of `caf-fabric` builds on: a gated job always runs on
+//! one slot, and a scheduling step is the gate's [`unpark`] of the image
+//! it picks followed by a [`park`], so the slot passes straight to the
+//! pick and caf-model replay tokens stay valid.
 //!
 //! # Why carrier threads and not ucontext-style green threads
 //!
@@ -54,12 +56,13 @@
 //! receiver saw an empty queue, and a wake that lands before the `park`
 //! is banked. It never pays for a wake nobody asked for: a sender that
 //! finds no sleeper touches neither the executor nor the kernel. A stray
-//! permit (an [`unpark_all`], a sleeper taken after the receiver already
-//! popped) only makes some later `park` return early, so every caller
-//! re-checks its condition and parks again. Under [`ExecMode::Tasks`]
-//! OS-blocking at such a site would sleep while holding a slot and —
-//! with more images than slots — deadlock the job, so the cooperative
-//! form is a correctness requirement, not an optimisation.
+//! permit (the wake-all of a finishing task, a sleeper taken after the
+//! receiver already popped) only makes some later `park` return early,
+//! so every caller re-checks its condition and parks again. Under
+//! [`ExecMode::Tasks`] OS-blocking at such a site would sleep while
+//! holding a slot and — with more images than slots — deadlock the job,
+//! so the cooperative form is a correctness requirement, not an
+//! optimisation.
 //!
 //! # Locking rules
 //!
@@ -96,7 +99,7 @@ pub struct ExecConfig {
     /// Nothing reads this. It seeded the steal order of the work-stealing
     /// pool this executor replaced and stays only because the frozen
     /// `benchmark/` sets it by name; it goes at the next benchmark
-    /// re-baseline (ROADMAP item 9).
+    /// re-baseline (ROADMAP item 10).
     pub seed: u64,
 }
 
@@ -260,13 +263,11 @@ pub fn unpark(target: usize) {
     with_current(|inner, _| unpark_on(inner, target));
 }
 
-/// [`unpark`] every task of the calling task's executor. The model gate
-/// uses this as its broadcast wake: whenever the gate's schedule state
-/// changes it must give every cooperatively-parked task a chance to
-/// re-check whose turn it is (the exact analogue of its
-/// `Condvar::notify_all` for thread-mode participants). Spurious permits
-/// are harmless — a woken task re-checks its condition and parks again.
-pub fn unpark_all() {
+/// [`unpark`] every task of the calling task's executor: what a finishing
+/// task does, since it may be what a parked peer waits on. Spurious
+/// permits are harmless — a woken task re-checks its condition and parks
+/// again.
+fn unpark_all() {
     with_current(|inner, _| {
         for t in 0..inner.tasks.len() {
             unpark_on(inner, t);

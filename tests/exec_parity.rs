@@ -7,7 +7,9 @@
 //! event notify/wait release, `finish` termination, and the caf-agg
 //! coalescing path — on both substrates, plus the modeled delay-meter
 //! deltas (schedule-independent by design; an executor that changed them
-//! would be perturbing the communication schedule itself).
+//! would be perturbing the communication schedule itself). On one run
+//! slot the executor goes further: a job's trace is the same on every
+//! run.
 
 use caf::{
     AsyncOpts, CafConfig, CafUniverse, Coarray, ExecConfig, ExecMode, SubstrateKind,
@@ -220,5 +222,58 @@ fn p1024_ring_executes_for_real_under_tasks() {
     for (me, &got) in out.iter().enumerate() {
         let writers = [(me + P - 1) % P, (me + P - FAR) % P];
         assert_eq!(got, writers.map(|w| w as u64 + 1), "image {me} saw the wrong writer");
+    }
+}
+
+/// One run slot makes the run order a pure function of the program: the
+/// executor queues ready tasks FIFO and adds no choice of its own. So an
+/// ungated one-slot job — a direct RandomAccess round, then an event
+/// ring — records the same trace event sequence on every run. This is
+/// what keeps a model-gate replay token valid: the gate runs every job
+/// this way. `arg` (heap addresses for some ops) and the timestamps are
+/// left out of the comparison.
+#[test]
+#[cfg_attr(miri, ignore = "two 16-image traced jobs per substrate")]
+fn one_slot_jobs_record_the_same_trace_on_every_run() {
+    const P: usize = 16;
+    for kind in [SubstrateKind::Mpi, SubstrateKind::Gasnet] {
+        let mut cfg = CafConfig {
+            exec: ExecConfig { workers: 1, ..ExecConfig::tasks() },
+            ..fast(kind)
+        };
+        cfg.gasnet.segment_size = 64 << 10;
+        let run = || {
+            let trace = caf_trace::TraceConfig {
+                stall_threshold: None,
+                ..caf_trace::TraceConfig::default()
+            };
+            let session = caf_trace::Session::start(trace).expect("no session on this thread");
+            CafUniverse::run_with_config(P, cfg, |img| {
+                let world = img.team_world();
+                ra::run_opts(img, &world, 4, 32, RaOpts::default());
+                let ev = img.event_alloc(&world);
+                let me = img.this_image();
+                img.event_notify(&world, &ev, (me + 1) % P);
+                img.event_wait(&ev);
+                img.sync_all();
+            });
+            let trace = session.finish();
+            assert_eq!(trace.dropped_events, 0, "{kind:?}");
+            trace
+                .events
+                .iter()
+                .map(|e| (e.image, e.op, e.target, e.bytes, e.window, e.disp, e.depth))
+                .collect::<Vec<_>>()
+        };
+        let first = run();
+        assert!(!first.is_empty(), "{kind:?}: nothing traced");
+        let second = run();
+        let at = first.iter().zip(&second).position(|(a, b)| a != b);
+        assert!(
+            first == second,
+            "{kind:?}: runs of {} and {} events differ from event {at:?} on",
+            first.len(),
+            second.len()
+        );
     }
 }

@@ -7,6 +7,7 @@
 //!   armed;
 //! * a seeded schedule exposes the unflushed-put conflict that the default
 //!   interleaving never exhibits;
+//! * random walks at sixteen images stay clean;
 //! * sleep-set pruning (DPOR-lite) explores at least 2x fewer schedules
 //!   than naive enumeration on the ping-pong state space.
 
@@ -182,30 +183,25 @@ fn seeded_walk_catches_unflushed_put_the_default_schedule_hides() {
     assert!(kinds(&r1).contains(&"read_before_flush".to_string()), "{:?}", r1.report);
 }
 
-/// The task executor under the explorer: the gate drives images running
-/// as caf-sched tasks on a *single* run slot, so every blocking site any
-/// explored schedule reaches must suspend cooperatively — an OS-level
-/// block would sleep on the slot and surface as a deadlock
-/// counterexample. At least 100 interleavings (or the exhausted space)
-/// on both substrates, full epoch/race oracle silent throughout.
+/// The explorer at sixteen images: 200 seeded random walks per
+/// substrate through a RandomAccess round (about 1 500 steps each), the
+/// full epoch/race oracle silent on every one. Every gated job runs as
+/// caf-sched tasks on one run slot, so an OS-level block at any site a
+/// walk reaches would sleep on the slot and surface as a deadlock.
 #[test]
-fn task_executor_schedules_stay_clean_under_exploration() {
+fn random_walks_at_p16_stay_clean() {
     for sc in [
-        scenarios::tasks_event_ping_pong(SubstrateKind::Mpi),
-        scenarios::tasks_event_ping_pong(SubstrateKind::Gasnet),
+        scenarios::ra_round_p16(SubstrateKind::Mpi),
+        scenarios::ra_round_p16(SubstrateKind::Gasnet),
     ] {
         let cfg = ExploreConfig {
-            max_schedules: 400,
+            max_schedules: 200,
+            mode: ExploreMode::Random { seed: 0x16_CAF5, walks: 200 },
             oracle: Some(OracleConfig::default()),
             ..ExploreConfig::default()
         };
         let rep = explore(&sc, &cfg);
-        assert!(
-            rep.schedules >= 100 || rep.complete,
-            "{}: only {} schedules explored without exhausting the space",
-            sc.name,
-            rep.schedules
-        );
+        assert_eq!(rep.schedules, 200, "{}: only {} walks ran", sc.name, rep.schedules);
         assert_eq!(
             rep.flagged,
             0,
