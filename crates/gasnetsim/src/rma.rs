@@ -99,7 +99,7 @@ impl Gasnet {
             };
         }
         if sched::active() {
-            let (region, owner, lo) = (self.seg_ids[node].0, node, op.offset as u64);
+            let (region, owner, lo) = (self.ep.attach_id(node).0, node, op.offset as u64);
             let hi = lo + op.span.unwrap_or(op.len) as u64;
             sched::yield_op(if kind.load {
                 ModelOp::Read { region, owner, lo, hi }
@@ -110,7 +110,7 @@ impl Gasnet {
         let seg = if own {
             &self.local
         } else {
-            self.peers.resolve(&self.ep, node, self.seg_ids[node])?
+            self.peers.resolve(&self.ep, node, self.ep.attach_id(node))?
         };
         if let (Some(trace_op), None) = (kind.trace, op.span) {
             if caf_trace::enabled() {
@@ -426,7 +426,7 @@ mod tests {
             }
             assert_eq!(g.delay_meter().snapshot(), before, "a dropped operation costs nothing");
             let mut dead = [0u8; 64];
-            let seg = g.ep.segment(g.seg_ids[1]).unwrap();
+            let seg = g.ep.segment(g.ep.attach_id(1)).unwrap();
             seg.get(0, &mut dead).unwrap();
             assert_eq!(dead, [0u8; 64], "nothing reaches the dead image's segment");
         });
