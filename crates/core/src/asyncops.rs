@@ -22,8 +22,8 @@
 use caf_fabric::pod::as_bytes;
 use caf_fabric::Pod;
 
-use crate::backend::{Backend, On};
-use crate::coarray::Coarray;
+use crate::backend::Backend;
+use crate::coarray::{Coarray, On};
 use crate::event::Event;
 use crate::image::Image;
 use crate::op::{CafOp, Chan, Edge};

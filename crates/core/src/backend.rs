@@ -80,16 +80,6 @@ pub(crate) enum Backend {
     Gasnet(Box<GasnetBackend>),
 }
 
-/// A substrate-specific handle (a team's communicator or member list, a
-/// coarray's window or segment offsets) paired with the backend of the
-/// substrate it was created on. `Team::on` and `RegionInner::on` are the
-/// only places a handle from the other substrate can be noticed, so the
-/// mismatch panic lives there once per handle type.
-pub(crate) enum On<'a, M, G> {
-    Mpi(&'a MpiBackend, &'a M),
-    Gasnet(&'a GasnetBackend, &'a G),
-}
-
 /// CAF-MPI: MPI-3 is the runtime (paper §3).
 pub(crate) struct MpiBackend {
     pub mpi: Mpi,
@@ -332,6 +322,16 @@ impl Backend {
                 }
                 b.g.dispatch_packet(b.g.wait_am_packet_watching(watch)?);
             },
+        }
+    }
+
+    /// The MPI library team collectives delegate to: CAF-MPI's. `None` on
+    /// CAF-GASNet, whose runtime hand-rolls them from AMs (a co-resident
+    /// hybrid MPI library is the application's, not the runtime's).
+    pub fn coll_mpi(&self) -> Option<&Mpi> {
+        match self {
+            Backend::Mpi(b) => Some(&b.mpi),
+            Backend::Gasnet(_) => None,
         }
     }
 

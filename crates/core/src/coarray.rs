@@ -23,9 +23,9 @@ use std::sync::Arc;
 
 use caf_mpisim::Window;
 
-use caf_fabric::Pod;
+use caf_fabric::{Group, Pod};
 
-use crate::backend::{Backend, On};
+use crate::backend::{Backend, GasnetBackend, MpiBackend};
 use crate::image::Image;
 use crate::op::{CafOp, Edge};
 use crate::stats::StatCat;
@@ -68,12 +68,22 @@ pub(crate) enum RegionInner {
     Gasnet(GRegion),
 }
 
+/// A coarray's region paired with the backend of the substrate it was
+/// allocated on. [`RegionInner::on`] is the one place a region from the
+/// other substrate can be noticed, so the mismatch panic lives there. (A
+/// team is a substrate-free `caf_fabric::Group`: it has nothing to
+/// mismatch.)
+pub(crate) enum On<'a> {
+    Mpi(&'a MpiBackend, &'a Arc<Window>),
+    Gasnet(&'a GasnetBackend, &'a GRegion),
+}
+
 #[derive(Debug)]
 pub(crate) struct GRegion {
     pub id: u64,
     pub offsets: Arc<[usize]>,
-    /// Member global ranks in team order.
-    pub members: Arc<[usize]>,
+    /// The allocating team's group.
+    pub group: Group,
     pub bytes: usize,
 }
 
@@ -82,15 +92,7 @@ impl GRegion {
     /// `member`'s part.
     #[inline]
     pub(crate) fn at(&self, member: usize, disp: usize) -> (usize, usize) {
-        (self.members[member], self.offsets[member] + disp)
-    }
-
-    /// Team rank of global image `image`.
-    fn member_of(&self, image: usize) -> usize {
-        self.members
-            .iter()
-            .position(|&m| m == image)
-            .expect("image not a member of this coarray's team")
+        (self.group.global_rank(member), self.offsets[member] + disp)
     }
 }
 
@@ -102,6 +104,22 @@ impl RegionInner {
         }
     }
 
+    /// The allocating team's group (the window's communicator on MPI).
+    #[inline]
+    fn group(&self) -> &Group {
+        match self {
+            RegionInner::Mpi(win) => win.comm(),
+            RegionInner::Gasnet(r) => &r.group,
+        }
+    }
+
+    /// Team rank of global image `image`.
+    fn rank_of_global(&self, image: usize) -> usize {
+        self.group()
+            .rank_of_global(image)
+            .expect("image not a member of this coarray's team")
+    }
+
     /// The region paired with the backend of the substrate it was
     /// allocated on.
     ///
@@ -110,20 +128,13 @@ impl RegionInner {
     /// Panics when the coarray was allocated by a job on the other
     /// substrate.
     #[inline]
-    pub(crate) fn on<'a>(&'a self, backend: &'a Backend) -> On<'a, Arc<Window>, GRegion> {
+    pub(crate) fn on<'a>(&'a self, backend: &'a Backend) -> On<'a> {
         match (backend, self) {
             (Backend::Mpi(b), RegionInner::Mpi(win)) => On::Mpi(b, win),
             (Backend::Gasnet(b), RegionInner::Gasnet(r)) => On::Gasnet(b, r),
             _ => panic!("coarray does not belong to this substrate"),
         }
     }
-}
-
-/// Comm rank of global image `image` in `win`'s communicator.
-fn win_member_of(win: &Window, image: usize) -> usize {
-    win.comm()
-        .comm_rank_of_global(image)
-        .expect("image not a member of this coarray's team")
 }
 
 const NO_GASNET_ATOMICS: &str = "one-sided atomics are MPI-3 features; the GASNet core API \
@@ -199,17 +210,17 @@ impl Image {
     /// `team`.
     pub fn coarray_alloc<T: Pod>(&self, team: &Team, len: usize) -> Coarray<T> {
         let bytes = len * std::mem::size_of::<T>();
-        let region = match team.on(&self.backend) {
-            On::Mpi(b, comm) => {
+        let region = match &self.backend {
+            Backend::Mpi(b) => {
                 // Paper §3.1: allocate with MPI_WIN_ALLOCATE, lock all
                 // targets with MPI_WIN_LOCK_ALL for the window's lifetime.
-                let win = b.mpi.win_allocate(comm, bytes).expect("win_allocate");
+                let win = b.mpi.win_allocate(&team.group, bytes).expect("win_allocate");
                 b.mpi.win_lock_all(&win);
                 let win = Arc::new(win);
                 b.windows.borrow_mut().insert(win.id(), Arc::clone(&win));
                 RegionInner::Mpi(win)
             }
-            On::Gasnet(b, t) => {
+            Backend::Gasnet(b) => {
                 let off = b.arena.alloc(bytes).unwrap_or_else(|| {
                     panic!(
                         "GASNet segment exhausted allocating {bytes} bytes \
@@ -226,7 +237,7 @@ impl Image {
                 RegionInner::Gasnet(GRegion {
                     id,
                     offsets: offsets.into(),
-                    members: t.members.to_vec().into(),
+                    group: team.group.clone(),
                     bytes,
                 })
             }
@@ -295,10 +306,7 @@ impl<T: Pod> Coarray<T> {
 
     /// Global image index of team member `member` (for trace attribution).
     pub(crate) fn global_member(&self, member: usize) -> usize {
-        match &*self.region {
-            RegionInner::Mpi(win) => win.comm().global_rank(member),
-            RegionInner::Gasnet(r) => r.members[member],
-        }
+        self.region.group().global_rank(member)
     }
 
     /// The substrate-level remote reference for `member`'s part.
@@ -343,7 +351,7 @@ impl<T: Pod> Coarray<T> {
         &'a self,
         img: &'a Image,
         op: CafOp,
-        body: impl FnOnce(On<'a, Arc<Window>, GRegion>) -> R,
+        body: impl FnOnce(On<'a>) -> R,
     ) -> R {
         img.op(op, || body(self.region.on(&img.backend)))
     }
@@ -386,17 +394,13 @@ impl<T: Pod> Coarray<T> {
     pub fn local_read(&self, img: &Image, elem_off: usize, out: &mut [T]) {
         let disp = self.byte_off(elem_off, out.len());
         let me = img.this_image();
+        let idx = self.region.rank_of_global(me);
         let op = self.data_op(None, me, disp, out.len(), Edge::Read);
         self.access(img, op, |on| match on {
-            On::Mpi(b, win) => b
-                .mpi
-                .win_read_local_at(win, win_member_of(win, me), disp, out)
-                .expect("local read"),
-            On::Gasnet(b, r) => b
-                .g
-                .read_local(r.offsets[r.member_of(me)] + disp, out)
-                .expect("local read"),
-        });
+            On::Mpi(b, win) => b.mpi.win_read_local_at(win, idx, disp, out),
+            On::Gasnet(b, r) => b.g.read_local(r.offsets[idx] + disp, out),
+        })
+        .expect("local read");
     }
 
     /// Write this image's local part (see [`Coarray::local_read`] for the
@@ -404,17 +408,13 @@ impl<T: Pod> Coarray<T> {
     pub fn local_write(&self, img: &Image, elem_off: usize, data: &[T]) {
         let disp = self.byte_off(elem_off, data.len());
         let me = img.this_image();
+        let idx = self.region.rank_of_global(me);
         let op = self.data_op(None, me, disp, data.len(), Edge::Write);
         self.access(img, op, |on| match on {
-            On::Mpi(b, win) => b
-                .mpi
-                .win_write_local_at(win, win_member_of(win, me), disp, data)
-                .expect("local write"),
-            On::Gasnet(b, r) => b
-                .g
-                .write_local(r.offsets[r.member_of(me)] + disp, data)
-                .expect("local write"),
-        });
+            On::Mpi(b, win) => b.mpi.win_write_local_at(win, idx, disp, data),
+            On::Gasnet(b, r) => b.g.write_local(r.offsets[idx] + disp, data),
+        })
+        .expect("local write");
     }
 
     fn check_section(&self, sec: Section, buf_len: usize) -> usize {

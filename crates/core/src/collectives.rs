@@ -11,22 +11,24 @@
 //! the algorithms of `caf_fabric::coll` over it — the ones `caf-mpisim`
 //! runs, since their cost is this runtime's and not a finding of the
 //! paper. What *is* a finding stays untuned on purpose: `alltoall` is the
-//! linear exchange behind Figs 6/7 (as is `allgatherv`'s data phase), and
-//! allreduce is reduce-then-broadcast, without MPI's recursive doubling.
+//! linear exchange behind Figs 6/7 (`coll::alltoall_linear`, as is
+//! `allgatherv`'s data phase), and allreduce is reduce-then-broadcast,
+//! without MPI's recursive doubling. A team is one `caf_fabric::Group` on
+//! both substrates, so `team_split` and `team_reform` call its split and
+//! shrink.
 
 use std::collections::hash_map::{Entry, HashMap};
 
 use caf_fabric::coll::{self, Rounds};
-use caf_fabric::{Pod, Watch};
+use caf_fabric::{Group, Pod, Watch};
 use caf_gasnetsim::AM_MAX_MEDIUM;
 use caf_mpisim::Scalar;
 
-use crate::backend::On;
 use crate::image::Image;
 use crate::rtmsg::RtMsg;
 use crate::stat::Stat;
 use crate::stats::StatCat;
-use crate::team::{GTeam, Team, TeamInner};
+use crate::team::Team;
 
 /// Payload bytes per hand-rolled-collective fragment (medium-AM limit
 /// minus headroom for the runtime-message header).
@@ -42,7 +44,7 @@ pub(crate) type CollStash = HashMap<(u64, u64, u32, u32), (u32, Vec<u8>)>;
 /// [`RtMsg::CollPayload`] runtime AMs.
 struct TeamRounds<'a> {
     img: &'a Image,
-    t: &'a GTeam,
+    t: &'a Group,
     seq: u64,
 }
 
@@ -50,15 +52,15 @@ impl Rounds for TeamRounds<'_> {
     type Buf = Vec<u8>;
 
     fn n(&self) -> usize {
-        self.t.members.len()
+        self.t.size()
     }
 
     fn me(&self) -> usize {
-        self.t.my_idx
+        self.t.rank()
     }
 
     fn failed(&self) -> Vec<usize> {
-        self.img.backend.fault().failed_of(Watch::Ranks(&self.t.members))
+        self.img.backend.fault().failed_of(Watch::Ranks(self.t.members()))
     }
 
     fn send(&self, to: usize, round: u32, bytes: &[u8]) -> caf_fabric::Result<()> {
@@ -69,12 +71,12 @@ impl Rounds for TeamRounds<'_> {
             .enumerate()
         {
             self.img.backend.send_rtmsg(
-                self.t.members[to],
+                self.t.global_rank(to),
                 &RtMsg::CollPayload {
-                    team_id: self.t.id,
+                    team_id: self.t.id(),
                     seq: self.seq,
                     phase: round,
-                    src_idx: self.t.my_idx as u32,
+                    src_idx: self.t.rank() as u32,
                     chunk: i as u32,
                     nchunks,
                     data: chunk.to_vec(),
@@ -88,7 +90,7 @@ impl Rounds for TeamRounds<'_> {
     /// failure abandons the partially received collective; the team's
     /// next collective drops what it left behind ([`Image::rounds`]).
     fn recv(&self, from: usize, round: u32) -> caf_fabric::Result<Vec<u8>> {
-        let key = (self.t.id, self.seq, round, from as u32);
+        let key = (self.t.id(), self.seq, round, from as u32);
         loop {
             if let Entry::Occupied(e) = self.img.coll_stash.borrow_mut().entry(key) {
                 if e.get().0 == 0 {
@@ -98,7 +100,7 @@ impl Rounds for TeamRounds<'_> {
             let msg = self
                 .img
                 .backend
-                .recv_rtmsg_blocking_stat(Watch::Ranks(&self.t.members))?;
+                .recv_rtmsg_blocking_stat(Watch::Ranks(self.t.members()))?;
             self.img.handle_msg(msg);
         }
     }
@@ -125,10 +127,10 @@ impl Image {
     /// [`crate::Stat::FailedImage`] (with the failed members) instead of
     /// hanging or panicking when a team member has died mid-barrier.
     pub fn barrier_stat(&self, team: &Team) -> Stat {
-        self.collective(team, Some(StatCat::Barrier), |on| {
-            let done = match on {
-                On::Mpi(b, comm) => b.mpi.barrier(comm),
-                On::Gasnet(_, t) => coll::barrier(&self.rounds(t)),
+        self.collective(team, Some(StatCat::Barrier), |g| {
+            let done = match self.backend.coll_mpi() {
+                Some(mpi) => mpi.barrier(g),
+                None => coll::barrier(&self.rounds(g)),
             };
             done.map_or_else(|e| self.stat_failed(e), |()| Stat::Ok)
         })
@@ -142,10 +144,10 @@ impl Image {
 
     /// Team broadcast from `root` (team rank).
     pub fn broadcast<T: Pod>(&self, team: &Team, root: usize, data: &mut Vec<T>) {
-        self.collective(team, Some(StatCat::Reduction), |on| {
-            match on {
-                On::Mpi(b, comm) => b.mpi.bcast(comm, root, data),
-                On::Gasnet(_, t) => coll::bcast(&self.rounds(t), root, data),
+        self.collective(team, Some(StatCat::Reduction), |g| {
+            match self.backend.coll_mpi() {
+                Some(mpi) => mpi.bcast(g, root, data),
+                None => coll::bcast(&self.rounds(g), root, data),
             }
             .expect("bcast")
         });
@@ -159,10 +161,10 @@ impl Image {
         data: &[T],
         f: impl Fn(T, T) -> T,
     ) -> Option<Vec<T>> {
-        self.collective(team, Some(StatCat::Reduction), |on| {
-            match on {
-                On::Mpi(b, comm) => b.mpi.reduce(comm, root, data, f),
-                On::Gasnet(_, t) => coll::reduce(&self.rounds(t), root, data, f),
+        self.collective(team, Some(StatCat::Reduction), |g| {
+            match self.backend.coll_mpi() {
+                Some(mpi) => mpi.reduce(g, root, data, f),
+                None => coll::reduce(&self.rounds(g), root, data, f),
             }
             .expect("reduce")
         })
@@ -192,15 +194,15 @@ impl Image {
         data: &[T],
         f: impl Fn(T, T) -> T,
     ) -> Result<Vec<T>, Stat> {
-        self.collective(team, Some(StatCat::Reduction), |on| {
-            match on {
-                On::Mpi(b, comm) => b.mpi.allreduce(comm, data, f),
+        self.collective(team, Some(StatCat::Reduction), |g| {
+            match self.backend.coll_mpi() {
+                Some(mpi) => mpi.allreduce(g, data, f),
                 // Hand-rolled: reduce to team rank 0, then broadcast —
                 // correct, but without the recursive-doubling tuning of
                 // the MPI library.
-                On::Gasnet(_, t) => coll::reduce(&self.rounds(t), 0, data, &f).and_then(|reduced| {
+                None => coll::reduce(&self.rounds(g), 0, data, &f).and_then(|reduced| {
                     let mut out = reduced.unwrap_or_else(|| data.to_vec());
-                    coll::bcast(&self.rounds(t), 0, &mut out)?;
+                    coll::bcast(&self.rounds(g), 0, &mut out)?;
                     Ok(out)
                 }),
             }
@@ -211,10 +213,10 @@ impl Image {
     /// Team allgather of equal-length contributions, concatenated in team
     /// order.
     pub fn allgather<T: Pod>(&self, team: &Team, data: &[T]) -> Vec<T> {
-        self.collective(team, Some(StatCat::Reduction), |on| {
-            match on {
-                On::Mpi(b, comm) => b.mpi.allgather(comm, data),
-                On::Gasnet(_, t) => coll::allgather(&self.rounds(t), data),
+        self.collective(team, Some(StatCat::Reduction), |g| {
+            match self.backend.coll_mpi() {
+                Some(mpi) => mpi.allgather(g, data),
+                None => coll::allgather(&self.rounds(g), data),
             }
             .expect("allgather")
         })
@@ -223,15 +225,15 @@ impl Image {
     /// Variable-length team allgather: contributions may differ in length
     /// per image; the result concatenates them in team order.
     pub fn allgatherv<T: Pod>(&self, team: &Team, data: &[T]) -> Vec<T> {
-        self.collective(team, Some(StatCat::Reduction), |on| match on {
-            On::Mpi(b, comm) => b.mpi.allgatherv(comm, data).expect("allgatherv"),
-            On::Gasnet(_, t) => {
+        self.collective(team, Some(StatCat::Reduction), |g| match self.backend.coll_mpi() {
+            Some(mpi) => mpi.allgatherv(g, data).expect("allgatherv"),
+            None => {
                 // Hand-rolled: exchange counts, then linear exchange of
                 // the ragged payloads.
-                let counts = coll::allgather(&self.rounds(t), &[data.len() as u64])
+                let counts = coll::allgather(&self.rounds(g), &[data.len() as u64])
                     .expect("allgatherv counts");
-                let r = self.rounds(t);
-                let me = t.my_idx;
+                let r = self.rounds(g);
+                let me = g.rank();
                 for d in (0..counts.len()).filter(|&d| d != me) {
                     r.send_pod(d, 1, data).expect("allgatherv");
                 }
@@ -258,9 +260,15 @@ impl Image {
     /// §4.2: "CAF-GASNet implements alltoall with GASNet's PUT, GET, and
     /// Active Messages... not as well tuned as MPI_ALLTOALL").
     pub fn alltoall<T: Pod>(&self, team: &Team, data: &[T], block: usize) -> Vec<T> {
-        self.collective(team, Some(StatCat::Alltoall), |on| match on {
-            On::Mpi(b, comm) => b.mpi.alltoall(comm, data, block).expect("alltoall"),
-            On::Gasnet(_, t) => self.galltoall(t, data, block),
+        self.collective(team, Some(StatCat::Alltoall), |g| {
+            match self.backend.coll_mpi() {
+                Some(mpi) => mpi.alltoall(g, data, block),
+                // Linear, deliberately: the paper's finding (Figs 6/7) is
+                // this exchange hand-rolled from AMs against a tuned
+                // `MPI_ALLTOALL`.
+                None => coll::alltoall_linear(&self.rounds(g), data, block),
+            }
+            .expect("alltoall")
         })
     }
 
@@ -315,28 +323,12 @@ impl Image {
     /// Split `team` by color, ordering each part by `(key, rank)` —
     /// CAF 2.0's `team_split`.
     pub fn team_split(&self, team: &Team, color: u64, key: i64) -> Team {
-        self.collective(team, None, |on| match on {
-            On::Mpi(b, comm) => Team {
-                inner: TeamInner::Mpi(b.mpi.comm_split(comm, color, key).expect("team_split")),
-            },
-            On::Gasnet(_, t) => {
-                let me = t.my_idx;
-                let triples = coll::allgather(&self.rounds(t), &[[color, key as u64, me as u64]])
-                    .expect("team_split");
-                let mut mine: Vec<(i64, usize)> = triples
-                    .iter()
-                    .filter(|x| x[0] == color)
-                    .map(|x| (x[1] as i64, x[2] as usize))
-                    .collect();
-                mine.sort_unstable();
-                let members: Vec<usize> = mine.iter().map(|&(_, idx)| t.members[idx]).collect();
-                let my_idx = mine
-                    .iter()
-                    .position(|&(_, idx)| idx == me)
-                    .expect("self in own color group");
-                let token = self.next_team_token(team, 0x51);
-                Team::gasnet(crate::image::derive_token(token, color.wrapping_add(1), 0x52), members, my_idx)
-            }
+        self.collective(team, None, |g| {
+            let group = match self.backend.coll_mpi() {
+                Some(mpi) => mpi.comm_split(g, color, key),
+                None => g.split(color, key, |triple| coll::allgather(&self.rounds(g), triple)),
+            };
+            Team { group: group.expect("team_split") }
         })
     }
 
@@ -369,31 +361,7 @@ impl Image {
                     .collect()
             };
             stat.merge(&failed_in_team);
-            let new_team = match team.on(&self.backend) {
-                On::Mpi(b, comm) => Team {
-                    inner: TeamInner::Mpi(b.mpi.comm_shrink(comm, &failed_in_team)),
-                },
-                On::Gasnet(_, t) => {
-                    let members: Vec<usize> = t
-                        .members
-                        .iter()
-                        .copied()
-                        .filter(|r| !failed_in_team.contains(r))
-                        .collect();
-                    let my_idx = members
-                        .iter()
-                        .position(|&g| g == self.this_image())
-                        .expect("team_reform caller must be a survivor");
-                    // Deterministic child identity: chain the excluded set
-                    // into the parent id so every survivor lands on the
-                    // same team without exchanging a byte.
-                    let mut h = 0xFA_u64;
-                    for &r in &failed_in_team {
-                        h = crate::image::derive_token(h, r as u64 + 1, 0xFA);
-                    }
-                    Team::gasnet(crate::image::derive_token(t.id, h, 0xFA), members, my_idx)
-                }
-            };
+            let new_team = Team { group: team.group.shrink(&failed_in_team, self.this_image()) };
             // Agreement round: a barrier over the candidate team. If it
             // reports new deaths, fold them in and re-shrink — survivors
             // whose snapshots disagreed converge here, because a stale
@@ -406,38 +374,16 @@ impl Image {
         }
     }
 
-    // ----- hand-rolled GASNet collectives ------------------------------
-
-    /// The next collective on GASNet team `t`. Fragments still stashed
-    /// for an earlier one have no consumer left — a completed collective
-    /// consumed all of its own, so they belong to one a failure abandoned
-    /// — and are dropped here.
-    fn rounds<'a>(&'a self, t: &'a GTeam) -> TeamRounds<'a> {
+    /// The next collective on `t` hand-rolled from AMs (CAF-GASNet).
+    /// Fragments still stashed for an earlier one have no consumer left —
+    /// a completed collective consumed all of its own, so they belong to
+    /// one a failure abandoned — and are dropped here.
+    fn rounds<'a>(&'a self, t: &'a Group) -> TeamRounds<'a> {
         let seq = t.next_seq();
         self.coll_stash
             .borrow_mut()
-            .retain(|key, _| key.0 != t.id || key.1 >= seq);
+            .retain(|key, _| key.0 != t.id() || key.1 >= seq);
         TeamRounds { img: self, t, seq }
-    }
-
-    /// Linear exchange, deliberately: the paper's finding (Figs 6/7) is
-    /// this alltoall hand-rolled from AMs against a tuned `MPI_ALLTOALL`.
-    fn galltoall<T: Pod>(&self, t: &GTeam, data: &[T], block: usize) -> Vec<T> {
-        let n = t.members.len();
-        assert_eq!(data.len(), n * block, "alltoall buffer size mismatch");
-        let me = t.my_idx;
-        let mut out = vec![data[0]; n * block];
-        out[me * block..(me + 1) * block].copy_from_slice(&data[me * block..(me + 1) * block]);
-        let r = self.rounds(t);
-        for d in (0..n).filter(|&d| d != me) {
-            r.send_pod(d, 0, &data[d * block..(d + 1) * block])
-                .expect("alltoall");
-        }
-        for s in (0..n).filter(|&s| s != me) {
-            let part: Vec<T> = r.recv_pod(s, 0).expect("alltoall");
-            out[s * block..(s + 1) * block].copy_from_slice(&part);
-        }
-        out
     }
 }
 
@@ -502,7 +448,9 @@ mod tests {
     /// The sweep of `caf-mpisim`'s
     /// `allgather_family_at_every_size_in_both_exec_modes`, through the
     /// portable layer: non-powers of two are where a Bruck rotation goes
-    /// wrong, and the hand-rolled GASNet exchange has its own copy of it.
+    /// wrong. Both substrates run `caf_fabric::coll::allgather`; the sweep
+    /// covers the two transports it runs over (collective packets, chunked
+    /// runtime AMs) and the split grouping built on it.
     #[test]
     #[cfg_attr(miri, ignore = "launches 160 jobs of up to 33 images")]
     fn allgather_family_at_every_size_on_both_substrates_and_exec_modes() {
@@ -665,6 +613,54 @@ mod tests {
             img.co_broadcast(&w, 3, &mut b);
             assert_eq!(b, vec![7, 8]);
         });
+    }
+
+    /// Every member of a `team_split` child, and every survivor of a
+    /// `team_reform` after a planned kill, reports the same team id on
+    /// both substrates; sibling colours get different ids.
+    #[test]
+    fn split_and_reformed_teams_agree_on_their_ids() {
+        use caf_fabric::{FaultPlan, KillSite};
+        use std::collections::BTreeSet;
+
+        const VICTIM: usize = 4;
+        for kind in [SubstrateKind::Mpi, SubstrateKind::Gasnet] {
+            let cfg = CafConfig {
+                fault: FaultPlan::kill(VICTIM, KillSite::Op { name: "finish", hits: 1 }),
+                ..CafConfig::on(kind)
+            };
+            let out = CafUniverse::run_with_config_ft(6, cfg, |img| {
+                let (w, me) = (img.team_world(), img.this_image());
+                let left = img.event_alloc(&w);
+                let color = me as u64 % 3;
+                let split = img.team_split(&w, color, 0).id();
+                // The victim dies entering the finish, once every other
+                // image has left the split: a collective still running
+                // when a member dies fails fast.
+                if me == VICTIM {
+                    (1..6).for_each(|_| img.event_wait(&left));
+                } else {
+                    img.event_notify(&w, &left, VICTIM);
+                }
+                let ((), stat) = img.finish_stat(&w, |_| ());
+                assert_eq!(stat.failed(), &[VICTIM], "{kind:?} image {me}");
+                let (reformed, _) = img.team_reform(&w);
+                let resplit = img.team_split(&reformed, color, 0).id();
+                (color, split, reformed.id(), resplit)
+            });
+            let survivors: Vec<_> = out.iter().flatten().collect();
+            assert_eq!(survivors.len(), 5, "{kind:?}: only the victim dies");
+            for (c, split, reformed, resplit) in &survivors {
+                for (c2, split2, reformed2, resplit2) in &survivors {
+                    assert_eq!(c == c2, split == split2, "{kind:?}: split ids");
+                    assert_eq!(c == c2, resplit == resplit2, "{kind:?}: split-after-reform ids");
+                    assert_eq!(reformed, reformed2, "{kind:?}: reformed ids");
+                }
+            }
+            let ids: BTreeSet<u64> =
+                survivors.iter().flat_map(|&&(_, s, r, rs)| [0, s, r, rs]).collect();
+            assert_eq!(ids.len(), 1 + 3 + 1 + 3, "{kind:?}: world, 3 splits, reform, 3 resplits");
+        }
     }
 
     #[test]

@@ -4,7 +4,8 @@ use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::{Arc, Mutex, PoisonError};
 
-use caf_fabric::{Fabric, FabricConfig};
+use caf_fabric::group::splitmix64;
+use caf_fabric::{Fabric, FabricConfig, Group};
 use caf_gasnetsim::{Gasnet, GasnetConfig};
 use caf_mpisim::{Mpi, MpiConfig};
 
@@ -15,7 +16,7 @@ use crate::op::{CafOp, Chan, Edge};
 use crate::rtmsg::RtMsg;
 use crate::ship::ShipRegistry;
 use crate::stats::Stats;
-use crate::team::{Team, TeamInner};
+use crate::team::Team;
 
 /// Which communication substrate the CAF runtime runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -166,12 +167,7 @@ impl CafUniverse {
         T: Send,
         F: Fn(&Image) -> T + Send + Sync,
     {
-        let fabric = FabricConfig {
-            planes: 2,
-            exec: config.exec,
-            fault: config.fault,
-            ..FabricConfig::default()
-        };
+        let fabric = FabricConfig { planes: 2, exec: config.exec, fault: config.fault };
         let ship_reg = Arc::new(ShipRegistry::new());
         Fabric::launch(n, fabric, |planes| {
             let [ep0, ep1] = <[_; 2]>::try_from(planes).expect("two planes");
@@ -237,9 +233,7 @@ impl Image {
                         window_cursor: RefCell::new(None),
                         flush: config.flush,
                     })),
-                    Team {
-                        inner: TeamInner::Mpi(world_comm),
-                    },
+                    Team { group: world_comm },
                 )
             }
             SubstrateKind::Gasnet => {
@@ -268,7 +262,7 @@ impl Image {
                         region_cursor: Cell::new(None),
                         hybrid_mpi,
                     })),
-                    Team::gasnet(0, (0..n).collect(), rank),
+                    Team { group: Group::new(0, (0..n).collect::<Vec<_>>(), rank) },
                 )
             }
         };
@@ -547,13 +541,12 @@ impl Image {
     }
 }
 
-/// SplitMix64-based token derivation (same mixer as the MPI substrate's
-/// context ids).
+/// Token derivation with the mixer of every group id (SplitMix64's
+/// finalizer over `team_id ^ counter·γ ^ salt⋘32`, γ its increment).
 pub(crate) fn derive_token(team_id: u64, counter: u64, salt: u64) -> u64 {
-    let mut x = team_id ^ counter.wrapping_mul(0x9e3779b97f4a7c15) ^ salt.rotate_left(32);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-    (x ^ (x >> 31)) | 1 // never 0 (0 is the "no event" sentinel)
+    const GAMMA: u64 = 0x9e3779b97f4a7c15;
+    let x = team_id ^ counter.wrapping_mul(GAMMA) ^ salt.rotate_left(32);
+    splitmix64(x.wrapping_sub(GAMMA)) | 1 // never 0 (0 is the "no event" sentinel)
 }
 
 /// Unit-test helper: run `f` on `n` images of each substrate in turn.

@@ -7,10 +7,11 @@
 
 use caf_trace::Op;
 
-use crate::backend::On;
+use caf_fabric::Group;
+
 use crate::image::Image;
 use crate::stats::{sampled, StatCat};
-use crate::team::{GTeam, Team};
+use crate::team::Team;
 
 pub(crate) use caf_trace::Chan;
 
@@ -149,16 +150,16 @@ impl Image {
     }
 
     /// A collective on `team`: one round, charged to `cat`, its body
-    /// handed the team paired with this image's backend.
+    /// handed the team's group.
     #[inline(always)]
     pub(crate) fn collective<'a, R>(
         &'a self,
         team: &'a Team,
         cat: Option<StatCat>,
-        body: impl FnOnce(On<'a, caf_mpisim::Comm, GTeam>) -> R,
+        body: impl FnOnce(&'a Group) -> R,
     ) -> R {
         let op = CafOp { word: Some(team.id()), edge: Edge::Round(team.size()), ..CafOp::of(cat) };
-        self.op(op, || body(team.on(&self.backend)))
+        self.op(op, || body(&team.group))
     }
 
     /// The first and last step of [`Image::op`] on an armed trace: the

@@ -1,6 +1,6 @@
-//! The log-depth collectives every layer of this workspace shares:
-//! dissemination barrier, binomial broadcast, binomial reduce and Bruck
-//! allgather, each written once over a [`Rounds`] transport.
+//! The collectives every layer of this workspace shares: dissemination
+//! barrier, binomial broadcast, binomial reduce, Bruck allgather and the
+//! linear alltoall, each written once over a [`Rounds`] transport.
 //!
 //! Three transports exist: `caf-mpisim`'s `(Mpi, Comm, seq)` over
 //! collective packets, `caf-gasnetsim`'s barrier packets (its library
@@ -169,6 +169,27 @@ pub fn allgather<T: Pod>(t: &impl Rounds, sendbuf: &[T]) -> Result<Vec<T>> {
     for i in 0..n {
         let j = (me + n - i) % n;
         out.extend_from_slice(&acc[j * len..(j + 1) * len]);
+    }
+    Ok(out)
+}
+
+/// Linear alltoall: every block sent in round 0, then every block
+/// received in rank order. `sendbuf` holds `n` blocks of `block` elements
+/// in destination order; the result holds them in source order. Untuned
+/// on purpose — it is the exchange a tuned alltoall is measured against —
+/// and without the entry screen: a dead member fails the receive.
+#[inline]
+pub fn alltoall_linear<T: Pod>(t: &impl Rounds, sendbuf: &[T], block: usize) -> Result<Vec<T>> {
+    let (n, me) = (t.n(), t.me());
+    assert_eq!(sendbuf.len(), n * block, "alltoall buffer size mismatch");
+    let mut out = vec![sendbuf[0]; n * block];
+    out[me * block..(me + 1) * block].copy_from_slice(&sendbuf[me * block..(me + 1) * block]);
+    for d in (0..n).filter(|&d| d != me) {
+        t.send_pod(d, 0, &sendbuf[d * block..(d + 1) * block])?;
+    }
+    for s in (0..n).filter(|&s| s != me) {
+        let part: Vec<T> = t.recv_pod(s, 0)?;
+        out[s * block..(s + 1) * block].copy_from_slice(&part);
     }
     Ok(out)
 }

@@ -6,7 +6,6 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 
-use crate::delay::DelayConfig;
 use crate::error::FabricError;
 use crate::fault::{Fault, FaultPlan, FaultState, ImageKilled, Watch, KIND_FAULT};
 use crate::mailbox::Mailbox;
@@ -17,10 +16,6 @@ use crate::Result;
 /// Construction-time options for a [`Fabric`].
 #[derive(Debug, Clone, Copy)]
 pub struct FabricConfig {
-    /// A default delay model, available to substrates via
-    /// [`Endpoint::default_delays`]. Substrates with substrate-specific cost
-    /// tables (the normal case) carry their own [`DelayConfig`] instead.
-    pub delays: DelayConfig,
     /// Number of independent mailbox *planes* per rank. Each communication
     /// library instance owns one plane, so two runtimes (e.g. GASNet and
     /// MPI in the paper's duplicate-runtimes scenario) can coexist on the
@@ -39,7 +34,6 @@ pub struct FabricConfig {
 impl Default for FabricConfig {
     fn default() -> Self {
         FabricConfig {
-            delays: DelayConfig::free(),
             planes: 1,
             exec: caf_sched::ExecConfig::default(),
             fault: FaultPlan::none(),
@@ -222,11 +216,6 @@ impl Endpoint {
     /// Job size.
     pub fn size(&self) -> usize {
         self.shared.n
-    }
-
-    /// The fabric-level default delay model.
-    pub fn default_delays(&self) -> &DelayConfig {
-        &self.shared.config.delays
     }
 
     /// Mailbox plane this endpoint lives on.

@@ -20,9 +20,12 @@
 //!   magnitudes.
 //!
 //! The fabric itself is protocol-agnostic: packet `kind`s and header words
-//! are owned by the substrate (`caf-mpisim`, `caf-gasnetsim`). The only
-//! semantics the fabric guarantees are FIFO delivery per (sender, receiver)
-//! pair and release/acquire synchronization on every mailbox hand-off.
+//! are owned by the substrate (`caf-mpisim`, `caf-gasnetsim`). What the
+//! layers above share lives here once: the collectives ([`coll`]) and the
+//! process group they run in ([`Group`] — an MPI communicator and a CAF
+//! team alike). The only semantics the fabric guarantees are FIFO
+//! delivery per (sender, receiver) pair and release/acquire
+//! synchronization on every mailbox hand-off.
 //!
 //! Segments are backed by `AtomicU64` words, so concurrent remote access is
 //! never undefined behaviour in the Rust sense; overlapping unordered writes
@@ -33,6 +36,7 @@ pub mod coll;
 pub mod delay;
 pub mod error;
 pub mod fault;
+pub mod group;
 pub mod memacct;
 pub mod packet;
 pub mod pod;
@@ -48,6 +52,7 @@ pub use delay::{DelayConfig, DelayMeter, DelayOp, Delays};
 pub use error::FabricError;
 pub use fabric_impl::{Endpoint, Fabric, FabricConfig};
 pub use fault::{Fault, FaultPlan, ImageKilled, Kill, KillSite, Watch, KIND_FAULT};
+pub use group::Group;
 pub use memacct::{MemAccount, MemCategory};
 pub use packet::Packet;
 pub use pod::Pod;

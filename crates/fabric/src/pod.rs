@@ -79,20 +79,6 @@ pub fn vec_from_bytes<T: Pod>(bytes: &[u8]) -> Vec<T> {
     out
 }
 
-/// Copy bytes into an existing typed slice.
-///
-/// # Panics
-///
-/// Panics if the byte length does not exactly cover `dst`.
-pub fn copy_to_slice<T: Pod>(dst: &mut [T], bytes: &[u8]) {
-    assert_eq!(
-        std::mem::size_of_val(dst),
-        bytes.len(),
-        "destination size mismatch"
-    );
-    as_bytes_mut(dst).copy_from_slice(bytes);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,14 +97,6 @@ mod tests {
         let xs = [u64::MAX, 0, 42];
         let back: Vec<u64> = vec_from_bytes(as_bytes(&xs));
         assert_eq!(back, xs);
-    }
-
-    #[test]
-    fn copy_to_slice_works() {
-        let src = [7u32, 8, 9];
-        let mut dst = [0u32; 3];
-        copy_to_slice(&mut dst, as_bytes(&src));
-        assert_eq!(dst, src);
     }
 
     #[test]

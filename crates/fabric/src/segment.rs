@@ -238,12 +238,6 @@ impl Segment {
         Ok(self.words[offset / WORD].fetch_add(value, Ordering::AcqRel))
     }
 
-    /// Atomic fetch-and-xor on the aligned `u64` at byte `offset`.
-    pub fn fetch_xor_u64(&self, offset: usize, value: u64) -> Result<u64> {
-        self.check_aligned(offset, WORD)?;
-        Ok(self.words[offset / WORD].fetch_xor(value, Ordering::AcqRel))
-    }
-
     /// Atomic compare-and-swap; returns the value observed before the swap.
     pub fn compare_exchange_u64(&self, offset: usize, expected: u64, new: u64) -> Result<u64> {
         self.check_aligned(offset, WORD)?;
@@ -395,14 +389,6 @@ mod tests {
         seg.fetch_update_u64(0, |old| (f64::from_bits(old) + 2.25).to_bits())
             .unwrap();
         assert_eq!(f64::from_bits(seg.load_u64(0).unwrap()), 3.75);
-    }
-
-    #[test]
-    fn fetch_xor_updates() {
-        let seg = Segment::new(8);
-        seg.store_u64(0, 0b1100).unwrap();
-        assert_eq!(seg.fetch_xor_u64(0, 0b1010).unwrap(), 0b1100);
-        assert_eq!(seg.load_u64(0).unwrap(), 0b0110);
     }
 
     #[test]

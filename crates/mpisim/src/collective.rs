@@ -1,12 +1,12 @@
 //! Collective operations, implemented with the classic tuned algorithms.
 //!
 //! Shared with the other layers, from `caf_fabric::coll`: dissemination
-//! barrier, binomial-tree broadcast and reduce, Bruck allgather — here run
-//! over `CollRounds`, collective packets on a communicator. Deliberately
-//! *not* shared, because each has one user or is itself a result:
-//! recursive-doubling allreduce, pairwise-exchange alltoall and the
-//! untuned `alltoall_linear` it is measured against, and `allgatherv`'s
-//! data ring for large ragged blocks.
+//! barrier, binomial-tree broadcast and reduce, Bruck allgather and the
+//! untuned linear alltoall (CAF-GASNet's alltoall, and here the baseline
+//! `alltoall_linear`) — here run over `CollRounds`, collective packets on
+//! a communicator. Deliberately *not* shared, because each has one user:
+//! recursive-doubling allreduce, pairwise-exchange alltoall, and
+//! `allgatherv`'s data ring for large ragged blocks.
 //!
 //! The paper credits exactly this accumulated tuning for CAF-MPI's FFT win
 //! over CAF-GASNet ("collectives in MPI are well-optimized over the years…
@@ -23,7 +23,7 @@ use caf_fabric::delay::DelayOp;
 use caf_fabric::topology::is_pow2;
 use caf_fabric::{Packet, Pod, Result, Watch};
 
-use crate::comm::Comm;
+use crate::Comm;
 use crate::ops::combine_into;
 use crate::p2p::KIND_COLL;
 use crate::universe::Mpi;
@@ -59,7 +59,7 @@ impl Rounds for CollRounds<'_> {
     }
 
     fn recv(&self, from: usize, round: u32) -> Result<Bytes> {
-        let (comm_id, ctag) = (self.comm.id, self.tag | i64::from(round));
+        let (comm_id, ctag) = (self.comm.id(), self.tag | i64::from(round));
         let pred = move |p: &Packet| {
             p.kind == KIND_COLL && p.h[0] == comm_id && p.h[1] as usize == from && p.tag == ctag
         };
@@ -73,7 +73,7 @@ impl Rounds for CollRounds<'_> {
 impl Mpi {
     /// The next collective on `comm`.
     fn rounds<'a>(&'a self, comm: &'a Comm) -> CollRounds<'a> {
-        let tag = (self.next_coll_seq(comm) as i64) << 16;
+        let tag = (comm.next_seq() as i64) << 16;
         CollRounds { mpi: self, comm, tag }
     }
 
@@ -258,24 +258,7 @@ impl Mpi {
             std::mem::size_of_val(sendbuf) as u64,
             None,
         );
-        let n = comm.size();
-        assert_eq!(sendbuf.len(), n * block, "alltoall buffer size mismatch");
-        let me = comm.rank();
-        let mut out = vec![sendbuf[0]; n * block];
-        out[me * block..(me + 1) * block].copy_from_slice(&sendbuf[me * block..(me + 1) * block]);
-        let t = self.rounds(comm);
-        for d in 0..n {
-            if d != me {
-                t.send_pod(d, 0, &sendbuf[d * block..(d + 1) * block])?;
-            }
-        }
-        for s in 0..n {
-            if s != me {
-                let part: Vec<T> = t.recv_pod(s, 0)?;
-                out[s * block..(s + 1) * block].copy_from_slice(&part);
-            }
-        }
-        Ok(out)
+        coll::alltoall_linear(&self.rounds(comm), sendbuf, block)
     }
 
     /// Deterministic, communication-free congruent communicator: every
@@ -283,36 +266,15 @@ impl Mpi {
     /// synchronizing barrier. For runtime-internal channels that must
     /// exist before any traffic can flow — and whose creation must not
     /// block on a peer that a fault plan may already have killed.
-    /// Single-use per parent: a second call returns the same id.
+    /// A second call returns the same communicator.
     pub fn comm_dup_local(&self, comm: &Comm) -> Comm {
-        let id = crate::comm::derive_comm_id(comm.id, 0x5254, 0x52); // "RT"
-        self.ensure_comm_state(id);
-        Comm::new(id, comm.ranks.clone(), comm.my_idx)
+        comm.dup_local(0x5254, 0x52) // "RT"
     }
 
     /// `MPI_Comm_split`: partition `comm` by `color`, ordering each part by
     /// `(key, rank)`.
     pub fn comm_split(&self, comm: &Comm, color: u64, key: i64) -> Result<Comm> {
-        let me = comm.rank();
-        let triples = self.allgather(comm, &[[color, key as u64, me as u64]])?;
-        let mut mine: Vec<(i64, usize)> = triples
-            .iter()
-            .filter(|t| t[0] == color)
-            .map(|t| (t[1] as i64, t[2] as usize))
-            .collect();
-        mine.sort_unstable();
-        let ranks: Vec<usize> = mine
-            .iter()
-            .map(|&(_, r)| comm.global_rank(r))
-            .collect();
-        let my_idx = mine
-            .iter()
-            .position(|&(_, r)| r == me)
-            .expect("self not in own color group");
-        let child = self.next_child_index(comm);
-        let id = crate::comm::derive_comm_id(comm.id, child, color);
-        self.ensure_comm_state(id);
-        Ok(Comm::new(id, ranks.into(), my_idx))
+        comm.split(color, key, |triple| self.allgather(comm, triple))
     }
 }
 

@@ -39,7 +39,6 @@
 //!    completion (paper §3.3).
 
 pub mod collective;
-pub mod comm;
 pub mod costs;
 pub mod ops;
 pub mod p2p;
@@ -48,7 +47,9 @@ pub mod rma;
 pub mod universe;
 
 pub use caf_fabric::{FabricError, Pod, Result};
-pub use comm::Comm;
+/// A communicator: an ordered process group whose id isolates its
+/// point-to-point and collective traffic (see [`caf_fabric::Group`]).
+pub use caf_fabric::Group as Comm;
 pub use costs::{mvapich_like, TIME_SCALE};
 pub use ops::{AccOp, BitsRepr, Scalar};
 pub use p2p::{RecvRequest, SendRequest, Src, Status, Tag};

@@ -7,7 +7,7 @@ use caf_fabric::delay::DelayOp;
 use caf_fabric::pod::{as_bytes, vec_from_bytes};
 use caf_fabric::{Packet, Pod, Result, Watch};
 
-use crate::comm::Comm;
+use crate::Comm;
 use crate::universe::Mpi;
 
 /// Packet kind for user-level point-to-point traffic.
@@ -102,7 +102,7 @@ fn unpack<T: Pod>(comm: &Comm, pkt: Packet) -> (Vec<T>, Status) {
         tag: pkt.tag,
         bytes: pkt.payload.len(),
     };
-    debug_assert_eq!(pkt.h[0], comm.id);
+    debug_assert_eq!(pkt.h[0], comm.id());
     (vec_from_bytes::<T>(&pkt.payload), status)
 }
 
@@ -113,7 +113,7 @@ impl Mpi {
         src: Src,
         tag: Tag,
     ) -> impl Fn(&Packet) -> bool + 'a {
-        let comm_id = comm.id;
+        let comm_id = comm.id();
         move |p: &Packet| {
             p.kind == KIND_P2P
                 && p.h[0] == comm_id
@@ -154,7 +154,7 @@ impl Mpi {
         bytes: &[u8],
     ) -> Result<()> {
         self.delays.charge(DelayOp::P2pInject, bytes.len());
-        let h = [comm.id, comm.rank() as u64, 0, 0];
+        let h = [comm.id(), comm.rank() as u64, 0, 0];
         let pkt = Packet::with_payload(self.ep.rank(), kind, tag, h, Bytes::copy_from_slice(bytes));
         self.ep.send(comm.global_rank(dest), pkt)
     }

@@ -115,11 +115,6 @@ pub struct FlushRequest {
 }
 
 impl FlushRequest {
-    /// The window this flush targets.
-    pub fn window_id(&self) -> u64 {
-        self.win_id
-    }
-
     /// Global rank of the flushed target.
     pub fn target_global(&self) -> usize {
         self.target_global

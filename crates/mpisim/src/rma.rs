@@ -20,7 +20,7 @@ use caf_fabric::pod::{as_bytes, as_bytes_mut, vec_from_bytes};
 use caf_fabric::sched::{self, ModelOp, ANY_OWNER};
 use caf_fabric::{FabricError, MemCategory, PeerSegments, Pod, Result, Segment, SegmentId};
 
-use crate::comm::Comm;
+use crate::Comm;
 use crate::ops::{AccOp, BitsRepr};
 use crate::request::{FlushRequest, RmaRequest};
 use crate::universe::Mpi;
@@ -402,8 +402,7 @@ impl Mpi {
         // those bytes); the ids are what a window keeps.
         let pairs = self.allgather(comm, &[[id.0, bytes as u64]])?;
         let segs: Vec<SegmentId> = pairs.iter().map(|p| SegmentId(p[0])).collect();
-        let child = self.next_child_index(comm);
-        let win_id = crate::comm::derive_comm_id(comm.id(), child, 0x77);
+        let win_id = caf_fabric::group::derive_id(comm.id(), comm.next_child(), 0x77);
         let nranks = comm.size();
         Ok(Window {
             id: win_id,

@@ -1,13 +1,11 @@
 //! Job launch and per-rank MPI state (`MPI_Init` .. `MPI_Finalize`).
 
-use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use caf_fabric::delay::{DelayConfig, DelayMeter, Delays};
 use caf_fabric::{Endpoint, Fabric, Fault, MemAccount, MemCategory};
 
-use crate::comm::Comm;
+use crate::Comm;
 
 /// Configuration of one MPI "job".
 #[derive(Debug, Clone, Copy)]
@@ -69,14 +67,6 @@ impl Universe {
     }
 }
 
-pub(crate) struct CommState {
-    /// Collective sequence number — advances identically on every member
-    /// because collectives are collective.
-    pub coll_seq: Cell<u64>,
-    /// Number of child communicators created from this one.
-    pub children: Cell<u64>,
-}
-
 /// A rank's handle to the MPI library (everything `MPI_COMM_WORLD` and
 /// below). One `Mpi` exists per rank thread; it is not `Sync`.
 pub struct Mpi {
@@ -85,7 +75,6 @@ pub struct Mpi {
     pub(crate) delays: Delays,
     pub(crate) config: MpiConfig,
     pub(crate) mem: Arc<MemAccount>,
-    pub(crate) comm_states: RefCell<HashMap<u64, CommState>>,
     world: Comm,
 }
 
@@ -105,19 +94,9 @@ impl Mpi {
         mem.map(MemCategory::CollectiveScratch, config.base_footprint / 4);
         mem.map(MemCategory::PerPeerState, 256 * size);
 
-        let world = Comm::new(0, (0..size).collect::<Vec<_>>().into(), rank);
+        let world = Comm::new(0, (0..size).collect::<Vec<_>>(), rank);
         let fault = ep.fault();
-        let mpi = Mpi {
-            ep,
-            fault,
-            delays: Delays::new(config.delays),
-            config,
-            mem,
-            comm_states: RefCell::new(HashMap::new()),
-            world,
-        };
-        mpi.ensure_comm_state(0);
-        mpi
+        Mpi { ep, fault, delays: Delays::new(config.delays), config, mem, world }
     }
 
     /// `MPI_COMM_WORLD`.
@@ -167,64 +146,14 @@ impl Mpi {
     }
 
     /// Deterministic survivor communicator — the ULFM `MPI_Comm_shrink`
-    /// analog. Every survivor derives the *same* child context id from
-    /// the parent id and the excluded set, without communication (the
-    /// fixed point the ULFM agreement collective would reach), so the
-    /// shrink itself cannot hang on the very failure it excludes.
+    /// analog, without the agreement collective (see
+    /// [`caf_fabric::Group::shrink`]).
     ///
     /// # Panics
     ///
     /// Panics if the calling rank is itself in `failed`.
     pub fn comm_shrink(&self, comm: &Comm, failed: &[usize]) -> Comm {
-        let ranks: Vec<usize> = comm
-            .members()
-            .iter()
-            .copied()
-            .filter(|r| !failed.contains(r))
-            .collect();
-        let my_idx = ranks
-            .iter()
-            .position(|&g| g == self.rank())
-            .expect("comm_shrink caller must be a survivor");
-        let mut h = 0xFA_u64;
-        for &r in failed {
-            h = crate::comm::splitmix64(h ^ (r as u64 + 1));
-        }
-        let id = crate::comm::derive_comm_id(comm.id, h, 0xFA);
-        self.ensure_comm_state(id);
-        Comm::new(id, ranks.into(), my_idx)
-    }
-
-    pub(crate) fn ensure_comm_state(&self, comm_id: u64) {
-        self.comm_states
-            .borrow_mut()
-            .entry(comm_id)
-            .or_insert_with(|| CommState {
-                coll_seq: Cell::new(0),
-                children: Cell::new(0),
-            });
-    }
-
-    /// Advance and return the collective sequence number for `comm`.
-    pub(crate) fn next_coll_seq(&self, comm: &Comm) -> u64 {
-        let states = self.comm_states.borrow();
-        let st = states
-            .get(&comm.id)
-            .expect("communicator used before creation");
-        let s = st.coll_seq.get();
-        st.coll_seq.set(s + 1);
-        s
-    }
-
-    /// Advance and return the child-communicator counter for `comm`.
-    pub(crate) fn next_child_index(&self, comm: &Comm) -> u64 {
-        let states = self.comm_states.borrow();
-        let st = states
-            .get(&comm.id)
-            .expect("communicator used before creation");
-        let c = st.children.get();
-        st.children.set(c + 1);
-        c
+        comm.shrink(failed, self.rank())
     }
 }
 
@@ -259,16 +188,5 @@ mod tests {
         let a = Universe::run(2, |mpi| mpi.mem().runtime_overhead())[0];
         let b = Universe::run(8, |mpi| mpi.mem().runtime_overhead())[0];
         assert!(b > a, "footprint must grow with peers: {a} !< {b}");
-    }
-
-    #[test]
-    fn coll_seq_advances() {
-        Universe::run(1, |mpi| {
-            let w = mpi.world();
-            assert_eq!(mpi.next_coll_seq(&w), 0);
-            assert_eq!(mpi.next_coll_seq(&w), 1);
-            assert_eq!(mpi.next_child_index(&w), 0);
-            assert_eq!(mpi.next_child_index(&w), 1);
-        });
     }
 }
