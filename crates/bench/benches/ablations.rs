@@ -2,12 +2,12 @@
 //!
 //! 1. `notify_flush`: `event_notify` with the paper's Θ(P)
 //!    `MPI_Win_flush_all` (`FlushMode::All`) vs. the §5 improvement
-//!    direction (`FlushMode::targeted()`: only dirty targets are flushed);
+//!    direction (`FlushMode::Targeted`: only dirty targets are flushed);
 //! 2. `event_impl`: the paper's ISEND/RECV event implementation vs. the
 //!    §3.4 alternative built on `MPI_FETCH_AND_OP` polling;
 //! 3. `put_dst_event`: copy_async with a destination event — the §3.3
 //!    case-4 AM data path — vs. a blocking write + notify under
-//!    `FlushMode::targeted()`;
+//!    `FlushMode::Targeted`;
 //! 4. `finish_impl`: full termination-detection `finish` vs. the
 //!    flush_all+barrier fast path, with no shipping in the block.
 
@@ -25,7 +25,7 @@ fn bench_notify_flush(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(2));
 
     // Several windows allocated → flush_all walks all of them × P ranks.
-    for flush in [FlushMode::All, FlushMode::targeted()] {
+    for flush in [FlushMode::All, FlushMode::Targeted] {
         let cfg = CafConfig {
             flush,
             ..fusion_like(SubstrateKind::Mpi)
@@ -181,7 +181,7 @@ fn bench_put_dst_event(c: &mut Criterion) {
         // The direct alternative: blocking put (+flush) then notify; the
         // write already completed its target, so the notify flushes nothing.
         let targeted = CafConfig {
-            flush: FlushMode::targeted(),
+            flush: FlushMode::Targeted,
             ..fusion_like(SubstrateKind::Mpi)
         };
         group.bench_function(BenchmarkId::new("put_flush_notify", payload), |b| {

@@ -198,13 +198,13 @@ fn main() -> ExitCode {
 fn ra_sweep(ps: &[usize], hi_ps: &[usize]) -> Vec<Row> {
     let mut rows = Vec::new();
     for &p in ps {
-        for flush in [FlushMode::All, FlushMode::targeted(), FlushMode::rflush()] {
+        for flush in [FlushMode::All, FlushMode::Targeted, FlushMode::Rflush] {
             rows.push(ra_row(p, SubstrateKind::Mpi, flush));
         }
         rows.push(ra_row(p, SubstrateKind::Gasnet, FlushMode::All));
     }
     for &p in hi_ps {
-        for flush in [FlushMode::All, FlushMode::targeted(), FlushMode::rflush()] {
+        for flush in [FlushMode::All, FlushMode::Targeted, FlushMode::Rflush] {
             rows.push(ra_hi_row(p, flush));
         }
     }
@@ -525,7 +525,7 @@ fn agg_sweep(smoke: bool) -> Vec<AggRow> {
     }
     let ps: &[usize] = if smoke { &AGG_NOTIFY_P_SMOKE } else { &AGG_NOTIFY_P_FULL };
     for &p in ps {
-        for flush in [FlushMode::All, FlushMode::targeted(), FlushMode::rflush()] {
+        for flush in [FlushMode::All, FlushMode::Targeted, FlushMode::Rflush] {
             rows.push(agg_notify_row(p, flush));
         }
     }

@@ -434,7 +434,12 @@ mod tests {
                     assert_eq!(got, want, "substrate {kind:?}");
                 }
                 img.sync_all();
+                // Image 1 resolved the region through its cursor; once
+                // freed, nothing of the runtime may keep it (its memory)
+                // alive.
+                let region = std::sync::Arc::clone(&ca.region);
                 img.coarray_free(&w, ca);
+                assert_eq!(std::sync::Arc::strong_count(&region), 1, "substrate {kind:?}");
             });
         }
     }

@@ -355,7 +355,7 @@ mod tests {
                 assert_eq!(img.implicit_put_count(), 1);
                 img.cofence();
                 assert_eq!(img.implicit_put_count(), 0);
-                img.backend.flush_all();
+                img.flush_all();
             }
             img.sync_all();
             if img.this_image() == 1 {
@@ -478,7 +478,7 @@ mod tests {
                 },
             );
             img.cofence();
-            img.backend.flush_all();
+            img.flush_all();
             assert_eq!(ca.local_vec(img)[0], 7);
             img.coarray_free(&w, ca);
         });

@@ -2,17 +2,20 @@
 //!
 //! `Backend::Mpi` is the paper's contribution (CAF-MPI, §3); `Backend::Gasnet`
 //! is the baseline the paper compares against (CAF-GASNet, the original
-//! CAF 2.0 runtime). The runtime above this module is substrate-agnostic;
-//! everything substrate-specific — remote references, AM transport, flush
-//! semantics, collectives availability — lives here.
+//! CAF 2.0 runtime). A backend holds the substrate's library and its
+//! runtime-message transport, and nothing per region: which region an id
+//! names is one table in [`crate::Image`] on both substrates, and the
+//! release walk over its windows lives beside it (`event.rs`). Remote
+//! references, flush semantics and collectives availability stay
+//! substrate-specific, paired with the backend through
+//! `RegionInner::on`.
 
-use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, PoisonError};
 
 use caf_fabric::Watch;
 use caf_gasnetsim::{Gasnet, AM_MAX_MEDIUM};
-use caf_mpisim::{Comm, FlushRequest, Mpi, Src, Tag, Window};
+use caf_mpisim::{Comm, Mpi, Src, Tag};
 
 use crate::arena::SegmentArena;
 use crate::rtmsg::RtMsg;
@@ -46,19 +49,9 @@ pub enum FlushMode {
 /// Dirty fraction of a window's ranks above which the targeted modes
 /// flush the whole window instead (at that point the Θ(P) scan is the
 /// cheaper handshake pattern).
-const FALLBACK_FRACTION: f64 = 0.5;
+pub(crate) const FALLBACK_FRACTION: f64 = 0.5;
 
 impl FlushMode {
-    /// Targeted flush.
-    pub fn targeted() -> Self {
-        FlushMode::Targeted
-    }
-
-    /// Non-blocking targeted flush.
-    pub fn rflush() -> Self {
-        FlushMode::Rflush
-    }
-
     /// Stable identifier used in bench JSON and CLI flags.
     pub fn name(self) -> &'static str {
         match self {
@@ -86,98 +79,8 @@ pub(crate) struct MpiBackend {
     /// Private communicator carrying runtime AMs (events, shipping), so
     /// they can never match application-level receives.
     pub rt_comm: Comm,
-    /// Every window the runtime has allocated, keyed by window id. Used by
-    /// `flush_all` ("every window the local process has touched", §3.5) and
-    /// to resolve `PutWithEvent` targets. Ordered, so a release flushes
-    /// its windows in the same order on every run.
-    pub windows: RefCell<BTreeMap<u64, Arc<Window>>>,
-    /// One-entry cursor over `windows`: the window last resolved by id.
-    /// Message targets (aggregation records above all) hit the same
-    /// region many times in a row, so the map is consulted once per run
-    /// of equal ids. Holds an `Arc`, so it must be dropped before the
-    /// window is freed — [`MpiBackend::forget_window`] is the only way a
-    /// window leaves `windows`.
-    pub window_cursor: RefCell<Option<Arc<Window>>>,
     /// Release-point completion policy (see [`FlushMode`]).
     pub flush: FlushMode,
-}
-
-impl MpiBackend {
-    /// Run `f` on the window registered under `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when no such window exists: ids arrive in runtime messages,
-    /// so an unknown one is a runtime bug (or a message outliving its
-    /// coarray — a program error the model's oracle reports first).
-    pub fn with_window<R>(&self, id: u64, f: impl FnOnce(&Window) -> R) -> R {
-        let mut cursor = self.window_cursor.borrow_mut();
-        let win = match &mut *cursor {
-            Some(win) if win.id() == id => win,
-            slot => {
-                let windows = self.windows.borrow();
-                let win = windows
-                    .get(&id)
-                    .unwrap_or_else(|| panic!("runtime message for unknown window {id}"));
-                slot.insert(Arc::clone(win))
-            }
-        };
-        f(win)
-    }
-
-    /// Unregister window `id` (at `coarray_free`), invalidating the
-    /// cursor if it points there.
-    pub fn forget_window(&self, id: u64) {
-        self.windows.borrow_mut().remove(&id);
-        self.window_cursor
-            .borrow_mut()
-            .take_if(|win| win.id() == id);
-    }
-
-    /// Blocking completion of one window under the configured policy.
-    fn flush_window(&self, win: &Window) {
-        // In a blocking context Rflush degrades to Targeted: with no
-        // local work left to overlap, issue+wait back-to-back is just a
-        // per-target flush.
-        if self.flush == FlushMode::All {
-            self.mpi.win_flush_all(win).expect("flush_all");
-            return;
-        }
-        let dirty = win.dirty_targets();
-        if dirty.is_empty() {
-            return;
-        }
-        if dirty.len() as f64 > FALLBACK_FRACTION * win.comm().size() as f64 {
-            self.mpi.win_flush_all(win).expect("flush_all fallback");
-            return;
-        }
-        for target in dirty {
-            self.mpi.win_flush(win, target).expect("targeted flush");
-        }
-    }
-
-    /// Initiate non-blocking per-target flushes for every dirty pair
-    /// (Rflush mode's issue phase). Windows past the dirty-fraction
-    /// threshold are completed synchronously here; everything else
-    /// returns as an in-flight request to be waited after the caller's
-    /// overlapped work.
-    pub(crate) fn rflush_issue_all(&self) -> Vec<FlushRequest> {
-        let mut reqs = Vec::new();
-        for win in self.windows.borrow().values() {
-            let dirty = win.dirty_targets();
-            if dirty.is_empty() {
-                continue;
-            }
-            if dirty.len() as f64 > FALLBACK_FRACTION * win.comm().size() as f64 {
-                self.mpi.win_flush_all(win).expect("flush_all fallback");
-                continue;
-            }
-            for target in dirty {
-                reqs.push(self.mpi.win_rflush(win, target).expect("rflush issue"));
-            }
-        }
-        reqs
-    }
 }
 
 /// CAF-GASNet: the original runtime design, for baseline comparison.
@@ -187,14 +90,6 @@ pub(crate) struct GasnetBackend {
     pub arena: SegmentArena,
     /// Received-but-unhandled runtime AMs, filled by the GASNet handler.
     pub inbox: Arc<Mutex<VecDeque<Vec<u8>>>>,
-    /// Region id -> this image's segment offset (PutWithEvent resolution
-    /// and bookkeeping).
-    pub regions: RefCell<HashMap<u64, usize>>,
-    /// One-entry cursor over `regions` (see
-    /// [`MpiBackend::window_cursor`]); cleared by
-    /// [`GasnetBackend::forget_region`] because region ids and arena
-    /// offsets are both reused.
-    pub region_cursor: Cell<Option<(u64, usize)>>,
     /// Optional co-resident MPI library (the paper's "duplicate runtimes"
     /// configuration, used by hybrid applications such as CGPOP and by the
     /// Figure-1 memory experiment).
@@ -206,33 +101,6 @@ impl GasnetBackend {
     fn next_rtmsg(&self) -> Option<RtMsg> {
         let bytes = self.inbox.lock().unwrap_or_else(PoisonError::into_inner).pop_front()?;
         Some(RtMsg::decode(bytes))
-    }
-
-    /// This image's segment offset of region `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unknown id (see [`MpiBackend::with_window`]).
-    pub fn region_base(&self, id: u64) -> usize {
-        if let Some((cached, base)) = self.region_cursor.get() {
-            if cached == id {
-                return base;
-            }
-        }
-        let base = *self
-            .regions
-            .borrow()
-            .get(&id)
-            .unwrap_or_else(|| panic!("runtime message for unknown region {id}"));
-        self.region_cursor.set(Some((id, base)));
-        base
-    }
-
-    /// Unregister region `id` (at `coarray_free`), invalidating the
-    /// cursor.
-    pub fn forget_region(&self, id: u64) {
-        self.regions.borrow_mut().remove(&id);
-        self.region_cursor.set(None);
     }
 }
 
@@ -340,29 +208,6 @@ impl Backend {
         match self {
             Backend::Mpi(b) => b.mpi.fault(),
             Backend::Gasnet(b) => b.g.fault(),
-        }
-    }
-
-    /// Complete all outstanding one-sided operations to every target, on
-    /// every region this image has touched.
-    ///
-    /// * MPI: under [`FlushMode::All`], `MPI_Win_flush_all` per window —
-    ///   each one Θ(P) in MPICH derivatives, the root cause of CAF-MPI's
-    ///   `event_notify` cost (paper §4.1). Under the targeted modes, a
-    ///   `MPI_Win_flush` per dirty `(window, rank)` pair, with the
-    ///   configured whole-window fallback (§5).
-    /// * GASNet: `gasnet_wait_syncnbi_puts` — a local operation; GASNet
-    ///   puts are remotely complete at sync.
-    pub fn flush_all(&self) {
-        match self {
-            Backend::Mpi(b) => {
-                for win in b.windows.borrow().values() {
-                    b.flush_window(win);
-                }
-            }
-            Backend::Gasnet(b) => {
-                b.g.wait_syncnbi_puts();
-            }
         }
     }
 

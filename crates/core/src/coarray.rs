@@ -63,7 +63,7 @@ impl<T: Pod> std::fmt::Debug for Coarray<T> {
 #[derive(Debug)]
 pub(crate) enum RegionInner {
     /// MPI substrate: the coarray is an RMA window.
-    Mpi(Arc<Window>),
+    Mpi(Window),
     /// GASNet substrate: per-member offsets into the attached segments.
     Gasnet(GRegion),
 }
@@ -74,7 +74,7 @@ pub(crate) enum RegionInner {
 /// team is a substrate-free `caf_fabric::Group`: it has nothing to
 /// mismatch.)
 pub(crate) enum On<'a> {
-    Mpi(&'a MpiBackend, &'a Arc<Window>),
+    Mpi(&'a MpiBackend, &'a Window),
     Gasnet(&'a GasnetBackend, &'a GRegion),
 }
 
@@ -93,6 +93,12 @@ impl GRegion {
     #[inline]
     pub(crate) fn at(&self, member: usize, disp: usize) -> (usize, usize) {
         (self.group.global_rank(member), self.offsets[member] + disp)
+    }
+
+    /// This image's segment offset of its own part.
+    #[inline]
+    pub(crate) fn local_base(&self) -> usize {
+        self.offsets[self.group.rank()]
     }
 }
 
@@ -207,7 +213,7 @@ pub enum RemoteRef {
 
 impl Image {
     /// Collectively allocate a coarray of `len` elements per image over
-    /// `team`.
+    /// `team`, registered in this image's region table.
     pub fn coarray_alloc<T: Pod>(&self, team: &Team, len: usize) -> Coarray<T> {
         let bytes = len * std::mem::size_of::<T>();
         let region = match &self.backend {
@@ -216,8 +222,6 @@ impl Image {
                 // targets with MPI_WIN_LOCK_ALL for the window's lifetime.
                 let win = b.mpi.win_allocate(&team.group, bytes).expect("win_allocate");
                 b.mpi.win_lock_all(&win);
-                let win = Arc::new(win);
-                b.windows.borrow_mut().insert(win.id(), Arc::clone(&win));
                 RegionInner::Mpi(win)
             }
             Backend::Gasnet(b) => {
@@ -228,22 +232,25 @@ impl Image {
                     )
                 });
                 let id = self.next_team_token(team, 0xCA);
-                b.regions.borrow_mut().insert(id, off);
-                let offsets: Vec<usize> = self
-                    .allgather(team, &[off as u64])
-                    .into_iter()
-                    .map(|o| o as usize)
-                    .collect();
-                RegionInner::Gasnet(GRegion {
-                    id,
-                    offsets: offsets.into(),
-                    group: team.group.clone(),
-                    bytes,
-                })
+                let gregion = |offsets: Vec<usize>| {
+                    let group = team.group.clone();
+                    RegionInner::Gasnet(GRegion { id, offsets: offsets.into(), group, bytes })
+                };
+                // Registered before the offsets exchange, which handles
+                // runtime messages: a member that leaves it first may
+                // already send records for this region. Only this image's
+                // own offset is known yet, and only it is read locally.
+                let mut mine = vec![0; team.size()];
+                mine[team.rank()] = off;
+                self.regions.borrow_mut().insert(id, Arc::new(gregion(mine)));
+                let offsets = self.allgather(team, &[off as u64]);
+                gregion(offsets.into_iter().map(|o| o as usize).collect())
             }
         };
+        let region = Arc::new(region);
+        self.regions.borrow_mut().insert(region.id(), Arc::clone(&region));
         Coarray {
-            region: Arc::new(region),
+            region,
             len,
             _pd: PhantomData,
         }
@@ -264,14 +271,14 @@ impl Image {
         };
         ca.access(self, op, |on| match on {
             On::Mpi(b, win) => {
-                b.forget_window(win.id());
+                self.forget_region(win.id());
                 b.mpi.win_unlock_all(win).expect("unlock_all");
                 b.mpi.win_free_shared(win).expect("win_free");
             }
             On::Gasnet(b, r) => {
                 self.barrier(team);
-                b.forget_region(r.id);
-                b.arena.free(r.offsets[team.rank()], r.bytes);
+                self.forget_region(r.id);
+                b.arena.free(r.local_base(), r.bytes);
             }
         });
     }

@@ -15,7 +15,10 @@
 //! every rank, Θ(P). The RandomAccess decomposition (Figure 4) is the
 //! visible consequence, and this runtime reproduces it structurally.
 
-use crate::backend::Backend;
+use caf_mpisim::FlushRequest;
+
+use crate::backend::{Backend, FlushMode, FALLBACK_FRACTION};
+use crate::coarray::On;
 use crate::image::Image;
 use crate::op::{CafOp, Chan};
 use crate::rtmsg::RtMsg;
@@ -165,27 +168,66 @@ impl Image {
     /// their modeled latency overlaps the local release work (the paper's
     /// §5 `MPI_WIN_RFLUSH` overlap), and waited after it.
     pub(crate) fn release_all(&self) {
-        if let Backend::Mpi(b) = &self.backend {
-            if b.flush == crate::backend::FlushMode::Rflush {
-                let reqs = b.rflush_issue_all();
-                self.complete_implicit_local();
-                for r in reqs {
-                    r.wait();
+        let reqs = self.flush_walk(true);
+        self.complete_implicit_local();
+        for r in reqs {
+            r.wait();
+        }
+    }
+
+    /// Complete all outstanding one-sided operations to every target, on
+    /// every region this image holds: a release with no local work to
+    /// overlap, so `Rflush` flushes as `Targeted` does.
+    pub(crate) fn flush_all(&self) {
+        self.flush_walk(false);
+    }
+
+    /// The one walk behind [`Image::release_all`] and [`Image::flush_all`].
+    ///
+    /// * MPI, over the region table's windows in id order: under
+    ///   [`FlushMode::All`], `MPI_Win_flush_all` per window — each one
+    ///   Θ(P) in MPICH derivatives, the root cause of CAF-MPI's
+    ///   `event_notify` cost (paper §4.1) — without computing the dirty
+    ///   set. Under the targeted modes (§5), a `MPI_Win_flush` per dirty
+    ///   target, or with `overlap` in `Rflush` mode a `MPI_Win_rflush`
+    ///   whose request is returned for the caller to wait after its local
+    ///   work; a window past [`FALLBACK_FRACTION`] dirty is flushed whole.
+    /// * GASNet: `gasnet_wait_syncnbi_puts` — a local operation; GASNet
+    ///   puts are remotely complete at sync.
+    fn flush_walk(&self, overlap: bool) -> Vec<FlushRequest> {
+        if let Backend::Gasnet(b) = &self.backend {
+            b.g.wait_syncnbi_puts();
+            return Vec::new();
+        }
+        let mut reqs = Vec::new();
+        for region in self.regions.borrow().values() {
+            let On::Mpi(b, win) = region.on(&self.backend) else { unreachable!() };
+            if b.flush == FlushMode::All {
+                b.mpi.win_flush_all(win).expect("flush_all");
+                continue;
+            }
+            let dirty = win.dirty_targets();
+            if dirty.len() as f64 > FALLBACK_FRACTION * win.comm().size() as f64 {
+                b.mpi.win_flush_all(win).expect("flush_all fallback");
+                continue;
+            }
+            for target in dirty {
+                if overlap && b.flush == FlushMode::Rflush {
+                    reqs.push(b.mpi.win_rflush(win, target).expect("rflush issue"));
+                } else {
+                    b.mpi.win_flush(win, target).expect("targeted flush");
                 }
-                return;
             }
         }
-        self.complete_implicit_local();
-        self.backend.flush_all();
+        reqs
     }
 
     /// Local completion of implicitly synchronized async operations (the
     /// release-barrier `MPI_WAITALL` of paper §3.4). On this substrate the
-    /// requests are already complete; the counters are consumed so
+    /// requests are already complete; the counter is consumed so
     /// `cofence` semantics stay observable.
     pub(crate) fn complete_implicit_local(&self) {
         self.implicit_puts.set(0);
-        self.implicit_gets.set(0);
     }
 }
 
@@ -273,7 +315,7 @@ mod tests {
         // flushes that one rank and nothing else.
         use caf_fabric::DelayOp::FlushPerTarget;
         let cfg = CafConfig {
-            flush: crate::backend::FlushMode::targeted(),
+            flush: crate::backend::FlushMode::Targeted,
             ..CafConfig::on(SubstrateKind::Mpi)
         };
         CafUniverse::run_with_config(3, cfg, |img| {
@@ -305,7 +347,7 @@ mod tests {
         // mode, on both substrates (GASNet ignores the MPI-only knob).
         use crate::backend::FlushMode;
         for kind in [SubstrateKind::Mpi, SubstrateKind::Gasnet] {
-            for flush in [FlushMode::targeted(), FlushMode::rflush()] {
+            for flush in [FlushMode::Targeted, FlushMode::Rflush] {
                 let cfg = CafConfig {
                     flush,
                     ..CafConfig::on(kind)
@@ -340,7 +382,7 @@ mod tests {
         // fallback; correctness must be identical.
         use crate::backend::FlushMode;
         let cfg = CafConfig {
-            flush: FlushMode::targeted(),
+            flush: FlushMode::Targeted,
             ..CafConfig::on(SubstrateKind::Mpi)
         };
         CafUniverse::run_with_config(4, cfg, |img| {
@@ -375,7 +417,7 @@ mod tests {
         // flush the right world rank. Team {1,3} of a 4-image world: team
         // rank 1 is world rank 3.
         use crate::backend::FlushMode;
-        for flush in [FlushMode::targeted(), FlushMode::rflush()] {
+        for flush in [FlushMode::Targeted, FlushMode::Rflush] {
             let cfg = CafConfig {
                 flush,
                 ..CafConfig::on(SubstrateKind::Mpi)
@@ -411,7 +453,7 @@ mod tests {
     #[test]
     fn finish_completes_puts_under_all_flush_modes() {
         use crate::backend::FlushMode;
-        for flush in [FlushMode::All, FlushMode::targeted(), FlushMode::rflush()] {
+        for flush in [FlushMode::All, FlushMode::Targeted, FlushMode::Rflush] {
             let cfg = CafConfig {
                 flush,
                 ..CafConfig::on(SubstrateKind::Mpi)

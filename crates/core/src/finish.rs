@@ -140,7 +140,7 @@ impl Image {
         if global == self.this_image() {
             // Self-shipping executes immediately (same as CAF 2.0).
             f(self);
-            self.backend.flush_all();
+            self.flush_all();
             self.finish_counter(fid).1 += 1;
             return;
         }

@@ -11,6 +11,7 @@ use caf_mpisim::{Mpi, MpiConfig};
 
 use crate::arena::SegmentArena;
 use crate::backend::{Backend, FlushMode, GasnetBackend, MpiBackend, RT_HANDLER};
+use crate::coarray::{On, RegionInner};
 use crate::collectives::CollStash;
 use crate::op::{CafOp, Chan, Edge};
 use crate::rtmsg::RtMsg;
@@ -47,7 +48,7 @@ pub struct CafConfig {
     /// Release-point completion policy for the CAF-MPI backend (ignored on
     /// GASNet, whose sync of non-blocking puts is already a local
     /// operation). Defaults to the paper-faithful [`FlushMode::All`]; the
-    /// §5 fixes are [`FlushMode::targeted`] and [`FlushMode::rflush`].
+    /// §5 fixes are [`FlushMode::Targeted`] and [`FlushMode::Rflush`].
     pub flush: FlushMode,
     /// Small-put coalescing knobs (opt-in; default disabled so the
     /// paper-faithful direct path is what runs). See `crates/agg` and
@@ -192,13 +193,19 @@ pub struct Image {
     pub(crate) finish_counters: RefCell<HashMap<u64, (u64, u64)>>,
     /// Hand-rolled collective fragments awaiting their consumer (GASNet).
     pub(crate) coll_stash: RefCell<CollStash>,
-    /// Per-team token counter for collectively derived ids (events, finish
-    /// blocks, GASNet regions). Consistent across members because all
-    /// derivations happen in collective calls.
-    pub(crate) team_tokens: RefCell<HashMap<u64, u64>>,
-    /// Implicitly synchronized operation counts (consumed by `cofence`).
+    /// Every coarray region this image holds a part of, keyed by region
+    /// id (the window id on CAF-MPI): how a runtime message's id resolves
+    /// to its region, and, ordered, the windows a release flushes in the
+    /// same order on every run.
+    pub(crate) regions: RefCell<BTreeMap<u64, Arc<RegionInner>>>,
+    /// One-entry cursor over `regions`: the region last resolved by id.
+    /// Message targets (aggregation records above all) hit the same region
+    /// many times in a row, so the table is consulted once per run of
+    /// equal ids. [`Image::forget_region`] clears it, so a freed region's
+    /// memory is not held here.
+    last_region: RefCell<Option<Arc<RegionInner>>>,
+    /// Implicitly synchronized put count (consumed by `cofence`).
     pub(crate) implicit_puts: Cell<u64>,
-    pub(crate) implicit_gets: Cell<u64>,
     /// Small-put aggregation buckets (`crates/agg`), under the clamped
     /// effective configuration.
     pub(crate) agg: RefCell<caf_agg::Aggregator>,
@@ -226,13 +233,7 @@ impl Image {
                 // the runtime (the collective `comm_dup` barriers).
                 let rt_comm = mpi.comm_dup_local(&world_comm);
                 (
-                    Backend::Mpi(Box::new(MpiBackend {
-                        mpi,
-                        rt_comm,
-                        windows: RefCell::new(BTreeMap::new()),
-                        window_cursor: RefCell::new(None),
-                        flush: config.flush,
-                    })),
+                    Backend::Mpi(Box::new(MpiBackend { mpi, rt_comm, flush: config.flush })),
                     Team { group: world_comm },
                 )
             }
@@ -254,14 +255,7 @@ impl Image {
                 let rank = g.rank();
                 let arena = SegmentArena::new(config.gasnet.segment_size);
                 (
-                    Backend::Gasnet(Box::new(GasnetBackend {
-                        g,
-                        arena,
-                        inbox,
-                        regions: RefCell::new(HashMap::new()),
-                        region_cursor: Cell::new(None),
-                        hybrid_mpi,
-                    })),
+                    Backend::Gasnet(Box::new(GasnetBackend { g, arena, inbox, hybrid_mpi })),
                     Team { group: Group::new(0, (0..n).collect::<Vec<_>>(), rank) },
                 )
             }
@@ -276,9 +270,9 @@ impl Image {
             finish_stack: RefCell::new(Vec::new()),
             finish_counters: RefCell::new(HashMap::new()),
             coll_stash: RefCell::new(HashMap::new()),
-            team_tokens: RefCell::new(HashMap::new()),
+            regions: RefCell::new(BTreeMap::new()),
+            last_region: RefCell::new(None),
             implicit_puts: Cell::new(0),
-            implicit_gets: Cell::new(0),
             agg: RefCell::new(caf_agg::Aggregator::with_headroom(
                 agg_cfg,
                 rank,
@@ -379,7 +373,7 @@ impl Image {
                 // puts it parked in aggregation buckets, whose batches are
                 // accounted to the same finish id.
                 self.agg_drain_all(finish_id);
-                self.backend.flush_all();
+                self.flush_all();
                 self.finish_counter(finish_id).1 += 1;
             }
             RtMsg::PutWithEvent {
@@ -418,18 +412,45 @@ impl Image {
         std::cell::RefMut::map(self.finish_counters.borrow_mut(), |c| c.entry(fid).or_insert((0, 0)))
     }
 
+    /// Unregister region `id` (at `coarray_free`) — the only way out of
+    /// the region table — and clear the cursor if it points there.
+    pub(crate) fn forget_region(&self, id: u64) {
+        self.regions.borrow_mut().remove(&id);
+        self.last_region.borrow_mut().take_if(|r| r.id() == id);
+    }
+
+    /// Run `f` on region `id` paired with this image's backend: one id
+    /// compare when the cursor hits, one table lookup when it misses.
+    ///
+    /// # Panics
+    ///
+    /// Panics when no such region exists: ids arrive in runtime messages,
+    /// so an unknown one is a runtime bug (or a message outliving its
+    /// coarray — a program error the model's oracle reports first).
+    #[inline]
+    fn with_region<R>(&self, id: u64, f: impl FnOnce(On<'_>) -> R) -> R {
+        let mut cursor = self.last_region.borrow_mut();
+        let region = match &mut *cursor {
+            Some(r) if r.id() == id => r,
+            slot => {
+                let regions = self.regions.borrow();
+                let r = regions
+                    .get(&id)
+                    .unwrap_or_else(|| panic!("runtime message for unknown region {id}"));
+                slot.insert(Arc::clone(r))
+            }
+        };
+        f(region.on(&self.backend))
+    }
+
     /// Write into this image's part of a region (the target path of
     /// `PutWithEvent` messages and aggregated `Put` records).
     pub(crate) fn region_write_local(&self, region_id: u64, offset: usize, data: &[u8]) {
-        match &self.backend {
-            Backend::Mpi(b) => b
-                .with_window(region_id, |win| b.mpi.win_write_local(win, offset, data))
-                .expect("message-delivered local write"),
-            Backend::Gasnet(b) => {
-                b.g.write_local(b.region_base(region_id) + offset, data)
-                    .expect("message-delivered local write")
-            }
-        }
+        self.with_region(region_id, |on| match on {
+            On::Mpi(b, win) => b.mpi.win_write_local(win, offset, data),
+            On::Gasnet(b, r) => b.g.write_local(r.local_base() + offset, data),
+        })
+        .expect("message-delivered local write");
     }
 
     /// Read-modify-write one u64 in this image's part of a region (the
@@ -437,15 +458,11 @@ impl Image {
     /// Applied serially by the owning image's progress engine, so
     /// concurrent updates from any number of origins are atomic.
     pub(crate) fn region_rmw_u64(&self, region_id: u64, offset: usize, f: impl FnOnce(u64) -> u64) {
-        match &self.backend {
-            Backend::Mpi(b) => b
-                .with_window(region_id, |win| b.mpi.win_rmw_local_u64(win, offset, f))
-                .expect("accumulate local update"),
-            Backend::Gasnet(b) => {
-                b.g.rmw_local_u64(b.region_base(region_id) + offset, f)
-                    .expect("accumulate local update")
-            }
-        }
+        self.with_region(region_id, |on| match on {
+            On::Mpi(b, win) => b.mpi.win_rmw_local_u64(win, offset, f),
+            On::Gasnet(b, r) => b.g.rmw_local_u64(r.local_base() + offset, f),
+        })
+        .expect("accumulate local update");
     }
 
     /// Post `event_id` once on this image, releasing any deferred copies
@@ -534,10 +551,7 @@ impl Image {
     /// and GASNet-region ids). Every member must call this in the same
     /// collective context.
     pub(crate) fn next_team_token(&self, team: &Team, salt: u64) -> u64 {
-        let mut tokens = self.team_tokens.borrow_mut();
-        let ctr = tokens.entry(team.id()).or_insert(0);
-        *ctr += 1;
-        derive_token(team.id(), *ctr, salt)
+        derive_token(team.id(), team.group.next_token(), salt)
     }
 }
 

@@ -15,6 +15,12 @@
 use std::cell::Cell;
 use std::time::{Duration, Instant};
 
+/// Uniform scale-down factor the substrates' presets apply to the paper's
+/// real-hardware overheads ([`OpCost::scaled`]), so in-process benchmark
+/// runs finish quickly while every *ratio* the paper's analysis depends
+/// on is preserved.
+pub const TIME_SCALE: f64 = 100.0;
+
 /// The fabric operations that can be charged a cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DelayOp {
@@ -116,6 +122,15 @@ impl OpCost {
         }
     }
 
+    /// A real-hardware cost (`base_ns` + `per_byte_ns` per byte), divided
+    /// by [`TIME_SCALE`].
+    pub fn scaled(base_ns: f64, per_byte_ns: f64) -> Self {
+        OpCost {
+            base_ns: base_ns / TIME_SCALE,
+            per_byte_ns: per_byte_ns / TIME_SCALE,
+        }
+    }
+
     /// Total cost of an operation moving `bytes` bytes.
     pub fn cost_ns(&self, bytes: usize) -> f64 {
         self.base_ns + self.per_byte_ns * bytes as f64
@@ -173,15 +188,6 @@ impl DelayConfig {
             DelayOp::FlushPerTarget => self.flush_per_target,
             DelayOp::AmDispatch => self.am_dispatch,
         }
-    }
-
-    /// Charge the configured cost of `op` on `bytes` bytes by spin-waiting.
-    ///
-    /// Spinning (rather than sleeping) keeps sub-microsecond costs accurate;
-    /// the OS cannot sleep for 200 ns.
-    pub fn charge(&self, op: DelayOp, bytes: usize) {
-        let ns = self.cost(op).cost_ns(bytes);
-        spin_for_ns(ns);
     }
 }
 
@@ -276,7 +282,9 @@ impl Delays {
         self.cfg.cost(op)
     }
 
-    /// Record and spin-charge `op` on `bytes` bytes.
+    /// Record and spin-charge `op` on `bytes` bytes. Spinning (rather
+    /// than sleeping) keeps sub-microsecond costs accurate; the OS cannot
+    /// sleep for 200 ns.
     pub fn charge(&self, op: DelayOp, bytes: usize) {
         let ns = self.cfg.cost(op).cost_ns(bytes);
         self.meter.record(op, ns);
@@ -349,10 +357,10 @@ mod tests {
     #[test]
     #[cfg_attr(miri, ignore = "wall-clock timing")]
     fn free_config_charges_nothing_fast() {
-        let cfg = DelayConfig::free();
+        let delays = Delays::new(DelayConfig::free());
         let t = Instant::now();
         for _ in 0..10_000 {
-            cfg.charge(DelayOp::RmaPut, 1 << 20);
+            delays.charge(DelayOp::RmaPut, 1 << 20);
         }
         assert!(t.elapsed() < Duration::from_millis(100));
     }

@@ -2,11 +2,12 @@
 //!
 //! A [`Group`] is an ordered list of global ranks, the caller's index in
 //! it, and an id that isolates its traffic. Its counters — the collective
-//! sequence number and the number of children made from it — live in
-//! state that clones share, so every handle onto a group advances the same
-//! sequence space. Ids are derived, never agreed: every member computes a
-//! child's id from the parent's id and values all members hold, so a
-//! split or a shrink agrees on its id without a message of its own.
+//! sequence number, the number of children made from it and the number of
+//! tokens derived on it — live in state that clones share, so every handle
+//! onto a group advances the same sequence space. Ids are derived, never
+//! agreed: every member computes a child's id from the parent's id and
+//! values all members hold, so a split or a shrink agrees on its id
+//! without a message of its own.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -29,6 +30,10 @@ struct GroupState {
     coll_seq: AtomicU64,
     /// Children numbered from this group (splits, windows).
     children: AtomicU64,
+    /// Tokens numbered on this group (a CAF team's events, finish blocks
+    /// and GASNet regions): a space of its own, so those ids do not move
+    /// when a split or a window numbers a child.
+    tokens: AtomicU64,
     /// Children whose id can be derived a second time (a repeated shrink
     /// by the same failed set, a repeated local dup): the second
     /// derivation returns the first group, so one id is one sequence space.
@@ -94,6 +99,12 @@ impl Group {
     /// its children in the same order gives a child the same index.
     pub fn next_child(&self) -> u64 {
         self.state.children.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// Advance and return the token counter (1, 2, …), which every member
+    /// advances in the same collective calls.
+    pub fn next_token(&self) -> u64 {
+        self.state.tokens.fetch_add(1, Ordering::Relaxed) + 1
     }
 
     /// The congruent group (same members, same order) of id
@@ -267,6 +278,20 @@ mod tests {
         assert_eq!(w.next_seq(), 1);
         assert_eq!(w.next_child(), 0);
         assert_eq!(w.next_child(), 1);
+    }
+
+    #[test]
+    fn tokens_count_apart_from_children_and_sequence() {
+        let t = Group::new(0, vec![0], 0);
+        assert_eq!(t.next_token(), 1);
+        // Children and collectives do not move the token count, so a
+        // team's event, finish and region ids do not depend on them.
+        t.next_child();
+        t.next_seq();
+        assert_eq!(t.next_token(), 2);
+        // Clones share it.
+        assert_eq!(t.clone().next_token(), 3);
+        assert_eq!((t.next_child(), t.next_seq()), (1, 1));
     }
 
     #[test]

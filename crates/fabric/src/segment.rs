@@ -17,6 +17,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use crate::error::FabricError;
+use crate::pod::{as_bytes, as_bytes_mut, Pod};
 use crate::{Endpoint, Result};
 
 /// Identifier of a registered segment, unique within one [`crate::Fabric`].
@@ -199,6 +200,26 @@ impl Segment {
         Ok(())
     }
 
+    /// Scatter `data` from byte `offset`, consecutive elements `stride`
+    /// bytes apart: one [`Segment::put`] per element.
+    #[inline]
+    pub fn put_strided<T: Pod>(&self, offset: usize, stride: usize, data: &[T]) -> Result<()> {
+        for (i, v) in data.iter().enumerate() {
+            self.put(offset + i * stride, as_bytes(std::slice::from_ref(v)))?;
+        }
+        Ok(())
+    }
+
+    /// Gather into `out` from byte `offset`, consecutive elements `stride`
+    /// bytes apart: one [`Segment::get`] per element.
+    #[inline]
+    pub fn get_strided<T: Pod>(&self, offset: usize, stride: usize, out: &mut [T]) -> Result<()> {
+        for (i, v) in out.iter_mut().enumerate() {
+            self.get(offset + i * stride, as_bytes_mut(std::slice::from_mut(v)))?;
+        }
+        Ok(())
+    }
+
     /// Owner-serial read-modify-write of the `u64` at byte `offset`:
     /// `f(old)` is stored back with no atomicity between the load and the
     /// store, so only one thread at a time may update a given word this
@@ -336,6 +357,29 @@ mod tests {
         ));
         assert_eq!(seg.fetch_add_u64(8, 5).unwrap(), 0);
         assert_eq!(seg.load_u64(8).unwrap(), 5);
+    }
+
+    #[test]
+    fn strided_access_is_one_access_per_element() {
+        let seg = Segment::new(64);
+        // Three u32 at byte 4, 12 bytes apart: 4..8, 16..20, 28..32.
+        seg.put_strided(4, 12, &[1u32, 2, 3]).unwrap();
+        let mut bytes = [0u8; 64];
+        seg.get(0, &mut bytes).unwrap();
+        for (i, v) in [1u32, 2, 3].iter().enumerate() {
+            let at = 4 + 12 * i;
+            assert_eq!(&bytes[at..at + 4], &v.to_le_bytes());
+        }
+        assert_eq!(bytes.iter().filter(|&&b| b != 0).count(), 3);
+        let mut out = [0u32; 3];
+        seg.get_strided(4, 12, &mut out).unwrap();
+        assert_eq!(out, [1, 2, 3]);
+        // Every element is bounds-checked: a fourth would span 40..44.
+        let short = Segment::new(40);
+        assert!(matches!(
+            short.put_strided(4, 12, &[0u32; 4]),
+            Err(FabricError::OutOfBounds { .. })
+        ));
     }
 
     #[test]

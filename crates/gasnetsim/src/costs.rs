@@ -7,22 +7,20 @@
 //! and Edison, while `event_notify` rates are comparable.
 
 use caf_fabric::delay::{DelayConfig, OpCost};
-
-/// Same scale-down factor as the MPI substrate's presets.
-pub const TIME_SCALE: f64 = 100.0;
+pub use caf_fabric::delay::TIME_SCALE;
 
 /// GASNet-on-InfiniBand-like cost table (the paper's Fusion platform).
 pub fn ibv_conduit_like() -> DelayConfig {
     DelayConfig {
-        p2p_inject: scaled(900.0, 0.20),
-        p2p_receive: scaled(900.0, 0.20),
-        rma_put: scaled(1_900.0, 0.18),
-        rma_get: scaled(2_300.0, 0.18),
-        rma_atomic: scaled(2_500.0, 0.0),
+        p2p_inject: OpCost::scaled(900.0, 0.20),
+        p2p_receive: OpCost::scaled(900.0, 0.20),
+        rma_put: OpCost::scaled(1_900.0, 0.18),
+        rma_get: OpCost::scaled(2_300.0, 0.18),
+        rma_atomic: OpCost::scaled(2_500.0, 0.0),
         // GASNet puts/gets are remotely complete at sync; a "flush" in the
         // runtime above maps to nbi sync, a local operation.
-        flush_per_target: scaled(40.0, 0.0),
-        am_dispatch: scaled(700.0, 0.0),
+        flush_per_target: OpCost::scaled(40.0, 0.0),
+        am_dispatch: OpCost::scaled(700.0, 0.0),
     }
 }
 
@@ -30,18 +28,6 @@ pub fn ibv_conduit_like() -> DelayConfig {
 /// path is active. The paper's Fusion RandomAccess data implies roughly a
 /// 2× hit on the AM-heavy path at 128 cores.
 pub const SRQ_PENALTY_NS: f64 = 2_200.0 / TIME_SCALE;
-
-/// No artificial overheads — use for correctness tests.
-pub fn zero() -> DelayConfig {
-    DelayConfig::free()
-}
-
-fn scaled(base_ns: f64, per_byte_ns: f64) -> OpCost {
-    OpCost {
-        base_ns: base_ns / TIME_SCALE,
-        per_byte_ns: per_byte_ns / TIME_SCALE,
-    }
-}
 
 #[cfg(test)]
 mod tests {

@@ -220,11 +220,7 @@ impl Gasnet {
         let Some(seg) = self.seg_begin(op)? else {
             return Ok(());
         };
-        let esz = std::mem::size_of::<T>();
-        for (i, v) in data.iter().enumerate() {
-            seg.put(offset + i * stride_elems * esz, as_bytes(std::slice::from_ref(v)))?;
-        }
-        Ok(())
+        seg.put_strided(offset, stride_elems * std::mem::size_of::<T>(), data)
     }
 
     /// Strided get (`gasnet_gets` of the VIS extension).
@@ -236,15 +232,9 @@ impl Gasnet {
         out: &mut [T],
     ) -> Result<()> {
         let op = SegOp::strided(GET, node, offset, stride_elems, out);
-        let seg = self.seg_begin(op)?.expect("a load is never dropped");
-        let esz = std::mem::size_of::<T>();
-        for (i, v) in out.iter_mut().enumerate() {
-            seg.get(
-                offset + i * stride_elems * esz,
-                as_bytes_mut(std::slice::from_mut(v)),
-            )?;
-        }
-        Ok(())
+        self.seg_begin(op)?
+            .expect("a load is never dropped")
+            .get_strided(offset, stride_elems * std::mem::size_of::<T>(), out)
     }
 
     /// This rank's own segment, through the prologue, as `kind`.

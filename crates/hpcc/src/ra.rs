@@ -494,7 +494,7 @@ mod tests {
         let p = 4;
         let expect = serial_reference(p, 256, 500);
         for kind in [SubstrateKind::Mpi, SubstrateKind::Gasnet] {
-            for flush in [FlushMode::All, FlushMode::targeted(), FlushMode::rflush()] {
+            for flush in [FlushMode::All, FlushMode::Targeted, FlushMode::Rflush] {
                 let cfg = CafConfig {
                     flush,
                     ..CafConfig::on(kind)
@@ -535,8 +535,8 @@ mod tests {
             counts.iter().sum()
         };
         let all = flush_count(FlushMode::All);
-        let targeted = flush_count(FlushMode::targeted());
-        let rflush = flush_count(FlushMode::rflush());
+        let targeted = flush_count(FlushMode::Targeted);
+        let rflush = flush_count(FlushMode::Rflush);
         // All: every notify flushes both windows rank-by-rank (Θ(P) each).
         // Targeted/rflush: only the round's single dirty partner.
         assert!(

@@ -252,7 +252,7 @@ pub fn targeted_flush_release() -> Scenario {
 }
 
 fn targeted_release_run() {
-    flush_release_run(FlushMode::targeted());
+    flush_release_run(FlushMode::Targeted);
 }
 
 /// As [`targeted_flush_release`], under `FlushMode::Rflush`: the release
@@ -267,7 +267,7 @@ pub fn rflush_release() -> Scenario {
 }
 
 fn rflush_release_run() {
-    flush_release_run(FlushMode::rflush());
+    flush_release_run(FlushMode::Rflush);
 }
 
 fn flush_release_run(flush: FlushMode) {

@@ -9,9 +9,7 @@
 //! shapes in actual wall-clock time.
 
 use caf_fabric::delay::{DelayConfig, OpCost};
-
-/// Uniform scale-down factor applied to all real-hardware overheads.
-pub const TIME_SCALE: f64 = 100.0;
+pub use caf_fabric::delay::TIME_SCALE;
 
 /// MVAPICH2-on-InfiniBand-like cost table (the paper's Fusion platform).
 ///
@@ -21,25 +19,13 @@ pub const TIME_SCALE: f64 = 100.0;
 /// anchor; flush ≈ 300 per target.
 pub fn mvapich_like() -> DelayConfig {
     DelayConfig {
-        p2p_inject: scaled(1_500.0, 0.25),
-        p2p_receive: scaled(1_500.0, 0.25),
-        rma_put: scaled(4_800.0, 0.20),
-        rma_get: scaled(5_000.0, 0.20),
-        rma_atomic: scaled(5_200.0, 0.0),
-        flush_per_target: scaled(300.0, 0.0),
-        am_dispatch: scaled(500.0, 0.0),
-    }
-}
-
-/// No artificial overheads — use for correctness tests.
-pub fn zero() -> DelayConfig {
-    DelayConfig::free()
-}
-
-fn scaled(base_ns: f64, per_byte_ns: f64) -> OpCost {
-    OpCost {
-        base_ns: base_ns / TIME_SCALE,
-        per_byte_ns: per_byte_ns / TIME_SCALE,
+        p2p_inject: OpCost::scaled(1_500.0, 0.25),
+        p2p_receive: OpCost::scaled(1_500.0, 0.25),
+        rma_put: OpCost::scaled(4_800.0, 0.20),
+        rma_get: OpCost::scaled(5_000.0, 0.20),
+        rma_atomic: OpCost::scaled(5_200.0, 0.0),
+        flush_per_target: OpCost::scaled(300.0, 0.0),
+        am_dispatch: OpCost::scaled(500.0, 0.0),
     }
 }
 
@@ -51,11 +37,6 @@ mod tests {
     fn preset_has_a_per_target_flush_cost() {
         // The Θ(P) driver of §4.1.
         assert!(mvapich_like().flush_per_target.base_ns > 0.0);
-    }
-
-    #[test]
-    fn zero_preset_is_free() {
-        assert_eq!(zero(), DelayConfig::free());
     }
 
     #[test]

@@ -526,11 +526,8 @@ impl Mpi {
         data: &[T],
     ) -> Result<()> {
         let op = RmaOp::vector(Kind::Put, target, disp, stride_elems, data);
-        let seg = self.rma_begin(win, op)?;
-        for (i, v) in data.iter().enumerate() {
-            seg.put(disp + i * stride_elems * op.elem, as_bytes(std::slice::from_ref(v)))?;
-        }
-        Ok(())
+        self.rma_begin(win, op)?
+            .put_strided(disp, stride_elems * op.elem, data)
     }
 
     /// Strided one-sided read: the gather counterpart of
@@ -544,14 +541,8 @@ impl Mpi {
         out: &mut [T],
     ) -> Result<()> {
         let op = RmaOp::vector(Kind::Get, target, disp, stride_elems, out);
-        let seg = self.rma_begin(win, op)?;
-        for (i, v) in out.iter_mut().enumerate() {
-            seg.get(
-                disp + i * stride_elems * op.elem,
-                as_bytes_mut(std::slice::from_mut(v)),
-            )?;
-        }
-        Ok(())
+        self.rma_begin(win, op)?
+            .get_strided(disp, stride_elems * op.elem, out)
     }
 
     /// `MPI_Accumulate` — elementwise atomic `target = target OP source`.

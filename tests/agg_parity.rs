@@ -20,7 +20,7 @@ const SLOTS: usize = 8;
 fn agg_configs() -> Vec<CafConfig> {
     let mut v = Vec::new();
     for kind in [SubstrateKind::Mpi, SubstrateKind::Gasnet] {
-        for flush in [FlushMode::All, FlushMode::targeted(), FlushMode::rflush()] {
+        for flush in [FlushMode::All, FlushMode::Targeted, FlushMode::Rflush] {
             v.push(CafConfig {
                 agg: AggConfig::on(),
                 flush,
@@ -193,7 +193,7 @@ fn notify_flush_cost_is_per_bucket_not_per_record() {
     const RECORDS: usize = 48;
     let cfg = CafConfig {
         agg: AggConfig::on(),
-        flush: FlushMode::targeted(),
+        flush: FlushMode::Targeted,
         ..fast(SubstrateKind::Mpi)
     };
     let per_image = CafUniverse::run_with_config(P, cfg, |img| {

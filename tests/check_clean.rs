@@ -237,7 +237,7 @@ fn aggregated_programs_are_checker_clean() {
 #[test]
 fn targeted_and_rflush_are_checker_clean() {
     const P: usize = 4;
-    for flush in [FlushMode::targeted(), FlushMode::rflush()] {
+    for flush in [FlushMode::Targeted, FlushMode::Rflush] {
         let cfg = CafConfig {
             flush,
             ..fast(SubstrateKind::Mpi)

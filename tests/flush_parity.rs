@@ -17,7 +17,7 @@ fn configs() -> Vec<CafConfig> {
     for kind in [SubstrateKind::Mpi, SubstrateKind::Gasnet] {
         // GASNet ignores the MPI-only knob; running it under all three
         // modes anyway makes it a control group for the comparison.
-        for flush in [FlushMode::All, FlushMode::targeted(), FlushMode::rflush()] {
+        for flush in [FlushMode::All, FlushMode::Targeted, FlushMode::Rflush] {
             v.push(CafConfig {
                 flush,
                 ..fast(kind)
