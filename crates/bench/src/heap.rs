@@ -1,6 +1,7 @@
 //! A counting global allocator, for the binaries that ask how much heap
 //! the runtime takes: the allocation tests (`tests/agg_alloc.rs`,
-//! `tests/launch_footprint.rs`) and `figures real`. Each installs it with
+//! `tests/alltoall_alloc.rs`, `tests/launch_footprint.rs`) and `figures
+//! real`. Each installs it with
 //!
 //! ```text
 //! #[global_allocator]
@@ -16,6 +17,9 @@ use std::cell::Cell;
 thread_local! {
     /// Allocations (including reallocations) made by this thread.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Of those, the reallocations: a buffer grown (or shrunk) in place
+    /// of one sized right the first time.
+    static REALLOCS: Cell<u64> = const { Cell::new(0) };
     /// Bytes this thread allocated minus bytes it freed. A block freed by
     /// another thread than its allocator (a packet payload, say) stays on
     /// the allocator's books and goes negative on the other's.
@@ -57,6 +61,7 @@ unsafe impl GlobalAlloc for Counting {
     // SAFETY: as for `alloc`.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count(1, new_size as i64 - layout.size() as i64);
+        REALLOCS.with(|c| c.set(c.get() + 1));
         // SAFETY: as for `dealloc`; the caller vouches for `new_size`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -65,6 +70,11 @@ unsafe impl GlobalAlloc for Counting {
 /// Allocations this thread has made so far.
 pub fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
+}
+
+/// Reallocations this thread has made so far (counted in [`allocs`] too).
+pub fn reallocs() -> u64 {
+    REALLOCS.with(Cell::get)
 }
 
 /// Heap bytes this thread holds: allocated minus freed, by this thread.

@@ -488,6 +488,12 @@ fn table(kind: SubstrateKind, id: Ids) -> Vec<Row> {
             collective(Op::Alltoall, id.team),
             vec![(Alltoall, 1, true)],
         ),
+        both(
+            "alltoall_into",
+            |c| c.img.alltoall_into(&c.w, &[10u64, 11], 1, &mut [0; 2]),
+            collective(Op::Alltoall, id.team),
+            vec![(Alltoall, 1, true)],
+        ),
         // A round, but no category of its own.
         both(
             "team_split",

@@ -17,15 +17,17 @@
 //! both substrates, so `team_split` and `team_reform` call its split and
 //! shrink.
 
+use std::cell::RefCell;
 use std::collections::hash_map::{Entry, HashMap};
 
 use caf_fabric::coll::{self, Rounds};
+use caf_fabric::pod::zeroed_vec;
 use caf_fabric::{Group, Pod, Watch};
 use caf_gasnetsim::AM_MAX_MEDIUM;
 use caf_mpisim::Scalar;
 
 use crate::image::Image;
-use crate::rtmsg::RtMsg;
+use crate::rtmsg::{write_coll_header, COLL_HEADER};
 use crate::stat::Stat;
 use crate::stats::StatCat;
 use crate::team::Team;
@@ -37,15 +39,18 @@ const GCOLL_CHUNK: usize = AM_MAX_MEDIUM - 64;
 /// Hand-rolled-collective messages on their way to a consumer, by
 /// `(team_id, seq, phase, src_idx)`: how many fragments are still missing,
 /// and the bytes of those that arrived, joined. AMs between two images are
-/// delivered in order, so joining is appending.
+/// delivered in order, so joining is appending, into a buffer sized for
+/// every fragment when the first arrives.
 pub(crate) type CollStash = HashMap<(u64, u64, u32, u32), (u32, Vec<u8>)>;
 
 /// The rounds of one collective on a GASNet team, as chunked
-/// [`RtMsg::CollPayload`] runtime AMs.
+/// [`crate::rtmsg::RtMsg::CollPayload`] runtime AMs.
 struct TeamRounds<'a> {
     img: &'a Image,
     t: &'a Group,
     seq: u64,
+    /// The one buffer every outgoing fragment is framed in.
+    frame: RefCell<Vec<u8>>,
 }
 
 impl Rounds for TeamRounds<'_> {
@@ -63,25 +68,25 @@ impl Rounds for TeamRounds<'_> {
         self.img.backend.fault().failed_of(Watch::Ranks(self.t.members()))
     }
 
+    /// Each fragment is framed in the collective's one frame buffer, so
+    /// its bytes are copied once before the AM takes them: the frame is
+    /// the `RtMsg::CollPayload` encoding, written in place.
     fn send(&self, to: usize, round: u32, bytes: &[u8]) -> caf_fabric::Result<()> {
         let nchunks = bytes.len().div_ceil(GCOLL_CHUNK).max(1) as u32;
+        let (team_id, src_idx) = (self.t.id(), self.t.rank() as u32);
+        let mut frame = self.frame.borrow_mut();
+        frame.clear();
+        frame.reserve(COLL_HEADER + bytes.len().min(GCOLL_CHUNK));
         for (i, chunk) in bytes
             .chunks(GCOLL_CHUNK)
             .chain(std::iter::repeat_n(&[][..], usize::from(bytes.is_empty())))
             .enumerate()
         {
-            self.img.backend.send_rtmsg(
-                self.t.global_rank(to),
-                &RtMsg::CollPayload {
-                    team_id: self.t.id(),
-                    seq: self.seq,
-                    phase: round,
-                    src_idx: self.t.rank() as u32,
-                    chunk: i as u32,
-                    nchunks,
-                    data: chunk.to_vec(),
-                },
-            );
+            frame.clear();
+            frame.resize(COLL_HEADER, 0);
+            write_coll_header(&mut frame, team_id, self.seq, round, src_idx, i as u32, nchunks);
+            frame.extend_from_slice(chunk);
+            self.img.backend.send_rtmsg_bytes(self.t.global_rank(to), &frame);
         }
         Ok(())
     }
@@ -237,15 +242,16 @@ impl Image {
                 for d in (0..counts.len()).filter(|&d| d != me) {
                     r.send_pod(d, 1, data).expect("allgatherv");
                 }
-                let mut out = Vec::new();
+                let mut out = zeroed_vec(counts.iter().sum::<u64>() as usize);
+                let mut at = 0;
                 for (s, &count) in counts.iter().enumerate() {
+                    let part = &mut out[at..at + count as usize];
                     if s == me {
-                        out.extend_from_slice(data);
+                        part.copy_from_slice(data);
                     } else {
-                        let part: Vec<T> = r.recv_pod(s, 1).expect("allgatherv");
-                        assert_eq!(part.len() as u64, count, "allgatherv count");
-                        out.extend_from_slice(&part);
+                        r.recv_into(s, 1, part).expect("allgatherv");
                     }
+                    at += count as usize;
                 }
                 out
             }
@@ -253,23 +259,31 @@ impl Image {
     }
 
     /// Team alltoall: `data` holds `team.size()` blocks of `block` elements
-    /// in destination order; the result holds blocks in source order.
+    /// in destination order; `out` receives the blocks in source order.
     ///
     /// This is the FFT transpose primitive. On CAF-MPI it is
     /// `MPI_ALLTOALL`; on CAF-GASNet it is hand-rolled from AMs (paper
     /// §4.2: "CAF-GASNet implements alltoall with GASNet's PUT, GET, and
-    /// Active Messages... not as well tuned as MPI_ALLTOALL").
-    pub fn alltoall<T: Pod>(&self, team: &Team, data: &[T], block: usize) -> Vec<T> {
+    /// Active Messages... not as well tuned as MPI_ALLTOALL"). Either way
+    /// a received block is copied once, into `out`.
+    pub fn alltoall_into<T: Pod>(&self, team: &Team, data: &[T], block: usize, out: &mut [T]) {
         self.collective(team, Some(StatCat::Alltoall), |g| {
             match self.backend.coll_mpi() {
-                Some(mpi) => mpi.alltoall(g, data, block),
+                Some(mpi) => mpi.alltoall_into(g, data, block, out),
                 // Linear, deliberately: the paper's finding (Figs 6/7) is
                 // this exchange hand-rolled from AMs against a tuned
                 // `MPI_ALLTOALL`.
-                None => coll::alltoall_linear(&self.rounds(g), data, block),
+                None => coll::alltoall_linear_into(&self.rounds(g), data, block, out),
             }
             .expect("alltoall")
-        })
+        });
+    }
+
+    /// [`Image::alltoall_into`] a new vector.
+    pub fn alltoall<T: Pod>(&self, team: &Team, data: &[T], block: usize) -> Vec<T> {
+        let mut out = zeroed_vec(data.len());
+        self.alltoall_into(team, data, block, &mut out);
+        out
     }
 
     /// Fortran 2008 `sync images`: pairwise synchronization with each
@@ -374,6 +388,30 @@ impl Image {
         }
     }
 
+    /// Join one received fragment of the hand-rolled collective message
+    /// `key` into its stash entry. The first fragment of a message sizes
+    /// the buffer for all `nchunks` (no fragment is longer than
+    /// [`GCOLL_CHUNK`]); a one-fragment message keeps its own. Kept out
+    /// of [`Image::handle_msg`], whose event path is the hot one.
+    #[inline(never)]
+    pub(crate) fn stash_fragment(&self, key: (u64, u64, u32, u32), nchunks: u32, data: Vec<u8>) {
+        match self.coll_stash.borrow_mut().entry(key) {
+            Entry::Vacant(e) if nchunks == 1 => {
+                e.insert((0, data));
+            }
+            Entry::Vacant(e) => {
+                let mut bytes = Vec::with_capacity(nchunks as usize * GCOLL_CHUNK);
+                bytes.extend_from_slice(&data);
+                e.insert((nchunks - 1, bytes));
+            }
+            Entry::Occupied(mut e) => {
+                let (missing, bytes) = e.get_mut();
+                *missing -= 1;
+                bytes.extend_from_slice(&data);
+            }
+        }
+    }
+
     /// The next collective on `t` hand-rolled from AMs (CAF-GASNet).
     /// Fragments still stashed for an earlier one have no consumer left —
     /// a completed collective consumed all of its own, so they belong to
@@ -383,7 +421,7 @@ impl Image {
         self.coll_stash
             .borrow_mut()
             .retain(|key, _| key.0 != t.id() || key.1 >= seq);
-        TeamRounds { img: self, t, seq }
+        TeamRounds { img: self, t, seq, frame: RefCell::new(Vec::new()) }
     }
 }
 

@@ -393,16 +393,7 @@ impl Image {
                 data,
             } => self.handle_agg_batch(token, finish_id, &data),
             RtMsg::CollPayload { team_id, seq, phase, src_idx, nchunks, data, .. } => {
-                let mut stash = self.coll_stash.borrow_mut();
-                let (missing, bytes) = stash
-                    .entry((team_id, seq, phase, src_idx))
-                    .or_insert((nchunks, Vec::new()));
-                *missing -= 1;
-                if bytes.is_empty() {
-                    *bytes = data;
-                } else {
-                    bytes.extend_from_slice(&data);
-                }
+                self.stash_fragment((team_id, seq, phase, src_idx), nchunks, data);
             }
         }
     }

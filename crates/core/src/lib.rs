@@ -73,6 +73,7 @@ pub mod team;
 pub use asyncops::AsyncOpts;
 pub use caf_agg::{AggConfig, AggStats};
 pub use caf_fabric::Pod;
+pub use caf_fabric::pod::zeroed_vec;
 pub use caf_fabric::{FaultPlan, Kill, KillSite};
 pub use caf_sched::{ExecConfig, ExecMode};
 pub use caf_gasnetsim::{GasnetConfig, SrqMode};
@@ -100,11 +101,6 @@ pub mod prelude {
     pub use crate::stats::StatCat;
     pub use crate::team::Team;
     pub use caf_fabric::{FaultPlan, KillSite};
-}
-
-/// Allocate a zero-initialized vector of any [`Pod`] type.
-pub fn zeroed_vec<T: Pod>(len: usize) -> Vec<T> {
-    caf_fabric::pod::vec_from_bytes(&vec![0u8; len * std::mem::size_of::<T>()])
 }
 
 #[cfg(test)]

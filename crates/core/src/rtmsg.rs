@@ -102,6 +102,31 @@ pub(crate) fn write_agg_batch_header(head: &mut [u8], token: u64, finish_id: u64
     head[9..17].copy_from_slice(&finish_id.to_le_bytes());
 }
 
+/// Encoded bytes in front of an [`RtMsg::CollPayload`]'s fragment: kind,
+/// team id, sequence number, phase, source index, chunk, chunk count.
+pub(crate) const COLL_HEADER: usize = 1 + 8 + 8 + 4 * 4;
+
+/// Fill `head` (exactly [`COLL_HEADER`] bytes, directly in front of the
+/// fragment) so that `head ++ data` is the encoding of
+/// `RtMsg::CollPayload { team_id, seq, phase, src_idx, chunk, nchunks, data }`.
+pub(crate) fn write_coll_header(
+    head: &mut [u8],
+    team_id: u64,
+    seq: u64,
+    phase: u32,
+    src_idx: u32,
+    chunk: u32,
+    nchunks: u32,
+) {
+    assert_eq!(head.len(), COLL_HEADER, "CollPayload header size");
+    head[0] = K_COLL;
+    head[1..9].copy_from_slice(&team_id.to_le_bytes());
+    head[9..17].copy_from_slice(&seq.to_le_bytes());
+    for (at, v) in [(17, phase), (21, src_idx), (25, chunk), (29, nchunks)] {
+        head[at..at + 4].copy_from_slice(&v.to_le_bytes());
+    }
+}
+
 /// Cursor over a received message. Owns the buffer so a trailing payload
 /// is kept in place (shifted to the front) rather than copied out.
 struct Reader {
@@ -274,6 +299,24 @@ mod tests {
             token: 0xA66,
             finish_id: 12,
             data: batch.to_vec(),
+        };
+        assert_eq!(frame, msg.encode());
+    }
+
+    #[test]
+    fn coll_fragment_in_place_matches_the_message_encoding() {
+        let chunk = [1u8, 2, 3, 4];
+        let mut frame = vec![0u8; COLL_HEADER];
+        frame.extend_from_slice(&chunk);
+        write_coll_header(&mut frame[..COLL_HEADER], 9, 3, 2, 5, 1, 4);
+        let msg = RtMsg::CollPayload {
+            team_id: 9,
+            seq: 3,
+            phase: 2,
+            src_idx: 5,
+            chunk: 1,
+            nchunks: 4,
+            data: chunk.to_vec(),
         };
         assert_eq!(frame, msg.encode());
     }

@@ -12,7 +12,7 @@
 //! Everything is `#[inline]`: the functions are instantiated in the
 //! substrate crates, without LTO.
 
-use crate::pod::{as_bytes, vec_from_bytes};
+use crate::pod::{as_bytes, as_bytes_mut, vec_from_bytes, zeroed_vec};
 use crate::{FabricError, Pod, Result};
 
 /// One collective's messages among the `n` members of a team: a message
@@ -41,10 +41,29 @@ pub trait Rounds {
         self.send(to, round, as_bytes(buf))
     }
 
-    /// [`Rounds::recv`] into a typed vector.
+    /// [`Rounds::recv`] into a typed vector, for a result that is a new
+    /// vector anyway (a broadcast) or is combined element by element (a
+    /// reduction).
     #[inline]
     fn recv_pod<T: Pod>(&self, from: usize, round: u32) -> Result<Vec<T>> {
         Ok(vec_from_bytes(self.recv(from, round)?.as_ref()))
+    }
+
+    /// [`Rounds::recv`] into the caller's `buf`: one copy, from the
+    /// received payload straight to its destination.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the message is exactly `buf`'s size, which would be a
+    /// protocol bug: both sides of a round know its length.
+    #[inline]
+    fn recv_into<T: Pod>(&self, from: usize, round: u32, buf: &mut [T]) -> Result<()> {
+        let msg = self.recv(from, round)?;
+        let (msg, buf) = (msg.as_ref(), as_bytes_mut(buf));
+        let (got, room) = (msg.len(), buf.len());
+        assert_eq!(got, room, "received {got} bytes into a {room}-byte buffer");
+        buf.copy_from_slice(msg);
+        Ok(())
     }
 }
 
@@ -152,15 +171,14 @@ pub fn reduce<T: Pod>(
 pub fn allgather<T: Pod>(t: &impl Rounds, sendbuf: &[T]) -> Result<Vec<T>> {
     enter(t)?;
     let (n, me, len) = (t.n(), t.me(), sendbuf.len());
-    let mut acc = Vec::with_capacity(len * n);
-    acc.extend_from_slice(sendbuf);
+    // The rounds deliver 1 + Σ min(2ᵏ, n−2ᵏ) = n blocks in all.
+    let mut acc = zeroed_vec(len * n);
+    acc[..len].copy_from_slice(sendbuf);
     let (mut round, mut dist) = (0u32, 1usize);
     while dist < n {
         let blocks = dist.min(n - dist);
         t.send_pod((me + dist) % n, round, &acc[..blocks * len])?;
-        let part: Vec<T> = t.recv_pod((me + n - dist) % n, round)?;
-        assert_eq!(part.len(), blocks * len, "ragged allgather");
-        acc.extend_from_slice(&part);
+        t.recv_into((me + n - dist) % n, round, &mut acc[dist * len..(dist + blocks) * len])?;
         round += 1;
         dist <<= 1;
     }
@@ -175,22 +193,35 @@ pub fn allgather<T: Pod>(t: &impl Rounds, sendbuf: &[T]) -> Result<Vec<T>> {
 
 /// Linear alltoall: every block sent in round 0, then every block
 /// received in rank order. `sendbuf` holds `n` blocks of `block` elements
-/// in destination order; the result holds them in source order. Untuned
+/// in destination order; `recvbuf` receives them in source order. Untuned
 /// on purpose — it is the exchange a tuned alltoall is measured against —
 /// and without the entry screen: a dead member fails the receive.
 #[inline]
-pub fn alltoall_linear<T: Pod>(t: &impl Rounds, sendbuf: &[T], block: usize) -> Result<Vec<T>> {
+pub fn alltoall_linear_into<T: Pod>(
+    t: &impl Rounds,
+    sendbuf: &[T],
+    block: usize,
+    recvbuf: &mut [T],
+) -> Result<()> {
     let (n, me) = (t.n(), t.me());
     assert_eq!(sendbuf.len(), n * block, "alltoall buffer size mismatch");
-    let mut out = vec![sendbuf[0]; n * block];
-    out[me * block..(me + 1) * block].copy_from_slice(&sendbuf[me * block..(me + 1) * block]);
+    assert_eq!(recvbuf.len(), n * block, "alltoall buffer size mismatch");
+    let mine = me * block..(me + 1) * block;
+    recvbuf[mine.clone()].copy_from_slice(&sendbuf[mine]);
     for d in (0..n).filter(|&d| d != me) {
         t.send_pod(d, 0, &sendbuf[d * block..(d + 1) * block])?;
     }
     for s in (0..n).filter(|&s| s != me) {
-        let part: Vec<T> = t.recv_pod(s, 0)?;
-        out[s * block..(s + 1) * block].copy_from_slice(&part);
+        t.recv_into(s, 0, &mut recvbuf[s * block..(s + 1) * block])?;
     }
+    Ok(())
+}
+
+/// [`alltoall_linear_into`] a new vector.
+#[inline]
+pub fn alltoall_linear<T: Pod>(t: &impl Rounds, sendbuf: &[T], block: usize) -> Result<Vec<T>> {
+    let mut out = zeroed_vec(sendbuf.len());
+    alltoall_linear_into(t, sendbuf, block, &mut out)?;
     Ok(out)
 }
 

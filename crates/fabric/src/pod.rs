@@ -79,9 +79,37 @@ pub fn vec_from_bytes<T: Pod>(bytes: &[u8]) -> Vec<T> {
     out
 }
 
+/// A vector of `len` all-zero elements. The allocation comes zeroed from
+/// the allocator (calloc), so pages nobody writes are never touched.
+pub fn zeroed_vec<T: Pod>(len: usize) -> Vec<T> {
+    let layout = std::alloc::Layout::array::<T>(len).expect("zeroed_vec: length overflows");
+    if layout.size() == 0 {
+        // Nothing to allocate: `len` is 0 or `T` is zero-sized.
+        // SAFETY: `T: Pod` makes the all-zero bit pattern a valid `T`.
+        return vec![unsafe { std::mem::zeroed::<T>() }; len];
+    }
+    // SAFETY: `layout` has a non-zero size, as `alloc_zeroed` requires.
+    let ptr = unsafe { std::alloc::alloc_zeroed(layout) }.cast::<T>();
+    if ptr.is_null() {
+        std::alloc::handle_alloc_error(layout);
+    }
+    // SAFETY: `ptr` is a block of the global allocator with exactly the
+    // layout `Vec<T>` uses for capacity `len`; its bytes are all zero,
+    // which `T: Pod` makes `len` valid elements.
+    unsafe { Vec::from_raw_parts(ptr, len, len) }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn zeroed_vec_of_zero_sized_and_array_elements() {
+        assert_eq!(zeroed_vec::<()>(3).len(), 3);
+        let mut v = zeroed_vec::<[u16; 3]>(2);
+        v.push([1, 2, 3]);
+        assert_eq!(v, [[0; 3], [0; 3], [1, 2, 3]]);
+    }
 
     #[test]
     fn roundtrip_f64() {

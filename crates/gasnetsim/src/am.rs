@@ -142,16 +142,14 @@ impl Gasnet {
     ) -> Result<()> {
         assert!(args.len() <= AM_MAX_ARGS, "too many AM arguments");
         assert!(data.len() <= AM_MAX_MEDIUM, "medium AM payload too large");
-        let mut buf = Vec::with_capacity(args.len() * 8 + data.len());
-        buf.extend_from_slice(as_bytes(args));
-        buf.extend_from_slice(data);
-        self.am_send(
-            dest,
-            KIND_AM_MEDIUM,
-            handler,
-            [args.len() as u64, 0, 0, 0],
-            Bytes::from(buf),
-        )
+        // A `Bytes` made from a `Vec` copies it again, so a payload without
+        // arguments (a runtime AM's) goes straight from `data`, copied once.
+        let payload = if args.is_empty() {
+            Bytes::copy_from_slice(data)
+        } else {
+            Bytes::copy_from_slice(&[as_bytes(args), data].concat())
+        };
+        self.am_send(dest, KIND_AM_MEDIUM, handler, [args.len() as u64, 0, 0, 0], payload)
     }
 
     /// `gasnet_AMRequestLong`: the payload is deposited at `dest_offset` in

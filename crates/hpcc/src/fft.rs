@@ -11,7 +11,7 @@
 
 use std::time::Instant;
 
-use caf::{Image, Team};
+use caf::{zeroed_vec, Image, Team};
 use caf_fabric::topology::{bit_reverse, is_pow2, log2_exact};
 
 use crate::complex::C64;
@@ -72,37 +72,76 @@ pub fn naive_dft(x: &[C64]) -> Vec<C64> {
         .collect()
 }
 
+/// Side of the square tiles a transpose unpacks in. A tile reads `TILE`
+/// rows of one received block and writes `TILE` columns of the result,
+/// 4 KiB each way, so both stay in L1 while the write side strides by a
+/// whole row of the transpose.
+const TILE: usize = 16;
+
+/// The scratch of a distributed transpose, reused from one to the next:
+/// the blocks packed for every destination, and the blocks received from
+/// every source.
+struct Transposer {
+    send: Vec<C64>,
+    recv: Vec<C64>,
+}
+
+impl Transposer {
+    /// Scratch for transposing local slabs of `len` elements.
+    fn new(len: usize) -> Self {
+        Transposer { send: zeroed_vec(len), recv: zeroed_vec(len) }
+    }
+
+    /// First half of a transpose of the `rows × cols` matrix whose local
+    /// `rows/P × cols` row-major slab is `local`: pack destination d's
+    /// columns into block d and exchange the blocks. `local` is not read
+    /// again, so [`Transposer::unpack`] may write over it.
+    fn exchange(&mut self, img: &Image, team: &Team, local: &[C64], rows: usize, cols: usize) {
+        let p = team.size();
+        assert!(rows % p == 0 && cols % p == 0, "P must divide both dims");
+        assert_eq!(local.len(), rows / p * cols, "transpose slab size mismatch");
+        let out_rows = cols / p;
+        let block = local.len() / p;
+        for (d, dst) in self.send.chunks_exact_mut(block).enumerate() {
+            for (row, seg) in local.chunks_exact(cols).zip(dst.chunks_exact_mut(out_rows)) {
+                seg.copy_from_slice(&row[d * out_rows..(d + 1) * out_rows]);
+            }
+        }
+        img.alltoall_into(team, &self.send, block, &mut self.recv);
+    }
+
+    /// Second half: the block from source s holds its `rows/P` rows of my
+    /// `cols/P` columns; scatter each into its transposed position in
+    /// `out`, the local `cols/P × rows` slab of the transpose.
+    fn unpack(&self, p: usize, rows: usize, out: &mut [C64]) {
+        let my_rows = rows / p;
+        let out_rows = out.len() / rows;
+        let block = my_rows * out_rows;
+        for (s, src) in self.recv.chunks_exact(block).enumerate() {
+            for r0 in (0..my_rows).step_by(TILE) {
+                let r1 = (r0 + TILE).min(my_rows);
+                for c0 in (0..out_rows).step_by(TILE) {
+                    for c in c0..(c0 + TILE).min(out_rows) {
+                        let at = c * rows + s * my_rows;
+                        let column = src[r0 * out_rows + c..].iter().step_by(out_rows);
+                        for (o, &x) in out[at + r0..at + r1].iter_mut().zip(column) {
+                            *o = x;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Distributed matrix transpose over a team: the input is the local
 /// `rows/P × cols` row-major slab of a `rows × cols` row-block-distributed
 /// matrix; the output is the local `cols/P × rows` slab of its transpose.
 pub fn transpose(img: &Image, team: &Team, local: &[C64], rows: usize, cols: usize) -> Vec<C64> {
-    let p = team.size();
-    let my_rows = rows / p;
-    let out_rows = cols / p;
-    assert_eq!(local.len(), my_rows * cols, "transpose slab size mismatch");
-    assert!(rows % p == 0 && cols % p == 0, "P must divide both dims");
-
-    // Pack: destination d receives my rows restricted to its column block.
-    let block = my_rows * out_rows;
-    let mut send = vec![C64::ZERO; p * block];
-    for d in 0..p {
-        for r in 0..my_rows {
-            let src = r * cols + d * out_rows;
-            let dst = d * block + r * out_rows;
-            send[dst..dst + out_rows].copy_from_slice(&local[src..src + out_rows]);
-        }
-    }
-    let recv = img.alltoall(team, &send, block);
-    // Unpack: block from source s holds its rows × my columns; scatter
-    // into transposed position.
-    let mut out = vec![C64::ZERO; out_rows * rows];
-    for s in 0..p {
-        for r in 0..my_rows {
-            for c in 0..out_rows {
-                out[c * rows + s * my_rows + r] = recv[s * block + r * out_rows + c];
-            }
-        }
-    }
+    let mut x = Transposer::new(local.len());
+    x.exchange(img, team, local, rows, cols);
+    let mut out = zeroed_vec(local.len());
+    x.unpack(team.size(), rows, &mut out);
     out
 }
 
@@ -112,6 +151,10 @@ pub fn transpose(img: &Image, team: &Team, local: &[C64], rows: usize, cols: usi
 ///
 /// Requires `m = local.len() · P` a power of two with `P` dividing both
 /// factor dimensions (`P² ≤ m` suffices for the split used here).
+///
+/// The three transposes share one [`Transposer`], and each unpacks into
+/// the one work buffer it packed from: three slabs of scratch for the
+/// whole transform, each allocated once.
 pub fn distributed_fft(img: &Image, team: &Team, local: &[C64], inverse: bool) -> Vec<C64> {
     if inverse {
         // ifft(x) = conj(fft(conj(x))) / m
@@ -133,18 +176,20 @@ pub fn distributed_fft(img: &Image, team: &Team, local: &[C64], inverse: bool) -
         n1 % p == 0 && n2 % p == 0,
         "P={p} must divide both factors n1={n1}, n2={n2}"
     );
+    let mut x = Transposer::new(local.len());
+    let mut work = zeroed_vec(local.len());
 
     // Input viewed as matrix X[j2][j1] (n2 × n1 row-major), row-block
     // distributed. Step 1: transpose → rows j1.
-    let t1 = transpose(img, team, local, n2, n1);
+    x.exchange(img, team, local, n2, n1);
+    x.unpack(p, n2, &mut work);
 
     // Step 2: DFT of length n2 along each local row; Step 3: twiddle by
     // w_m^{j1·k2}.
     let my_rows1 = n1 / p;
-    let mut f2 = t1;
     for r in 0..my_rows1 {
         let j1 = team.rank() * my_rows1 + r;
-        let row = &mut f2[r * n2..(r + 1) * n2];
+        let row = &mut work[r * n2..(r + 1) * n2];
         serial_fft(row, false);
         for (k2, z) in row.iter_mut().enumerate() {
             *z *= C64::cis(-2.0 * std::f64::consts::PI * (j1 * k2) as f64 / m as f64);
@@ -152,17 +197,19 @@ pub fn distributed_fft(img: &Image, team: &Team, local: &[C64], inverse: bool) -
     }
 
     // Step 4: transpose back → rows k2.
-    let g = transpose(img, team, &f2, n1, n2);
+    x.exchange(img, team, &work, n1, n2);
+    x.unpack(p, n1, &mut work);
 
     // Step 5: DFT of length n1 along each local row.
     let my_rows2 = n2 / p;
-    let mut h = g;
     for r in 0..my_rows2 {
-        serial_fft(&mut h[r * n1..(r + 1) * n1], false);
+        serial_fft(&mut work[r * n1..(r + 1) * n1], false);
     }
 
     // Step 6: transpose → natural order (y[k] with k = n2·k1 + k2).
-    transpose(img, team, &h, n2, n1)
+    x.exchange(img, team, &work, n2, n1);
+    x.unpack(p, n2, &mut work);
+    work
 }
 
 /// Deterministic pseudo-random input element for global index `g`.

@@ -90,6 +90,7 @@ const COLLECTIVE_OPS: &[&str] = &[
     "allgather",
     "allgatherv",
     "alltoall",
+    "alltoall_into",
     "co_sum",
     "co_max",
     "co_min",

@@ -20,6 +20,7 @@ use bytes::Bytes;
 
 use caf_fabric::coll::{self, Rounds};
 use caf_fabric::delay::DelayOp;
+use caf_fabric::pod::zeroed_vec;
 use caf_fabric::topology::is_pow2;
 use caf_fabric::{Packet, Pod, Result, Watch};
 
@@ -190,24 +191,18 @@ impl Mpi {
             .collect();
         let total: usize = counts.iter().sum();
         let me = comm.rank();
-        // SAFETY-free zero fill via byte vector (Pod allows any pattern).
-        let mut out = caf_fabric::pod::vec_from_bytes::<T>(&vec![
-            0u8;
-            total * std::mem::size_of::<T>()
-        ]);
-        out[displs[me]..displs[me] + counts[me]].copy_from_slice(data);
+        let block = |r: usize| displs[r]..displs[r] + counts[r];
+        let mut out = zeroed_vec::<T>(total);
+        out[block(me)].copy_from_slice(data);
 
         let t = self.rounds(comm);
         let right = (me + 1) % n;
         let left = (me + n - 1) % n;
         let mut have = me;
         for step in 0..n - 1 {
-            let block = out[displs[have]..displs[have] + counts[have]].to_vec();
-            t.send_pod(right, step as u32, &block)?;
+            t.send_pod(right, step as u32, &out[block(have)])?;
             let incoming = (me + n - 1 - step) % n;
-            let part: Vec<T> = t.recv_pod(left, step as u32)?;
-            assert_eq!(part.len(), counts[incoming], "allgatherv count mismatch");
-            out[displs[incoming]..displs[incoming] + counts[incoming]].copy_from_slice(&part);
+            t.recv_into(left, step as u32, &mut out[block(incoming)])?;
             have = incoming;
         }
         Ok(out)
@@ -215,8 +210,15 @@ impl Mpi {
 
     /// `MPI_Alltoall` — pairwise exchange (XOR pairing on power-of-two
     /// sizes, shifted ring otherwise). `sendbuf` holds `n` equal blocks of
-    /// `block` elements in destination-rank order.
-    pub fn alltoall<T: Pod>(&self, comm: &Comm, sendbuf: &[T], block: usize) -> Result<Vec<T>> {
+    /// `block` elements in destination-rank order; `recvbuf`, owned by the
+    /// caller as in MPI, receives them in source-rank order.
+    pub fn alltoall_into<T: Pod>(
+        &self,
+        comm: &Comm,
+        sendbuf: &[T],
+        block: usize,
+        recvbuf: &mut [T],
+    ) -> Result<()> {
         let _span = caf_trace::span_t(
             caf_trace::Op::MpiAlltoall,
             None,
@@ -225,9 +227,10 @@ impl Mpi {
         );
         let n = comm.size();
         assert_eq!(sendbuf.len(), n * block, "alltoall buffer size mismatch");
+        assert_eq!(recvbuf.len(), n * block, "alltoall buffer size mismatch");
         let me = comm.rank();
-        let mut out = vec![sendbuf[0]; n * block];
-        out[me * block..(me + 1) * block].copy_from_slice(&sendbuf[me * block..(me + 1) * block]);
+        let blk = |r: usize| r * block..(r + 1) * block;
+        recvbuf[blk(me)].copy_from_slice(&sendbuf[blk(me)]);
         let t = self.rounds(comm);
         for step in 1..n {
             let (to, from) = if is_pow2(n) {
@@ -235,10 +238,16 @@ impl Mpi {
             } else {
                 ((me + step) % n, (me + n - step) % n)
             };
-            t.send_pod(to, step as u32, &sendbuf[to * block..(to + 1) * block])?;
-            let part: Vec<T> = t.recv_pod(from, step as u32)?;
-            out[from * block..(from + 1) * block].copy_from_slice(&part);
+            t.send_pod(to, step as u32, &sendbuf[blk(to)])?;
+            t.recv_into(from, step as u32, &mut recvbuf[blk(from)])?;
         }
+        Ok(())
+    }
+
+    /// [`Mpi::alltoall_into`] a new vector.
+    pub fn alltoall<T: Pod>(&self, comm: &Comm, sendbuf: &[T], block: usize) -> Result<Vec<T>> {
+        let mut out = zeroed_vec(sendbuf.len());
+        self.alltoall_into(comm, sendbuf, block, &mut out)?;
         Ok(out)
     }
 

@@ -16,7 +16,7 @@ use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use caf_fabric::delay::DelayOp;
-use caf_fabric::pod::{as_bytes, as_bytes_mut, vec_from_bytes};
+use caf_fabric::pod::{as_bytes, as_bytes_mut, zeroed_vec};
 use caf_fabric::sched::{self, ModelOp, ANY_OWNER};
 use caf_fabric::{FabricError, MemCategory, PeerSegments, Pod, Result, Segment, SegmentId};
 
@@ -506,7 +506,7 @@ impl Mpi {
         disp: usize,
         count: usize,
     ) -> Result<RmaRequest<T>> {
-        let mut data = vec_from_bytes::<T>(&vec![0u8; count * std::mem::size_of::<T>()]);
+        let mut data = zeroed_vec::<T>(count);
         self.get(win, target, disp, &mut data)?;
         // The request owns the buffer it borrows: moving the `Vec` in
         // leaves its heap address where the get wrote.

@@ -76,16 +76,22 @@ proptest! {
         prop_assert_eq!(a, b);
     }
 
-    /// Alltoall of arbitrary blocks agrees across substrates.
+    /// Alltoall of arbitrary blocks, empty ones included, agrees across
+    /// substrates, and receiving into a caller's buffer agrees with
+    /// receiving into a new vector.
     #[test]
-    fn alltoall_agrees(seed in any::<u64>(), block in 1usize..6) {
+    fn alltoall_agrees(seed in any::<u64>(), block in 0usize..6) {
         let (a, b) = on_both(4, move |img| {
             let world = img.team_world();
             let me = img.this_image() as u64;
             let send: Vec<u64> = (0..4 * block as u64)
                 .map(|i| seed ^ (me << 32) ^ i)
                 .collect();
-            img.alltoall(&world, &send, block)
+            let mut into = vec![!seed; send.len()];
+            img.alltoall_into(&world, &send, block, &mut into);
+            let fresh = img.alltoall(&world, &send, block);
+            assert_eq!(into, fresh, "image {me}");
+            fresh
         });
         prop_assert_eq!(a, b);
     }
