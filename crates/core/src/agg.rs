@@ -295,7 +295,7 @@ impl Image {
             // records, so the drained buffer *is* the encoded
             // `RtMsg::AggBatch`.
             write_agg_batch_header(batch.headroom_mut(), token, fid);
-            self.backend.send_rtmsg_bytes(target, batch.frame());
+            self.backend.send_rtmsg(target, batch.frame());
         });
         self.agg.borrow_mut().recycle(batch);
     }
@@ -407,7 +407,7 @@ mod tests {
             g.max_encoded_len(),
             caf_gasnetsim::AM_MAX_MEDIUM
         );
-        // MPI isends have no medium limit: knobs pass through.
+        // MPI sends have no medium limit: knobs pass through.
         let m = effective_agg_config(huge, SubstrateKind::Mpi, 4);
         assert_eq!(m.bucket_bytes, 1 << 20);
     }

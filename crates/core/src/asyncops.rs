@@ -27,7 +27,7 @@ use crate::coarray::{Coarray, On};
 use crate::event::Event;
 use crate::image::Image;
 use crate::op::{CafOp, Chan, Edge};
-use crate::rtmsg::RtMsg;
+use crate::rtmsg::put_with_event_frame;
 use crate::stats::StatCat;
 use crate::team::Team;
 
@@ -147,15 +147,9 @@ impl Image {
                         self.post_event(dst.id, me);
                     }
                     Some(dst) => self.op(CafOp::send(Chan::Event, dst.id, target), || {
-                        self.backend.send_rtmsg(
-                            target,
-                            &RtMsg::PutWithEvent {
-                                region_id: win.id(),
-                                offset: disp as u64,
-                                event_id: dst.id,
-                                data: as_bytes(data).to_vec(),
-                            },
-                        );
+                        let frame =
+                            put_with_event_frame(win.id(), disp as u64, dst.id, as_bytes(data));
+                        self.backend.send_rtmsg(target, &frame);
                     }),
                 },
                 On::Gasnet(bg, r) => {

@@ -3,22 +3,24 @@
 //! `Backend::Mpi` is the paper's contribution (CAF-MPI, §3); `Backend::Gasnet`
 //! is the baseline the paper compares against (CAF-GASNet, the original
 //! CAF 2.0 runtime). A backend holds the substrate's library and its
-//! runtime-message transport, and nothing per region: which region an id
+//! runtime-message transport — three methods that move a message's frame:
+//! send, poll, and blocking receive; framing and decoding are
+//! [`crate::rtmsg`]'s — and nothing per region: which region an id
 //! names is one table in [`crate::Image`] on both substrates, and the
 //! release walk over its windows lives beside it (`event.rs`). Remote
 //! references, flush semantics and collectives availability stay
 //! substrate-specific, paired with the backend through
 //! `RegionInner::on`.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::rc::Rc;
 
 use caf_fabric::Watch;
 use caf_gasnetsim::{Gasnet, AM_MAX_MEDIUM};
 use caf_mpisim::{Comm, Mpi, Src, Tag};
 
 use crate::arena::SegmentArena;
-use crate::rtmsg::RtMsg;
 
 /// How the CAF-MPI backend completes outstanding puts at a release point
 /// (`event_notify`, `cofence`, `finish`, `copy_async` completion).
@@ -88,8 +90,10 @@ pub(crate) struct GasnetBackend {
     pub g: Gasnet,
     /// Allocator over the attached segment (coarrays live inside it).
     pub arena: SegmentArena,
-    /// Received-but-unhandled runtime AMs, filled by the GASNet handler.
-    pub inbox: Arc<Mutex<VecDeque<Vec<u8>>>>,
+    /// Received-but-unhandled runtime AM frames, filled by the GASNet
+    /// handler — which runs only inside this image's own polls, so the
+    /// queue has one owner and needs no lock.
+    pub inbox: Rc<RefCell<VecDeque<Vec<u8>>>>,
     /// Optional co-resident MPI library (the paper's "duplicate runtimes"
     /// configuration, used by hybrid applications such as CGPOP and by the
     /// Figure-1 memory experiment).
@@ -97,10 +101,11 @@ pub(crate) struct GasnetBackend {
 }
 
 impl GasnetBackend {
-    /// The oldest runtime AM the handler has queued.
-    fn next_rtmsg(&self) -> Option<RtMsg> {
-        let bytes = self.inbox.lock().unwrap_or_else(PoisonError::into_inner).pop_front()?;
-        Some(RtMsg::decode(bytes))
+    /// The oldest runtime AM frame the handler has queued. The inbox is
+    /// released before the caller handles the frame: a shipped closure
+    /// that polls runs the handler again.
+    fn next_frame(&self) -> Option<Vec<u8>> {
+        self.inbox.borrow_mut().pop_front()
     }
 }
 
@@ -119,74 +124,67 @@ impl Backend {
         }
     }
 
-    /// Send a runtime message to a global rank. Non-blocking (paper §3.4:
-    /// notifications use `MPI_ISEND` to avoid deadlock in circular
-    /// wait/notify chains).
-    pub fn send_rtmsg(&self, target: usize, msg: &RtMsg) {
-        self.send_rtmsg_bytes(target, &msg.encode());
-    }
-
-    /// [`Backend::send_rtmsg`] for a message already in its
-    /// [`RtMsg::encode`] form.
-    pub fn send_rtmsg_bytes(&self, target: usize, bytes: &[u8]) {
+    /// Send a runtime message, framed by its sender ([`crate::rtmsg`]),
+    /// to a global rank. Non-blocking (paper §3.4: notifications must not
+    /// block, to avoid deadlock in circular wait/notify chains): on this
+    /// eager substrate an `MPI_Send` completes at injection, as an
+    /// `MPI_Isend` + `MPI_Wait` would.
+    pub fn send_rtmsg(&self, target: usize, frame: &[u8]) {
         if caf_trace::enabled() {
             caf_trace::instant(
                 caf_trace::Op::RtMsgSend,
                 Some(target),
-                bytes.len() as u64,
+                frame.len() as u64,
                 None,
             );
         }
         match self {
             Backend::Mpi(b) => {
-                b.mpi
-                    .isend(&b.rt_comm, target, RT_TAG, bytes)
-                    .expect("runtime AM send")
-                    .wait();
+                b.mpi.send(&b.rt_comm, target, RT_TAG, frame).expect("runtime AM send");
             }
             Backend::Gasnet(b) => {
                 assert!(
-                    bytes.len() <= AM_MAX_MEDIUM,
+                    frame.len() <= AM_MAX_MEDIUM,
                     "runtime message of {} bytes exceeds the medium-AM limit; \
                      large transfers must use puts",
-                    bytes.len()
+                    frame.len()
                 );
-                b.g.am_request_medium(target, RT_HANDLER, &[], bytes)
+                b.g.am_request_medium(target, RT_HANDLER, &[], frame)
                     .expect("runtime AM send");
             }
         }
     }
 
-    /// Non-blocking poll for one runtime message.
-    pub fn try_recv_rtmsg(&self) -> Option<RtMsg> {
+    /// Non-blocking poll for one runtime message's frame.
+    pub fn try_recv_rtmsg(&self) -> Option<Vec<u8>> {
         match self {
-            Backend::Mpi(b) => try_match_rt(&b.mpi, &b.rt_comm, RT_TAG).map(RtMsg::decode),
-            Backend::Gasnet(b) => b.next_rtmsg().or_else(|| {
+            Backend::Mpi(b) => {
+                b.mpi.try_recv(&b.rt_comm, Src::Any, Tag::Is(RT_TAG)).map(|(frame, _)| frame)
+            }
+            Backend::Gasnet(b) => b.next_frame().or_else(|| {
                 b.g.poll();
-                b.next_rtmsg()
+                b.next_frame()
             }),
         }
     }
 
-    /// Block until a runtime message arrives, or fail with the failed
-    /// subset of `watch` once a watched image has died. The blocking wait
-    /// makes progress on the substrate (paper §3.4: "the blocking polling
-    /// operation allows the MPI runtime to make progress internally").
+    /// Block until a runtime message arrives and return its frame, or fail
+    /// with the failed subset of `watch` once a watched image has died.
+    /// The blocking wait makes progress on the substrate (paper §3.4: "the
+    /// blocking polling operation allows the MPI runtime to make progress
+    /// internally").
     ///
     /// On the MPI substrate the runtime communicator spans the world, so
     /// the detection granularity is the whole job regardless of `watch`
     /// (a narrower watch is honored on GASNet, whose AM wait screens
     /// per-rank).
-    pub fn recv_rtmsg_blocking_stat(&self, watch: Watch<'_>) -> caf_fabric::Result<RtMsg> {
+    pub fn recv_rtmsg_blocking_stat(&self, watch: Watch<'_>) -> caf_fabric::Result<Vec<u8>> {
         let _span = caf_trace::span(caf_trace::Op::RtMsgRecvBlocking);
         match self {
-            Backend::Mpi(b) => {
-                let (bytes, _st) = b.mpi.recv::<u8>(&b.rt_comm, Src::Any, Tag::Is(RT_TAG))?;
-                Ok(RtMsg::decode(bytes))
-            }
+            Backend::Mpi(b) => Ok(b.mpi.recv(&b.rt_comm, Src::Any, Tag::Is(RT_TAG))?.0),
             Backend::Gasnet(b) => loop {
-                if let Some(msg) = b.next_rtmsg() {
-                    return Ok(msg);
+                if let Some(frame) = b.next_frame() {
+                    return Ok(frame);
                 }
                 b.g.dispatch_packet(b.g.wait_am_packet_watching(watch)?);
             },
@@ -224,19 +222,5 @@ impl Backend {
                         .map_or(0, |m| m.mem().runtime_overhead())
             }
         }
-    }
-}
-
-/// Runtime-AM matcher on the MPI substrate (non-blocking).
-fn try_match_rt(mpi: &Mpi, rt_comm: &Comm, tag: i64) -> Option<Vec<u8>> {
-    let mut req = mpi.irecv::<u8>(rt_comm, Src::Any, Tag::Is(tag));
-    if req.test(mpi) {
-        let (bytes, _st) = req.wait(mpi);
-        Some(bytes)
-    } else {
-        // Dropping an unmatched irecv is safe on this substrate: irecv
-        // posts no receive state until matched.
-        drop(req);
-        None
     }
 }

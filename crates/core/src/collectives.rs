@@ -86,7 +86,7 @@ impl Rounds for TeamRounds<'_> {
             frame.resize(COLL_HEADER, 0);
             write_coll_header(&mut frame, team_id, self.seq, round, src_idx, i as u32, nchunks);
             frame.extend_from_slice(chunk);
-            self.img.backend.send_rtmsg_bytes(self.t.global_rank(to), &frame);
+            self.img.backend.send_rtmsg(self.t.global_rank(to), &frame);
         }
         Ok(())
     }
@@ -102,11 +102,11 @@ impl Rounds for TeamRounds<'_> {
                     return Ok(e.remove().1);
                 }
             }
-            let msg = self
+            let frame = self
                 .img
                 .backend
                 .recv_rtmsg_blocking_stat(Watch::Ranks(self.t.members()))?;
-            self.img.handle_msg(msg);
+            self.img.handle_msg(&frame);
         }
     }
 }
@@ -388,26 +388,26 @@ impl Image {
         }
     }
 
-    /// Join one received fragment of the hand-rolled collective message
+    /// Copy one received fragment of the hand-rolled collective message
     /// `key` into its stash entry. The first fragment of a message sizes
     /// the buffer for all `nchunks` (no fragment is longer than
-    /// [`GCOLL_CHUNK`]); a one-fragment message keeps its own. Kept out
-    /// of [`Image::handle_msg`], whose event path is the hot one.
+    /// [`GCOLL_CHUNK`]). Kept out of [`Image::handle_msg`], whose event
+    /// path is the hot one.
     #[inline(never)]
-    pub(crate) fn stash_fragment(&self, key: (u64, u64, u32, u32), nchunks: u32, data: Vec<u8>) {
+    pub(crate) fn stash_fragment(&self, key: (u64, u64, u32, u32), nchunks: u32, data: &[u8]) {
         match self.coll_stash.borrow_mut().entry(key) {
             Entry::Vacant(e) if nchunks == 1 => {
-                e.insert((0, data));
+                e.insert((0, data.to_vec()));
             }
             Entry::Vacant(e) => {
                 let mut bytes = Vec::with_capacity(nchunks as usize * GCOLL_CHUNK);
-                bytes.extend_from_slice(&data);
+                bytes.extend_from_slice(data);
                 e.insert((nchunks - 1, bytes));
             }
             Entry::Occupied(mut e) => {
                 let (missing, bytes) = e.get_mut();
                 *missing -= 1;
-                bytes.extend_from_slice(&data);
+                bytes.extend_from_slice(data);
             }
         }
     }

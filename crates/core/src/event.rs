@@ -21,7 +21,7 @@ use crate::backend::{Backend, FlushMode, FALLBACK_FRACTION};
 use crate::coarray::On;
 use crate::image::Image;
 use crate::op::{CafOp, Chan};
-use crate::rtmsg::RtMsg;
+use crate::rtmsg::notify_frame;
 use crate::stat::Stat;
 use crate::stats::StatCat;
 use crate::team::Team;
@@ -81,10 +81,10 @@ impl Image {
 
     /// Post `event_id` at global image `target`: locally when that is
     /// this image (short-circuiting the AM layer), as an
-    /// [`RtMsg::EventNotify`] otherwise. The poster's causal past must be
-    /// visible to the waiter, so this is the send edge the sanitizer
-    /// pairs with the consuming wait — posts pair FIFO with consumers,
-    /// not with message delivery (which posts through
+    /// [`crate::rtmsg::RtMsg::EventNotify`] otherwise. The poster's causal
+    /// past must be visible to the waiter, so this is the send edge the
+    /// sanitizer pairs with the consuming wait — posts pair FIFO with
+    /// consumers, not with message delivery (which posts through
     /// [`Image::post_event_local`] on behalf of a sender that already
     /// recorded its edge).
     pub(crate) fn post_event(&self, event_id: u64, target: usize) {
@@ -92,7 +92,7 @@ impl Image {
             if target == self.this_image() {
                 self.post_event_local(event_id);
             } else {
-                self.backend.send_rtmsg(target, &RtMsg::EventNotify { event_id });
+                self.backend.send_rtmsg(target, &notify_frame(event_id));
             }
         });
     }
@@ -121,7 +121,7 @@ impl Image {
                 return Stat::Ok;
             }
             match self.backend.recv_rtmsg_blocking_stat(caf_fabric::Watch::All) {
-                Ok(msg) => self.handle_msg(msg),
+                Ok(frame) => self.handle_msg(&frame),
                 Err(e) => return self.stat_failed(e),
             }
         })
@@ -268,6 +268,59 @@ mod tests {
                 assert!(!img.event_trywait(&ev));
             }
         });
+    }
+
+    /// A runtime message drained by `poll` is charged as a receive: one
+    /// `P2pReceive` each on CAF-MPI (as a blocking `recv` charges), one
+    /// `AmDispatch` each on CAF-GASNet.
+    #[test]
+    fn polled_notifies_are_charged_as_receives() {
+        use caf_fabric::DelayOp;
+        use std::sync::atomic::{AtomicBool, Ordering};
+        const N: u64 = 5;
+        for kind in [SubstrateKind::Mpi, SubstrateKind::Gasnet] {
+            let (sent, drained) = (AtomicBool::new(false), AtomicBool::new(false));
+            let wait_for = |flag: &AtomicBool| {
+                // No polling while waiting: the drain below is the one
+                // that receives every notify, and nothing else.
+                while !flag.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+            };
+            CafUniverse::run_with_config(2, CafConfig::on(kind), |img| {
+                let w = img.team_world();
+                let ev = img.event_alloc(&w);
+                img.sync_all();
+                if img.this_image() == 1 {
+                    for _ in 0..N {
+                        img.event_notify(&w, &ev, 0);
+                    }
+                    sent.store(true, Ordering::Release);
+                    wait_for(&drained);
+                } else {
+                    wait_for(&sent);
+                    let charged = |op| {
+                        img.delay_meter_snapshot()
+                            .into_iter()
+                            .find_map(|(o, count, _)| (o == op).then_some(count))
+                            .expect("the meter has a row per op")
+                    };
+                    let op = match kind {
+                        SubstrateKind::Mpi => DelayOp::P2pReceive,
+                        SubstrateKind::Gasnet => DelayOp::AmDispatch,
+                    };
+                    let before = charged(op);
+                    img.poll();
+                    let after = charged(op);
+                    drained.store(true, Ordering::Release);
+                    assert_eq!(after - before, N, "{kind:?}: {op:?} per polled notify");
+                    for _ in 0..N {
+                        img.event_wait(&ev);
+                    }
+                }
+                img.sync_all();
+            });
+        }
     }
 
     #[test]

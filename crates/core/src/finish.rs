@@ -15,7 +15,7 @@
 
 use crate::image::Image;
 use crate::op::{CafOp, Chan};
-use crate::rtmsg::RtMsg;
+use crate::rtmsg::ship_frame;
 use crate::stats::StatCat;
 use crate::team::Team;
 
@@ -149,8 +149,7 @@ impl Image {
         // closure (token = the globally unique registry slot); the send's
         // record is the shipping's trace instant.
         self.op(CafOp::send(Chan::Ship, slot, global), || {
-            self.backend
-                .send_rtmsg(global, &RtMsg::Ship { slot, finish_id: fid });
+            self.backend.send_rtmsg(global, &ship_frame(slot, fid));
         });
     }
 }

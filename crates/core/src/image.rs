@@ -2,7 +2,8 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::rc::Rc;
+use std::sync::Arc;
 
 use caf_fabric::group::splitmix64;
 use caf_fabric::{Fabric, FabricConfig, Group};
@@ -239,11 +240,11 @@ impl Image {
             }
             SubstrateKind::Gasnet => {
                 let g = Gasnet::init(ep0, config.gasnet);
-                let inbox = Arc::new(Mutex::new(VecDeque::new()));
+                let inbox = Rc::new(RefCell::new(VecDeque::new()));
                 g.register_handler(RT_HANDLER, {
-                    let inbox = Arc::clone(&inbox);
+                    let inbox = Rc::clone(&inbox);
                     move |_g: &Gasnet, _tok, _args, data| {
-                        inbox.lock().unwrap_or_else(PoisonError::into_inner).push_back(data.to_vec());
+                        inbox.borrow_mut().push_back(data.to_vec());
                     }
                 });
                 let hybrid_mpi = if config.hybrid_mpi {
@@ -348,14 +349,14 @@ impl Image {
     /// already arrived. Called internally by blocking operations; exposed
     /// so long compute loops can keep shipped functions and events flowing.
     pub fn poll(&self) {
-        while let Some(msg) = self.backend.try_recv_rtmsg() {
-            self.handle_msg(msg);
+        while let Some(frame) = self.backend.try_recv_rtmsg() {
+            self.handle_msg(&frame);
         }
     }
 
-    /// Handle one runtime message.
-    pub(crate) fn handle_msg(&self, msg: RtMsg) {
-        match msg {
+    /// Handle one runtime message, decoded in place from its frame.
+    pub(crate) fn handle_msg(&self, frame: &[u8]) {
+        match RtMsg::decode(frame) {
             RtMsg::EventNotify { event_id } => self.post_event_local(event_id),
             RtMsg::Ship { slot, finish_id } => {
                 // The executor joins the shipper's clock before the
@@ -382,7 +383,7 @@ impl Image {
                 event_id,
                 data,
             } => {
-                self.region_write_local(region_id, offset as usize, &data);
+                self.region_write_local(region_id, offset as usize, data);
                 if event_id != 0 {
                     self.post_event_local(event_id);
                 }
@@ -391,7 +392,7 @@ impl Image {
                 token,
                 finish_id,
                 data,
-            } => self.handle_agg_batch(token, finish_id, &data),
+            } => self.handle_agg_batch(token, finish_id, data),
             RtMsg::CollPayload { team_id, seq, phase, src_idx, nchunks, data, .. } => {
                 self.stash_fragment((team_id, seq, phase, src_idx), nchunks, data);
             }

@@ -2,17 +2,21 @@
 //!
 //! The CAF runtime needs its own AM layer for events, function shipping,
 //! remote-completion puts, and (on the GASNet substrate) hand-rolled
-//! collectives. On the MPI substrate these messages travel as `MPI_Isend`s
+//! collectives. On the MPI substrate these messages travel as `MPI_Send`s
 //! on a private communicator — the paper's §3.2 design, a "near-exact
 //! replica of the AM interface in the GASNet core API" built from two-sided
 //! MPI. On the GASNet substrate they are genuine GASNet AMs.
 //!
 //! The wire encoding is a tiny hand-rolled binary format (kind byte +
 //! little-endian fields + raw payload); both substrates move opaque bytes.
+//! A message is framed once by its sender — on the stack for the
+//! fixed-size kinds ([`notify_frame`], [`ship_frame`]), around its payload
+//! for the rest — and [`RtMsg::decode`] reads it at the receiver without
+//! copying: a payload is a slice of the received frame.
 
-/// A runtime message.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RtMsg {
+/// A received runtime message, borrowing its payload from the frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RtMsg<'a> {
     /// Post `event_id` once at the receiving image.
     EventNotify {
         /// Collectively agreed event identity.
@@ -37,7 +41,7 @@ pub enum RtMsg {
         /// Event to post after the copy (0 = none).
         event_id: u64,
         /// The payload.
-        data: Vec<u8>,
+        data: &'a [u8],
     },
     /// One drained aggregation bucket: the `caf-agg` batch wire format
     /// (`caf_agg::Batch::bytes`), delivered as a single runtime AM and
@@ -52,7 +56,7 @@ pub enum RtMsg {
         /// Enclosing finish block at the drain point (0 = none).
         finish_id: u64,
         /// The encoded batch.
-        data: Vec<u8>,
+        data: &'a [u8],
     },
     /// One fragment of a hand-rolled collective on the GASNet substrate.
     CollPayload {
@@ -69,7 +73,7 @@ pub enum RtMsg {
         /// Total number of fragments.
         nchunks: u32,
         /// Fragment bytes.
-        data: Vec<u8>,
+        data: &'a [u8],
     },
 }
 
@@ -79,12 +83,43 @@ const K_PUT_EV: u8 = 3;
 const K_COLL: u8 = 4;
 const K_AGG: u8 = 5;
 
-fn push_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
+/// Fill `head` with `kind` followed by `fields`, little-endian.
+fn write_header(head: &mut [u8], kind: u8, fields: &[u64]) {
+    assert_eq!(head.len(), 1 + 8 * fields.len(), "runtime message header size");
+    head[0] = kind;
+    for (at, v) in head[1..].chunks_exact_mut(8).zip(fields) {
+        at.copy_from_slice(&v.to_le_bytes());
+    }
 }
 
-fn push_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
+/// The frame of `RtMsg::EventNotify { event_id }`, on the stack.
+pub(crate) fn notify_frame(event_id: u64) -> [u8; 1 + 8] {
+    let mut frame = [0; 1 + 8];
+    write_header(&mut frame, K_EVENT, &[event_id]);
+    frame
+}
+
+/// The frame of `RtMsg::Ship { slot, finish_id }`, on the stack.
+pub(crate) fn ship_frame(slot: u64, finish_id: u64) -> [u8; 1 + 2 * 8] {
+    let mut frame = [0; 1 + 2 * 8];
+    write_header(&mut frame, K_SHIP, &[slot, finish_id]);
+    frame
+}
+
+/// Encoded bytes in front of an [`RtMsg::PutWithEvent`]'s data.
+const PUT_EV_HEADER: usize = 1 + 3 * 8;
+
+/// The frame of `RtMsg::PutWithEvent { region_id, offset, event_id, data }`:
+/// one allocation, into which `data` is copied once.
+pub(crate) fn put_with_event_frame(
+    region_id: u64,
+    offset: u64,
+    event_id: u64,
+    data: &[u8],
+) -> Vec<u8> {
+    let mut head = [0; PUT_EV_HEADER];
+    write_header(&mut head, K_PUT_EV, &[region_id, offset, event_id]);
+    [&head[..], data].concat()
 }
 
 /// Encoded bytes in front of an [`RtMsg::AggBatch`]'s batch: kind, token,
@@ -93,13 +128,10 @@ fn push_u32(buf: &mut Vec<u8>, v: u32) {
 pub(crate) const AGG_BATCH_HEADER: usize = 1 + 8 + 8;
 
 /// Fill `head` (exactly [`AGG_BATCH_HEADER`] bytes, directly in front of
-/// the batch) so that `head ++ batch` is the encoding of
+/// the batch) so that `head ++ batch` is the frame of
 /// `RtMsg::AggBatch { token, finish_id, data: batch }`.
 pub(crate) fn write_agg_batch_header(head: &mut [u8], token: u64, finish_id: u64) {
-    assert_eq!(head.len(), AGG_BATCH_HEADER, "AggBatch header size");
-    head[0] = K_AGG;
-    head[1..9].copy_from_slice(&token.to_le_bytes());
-    head[9..17].copy_from_slice(&finish_id.to_le_bytes());
+    write_header(head, K_AGG, &[token, finish_id]);
 }
 
 /// Encoded bytes in front of an [`RtMsg::CollPayload`]'s fragment: kind,
@@ -107,7 +139,7 @@ pub(crate) fn write_agg_batch_header(head: &mut [u8], token: u64, finish_id: u64
 pub(crate) const COLL_HEADER: usize = 1 + 8 + 8 + 4 * 4;
 
 /// Fill `head` (exactly [`COLL_HEADER`] bytes, directly in front of the
-/// fragment) so that `head ++ data` is the encoding of
+/// fragment) so that `head ++ data` is the frame of
 /// `RtMsg::CollPayload { team_id, seq, phase, src_idx, chunk, nchunks, data }`.
 pub(crate) fn write_coll_header(
     head: &mut [u8],
@@ -119,133 +151,65 @@ pub(crate) fn write_coll_header(
     nchunks: u32,
 ) {
     assert_eq!(head.len(), COLL_HEADER, "CollPayload header size");
-    head[0] = K_COLL;
-    head[1..9].copy_from_slice(&team_id.to_le_bytes());
-    head[9..17].copy_from_slice(&seq.to_le_bytes());
-    for (at, v) in [(17, phase), (21, src_idx), (25, chunk), (29, nchunks)] {
-        head[at..at + 4].copy_from_slice(&v.to_le_bytes());
+    let (ids, words) = head.split_at_mut(1 + 2 * 8);
+    write_header(ids, K_COLL, &[team_id, seq]);
+    for (at, v) in words.chunks_exact_mut(4).zip([phase, src_idx, chunk, nchunks]) {
+        at.copy_from_slice(&v.to_le_bytes());
     }
 }
 
-/// Cursor over a received message. Owns the buffer so a trailing payload
-/// is kept in place (shifted to the front) rather than copied out.
-struct Reader {
-    bytes: Vec<u8>,
-    at: usize,
+/// The next `N` bytes of `rest`, which moves past them.
+fn take<const N: usize>(rest: &mut &[u8]) -> [u8; N] {
+    let (field, tail) = rest
+        .split_first_chunk()
+        .expect("truncated runtime message");
+    *rest = tail;
+    *field
 }
 
-impl Reader {
-    fn take<const N: usize>(&mut self) -> [u8; N] {
-        let field = self.bytes[self.at..self.at + N]
-            .try_into()
-            .expect("slice of N bytes");
-        self.at += N;
-        field
-    }
-    fn u64(&mut self) -> u64 {
-        u64::from_le_bytes(self.take())
-    }
-    fn u32(&mut self) -> u32 {
-        u32::from_le_bytes(self.take())
-    }
-    fn rest(mut self) -> Vec<u8> {
-        self.bytes.drain(..self.at);
-        self.bytes
-    }
+fn u64_le(rest: &mut &[u8]) -> u64 {
+    u64::from_le_bytes(take(rest))
 }
 
-impl RtMsg {
-    /// Serialize to bytes.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(32);
-        match self {
-            RtMsg::EventNotify { event_id } => {
-                buf.push(K_EVENT);
-                push_u64(&mut buf, *event_id);
-            }
-            RtMsg::Ship { slot, finish_id } => {
-                buf.push(K_SHIP);
-                push_u64(&mut buf, *slot);
-                push_u64(&mut buf, *finish_id);
-            }
-            RtMsg::PutWithEvent {
-                region_id,
-                offset,
-                event_id,
-                data,
-            } => {
-                buf.push(K_PUT_EV);
-                push_u64(&mut buf, *region_id);
-                push_u64(&mut buf, *offset);
-                push_u64(&mut buf, *event_id);
-                buf.extend_from_slice(data);
-            }
-            RtMsg::AggBatch {
-                token,
-                finish_id,
-                data,
-            } => {
-                buf.resize(AGG_BATCH_HEADER, 0);
-                write_agg_batch_header(&mut buf, *token, *finish_id);
-                buf.extend_from_slice(data);
-            }
-            RtMsg::CollPayload {
-                team_id,
-                seq,
-                phase,
-                src_idx,
-                chunk,
-                nchunks,
-                data,
-            } => {
-                buf.push(K_COLL);
-                push_u64(&mut buf, *team_id);
-                push_u64(&mut buf, *seq);
-                push_u32(&mut buf, *phase);
-                push_u32(&mut buf, *src_idx);
-                push_u32(&mut buf, *chunk);
-                push_u32(&mut buf, *nchunks);
-                buf.extend_from_slice(data);
-            }
-        }
-        buf
-    }
+fn u32_le(rest: &mut &[u8]) -> u32 {
+    u32::from_le_bytes(take(rest))
+}
 
-    /// Deserialize a received message, reusing its buffer for the
-    /// payload (if the kind carries one).
+impl<'a> RtMsg<'a> {
+    /// Read a received frame in place: a payload is the frame's tail.
     ///
     /// # Panics
     ///
     /// Panics on a malformed message — runtime traffic is internal, so
     /// corruption is a bug, not an input condition.
-    pub fn decode(bytes: Vec<u8>) -> RtMsg {
-        assert!(!bytes.is_empty(), "empty runtime message");
-        let mut r = Reader { bytes, at: 0 };
-        match r.take::<1>()[0] {
-            K_EVENT => RtMsg::EventNotify { event_id: r.u64() },
+    pub fn decode(frame: &'a [u8]) -> RtMsg<'a> {
+        let (&kind, mut rest) = frame.split_first().expect("empty runtime message");
+        let r = &mut rest;
+        match kind {
+            K_EVENT => RtMsg::EventNotify { event_id: u64_le(r) },
             K_SHIP => RtMsg::Ship {
-                slot: r.u64(),
-                finish_id: r.u64(),
+                slot: u64_le(r),
+                finish_id: u64_le(r),
             },
             K_PUT_EV => RtMsg::PutWithEvent {
-                region_id: r.u64(),
-                offset: r.u64(),
-                event_id: r.u64(),
-                data: r.rest(),
+                region_id: u64_le(r),
+                offset: u64_le(r),
+                event_id: u64_le(r),
+                data: rest,
             },
             K_AGG => RtMsg::AggBatch {
-                token: r.u64(),
-                finish_id: r.u64(),
-                data: r.rest(),
+                token: u64_le(r),
+                finish_id: u64_le(r),
+                data: rest,
             },
             K_COLL => RtMsg::CollPayload {
-                team_id: r.u64(),
-                seq: r.u64(),
-                phase: r.u32(),
-                src_idx: r.u32(),
-                chunk: r.u32(),
-                nchunks: r.u32(),
-                data: r.rest(),
+                team_id: u64_le(r),
+                seq: u64_le(r),
+                phase: u32_le(r),
+                src_idx: u32_le(r),
+                chunk: u32_le(r),
+                nchunks: u32_le(r),
+                data: rest,
             },
             k => panic!("unknown runtime message kind {k}"),
         }
@@ -256,8 +220,46 @@ impl RtMsg {
 mod tests {
     use super::*;
 
+    /// `m`'s frame, built as its sender builds it: on the stack, around
+    /// its payload, or with the header written in place in front of it.
+    fn frame(m: &RtMsg) -> Vec<u8> {
+        match *m {
+            RtMsg::EventNotify { event_id } => notify_frame(event_id).to_vec(),
+            RtMsg::Ship { slot, finish_id } => ship_frame(slot, finish_id).to_vec(),
+            RtMsg::PutWithEvent {
+                region_id,
+                offset,
+                event_id,
+                data,
+            } => put_with_event_frame(region_id, offset, event_id, data),
+            RtMsg::AggBatch {
+                token,
+                finish_id,
+                data,
+            } => {
+                let mut frame = [&[0; AGG_BATCH_HEADER][..], data].concat();
+                write_agg_batch_header(&mut frame[..AGG_BATCH_HEADER], token, finish_id);
+                frame
+            }
+            RtMsg::CollPayload {
+                team_id,
+                seq,
+                phase,
+                src_idx,
+                chunk,
+                nchunks,
+                data,
+            } => {
+                let mut frame = [&[0; COLL_HEADER][..], data].concat();
+                let head = &mut frame[..COLL_HEADER];
+                write_coll_header(head, team_id, seq, phase, src_idx, chunk, nchunks);
+                frame
+            }
+        }
+    }
+
     fn roundtrip(m: RtMsg) {
-        assert_eq!(RtMsg::decode(m.encode()), m);
+        assert_eq!(RtMsg::decode(&frame(&m)), m);
     }
 
     #[test]
@@ -271,12 +273,12 @@ mod tests {
             region_id: 1,
             offset: 1024,
             event_id: 0,
-            data: vec![1, 2, 3, 4, 5],
+            data: &[1, 2, 3, 4, 5],
         });
         roundtrip(RtMsg::AggBatch {
             token: 0xA66,
             finish_id: 12,
-            data: vec![9, 8, 7],
+            data: &[9, 8, 7],
         });
         roundtrip(RtMsg::CollPayload {
             team_id: 9,
@@ -285,7 +287,7 @@ mod tests {
             src_idx: 5,
             chunk: 1,
             nchunks: 4,
-            data: vec![0xff; 100],
+            data: &[0xff; 100],
         });
     }
 
@@ -295,12 +297,13 @@ mod tests {
         let mut frame = vec![0u8; AGG_BATCH_HEADER];
         frame.extend_from_slice(&batch);
         write_agg_batch_header(&mut frame[..AGG_BATCH_HEADER], 0xA66, 12);
+        assert_eq!(&frame[..9], &[K_AGG, 0x66, 0x0A, 0, 0, 0, 0, 0, 0]);
         let msg = RtMsg::AggBatch {
             token: 0xA66,
             finish_id: 12,
-            data: batch.to_vec(),
+            data: &batch,
         };
-        assert_eq!(frame, msg.encode());
+        assert_eq!(RtMsg::decode(&frame), msg);
     }
 
     #[test]
@@ -309,6 +312,7 @@ mod tests {
         let mut frame = vec![0u8; COLL_HEADER];
         frame.extend_from_slice(&chunk);
         write_coll_header(&mut frame[..COLL_HEADER], 9, 3, 2, 5, 1, 4);
+        assert_eq!(&frame[17..COLL_HEADER], &[2, 0, 0, 0, 5, 0, 0, 0, 1, 0, 0, 0, 4, 0, 0, 0]);
         let msg = RtMsg::CollPayload {
             team_id: 9,
             seq: 3,
@@ -316,9 +320,43 @@ mod tests {
             src_idx: 5,
             chunk: 1,
             nchunks: 4,
-            data: chunk.to_vec(),
+            data: &chunk,
         };
-        assert_eq!(frame, msg.encode());
+        assert_eq!(RtMsg::decode(&frame), msg);
+    }
+
+    #[test]
+    fn decoded_payloads_point_into_the_frame() {
+        let data = [1u8, 2, 3];
+        for (m, head) in [
+            (
+                RtMsg::PutWithEvent { region_id: 1, offset: 8, event_id: 3, data: &data },
+                PUT_EV_HEADER,
+            ),
+            (RtMsg::AggBatch { token: 2, finish_id: 0, data: &data }, AGG_BATCH_HEADER),
+            (
+                RtMsg::CollPayload {
+                    team_id: 0,
+                    seq: 1,
+                    phase: 0,
+                    src_idx: 1,
+                    chunk: 0,
+                    nchunks: 1,
+                    data: &data,
+                },
+                COLL_HEADER,
+            ),
+        ] {
+            let frame = frame(&m);
+            let (RtMsg::PutWithEvent { data: got, .. }
+            | RtMsg::AggBatch { data: got, .. }
+            | RtMsg::CollPayload { data: got, .. }) = RtMsg::decode(&frame)
+            else {
+                panic!("{m:?} decoded as a kind without payload")
+            };
+            assert_eq!(got.as_ptr(), frame[head..].as_ptr(), "{m:?}: the payload was copied");
+            assert_eq!(got, data);
+        }
     }
 
     #[test]
@@ -327,7 +365,7 @@ mod tests {
             region_id: 0,
             offset: 0,
             event_id: 0,
-            data: vec![],
+            data: &[],
         });
         roundtrip(RtMsg::CollPayload {
             team_id: 0,
@@ -336,14 +374,14 @@ mod tests {
             src_idx: 0,
             chunk: 0,
             nchunks: 1,
-            data: vec![],
+            data: &[],
         });
     }
 
     #[test]
     #[should_panic(expected = "unknown runtime message kind")]
     fn decode_rejects_garbage() {
-        RtMsg::decode(vec![200, 0, 0]);
+        RtMsg::decode(&[200, 0, 0]);
     }
 
     mod props {
@@ -354,13 +392,13 @@ mod tests {
             #[test]
             fn event_roundtrips(id in any::<u64>()) {
                 let m = RtMsg::EventNotify { event_id: id };
-                prop_assert_eq!(RtMsg::decode(m.encode()), m);
+                prop_assert_eq!(RtMsg::decode(&frame(&m)), m);
             }
 
             #[test]
             fn ship_roundtrips(slot in any::<u64>(), fid in any::<u64>()) {
                 let m = RtMsg::Ship { slot, finish_id: fid };
-                prop_assert_eq!(RtMsg::decode(m.encode()), m);
+                prop_assert_eq!(RtMsg::decode(&frame(&m)), m);
             }
 
             #[test]
@@ -374,9 +412,9 @@ mod tests {
                     region_id: region,
                     offset,
                     event_id: ev,
-                    data,
+                    data: &data,
                 };
-                prop_assert_eq!(RtMsg::decode(m.encode()), m);
+                prop_assert_eq!(RtMsg::decode(&frame(&m)), m);
             }
 
             #[test]
@@ -385,8 +423,8 @@ mod tests {
                 fid in any::<u64>(),
                 data in proptest::collection::vec(any::<u8>(), 0..512),
             ) {
-                let m = RtMsg::AggBatch { token, finish_id: fid, data };
-                prop_assert_eq!(RtMsg::decode(m.encode()), m);
+                let m = RtMsg::AggBatch { token, finish_id: fid, data: &data };
+                prop_assert_eq!(RtMsg::decode(&frame(&m)), m);
             }
 
             #[test]
@@ -406,9 +444,9 @@ mod tests {
                     src_idx: src,
                     chunk,
                     nchunks,
-                    data,
+                    data: &data,
                 };
-                prop_assert_eq!(RtMsg::decode(m.encode()), m);
+                prop_assert_eq!(RtMsg::decode(&frame(&m)), m);
             }
         }
     }

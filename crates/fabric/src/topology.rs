@@ -17,11 +17,6 @@ pub fn log2_exact(n: usize) -> u32 {
     n.trailing_zeros()
 }
 
-/// Smallest power of two `>= n`.
-pub fn next_pow2(n: usize) -> usize {
-    n.next_power_of_two()
-}
-
 /// Reverse the low `bits` bits of `x` (the radix-2 FFT permutation).
 pub fn bit_reverse(x: usize, bits: u32) -> usize {
     let mut y = 0usize;
@@ -89,8 +84,6 @@ mod tests {
         assert!(!is_pow2(48));
         assert_eq!(log2_exact(1), 0);
         assert_eq!(log2_exact(1024), 10);
-        assert_eq!(next_pow2(5), 8);
-        assert_eq!(next_pow2(8), 8);
     }
 
     #[test]

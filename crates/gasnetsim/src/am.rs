@@ -15,7 +15,7 @@
 //! on.
 
 use std::cell::RefCell;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use bytes::Bytes;
 
@@ -46,8 +46,10 @@ pub const FIRST_USER_HANDLER: usize = 2;
 
 /// An AM handler: `(gasnet, token, args, payload)`. For long AMs the
 /// payload has already been deposited in the local segment; the slice
-/// passed here is a copy read back for convenience.
-pub type Handler = Arc<dyn Fn(&Gasnet, Token, &[u64], &[u8]) + Send + Sync>;
+/// passed here is a copy read back for convenience. Handlers run only
+/// inside a poll of the rank that registered them, so they need not be
+/// `Send` or `Sync`.
+pub type Handler = Rc<dyn Fn(&Gasnet, Token, &[u64], &[u8])>;
 
 /// Identifies the requester inside a handler; required for replies.
 #[derive(Debug, Clone, Copy)]
@@ -69,14 +71,14 @@ impl HandlerTable {
         };
         t.set(
             H_PUT_ACK_REQ,
-            Arc::new(|g: &Gasnet, tok: Token, args: &[u64], _data: &[u8]| {
+            Rc::new(|g: &Gasnet, tok: Token, args: &[u64], _data: &[u8]| {
                 g.am_reply_short(tok, H_PUT_ACK_REPLY, args)
                     .expect("put-ack reply");
             }),
         );
         t.set(
             H_PUT_ACK_REPLY,
-            Arc::new(|g: &Gasnet, _tok: Token, _args: &[u64], _data: &[u8]| {
+            Rc::new(|g: &Gasnet, _tok: Token, _args: &[u64], _data: &[u8]| {
                 g.put_acks_received.set(g.put_acks_received.get() + 1);
             }),
         );
@@ -102,13 +104,13 @@ impl Gasnet {
     pub fn register_handler(
         &self,
         idx: usize,
-        handler: impl Fn(&Gasnet, Token, &[u64], &[u8]) + Send + Sync + 'static,
+        handler: impl Fn(&Gasnet, Token, &[u64], &[u8]) + 'static,
     ) {
         assert!(
             idx >= FIRST_USER_HANDLER,
             "handler indices below {FIRST_USER_HANDLER} are reserved"
         );
-        self.handlers.set(idx, Arc::new(handler));
+        self.handlers.set(idx, Rc::new(handler));
     }
 
     fn am_send(&self, dest: usize, kind: u16, handler: usize, h: [u64; 4], payload: Bytes) -> Result<()> {

@@ -107,7 +107,8 @@ impl GasnetUniverse {
     }
 }
 
-/// A rank's handle to the GASNet library. One per rank thread; not `Sync`.
+/// A rank's handle to the GASNet library. One per rank thread; neither `Send`
+/// nor `Sync`: its AM handlers run only inside its own polls.
 pub struct Gasnet {
     pub(crate) ep: Endpoint,
     pub(crate) fault: Fault,
@@ -186,11 +187,6 @@ impl Gasnet {
     /// Job size (`gasnet_nodes`).
     pub fn size(&self) -> usize {
         self.ep.size()
-    }
-
-    /// True when the SRQ slow path is active for this job.
-    pub fn srq_active(&self) -> bool {
-        self.srq_active
     }
 
     /// Handle onto the fabric's failure registry.
@@ -389,8 +385,8 @@ mod tests {
             srq_auto_threshold: 4,
             ..GasnetConfig::default()
         };
-        let small = GasnetUniverse::run_with_config(2, cfg, |g| g.srq_active());
-        let large = GasnetUniverse::run_with_config(4, cfg, |g| g.srq_active());
+        let small = GasnetUniverse::run_with_config(2, cfg, |g| g.srq_active);
+        let large = GasnetUniverse::run_with_config(4, cfg, |g| g.srq_active);
         assert!(!small[0]);
         assert!(large[0]);
     }

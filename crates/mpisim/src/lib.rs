@@ -8,10 +8,11 @@
 //! MPI-3:
 //!
 //! * **two-sided messaging** with full `(source, tag, communicator)`
-//!   matching, wildcards, and eager delivery (`send`, `recv`, `isend`,
-//!   `irecv`, `sendrecv`, requests with `wait`/`test`/`waitall`);
-//! * **communicators**: `comm_world`, `split`, `shrink`, deterministic
-//!   collective id agreement;
+//!   matching, wildcards, and eager delivery (`send`, `recv`, `sendrecv`,
+//!   and `try_recv`, the non-blocking matched receive of MPI-3's
+//!   `MPI_Improbe` + `MPI_Mrecv`);
+//! * **communicators**: `comm_world`, `split`, deterministic collective
+//!   id agreement;
 //! * **collectives**: barrier, broadcast, reduce, allreduce, allgather,
 //!   alltoall — implemented with the classic tuned algorithms
 //!   (dissemination, binomial trees, recursive doubling, pairwise
@@ -52,7 +53,7 @@ pub use caf_fabric::{FabricError, Pod, Result};
 pub use caf_fabric::Group as Comm;
 pub use costs::{mvapich_like, TIME_SCALE};
 pub use ops::{AccOp, BitsRepr, Scalar};
-pub use p2p::{RecvRequest, SendRequest, Src, Status, Tag};
+pub use p2p::{Src, Status, Tag};
 pub use request::{FlushRequest, RmaRequest};
 pub use rma::{DirtySet, Window};
 pub use universe::{Mpi, MpiConfig, Universe};

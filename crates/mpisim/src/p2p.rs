@@ -1,5 +1,5 @@
 //! Two-sided messaging: send/recv with `(source, tag, communicator)`
-//! matching, wildcards, and request-generating variants.
+//! matching, wildcards, and a non-blocking matched receive.
 
 use bytes::Bytes;
 
@@ -42,58 +42,6 @@ pub struct Status {
     pub tag: i64,
     /// Payload size in bytes.
     pub bytes: usize,
-}
-
-/// Handle for a nonblocking send. Sends complete eagerly on this substrate
-/// (the library buffers the payload at injection), so the handle exists for
-/// API fidelity: `wait` certifies local completion.
-#[derive(Debug)]
-#[must_use = "requests must be completed with wait()"]
-pub struct SendRequest(pub(crate) ());
-
-impl SendRequest {
-    /// Wait for local completion (immediate on this substrate).
-    pub fn wait(self) {}
-
-    /// Nonblocking completion test.
-    pub fn test(&self) -> bool {
-        true
-    }
-}
-
-/// Handle for a nonblocking receive of `T` elements.
-#[derive(Debug)]
-#[must_use = "requests must be completed with wait()"]
-pub struct RecvRequest<T: Pod> {
-    pub(crate) comm: Comm,
-    pub(crate) src: Src,
-    pub(crate) tag: Tag,
-    pub(crate) done: Option<(Vec<T>, Status)>,
-}
-
-impl<T: Pod> RecvRequest<T> {
-    /// Block until the message arrives; returns the data and its status.
-    pub fn wait(mut self, mpi: &Mpi) -> (Vec<T>, Status) {
-        if let Some(r) = self.done.take() {
-            return r;
-        }
-        mpi.recv::<T>(&self.comm, self.src, self.tag)
-            .expect("recv failed")
-    }
-
-    /// Nonblocking test; on success the result is buffered and `wait`
-    /// returns immediately.
-    pub fn test(&mut self, mpi: &Mpi) -> bool {
-        if self.done.is_some() {
-            return true;
-        }
-        let pred = mpi.p2p_pred(&self.comm, self.src, self.tag);
-        if let Some(pkt) = mpi.ep.try_match(pred, Some) {
-            self.done = Some(unpack::<T>(&self.comm, pkt));
-            return true;
-        }
-        false
-    }
 }
 
 fn unpack<T: Pod>(comm: &Comm, pkt: Packet) -> (Vec<T>, Status) {
@@ -159,19 +107,6 @@ impl Mpi {
         self.ep.send(comm.global_rank(dest), pkt)
     }
 
-    /// Nonblocking send; the library buffers the payload, so the returned
-    /// request is already locally complete (`MPI_Isend` on an eager path).
-    pub fn isend<T: Pod>(
-        &self,
-        comm: &Comm,
-        dest: usize,
-        tag: i64,
-        buf: &[T],
-    ) -> Result<SendRequest> {
-        self.send(comm, dest, tag, buf)?;
-        Ok(SendRequest(()))
-    }
-
     /// Blocking receive returning a freshly allocated buffer.
     pub fn recv<T: Pod>(&self, comm: &Comm, src: Src, tag: Tag) -> Result<(Vec<T>, Status)> {
         let gsrc = match src {
@@ -192,14 +127,14 @@ impl Mpi {
         Ok(unpack::<T>(comm, pkt))
     }
 
-    /// Nonblocking receive.
-    pub fn irecv<T: Pod>(&self, comm: &Comm, src: Src, tag: Tag) -> RecvRequest<T> {
-        RecvRequest {
-            comm: comm.clone(),
-            src,
-            tag,
-            done: None,
-        }
+    /// Non-blocking matched receive: the first arrived message matching
+    /// `(src, tag)`, or `None` — MPI-3's `MPI_Improbe` + `MPI_Mrecv`
+    /// fused, the twin of [`Mpi::recv`] that never blocks. A match is
+    /// charged as a blocking receive's is.
+    pub fn try_recv<T: Pod>(&self, comm: &Comm, src: Src, tag: Tag) -> Option<(Vec<T>, Status)> {
+        let pkt = self.ep.try_match(self.p2p_pred(comm, src, tag), Some)?;
+        self.delays.charge(DelayOp::P2pReceive, pkt.payload.len());
+        Some(unpack::<T>(comm, pkt))
     }
 
     /// Combined send+receive (`MPI_Sendrecv`): injects the outgoing message
@@ -293,27 +228,26 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore = "wall-clock timing / raw spin")]
-    fn irecv_test_then_wait() {
+    #[cfg_attr(miri, ignore = "raw spin")]
+    fn try_recv_misses_then_matches() {
         Universe::run(2, |mpi| {
             let w = mpi.world();
+            if mpi.rank() == 1 {
+                // Nothing is sent before the barrier.
+                assert!(mpi.try_recv::<u32>(&w, Src::Rank(0), Tag::Is(9)).is_none());
+            }
+            mpi.barrier(&w).unwrap();
             if mpi.rank() == 0 {
-                // Delay so rank 1's first test() very likely fails.
-                std::thread::sleep(std::time::Duration::from_millis(20));
                 mpi.send(&w, 1, 9, &[42u32]).unwrap();
             } else {
-                let mut req = mpi.irecv::<u32>(&w, Src::Rank(0), Tag::Is(9));
-                let mut polls = 0u64;
-                while !req.test(mpi) {
-                    polls += 1;
+                let (d, st) = loop {
+                    if let Some(got) = mpi.try_recv::<u32>(&w, Src::Rank(0), Tag::Is(9)) {
+                        break got;
+                    }
                     std::hint::spin_loop();
-                }
-                let (d, st) = req.wait(mpi);
+                };
                 assert_eq!(d, vec![42]);
-                assert_eq!(st.source, 0);
-                // Not a correctness condition, but a sanity signal that we
-                // actually polled.
-                assert!(polls > 0 || st.bytes == 4);
+                assert_eq!((st.source, st.tag, st.bytes), (0, 9, 4));
             }
         });
     }
@@ -336,19 +270,5 @@ mod tests {
             got[0]
         });
         assert_eq!(results, vec![100, 0]);
-    }
-
-    #[test]
-    fn isend_request_completes() {
-        Universe::run(2, |mpi| {
-            let w = mpi.world();
-            if mpi.rank() == 0 {
-                let r = mpi.isend(&w, 1, 0, &[1u8]).unwrap();
-                assert!(r.test());
-                r.wait();
-            } else {
-                let _ = mpi.recv::<u8>(&w, Src::Rank(0), Tag::Is(0)).unwrap();
-            }
-        });
     }
 }

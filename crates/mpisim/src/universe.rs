@@ -12,11 +12,6 @@ use crate::Comm;
 pub struct MpiConfig {
     /// Software-overhead table charged per operation.
     pub delays: DelayConfig,
-    /// Eager protocol threshold in bytes. Messages at or below this size
-    /// are buffered by the library (local completion at injection); larger
-    /// messages still travel eagerly on this lossless fabric but are
-    /// accounted as rendezvous traffic.
-    pub eager_limit: usize,
     /// Bytes of bounce/eager buffering accounted for per peer at init
     /// (drives the Figure-1 memory accounting; nothing is mapped — the
     /// bytes exist only as [`MemAccount`] numbers).
@@ -30,7 +25,6 @@ impl Default for MpiConfig {
     fn default() -> Self {
         MpiConfig {
             delays: DelayConfig::free(),
-            eager_limit: 64 << 10,
             // Scaled-down stand-ins for a real MPI's mapped memory,
             // accounted for but not allocated (the netmodel crate holds
             // the full-scale Figure-1 magnitudes).
@@ -73,7 +67,6 @@ pub struct Mpi {
     pub(crate) ep: Endpoint,
     pub(crate) fault: Fault,
     pub(crate) delays: Delays,
-    pub(crate) config: MpiConfig,
     pub(crate) mem: Arc<MemAccount>,
     world: Comm,
 }
@@ -96,7 +89,7 @@ impl Mpi {
 
         let world = Comm::new(0, (0..size).collect::<Vec<_>>(), rank);
         let fault = ep.fault();
-        Mpi { ep, fault, delays: Delays::new(config.delays), config, mem, world }
+        Mpi { ep, fault, delays: Delays::new(config.delays), mem, world }
     }
 
     /// `MPI_COMM_WORLD`.
@@ -130,11 +123,6 @@ impl Mpi {
         self.delays.meter()
     }
 
-    /// The eager protocol threshold in bytes.
-    pub fn eager_limit(&self) -> usize {
-        self.config.eager_limit
-    }
-
     /// Handle onto the fabric's failure registry.
     pub fn fault(&self) -> &Fault {
         &self.fault
@@ -143,17 +131,6 @@ impl Mpi {
     /// Kill this rank here (fault injection / `fail image`).
     pub fn fail_now(&self) -> ! {
         self.ep.fail_now()
-    }
-
-    /// Deterministic survivor communicator — the ULFM `MPI_Comm_shrink`
-    /// analog, without the agreement collective (see
-    /// [`caf_fabric::Group::shrink`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the calling rank is itself in `failed`.
-    pub fn comm_shrink(&self, comm: &Comm, failed: &[usize]) -> Comm {
-        comm.shrink(failed, self.rank())
     }
 }
 

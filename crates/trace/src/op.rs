@@ -38,7 +38,7 @@ pub enum Op {
     /// Blocking receive of a runtime control message.
     RtMsgRecvBlocking,
     // --- mpisim ---
-    /// Two-sided send / isend injection.
+    /// Two-sided send injection.
     MpiSend,
     /// Blocking two-sided receive (includes matching).
     MpiRecv,
