@@ -7,9 +7,11 @@
 //!
 //! Real runs exercise the actual runtimes at laptop scale (2–16 images);
 //! the full 16–4096-core figures come from `caf-netmodel`. The `figures`
-//! binary prints both.
+//! binary prints both. [`json`] is the workspace's one JSON reader: the
+//! `bench` binary reads its committed baselines with it.
 
 pub mod heap;
+pub mod json;
 
 use std::time::Duration;
 

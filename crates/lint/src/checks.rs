@@ -16,7 +16,7 @@
 //! on the flagged line or the line above.
 
 use std::cell::RefCell;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::inventory::BlockSite;
 use crate::lexer::{Kind, Lexed, Token};
@@ -327,14 +327,19 @@ fn blocking_pass(ctx: &FileCtx, report: &mut Report) {
 
     sites.sort();
     sites.dedup();
-    for (line, kind, function, gated) in sites {
+    // Key each site by its place among the same kind in the same fn, in
+    // line order: code that only moves keeps its inventory row.
+    let mut ordinals: BTreeMap<(String, &str), u32> = BTreeMap::new();
+    for (_, kind, function, gated) in sites {
+        let next = ordinals.entry((function.clone(), kind)).or_default();
         report.sites.push(BlockSite {
             file: ctx.rel.to_string(),
-            line,
             function,
             kind: kind.to_string(),
+            ordinal: *next,
             gated: gated.to_string(),
         });
+        *next += 1;
     }
     for (line, kind, what) in flagged {
         push(

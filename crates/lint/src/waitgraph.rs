@@ -52,7 +52,6 @@ pub struct Node {
     pub id: String,
     pub kind: String, // "lock" | "park"
     pub file: String,
-    pub line: u32,
     pub function: String,
 }
 
@@ -64,6 +63,8 @@ pub struct Edge {
     /// "intra" (same fn) or "inter" (through at least one call).
     pub scope: String,
     pub file: String,
+    /// Where the edge arises: diagnostics report it, the committed graph
+    /// does not.
     pub line: u32,
     pub function: String,
     /// The park/lock name (intra) or the callee carrying it (inter).
@@ -72,7 +73,7 @@ pub struct Edge {
     pub status: String,
 }
 
-/// The committed wait graph (`caf-lint-waitgraph-v1`).
+/// The committed wait graph (`caf-lint-waitgraph-v2`).
 #[derive(Debug, Default)]
 pub struct Graph {
     pub nodes: Vec<Node>,
@@ -81,38 +82,37 @@ pub struct Graph {
 
 impl Graph {
     /// Render deterministically (sorted, one row per line — reviewable
-    /// diffs, byte-compared in CI).
+    /// diffs, byte-compared in CI). No row holds a line number: an edge
+    /// is one row per distinct (from, to, scope, file, function, via,
+    /// status), so code that only moves leaves the graph unchanged.
     pub fn render(&self) -> String {
         let mut nodes: Vec<&Node> = self.nodes.iter().collect();
         nodes.sort();
-        let mut edges: Vec<&Edge> = self.edges.iter().collect();
-        edges.sort();
-        let mut out = String::from("{\n  \"schema\": \"caf-lint-waitgraph-v1\",\n  \"nodes\": [\n");
+        let edges: BTreeSet<String> = self
+            .edges
+            .iter()
+            .map(|e| {
+                format!(
+                    "    {{\"from\": \"{}\", \"to\": \"{}\", \"scope\": \"{}\", \"file\": \"{}\", \"function\": \"{}\", \"via\": \"{}\", \"status\": \"{}\"}}",
+                    e.from, e.to, e.scope, e.file, e.function, e.via, e.status
+                )
+            })
+            .collect();
+        let mut out = String::from("{\n  \"schema\": \"caf-lint-waitgraph-v2\",\n  \"nodes\": [\n");
         for (i, n) in nodes.iter().enumerate() {
             out.push_str(&format!(
-                "    {{\"id\": \"{}\", \"kind\": \"{}\", \"file\": \"{}\", \"line\": {}, \"function\": \"{}\"}}{}\n",
+                "    {{\"id\": \"{}\", \"kind\": \"{}\", \"file\": \"{}\", \"function\": \"{}\"}}{}\n",
                 n.id,
                 n.kind,
                 n.file,
-                n.line,
                 n.function,
                 if i + 1 < nodes.len() { "," } else { "" }
             ));
         }
         out.push_str("  ],\n  \"edges\": [\n");
         for (i, e) in edges.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"from\": \"{}\", \"to\": \"{}\", \"scope\": \"{}\", \"file\": \"{}\", \"line\": {}, \"function\": \"{}\", \"via\": \"{}\", \"status\": \"{}\"}}{}\n",
-                e.from,
-                e.to,
-                e.scope,
-                e.file,
-                e.line,
-                e.function,
-                e.via,
-                e.status,
-                if i + 1 < edges.len() { "," } else { "" }
-            ));
+            let comma = if i + 1 < edges.len() { "," } else { "" };
+            out.push_str(&format!("{e}{comma}\n"));
         }
         out.push_str("  ]\n}\n");
         out
@@ -297,7 +297,6 @@ pub fn build(ws: &Workspace, graph: &CallGraph, report: &mut Report) -> Graph {
                         id,
                         kind: "park".into(),
                         file: fu.rel.clone(),
-                        line: fu.lx.tokens[i].line,
                         function: node.name.clone(),
                     });
                 }
@@ -310,7 +309,6 @@ pub fn build(ws: &Workspace, graph: &CallGraph, report: &mut Report) -> Graph {
                         id,
                         kind: "lock".into(),
                         file: fu.rel.clone(),
-                        line: fu.lx.tokens[i].line,
                         function: node.name.clone(),
                     });
                 }

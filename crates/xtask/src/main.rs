@@ -26,16 +26,27 @@
 //! to `crates/lint/orderings.tsv` for any unjustified `Ordering::`
 //! site; the lint keeps failing until the TODOs become real
 //! justifications.
+//!
+//! ## `cargo xtask bench [--smoke] [--update-baseline]`
+//!
+//! Runs `caf-bench`'s `bench` binary, which builds the deterministic perf
+//! rows, asserts their shapes and gates them against the committed
+//! `BENCH_ra.json`, `BENCH_micro.json` and `BENCH_agg.json` baselines at
+//! the repository root (its header documents the gate). Its reports land
+//! in `target/bench-out`; `--smoke` runs the reduced sweep, and
+//! `--update-baseline` reseeds the committed files instead of comparing.
+//! Exits 0 on a pass, 1 on a failed gate or harness, 2 when cargo or the
+//! harness could not do its I/O.
 
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::process::ExitCode;
+use std::process::{Command, ExitCode};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("lint") => lint(&args[1..]),
-        Some("bench") => bench::run(&args[1..]),
+        Some("bench") => bench(&args[1..]),
         Some(other) => {
             eprintln!("unknown xtask command `{other}`; available: lint, bench");
             ExitCode::from(2)
@@ -47,525 +58,23 @@ fn main() -> ExitCode {
     }
 }
 
-/// ## `cargo xtask bench [--smoke] [--update-baseline]`
-///
-/// Runs the deterministic perf harness (`caf-bench`'s `bench` binary) and
-/// gates its output against the committed `BENCH_ra.json` /
-/// `BENCH_micro.json` / `BENCH_agg.json` baselines at the repository root.
-///
-/// Every gated number is a modeled count or nanosecond total from the
-/// substrate delay meter — a pure function of the communication schedule,
-/// identical across machines — so the gate can be tight: any gated field
-/// more than [`bench::THRESHOLD`] above its baseline fails. Wall-clock
-/// values live under each row's `info` object and are never compared.
-/// `--smoke` runs a reduced job-size sweep whose rows are a strict subset
-/// of the full baseline (same per-row workloads); `--update-baseline`
-/// reseeds the committed files instead of comparing.
-mod bench {
-    use super::*;
-    use std::collections::BTreeMap;
-    use std::process::Command;
-
-    /// Allowed relative increase of a gated field over its baseline.
-    pub const THRESHOLD: f64 = 0.15;
-
-    const FILES: [&str; 3] = ["BENCH_ra.json", "BENCH_micro.json", "BENCH_agg.json"];
-
-    pub fn run(args: &[String]) -> ExitCode {
-        let smoke = args.iter().any(|a| a == "--smoke");
-        let update = args.iter().any(|a| a == "--update-baseline");
-        let root = workspace_root();
-        let out_dir = root.join("target").join("bench-out");
-        if let Err(e) = fs::create_dir_all(&out_dir) {
-            eprintln!("xtask bench: creating {}: {e}", out_dir.display());
-            return ExitCode::from(2);
+/// Spawns the `bench` binary with the given flags and passes on its
+/// verdict.
+fn bench(args: &[String]) -> ExitCode {
+    let status = Command::new(env!("CARGO"))
+        .current_dir(workspace_root())
+        .args(["run", "--release", "-q", "-p", "caf-bench", "--bin", "bench", "--"])
+        .args(args)
+        .status();
+    match status {
+        Ok(st) if st.success() => ExitCode::SUCCESS,
+        Ok(st) => {
+            eprintln!("xtask bench: harness failed with {st}");
+            ExitCode::from(if st.code() == Some(2) { 2 } else { 1 })
         }
-
-        let mut cmd = Command::new(env!("CARGO"));
-        cmd.current_dir(&root)
-            .args(["run", "--release", "-q", "-p", "caf-bench", "--bin", "bench", "--"])
-            .arg("--out-dir")
-            .arg(&out_dir);
-        if smoke && !update {
-            cmd.arg("--smoke");
-        }
-        match cmd.status() {
-            Ok(st) if st.success() => {}
-            Ok(st) => {
-                eprintln!("xtask bench: harness failed with {st}");
-                return ExitCode::FAILURE;
-            }
-            Err(e) => {
-                eprintln!("xtask bench: spawning cargo: {e}");
-                return ExitCode::from(2);
-            }
-        }
-
-        if update {
-            for f in FILES {
-                if let Err(e) = fs::copy(out_dir.join(f), root.join(f)) {
-                    eprintln!("xtask bench: updating baseline {f}: {e}");
-                    return ExitCode::from(2);
-                }
-                println!("xtask bench: baseline {f} updated");
-            }
-            return ExitCode::SUCCESS;
-        }
-
-        let mut failures = 0usize;
-        for f in FILES {
-            match gate_file(&root.join(f), &out_dir.join(f)) {
-                Ok(n) => println!("xtask bench: {f}: {n} row(s) within {:.0}% of baseline", THRESHOLD * 100.0),
-                Err(msgs) => {
-                    for m in &msgs {
-                        eprintln!("xtask bench: {f}: {m}");
-                    }
-                    failures += msgs.len();
-                }
-            }
-        }
-        match shape_check(&out_dir.join("BENCH_ra.json")) {
-            Ok(()) => println!(
-                "xtask bench: shape OK — flush_all notify cost Θ(P), targeted/rflush flat"
-            ),
-            Err(m) => {
-                eprintln!("xtask bench: BENCH_ra.json: {m}");
-                failures += 1;
-            }
-        }
-        match shape_check_agg(&out_dir.join("BENCH_agg.json")) {
-            Ok(()) => println!(
-                "xtask bench: agg shape OK — bytes/packet >= 8x direct, notify shape preserved"
-            ),
-            Err(m) => {
-                eprintln!("xtask bench: BENCH_agg.json: {m}");
-                failures += 1;
-            }
-        }
-        if failures > 0 {
-            eprintln!("xtask bench: {failures} failure(s)");
-            ExitCode::FAILURE
-        } else {
-            ExitCode::SUCCESS
-        }
-    }
-
-    /// A row's identity and its gated numbers.
-    struct Row {
-        key: String,
-        gate: BTreeMap<String, f64>,
-        info: BTreeMap<String, f64>,
-    }
-
-    fn gate_file(baseline: &Path, candidate: &Path) -> Result<usize, Vec<String>> {
-        let base = load_rows(baseline).map_err(|e| vec![e])?;
-        let cand = load_rows(candidate).map_err(|e| vec![e])?;
-        let by_key: BTreeMap<&str, &Row> = base.iter().map(|r| (r.key.as_str(), r)).collect();
-        let mut errs = Vec::new();
-        for row in &cand {
-            let Some(b) = by_key.get(row.key.as_str()) else {
-                errs.push(format!(
-                    "row {} missing from baseline (run `cargo xtask bench --update-baseline`)",
-                    row.key
-                ));
-                continue;
-            };
-            if b.gate.keys().ne(row.gate.keys()) {
-                errs.push(format!("row {}: gate field set differs from baseline", row.key));
-                continue;
-            }
-            for (k, &new) in &row.gate {
-                let old = b.gate[k];
-                if new > old * (1.0 + THRESHOLD) + f64::EPSILON {
-                    errs.push(format!(
-                        "row {}: {k} regressed {old} -> {new} (+{:.1}%, limit {:.0}%)",
-                        row.key,
-                        (new / old.max(f64::MIN_POSITIVE) - 1.0) * 100.0,
-                        THRESHOLD * 100.0
-                    ));
-                } else if old > 0.0 && new < old * (1.0 - THRESHOLD) {
-                    println!(
-                        "xtask bench: note: row {}: {k} improved {old} -> {new}; \
-                         consider `cargo xtask bench --update-baseline`",
-                        row.key
-                    );
-                }
-            }
-        }
-        if errs.is_empty() { Ok(cand.len()) } else { Err(errs) }
-    }
-
-    /// Independent re-check of the tentpole claim from the emitted JSON:
-    /// per-notify flush charges under `flush_all` grow ~linearly in P
-    /// while the targeted modes stay flat (sublinear in P).
-    fn shape_check(candidate: &Path) -> Result<(), String> {
-        let rows = load_rows(candidate)?;
-        let fpn = |p: usize, mode: &str| -> Option<f64> {
-            rows.iter()
-                .find(|r| r.key == format!("ra/p{p}/caf-mpi/{mode}"))
-                .and_then(|r| r.info.get("flushes_per_notify").copied())
-        };
-        let mut ps: Vec<usize> = rows
-            .iter()
-            .filter_map(|r| {
-                let mut it = r.key.split('/');
-                let (b, p) = (it.next()?, it.next()?);
-                (b == "ra" && r.key.contains("caf-mpi"))
-                    .then(|| p.trim_start_matches('p').parse().ok())
-                    .flatten()
-            })
-            .collect();
-        ps.sort_unstable();
-        ps.dedup();
-        let (&pmin, &pmax) = (ps.first().ok_or("no caf-mpi rows")?, ps.last().unwrap());
-        let all_min = fpn(pmin, "all").ok_or("missing all@pmin row")?;
-        let all_max = fpn(pmax, "all").ok_or("missing all@pmax row")?;
-        if all_max / all_min.max(f64::EPSILON) < 0.5 * pmax as f64 / pmin as f64 {
-            return Err(format!(
-                "flush_all per-notify cost not Θ(P): {all_min} @P={pmin} -> {all_max} @P={pmax}"
-            ));
-        }
-        for mode in ["targeted", "rflush"] {
-            let t_min = fpn(pmin, mode).ok_or("missing targeted row")?;
-            let t_max = fpn(pmax, mode).ok_or("missing targeted row")?;
-            if t_max > 2.0 * t_min.max(1.0) {
-                return Err(format!(
-                    "{mode} per-notify cost grew with P: {t_min} @P={pmin} -> {t_max} @P={pmax}"
-                ));
-            }
-        }
-        // Rows executed for real under the task executor carry the
-        // analytic per-notify flush prediction; the measured curve must
-        // agree with it (same tolerance as the in-process bench check).
-        let mut executed = 0usize;
-        for r in &rows {
-            let Some(&modeled) = r.info.get("modeled_flushes_per_notify") else { continue };
-            let &measured = r
-                .info
-                .get("flushes_per_notify")
-                .ok_or_else(|| format!("{}: executed row missing flushes_per_notify", r.key))?;
-            if (measured - modeled).abs() > 0.25 * modeled {
-                return Err(format!(
-                    "{}: executed flushes/notify {measured} disagrees with modeled {modeled}",
-                    r.key
-                ));
-            }
-            executed += 1;
-        }
-        if executed == 0 {
-            return Err("no executed task-mode rows in BENCH_ra.json".into());
-        }
-        Ok(())
-    }
-
-    /// Independent re-check of the aggregation acceptance claims from the
-    /// emitted BENCH_agg.json: coalescing lifts payload bytes per wire
-    /// packet by at least 8x over the direct small-put path on both
-    /// substrates; the per-notify flush shape (Θ(P) under `all`, flat
-    /// under the targeted modes) survives aggregation; and — when the
-    /// sweep reaches P >= 32 (full run, not `--smoke`) — routed
-    /// aggregation beats the per-update direct path on modeled RA
-    /// throughput.
-    fn shape_check_agg(candidate: &Path) -> Result<(), String> {
-        let rows = load_rows(candidate)?;
-        for sub in ["caf-mpi", "caf-gasnet"] {
-            let bpp = |mode: &str| -> Option<f64> {
-                rows.iter()
-                    .find(|r| r.key == format!("agg-bpp/p2/{sub}/{mode}"))
-                    .and_then(|r| r.gate.get("bytes_per_packet").copied())
-            };
-            let direct = bpp("direct").ok_or_else(|| format!("missing agg-bpp direct ({sub})"))?;
-            let agg = bpp("agg").ok_or_else(|| format!("missing agg-bpp agg ({sub})"))?;
-            if agg < 8.0 * direct {
-                return Err(format!(
-                    "{sub}: aggregated bytes/packet {agg} < 8x direct {direct}"
-                ));
-            }
-        }
-        let ra_ps: Vec<usize> = {
-            let mut v: Vec<usize> = rows
-                .iter()
-                .filter_map(|r| {
-                    let mut it = r.key.split('/');
-                    (it.next()? == "agg-ra")
-                        .then(|| it.next()?.trim_start_matches('p').parse().ok())
-                        .flatten()
-                })
-                .collect();
-            v.sort_unstable();
-            v.dedup();
-            v
-        };
-        let &ra_pmax = ra_ps.last().ok_or("no agg-ra rows")?;
-        if ra_pmax >= 32 {
-            let gups = |mode: &str| -> Option<f64> {
-                rows.iter()
-                    .find(|r| r.key == format!("agg-ra/p{ra_pmax}/caf-mpi/{mode}"))
-                    .and_then(|r| r.info.get("proxy_gups").copied())
-            };
-            let direct = gups("direct").ok_or("missing agg-ra direct row")?;
-            let routed = gups("agg-routed").ok_or("missing agg-ra agg-routed row")?;
-            if routed <= direct {
-                return Err(format!(
-                    "routed aggregation not faster at P={ra_pmax}: {routed} vs direct {direct} proxy GUPS"
-                ));
-            }
-        }
-        let fpn = |p: usize, mode: &str| -> Option<f64> {
-            rows.iter()
-                .find(|r| r.key == format!("agg-notify/p{p}/caf-mpi/{mode}"))
-                .and_then(|r| r.info.get("flushes_per_notify").copied())
-        };
-        let mut ps: Vec<usize> = rows
-            .iter()
-            .filter_map(|r| {
-                let mut it = r.key.split('/');
-                (it.next()? == "agg-notify")
-                    .then(|| it.next()?.trim_start_matches('p').parse().ok())
-                    .flatten()
-            })
-            .collect();
-        ps.sort_unstable();
-        ps.dedup();
-        let (&pmin, &pmax) = (ps.first().ok_or("no agg-notify rows")?, ps.last().unwrap());
-        let all_min = fpn(pmin, "all").ok_or("missing agg-notify all@pmin")?;
-        let all_max = fpn(pmax, "all").ok_or("missing agg-notify all@pmax")?;
-        if all_max / all_min.max(f64::EPSILON) < 0.5 * pmax as f64 / pmin as f64 {
-            return Err(format!(
-                "flush_all per-notify cost not Θ(P) under aggregation: {all_min} @P={pmin} -> {all_max} @P={pmax}"
-            ));
-        }
-        for mode in ["targeted", "rflush"] {
-            let t_min = fpn(pmin, mode).ok_or("missing agg-notify targeted row")?;
-            let t_max = fpn(pmax, mode).ok_or("missing agg-notify targeted row")?;
-            if t_max > 2.0 * t_min.max(1.0) {
-                return Err(format!(
-                    "{mode} per-notify cost grew with P under aggregation: {t_min} @P={pmin} -> {t_max} @P={pmax}"
-                ));
-            }
-        }
-        Ok(())
-    }
-
-    fn load_rows(path: &Path) -> Result<Vec<Row>, String> {
-        let text = fs::read_to_string(path)
-            .map_err(|e| format!("reading {}: {e}", path.display()))?;
-        let v = json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-        let obj = v.as_object().ok_or("top level is not an object")?;
-        match obj.get("schema").and_then(json::Value::as_str) {
-            Some("caf-bench-v1") => {}
-            other => return Err(format!("unknown schema {other:?} (want caf-bench-v1)")),
-        }
-        let rows = obj
-            .get("rows")
-            .and_then(json::Value::as_array)
-            .ok_or("missing rows array")?;
-        rows.iter()
-            .map(|r| {
-                let r = r.as_object().ok_or("row is not an object")?;
-                let s = |k: &str| -> Result<&str, String> {
-                    r.get(k)
-                        .and_then(json::Value::as_str)
-                        .ok_or_else(|| format!("row missing string field {k}"))
-                };
-                let key = format!(
-                    "{}/p{}/{}/{}",
-                    s("bench")?,
-                    r.get("p").and_then(json::Value::as_f64).ok_or("row missing p")?,
-                    s("substrate")?,
-                    s("flush")?
-                );
-                let numbers = |k: &str| -> Result<BTreeMap<String, f64>, String> {
-                    r.get(k)
-                        .and_then(json::Value::as_object)
-                        .ok_or_else(|| format!("row {key} missing {k} object"))?
-                        .iter()
-                        .map(|(name, val)| {
-                            val.as_f64()
-                                .map(|f| (name.clone(), f))
-                                .ok_or_else(|| format!("row {key}: {k}.{name} not a number"))
-                        })
-                        .collect()
-                };
-                Ok(Row { gate: numbers("gate")?, info: numbers("info")?, key })
-            })
-            .collect()
-    }
-
-    /// Minimal recursive-descent JSON reader (std-only; enough for the
-    /// bench schema: objects, arrays, strings, numbers, booleans, null).
-    pub mod json {
-        use std::collections::BTreeMap;
-
-        #[derive(Debug, Clone, PartialEq)]
-        pub enum Value {
-            Null,
-            Bool(bool),
-            Num(f64),
-            Str(String),
-            Arr(Vec<Value>),
-            Obj(BTreeMap<String, Value>),
-        }
-
-        impl Value {
-            pub fn as_object(&self) -> Option<&BTreeMap<String, Value>> {
-                match self {
-                    Value::Obj(m) => Some(m),
-                    _ => None,
-                }
-            }
-            pub fn as_array(&self) -> Option<&[Value]> {
-                match self {
-                    Value::Arr(v) => Some(v),
-                    _ => None,
-                }
-            }
-            pub fn as_str(&self) -> Option<&str> {
-                match self {
-                    Value::Str(s) => Some(s),
-                    _ => None,
-                }
-            }
-            pub fn as_f64(&self) -> Option<f64> {
-                match self {
-                    Value::Num(n) => Some(*n),
-                    _ => None,
-                }
-            }
-        }
-
-        pub fn parse(text: &str) -> Result<Value, String> {
-            let bytes = text.as_bytes();
-            let mut pos = 0usize;
-            let v = value(bytes, &mut pos)?;
-            skip_ws(bytes, &mut pos);
-            if pos != bytes.len() {
-                return Err(format!("trailing garbage at byte {pos}"));
-            }
-            Ok(v)
-        }
-
-        fn skip_ws(b: &[u8], pos: &mut usize) {
-            while *pos < b.len() && b[*pos].is_ascii_whitespace() {
-                *pos += 1;
-            }
-        }
-
-        fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&c) {
-                *pos += 1;
-                Ok(())
-            } else {
-                Err(format!("expected `{}` at byte {pos}", c as char))
-            }
-        }
-
-        fn value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-            skip_ws(b, pos);
-            match b.get(*pos) {
-                Some(b'{') => {
-                    *pos += 1;
-                    let mut m = BTreeMap::new();
-                    skip_ws(b, pos);
-                    if b.get(*pos) == Some(&b'}') {
-                        *pos += 1;
-                        return Ok(Value::Obj(m));
-                    }
-                    loop {
-                        skip_ws(b, pos);
-                        let k = match string(b, pos)? {
-                            Value::Str(s) => s,
-                            _ => unreachable!(),
-                        };
-                        expect(b, pos, b':')?;
-                        m.insert(k, value(b, pos)?);
-                        skip_ws(b, pos);
-                        match b.get(*pos) {
-                            Some(b',') => *pos += 1,
-                            Some(b'}') => {
-                                *pos += 1;
-                                return Ok(Value::Obj(m));
-                            }
-                            _ => return Err(format!("expected `,` or `}}` at byte {pos}")),
-                        }
-                    }
-                }
-                Some(b'[') => {
-                    *pos += 1;
-                    let mut v = Vec::new();
-                    skip_ws(b, pos);
-                    if b.get(*pos) == Some(&b']') {
-                        *pos += 1;
-                        return Ok(Value::Arr(v));
-                    }
-                    loop {
-                        v.push(value(b, pos)?);
-                        skip_ws(b, pos);
-                        match b.get(*pos) {
-                            Some(b',') => *pos += 1,
-                            Some(b']') => {
-                                *pos += 1;
-                                return Ok(Value::Arr(v));
-                            }
-                            _ => return Err(format!("expected `,` or `]` at byte {pos}")),
-                        }
-                    }
-                }
-                Some(b'"') => string(b, pos),
-                Some(b't') if b[*pos..].starts_with(b"true") => {
-                    *pos += 4;
-                    Ok(Value::Bool(true))
-                }
-                Some(b'f') if b[*pos..].starts_with(b"false") => {
-                    *pos += 5;
-                    Ok(Value::Bool(false))
-                }
-                Some(b'n') if b[*pos..].starts_with(b"null") => {
-                    *pos += 4;
-                    Ok(Value::Null)
-                }
-                Some(_) => number(b, pos),
-                None => Err("unexpected end of input".into()),
-            }
-        }
-
-        fn string(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-            if b.get(*pos) != Some(&b'"') {
-                return Err(format!("expected string at byte {pos}"));
-            }
-            *pos += 1;
-            let start = *pos;
-            while *pos < b.len() {
-                match b[*pos] {
-                    b'"' => {
-                        let s = std::str::from_utf8(&b[start..*pos])
-                            .map_err(|e| e.to_string())?
-                            .to_string();
-                        *pos += 1;
-                        return Ok(Value::Str(s));
-                    }
-                    // The bench schema never emits escapes; reject rather
-                    // than silently mis-decode.
-                    b'\\' => return Err(format!("escape sequences unsupported (byte {pos})")),
-                    _ => *pos += 1,
-                }
-            }
-            Err("unterminated string".into())
-        }
-
-        fn number(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-            let start = *pos;
-            while *pos < b.len()
-                && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-            {
-                *pos += 1;
-            }
-            std::str::from_utf8(&b[start..*pos])
-                .ok()
-                .and_then(|s| s.parse().ok())
-                .map(Value::Num)
-                .ok_or_else(|| format!("bad number at byte {start}"))
+        Err(e) => {
+            eprintln!("xtask bench: spawning cargo: {e}");
+            ExitCode::from(2)
         }
     }
 }
@@ -739,7 +248,7 @@ fn changed_files(root: &Path) -> Result<std::collections::BTreeSet<String>, Stri
     let base = ["main", "master"]
         .iter()
         .find_map(|b| {
-            let out = std::process::Command::new("git")
+            let out = Command::new("git")
                 .current_dir(root)
                 .args(["merge-base", "HEAD", b])
                 .output()
@@ -749,7 +258,7 @@ fn changed_files(root: &Path) -> Result<std::collections::BTreeSet<String>, Stri
                 .then(|| String::from_utf8_lossy(&out.stdout).trim().to_string())
         })
         .unwrap_or_else(|| "HEAD".to_string());
-    let out = std::process::Command::new("git")
+    let out = Command::new("git")
         .current_dir(root)
         .args(["diff", "--name-only", &base])
         .output()
@@ -760,7 +269,7 @@ fn changed_files(root: &Path) -> Result<std::collections::BTreeSet<String>, Stri
     let mut set: std::collections::BTreeSet<String> =
         String::from_utf8_lossy(&out.stdout).lines().map(str::to_string).collect();
     // Untracked files are changes too.
-    let out = std::process::Command::new("git")
+    let out = Command::new("git")
         .current_dir(root)
         .args(["ls-files", "--others", "--exclude-standard"])
         .output()

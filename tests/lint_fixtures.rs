@@ -1087,3 +1087,42 @@ fn backtick_quoted_allow_mentions_are_prose_not_markers() {
     "#;
     assert!(ws_codes(&[("crates/core/src/fix.rs", prose)]).is_empty());
 }
+
+// ------------------------------------------------- committed inventories
+
+/// Both committed inventories are keyed without line numbers: code that
+/// only moves (here, shifted down by blank lines) renders byte-identical
+/// rows, while a new blocking site does change the inventory. A site is
+/// numbered among the sites of its kind in its function.
+#[test]
+fn inventories_survive_line_moves_and_number_sites_per_function() {
+    let src = r#"
+        fn outer(q: &std::sync::Mutex<u32>, ep: &Endpoint) {
+            let guard = q.lock();
+            // lint:allow(wait-graph) guard protects the park handshake itself
+            middle();
+            drop(guard);
+            ep.recv_blocking(0);
+            ep.recv_blocking(1);
+        }
+        fn middle() {
+            caf_sched::park();
+        }
+    "#;
+    let rel = "crates/core/src/fix.rs";
+    let base = ws_report(&[(rel, src)]);
+    assert!(base.diags.is_empty(), "unexpected: {:?}", base.diags);
+    let ordinals: Vec<u32> =
+        base.sites.iter().filter(|s| s.kind == "recv_blocking").map(|s| s.ordinal).collect();
+    assert_eq!(ordinals, [0, 1]);
+    assert_eq!(base.waitgraph.as_ref().map(|g| g.edges.len()), Some(1));
+
+    let moved = ws_report(&[(rel, &format!("\n\n\n{src}"))]);
+    assert_eq!(moved.inventory_json(), base.inventory_json());
+    assert_eq!(moved.waitgraph_json(), base.waitgraph_json());
+
+    let grown = src.replace("ep.recv_blocking(1);", "ep.recv_blocking(1);\n ep.recv_blocking(2);");
+    let grown = ws_report(&[(rel, &grown)]);
+    assert_ne!(grown.inventory_json(), base.inventory_json());
+    assert!(grown.inventory_json().contains("\"kind\": \"recv_blocking\", \"ordinal\": 2"));
+}
