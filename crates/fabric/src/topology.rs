@@ -1,6 +1,6 @@
 //! Small topology helpers shared by collectives and benchmark kernels:
-//! power-of-two math, hypercube dimensions, bit reversal, and a 2-D process
-//! grid used for halo exchanges.
+//! power-of-two math, hypercube dimensions, and a 2-D process grid used
+//! for halo exchanges.
 
 /// True if `n` is a power of two (and nonzero).
 pub fn is_pow2(n: usize) -> bool {
@@ -15,17 +15,6 @@ pub fn is_pow2(n: usize) -> bool {
 pub fn log2_exact(n: usize) -> u32 {
     assert!(is_pow2(n), "{n} is not a power of two");
     n.trailing_zeros()
-}
-
-/// Reverse the low `bits` bits of `x` (the radix-2 FFT permutation).
-pub fn bit_reverse(x: usize, bits: u32) -> usize {
-    let mut y = 0usize;
-    for i in 0..bits {
-        if x & (1 << i) != 0 {
-            y |= 1 << (bits - 1 - i);
-        }
-    }
-    y
 }
 
 /// A 2-D process grid: `px * py == size`, as square as possible, used for
@@ -90,17 +79,6 @@ mod tests {
     #[should_panic(expected = "not a power of two")]
     fn log2_rejects_non_pow2() {
         log2_exact(12);
-    }
-
-    #[test]
-    fn bit_reverse_involution() {
-        for bits in 1..10u32 {
-            for x in 0..(1usize << bits) {
-                assert_eq!(bit_reverse(bit_reverse(x, bits), bits), x);
-            }
-        }
-        assert_eq!(bit_reverse(0b001, 3), 0b100);
-        assert_eq!(bit_reverse(0b110, 3), 0b011);
     }
 
     #[test]
