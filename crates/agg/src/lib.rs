@@ -380,12 +380,6 @@ pub fn next_hop(me: usize, dest: usize, p: usize) -> usize {
     me ^ (1usize << diff.trailing_zeros())
 }
 
-/// Hop count of the dimension-order route from `me` to `dest`: the
-/// number of differing address bits (≤ `log2(p)`).
-pub fn route_hops(me: usize, dest: usize) -> u32 {
-    (me ^ dest).count_ones()
-}
-
 /// Counters kept by the [`Aggregator`] (all deterministic functions of
 /// the enqueue/drain schedule — safe to assert on in tests).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -543,16 +537,6 @@ impl Aggregator {
             .collect()
     }
 
-    /// Targets with a non-empty bucket, ascending.
-    pub fn pending_targets(&self) -> Vec<usize> {
-        (0..self.p).filter(|&t| self.buckets[t].is_some()).collect()
-    }
-
-    /// Records currently parked across all buckets.
-    pub fn pending_records(&self) -> usize {
-        self.pending
-    }
-
     /// True when no bucket holds a record.
     pub fn is_empty(&self) -> bool {
         self.pending == 0
@@ -576,6 +560,11 @@ mod tests {
             offset,
             payload: v.to_le_bytes().to_vec(),
         }
+    }
+
+    /// Targets with a non-empty bucket, ascending.
+    fn pending_targets(agg: &Aggregator) -> Vec<usize> {
+        (0..agg.p).filter(|&t| agg.buckets[t].is_some()).collect()
     }
 
     #[test]
@@ -639,7 +628,7 @@ mod tests {
                         hops += 1;
                         assert!(hops <= d, "route exceeded log2(P) hops");
                     }
-                    assert_eq!(hops, route_hops(me, dest));
+                    assert_eq!(hops, (me ^ dest).count_ones());
                 }
             }
         }
@@ -686,12 +675,12 @@ mod tests {
         agg.enqueue(rec(6, 0, 2));
         // dest 4 differs in bit 2 only: one direct hop.
         agg.enqueue(rec(4, 0, 3));
-        assert_eq!(agg.pending_targets(), vec![1, 2, 4]);
+        assert_eq!(pending_targets(&agg), vec![1, 2, 4]);
         // Without routing, buckets key on the final destination.
         let mut direct = Aggregator::new(AggConfig::on(), 0, 8);
         direct.enqueue(rec(7, 0, 1));
         direct.enqueue(rec(6, 0, 2));
-        assert_eq!(direct.pending_targets(), vec![6, 7]);
+        assert_eq!(pending_targets(&direct), vec![6, 7]);
     }
 
     #[test]
@@ -766,7 +755,7 @@ mod tests {
         let mut agg = Aggregator::with_headroom(cfg, 0, 1024, 17);
         assert!(agg.buckets.iter().all(Option::is_none));
         assert!(agg.enqueue(rec(5, 0, 1)).is_none());
-        assert_eq!(agg.pending_targets(), vec![5]);
+        assert_eq!(pending_targets(&agg), vec![5]);
         let (_, mut batch) = agg.enqueue(rec(5, 8, 2)).expect("count trigger");
         assert!(
             agg.buckets.iter().all(Option::is_none),
@@ -923,7 +912,7 @@ mod tests {
                         agg.recycle(batch);
                     }
                     let parked: usize = model.iter().map(Vec::len).sum();
-                    prop_assert_eq!(agg.pending_records(), parked);
+                    prop_assert_eq!(agg.pending, parked);
                     prop_assert_eq!(agg.is_empty(), parked == 0);
                 }
                 for (target, batch) in agg.drain_all() {

@@ -5,6 +5,7 @@
 //! figures fig3 fig6            # a subset by id
 //! figures table1               # Table 1
 //! figures real                 # append small-scale real-execution sections
+//! figures ablations            # DESIGN §5's design ablations, timed
 //! figures --json               # emit the selected figures as JSON
 //! figures trace                # traced real RA run: decomposition from caf-trace
 //! figures fig4 --from-trace    # Figure 4 derived from a real traced run
@@ -13,9 +14,12 @@
 //! figures model                # bounded schedule exploration (caf-model)
 //! ```
 
-use caf::SubstrateKind;
+use std::time::{Duration, Instant};
+
+use caf::{AsyncOpts, CafConfig, Coarray, FlushMode, Image, SubstrateKind};
 use caf_bench::{
-    fig1_configs, launch_footprint, real_cgpop, real_fft, real_hpl, real_ra, traced_ra,
+    fig1_configs, fusion_like, launch_footprint, real_cgpop, real_fft, real_hpl, real_ra,
+    timed_on_rank0, traced_ra,
 };
 use caf_hpcc::cgpop::ExchangeMode;
 use caf_netmodel::figures;
@@ -52,6 +56,7 @@ fn main() {
     let want_trace = args.iter().any(|a| a == "trace");
     let want_check = args.iter().any(|a| a == "check");
     let want_model = args.iter().any(|a| a == "model");
+    let want_ablations = args.iter().any(|a| a == "ablations");
     let filters: Vec<&String> = args
         .iter()
         .filter(|a| {
@@ -102,6 +107,200 @@ fn main() {
     if want_model {
         model_sections();
     }
+
+    if want_ablations {
+        ablation_sections();
+    }
+}
+
+/// DESIGN §5's ablations on CAF-MPI with the [`fusion_like`] cost tables:
+/// each pair of designs runs a fixed number of operations and reports
+/// image 0's wall time per operation.
+fn ablation_sections() {
+    println!("== ablations (DESIGN §5; CAF-MPI, us per operation on image 0) ==");
+    println!("{:>20} {:>24} {:>7} {:>6} {:>10}", "ablation", "variant", "images", "reps", "us/op");
+    let row = |ablation: &str, variant: &str, p: usize, reps: u64, run: &dyn Fn(u64) -> Duration| {
+        let us = run(reps).as_secs_f64() * 1e6 / reps as f64;
+        println!("{ablation:>20} {variant:>24} {p:>7} {reps:>6} {us:>10.2}");
+    };
+    let mpi = fusion_like(SubstrateKind::Mpi);
+    let targeted = CafConfig { flush: FlushMode::Targeted, ..mpi };
+
+    // Θ(P) flush_all in event_notify vs flushing only dirty targets; four
+    // windows, so flush_all walks all of them × P ranks.
+    for flush in [FlushMode::All, FlushMode::Targeted] {
+        let cfg = CafConfig { flush, ..mpi };
+        row("notify_flush", flush.name(), 8, 5000, &|n| notify_flush(cfg, n));
+    }
+    // ISEND/RECV events vs the §3.4 FETCH_AND_OP polling alternative (a
+    // round trip can take milliseconds when the poller starves the poster).
+    row("event_impl", "isend_recv", 2, 5000, &|n| event_isend(mpi, n));
+    row("event_impl", "fetch_and_op_poll", 2, 200, &|n| event_poll(mpi, n));
+    // Remote-completion put: the §3.3 case-4 AM path vs put+flush+notify.
+    for payload in [64usize, 2048] {
+        let am = format!("am_path/{payload}");
+        row("put_dst_event", &am, 2, 5000, &|n| put_dst_event(mpi, payload, true, n));
+        let direct = format!("put_flush_notify/{payload}");
+        row("put_dst_event", &direct, 2, 5000, &|n| put_dst_event(targeted, payload, false, n));
+    }
+    // Shipping-free finish: termination detection vs flush_all + barrier.
+    row("finish_impl", "termination_detection", 4, 2000, &|n| finish_impl(mpi, false, n));
+    row("finish_impl", "fast_flush_barrier", 4, 2000, &|n| finish_impl(mpi, true, n));
+    // What MPI_ALLTOALL's tuning buys: pairwise vs linear exchange.
+    row("alltoall_algorithm", "pairwise_tuned", 8, 1000, &|n| alltoall_algorithm(mpi, true, n));
+    row("alltoall_algorithm", "linear_naive", 8, 1000, &|n| alltoall_algorithm(mpi, false, n));
+}
+
+/// Image 0 writes one element to image 1 and notifies it, `reps` times.
+fn notify_flush(cfg: CafConfig, reps: u64) -> Duration {
+    timed_on_rank0(8, cfg, |img| {
+        let w = img.team_world();
+        let cas: Vec<Coarray<u64>> = (0..4).map(|_| img.coarray_alloc(&w, 16)).collect();
+        let ev = img.event_alloc(&w);
+        img.sync_all();
+        let t = Instant::now();
+        match img.this_image() {
+            0 => (0..reps).for_each(|_| {
+                cas[0].write(img, 1, 0, &[1u64]);
+                img.event_notify(&w, &ev, 1);
+            }),
+            1 => (0..reps).for_each(|_| img.event_wait(&ev)),
+            _ => {}
+        }
+        let d = t.elapsed();
+        img.sync_all();
+        cas.into_iter().for_each(|ca| img.coarray_free(&w, ca));
+        d
+    })
+}
+
+/// Event ping-pong over the runtime's ISEND-based notify.
+fn event_isend(cfg: CafConfig, reps: u64) -> Duration {
+    timed_on_rank0(2, cfg, |img| {
+        let w = img.team_world();
+        let (ping, pong) = (img.event_alloc(&w), img.event_alloc(&w));
+        img.sync_all();
+        let t = Instant::now();
+        for _ in 0..reps {
+            if img.this_image() == 0 {
+                img.event_notify(&w, &ping, 1);
+                img.event_wait(&pong);
+            } else {
+                img.event_wait(&ping);
+                img.event_notify(&w, &pong, 0);
+            }
+        }
+        let d = t.elapsed();
+        img.sync_all();
+        d
+    })
+}
+
+/// Event ping-pong as `fetch_add` posts and polling local reads.
+fn event_poll(cfg: CafConfig, reps: u64) -> Duration {
+    timed_on_rank0(2, cfg, |img| {
+        let w = img.team_world();
+        let counters: Coarray<u64> = img.coarray_alloc(&w, 2); // [ping, pong]
+        img.sync_all();
+        let me = img.this_image();
+        let wait_slot = |img: &Image, slot: usize, round: u64| {
+            let mut out = [0u64];
+            while {
+                counters.local_read(img, slot, &mut out);
+                out[0] <= round
+            } {
+                std::hint::spin_loop();
+            }
+        };
+        let t = Instant::now();
+        for round in 0..reps {
+            if me == 0 {
+                counters.fetch_add(img, 1, 0, 1u64);
+                wait_slot(img, 1, round);
+            } else {
+                wait_slot(img, 0, round);
+                counters.fetch_add(img, 0, 1, 1u64);
+            }
+        }
+        let d = t.elapsed();
+        img.sync_all();
+        img.coarray_free(&w, counters);
+        d
+    })
+}
+
+/// `payload` elements to image 1 that it waits for: through a
+/// destination event (`am_path`) or as a blocking write plus a notify.
+fn put_dst_event(cfg: CafConfig, payload: usize, am_path: bool, reps: u64) -> Duration {
+    timed_on_rank0(2, cfg, move |img| {
+        let w = img.team_world();
+        let ca: Coarray<u64> = img.coarray_alloc(&w, payload);
+        let ev = img.event_alloc(&w);
+        let data = vec![5u64; payload];
+        img.sync_all();
+        let t = Instant::now();
+        for _ in 0..reps {
+            if img.this_image() == 1 {
+                img.event_wait(&ev);
+            } else if am_path {
+                img.copy_async_put(&ca, 1, 0, &data, AsyncOpts::with_dst(ev));
+            } else {
+                ca.write(img, 1, 0, &data);
+                img.event_notify(&w, &ev, 1);
+            }
+        }
+        let d = t.elapsed();
+        img.sync_all();
+        img.coarray_free(&w, ca);
+        d
+    })
+}
+
+/// A `finish` block (or `finish_fast`) around one async put to the right
+/// neighbour.
+fn finish_impl(cfg: CafConfig, fast: bool, reps: u64) -> Duration {
+    timed_on_rank0(4, cfg, move |img| {
+        let w = img.team_world();
+        let ca: Coarray<u64> = img.coarray_alloc(&w, 4);
+        img.sync_all();
+        let body = |img: &Image| {
+            let peer = (img.this_image() + 1) % 4;
+            img.copy_async_put(&ca, peer, 0, &[1u64], AsyncOpts::none());
+        };
+        let t = Instant::now();
+        for _ in 0..reps {
+            if fast {
+                img.finish_fast(&w, body);
+            } else {
+                img.finish(&w, body);
+            }
+        }
+        let d = t.elapsed();
+        img.sync_all();
+        img.coarray_free(&w, ca);
+        d
+    })
+}
+
+/// 256 words to every peer through mpisim's pairwise or linear alltoall.
+fn alltoall_algorithm(cfg: CafConfig, tuned: bool, reps: u64) -> Duration {
+    timed_on_rank0(8, cfg, move |img| {
+        let mpi = img.mpi().expect("MPI substrate");
+        let comm = mpi.world();
+        let send: Vec<u64> = (0..8 * 256).map(|i| i as u64).collect();
+        img.sync_all();
+        let t = Instant::now();
+        for _ in 0..reps {
+            if tuned {
+                mpi.alltoall(&comm, &send, 256).unwrap();
+            } else {
+                mpi.alltoall_linear(&comm, &send, 256).unwrap();
+            }
+        }
+        let d = t.elapsed();
+        img.sync_all();
+        d
+    })
 }
 
 /// Bounded schedule exploration with `caf-model`: exhaust the ping-pong

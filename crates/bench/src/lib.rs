@@ -1,6 +1,6 @@
 //! # caf-bench
 //!
-//! Shared harness for the criterion benches and the `figures` binary:
+//! Shared harness for the `figures` binary and the integration tests:
 //! platform-flavoured runtime configurations (so substrate cost
 //! differences are visible in wall-clock measurements) and small-scale
 //! *real-execution* runs of each benchmark on both substrates.
@@ -305,36 +305,10 @@ pub mod checked {
             fft::run(img, &team, log2_size);
         })
     }
-
-    /// HPL under the sanitizer.
-    pub fn checked_hpl(p: usize, kind: SubstrateKind, n: usize, nb: usize) -> Report {
-        checked_run(p, fast(kind), |img| {
-            let team = img.team_world();
-            hpl::run(img, &team, n, nb, 42);
-        })
-    }
-
-    /// CGPOP under the sanitizer.
-    pub fn checked_cgpop(p: usize, kind: SubstrateKind, mode: ExchangeMode) -> Report {
-        checked_run(p, fast(kind), move |img| {
-            let team = img.team_world();
-            cgpop::run(
-                img,
-                &team,
-                CgpopParams {
-                    nx: 16,
-                    ny: 16,
-                    iters: 12,
-                },
-                mode,
-            );
-        })
-    }
 }
 
-/// Run `op_count` timed operations on image 0 of a `p`-image job and
-/// return image 0's elapsed time (helper for `iter_custom`-style micro
-/// benches).
+/// Run `f` on every image of a `p`-image job and return image 0's
+/// elapsed time (the timer of `figures ablations`).
 pub fn timed_on_rank0<F>(p: usize, cfg: CafConfig, f: F) -> Duration
 where
     F: Fn(&Image) -> Duration + Send + Sync,

@@ -9,9 +9,7 @@
 //! span and its collective round like any other.
 //!
 //! What is *not* pinned here: substrate records under a span (`RmaPut`,
-//! `WinFlush`, ... — the substrate contracts own those), `Coarray2d`
-//! (every method is one of the `Coarray` rows) and the `co_*` intrinsics
-//! (each is `allreduce` or `broadcast`).
+//! `WinFlush`, ... — the substrate contracts own those).
 //!
 //! The trace session sees only the jobs this test's thread launches, so
 //! nothing else in the process adds to what is pinned.

@@ -90,12 +90,6 @@ impl Image {
         self.agg.borrow().stats()
     }
 
-    /// Records currently parked in this image's buckets (introspection
-    /// for tests; drained at the next release point).
-    pub fn agg_pending_records(&self) -> usize {
-        self.agg.borrow().pending_records()
-    }
-
     pub(crate) fn agg_enabled(&self) -> bool {
         self.agg.borrow().config().enabled
     }
@@ -380,7 +374,14 @@ mod tests {
 
     use crate::asyncops::AsyncOpts;
     use crate::coarray::Coarray;
-    use crate::image::{CafConfig, CafUniverse, SubstrateKind};
+    use crate::image::{CafConfig, CafUniverse, Image, SubstrateKind};
+
+    /// Records parked in this image's buckets (drained at the next
+    /// release point).
+    fn parked(img: &Image) -> u64 {
+        let s = img.agg_stats();
+        s.enqueued - s.drained_records
+    }
 
     fn agg_cfg(kind: SubstrateKind) -> CafConfig {
         CafConfig {
@@ -424,9 +425,9 @@ mod tests {
                         img.copy_async_put(&ca, 1, i, &[100 + i as u64], AsyncOpts::none());
                     }
                     // Small puts parked, not yet on the wire.
-                    assert!(img.agg_pending_records() > 0);
+                    assert!(parked(img) > 0);
                     img.event_notify(&w, &ev, 1);
-                    assert_eq!(img.agg_pending_records(), 0);
+                    assert_eq!(parked(img), 0);
                 } else {
                     img.event_wait(&ev);
                     let got = ca.local_vec(img);
@@ -463,7 +464,7 @@ mod tests {
                 }
                 // 10 records, capacity 4: two buckets already shipped.
                 assert_eq!(img.agg_stats().drained_buckets, 2);
-                assert_eq!(img.agg_pending_records(), 2);
+                assert_eq!(parked(img), 2);
                 img.event_notify(&w, &ev, 1);
                 assert_eq!(img.agg_stats().drained_buckets, 3);
             } else {
@@ -592,7 +593,7 @@ mod tests {
             let big: Vec<u64> = (0..64).collect(); // 512 B > max_record_bytes
             if img.this_image() == 0 {
                 img.copy_async_put(&ca, 1, 0, &big, AsyncOpts::none());
-                assert_eq!(img.agg_pending_records(), 0, "bulk put must go direct");
+                assert_eq!(parked(img), 0, "bulk put must go direct");
             }
             img.finish_fast(&w, |_| {});
             if img.this_image() == 1 {

@@ -36,11 +36,6 @@ impl SegmentArena {
         self.capacity
     }
 
-    /// Bytes currently free.
-    pub fn free_bytes(&self) -> usize {
-        self.free.borrow().iter().map(|&(_, l)| l).sum()
-    }
-
     /// Allocate `bytes` (rounded up to 8); returns the offset, or `None`
     /// when no run is large enough.
     pub fn alloc(&self, bytes: usize) -> Option<usize> {
@@ -103,6 +98,11 @@ impl SegmentArena {
 mod tests {
     use super::*;
 
+    /// Bytes currently free.
+    fn free_bytes(a: &SegmentArena) -> usize {
+        a.free.borrow().iter().map(|&(_, l)| l).sum()
+    }
+
     #[test]
     fn alloc_advances_and_frees_coalesce() {
         let a = SegmentArena::new(1024);
@@ -114,7 +114,7 @@ mod tests {
         a.free(x, 100);
         a.free(z, 100);
         // Everything coalesced back into one run.
-        assert_eq!(a.free_bytes(), 1024);
+        assert_eq!(free_bytes(&a), 1024);
         assert_eq!(a.alloc(1024), Some(0));
     }
 
@@ -186,6 +186,6 @@ mod tests {
         for (off, sz) in live.drain(..) {
             a.free(off, sz);
         }
-        assert_eq!(a.free_bytes(), 4096);
+        assert_eq!(free_bytes(&a), 4096);
     }
 }

@@ -232,12 +232,6 @@ impl Image {
         self.post_event(ev.id, self.this_image());
     }
 
-    /// Number of implicitly synchronized puts issued since the last
-    /// `cofence`/`finish` (introspection for tests and benches).
-    pub fn implicit_put_count(&self) -> u64 {
-        self.implicit_puts.get()
-    }
-
     /// General asynchronous copy between two coarray locations, either or
     /// both remote (`copy_async` with coarray source *and* destination —
     /// the full generality of paper §2.1: "the source and destination may
@@ -287,51 +281,6 @@ impl Image {
         self.broadcast(team, root, data);
         self.post_here([data_event, op_event]);
     }
-
-    /// Asynchronous team allgather, with the async-collective event
-    /// convention of paper §2.1.
-    pub fn team_allgather_async<T: Pod>(
-        &self,
-        team: &Team,
-        data: &[T],
-        data_event: Option<Event>,
-        op_event: Option<Event>,
-    ) -> Vec<T> {
-        let out = self.allgather(team, data);
-        self.post_here([data_event, op_event]);
-        out
-    }
-
-    /// Asynchronous team reduction (`team_reduce_async`): the result
-    /// arrives in the returned vector; the *data* event posts when the
-    /// local buffer is readable, the *operation* event when it is
-    /// modifiable (paper §2.1). Executed eagerly on this substrate.
-    pub fn team_reduce_async<T: Pod>(
-        &self,
-        team: &Team,
-        data: &[T],
-        f: impl Fn(T, T) -> T,
-        data_event: Option<Event>,
-        op_event: Option<Event>,
-    ) -> Vec<T> {
-        let out = self.allreduce(team, data, f);
-        self.post_here([data_event, op_event]);
-        out
-    }
-
-    /// Asynchronous team alltoall, with the same event convention.
-    pub fn team_alltoall_async<T: Pod>(
-        &self,
-        team: &Team,
-        data: &[T],
-        block: usize,
-        data_event: Option<Event>,
-        op_event: Option<Event>,
-    ) -> Vec<T> {
-        let out = self.alltoall(team, data, block);
-        self.post_here([data_event, op_event]);
-        out
-    }
 }
 
 #[cfg(test)]
@@ -346,9 +295,9 @@ mod tests {
             let ca: Coarray<u64> = img.coarray_alloc(&w, 2);
             if img.this_image() == 0 {
                 img.copy_async_put(&ca, 1, 0, &[42, 43], AsyncOpts::none());
-                assert_eq!(img.implicit_put_count(), 1);
+                assert_eq!(img.implicit_puts.get(), 1);
                 img.cofence();
-                assert_eq!(img.implicit_put_count(), 0);
+                assert_eq!(img.implicit_puts.get(), 0);
                 img.flush_all();
             }
             img.sync_all();
@@ -542,11 +491,10 @@ mod tests {
     }
 
     #[test]
-    fn async_broadcast_and_allgather_post_events() {
+    fn async_broadcast_posts_its_event() {
         both(3, |img| {
             let w = img.team_world();
             let ev1 = img.event_alloc(&w);
-            let ev2 = img.event_alloc(&w);
             let mut data = if img.this_image() == 0 {
                 vec![9u64]
             } else {
@@ -555,10 +503,6 @@ mod tests {
             img.team_broadcast_async(&w, 0, &mut data, Some(ev1), None);
             assert_eq!(data, vec![9]);
             img.event_wait(&ev1);
-
-            let all = img.team_allgather_async(&w, &[img.this_image() as u64], Some(ev2), None);
-            assert_eq!(all, vec![0, 1, 2]);
-            img.event_wait(&ev2);
         });
     }
 
@@ -571,27 +515,8 @@ mod tests {
             img.copy_async_put(&ca, 0, 0, &[3], AsyncOpts::none());
             img.cofence_with_event(&ev);
             img.event_wait(&ev);
-            assert_eq!(img.implicit_put_count(), 0);
+            assert_eq!(img.implicit_puts.get(), 0);
             img.coarray_free(&w, ca);
-        });
-    }
-
-    #[test]
-    fn async_collectives_post_events() {
-        both(4, |img| {
-            let w = img.team_world();
-            let data_ev = img.event_alloc(&w);
-            let op_ev = img.event_alloc(&w);
-            let s = img.team_reduce_async(
-                &w,
-                &[1u64],
-                |a, b| a + b,
-                Some(data_ev),
-                Some(op_ev),
-            );
-            assert_eq!(s[0], 4);
-            img.event_wait(&data_ev);
-            img.event_wait(&op_ev);
         });
     }
 }

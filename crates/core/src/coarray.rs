@@ -170,45 +170,12 @@ impl Section {
         }
     }
 
-    /// The Fortran-style form `lo : hi_exclusive : step`.
-    pub fn from_range(lo: usize, hi_exclusive: usize, step: usize) -> Self {
-        assert!(step >= 1, "section step must be at least 1");
-        let count = if hi_exclusive > lo {
-            (hi_exclusive - lo).div_ceil(step)
-        } else {
-            0
-        };
-        Section::new(lo, count, step)
-    }
-
     /// Index of the last touched element (inclusive); `None` when empty.
     pub fn last(&self) -> Option<usize> {
         self.count
             .checked_sub(1)
             .map(|c| self.offset + c * self.stride)
     }
-}
-
-/// A substrate-level remote reference, exposed for inspection and tests —
-/// the representations contrasted in paper §3.1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RemoteRef {
-    /// CAF-MPI: `(window, rank, displacement)`.
-    WindowRankDisp {
-        /// Window id.
-        window: u64,
-        /// Target rank within the window's communicator.
-        rank: usize,
-        /// Byte displacement from the window base.
-        disp: usize,
-    },
-    /// CAF-GASNet: `(image, address)`.
-    ImageAddress {
-        /// Target global image.
-        image: usize,
-        /// Byte address within the target's segment.
-        address: usize,
-    },
 }
 
 impl Image {
@@ -314,21 +281,6 @@ impl<T: Pod> Coarray<T> {
     /// Global image index of team member `member` (for trace attribution).
     pub(crate) fn global_member(&self, member: usize) -> usize {
         self.region.group().global_rank(member)
-    }
-
-    /// The substrate-level remote reference for `member`'s part.
-    pub fn remote_ref(&self, member: usize) -> RemoteRef {
-        match &*self.region {
-            RegionInner::Mpi(win) => RemoteRef::WindowRankDisp {
-                window: win.id(),
-                rank: member,
-                disp: 0,
-            },
-            RegionInner::Gasnet(r) => {
-                let (image, address) = r.at(member, 0);
-                RemoteRef::ImageAddress { image, address }
-            }
-        }
     }
 
     /// The descriptor of a data operation on `elems` elements at byte
@@ -598,28 +550,6 @@ mod tests {
     }
 
     #[test]
-    fn remote_ref_shapes_match_substrate() {
-        CafUniverse::run(2, |img| {
-            let w = img.team_world();
-            let ca: Coarray<u64> = img.coarray_alloc(&w, 4);
-            assert!(matches!(
-                ca.remote_ref(1),
-                RemoteRef::WindowRankDisp { rank: 1, .. }
-            ));
-            img.coarray_free(&w, ca);
-        });
-        CafUniverse::run_with_config(2, CafConfig::on(SubstrateKind::Gasnet), |img| {
-            let w = img.team_world();
-            let ca: Coarray<u64> = img.coarray_alloc(&w, 4);
-            assert!(matches!(
-                ca.remote_ref(1),
-                RemoteRef::ImageAddress { image: 1, .. }
-            ));
-            img.coarray_free(&w, ca);
-        });
-    }
-
-    #[test]
     fn coarray_over_subteam() {
         both(6, |img| {
             let w = img.team_world();
@@ -692,21 +622,6 @@ mod tests {
             img.sync_all();
             img.coarray_free(&w, ca);
         });
-    }
-
-    #[test]
-    fn section_from_range_matches_fortran_triplets() {
-        // A(2:10:3) → elements 2, 5, 8.
-        let s = Section::from_range(2, 10, 3);
-        assert_eq!((s.offset, s.count, s.stride), (2, 3, 3));
-        assert_eq!(s.last(), Some(8));
-        // Empty section.
-        let e = Section::from_range(5, 5, 1);
-        assert_eq!(e.count, 0);
-        assert_eq!(e.last(), None);
-        // Contiguous.
-        let c = Section::from_range(0, 4, 1);
-        assert_eq!((c.offset, c.count, c.stride), (0, 4, 1));
     }
 
     #[test]

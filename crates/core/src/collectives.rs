@@ -24,7 +24,6 @@ use caf_fabric::coll::{self, Rounds};
 use caf_fabric::pod::zeroed_vec;
 use caf_fabric::{Group, Pod, Watch};
 use caf_gasnetsim::AM_MAX_MEDIUM;
-use caf_mpisim::Scalar;
 
 use crate::image::Image;
 use crate::rtmsg::{write_coll_header, COLL_HEADER};
@@ -308,30 +307,6 @@ impl Image {
         for &p in partners {
             self.event_wait(&sync_ev(team.global_rank(p)));
         }
-    }
-
-    /// Fortran 2008 `co_sum`: elementwise sum across the team, replacing
-    /// `data` on every image.
-    pub fn co_sum<T: Pod + Scalar>(&self, team: &Team, data: &mut [T]) {
-        let out = self.allreduce(team, data, |a, b| a.add(b));
-        data.copy_from_slice(&out);
-    }
-
-    /// Fortran 2008 `co_max`.
-    pub fn co_max<T: Pod + Scalar>(&self, team: &Team, data: &mut [T]) {
-        let out = self.allreduce(team, data, |a, b| a.max_of(b));
-        data.copy_from_slice(&out);
-    }
-
-    /// Fortran 2008 `co_min`.
-    pub fn co_min<T: Pod + Scalar>(&self, team: &Team, data: &mut [T]) {
-        let out = self.allreduce(team, data, |a, b| a.min_of(b));
-        data.copy_from_slice(&out);
-    }
-
-    /// Fortran 2008 `co_broadcast`.
-    pub fn co_broadcast<T: Pod>(&self, team: &Team, root: usize, data: &mut Vec<T>) {
-        self.broadcast(team, root, data);
     }
 
     /// Split `team` by color, ordering each part by `(key, rank)` —
@@ -622,34 +597,6 @@ mod tests {
                 img.sync_images(&w, &[l, r]);
             }
             img.sync_all();
-        });
-    }
-
-    #[test]
-    fn co_intrinsics() {
-        both(4, |img| {
-            let w = img.team_world();
-            let me = img.this_image() as i64;
-
-            let mut s = vec![me, 1];
-            img.co_sum(&w, &mut s);
-            assert_eq!(s, vec![6, 4]);
-
-            let mut mx = vec![me * 10];
-            img.co_max(&w, &mut mx);
-            assert_eq!(mx, vec![30]);
-
-            let mut mn = vec![me - 2];
-            img.co_min(&w, &mut mn);
-            assert_eq!(mn, vec![-2]);
-
-            let mut b = if img.this_image() == 3 {
-                vec![7u64, 8]
-            } else {
-                Vec::new()
-            };
-            img.co_broadcast(&w, 3, &mut b);
-            assert_eq!(b, vec![7, 8]);
         });
     }
 

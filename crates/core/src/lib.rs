@@ -58,7 +58,6 @@ pub mod arena;
 pub mod asyncops;
 pub(crate) mod backend;
 pub mod coarray;
-pub mod coarray2d;
 pub mod collectives;
 pub mod event;
 pub mod finish;
@@ -78,8 +77,7 @@ pub use caf_fabric::{FaultPlan, Kill, KillSite};
 pub use caf_sched::{ExecConfig, ExecMode};
 pub use caf_gasnetsim::{GasnetConfig, SrqMode};
 pub use caf_mpisim::MpiConfig;
-pub use coarray::{Coarray, RemoteRef, Section};
-pub use coarray2d::Coarray2d;
+pub use coarray::{Coarray, Section};
 pub use event::Event;
 pub use backend::FlushMode;
 pub use image::{CafConfig, CafUniverse, Image, SubstrateKind};
@@ -94,7 +92,6 @@ pub mod prelude {
     pub use caf_agg::AggConfig;
     pub use caf_sched::{ExecConfig, ExecMode};
     pub use crate::coarray::{Coarray, Section};
-    pub use crate::coarray2d::Coarray2d;
     pub use crate::event::Event;
     pub use crate::image::{CafConfig, CafUniverse, Image, SubstrateKind};
     pub use crate::stat::{ImageStatus, Stat};

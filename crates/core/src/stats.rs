@@ -187,17 +187,6 @@ impl StatsReport {
     pub fn seconds(&self, cat: StatCat) -> f64 {
         self.rows.get(cat.index()).map_or(0.0, |row| row.1)
     }
-
-    /// Elementwise mean across many reports (per-image → per-run).
-    pub fn mean(reports: &[StatsReport]) -> StatsReport {
-        let n = reports.len().max(1);
-        let calls = |r: &StatsReport, c: StatCat| r.rows.get(c.index()).map_or(0, |row| row.2);
-        let mean_row = |&c: &StatCat| {
-            let secs = reports.iter().map(|r| r.seconds(c)).sum::<f64>() / n as f64;
-            (c, secs, reports.iter().map(|r| calls(r, c)).sum::<u64>() / n as u64)
-        };
-        StatsReport { rows: ALL_CATS.iter().map(mean_row).collect() }
-    }
 }
 
 #[cfg(test)]
@@ -238,17 +227,6 @@ mod tests {
         s.reset();
         assert_eq!(s.seconds(StatCat::Alltoall), 0.0);
         assert_eq!(s.calls(StatCat::Alltoall), 0);
-    }
-
-    #[test]
-    fn report_mean() {
-        let mk = |ns: u64| {
-            let s = Stats::new();
-            s.nanos[StatCat::EventWait.index()].set(ns);
-            StatsReport::capture(&s)
-        };
-        let m = StatsReport::mean(&[mk(1_000_000_000), mk(3_000_000_000)]);
-        assert!((m.seconds(StatCat::EventWait) - 2.0).abs() < 1e-9);
     }
 
     #[test]

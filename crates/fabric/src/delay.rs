@@ -114,14 +114,6 @@ impl OpCost {
         per_byte_ns: 0.0,
     };
 
-    /// A pure per-op overhead.
-    pub const fn fixed(base_ns: f64) -> Self {
-        OpCost {
-            base_ns,
-            per_byte_ns: 0.0,
-        }
-    }
-
     /// A real-hardware cost (`base_ns` + `per_byte_ns` per byte), divided
     /// by [`TIME_SCALE`].
     pub fn scaled(base_ns: f64, per_byte_ns: f64) -> Self {
@@ -388,7 +380,7 @@ mod tests {
     #[test]
     fn cost_lookup_matches_fields() {
         let mut cfg = DelayConfig::free();
-        cfg.flush_per_target = OpCost::fixed(42.0);
+        cfg.flush_per_target = OpCost { base_ns: 42.0, ..OpCost::FREE };
         assert_eq!(cfg.cost(DelayOp::FlushPerTarget).base_ns, 42.0);
         assert_eq!(cfg.cost(DelayOp::RmaGet), OpCost::FREE);
     }
@@ -403,7 +395,7 @@ mod tests {
     #[test]
     fn meter_records_counts_and_modeled_ns() {
         let mut cfg = DelayConfig::free();
-        cfg.flush_per_target = OpCost::fixed(10.0);
+        cfg.flush_per_target = OpCost { base_ns: 10.0, ..OpCost::FREE };
         cfg.rma_put = OpCost {
             base_ns: 5.0,
             per_byte_ns: 1.0,
@@ -435,7 +427,7 @@ mod tests {
     #[test]
     fn note_records_without_spinning() {
         let mut cfg = DelayConfig::free();
-        cfg.flush_per_target = OpCost::fixed(1e12); // would spin ~17 min if charged
+        cfg.flush_per_target = OpCost { base_ns: 1e12, ..OpCost::FREE }; // would spin ~17 min if charged
         let d = Delays::new(cfg);
         let ns = d.note(DelayOp::FlushPerTarget, 0);
         assert_eq!(ns, 1e12);

@@ -120,9 +120,11 @@ pub fn serial_fft(a: &mut [C64], inverse: bool) {
     }
 }
 
-/// O(n²) reference DFT (forward). The exponent is reduced mod n before
-/// it becomes an angle, so every term is exact to rounding.
-pub fn naive_dft(x: &[C64]) -> Vec<C64> {
+/// O(n²) reference DFT (forward), the oracle the tests compare against.
+/// The exponent is reduced mod n before it becomes an angle, so every
+/// term is exact to rounding.
+#[cfg(test)]
+fn naive_dft(x: &[C64]) -> Vec<C64> {
     let n = x.len();
     (0..n)
         .map(|k| {

@@ -373,77 +373,77 @@ fn run_aggregated(
     }
 }
 
-/// One **fault-tolerant** aggregated RandomAccess epoch over `team`
-/// (DESIGN.md §17): the kernel of [`run_aggregated`] with every blocking
-/// point threading a `Stat`, so a member dying mid-epoch surfaces as
-/// `Err(failed)` instead of a hang or a panic. The caller owns recovery:
-/// `team_reform` the team and retry the epoch on the survivors (RA needs
-/// a power-of-two team, so pick fault plans whose survivor count stays
-/// one).
-///
-/// On a failed epoch the table coarray is intentionally **leaked** — a
-/// collective free over a team with a dead member can never complete.
-/// The retry allocates a fresh table on the reformed team.
-///
-/// # Panics
-///
-/// Panics unless the team size is a power of two and aggregation is
-/// enabled in the universe config.
-pub fn run_aggregated_epoch_ft(
-    img: &Image,
-    team: &Team,
-    log2_local: u32,
-    updates_per_image: usize,
-) -> Result<Vec<u64>, Vec<usize>> {
-    assert!(
-        img.agg_config().enabled,
-        "run_aggregated_epoch_ft requires CafConfig::agg.enabled"
-    );
-    let p = team.size();
-    assert!(is_pow2(p), "RandomAccess requires a power-of-two team");
-    let me = team.rank();
-    let local_size = 1usize << log2_local;
-    let mask = (local_size * p - 1) as u64;
-
-    // The alloc is a collective; a member that dies *after* its own
-    // participation still lets this complete (its contributions are
-    // already in flight and already-delivered data wins over the death).
-    let table: Coarray<u64> = img.coarray_alloc(team, local_size);
-    let init: Vec<u64> = (0..local_size as u64)
-        .map(|i| me as u64 * local_size as u64 + i)
-        .collect();
-    table.local_write(img, 0, &init);
-    let stat = img.barrier_stat(team);
-    if !stat.is_ok() {
-        return Err(stat.failed().to_vec());
-    }
-
-    let ((), stat) = img.finish_stat(team, |img| {
-        let mut ran = starts((me * updates_per_image) as i64);
-        for _ in 0..updates_per_image {
-            ran = lcg_next(ran);
-            let idx = (ran & mask) as usize;
-            let dest = idx >> log2_local;
-            img.agg_accumulate_xor(&table, dest, idx & (local_size - 1), ran);
-        }
-    });
-    if !stat.is_ok() {
-        return Err(stat.failed().to_vec());
-    }
-    let stat = img.barrier_stat(team);
-    if !stat.is_ok() {
-        return Err(stat.failed().to_vec());
-    }
-
-    let local = table.local_vec(img);
-    img.coarray_free(team, table);
-    Ok(local)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use caf::{CafConfig, CafUniverse, SubstrateKind};
+
+    /// One **fault-tolerant** aggregated RandomAccess epoch over `team`
+    /// (DESIGN.md §17): the kernel of [`run_aggregated`] with every blocking
+    /// point threading a `Stat`, so a member dying mid-epoch surfaces as
+    /// `Err(failed)` instead of a hang or a panic. The caller owns recovery:
+    /// `team_reform` the team and retry the epoch on the survivors (RA needs
+    /// a power-of-two team, so pick fault plans whose survivor count stays
+    /// one).
+    ///
+    /// On a failed epoch the table coarray is intentionally **leaked** — a
+    /// collective free over a team with a dead member can never complete.
+    /// The retry allocates a fresh table on the reformed team.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the team size is a power of two and aggregation is
+    /// enabled in the universe config.
+    fn run_aggregated_epoch_ft(
+        img: &Image,
+        team: &Team,
+        log2_local: u32,
+        updates_per_image: usize,
+    ) -> Result<Vec<u64>, Vec<usize>> {
+        assert!(
+            img.agg_config().enabled,
+            "run_aggregated_epoch_ft requires CafConfig::agg.enabled"
+        );
+        let p = team.size();
+        assert!(is_pow2(p), "RandomAccess requires a power-of-two team");
+        let me = team.rank();
+        let local_size = 1usize << log2_local;
+        let mask = (local_size * p - 1) as u64;
+
+        // The alloc is a collective; a member that dies *after* its own
+        // participation still lets this complete (its contributions are
+        // already in flight and already-delivered data wins over the death).
+        let table: Coarray<u64> = img.coarray_alloc(team, local_size);
+        let init: Vec<u64> = (0..local_size as u64)
+            .map(|i| me as u64 * local_size as u64 + i)
+            .collect();
+        table.local_write(img, 0, &init);
+        let stat = img.barrier_stat(team);
+        if !stat.is_ok() {
+            return Err(stat.failed().to_vec());
+        }
+
+        let ((), stat) = img.finish_stat(team, |img| {
+            let mut ran = starts((me * updates_per_image) as i64);
+            for _ in 0..updates_per_image {
+                ran = lcg_next(ran);
+                let idx = (ran & mask) as usize;
+                let dest = idx >> log2_local;
+                img.agg_accumulate_xor(&table, dest, idx & (local_size - 1), ran);
+            }
+        });
+        if !stat.is_ok() {
+            return Err(stat.failed().to_vec());
+        }
+        let stat = img.barrier_stat(team);
+        if !stat.is_ok() {
+            return Err(stat.failed().to_vec());
+        }
+
+        let local = table.local_vec(img);
+        img.coarray_free(team, table);
+        Ok(local)
+    }
 
     #[test]
     fn stream_matches_known_values() {

@@ -24,6 +24,9 @@
 //!   scope-aware (string literals, trailing comments, and code after a
 //!   closed `#[cfg(test)]` module are handled correctly).
 //!
+//! The workspace passes (CAFL008 `sync-protocol`, CAFL009 `wait-graph`,
+//! CAFL010 `unreached`, the CAFL000 allow audit) run over the call graph.
+//!
 //! Per-site escape hatch for every class: `// lint:allow(<class>)` on
 //! the flagged line or the line above.
 
@@ -35,6 +38,7 @@ pub mod lexer;
 pub mod ordering;
 pub mod proto;
 pub mod scope;
+pub mod unreached;
 pub mod waitgraph;
 
 use std::cell::RefCell;
@@ -65,6 +69,7 @@ pub const KNOWN_CLASSES: &[&str] = &[
     "nondeterminism",
     "sync-protocol",
     "wait-graph",
+    "unreached",
 ];
 
 /// One lexed + scope-analyzed source file, with the set of allow
@@ -110,23 +115,35 @@ impl FileUnit {
 
 /// The whole workspace as analyzed units: the per-file passes run over
 /// each file, then the interprocedural passes (call graph, CAFL008
-/// sync-protocol, CAFL009 wait-graph) and the CAFL000 stale-allow audit
-/// run over the set.
+/// sync-protocol, CAFL009 wait-graph, CAFL010 unreached) and the CAFL000
+/// stale-allow audit run over the set.
 #[derive(Debug)]
 pub struct Workspace {
     pub files: Vec<FileUnit>,
+    /// Identifiers the `benchmark/` sources mention: roots of CAFL010,
+    /// never linted themselves.
+    pub bench_idents: BTreeSet<String>,
 }
 
 impl Workspace {
+    /// Sources under `benchmark/` only contribute their identifiers.
     pub fn from_sources(sources: Vec<(String, String)>) -> Workspace {
+        let (bench, sources): (Vec<_>, Vec<_>) =
+            sources.into_iter().partition(|(rel, _)| rel.starts_with("benchmark/"));
+        let bench_idents = bench
+            .iter()
+            .flat_map(|(_, src)| lexer::lex(src).tokens)
+            .filter(|t| t.kind == lexer::Kind::Ident)
+            .map(|t| t.text)
+            .collect();
         let mut files: Vec<FileUnit> =
             sources.into_iter().map(|(rel, src)| FileUnit::new(rel, &src)).collect();
         files.sort_by(|a, b| a.rel.cmp(&b.rel));
-        Workspace { files }
+        Workspace { files, bench_idents }
     }
 
     /// Run every pass: per-file (CAFL001..CAFL007), interprocedural
-    /// (CAFL008/CAFL009), then the allow audit (CAFL000).
+    /// (CAFL008..CAFL010), then the allow audit (CAFL000).
     pub fn analyze(&self, table: &OrderingTable, report: &mut Report) {
         for fu in &self.files {
             let ctx = checks::FileCtx::new(&fu.rel, &fu.lx, &fu.sc, &fu.consumed);
@@ -137,6 +154,7 @@ impl Workspace {
         proto::sync_protocol_pass(self, &graph, report);
         let wg = waitgraph::build(self, &graph, report);
         report.waitgraph = Some(wg);
+        unreached::unreached_pass(self, &graph, report);
         allow_audit(self, report);
     }
 }
@@ -206,7 +224,7 @@ fn allow_audit(ws: &Workspace, report: &mut Report) {
 /// One finding.
 #[derive(Debug, Clone)]
 pub struct Diag {
-    /// Stable diagnostic code (`CAFL001`..`CAFL007`).
+    /// Stable diagnostic code (`CAFL000`..`CAFL010`).
     pub code: &'static str,
     /// The `lint:allow(<class>)` class name.
     pub class: &'static str,
@@ -352,13 +370,13 @@ pub fn load_table(root: &Path) -> Result<OrderingTable, String> {
 }
 
 /// Walk `crates/`, `tests/`, `examples/` under `root` and scan every
-/// `.rs` file; then run the manifest-level layering check and the
-/// staleness pass.
+/// `.rs` file (reading `benchmark/src` for CAFL010's roots); then run the
+/// manifest-level layering check and the staleness pass.
 pub fn run_workspace(root: &Path) -> Result<Report, String> {
     let table = load_table(root)?;
     let mut report = Report::default();
     let mut files = Vec::new();
-    for dir in ["crates", "tests", "examples"] {
+    for dir in ["crates", "tests", "examples", "benchmark/src"] {
         collect_rs_files(&root.join(dir), &mut files);
     }
     files.sort();

@@ -63,9 +63,6 @@ const DIRTY_OPS: &[&str] = &[
     "copy_async_get",
     "copy_async_between",
     "team_broadcast_async",
-    "team_allgather_async",
-    "team_reduce_async",
-    "team_alltoall_async",
     "agg_accumulate_xor",
     "agg_accumulate_add",
 ];
@@ -91,10 +88,6 @@ const COLLECTIVE_OPS: &[&str] = &[
     "allgatherv",
     "alltoall",
     "alltoall_into",
-    "co_sum",
-    "co_max",
-    "co_min",
-    "co_broadcast",
     "team_split",
     "coarray_alloc",
     "coarray_free",

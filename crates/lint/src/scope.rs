@@ -15,6 +15,8 @@ use crate::lexer::{Kind, Token};
 #[derive(Debug, Clone)]
 pub struct FnInfo {
     pub name: String,
+    /// Token index of the `fn` keyword.
+    pub fn_tok: usize,
     pub body_start: usize,
     pub body_end: usize,
 }
@@ -58,7 +60,7 @@ pub fn analyze(tokens: &[Token]) -> Scopes {
     let mut paren: i32 = 0;
     let mut bracket: i32 = 0;
     let mut pending_test = false;
-    let mut pending_fn: Option<String> = None;
+    let mut pending_fn: Option<(String, usize)> = None;
     // Item after the attr is brace-free-or-`use`-like; cancel at `;`.
     let mut pending_semi_item = false;
 
@@ -115,7 +117,7 @@ pub fn analyze(tokens: &[Token]) -> Scopes {
             (Kind::Ident, "fn") => {
                 if let Some(next) = tokens.get(i + 1) {
                     if next.kind == Kind::Ident {
-                        pending_fn = Some(next.text.clone());
+                        pending_fn = Some((next.text.clone(), i));
                     }
                 }
             }
@@ -139,9 +141,10 @@ pub fn analyze(tokens: &[Token]) -> Scopes {
             }
             (Kind::Punct, "{") => {
                 let fn_idx = if paren == 0 && !pending_semi_item {
-                    pending_fn.take().map(|name| {
+                    pending_fn.take().map(|(name, fn_tok)| {
                         sc.fns.push(FnInfo {
                             name,
+                            fn_tok,
                             body_start: i,
                             body_end: usize::MAX,
                         });

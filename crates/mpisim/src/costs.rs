@@ -5,8 +5,8 @@
 //! Edison's Cray Aries + CRAY-MPICH), scaled down uniformly by 100× so that
 //! in-process benchmark runs finish quickly while preserving every *ratio*
 //! the paper's analysis depends on. The netmodel crate owns the full-scale
-//! numbers; these tables exist so the criterion benches measure the same
-//! shapes in actual wall-clock time.
+//! numbers; these tables exist so `figures real` and `figures ablations`
+//! measure the same shapes in actual wall-clock time.
 
 use caf_fabric::delay::{DelayConfig, OpCost};
 pub use caf_fabric::delay::TIME_SCALE;

@@ -8,8 +8,8 @@
 //! MPI-3:
 //!
 //! * **two-sided messaging** with full `(source, tag, communicator)`
-//!   matching, wildcards, and eager delivery (`send`, `recv`, `sendrecv`,
-//!   and `try_recv`, the non-blocking matched receive of MPI-3's
+//!   matching, wildcards, and eager delivery (`send`, `recv` and
+//!   `try_recv`, the non-blocking matched receive of MPI-3's
 //!   `MPI_Improbe` + `MPI_Mrecv`);
 //! * **communicators**: `comm_world`, `split`, deterministic collective
 //!   id agreement;

@@ -136,22 +136,6 @@ impl Mpi {
         self.delays.charge(DelayOp::P2pReceive, pkt.payload.len());
         Some(unpack::<T>(comm, pkt))
     }
-
-    /// Combined send+receive (`MPI_Sendrecv`): injects the outgoing message
-    /// first, then blocks on the incoming one — deadlock-free under the
-    /// eager protocol.
-    pub fn sendrecv<T: Pod, U: Pod>(
-        &self,
-        comm: &Comm,
-        dest: usize,
-        send_tag: i64,
-        sendbuf: &[T],
-        src: Src,
-        recv_tag: Tag,
-    ) -> Result<(Vec<U>, Status)> {
-        self.send(comm, dest, send_tag, sendbuf)?;
-        self.recv::<U>(comm, src, recv_tag)
-    }
 }
 
 #[cfg(test)]
@@ -250,25 +234,5 @@ mod tests {
                 assert_eq!((st.source, st.tag, st.bytes), (0, 9, 4));
             }
         });
-    }
-
-    #[test]
-    fn sendrecv_exchanges_between_pair() {
-        let results = Universe::run(2, |mpi| {
-            let w = mpi.world();
-            let peer = 1 - mpi.rank();
-            let (got, _) = mpi
-                .sendrecv::<u64, u64>(
-                    &w,
-                    peer,
-                    0,
-                    &[mpi.rank() as u64 * 100],
-                    Src::Rank(peer),
-                    Tag::Is(0),
-                )
-                .unwrap();
-            got[0]
-        });
-        assert_eq!(results, vec![100, 0]);
     }
 }

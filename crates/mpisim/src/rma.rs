@@ -874,7 +874,7 @@ mod tests {
         use crate::universe::MpiConfig;
         use caf_fabric::delay::{DelayConfig, OpCost};
         let mut delays = DelayConfig::free();
-        delays.flush_per_target = OpCost::fixed(10.0);
+        delays.flush_per_target = OpCost { base_ns: 10.0, ..OpCost::FREE };
         let cfg = MpiConfig {
             delays,
             ..MpiConfig::default()
@@ -984,7 +984,7 @@ mod tests {
         use crate::universe::MpiConfig;
         use caf_fabric::delay::{DelayConfig, OpCost};
         let mut delays = DelayConfig::free();
-        delays.flush_per_target = OpCost::fixed(5.0);
+        delays.flush_per_target = OpCost { base_ns: 5.0, ..OpCost::FREE };
         let cfg = MpiConfig {
             delays,
             ..MpiConfig::default()
@@ -1020,7 +1020,7 @@ mod tests {
         use crate::universe::MpiConfig;
         use caf_fabric::delay::{DelayConfig, OpCost};
         let mut delays = DelayConfig::free();
-        delays.flush_per_target = OpCost::fixed(20.0);
+        delays.flush_per_target = OpCost { base_ns: 20.0, ..OpCost::FREE };
         let cfg = MpiConfig {
             delays,
             ..MpiConfig::default()

@@ -45,7 +45,9 @@ pub use platform::{Platform, Substrate, EDISON, FUSION, MIRA};
 ///
 /// A value of 1.0 means the model matches the reference up to one global
 /// constant; 2.0 means some point is off by 2× after global rescaling.
-pub fn shape_error(model: &[f64], reference: &[f64]) -> f64 {
+/// The oracle the tests hold each model series to.
+#[cfg(test)]
+pub(crate) fn shape_error(model: &[f64], reference: &[f64]) -> f64 {
     assert_eq!(model.len(), reference.len());
     assert!(!model.is_empty());
     // Global scale: geometric mean of ratios.

@@ -112,14 +112,6 @@ pub struct Decomposition {
 }
 
 impl Decomposition {
-    /// Seconds image `image` spent in `cat` (0.0 if absent).
-    pub fn seconds_for(&self, image: usize, cat: Cat) -> f64 {
-        match self.images.binary_search(&image) {
-            Ok(i) => self.seconds[i][cat.index()],
-            Err(_) => 0.0,
-        }
-    }
-
     /// Mean seconds per image in `cat`.
     pub fn mean_seconds(&self, cat: Cat) -> f64 {
         if self.images.is_empty() {
@@ -165,14 +157,6 @@ impl Decomposition {
             0.0
         } else {
             self.mean_seconds(cat) / total
-        }
-    }
-
-    /// Seconds image `image` spent flushing (0.0 if absent).
-    pub fn flush_seconds_for(&self, image: usize) -> f64 {
-        match self.images.binary_search(&image) {
-            Ok(i) => self.flush_seconds[i],
-            Err(_) => 0.0,
         }
     }
 
@@ -374,8 +358,8 @@ mod tests {
         };
         let d = trace.decomposition();
         assert_eq!(d.images, vec![0, 1]);
-        assert!((d.seconds_for(0, Cat::EventNotify) - 2.0).abs() < 1e-9);
-        assert_eq!(d.seconds_for(0, Cat::Barrier), 0.0);
+        assert!((d.seconds[0][Cat::EventNotify.index()] - 2.0).abs() < 1e-9);
+        assert_eq!(d.seconds[0][Cat::Barrier.index()], 0.0);
         assert!((d.mean_seconds(Cat::EventNotify) - 1.5).abs() < 1e-9);
         assert!((d.median_seconds(Cat::EventNotify) - 2.0).abs() < 1e-9);
         assert_eq!(d.total_calls(Cat::EventNotify), 2);
@@ -404,8 +388,8 @@ mod tests {
         };
         let d = trace.decomposition();
         assert_eq!(d.flush_calls, vec![5, 1]);
-        assert!((d.flush_seconds_for(0) - 1.5).abs() < 1e-9);
-        assert!((d.flush_seconds_for(1) - 0.5).abs() < 1e-9);
+        assert!((d.flush_seconds[0] - 1.5).abs() < 1e-9);
+        assert!((d.flush_seconds[1] - 0.5).abs() < 1e-9);
         assert!((d.mean_flush_seconds() - 1.0).abs() < 1e-9);
         assert_eq!(d.total_flush_calls(), 6);
         // The flush column is a drill-down: category shares are unchanged.

@@ -213,12 +213,6 @@ impl Session {
         Ok(Session { shared, watchdog })
     }
 
-    /// Stall reports accumulated so far (live view; the watchdog keeps
-    /// running until [`Session::finish`]).
-    pub fn stall_reports(&self) -> Vec<StallReport> {
-        lock(&self.shared.stalls).clone()
-    }
-
     /// Stop recording and merge every per-image buffer into one
     /// time-sorted trace. Call after the traced job's threads have been
     /// joined; events recorded by still-running threads afterwards are

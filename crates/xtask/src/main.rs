@@ -10,9 +10,10 @@
 //! call-graph dataflow passes: CAFL008 `sync-protocol` (abstract-state
 //! walk of the CAF API over every kernel/example/test body), CAFL009
 //! `wait-graph` (interprocedural lock/park order graph, committed as
-//! `LINT_WAITGRAPH.json`), and the CAFL000 stale-`lint:allow` audit.
+//! `LINT_WAITGRAPH.json`), CAFL010 `unreached` (every runtime `pub fn`
+//! reached from a root), and the CAFL000 stale-`lint:allow` audit.
 //! See `crates/lint` and DESIGN.md §14/§16 for the classes, diagnostic
-//! codes (CAFL000..CAFL009), and the `// lint:allow(<class>)`
+//! codes (CAFL000..CAFL010), and the `// lint:allow(<class>)`
 //! escape-hatch policy.
 //!
 //! The run fails on any finding, and also when the regenerated
@@ -228,7 +229,7 @@ fn lint(args: &[String]) -> ExitCode {
                 .map(|g| (g.nodes.len(), g.edges.len()))
                 .unwrap_or((0, 0));
             println!(
-                "xtask lint: {} file(s) scanned, 0 findings across CAFL000..CAFL009; \
+                "xtask lint: {} file(s) scanned, 0 findings across CAFL000..CAFL010; \
                  blocking inventory: {} site(s) in sync; wait graph: {wn} node(s), \
                  {we} edge(s) in sync",
                 report.files_scanned,

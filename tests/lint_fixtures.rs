@@ -1,4 +1,4 @@
-//! Fixture tests for the caf-lint passes (CAFL000..CAFL009).
+//! Fixture tests for the caf-lint passes (CAFL000..CAFL010).
 //!
 //! Each lint class gets a known-bad snippet that must trip exactly that
 //! diagnostic code, and a known-good twin that must scan clean. The
@@ -1035,6 +1035,80 @@ fn same_fn_park_stays_cafl002_territory() {
         "intra edge recorded: {}",
         wg.render()
     );
+}
+
+// ---------------------------------------------------------------- CAFL010
+
+/// Analyze `api` as a source file of core, beside the `roots` files.
+fn reach_codes(api: &str, roots: &[(&str, &str)]) -> Vec<&'static str> {
+    let mut files = vec![("crates/core/src/fix.rs", api)];
+    files.extend_from_slice(roots);
+    ws_codes(&files)
+}
+
+#[test]
+fn unreached_pub_fn_trips_cafl010() {
+    assert_eq!(reach_codes("pub fn orphan() {}", &[]), vec!["CAFL010"]);
+    // Private fns, and crates outside the runtime, are not in scope.
+    assert!(reach_codes("fn private() {}", &[]).is_empty());
+    assert!(ws_codes(&[("crates/lint/src/fix.rs", "pub fn tool() {}")]).is_empty());
+}
+
+#[test]
+fn fn_called_only_from_its_unit_tests_trips_cafl010() {
+    let api = r#"
+        pub fn helper() -> u32 { 7 }
+        #[cfg(test)]
+        mod tests {
+            #[test]
+            fn t() { assert_eq!(super::helper(), 7); }
+        }
+    "#;
+    assert_eq!(reach_codes(api, &[]), vec!["CAFL010"]);
+}
+
+#[test]
+fn fn_called_from_an_integration_test_or_a_main_is_reached() {
+    let api = "pub fn helper() -> u32 { inner() } pub fn inner() -> u32 { 7 }";
+    let test = "#[test] fn t() { assert_eq!(caf::helper(), 7); }";
+    assert!(reach_codes(api, &[("tests/it.rs", test)]).is_empty());
+    assert!(reach_codes(api, &[("crates/core/tests/it.rs", test)]).is_empty());
+    assert!(reach_codes(api, &[("examples/ex.rs", "fn main() { caf::helper(); }")]).is_empty());
+    // A plain fn of an integration-test file is no root.
+    let no_test = "fn not_a_test() { caf::helper(); }";
+    assert_eq!(reach_codes(api, &[("tests/it.rs", no_test)]), vec!["CAFL010", "CAFL010"]);
+}
+
+#[test]
+fn deny_listed_and_oversized_names_over_approximate() {
+    // `send` is DENY-listed: CAFL008/009 resolve no edge through it, but
+    // every fn of that name is reached.
+    let api = "pub fn send(x: u32) -> u32 { x }";
+    let main = "fn main() { let ep = 1; ep.send(1); }";
+    assert!(reach_codes(api, &[("examples/ex.rs", main)]).is_empty());
+    // Six same-named candidates exceed MAX_CANDIDATES: all are reached.
+    let many: String =
+        (0..6).map(|i| format!("pub mod m{i} {{ pub fn popular() {{}} }}\n")).collect();
+    assert!(reach_codes(&many, &[("examples/ex.rs", "fn main() { popular(); }")]).is_empty());
+}
+
+#[test]
+fn names_used_by_the_benchmark_tree_are_roots() {
+    let bench = ("benchmark/src/layers.rs", "fn rung() { caf::bench_only(); }");
+    assert!(reach_codes("pub fn bench_only() {}", &[bench]).is_empty());
+    // The benchmark tree is read, never linted.
+    let unlinted = ("benchmark/src/main.rs", "pub fn orphan() { unsafe { x() } }");
+    assert!(reach_codes("pub fn bench_only() {}", &[bench, unlinted]).is_empty());
+}
+
+#[test]
+fn unreached_allow_needs_a_reason_and_goes_stale_when_reached() {
+    let reasoned = "// lint:allow(unreached): backs a documented claim\npub fn kept() {}";
+    assert!(reach_codes(reasoned, &[]).is_empty());
+    let bare = "// lint:allow(unreached)\npub fn kept() {}";
+    assert_eq!(reach_codes(bare, &[]), vec!["CAFL010"]);
+    let main = ("examples/ex.rs", "fn main() { caf::kept(); }");
+    assert_eq!(reach_codes(reasoned, &[main]), vec!["CAFL000"]);
 }
 
 // ---------------------------------------------------------------- CAFL000
