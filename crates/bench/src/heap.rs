@@ -1,7 +1,7 @@
 //! A counting global allocator, for the binaries that ask how much heap
 //! the runtime takes: the allocation tests (`tests/agg_alloc.rs`,
-//! `tests/alltoall_alloc.rs`, `tests/launch_footprint.rs`) and `figures
-//! real`. Each installs it with
+//! `tests/alltoall_alloc.rs`, `tests/fft_alloc.rs`, `tests/rtmsg_alloc.rs`,
+//! `tests/launch_footprint.rs`) and `figures real`. Each installs it with
 //!
 //! ```text
 //! #[global_allocator]
@@ -20,6 +20,10 @@ thread_local! {
     /// Of those, the reallocations: a buffer grown (or shrunk) in place
     /// of one sized right the first time.
     static REALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes those allocations asked for (a reallocation counts what it
+    /// grew by): what a copy into a new buffer costs, whenever it is
+    /// freed.
+    static ALLOCATED: Cell<u64> = const { Cell::new(0) };
     /// Bytes this thread allocated minus bytes it freed. A block freed by
     /// another thread than its allocator (a packet payload, say) stays on
     /// the allocator's books and goes negative on the other's.
@@ -29,6 +33,9 @@ thread_local! {
 fn count(allocs: u64, bytes: i64) {
     ALLOCS.with(|c| c.set(c.get() + allocs));
     LIVE.with(|c| c.set(c.get() + bytes));
+    if allocs > 0 {
+        ALLOCATED.with(|c| c.set(c.get() + bytes.max(0) as u64));
+    }
 }
 
 /// `System`, counted.
@@ -75,6 +82,11 @@ pub fn allocs() -> u64 {
 /// Reallocations this thread has made so far (counted in [`allocs`] too).
 pub fn reallocs() -> u64 {
     REALLOCS.with(Cell::get)
+}
+
+/// Bytes this thread has allocated so far, freed or not.
+pub fn allocated_bytes() -> u64 {
+    ALLOCATED.with(Cell::get)
 }
 
 /// Heap bytes this thread holds: allocated minus freed, by this thread.

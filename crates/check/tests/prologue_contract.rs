@@ -492,6 +492,12 @@ fn table(kind: SubstrateKind, id: Ids) -> Vec<Row> {
             collective(Op::Alltoall, id.team),
             vec![(Alltoall, 1, true)],
         ),
+        both(
+            "alltoall_lend",
+            |c| assert_eq!(c.img.alltoall_lend(&c.w, vec![10u64, 11], 1, |_, _| {}).len(), 2),
+            collective(Op::Alltoall, id.team),
+            vec![(Alltoall, 1, true)],
+        ),
         // A round, but no category of its own.
         both(
             "team_split",

@@ -16,6 +16,7 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
+use bytes::Bytes;
 use caf_fabric::Watch;
 use caf_gasnetsim::{Gasnet, AM_MAX_MEDIUM};
 use caf_mpisim::{Comm, Mpi, Src, Tag};
@@ -153,6 +154,18 @@ impl Backend {
                     .expect("runtime AM send");
             }
         }
+    }
+
+    /// [`Backend::send_rtmsg`] for a frame built in a buffer the packet
+    /// takes over: on CAF-GASNet it is not copied again.
+    pub fn send_rtmsg_bytes(&self, target: usize, frame: Bytes) {
+        let Backend::Gasnet(b) = self else {
+            return self.send_rtmsg(target, &frame);
+        };
+        if caf_trace::enabled() {
+            caf_trace::instant(caf_trace::Op::RtMsgSend, Some(target), frame.len() as u64, None);
+        }
+        b.g.am_request_medium_bytes(target, RT_HANDLER, frame).expect("runtime AM send");
     }
 
     /// Non-blocking poll for one runtime message's frame.

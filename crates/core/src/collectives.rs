@@ -17,8 +17,9 @@
 //! both substrates, so `team_split` and `team_reform` call its split and
 //! shrink.
 
-use std::cell::RefCell;
 use std::collections::hash_map::{Entry, HashMap};
+
+use bytes::BytesMut;
 
 use caf_fabric::coll::{self, Rounds};
 use caf_fabric::pod::zeroed_vec;
@@ -48,8 +49,6 @@ struct TeamRounds<'a> {
     img: &'a Image,
     t: &'a Group,
     seq: u64,
-    /// The one buffer every outgoing fragment is framed in.
-    frame: RefCell<Vec<u8>>,
 }
 
 impl Rounds for TeamRounds<'_> {
@@ -67,25 +66,22 @@ impl Rounds for TeamRounds<'_> {
         self.img.backend.fault().failed_of(Watch::Ranks(self.t.members()))
     }
 
-    /// Each fragment is framed in the collective's one frame buffer, so
-    /// its bytes are copied once before the AM takes them: the frame is
-    /// the `RtMsg::CollPayload` encoding, written in place.
+    /// Each fragment is framed in the buffer its packet then owns — the
+    /// `RtMsg::CollPayload` encoding, written in place — so its bytes
+    /// are copied once, from `bytes` into the packet.
     fn send(&self, to: usize, round: u32, bytes: &[u8]) -> caf_fabric::Result<()> {
         let nchunks = bytes.len().div_ceil(GCOLL_CHUNK).max(1) as u32;
         let (team_id, src_idx) = (self.t.id(), self.t.rank() as u32);
-        let mut frame = self.frame.borrow_mut();
-        frame.clear();
-        frame.reserve(COLL_HEADER + bytes.len().min(GCOLL_CHUNK));
         for (i, chunk) in bytes
             .chunks(GCOLL_CHUNK)
             .chain(std::iter::repeat_n(&[][..], usize::from(bytes.is_empty())))
             .enumerate()
         {
-            frame.clear();
-            frame.resize(COLL_HEADER, 0);
-            write_coll_header(&mut frame, team_id, self.seq, round, src_idx, i as u32, nchunks);
-            frame.extend_from_slice(chunk);
-            self.img.backend.send_rtmsg(self.t.global_rank(to), &frame);
+            let mut frame = BytesMut::zeroed(COLL_HEADER + chunk.len());
+            let (head, data) = frame.split_at_mut(COLL_HEADER);
+            write_coll_header(head, team_id, self.seq, round, src_idx, i as u32, nchunks);
+            data.copy_from_slice(chunk);
+            self.img.backend.send_rtmsg_bytes(self.t.global_rank(to), frame.freeze());
         }
         Ok(())
     }
@@ -259,19 +255,12 @@ impl Image {
 
     /// Team alltoall: `data` holds `team.size()` blocks of `block` elements
     /// in destination order; `out` receives the blocks in source order.
-    ///
-    /// This is the FFT transpose primitive. On CAF-MPI it is
-    /// `MPI_ALLTOALL`; on CAF-GASNet it is hand-rolled from AMs (paper
-    /// §4.2: "CAF-GASNet implements alltoall with GASNet's PUT, GET, and
-    /// Active Messages... not as well tuned as MPI_ALLTOALL"). Either way
-    /// a received block is copied once, into `out`.
+    /// A received block is copied once, into `out`: this is
+    /// [`Image::alltoall_lend`]'s exchange with a copying visitor.
     pub fn alltoall_into<T: Pod>(&self, team: &Team, data: &[T], block: usize, out: &mut [T]) {
         self.collective(team, Some(StatCat::Alltoall), |g| {
             match self.backend.coll_mpi() {
                 Some(mpi) => mpi.alltoall_into(g, data, block, out),
-                // Linear, deliberately: the paper's finding (Figs 6/7) is
-                // this exchange hand-rolled from AMs against a tuned
-                // `MPI_ALLTOALL`.
                 None => coll::alltoall_linear_into(&self.rounds(g), data, block, out),
             }
             .expect("alltoall")
@@ -283,6 +272,36 @@ impl Image {
         let mut out = zeroed_vec(data.len());
         self.alltoall_into(team, data, block, &mut out);
         out
+    }
+
+    /// Team alltoall from a send slab the caller hands over and gets
+    /// back: `slab` holds `team.size()` blocks of `block` elements in
+    /// destination order, and `visit(s, b)` sees source `s`'s block `b`
+    /// for every `s`, read where it arrived.
+    ///
+    /// This is the FFT transpose primitive. On CAF-MPI it is
+    /// `MPI_ALLTOALL`, and the slab is lent to the packets rather than
+    /// copied into them ([`caf_mpisim::Mpi::alltoall_lend`]); on
+    /// CAF-GASNet it is hand-rolled from AMs (paper §4.2: "CAF-GASNet
+    /// implements alltoall with GASNet's PUT, GET, and Active Messages...
+    /// not as well tuned as MPI_ALLTOALL"), linear on purpose — the
+    /// paper's finding (Figs 6/7) is that exchange against a tuned
+    /// `MPI_ALLTOALL` — and each block is visited in the buffer its
+    /// fragments were joined in.
+    pub fn alltoall_lend<T: Pod>(
+        &self,
+        team: &Team,
+        slab: Vec<T>,
+        block: usize,
+        visit: impl FnMut(usize, &[T]),
+    ) -> Vec<T> {
+        self.collective(team, Some(StatCat::Alltoall), |g| {
+            match self.backend.coll_mpi() {
+                Some(mpi) => mpi.alltoall_lend(g, slab, block, visit),
+                None => coll::alltoall_linear_visit(&self.rounds(g), &slab, block, visit).map(|()| slab),
+            }
+            .expect("alltoall")
+        })
     }
 
     /// Fortran 2008 `sync images`: pairwise synchronization with each
@@ -396,7 +415,7 @@ impl Image {
         self.coll_stash
             .borrow_mut()
             .retain(|key, _| key.0 != t.id() || key.1 >= seq);
-        TeamRounds { img: self, t, seq, frame: RefCell::new(Vec::new()) }
+        TeamRounds { img: self, t, seq }
     }
 }
 

@@ -12,7 +12,7 @@
 //! Everything is `#[inline]`: the functions are instantiated in the
 //! substrate crates, without LTO.
 
-use crate::pod::{as_bytes, as_bytes_mut, vec_from_bytes, zeroed_vec};
+use crate::pod::{as_bytes, as_bytes_mut, cast_or_copy, vec_from_bytes, zeroed_vec};
 use crate::{FabricError, Pod, Result};
 
 /// One collective's messages among the `n` members of a team: a message
@@ -193,9 +193,41 @@ pub fn allgather<T: Pod>(t: &impl Rounds, sendbuf: &[T]) -> Result<Vec<T>> {
 
 /// Linear alltoall: every block sent in round 0, then every block
 /// received in rank order. `sendbuf` holds `n` blocks of `block` elements
-/// in destination order; `recvbuf` receives them in source order. Untuned
-/// on purpose — it is the exchange a tuned alltoall is measured against —
-/// and without the entry screen: a dead member fails the receive.
+/// in destination order; `visit(s, b)` sees source `s`'s block `b` for
+/// every `s`, the caller's own straight from `sendbuf` and each other
+/// one read from the payload it arrived in (copied only if that payload
+/// is misaligned for `T`). Untuned on purpose — it is the exchange a
+/// tuned alltoall is measured against — and without the entry screen: a
+/// dead member fails the receive.
+///
+/// # Panics
+///
+/// Panics unless every received block is `block` elements long.
+#[inline]
+pub fn alltoall_linear_visit<T: Pod>(
+    t: &impl Rounds,
+    sendbuf: &[T],
+    block: usize,
+    mut visit: impl FnMut(usize, &[T]),
+) -> Result<()> {
+    let (n, me) = (t.n(), t.me());
+    assert_eq!(sendbuf.len(), n * block, "alltoall buffer size mismatch");
+    let blk = |r: usize| r * block..(r + 1) * block;
+    for d in (0..n).filter(|&d| d != me) {
+        t.send_pod(d, 0, &sendbuf[blk(d)])?;
+    }
+    visit(me, &sendbuf[blk(me)]);
+    for s in (0..n).filter(|&s| s != me) {
+        let msg = t.recv(s, 0)?;
+        let got = cast_or_copy::<T>(msg.as_ref());
+        assert_eq!(got.len(), block, "a block of {} elements from {s}, not {block}", got.len());
+        visit(s, &got);
+    }
+    Ok(())
+}
+
+/// [`alltoall_linear_visit`] into `recvbuf`, which receives the blocks
+/// in source order.
 #[inline]
 pub fn alltoall_linear_into<T: Pod>(
     t: &impl Rounds,
@@ -203,18 +235,10 @@ pub fn alltoall_linear_into<T: Pod>(
     block: usize,
     recvbuf: &mut [T],
 ) -> Result<()> {
-    let (n, me) = (t.n(), t.me());
-    assert_eq!(sendbuf.len(), n * block, "alltoall buffer size mismatch");
-    assert_eq!(recvbuf.len(), n * block, "alltoall buffer size mismatch");
-    let mine = me * block..(me + 1) * block;
-    recvbuf[mine.clone()].copy_from_slice(&sendbuf[mine]);
-    for d in (0..n).filter(|&d| d != me) {
-        t.send_pod(d, 0, &sendbuf[d * block..(d + 1) * block])?;
-    }
-    for s in (0..n).filter(|&s| s != me) {
-        t.recv_into(s, 0, &mut recvbuf[s * block..(s + 1) * block])?;
-    }
-    Ok(())
+    assert_eq!(recvbuf.len(), sendbuf.len(), "alltoall buffer size mismatch");
+    alltoall_linear_visit(t, sendbuf, block, |s, b| {
+        recvbuf[s * block..(s + 1) * block].copy_from_slice(b);
+    })
 }
 
 /// [`alltoall_linear_into`] a new vector.

@@ -5,6 +5,9 @@
 //! byte-level reinterpretation is sound, mirroring what an MPI datatype
 //! engine does for predefined contiguous types.
 
+use std::borrow::Cow;
+use std::sync::Arc;
+
 /// Marker for types that are valid for any bit pattern and contain no
 /// padding, so `&[T] -> &[u8]` and back are sound.
 ///
@@ -52,6 +55,43 @@ pub fn as_bytes_mut<T: Pod>(s: &mut [T]) -> &mut [u8] {
     // SAFETY: as `as_bytes`, plus exclusive access via `&mut`.
     unsafe {
         std::slice::from_raw_parts_mut(s.as_mut_ptr().cast::<u8>(), std::mem::size_of_val(s))
+    }
+}
+
+/// `bytes` as elements of `T`: the bytes themselves, cast in place, when
+/// they are aligned for `T` (a packet sliced out of a typed slab always
+/// is); a copy otherwise.
+///
+/// # Panics
+///
+/// As [`vec_from_bytes`].
+pub fn cast_or_copy<T: Pod>(bytes: &[u8]) -> Cow<'_, [T]> {
+    let elem = std::mem::size_of::<T>();
+    if elem == 0 || !bytes.as_ptr().cast::<T>().is_aligned() {
+        return Cow::Owned(vec_from_bytes(bytes));
+    }
+    assert!(
+        bytes.len() % elem == 0,
+        "byte length {} not a multiple of element size {}",
+        bytes.len(),
+        elem
+    );
+    let (ptr, len) = (bytes.as_ptr().cast::<T>(), bytes.len() / elem);
+    // SAFETY: `ptr` is aligned for `T` (checked above) and spans `len`
+    // whole `T`s of initialized bytes, each valid for any bit pattern
+    // (`T: Pod`); the result borrows `bytes`, so it cannot outlive them.
+    Cow::Borrowed(unsafe { std::slice::from_raw_parts(ptr, len) })
+}
+
+/// A shared typed vector seen as its bytes, so that it can own a
+/// `Bytes` (`Bytes::from_owner`) without a copy: a send slab lent to the
+/// fabric, whose lender takes it back with `Arc::try_unwrap` once the
+/// last packet viewing it is gone.
+pub struct ByteView<T>(pub Arc<Vec<T>>);
+
+impl<T: Pod> AsRef<[u8]> for ByteView<T> {
+    fn as_ref(&self) -> &[u8] {
+        as_bytes(&self.0)
     }
 }
 
@@ -140,6 +180,34 @@ mod tests {
         as_bytes_mut(&mut xs)[0] = 0xff;
         // Low byte replaced, high byte untouched (little-endian).
         assert_eq!(xs[0], 0x00ff);
+    }
+
+    #[test]
+    fn cast_or_copy_borrows_aligned_bytes_and_copies_the_rest() {
+        let xs = [1u64, 2, 3, 4];
+        let bytes = as_bytes(&xs);
+        let cast = cast_or_copy::<u64>(&bytes[8..]);
+        assert!(matches!(cast, Cow::Borrowed(_)));
+        assert_eq!(cast.as_ptr(), xs[1..].as_ptr());
+        // One byte off an aligned buffer: every u32 is misaligned, so the
+        // view is a copy.
+        let mut words = [0u32; 3];
+        let odd = &mut as_bytes_mut(&mut words)[1..9];
+        odd.copy_from_slice(as_bytes(&[7u32, 9]));
+        let copied = cast_or_copy::<u32>(odd);
+        assert!(matches!(copied, Cow::Owned(_)));
+        assert_eq!(&copied[..], &[7, 9]);
+        assert_eq!(cast_or_copy::<()>(&[]).len(), 0);
+    }
+
+    #[test]
+    fn a_byte_view_lends_its_vector_and_gives_it_back() {
+        let slab = Arc::new(vec![0x0102u16, 0x0304]);
+        let view = ByteView(Arc::clone(&slab));
+        assert_eq!(view.as_ref(), &[2, 1, 4, 3]);
+        assert_eq!(view.as_ref().as_ptr(), slab.as_ptr().cast());
+        drop(view);
+        assert_eq!(Arc::try_unwrap(slab), Ok(vec![0x0102, 0x0304]));
     }
 
     #[test]

@@ -134,7 +134,8 @@ impl Gasnet {
     }
 
     /// `gasnet_AMRequestMedium`: arguments plus an opaque payload delivered
-    /// to a library buffer at the target.
+    /// to a library buffer at the target. `data` is copied once, into the
+    /// packet (behind the arguments, if any).
     pub fn am_request_medium(
         &self,
         dest: usize,
@@ -143,15 +144,19 @@ impl Gasnet {
         data: &[u8],
     ) -> Result<()> {
         assert!(args.len() <= AM_MAX_ARGS, "too many AM arguments");
+        if args.is_empty() {
+            return self.am_request_medium_bytes(dest, handler, Bytes::copy_from_slice(data));
+        }
         assert!(data.len() <= AM_MAX_MEDIUM, "medium AM payload too large");
-        // A `Bytes` made from a `Vec` copies it again, so a payload without
-        // arguments (a runtime AM's) goes straight from `data`, copied once.
-        let payload = if args.is_empty() {
-            Bytes::copy_from_slice(data)
-        } else {
-            Bytes::copy_from_slice(&[as_bytes(args), data].concat())
-        };
+        let payload = Bytes::from([as_bytes(args), data].concat());
         self.am_send(dest, KIND_AM_MEDIUM, handler, [args.len() as u64, 0, 0, 0], payload)
+    }
+
+    /// [`Gasnet::am_request_medium`] without arguments, for a payload the
+    /// caller built in a buffer the packet takes over: no copy.
+    pub fn am_request_medium_bytes(&self, dest: usize, handler: usize, data: Bytes) -> Result<()> {
+        assert!(data.len() <= AM_MAX_MEDIUM, "medium AM payload too large");
+        self.am_send(dest, KIND_AM_MEDIUM, handler, [0; 4], data)
     }
 
     /// `gasnet_AMRequestLong`: the payload is deposited at `dest_offset` in

@@ -167,42 +167,42 @@ impl Twiddles {
 
 /// Side of the square tiles a transpose unpacks in. A tile reads `TILE`
 /// rows of one received block and writes `TILE` columns of the result,
-/// 4 KiB each way, so both stay in L1 while the write side strides by a
-/// whole row of the transpose.
-const TILE: usize = 16;
+/// 16 KiB each way, so both stay in L1/L2 while the write side strides
+/// by a whole row of the transpose.
+const TILE: usize = 32;
 
 /// First half of a transpose of the `rows × cols` matrix whose local
 /// `rows/P × cols` row-major slab is `local`: pack destination d's
-/// columns into block d of `blocks`.
-fn pack(local: &[C64], blocks: &mut [C64], p: usize, rows: usize, cols: usize) {
+/// columns into block d of `blocks`, written front to back from empty,
+/// so that a slab with the capacity but no contents needs no zeroing.
+fn pack(local: &[C64], blocks: &mut Vec<C64>, p: usize, rows: usize, cols: usize) {
     assert!(rows % p == 0 && cols % p == 0, "P must divide both dims");
     assert_eq!(local.len(), rows / p * cols, "transpose slab size mismatch");
     let out_rows = cols / p;
-    let block = local.len() / p;
-    for (d, dst) in blocks.chunks_exact_mut(block).enumerate() {
-        for (row, seg) in local.chunks_exact(cols).zip(dst.chunks_exact_mut(out_rows)) {
-            seg.copy_from_slice(&row[d * out_rows..(d + 1) * out_rows]);
+    blocks.clear();
+    for d in 0..p {
+        for row in local.chunks_exact(cols) {
+            blocks.extend_from_slice(&row[d * out_rows..(d + 1) * out_rows]);
         }
     }
 }
 
-/// Second half: the block from source s of `received` holds its `rows/P`
-/// rows of my `cols/P` columns; scatter each into its transposed position
-/// in `out`, the local `cols/P × rows` slab of the transpose.
-fn unpack(received: &[C64], p: usize, rows: usize, out: &mut [C64]) {
+/// Second half, one block at a time: `src`, the block from source `s`,
+/// holds its `rows/P` rows of my `cols/P` columns; scatter it into its
+/// transposed position in `out`, the local `cols/P × rows` slab of the
+/// transpose.
+fn unpack(s: usize, src: &[C64], p: usize, rows: usize, out: &mut [C64]) {
     let my_rows = rows / p;
     let out_rows = out.len() / rows;
-    let block = my_rows * out_rows;
-    for (s, src) in received.chunks_exact(block).enumerate() {
-        for r0 in (0..my_rows).step_by(TILE) {
-            let r1 = (r0 + TILE).min(my_rows);
-            for c0 in (0..out_rows).step_by(TILE) {
-                for c in c0..(c0 + TILE).min(out_rows) {
-                    let at = c * rows + s * my_rows;
-                    let column = src[r0 * out_rows + c..].iter().step_by(out_rows);
-                    for (o, &x) in out[at + r0..at + r1].iter_mut().zip(column) {
-                        *o = x;
-                    }
+    assert_eq!(src.len(), my_rows * out_rows, "transpose block size mismatch");
+    for r0 in (0..my_rows).step_by(TILE) {
+        let r1 = (r0 + TILE).min(my_rows);
+        for c0 in (0..out_rows).step_by(TILE) {
+            for c in c0..(c0 + TILE).min(out_rows) {
+                let at = c * rows + s * my_rows;
+                let column = src[r0 * out_rows + c..].iter().step_by(out_rows);
+                for (o, &x) in out[at + r0..at + r1].iter_mut().zip(column) {
+                    *o = x;
                 }
             }
         }
@@ -210,8 +210,10 @@ fn unpack(received: &[C64], p: usize, rows: usize, out: &mut [C64]) {
 }
 
 /// The two slabs a transform moves its data through, each allocated once.
-/// A transpose packs `data` into `spare`, exchanges `spare` into `data`,
-/// unpacks `data` into `spare` and swaps the two: the transpose is `data`.
+/// A transpose packs `data` into `spare`, lends `spare` to the alltoall
+/// and unpacks each block it receives, where it arrived, into `data`:
+/// the transpose is `data`, and `spare` comes back for the next one.
+/// Only `data` is zeroed; the pack fills `spare` front to back.
 struct Slabs {
     data: Vec<C64>,
     spare: Vec<C64>,
@@ -219,7 +221,7 @@ struct Slabs {
 
 impl Slabs {
     fn new(len: usize) -> Self {
-        Slabs { data: zeroed_vec(len), spare: zeroed_vec(len) }
+        Slabs { data: zeroed_vec(len), spare: Vec::with_capacity(len) }
     }
 
     /// Transpose `data`, the local `rows/P × cols` slab of a `rows × cols`
@@ -229,13 +231,13 @@ impl Slabs {
         self.exchange(img, team, rows);
     }
 
-    /// The rest of a transpose whose blocks are packed in `spare`:
-    /// exchange them into `data`, unpack into `spare`, swap.
+    /// The rest of a transpose whose blocks are packed in `spare`: lend
+    /// it, and unpack every block into `data`.
     fn exchange(&mut self, img: &Image, team: &Team, rows: usize) {
         let p = team.size();
-        img.alltoall_into(team, &self.spare, self.spare.len() / p, &mut self.data);
-        unpack(&self.data, p, rows, &mut self.spare);
-        std::mem::swap(&mut self.data, &mut self.spare);
+        let (spare, data) = (std::mem::take(&mut self.spare), &mut self.data);
+        let block = spare.len() / p;
+        self.spare = img.alltoall_lend(team, spare, block, |s, b| unpack(s, b, p, rows, data));
     }
 }
 
@@ -417,15 +419,14 @@ mod tests {
         close(&y, &x, 1e-12);
     }
 
-    #[test]
-    fn distributed_transpose_is_correct() {
+    /// Transpose the `rows × cols` matrix M[r][c] = r·1000 + c over `p`
+    /// images on both substrates and check every element of the result.
+    fn check_transpose(p: usize, rows: usize, cols: usize) {
         for kind in [SubstrateKind::Mpi, SubstrateKind::Gasnet] {
-            CafUniverse::run_with_config(4, CafConfig::on(kind), |img| {
+            CafUniverse::run_with_config(p, CafConfig::on(kind), |img| {
                 let team = img.team_world();
-                let (rows, cols) = (8, 12);
                 let me = img.this_image();
-                let my_rows = rows / 4;
-                // M[r][c] = r*1000 + c
+                let my_rows = rows / p;
                 let local: Vec<C64> = (0..my_rows * cols)
                     .map(|i| {
                         let r = me * my_rows + i / cols;
@@ -434,14 +435,33 @@ mod tests {
                     })
                     .collect();
                 let t = transpose(img, &team, &local, rows, cols);
-                let out_rows = cols / 4;
+                let out_rows = cols / p;
+                assert_eq!(t.len(), out_rows * rows);
                 for lr in 0..out_rows {
                     let c = me * out_rows + lr; // transposed row = original col
                     for r in 0..rows {
-                        assert_eq!(t[lr * rows + r].re, (r * 1000 + c) as f64);
+                        let got = t[lr * rows + r];
+                        let want = C64::new((r * 1000 + c) as f64, 0.0);
+                        assert_eq!(got, want, "{kind:?} P={p} {rows}x{cols}: M[{r}][{c}]");
                     }
                 }
             });
+        }
+    }
+
+    #[test]
+    fn distributed_transpose_is_correct() {
+        check_transpose(4, 8, 12);
+    }
+
+    /// Blocks of more than one tile each way, ending in partial tiles:
+    /// 2·TILE + 5 rows by TILE + 5 columns per block, on a power-of-two
+    /// team (XOR pairing on CAF-MPI) and on a ring of three.
+    #[test]
+    fn transpose_spans_several_tiles_and_ends_in_partial_ones() {
+        let (block_rows, block_cols) = (2 * TILE + 5, TILE + 5);
+        for p in [2, 3] {
+            check_transpose(p, p * block_rows, p * block_cols);
         }
     }
 

@@ -88,6 +88,7 @@ const COLLECTIVE_OPS: &[&str] = &[
     "allgatherv",
     "alltoall",
     "alltoall_into",
+    "alltoall_lend",
     "team_split",
     "coarray_alloc",
     "coarray_free",

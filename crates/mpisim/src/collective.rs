@@ -16,11 +16,13 @@
 //! All reductions assume commutative-associative combiners (true of every
 //! predefined `AccOp` and of every combiner the CAF runtime passes down).
 
+use std::sync::Arc;
+
 use bytes::Bytes;
 
 use caf_fabric::coll::{self, Rounds};
 use caf_fabric::delay::DelayOp;
-use caf_fabric::pod::zeroed_vec;
+use caf_fabric::pod::{cast_or_copy, zeroed_vec, ByteView};
 use caf_fabric::topology::is_pow2;
 use caf_fabric::{Packet, Pod, Result, Watch};
 
@@ -60,14 +62,31 @@ impl Rounds for CollRounds<'_> {
     }
 
     fn recv(&self, from: usize, round: u32) -> Result<Bytes> {
+        let payload = self.matched(from, round)?;
+        self.mpi.delays.charge(DelayOp::P2pReceive, payload.len());
+        Ok(payload)
+    }
+}
+
+/// The round in which a lending alltoall's receivers hand the lender's
+/// slab back: its data rounds are 1..n.
+const RELEASE: u32 = 0;
+
+impl CollRounds<'_> {
+    /// The payload team rank `from` sent in `round`, uncharged: block for
+    /// it, watching the whole communicator.
+    fn matched(&self, from: usize, round: u32) -> Result<Bytes> {
         let (comm_id, ctag) = (self.comm.id(), self.tag | i64::from(round));
         let pred = move |p: &Packet| {
             p.kind == KIND_COLL && p.h[0] == comm_id && p.h[1] as usize == from && p.tag == ctag
         };
         let watch = Watch::Ranks(self.comm.members());
-        let pkt = self.mpi.ep.match_blocking(watch, pred, Some)?;
-        self.mpi.delays.charge(DelayOp::P2pReceive, pkt.payload.len());
-        Ok(pkt.payload)
+        Ok(self.mpi.ep.match_blocking(watch, pred, Some)?.payload)
+    }
+
+    /// Send `payload` to `to` in `round` as it is, uncharged.
+    fn post(&self, to: usize, round: u32, payload: Bytes) -> Result<()> {
+        self.mpi.post(KIND_COLL, self.comm, to, self.tag | i64::from(round), payload)
     }
 }
 
@@ -209,28 +228,48 @@ impl Mpi {
     }
 
     /// `MPI_Alltoall` — pairwise exchange (XOR pairing on power-of-two
-    /// sizes, shifted ring otherwise). `sendbuf` holds `n` equal blocks of
-    /// `block` elements in destination-rank order; `recvbuf`, owned by the
-    /// caller as in MPI, receives them in source-rank order.
-    pub fn alltoall_into<T: Pod>(
+    /// sizes, shifted ring otherwise) — from a send slab the caller hands
+    /// over. `slab` holds `n` equal blocks of `block` elements in
+    /// destination-rank order; `visit(s, b)` sees source `s`'s block `b`
+    /// for every `s`, the caller's own straight from `slab` and each
+    /// other one read from the packet it arrived in. The slab comes back
+    /// when every partner is done with it.
+    ///
+    /// The slab is lent, not copied: it is frozen into one `Bytes` and
+    /// each destination's packet is a slice of it. A receiver drops its
+    /// packet once visited and then sends the lender a zero-byte release
+    /// (round [`RELEASE`]); the lender takes the slab back after the
+    /// releases of all its partners, through the same blocking receive as
+    /// every round, so a dead partner fails the call with `ImageFailed`.
+    /// The release stands for the buffer-reuse guarantee an eager copy
+    /// gives for free, and is charged to no `DelayOp`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `slab` holds `n` blocks and every received block is
+    /// `block` elements long.
+    pub fn alltoall_lend<T: Pod>(
         &self,
         comm: &Comm,
-        sendbuf: &[T],
+        slab: Vec<T>,
         block: usize,
-        recvbuf: &mut [T],
-    ) -> Result<()> {
+        mut visit: impl FnMut(usize, &[T]),
+    ) -> Result<Vec<T>> {
         let _span = caf_trace::span_t(
             caf_trace::Op::MpiAlltoall,
             None,
-            std::mem::size_of_val(sendbuf) as u64,
+            std::mem::size_of_val(slab.as_slice()) as u64,
             None,
         );
-        let n = comm.size();
-        assert_eq!(sendbuf.len(), n * block, "alltoall buffer size mismatch");
-        assert_eq!(recvbuf.len(), n * block, "alltoall buffer size mismatch");
-        let me = comm.rank();
-        let blk = |r: usize| r * block..(r + 1) * block;
-        recvbuf[blk(me)].copy_from_slice(&sendbuf[blk(me)]);
+        let (n, me) = (comm.size(), comm.rank());
+        assert_eq!(slab.len(), n * block, "alltoall buffer size mismatch");
+        visit(me, &slab[me * block..(me + 1) * block]);
+        if n == 1 {
+            return Ok(slab);
+        }
+        let bytes = std::mem::size_of::<T>() * block;
+        let slab = Arc::new(slab);
+        let frozen = Bytes::from_owner(ByteView(Arc::clone(&slab)));
         let t = self.rounds(comm);
         for step in 1..n {
             let (to, from) = if is_pow2(n) {
@@ -238,10 +277,38 @@ impl Mpi {
             } else {
                 ((me + step) % n, (me + n - step) % n)
             };
-            t.send_pod(to, step as u32, &sendbuf[blk(to)])?;
-            t.recv_into(from, step as u32, &mut recvbuf[blk(from)])?;
+            self.delays.charge(DelayOp::P2pInject, bytes);
+            t.post(to, step as u32, frozen.slice(to * bytes..(to + 1) * bytes))?;
+            {
+                let msg = t.recv(from, step as u32)?;
+                let got = cast_or_copy::<T>(&msg);
+                assert_eq!(got.len(), block, "a block of {} elements from {from}, not {block}", got.len());
+                visit(from, &got);
+            } // The last view of `from`'s slab is dropped here.
+            t.post(from, RELEASE, Bytes::new())?;
         }
-        Ok(())
+        drop(frozen);
+        for from in (0..n).filter(|&r| r != me) {
+            t.matched(from, RELEASE)?;
+        }
+        Ok(Arc::try_unwrap(slab).unwrap_or_else(|_| unreachable!("a released slab is unshared")))
+    }
+
+    /// [`Mpi::alltoall_lend`] from a copy of `sendbuf`, into `recvbuf`,
+    /// owned by the caller as in MPI, which receives the blocks in
+    /// source-rank order.
+    pub fn alltoall_into<T: Pod>(
+        &self,
+        comm: &Comm,
+        sendbuf: &[T],
+        block: usize,
+        recvbuf: &mut [T],
+    ) -> Result<()> {
+        assert_eq!(recvbuf.len(), sendbuf.len(), "alltoall buffer size mismatch");
+        self.alltoall_lend(comm, sendbuf.to_vec(), block, |s, b| {
+            recvbuf[s * block..(s + 1) * block].copy_from_slice(b);
+        })
+        .map(drop)
     }
 
     /// [`Mpi::alltoall_into`] a new vector.
@@ -473,6 +540,52 @@ mod tests {
                 let expect: Vec<u64> = (0..n).map(|s| (s * 100 + me) as u64).collect();
                 assert_eq!(r, &expect, "n={n} rank={me}");
             }
+        }
+    }
+
+    /// Every block is visited once, from the right source, and the slab
+    /// comes back as it was lent: same buffer, same contents.
+    #[test]
+    fn a_lent_alltoall_visits_every_block_and_returns_the_slab() {
+        for n in [1usize, 2, 3, 4, 6, 8] {
+            Universe::run(n, |mpi| {
+                let (w, me) = (mpi.world(), mpi.rank());
+                let slab: Vec<u64> = (0..n * 3).map(|i| (me * 1000 + i) as u64).collect();
+                let (at, kept) = (slab.as_ptr(), slab.clone());
+                let mut seen = vec![0usize; n];
+                let back = mpi
+                    .alltoall_lend(&w, slab, 3, |s, b| {
+                        seen[s] += 1;
+                        let want: Vec<u64> = (me * 3..me * 3 + 3).map(|i| (s * 1000 + i) as u64).collect();
+                        assert_eq!(b, want, "n={n} rank={me} from {s}");
+                    })
+                    .unwrap();
+                assert_eq!(seen, vec![1; n], "n={n} rank={me}");
+                assert_eq!((back.as_ptr(), back), (at, kept), "n={n} rank={me}");
+            });
+        }
+    }
+
+    /// A partner that dies before releasing the lender's slab fails the
+    /// lender's call with `ImageFailed`: the wait for the release watches
+    /// the communicator, as every round's receive does. Rank 2 sends its
+    /// first block and dies at its first receive, so rank 3 has its data
+    /// and waits only for its release. On threads and on one run slot.
+    #[test]
+    fn a_lent_alltoall_with_a_dead_partner_fails_instead_of_hanging() {
+        use caf_fabric::{ExecConfig, Fabric, FabricConfig, FabricError, FaultPlan, KillSite};
+
+        let one_slot = ExecConfig { workers: 1, ..ExecConfig::tasks() };
+        for exec in [ExecConfig::default(), one_slot] {
+            let fault = FaultPlan::kill(2, KillSite::Blocking(0));
+            let config = FabricConfig { exec, fault, ..FabricConfig::default() };
+            let out = Fabric::run_with_config_ft(4, config, |ep| {
+                let mpi = crate::Mpi::init(ep, crate::MpiConfig::default());
+                let got = mpi.alltoall_lend(&mpi.world(), (0..8u64).collect(), 2, |_, _| {});
+                let dead = |e: &FabricError| matches!(e, FabricError::ImageFailed { failed } if failed == &[2]);
+                assert!(got.as_ref().is_err_and(dead), "rank {}: {got:?}", mpi.rank());
+            });
+            assert_eq!(out, [Some(()), Some(()), None, Some(())], "{:?}", exec.mode);
         }
     }
 

@@ -102,8 +102,22 @@ impl Mpi {
         bytes: &[u8],
     ) -> Result<()> {
         self.delays.charge(DelayOp::P2pInject, bytes.len());
+        self.post(kind, comm, dest, tag, Bytes::copy_from_slice(bytes))
+    }
+
+    /// Inject `payload` as it is, uncharged: the caller charges it, or it
+    /// stands for no message of the modeled protocol.
+    #[inline]
+    pub(crate) fn post(
+        &self,
+        kind: u16,
+        comm: &Comm,
+        dest: usize,
+        tag: i64,
+        payload: Bytes,
+    ) -> Result<()> {
         let h = [comm.id(), comm.rank() as u64, 0, 0];
-        let pkt = Packet::with_payload(self.ep.rank(), kind, tag, h, Bytes::copy_from_slice(bytes));
+        let pkt = Packet::with_payload(self.ep.rank(), kind, tag, h, payload);
         self.ep.send(comm.global_rank(dest), pkt)
     }
 

@@ -11,10 +11,18 @@
 //! (per-target buckets, hypercube routing, batched AM delivery) instead
 //! of issued as individual async puts; the extra columns show how many
 //! records rode how many batches (and forwarded hops) per run.
+//!
+//! Either way every run's table is checked against
+//! `ra::serial_reference`: the example fails unless each image holds
+//! exactly its block of the serially computed table.
 
 use caf::{AggConfig, CafConfig, CafUniverse, StatCat, SubstrateKind};
 use caf_bench::fusion_like;
 use caf_hpcc::ra::{self, RaOpts};
+
+/// Table words per image (2^10) and updates each image issues.
+const LOG2_LOCAL: u32 = 10;
+const UPDATES: usize = 20_000;
 
 fn main() {
     let aggregated = std::env::args().any(|a| a == "--agg");
@@ -30,6 +38,7 @@ fn main() {
         if aggregated { " | records batches fwds" } else { "" }
     );
     for p in [2usize, 4, 8] {
+        let expect = ra::serial_reference(p, 1 << LOG2_LOCAL, UPDATES);
         for kind in [SubstrateKind::Mpi, SubstrateKind::Gasnet] {
             let cfg = if aggregated {
                 // All three job sizes are powers of two, so hypercube
@@ -45,7 +54,7 @@ fn main() {
                 } else {
                     RaOpts { async_puts: true, ..RaOpts::default() }
                 };
-                let out = ra::run_opts(img, &team, 10, 20_000, opts);
+                let out = ra::run_opts(img, &team, LOG2_LOCAL, UPDATES, opts);
                 let agg = img.agg_stats();
                 (
                     out.bench.metric,
@@ -54,13 +63,16 @@ fn main() {
                     img.stats().seconds(StatCat::EventNotify),
                     img.stats().seconds(StatCat::Barrier),
                     (agg.enqueued, agg.drained_buckets, agg.forwarded),
+                    out.local_table,
                 )
             });
-            let (gups, w, ew, en, ba, _) = rows[0];
+            let table: Vec<u64> = rows.iter().flat_map(|r| r.6.iter().copied()).collect();
+            assert!(table == expect, "P={p} {kind:?}: the table differs from the serial reference");
+            let (gups, w, ew, en, ba, ..) = rows[0];
             let agg_cols = if aggregated {
                 let (records, batches, fwds) = rows
                     .iter()
-                    .fold((0, 0, 0), |(r, b, f), &(.., (ar, ab, af))| {
+                    .fold((0, 0, 0), |(r, b, f), &(.., (ar, ab, af), _)| {
                         (r + ar, b + ab, f + af)
                     });
                 format!(" | {records:>7} {batches:>7} {fwds:>4}")

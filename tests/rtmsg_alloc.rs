@@ -1,6 +1,7 @@
 //! What a runtime message may allocate: the packet that carries it and the
 //! buffer it is received into — nothing to frame a notify or a ship, and
-//! nothing to decode one.
+//! nothing to decode one. A message without a payload (a control packet,
+//! a barrier round) allocates nothing at all.
 //!
 //! A notify's and a ship's frames are built on the stack, and the receiver
 //! reads a message in place from the bytes it received. A counting global
@@ -11,6 +12,7 @@
 
 use caf::{CafConfig, CafUniverse, ExecConfig, Image, SubstrateKind};
 use caf_bench::heap::{allocs, Counting};
+use caf_fabric::{Fabric, FabricConfig, Packet};
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
@@ -104,4 +106,35 @@ fn a_ship_allocates_its_closure_its_packet_and_its_receive() {
         });
         assert_eq!(spent, [3, 2], "{kind:?}: allocations per ship on images 0 and 1");
     }
+}
+
+/// A header-only packet sent and received: its empty payload holds no
+/// heap storage, so the round trip allocates nothing once the mailboxes
+/// have grown.
+#[test]
+fn a_control_packet_round_trip_allocates_nothing() {
+    let exec = ExecConfig { workers: 1, ..ExecConfig::tasks() };
+    let spent = Fabric::run_with_config(2, FabricConfig { exec, ..FabricConfig::default() }, |ep| {
+        let peer = 1 - ep.rank();
+        counted(|| {
+            let ping = || ep.send(peer, Packet::control(ep.rank(), 7, 0, [1, 2, 3, 4])).unwrap();
+            let pong = || assert!(ep.recv_blocking().unwrap().payload.is_empty());
+            if ep.rank() == 0 {
+                ping();
+                pong();
+            } else {
+                pong();
+                ping();
+            }
+        })
+    });
+    assert_eq!(spent, [0, 0], "allocations in {ROUNDS} control round trips on ranks 0 and 1");
+}
+
+/// A CAF-MPI barrier's rounds are zero-byte collective messages: nothing
+/// to allocate on either image.
+#[test]
+fn a_caf_mpi_barrier_allocates_nothing() {
+    let spent = per_round(SubstrateKind::Mpi, |img| counted(|| img.sync_all()));
+    assert_eq!(spent, [0, 0], "allocations per barrier on images 0 and 1");
 }
