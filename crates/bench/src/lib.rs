@@ -1,9 +1,12 @@
 //! # caf-bench
 //!
 //! Shared harness for the `figures` binary and the integration tests:
-//! platform-flavoured runtime configurations (so substrate cost
-//! differences are visible in wall-clock measurements) and small-scale
-//! *real-execution* runs of each benchmark on both substrates.
+//! runtime configurations that charge a platform's costs (so substrate
+//! cost differences are visible in wall-clock measurements) and
+//! small-scale *real-execution* runs of each benchmark on both substrates.
+//! [`platform_config`] is the one mapping from `caf_netmodel::Platform`,
+//! whose constants also draw the model's figures, to the tables the
+//! executed substrates charge.
 //!
 //! Real runs exercise the actual runtimes at laptop scale (2–16 images);
 //! the full 16–4096-core figures come from `caf-netmodel`. The `figures`
@@ -16,23 +19,70 @@ pub mod json;
 use std::time::Duration;
 
 use caf::{CafConfig, CafUniverse, GasnetConfig, Image, MpiConfig, SubstrateKind};
+use caf_fabric::delay::{DelayConfig, OpCost, TIME_SCALE};
+use caf_netmodel::{Platform, Substrate, FUSION};
 use caf_hpcc::cgpop::{self, CgpopParams, ExchangeMode};
 use caf_hpcc::{fft, hpl, ra};
 
-/// A runtime configuration with the Fusion-flavoured cost tables applied
-/// (MVAPICH-like MPI, ibv-conduit-like GASNet, SRQ auto at the paper's
-/// threshold — scaled down 100× in time, see the substrate `costs`
-/// modules).
-pub fn fusion_like(kind: SubstrateKind) -> CafConfig {
+/// MPI receive half of a two-sided message (the blocking receive poll
+/// that matches an `MPI_ISEND`), full-scale ns. Executed only: the
+/// model's notify and alltoall terms are issue-side, so no `Platform`
+/// field carries it.
+const MPI_P2P_RECEIVE_NS: f64 = 1_500.0;
+/// MPI one-sided atomic (`MPI_Fetch_and_op` / `MPI_Accumulate`),
+/// full-scale ns. Executed only: no paper panel measures one, and no
+/// model formula reads one.
+const MPI_RMA_ATOMIC_NS: f64 = 5_200.0;
+/// GASNet receive-side dispatch of one active message, full-scale ns.
+/// Executed only: the model's `gasnet_notify_ns` is the request's
+/// issue-side cost.
+const GASNET_AM_DISPATCH_NS: f64 = 700.0;
+
+/// The cost table the executed `sub` charges on `plat`, every cost
+/// divided by `scale`: `caf_netmodel::Platform` owns each cost the model
+/// also reads, and the three executed-only costs above fill the rest.
+/// What a substrate never charges stays free (DESIGN §5.1).
+fn delays(plat: &Platform, sub: Substrate, scale: f64) -> DelayConfig {
+    let per_byte = plat.per_byte_ns(sub);
+    let cost = |base_ns: f64, per_byte_ns: f64| OpCost {
+        base_ns: base_ns / scale,
+        per_byte_ns: per_byte_ns / scale,
+    };
+    let fixed = |base_ns: f64| OpCost { base_ns: base_ns / scale, ..OpCost::FREE };
+    let table = DelayConfig {
+        rma_put: cost(plat.put_ns(sub), per_byte),
+        rma_get: cost(plat.get_ns(sub), per_byte),
+        // The notify message: `notify_ns` less its Θ(P) flush term.
+        p2p_inject: cost(plat.notify_ns(sub, 0), per_byte),
+        ..DelayConfig::free()
+    };
+    match sub {
+        Substrate::Mpi => DelayConfig {
+            p2p_receive: cost(MPI_P2P_RECEIVE_NS, per_byte),
+            rma_atomic: fixed(MPI_RMA_ATOMIC_NS),
+            flush_per_target: fixed(plat.mpi_flush_per_rank_ns),
+            ..table
+        },
+        Substrate::Gasnet => DelayConfig { am_dispatch: fixed(GASNET_AM_DISPATCH_NS), ..table },
+    }
+}
+
+/// A runtime configuration charging `plat`'s costs, each divided by
+/// `scale`: the model's constants on both substrates, SRQ auto at the
+/// platform's threshold with its receive path slowed by `srq_penalty`
+/// (each received AM costs `srq_penalty` AMs), and a hybrid MPI library
+/// beside CAF-GASNet.
+pub fn platform_config(plat: &Platform, kind: SubstrateKind, scale: f64) -> CafConfig {
     CafConfig {
         substrate: kind,
         mpi: MpiConfig {
-            delays: caf_mpisim::mvapich_like(),
+            delays: delays(plat, Substrate::Mpi, scale),
             ..MpiConfig::default()
         },
         gasnet: GasnetConfig {
-            delays: caf_gasnetsim::ibv_conduit_like(),
-            srq_receive_penalty_ns: caf_gasnetsim::SRQ_PENALTY_NS,
+            delays: delays(plat, Substrate::Gasnet, scale),
+            srq_auto_threshold: plat.srq_threshold,
+            srq_receive_penalty_ns: (plat.srq_penalty - 1.0) * plat.gasnet_notify_ns / scale,
             segment_size: 64 << 20,
             ..GasnetConfig::default()
         },
@@ -41,32 +91,19 @@ pub fn fusion_like(kind: SubstrateKind) -> CafConfig {
     }
 }
 
-/// As [`fusion_like`], but with the cost tables at **full scale** (the
-/// paper's real-hardware nanoseconds, not divided by `TIME_SCALE`).
-/// Use for shape-assertion tests: on a small or single-core host, the
-/// spin-charged software overheads then dominate scheduling noise, so
-/// substrate differences reproduce deterministically.
+/// [`platform_config`] on Fusion, scaled down by `TIME_SCALE` so that
+/// spun costs keep every ratio but finish quickly.
+pub fn fusion_like(kind: SubstrateKind) -> CafConfig {
+    platform_config(&FUSION, kind, TIME_SCALE)
+}
+
+/// [`platform_config`] on Fusion at **full scale** (the paper's
+/// real-hardware nanoseconds). Use for shape-assertion tests: on a small
+/// or single-core host, the spin-charged software overheads then
+/// dominate scheduling noise, so substrate differences reproduce
+/// deterministically.
 pub fn fusion_fullscale(kind: SubstrateKind) -> CafConfig {
-    fn unscale(mut d: caf_fabric::delay::DelayConfig, by: f64) -> caf_fabric::delay::DelayConfig {
-        for c in [
-            &mut d.p2p_inject,
-            &mut d.p2p_receive,
-            &mut d.rma_put,
-            &mut d.rma_get,
-            &mut d.rma_atomic,
-            &mut d.flush_per_target,
-            &mut d.am_dispatch,
-        ] {
-            c.base_ns *= by;
-            c.per_byte_ns *= by;
-        }
-        d
-    }
-    let mut cfg = fusion_like(kind);
-    cfg.mpi.delays = unscale(cfg.mpi.delays, caf_mpisim::TIME_SCALE);
-    cfg.gasnet.delays = unscale(cfg.gasnet.delays, caf_gasnetsim::TIME_SCALE);
-    cfg.gasnet.srq_receive_penalty_ns *= caf_gasnetsim::TIME_SCALE;
-    cfg
+    platform_config(&FUSION, kind, 1.0)
 }
 
 /// A cost-free configuration (correctness-speed runs).
@@ -343,5 +380,62 @@ mod tests {
         assert_eq!(cfg.gasnet.srq_auto_threshold, 128);
         assert!(cfg.gasnet.srq_receive_penalty_ns > 0.0);
         assert!(cfg.hybrid_mpi);
+    }
+
+    /// The mapped MPI and GASNet tables of a platform at full scale.
+    fn tables(plat: &Platform) -> (DelayConfig, DelayConfig) {
+        let cfg = platform_config(plat, SubstrateKind::Mpi, 1.0);
+        (cfg.mpi.delays, cfg.gasnet.delays)
+    }
+
+    #[test]
+    fn preset_has_a_per_target_flush_cost() {
+        // The Θ(P) driver of §4.1, read from the model's constant.
+        for plat in [FUSION, caf_netmodel::EDISON] {
+            let (mpi, _) = tables(&plat);
+            assert!(mpi.flush_per_target.base_ns > 0.0, "{}", plat.name);
+            assert_eq!(mpi.flush_per_target.base_ns, plat.mpi_flush_per_rank_ns);
+        }
+    }
+
+    #[test]
+    fn scaling_preserves_ratios() {
+        // fusion_like is the full-scale table divided once by TIME_SCALE.
+        let full = fusion_fullscale(SubstrateKind::Mpi);
+        let scaled = fusion_like(SubstrateKind::Mpi);
+        for (f, s) in [(full.mpi.delays, scaled.mpi.delays), (full.gasnet.delays, scaled.gasnet.delays)] {
+            for op in caf_fabric::delay::ALL_DELAY_OPS {
+                let (f, s) = (f.cost(op), s.cost(op));
+                assert!((f.base_ns / TIME_SCALE - s.base_ns).abs() < 1e-9, "{op:?}");
+                assert!((f.per_byte_ns / TIME_SCALE - s.per_byte_ns).abs() < 1e-12, "{op:?}");
+            }
+        }
+        let ratio = scaled.mpi.delays.rma_get.base_ns / scaled.mpi.delays.rma_put.base_ns;
+        assert!((ratio - FUSION.mpi_get_ns / FUSION.mpi_put_ns).abs() < 1e-9);
+        let srq = full.gasnet.srq_receive_penalty_ns / scaled.gasnet.srq_receive_penalty_ns;
+        assert!((srq - TIME_SCALE).abs() < 1e-9);
+    }
+
+    #[test]
+    fn gasnet_rma_cheaper_than_mpi_rma() {
+        for plat in [FUSION, caf_netmodel::EDISON] {
+            let (m, g) = tables(&plat);
+            assert!(g.rma_put.base_ns < m.rma_put.base_ns, "{}", plat.name);
+            assert!(g.rma_get.base_ns < m.rma_get.base_ns, "{}", plat.name);
+            // But GASNet has no Θ(P) flush_all: its nbi sync is local and
+            // charges nothing.
+            assert!(g.flush_per_target.base_ns < m.flush_per_target.base_ns, "{}", plat.name);
+        }
+    }
+
+    #[test]
+    fn srq_penalty_is_substantial() {
+        // On Fusion's InfiniBand, the SRQ slow path costs a received AM
+        // more than its dispatch; Edison's Aries has no SRQ.
+        let fusion = platform_config(&FUSION, SubstrateKind::Gasnet, 1.0).gasnet;
+        assert!(fusion.srq_receive_penalty_ns > fusion.delays.am_dispatch.base_ns);
+        let edison = platform_config(&caf_netmodel::EDISON, SubstrateKind::Gasnet, 1.0).gasnet;
+        assert_eq!(edison.srq_auto_threshold, usize::MAX);
+        assert_eq!(edison.srq_receive_penalty_ns, 0.0);
     }
 }

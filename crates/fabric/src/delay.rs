@@ -10,15 +10,18 @@
 //! figures visible in actual wall-clock measurements.
 //!
 //! The default configuration charges **zero** everywhere, so unit tests and
-//! correctness-oriented examples run at full speed.
+//! correctness-oriented examples run at full speed. The costed tables are
+//! built in one place, `caf_bench::platform_config`, from the constants of
+//! `caf_netmodel::Platform` that also draw the model's figures.
 
 use std::cell::Cell;
 use std::time::{Duration, Instant};
 
-/// Uniform scale-down factor the substrates' presets apply to the paper's
-/// real-hardware overheads ([`OpCost::scaled`]), so in-process benchmark
-/// runs finish quickly while every *ratio* the paper's analysis depends
-/// on is preserved.
+/// Uniform scale-down factor `caf_bench::fusion_like` applies to the
+/// paper's real-hardware overheads (the constants of
+/// `caf_netmodel::Platform`), so in-process benchmark runs finish
+/// quickly while every *ratio* the paper's analysis depends on is
+/// preserved.
 pub const TIME_SCALE: f64 = 100.0;
 
 /// The fabric operations that can be charged a cost.
@@ -113,15 +116,6 @@ impl OpCost {
         base_ns: 0.0,
         per_byte_ns: 0.0,
     };
-
-    /// A real-hardware cost (`base_ns` + `per_byte_ns` per byte), divided
-    /// by [`TIME_SCALE`].
-    pub fn scaled(base_ns: f64, per_byte_ns: f64) -> Self {
-        OpCost {
-            base_ns: base_ns / TIME_SCALE,
-            per_byte_ns: per_byte_ns / TIME_SCALE,
-        }
-    }
 
     /// Total cost of an operation moving `bytes` bytes.
     pub fn cost_ns(&self, bytes: usize) -> f64 {

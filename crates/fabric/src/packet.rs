@@ -74,6 +74,14 @@ mod tests {
     }
 
     #[test]
+    fn a_packet_is_88_bytes() {
+        // Every mailbox push and pop moves one: a `Bytes` is its 24-byte
+        // storage plus a `u32` range, the header 8 + 2 + 8 + 32 bytes.
+        assert_eq!(std::mem::size_of::<Bytes>(), 32);
+        assert_eq!(std::mem::size_of::<Packet>(), 88);
+    }
+
+    #[test]
     fn clone_shares_payload_storage() {
         let payload = Bytes::from(vec![1u8, 2, 3]);
         let p = Packet::with_payload(0, 0, 0, [0; 4], payload.clone());

@@ -32,10 +32,6 @@ pub const AM_MAX_ARGS: usize = 16;
 /// Maximum medium-AM payload in bytes (`gasnet_AMMaxMedium()`).
 pub const AM_MAX_MEDIUM: usize = 4096;
 
-/// Maximum long-AM payload in bytes (`gasnet_AMMaxLongRequest()`):
-/// bounded only by the target segment on this substrate.
-pub const AM_MAX_LONG: usize = usize::MAX;
-
 /// Reserved handler: AM-mediated put, target side (deposits are already in
 /// the segment; replies with an ack).
 pub(crate) const H_PUT_ACK_REQ: usize = 0;

@@ -34,11 +34,9 @@
 //!   deadlock on some CAF stacks.
 
 pub mod am;
-pub mod costs;
 pub mod rma;
 pub mod universe;
 
 pub use am::{Token, AM_MAX_ARGS, AM_MAX_MEDIUM, FIRST_USER_HANDLER};
 pub use caf_fabric::{FabricError, Pod, Result};
-pub use costs::{ibv_conduit_like, SRQ_PENALTY_NS, TIME_SCALE};
 pub use universe::{Gasnet, GasnetConfig, GasnetUniverse, SrqMode};

@@ -1,5 +1,6 @@
-//! CAFL010 `unreached`: every free or inherent `pub fn` of a runtime
-//! crate is reached from a root, or carries a reasoned
+//! CAFL010 `unreached`: every free or inherent `pub fn`, and every
+//! module-level `pub const` and `pub static`, of a runtime crate is
+//! reached from a root, or carries a reasoned
 //! `// lint:allow(unreached): <reason>`.
 //!
 //! A breadth-first search over the [`CallGraph`]'s nodes. The roots are
@@ -13,7 +14,10 @@
 //! reached body mentions (a call, a path, a fn passed by value — not a
 //! field access) reaches every fn of that name, `DENY`-listed and
 //! oversized candidate sets included, and a trait-impl method is reached
-//! when its name is. A finding is therefore a fn no root can name.
+//! when its name is. A module-level const or static is reached when a
+//! reached fn body, the initializer of a reached const, or
+//! `benchmark/src` names it; associated consts of an `impl` are not
+//! checked. A finding is therefore an item no root can name.
 
 use std::collections::{BTreeSet, VecDeque};
 
@@ -53,8 +57,11 @@ pub fn unreached_pass(ws: &Workspace, graph: &CallGraph, report: &mut Report) {
             queue.push_back(n);
         }
     }
+    let items = module_items(ws);
+    let mut item_reached = vec![false; items.len()];
     // Two worklists: names mentioned and not yet resolved, and reached
-    // fns whose bodies are not yet read.
+    // fns whose bodies are not yet read. A const's initializer is read
+    // the moment its name resolves.
     let mut names: Vec<&str> = ws.bench_idents.iter().map(String::as_str).collect();
     let mut seen: BTreeSet<&str> = BTreeSet::new();
     loop {
@@ -66,6 +73,14 @@ pub fn unreached_pass(ws: &Workspace, graph: &CallGraph, report: &mut Report) {
                 if !reached[c] && live(c) {
                     reached[c] = true;
                     queue.push_back(c);
+                }
+            }
+            for (k, item) in items.iter().enumerate() {
+                if item.name == name && !item_reached[k] {
+                    item_reached[k] = true;
+                    let toks = &ws.files[item.file].lx.tokens;
+                    let init = item.name_tok + 1..item.end;
+                    names.extend(init.filter(|&i| mentions(toks, i)).map(|i| toks[i].text.as_str()));
                 }
             }
         }
@@ -93,30 +108,114 @@ pub fn unreached_pass(ws: &Workspace, graph: &CallGraph, report: &mut Report) {
         {
             continue;
         }
-        let line = fu.lx.tokens[fn_tok].line;
-        let msg = if !fu.allow(line, "unreached") {
-            format!(
-                "`pub fn {}` is reached from no root (a `fn main`, an integration `#[test]` or \
-                 a name in benchmark/src): delete it, or mark it \
-                 `// lint:allow(unreached): <reason>`",
-                node.name
-            )
-        } else if allow_reason(fu, line).is_empty() {
-            format!(
-                "`{MARKER}` on `pub fn {}` gives no reason after a `:`",
-                node.name
-            )
-        } else {
-            continue;
-        };
-        report.diags.push(Diag {
-            code: "CAFL010",
-            class: "unreached",
-            file: fu.rel.clone(),
-            line,
-            msg,
-        });
+        finding(fu, fu.lx.tokens[fn_tok].line, "fn", &node.name, report);
     }
+    for (item, _) in items.iter().zip(&item_reached).filter(|(_, &r)| !r) {
+        let fu = &ws.files[item.file];
+        let toks = &fu.lx.tokens;
+        finding(fu, toks[item.kw].line, &toks[item.kw].text, item.name, report);
+    }
+}
+
+/// Report the unreached `pub <kind> <name>` at `line`, unless a reasoned
+/// marker keeps it.
+fn finding(fu: &FileUnit, line: u32, kind: &str, name: &str, report: &mut Report) {
+    let msg = if !fu.allow(line, "unreached") {
+        format!(
+            "`pub {kind} {name}` is reached from no root (a `fn main`, an integration \
+             `#[test]` or a name in benchmark/src): delete it, or mark it \
+             `// lint:allow(unreached): <reason>`"
+        )
+    } else if allow_reason(fu, line).is_empty() {
+        format!("`{MARKER}` on `pub {kind} {name}` gives no reason after a `:`")
+    } else {
+        return;
+    };
+    report.diags.push(Diag {
+        code: "CAFL010",
+        class: "unreached",
+        file: fu.rel.clone(),
+        line,
+        msg,
+    });
+}
+
+/// A module-level `pub const` or `pub static` of a runtime crate's
+/// sources.
+struct Item<'a> {
+    file: usize,
+    name: &'a str,
+    /// Token index of the `const` / `static` keyword.
+    kw: usize,
+    /// Token index of the name.
+    name_tok: usize,
+    /// Token index of the item's closing `;`.
+    end: usize,
+}
+
+/// Every live module-level `pub const NAME` / `pub static [mut] NAME` of
+/// the [`REACHED_CRATES`]' `src` trees: not in a fn, not in an `impl` or
+/// `trait` (every enclosing brace opens a `mod`), not `pub const fn`.
+fn module_items(ws: &Workspace) -> Vec<Item<'_>> {
+    let mut items = Vec::new();
+    for (file, fu) in ws.files.iter().enumerate() {
+        if !REACHED_CRATES.contains(&fu.krate())
+            || !fu.rel.starts_with(&format!("crates/{}/src/", fu.krate()))
+        {
+            continue;
+        }
+        let toks = &fu.lx.tokens;
+        for kw in 1..toks.len() {
+            if !matches!(toks[kw].text.as_str(), "const" | "static")
+                || toks[kw - 1].text != "pub"
+                || fu.sc.in_test[kw]
+                || fu.sc.fn_of[kw].is_some()
+                || !in_modules_only(toks, &fu.sc.depth, kw)
+            {
+                continue;
+            }
+            let name_tok = kw + 1 + usize::from(toks.get(kw + 1).is_some_and(|t| t.text == "mut"));
+            let (Some(name), Some(colon)) = (toks.get(name_tok), toks.get(name_tok + 1)) else {
+                continue;
+            };
+            if name.kind != Kind::Ident || colon.text != ":" {
+                continue;
+            }
+            // The `;` that ends the item, not one in an array type.
+            let mut nest = 0i32;
+            let end = (name_tok..toks.len())
+                .find(|&i| {
+                    match toks[i].text.as_str() {
+                        "(" | "[" | "{" => nest += 1,
+                        ")" | "]" | "}" => nest -= 1,
+                        _ => {}
+                    }
+                    nest == 0 && toks[i].text == ";"
+                })
+                .unwrap_or(toks.len());
+            items.push(Item { file, name: &name.text, kw, name_tok, end });
+        }
+    }
+    items
+}
+
+/// Whether every brace enclosing token `i` opens a `mod NAME { .. }`.
+fn in_modules_only(toks: &[Token], depth: &[u32], i: usize) -> bool {
+    let mut d = depth[i];
+    let mut j = i;
+    while d > 0 {
+        // The innermost enclosing `{` is the last one before `j` opened
+        // at depth `d - 1`.
+        let Some(open) = (0..j).rev().find(|&k| toks[k].text == "{" && depth[k] == d - 1) else {
+            return false;
+        };
+        if open < 2 || toks[open - 2].text != "mod" {
+            return false;
+        }
+        d -= 1;
+        j = open;
+    }
+    true
 }
 
 /// `fn main` anywhere, or a `#[test]` fn of an integration-test file.

@@ -571,9 +571,13 @@ mod tests {
     /// the communicator, as every round's receive does. Rank 2 sends its
     /// first block and dies at its first receive, so rank 3 has its data
     /// and waits only for its release. On threads and on one run slot.
+    ///
+    /// `Blocking(0)` kills at the first receive that finds nothing, so
+    /// rank 3, rank 2's first partner, enters only once rank 2 is dead:
+    /// rank 2's first receive then always blocks, whatever the timing.
     #[test]
     fn a_lent_alltoall_with_a_dead_partner_fails_instead_of_hanging() {
-        use caf_fabric::{ExecConfig, Fabric, FabricConfig, FabricError, FaultPlan, KillSite};
+        use caf_fabric::{ExecConfig, Fabric, FabricConfig, FabricError, FaultPlan, KillSite, Watch};
 
         let one_slot = ExecConfig { workers: 1, ..ExecConfig::tasks() };
         for exec in [ExecConfig::default(), one_slot] {
@@ -581,6 +585,11 @@ mod tests {
             let config = FabricConfig { exec, fault, ..FabricConfig::default() };
             let out = Fabric::run_with_config_ft(4, config, |ep| {
                 let mpi = crate::Mpi::init(ep, crate::MpiConfig::default());
+                if mpi.rank() == 3 {
+                    // Rank 2's block arrives first and waits in the stash.
+                    let death = mpi.ep.match_blocking(Watch::Ranks(&[2]), |_| false, Some);
+                    assert!(death.is_err());
+                }
                 let got = mpi.alltoall_lend(&mpi.world(), (0..8u64).collect(), 2, |_, _| {});
                 let dead = |e: &FabricError| matches!(e, FabricError::ImageFailed { failed } if failed == &[2]);
                 assert!(got.as_ref().is_err_and(dead), "rank {}: {got:?}", mpi.rank());

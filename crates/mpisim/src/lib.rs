@@ -40,7 +40,6 @@
 //!    completion (paper §3.3).
 
 pub mod collective;
-pub mod costs;
 pub mod ops;
 pub mod p2p;
 pub mod request;
@@ -51,7 +50,6 @@ pub use caf_fabric::{FabricError, Pod, Result};
 /// A communicator: an ordered process group whose id isolates its
 /// point-to-point and collective traffic (see [`caf_fabric::Group`]).
 pub use caf_fabric::Group as Comm;
-pub use costs::{mvapich_like, TIME_SCALE};
 pub use ops::{AccOp, BitsRepr, Scalar};
 pub use p2p::{Src, Status, Tag};
 pub use request::{FlushRequest, RmaRequest};

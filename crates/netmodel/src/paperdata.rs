@@ -56,9 +56,7 @@ pub const RA_EDISON_GASNET: [f64; 9] = [
 ];
 
 // ---- Figure 4: RandomAccess time decomposition @2048 cores, Fusion (s) --
-/// Categories of the RA decomposition, in order.
-pub const RA_DECOMP_CATS: [&str; 4] =
-    ["computation", "coarray_write", "event_wait", "event_notify"];
+// Each row is [computation, coarray_write, event_wait, event_notify].
 /// CAF-GASNet decomposition.
 pub const RA_DECOMP_GASNET: [f64; 4] = [46.36, 53.28, 405.75, 3.60];
 /// CAF-MPI decomposition.
@@ -101,9 +99,6 @@ pub const HPL_FUSION_MPI: [f64; 4] =
 /// CAF-GASNet HPL on Fusion.
 pub const HPL_FUSION_GASNET: [f64; 4] =
     [0.0330905247, 0.122221024, 0.4467551121, 1.5327417036];
-/// CAF-GASNet-NOSRQ HPL on Fusion.
-pub const HPL_FUSION_GASNET_NOSRQ: [f64; 4] =
-    [0.0330424331, 0.1254319838, 0.4453462682, 1.560673607];
 
 // ---- Figure 10: HPL on Edison (TFlop/s) ---------------------------------
 /// CAF-MPI HPL on Edison.

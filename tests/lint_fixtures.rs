@@ -1102,6 +1102,36 @@ fn names_used_by_the_benchmark_tree_are_roots() {
 }
 
 #[test]
+fn unreached_pub_const_and_static_trip_cafl010() {
+    assert_eq!(reach_codes("pub const ORPHAN: u32 = 7;", &[]), vec!["CAFL010"]);
+    assert_eq!(reach_codes("pub static mut ORPHAN: u32 = 7;", &[]), vec!["CAFL010"]);
+    // Named only by its own unit tests: still unreached.
+    let api = "pub const ORPHAN: u32 = 7;\n#[cfg(test)] mod tests { fn t() { let _ = super::ORPHAN; } }";
+    assert_eq!(reach_codes(api, &[]), vec!["CAFL010"]);
+    // Not module-level items: a `pub const fn`, an associated const, a
+    // const inside a fn body; private and `pub(crate)` consts are rustc's.
+    let not_items = "pub struct S; impl S { pub const K: u32 = 1; }\n\
+                     const PRIVATE: u32 = 1; pub(crate) const CRATE: u32 = 2;";
+    assert!(reach_codes(not_items, &[]).is_empty());
+    assert_eq!(reach_codes("pub const fn orphan() -> u32 { 7 }", &[]), vec!["CAFL010"]);
+}
+
+#[test]
+fn pub_const_named_by_a_root_or_a_reached_const_is_reached() {
+    let bench = ("benchmark/src/workloads.rs", "fn run() { let _ = caf::BENCH_ONLY; }");
+    assert!(reach_codes("pub const BENCH_ONLY: u32 = 7;", &[bench]).is_empty());
+    // A reached const reaches what its type and initializer name; a
+    // reached fn body reaches what it names, in a nested `mod` too.
+    let api = "pub mod inner { pub const N: usize = 2; }\n\
+               pub const TABLE: [u8; inner::N] = [BASE; inner::N];\n\
+               pub const BASE: u8 = 1;\n\
+               pub fn read() -> u8 { TABLE[0] }";
+    let main = ("examples/ex.rs", "fn main() { caf::read(); }");
+    assert!(reach_codes(api, &[main]).is_empty());
+    assert_eq!(reach_codes(api, &[]), vec!["CAFL010"; 4]);
+}
+
+#[test]
 fn unreached_allow_needs_a_reason_and_goes_stale_when_reached() {
     let reasoned = "// lint:allow(unreached): backs a documented claim\npub fn kept() {}";
     assert!(reach_codes(reasoned, &[]).is_empty());
